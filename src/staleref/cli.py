@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="write the report here instead of stdout")
     shared.add_argument("--timeout", type=float, help="wall-clock budget in seconds")
     shared.add_argument("--max-file-bytes", type=int, help="skip source files larger than this")
-    shared.add_argument("--jobs", type=int, help="worker threads (default: cpu count)")
     shared.add_argument(
         "--scan-time", help="pin the scan timestamp (epoch seconds or RFC 3339)"
     )
@@ -205,7 +204,6 @@ def _run_analysis(args, mode: str) -> int:
         max_file_bytes=_opt(
             args, file_cfg, "max_file_bytes", default=10 * 1024 * 1024, cast=int
         ),
-        jobs=_opt(args, file_cfg, "jobs", default=os.cpu_count() or 1, cast=int),
         scan_time=_parse_scan_time(scan_time) if scan_time is not None else None,
         timeout_seconds=_opt(
             args, file_cfg, "timeout", default=DEFAULT_TIMEOUT_SECONDS, cast=float

@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 
 from .docdiscovery import DocumentDescriptor
 
-ORIGIN_ORIGINAL = "original"
-ORIGIN_ADDED = "added"
-ORIGIN_MODIFIED = "modified"
-RULE_ORIGINS = frozenset({ORIGIN_ORIGINAL, ORIGIN_ADDED, ORIGIN_MODIFIED})
-
 MIN_ELEMENT_LENGTH = 2
 
 # One rule per line: id<TAB>capture-group<TAB>pattern. Lines starting with
@@ -38,20 +33,8 @@ upper-snake\t0\t\\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\\b
 dotted-name\t0\t\\b[A-Za-z_][A-Za-z0-9_-]*\\.[A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z0-9_]+)*\\b(?!\\()
 path-like\t0\t\\.{0,2}/?[A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*/[A-Za-z0-9_.-]*[A-Za-z0-9_]
 """
-
 # The built-in catalog deliberately has no rule for bare URLs; URLs are only
 # picked up when an author backticks them.
-_DEFAULT_RULE_ORIGINS = {
-    "backtick": ORIGIN_ADDED,
-    "template-class": ORIGIN_ORIGINAL,
-    "qualified-call": ORIGIN_MODIFIED,
-    "function-call": ORIGIN_MODIFIED,
-    "camel-case": ORIGIN_MODIFIED,
-    "pascal-case": ORIGIN_MODIFIED,
-    "upper-snake": ORIGIN_ORIGINAL,
-    "dotted-name": ORIGIN_ORIGINAL,
-    "path-like": ORIGIN_MODIFIED,
-}
 
 DEFAULT_CATALOG_VERSION = "builtin-1"
 
@@ -65,12 +48,9 @@ class RegexRule:
     id: str
     capture_group: int
     pattern: str
-    origin: str = ORIGIN_ORIGINAL
     compiled: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.origin not in RULE_ORIGINS:
-            raise ValueError(f"unknown rule origin: {self.origin!r}")
         self.compiled = re.compile(self.pattern)
         if not 0 <= self.capture_group <= self.compiled.groups:
             raise ValueError(
@@ -151,10 +131,7 @@ def load_catalog(text: str, version: str = "custom") -> RegexCatalog:
 
 
 def default_catalog() -> RegexCatalog:
-    catalog = load_catalog(DEFAULT_CATALOG_TEXT, version=DEFAULT_CATALOG_VERSION)
-    for rule in catalog.rules:
-        rule.origin = _DEFAULT_RULE_ORIGINS[rule.id]
-    return catalog
+    return load_catalog(DEFAULT_CATALOG_TEXT, version=DEFAULT_CATALOG_VERSION)
 
 
 _FENCE_LINE_RE = re.compile(r"^[ \t]*```")

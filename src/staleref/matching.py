@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import fnmatch
 import string
-import threading
 from dataclasses import dataclass, field
 
 from .revgraph import GitRepo, Revision
@@ -21,7 +20,6 @@ STATUS_OUTDATED = "outdated"
 STATUS_IN_SYNC = "in_sync"
 STATUS_NEVER_MATCHED = "never_matched"
 
-BINARY_NULL_BYTE = "null-byte"
 _BINARY_SNIFF_BYTES = 8192
 
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
@@ -33,13 +31,10 @@ class MatchConfig:
     max_file_bytes: int = 10 * 1024 * 1024
     max_count_per_file: int = 10_000
     max_matched_paths: int = 20
-    binary_detection: str = BINARY_NULL_BYTE
 
     def __post_init__(self) -> None:
         if self.max_file_bytes <= 0 or self.max_count_per_file <= 0:
             raise ValueError("size and count limits must be positive")
-        if self.binary_detection != BINARY_NULL_BYTE:
-            raise ValueError(f"unknown binary detection mode: {self.binary_detection!r}")
 
 
 @dataclass(frozen=True)
@@ -142,9 +137,7 @@ class SourceScanner:
     """Counts element instances at arbitrary revisions with blob-level caching.
 
     Blobs repeat across revisions, so per-(blob, element) counts make history
-    scans cheap. A scanner may be shared between worker threads; cache entries
-    are only ever computed from immutable repository data, so a racing
-    recompute is wasted work rather than a correctness problem.
+    scans cheap.
     """
 
     def __init__(self, repo: GitRepo, config: MatchConfig):
@@ -152,7 +145,6 @@ class SourceScanner:
         self.config = config
         self.warnings: list[dict] = []
         self._warned: set[tuple] = set()
-        self._warn_lock = threading.Lock()
         self._scannable: dict[str, tuple[tuple[str, str], ...]] = {}
         self._text_cache: dict[str, str | None] = {}
         self._count_cache: dict[tuple[str, str], tuple[int, int, bool]] = {}
@@ -160,10 +152,9 @@ class SourceScanner:
 
     def _warn(self, **entry) -> None:
         key = tuple(sorted(entry.items()))
-        with self._warn_lock:
-            if key not in self._warned:
-                self._warned.add(key)
-                self.warnings.append(entry)
+        if key not in self._warned:
+            self._warned.add(key)
+            self.warnings.append(entry)
 
     def _scannable_entries(self, revision: Revision) -> tuple[tuple[str, str], ...]:
         cached = self._scannable.get(revision.sha)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from .reporting import (
 from .revgraph import (
     DocVersion,
     EmptyHistoryError,
-    GitError,
     GitRepo,
     KIND_WIKI,
     MissingRepositoryError,
@@ -36,7 +34,7 @@ from .revgraph import (
 )
 from .timeline import (
     ElementTimeline,
-    build_timeline,
+    cell_symbol,
     detect_episodes,
     episode_duration,
     is_count,
@@ -71,7 +69,6 @@ class RunConfig:
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
     exclude_globs: tuple[str, ...] = ()
     max_file_bytes: int = 10 * 1024 * 1024
-    jobs: int = 1
     scan_time: int | None = None
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
     url_base: str | None = None
@@ -95,13 +92,6 @@ def _derive_url_base(repo: GitRepo) -> str | None:
     if not url.startswith(("http://", "https://")):
         return None
     return url[:-4] if url.endswith(".git") else url
-
-
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as executor:
-        return list(executor.map(fn, items))
 
 
 def _sorted_warnings(*warning_lists: list[dict]) -> list[dict]:
@@ -201,15 +191,9 @@ def run_scan(config: RunConfig) -> ScanReport:
                     document, project.revision_by_sha(hosting_seq, touch[0]), doc_text
                 )
                 snapshot = snapshot_for_doc(doc_version, project.source_seq)
-
-                def _count_pair(ref):
-                    return (
-                        scanner.count_instances(ref.text, snapshot),
-                        scanner.count_instances(ref.text, head),
-                    )
-
-                counted = _parallel_map(_count_pair, refs, config.jobs)
-                for ref, (snap_ic, cur_ic) in zip(refs, counted):
+                for ref in refs:
+                    snap_ic = scanner.count_instances(ref.text, snapshot)
+                    cur_ic = scanner.count_instances(ref.text, head)
                     status = classify_current(snap_ic, cur_ic)
                     finding = Finding(
                         element_text=ref.text,
@@ -257,8 +241,9 @@ def _union_listing(repo: GitRepo, seq: RevisionSequence) -> list[str]:
 def run_history(config: RunConfig) -> ScanReport:
     """Full-history analysis producing symbolic timelines and episodes.
 
-    Instance counts are primed newest-first so that when the timeout strikes,
-    the partial output covers the most recent revisions.
+    Cells are decided in one pass over the revisions, newest first, so that
+    when the timeout strikes, the partial output covers the most recent
+    revisions.
     """
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
@@ -327,63 +312,54 @@ def run_history(config: RunConfig) -> ScanReport:
                         "pairs": pairs,
                         "refs_provider": refs_provider,
                         "hosting_seq": hosting_seq,
+                        "symbols": [None] * n,
+                        "failed": [],
                     }
                 )
 
-        # Count priming, newest revisions first.
-        try:
-            if partial:
-                raise ScanTimeout
-            for i in range(n - 1, -1, -1):
-                deadline.check()
-
-                def _prime(row, _i=i):
-                    revision, doc_version = row["pairs"][_i]
-                    if doc_version is None or doc_version.text is None:
-                        return
-                    if row["element"] not in row["refs_provider"](doc_version):
-                        return
-                    try:
-                        scanner.count_instances(row["element"], revision)
-                    except GitError:
-                        pass
-                _parallel_map(lambda r: _prime(r), rows, config.jobs)
-                covered_from = i
-        except ScanTimeout:
-            partial = True
+        # One symbol per (row, revision) cell, newest revisions first.
+        counts_provider = lambda el, rev: scanner.count_instances(el, rev).count
+        if not partial:
+            try:
+                for i in range(n - 1, -1, -1):
+                    deadline.check()
+                    for row in rows:
+                        revision, doc_version = row["pairs"][i]
+                        row["symbols"][i], failed = cell_symbol(
+                            row["element"],
+                            revision,
+                            doc_version,
+                            counts_provider,
+                            row["refs_provider"],
+                        )
+                        if failed:
+                            row["failed"].append(i)
+                    covered_from = i
+            except ScanTimeout:
+                partial = True
 
         findings: list[Finding] = []
         warnings_extra: list[dict] = []
         if partial:
             for row in rows:
-                suffix = []
-                for idx in range(covered_from, n):
-                    revision, doc_version = row["pairs"][idx]
-                    if doc_version is None or doc_version.text is None:
-                        suffix.append(".")
-                    elif row["element"] not in row["refs_provider"](doc_version):
-                        suffix.append("-")
-                    else:
-                        suffix.append(
-                            scanner.count_instances(row["element"], revision).count
-                        )
                 findings.append(
                     Finding(
                         element_text=row["element"],
                         document=row["document"],
                         status=None,
                         current_sha=head.sha,
-                        symbols_suffix=suffix,
+                        symbols_suffix=row["symbols"][covered_from:],
                     )
                 )
         else:
             for row in rows:
-                timeline = build_timeline(
+                timeline = ElementTimeline(
                     row["element"],
                     row["document"],
-                    row["pairs"],
-                    lambda el, rev: scanner.count_instances(el, rev).count,
-                    row["refs_provider"],
+                    row["symbols"],
+                    source_seq.revisions,
+                    partial=bool(row["failed"]),
+                    failed_ordinals=sorted(row["failed"]),
                 )
                 episodes = detect_episodes(timeline, strict=config.strict_episodes)
                 for episode in episodes:

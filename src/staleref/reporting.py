@@ -7,6 +7,7 @@ import io
 import json
 import statistics
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 
 from .docdiscovery import ORIGIN_WIKI, DocumentDescriptor
 from .matching import STATUS_OUTDATED
@@ -16,6 +17,7 @@ from .timeline import (
     ElementTimeline,
     FixEvent,
     OutdatedEpisode,
+    survival_curve,
 )
 
 SCHEMA_VERSION = 1
@@ -148,31 +150,11 @@ def _episode_list(findings: list[Finding]) -> list[OutdatedEpisode]:
     return episodes
 
 
-def compute_aggregates(findings: list[Finding]) -> Aggregates:
-    """Totals over one report's findings; pure so it can be recomputed from
-    parsed output and compared against the in-process result."""
-    agg = Aggregates(projects_total=1)
-    agg.elements_total = len(findings)
-    agg.elements_outdated = sum(1 for f in findings if f.outdated)
-    documents = {(f.document.origin, f.document.path) for f in findings}
-    outdated_docs = {
-        (f.document.origin, f.document.path) for f in findings if f.outdated
-    }
-    agg.documents_total = len(documents)
-    agg.documents_outdated = len(outdated_docs)
-    agg.projects_outdated = 1 if outdated_docs else 0
-
-    episodes = _episode_list(findings)
+def _fold_episodes(agg: Aggregates, episodes: list[OutdatedEpisode]) -> None:
+    """Fix-kind counts, duration stats and the survival curve over *episodes*."""
     for episode in episodes:
         if episode.fix is not None:
             agg.fix_kind_counts[episode.fix.kind] += 1
-    pairs_with_episode = {
-        (f.document.origin, f.document.path, f.element_text)
-        for f in findings
-        if f.episodes
-    }
-    agg.reoutdated_count = len(episodes) - len(pairs_with_episode)
-
     durations = [
         ep.duration_seconds for ep in episodes if ep.duration_seconds is not None
     ]
@@ -192,11 +174,31 @@ def compute_aggregates(findings: list[Finding]) -> Aggregates:
     ]
     if fixed_positive:
         grid = sorted({0, *(ep.duration_seconds for ep in fixed_positive)})
-        from .timeline import survival_curve
+        agg.survival_points = [[d, f] for d, f in survival_curve(fixed_positive, grid)]
 
-        agg.survival_points = [
-            [d, f] for d, f in survival_curve(fixed_positive, grid)
-        ]
+
+def compute_aggregates(findings: list[Finding]) -> Aggregates:
+    """Totals over one report's findings; pure so it can be recomputed from
+    parsed output and compared against the in-process result."""
+    agg = Aggregates(projects_total=1)
+    agg.elements_total = len(findings)
+    agg.elements_outdated = sum(1 for f in findings if f.outdated)
+    documents = {(f.document.origin, f.document.path) for f in findings}
+    outdated_docs = {
+        (f.document.origin, f.document.path) for f in findings if f.outdated
+    }
+    agg.documents_total = len(documents)
+    agg.documents_outdated = len(outdated_docs)
+    agg.projects_outdated = 1 if outdated_docs else 0
+
+    episodes = _episode_list(findings)
+    pairs_with_episode = {
+        (f.document.origin, f.document.path, f.element_text)
+        for f in findings
+        if f.episodes
+    }
+    agg.reoutdated_count = len(episodes) - len(pairs_with_episode)
+    _fold_episodes(agg, episodes)
     return agg
 
 
@@ -204,7 +206,6 @@ def aggregate_corpus(reports: list[ScanReport]) -> Aggregates:
     """Pool findings across reports from distinct projects."""
     agg = Aggregates(projects_total=len(reports))
     all_episodes: list[OutdatedEpisode] = []
-    reoutdated = 0
     for report in reports:
         per = compute_aggregates(report.findings)
         agg.elements_total += per.elements_total
@@ -212,34 +213,9 @@ def aggregate_corpus(reports: list[ScanReport]) -> Aggregates:
         agg.documents_total += per.documents_total
         agg.documents_outdated += per.documents_outdated
         agg.projects_outdated += per.projects_outdated
-        reoutdated += per.reoutdated_count
+        agg.reoutdated_count += per.reoutdated_count
         all_episodes.extend(_episode_list(report.findings))
-    agg.reoutdated_count = reoutdated
-    for episode in all_episodes:
-        if episode.fix is not None:
-            agg.fix_kind_counts[episode.fix.kind] += 1
-    durations = [
-        ep.duration_seconds for ep in all_episodes if ep.duration_seconds is not None
-    ]
-    if durations:
-        agg.duration_stats = {
-            "min": min(durations),
-            "median": statistics.median(durations),
-            "mean": statistics.fmean(durations),
-            "max": max(durations),
-        }
-    fixed_positive = [
-        ep
-        for ep in all_episodes
-        if not ep.ongoing
-        and ep.duration_seconds is not None
-        and ep.duration_seconds > 0
-    ]
-    if fixed_positive:
-        grid = sorted({0, *(ep.duration_seconds for ep in fixed_positive)})
-        from .timeline import survival_curve
-
-        agg.survival_points = [[d, f] for d, f in survival_curve(fixed_positive, grid)]
+    _fold_episodes(agg, all_episodes)
     return agg
 
 
@@ -247,8 +223,6 @@ def aggregate_corpus(reports: list[ScanReport]) -> Aggregates:
 
 
 def _rfc3339(epoch: int) -> str:
-    from datetime import datetime, timezone
-
     return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
 
 

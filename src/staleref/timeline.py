@@ -56,10 +56,6 @@ def validate_symbol(symbol: Symbol) -> None:
         raise ValueError(f"not a timeline symbol: {symbol!r}")
 
 
-def render_symbol(symbol: Symbol) -> str:
-    return str(symbol)
-
-
 @dataclass(frozen=True)
 class FixEvent:
     kind: str
@@ -114,6 +110,29 @@ class ElementTimeline:
             validate_symbol(symbol)
 
 
+def cell_symbol(
+    element_text: str,
+    revision: Revision,
+    doc_version: DocVersion | None,
+    counts_provider: Callable[[str, Revision], int],
+    refs_provider: Callable[[DocVersion], frozenset[str]],
+) -> tuple[Symbol, bool]:
+    """The symbol for one (revision, document version) cell, and whether its
+    count failed.
+
+    A failed count reads as DocAbsent, so that it can never fabricate an
+    outdated stretch on its own.
+    """
+    if doc_version is None or doc_version.text is None:
+        return DOC_ABSENT, False
+    if element_text not in refs_provider(doc_version):
+        return NO_REFERENCE, False
+    try:
+        return int(counts_provider(element_text, revision)), False
+    except Exception:
+        return DOC_ABSENT, True
+
+
 def build_timeline(
     element_text: str,
     document: DocumentDescriptor | None,
@@ -130,19 +149,12 @@ def build_timeline(
     symbols: list[Symbol] = []
     failed: list[int] = []
     for ordinal, (revision, doc_version) in enumerate(linked_pairs):
-        if doc_version is None or doc_version.text is None:
-            symbols.append(DOC_ABSENT)
-            continue
-        if element_text not in refs_provider(doc_version):
-            symbols.append(NO_REFERENCE)
-            continue
-        try:
-            count = int(counts_provider(element_text, revision))
-        except Exception:
+        symbol, count_failed = cell_symbol(
+            element_text, revision, doc_version, counts_provider, refs_provider
+        )
+        symbols.append(symbol)
+        if count_failed:
             failed.append(ordinal)
-            symbols.append(DOC_ABSENT)
-            continue
-        symbols.append(count)
     revisions = tuple(revision for revision, _ in linked_pairs)
     return ElementTimeline(
         element_text,

@@ -7,9 +7,12 @@ import json
 import pytest
 
 import scenarios
+from staleref import cli, pipeline
 from staleref.docdiscovery import DiscoveryConfig
-from staleref.pipeline import RunConfig, run_history, run_scan
+from staleref.matching import SourceScanner
+from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
 from staleref.reporting import parse_report, render_findings
+from staleref.revgraph import GitError
 
 
 def config_for(manifest, **overrides):
@@ -18,10 +21,53 @@ def config_for(manifest, **overrides):
         wiki_path=manifest["wiki"],
         exclude_globs=tuple(manifest["exclude"]),
         scan_time=manifest["scan_time"],
-        jobs=1,
     )
     kwargs.update(overrides)
     return RunConfig(**kwargs)
+
+
+class _FakeDeadline:
+    """Lets *checks* revision checks pass, then times out."""
+
+    def __init__(self, checks: int):
+        self.left = checks
+
+    def expired(self) -> bool:
+        return self.left <= 0
+
+    def check(self) -> None:
+        if self.left <= 0:
+            raise ScanTimeout
+        self.left -= 1
+
+
+def cut_after(monkeypatch, checks: int) -> None:
+    monkeypatch.setattr(pipeline, "_Deadline", lambda seconds: _FakeDeadline(checks))
+
+
+def fail_count_at(monkeypatch, ordinal: int) -> None:
+    original = SourceScanner.count_instances
+
+    def count_instances(self, element_text, revision):
+        if revision.ordinal == ordinal:
+            raise GitError("cat-file died")
+        return original(self, element_text, revision)
+
+    monkeypatch.setattr(SourceScanner, "count_instances", count_instances)
+
+
+def symbols_by_key(report):
+    return {
+        (f.document.origin, f.document.path, f.element_text): list(f.timeline.symbols)
+        for f in report.findings
+    }
+
+
+def suffixes_by_key(report):
+    return {
+        (f.document.origin, f.document.path, f.element_text): f.symbols_suffix
+        for f in report.findings
+    }
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +190,12 @@ class TestHistoryScenarios:
 
 
 class TestRunBehavior:
-    def test_jobs_do_not_change_results(self, manifests):
+    def test_repeat_runs_give_same_results(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "multi_doc")
-        sequential = render_findings(run_scan(config_for(manifest, jobs=1)))
-        parallel = render_findings(run_scan(config_for(manifest, jobs=4)))
-        assert sequential == parallel
+        for run in (run_scan, run_history):
+            first = render_findings(run(config_for(manifest)))
+            second = render_findings(run(config_for(manifest)))
+            assert first == second, run.__name__
 
     def test_missing_wiki_is_warning_not_error(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "in_sync")
@@ -185,8 +232,55 @@ class TestRunBehavior:
             repo_path=str(builder.path),
             discovery=DiscoveryConfig(extra_doc_globs=("docs/*.md",)),
             scan_time=scenarios.T0 + 1000,
-            jobs=1,
         )
         report = run_scan(config)
         statuses = {f.element_text: f.status for f in report.findings}
         assert statuses == {"doc_fn()": "outdated"}
+
+
+class TestPartialHistory:
+    def test_cut_mid_pass_emits_newest_suffix(self, manifests, monkeypatch):
+        cuts = 0
+        for manifest in manifests:
+            full = run_history(config_for(manifest))
+            n = len(full.revisions)
+            expected = symbols_by_key(full)
+            for checks in range(1, n):
+                with monkeypatch.context() as m:
+                    cut_after(m, checks)
+                    report = run_history(config_for(manifest))
+                assert report.partial, manifest["name"]
+                assert report.covered_from_ordinal == n - checks
+                assert suffixes_by_key(report) == {
+                    key: symbols[n - checks:] for key, symbols in expected.items()
+                }, (manifest["name"], checks)
+                cuts += 1
+        assert cuts >= 5
+
+    def test_git_error_in_timed_out_run_reports_absent(self, manifests, monkeypatch, tmp_path):
+        manifest = next(m for m in manifests if m["name"] == "merge_history")
+        cut_after(monkeypatch, 2)
+        fail_count_at(monkeypatch, 1)
+        report = run_history(config_for(manifest))
+        assert report.partial and report.covered_from_ordinal == 1
+        assert suffixes_by_key(report) == {("readme", "README.md", "merge_me()"): [".", 0]}
+
+        out = tmp_path / "partial.json"
+        code = cli.main([
+            "history", "--repo", manifest["repo"], "--wiki", "none",
+            "--scan-time", str(manifest["scan_time"]), "--out", str(out),
+        ])
+        assert code == cli.EXIT_TIMEOUT
+        payload = json.loads(out.read_text())
+        assert payload["partial"] is True
+        assert payload["findings"][0]["symbols_suffix"] == [".", 0]
+
+    def test_git_error_in_full_run_marks_failed_ordinal(self, manifests, monkeypatch):
+        manifest = next(m for m in manifests if m["name"] == "merge_history")
+        fail_count_at(monkeypatch, 1)
+        report = run_history(config_for(manifest))
+        assert not report.partial
+        (finding,) = json.loads(render_findings(report))["findings"]
+        assert finding["symbols"] == [1, ".", 0]
+        assert finding["failed_ordinals"] == [1]
+        assert finding["timeline_partial"] is True
