@@ -14,7 +14,7 @@ import fnmatch
 import string
 from dataclasses import dataclass, field
 
-from .revgraph import GitRepo, Revision
+from .revgraph import Change, GitRepo, Revision
 
 STATUS_OUTDATED = "outdated"
 STATUS_IN_SYNC = "in_sync"
@@ -133,28 +133,60 @@ def matches_exclude(path: str, patterns: tuple[str, ...]) -> bool:
     return False
 
 
-class SourceScanner:
-    """Counts element instances at arbitrary revisions with blob-level caching.
+# Why a blob was skipped with a warning: (kind, detail key, detail value).
+_Skip = tuple[str, str, object]
 
-    Blobs repeat across revisions, so per-(blob, element) counts make history
-    scans cheap.
+
+def _read_source_text(
+    repo: GitRepo, blob_sha: str, max_file_bytes: int
+) -> tuple[str | None, _Skip | None]:
+    """Decoded text of a source blob, or None and the reason it was skipped.
+
+    Binary blobs are skipped silently, with no reason.
     """
+    try:
+        data = repo.read_blob_bytes(blob_sha)
+    except Exception as exc:
+        return None, ("unreadable_blob", "detail", str(exc))
+    if len(data) > max_file_bytes:
+        return None, ("oversized_file", "size", len(data))
+    if b"\x00" in data[:_BINARY_SNIFF_BYTES]:
+        return None, None
+    return data.decode("utf-8", errors="replace"), None
 
-    def __init__(self, repo: GitRepo, config: MatchConfig):
-        self.repo = repo
-        self.config = config
+
+class _WarningLog:
+    def __init__(self) -> None:
         self.warnings: list[dict] = []
         self._warned: set[tuple] = set()
-        self._scannable: dict[str, tuple[tuple[str, str], ...]] = {}
-        self._text_cache: dict[str, str | None] = {}
-        self._count_cache: dict[tuple[str, str], tuple[int, int, bool]] = {}
-        self._variant_cache: dict[str, dict[str, list[str]]] = {}
 
     def _warn(self, **entry) -> None:
         key = tuple(sorted(entry.items()))
         if key not in self._warned:
             self._warned.add(key)
             self.warnings.append(entry)
+
+    def _warn_skipped(self, skip: _Skip, path: str) -> None:
+        kind, detail_key, detail = skip
+        self._warn(kind=kind, path=path, **{detail_key: detail})
+
+
+class SourceScanner(_WarningLog):
+    """Counts element instances at arbitrary revisions with blob-level caching.
+
+    Each call walks the whole tree listing at its revision. Scan mode counts
+    with it; history mode uses ``HistoryCounter``, which must agree with it.
+    """
+
+    def __init__(self, repo: GitRepo, config: MatchConfig):
+        super().__init__()
+        self.repo = repo
+        self.config = config
+        self._scannable: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._text_cache: dict[str, str | None] = {}
+        self._skips: dict[str, _Skip] = {}
+        self._count_cache: dict[tuple[str, str], tuple[int, int, bool]] = {}
+        self._variant_cache: dict[str, dict[str, list[str]]] = {}
 
     def _scannable_entries(self, revision: Revision) -> tuple[tuple[str, str], ...]:
         cached = self._scannable.get(revision.sha)
@@ -169,21 +201,15 @@ class SourceScanner:
 
     def _blob_text(self, blob_sha: str, path: str) -> str | None:
         if blob_sha in self._text_cache:
-            return self._text_cache[blob_sha]
-        try:
-            data = self.repo.read_blob_bytes(blob_sha)
-        except Exception as exc:
-            self._warn(kind="unreadable_blob", path=path, detail=str(exc))
-            self._text_cache[blob_sha] = None
-            return None
-        if len(data) > self.config.max_file_bytes:
-            self._warn(kind="oversized_file", path=path, size=len(data))
-            text = None
-        elif b"\x00" in data[:_BINARY_SNIFF_BYTES]:
-            text = None
+            text = self._text_cache[blob_sha]
         else:
-            text = data.decode("utf-8", errors="replace")
-        self._text_cache[blob_sha] = text
+            text, skip = _read_source_text(self.repo, blob_sha, self.config.max_file_bytes)
+            self._text_cache[blob_sha] = text
+            if skip is not None:
+                self._skips[blob_sha] = skip
+        if text is None and blob_sha in self._skips:
+            # Every path that carries a skipped blob gets its own warning.
+            self._warn_skipped(self._skips[blob_sha], path)
         return text
 
     def _variants(self, revision: Revision) -> dict[str, list[str]]:
@@ -232,6 +258,160 @@ class SourceScanner:
             total,
             tuple(matched[: self.config.max_matched_paths]),
         )
+
+
+class HistoryCounter(_WarningLog):
+    """Running instance totals of a fixed set of elements over one history.
+
+    The counter holds the tree of one revision as a path -> blob map and moves
+    newest first, from the head down, by undoing each revision's changes.
+    Each blob is read once and counted once per element; only its non-zero
+    counts are kept, so a move costs the changed blobs, not the whole tree.
+    The totals and warnings agree with ``SourceScanner.count_instances`` at
+    the same revision.
+    """
+
+    def __init__(
+        self,
+        repo: GitRepo,
+        config: MatchConfig,
+        elements: frozenset[str],
+        changes: list[list[Change]],
+    ):
+        super().__init__()
+        self.repo = repo
+        self.config = config
+        self.revision: Revision | None = None  # whose tree the state holds
+        self._elements = elements
+        self._changes = changes  # first_parent_changes of the history
+        self._tree: dict[bytes, str] = {}
+        # raw path -> (decoded path, scannable, cited elements among its variants)
+        self._paths: dict[bytes, tuple[str, bool, tuple[str, ...]]] = {}
+        # blob -> element -> (count, line of the first match, capped)
+        self._blob_counts: dict[str, dict[str, tuple[int, int, bool]]] = {}
+        self._blob_skips: dict[str, _Skip] = {}
+        self._totals: dict[str, int] = dict.fromkeys(elements, 0)
+        self._variant_paths: dict[str, set[bytes]] = {e: set() for e in elements}
+        self._capped_paths: dict[str, set[bytes]] = {e: set() for e in elements}
+        self._skipped_paths: dict[bytes, _Skip] = {}
+        self._counted: set[str] = set()  # elements counted at this revision
+
+    def seek(self, revision: Revision) -> None:
+        """Move the state to *revision*, which must not be newer than the
+        current one."""
+        target = revision.ordinal
+        if self.revision is None:
+            tree: dict[bytes, str] = {}
+            for changes in self._changes[: target + 1]:
+                for path, _, new in changes:
+                    if new is None:
+                        tree.pop(path, None)
+                    else:
+                        tree[path] = new
+            for path, blob in tree.items():
+                self._add(path, blob)
+        elif target > self.revision.ordinal:
+            raise ValueError("the counter only moves towards older revisions")
+        else:
+            for ordinal in range(self.revision.ordinal, target, -1):
+                for path, old, new in self._changes[ordinal]:
+                    if new is not None:
+                        self._remove(path, new)
+                    if old is not None:
+                        self._add(path, old)
+        if revision != self.revision:
+            self.revision = revision
+            self._counted = set()
+
+    def count(self, element_text: str, revision: Revision) -> int:
+        """Instances of one element at *revision*, the counter's position."""
+        if revision is not self.revision and revision != self.revision:
+            raise ValueError(f"the counter is not at revision {revision.ordinal}")
+        if element_text not in self._counted:
+            if not self._counted:
+                for path, skip in self._skipped_paths.items():
+                    self._warn_skipped(skip, self._paths[path][0])
+            self._counted.add(element_text)
+            for path in self._capped_paths[element_text]:
+                self._warn(
+                    kind="count_capped",
+                    path=self._paths[path][0],
+                    element=element_text,
+                    cap=self.config.max_count_per_file,
+                )
+        return self._totals[element_text] + len(self._variant_paths[element_text])
+
+    def evidence(self, element_text: str) -> tuple[tuple[str, int], ...]:
+        """``InstanceCount.matched_paths`` of one element at the current revision."""
+        hits = []
+        for path, blob in self._tree.items():
+            name, scannable, _ = self._paths[path]
+            found = self._blob_counts[blob].get(element_text) if scannable else None
+            if found is not None:
+                hits.append((name, blob, found[1]))
+        variants = sorted(
+            (self._paths[path][0], self._tree[path]) for path in self._variant_paths[element_text]
+        )
+        matched = [(name, line) for name, _, line in sorted(hits)]
+        matched += [(name, 0) for name, _ in variants]
+        return tuple(matched[: self.config.max_matched_paths])
+
+    def _path_info(self, path: bytes) -> tuple[str, bool, tuple[str, ...]]:
+        info = self._paths.get(path)
+        if info is None:
+            name = path.decode("utf-8", errors="replace")
+            info = self._paths[path] = (
+                name,
+                not matches_exclude(name, self.config.exclude_globs),
+                tuple(v for v in expand_path_variants([name]) if v in self._elements),
+            )
+        return info
+
+    def _counts_of(self, blob: str) -> dict[str, tuple[int, int, bool]]:
+        counts = self._blob_counts.get(blob)
+        if counts is None:
+            counts = self._blob_counts[blob] = {}
+            if not self._elements:
+                return counts  # nothing is ever counted, so nothing is read
+            text, skip = _read_source_text(self.repo, blob, self.config.max_file_bytes)
+            if skip is not None:
+                self._blob_skips[blob] = skip
+            if text:
+                cap = self.config.max_count_per_file
+                for element in self._elements:
+                    if element not in text:
+                        continue
+                    count, first, capped = count_occurrences(element, text, cap=cap)
+                    if count:
+                        counts[element] = (count, text.count("\n", 0, first) + 1, capped)
+        return counts
+
+    def _add(self, path: bytes, blob: str) -> None:
+        self._tree[path] = blob
+        _, scannable, variants = self._path_info(path)
+        for element in variants:
+            self._variant_paths[element].add(path)
+        if not scannable:
+            return
+        for element, (count, _, capped) in self._counts_of(blob).items():
+            self._totals[element] += count
+            if capped:
+                self._capped_paths[element].add(path)
+        if blob in self._blob_skips:
+            self._skipped_paths[path] = self._blob_skips[blob]
+
+    def _remove(self, path: bytes, blob: str) -> None:
+        del self._tree[path]
+        _, scannable, variants = self._path_info(path)
+        for element in variants:
+            self._variant_paths[element].discard(path)
+        if not scannable:
+            return
+        for element, (count, _, capped) in self._blob_counts[blob].items():
+            self._totals[element] -= count
+            if capped:
+                self._capped_paths[element].discard(path)
+        self._skipped_paths.pop(path, None)
 
 
 def count_instances(

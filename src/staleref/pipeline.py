@@ -7,9 +7,15 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .docdiscovery import ORIGIN_README, DiscoveryConfig, DocumentDescriptor, discover_documents
+from .docdiscovery import (
+    ORIGIN_README,
+    ORIGIN_WIKI,
+    DiscoveryConfig,
+    DocumentDescriptor,
+    discover_documents,
+)
 from .extraction import RegexCatalog, default_catalog, extract_elements
-from .matching import MatchConfig, SourceScanner, classify_current
+from .matching import HistoryCounter, MatchConfig, SourceScanner, classify_current
 from .reporting import (
     MODE_CURRENT,
     MODE_HISTORY,
@@ -22,6 +28,7 @@ from .reporting import (
     sort_findings,
 )
 from .revgraph import (
+    Change,
     DocVersion,
     EmptyHistoryError,
     GitRepo,
@@ -101,6 +108,12 @@ def _sorted_warnings(*warning_lists: list[dict]) -> list[dict]:
     return sorted(merged, key=lambda w: json.dumps(w, sort_keys=True))
 
 
+def _evidence(matched_paths: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int, str], ...]:
+    return tuple(
+        (path, line, "path-variant" if line == 0 else "text") for path, line in matched_paths
+    )
+
+
 class _Project:
     """Opened repositories plus the shared derived state both modes need."""
 
@@ -151,10 +164,7 @@ class _Project:
         )
 
     def revision_by_sha(self, seq: RevisionSequence, sha: str) -> Revision:
-        for rev in seq.revisions:
-            if rev.sha == sha:
-                return rev
-        return seq.head
+        return seq.by_sha.get(sha, seq.head)
 
 
 def run_scan(config: RunConfig) -> ScanReport:
@@ -203,10 +213,7 @@ def run_scan(config: RunConfig) -> ScanReport:
                         snapshot_count=snap_ic.count,
                         current_sha=head.sha,
                         current_count=cur_ic.count,
-                        evidence=tuple(
-                            (path, line, "path-variant" if line == 0 else "text")
-                            for path, line in snap_ic.matched_paths
-                        ),
+                        evidence=_evidence(snap_ic.matched_paths),
                         evidence_sha=snapshot.sha,
                         doc_sha=hosting_seq.head.sha,
                     )
@@ -231,34 +238,56 @@ def run_scan(config: RunConfig) -> ScanReport:
         project.close()
 
 
-def _union_listing(repo: GitRepo, seq: RevisionSequence) -> list[str]:
-    paths: set[str] = set()
-    for rev in seq.revisions:
-        paths.update(repo.tree_at(rev.sha))
-    return sorted(paths)
+def _union_listing(changes: list[list[Change]]) -> list[str]:
+    """Every path that holds a blob at some revision, sorted."""
+    return sorted({
+        path.decode("utf-8", errors="replace")
+        for revision_changes in changes
+        for path, _, new in revision_changes
+        if new is not None
+    })
+
+
+def _blob_series(changes: list[list[Change]], paths: set[str]) -> dict[str, list[str | None]]:
+    """The blob of each of *paths* at every revision, None where it is absent."""
+    current: dict[str, str | None] = dict.fromkeys(paths)
+    series: dict[str, list[str | None]] = {path: [] for path in paths}
+    for revision_changes in changes:
+        for raw, _, new in revision_changes:
+            path = raw.decode("utf-8", errors="replace")
+            if path in current:
+                current[path] = new
+        for path, blobs in series.items():
+            blobs.append(current[path])
+    return series
 
 
 def run_history(config: RunConfig) -> ScanReport:
     """Full-history analysis producing symbolic timelines and episodes.
 
-    Cells are decided in one pass over the revisions, newest first, so that
-    when the timeout strikes, the partial output covers the most recent
-    revisions.
+    Each repository's first-parent changes come from one diff stream. Cells
+    are decided in one pass over the revisions, newest first, while a
+    ``HistoryCounter`` undoes each revision's changes, so that when the
+    timeout strikes, the partial output covers the most recent revisions.
     """
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
     try:
         source_seq = project.source_seq
         head = source_seq.head
-        wiki_listing = (
-            _union_listing(project.wiki, project.wiki_seq)
-            if project.wiki is not None
-            else None
-        )
+        # Keyed by the origin of the documents each repository hosts.
+        changes = {ORIGIN_README: project.source.first_parent_changes(source_seq)}
+        if project.wiki is not None:
+            changes[ORIGIN_WIKI] = project.wiki.first_parent_changes(project.wiki_seq)
         documents = discover_documents(
-            _union_listing(project.source, source_seq), wiki_listing, config.discovery
+            _union_listing(changes[ORIGIN_README]),
+            _union_listing(changes[ORIGIN_WIKI]) if ORIGIN_WIKI in changes else None,
+            config.discovery,
         )
-        scanner = SourceScanner(project.source, project.match_config(documents))
+        doc_blobs = {
+            origin: _blob_series(origin_changes, {d.path for d in documents if d.origin == origin})
+            for origin, origin_changes in changes.items()
+        }
 
         # Document side: dense version lists over each document's hosting
         # history, extraction cached per distinct blob.
@@ -273,11 +302,11 @@ def run_history(config: RunConfig) -> ScanReport:
                 partial = True
                 break
             repo, hosting_seq, _ = project.hosting(document)
+            blobs = doc_blobs[document.origin][document.path]
             versions: list[DocVersion] = []
             refs_map: dict[tuple[str, str], frozenset[str]] = {}
             elements: set[str] = set()
-            for rev in hosting_seq.revisions:
-                blob = repo.blob_sha(rev.sha, document.path)
+            for rev, blob in zip(hosting_seq.revisions, blobs):
                 if blob is None:
                     text = None
                     refs: frozenset[str] = frozenset()
@@ -311,29 +340,40 @@ def run_history(config: RunConfig) -> ScanReport:
                         "element": element,
                         "pairs": pairs,
                         "refs_provider": refs_provider,
-                        "hosting_seq": hosting_seq,
+                        "doc_sha": hosting_seq.head.sha if blobs[-1] else None,
                         "symbols": [None] * n,
                         "failed": [],
+                        "evidence": None,
                     }
                 )
 
-        # One symbol per (row, revision) cell, newest revisions first.
-        counts_provider = lambda el, rev: scanner.count_instances(el, rev).count
+        # One symbol per (row, revision) cell, newest revisions first. A row's
+        # evidence comes from its newest positive cell.
+        counter = HistoryCounter(
+            project.source,
+            project.match_config(documents),
+            frozenset(row["element"] for row in rows),
+            changes[ORIGIN_README],
+        )
         if not partial:
             try:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
+                    counter.seek(source_seq.revisions[i])
                     for row in rows:
                         revision, doc_version = row["pairs"][i]
-                        row["symbols"][i], failed = cell_symbol(
+                        symbol, failed = cell_symbol(
                             row["element"],
                             revision,
                             doc_version,
-                            counts_provider,
+                            counter.count,
                             row["refs_provider"],
                         )
+                        row["symbols"][i] = symbol
                         if failed:
                             row["failed"].append(i)
+                        elif row["evidence"] is None and is_positive(symbol):
+                            row["evidence"] = (counter.evidence(row["element"]), revision.sha)
                     covered_from = i
             except ScanTimeout:
                 partial = True
@@ -375,7 +415,7 @@ def run_history(config: RunConfig) -> ScanReport:
                                 "start_ordinal": episode.start_ordinal,
                             }
                         )
-                finding = _history_finding(row, timeline, episodes, head, scanner, project)
+                finding = _history_finding(row, timeline, episodes, head, project)
                 findings.append(finding)
 
         findings = sort_findings(findings)
@@ -384,7 +424,7 @@ def run_history(config: RunConfig) -> ScanReport:
             scan_time=project.scan_time,
             mode=MODE_HISTORY,
             findings=findings,
-            warnings=_sorted_warnings(project.warnings, scanner.warnings, warnings_extra),
+            warnings=_sorted_warnings(project.warnings, counter.warnings, warnings_extra),
             aggregates=compute_aggregates(findings),
             revisions=source_seq.revisions,
             partial=partial,
@@ -400,29 +440,11 @@ def _history_finding(
     timeline: ElementTimeline,
     episodes,
     head: Revision,
-    scanner: SourceScanner,
     project: _Project,
 ) -> Finding:
     symbols = timeline.symbols
     current_count = symbols[-1] if symbols and is_count(symbols[-1]) else None
-    evidence: tuple = ()
-    evidence_sha = None
-    for idx in range(len(symbols) - 1, -1, -1):
-        if is_positive(symbols[idx]):
-            instance = scanner.count_instances(row["element"], timeline.revisions[idx])
-            evidence = tuple(
-                (path, line, "path-variant" if line == 0 else "text")
-                for path, line in instance.matched_paths
-            )
-            evidence_sha = timeline.revisions[idx].sha
-            break
-    hosting_seq = row["hosting_seq"]
-    doc_sha = None
-    hosting_repo = project.source if row["document"].origin == ORIGIN_README else project.wiki
-    if hosting_repo is not None and hosting_repo.blob_sha(
-        hosting_seq.head.sha, row["document"].path
-    ):
-        doc_sha = hosting_seq.head.sha
+    matched_paths, evidence_sha = row["evidence"] or ((), None)
     finding = Finding(
         element_text=row["element"],
         document=row["document"],
@@ -431,9 +453,9 @@ def _history_finding(
         snapshot_count=None,
         current_sha=head.sha,
         current_count=current_count,
-        evidence=evidence,
+        evidence=_evidence(matched_paths),
         evidence_sha=evidence_sha,
-        doc_sha=doc_sha,
+        doc_sha=row["doc_sha"],
         timeline=timeline,
         episodes=episodes,
     )

@@ -11,12 +11,20 @@ import bisect
 import subprocess
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .docdiscovery import DocumentDescriptor
 
 KIND_SOURCE = "source"
 KIND_WIKI = "wiki"
+
+# Raw diff modes on a side that holds no blob: nothing there, or a gitlink.
+_NO_BLOB_MODES = (b"000000", b"160000")
+
+# One changed path of a revision: (raw path, old blob, new blob), where None
+# means the path holds no blob on that side.
+Change = tuple[bytes, str | None, str | None]
 
 
 class GitError(Exception):
@@ -76,6 +84,15 @@ class RevisionSequence:
     @property
     def head(self) -> Revision:
         return self.revisions[-1]
+
+    @cached_property
+    def by_sha(self) -> dict[str, Revision]:
+        return {rev.sha: rev for rev in self.revisions}
+
+    @cached_property
+    def time_order(self) -> list[tuple[int, int]]:
+        """(timestamp, ordinal) of every revision, ascending."""
+        return sorted((rev.timestamp, rev.ordinal) for rev in self.revisions)
 
 
 @dataclass(frozen=True)
@@ -255,6 +272,53 @@ class GitRepo:
     def blob_sha(self, commit_sha: str, path: str) -> str | None:
         return self._entry_map(commit_sha).get(path)
 
+    def first_parent_changes(self, seq: RevisionSequence) -> list[list[Change]]:
+        """The blob changes of each revision of *seq* against the one before it.
+
+        Entry i lists revision i's changes; revision 0 is diffed against the
+        empty tree, so a shallow clone's graft starts from nothing. Like
+        ``tree_entries``, only blobs count: a gitlink is no blob on either
+        side. One ``git diff-tree --stdin`` child serves the whole sequence.
+        """
+        revs = seq.revisions
+        lines = [revs[0].sha] + [f"{rev.sha} {prev.sha}" for prev, rev in zip(revs, revs[1:])]
+        completed = subprocess.run(
+            ["git", "-C", str(self.path), "diff-tree", "-r", "-z", "--no-renames",
+             "--root", "--always", "--stdin"],
+            input="".join(line + "\n" for line in lines).encode(),
+            capture_output=True,
+        )
+        if completed.returncode != 0:
+            raise UnknownRevisionError(
+                f"{self.path}: cannot diff the first-parent history: "
+                f"{completed.stderr.decode(errors='replace').strip()}"
+            )
+        # -z output: each revision's sha, then a ":<modes> <shas> <status>"
+        # field and a path field per changed path.
+        fields = completed.stdout.split(b"\x00")
+        changes: list[list[Change]] = []
+        i = 0
+        while i < len(fields) - 1:
+            field = fields[i]
+            if field.startswith(b":") and changes:
+                old_mode, new_mode, old_sha, new_sha, _ = field[1:].split(b" ")
+                changes[-1].append((
+                    fields[i + 1],
+                    None if old_mode in _NO_BLOB_MODES else old_sha.decode(),
+                    None if new_mode in _NO_BLOB_MODES else new_sha.decode(),
+                ))
+                i += 2
+            elif len(changes) < len(revs) and field == revs[len(changes)].sha.encode():
+                changes.append([])
+                i += 1
+            else:
+                raise GitError(f"{self.path}: unexpected git diff-tree output {field[:80]!r}")
+        if len(changes) != len(revs):
+            raise GitError(
+                f"{self.path}: git diff-tree covered {len(changes)} of {len(revs)} revisions"
+            )
+        return changes
+
     def read_blob_bytes(self, blob_sha: str) -> bytes:
         """Raw contents of a blob object, via a persistent cat-file process."""
         with self._batch_lock:
@@ -298,12 +362,9 @@ def snapshot_for_doc(doc_version: DocVersion, source_seq: RevisionSequence) -> R
     """
     if not source_seq.revisions:
         raise EmptyHistoryError("cannot snapshot against an empty revision sequence")
-    doc_ts = doc_version.timestamp
-    best: Revision | None = None
-    for rev in source_seq.revisions:
-        if rev.timestamp <= doc_ts and (best is None or rev.timestamp >= best.timestamp):
-            best = rev
-    return best if best is not None else source_seq.revisions[0]
+    order = source_seq.time_order
+    idx = bisect.bisect_right(order, (doc_version.timestamp, len(order)))
+    return source_seq.revisions[order[idx - 1][1] if idx else 0]
 
 
 def link_source_to_docs(

@@ -9,6 +9,8 @@ mapping, so any false positive or false negative fails.
 
 from __future__ import annotations
 
+import os
+import subprocess
 from pathlib import Path
 
 from conftest import RepoBuilder
@@ -237,6 +239,111 @@ def build_rst_readme(base: Path):
     })
 
 
+def _symlink(repo: RepoBuilder, rel: str, target: str) -> None:
+    link = repo.path / rel
+    if link.is_symlink() or link.exists():
+        link.unlink()
+    link.parent.mkdir(parents=True, exist_ok=True)
+    os.symlink(target, link)
+
+
+def _gitlink(repo: RepoBuilder, rel: str, commit_sha: str) -> None:
+    # An empty directory keeps `git add -A` from dropping the gitlink.
+    (repo.path / rel).mkdir(parents=True)
+    repo.git("update-index", "--add", "--cacheinfo", f"160000,{commit_sha},{rel}")
+
+
+def build_symlink_target(base: Path):
+    # A symlink is a blob holding its target path, and that text counts as
+    # source: retargeting the link makes launch_impl disappear.
+    repo = RepoBuilder(base / "symlink_target")
+    _symlink(repo, "bin/run", "launch_impl")
+    repo.commit(T0, {
+        "README.md": "The launcher resolves to `launch_impl` today.\n",
+        "src/app.py": "print('hi')\n",
+    })
+    _symlink(repo, "bin/run", "other_impl")
+    repo.commit(T0 + STEP, {})
+    return _manifest("symlink_target", repo, expected={
+        ("readme", "README.md", "launch_impl"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "launch_impl"): [1, 0],
+    })
+
+
+def build_submodule_gitlink(base: Path):
+    # Gitlinks (mode 160000) are neither read nor listed: vendor/sub never
+    # matches as a path, and a file replaced by a gitlink stops counting.
+    repo = RepoBuilder(base / "submodule_gitlink")
+    repo.commit(T0, {
+        "README.md": "Call `sub_fn()` and `dep_fn` from `vendor/sub`.\n",
+        "src/app.py": "def sub_fn():\n    pass\n",
+        "lib/dep.py": "def dep_fn():\n    pass\n",
+    })
+    _gitlink(repo, "vendor/sub", "1234567890abcdef1234567890abcdef12345678")
+    repo.commit(T0 + STEP, {})
+    repo.git("rm", "-q", "--cached", "lib/dep.py")
+    (repo.path / "lib/dep.py").unlink()
+    _gitlink(repo, "lib/dep.py", "fedcba0987654321fedcba0987654321fedcba09")
+    repo.commit(T0 + 2 * STEP, {})
+    return _manifest("submodule_gitlink", repo, expected={
+        ("readme", "README.md", "sub_fn()"): IN_SYNC,
+        ("readme", "README.md", "dep_fn"): OUTDATED,
+        ("readme", "README.md", "vendor/sub"): NEVER,
+    }, history={
+        ("readme", "README.md", "sub_fn()"): [1, 1, 1],
+        ("readme", "README.md", "dep_fn"): [1, 1, 0],
+        ("readme", "README.md", "vendor/sub"): [0, 0, 0],
+    })
+
+
+def build_file_becomes_symlink(base: Path):
+    # A type change (git status T): the regular file's text goes away and the
+    # link's target text takes its place.
+    repo = RepoBuilder(base / "file_becomes_symlink")
+    repo.commit(T0, {
+        "README.md": "Call `shim_fn()`, later found in `real_shim.py`.\n",
+        "lib/shim.py": "def shim_fn():\n    pass\n",
+    })
+    (repo.path / "lib/shim.py").unlink()
+    _symlink(repo, "lib/shim.py", "real_shim.py")
+    repo.commit(T0 + STEP, {})
+    return _manifest("file_becomes_symlink", repo, expected={
+        ("readme", "README.md", "shim_fn()"): OUTDATED,
+        ("readme", "README.md", "real_shim.py"): NEVER,
+    }, history={
+        ("readme", "README.md", "shim_fn()"): [1, 0],
+        ("readme", "README.md", "real_shim.py"): [0, 1],
+    })
+
+
+def build_shallow_clone(base: Path):
+    # A --depth 2 clone: the history starts at the graft, which is diffed as
+    # a root commit, so mid_fn counts there although it was added earlier.
+    origin = RepoBuilder(base / "shallow_origin")
+    origin.commit(T0, {
+        "README.md": "Use `old_fn()` or `mid_fn()`.\n",
+        "src/app.py": "def old_fn():\n    pass\n\ndef mid_fn():\n    pass\n",
+    })
+    origin.commit(T0 + STEP, {"src/app.py": "def mid_fn():\n    pass\n"})
+    origin.commit(T0 + 2 * STEP, {"notes.txt": "unrelated\n"})
+    origin.commit(T0 + 3 * STEP, {"src/app.py": "def new_fn():\n    pass\n"})
+    clone = base / "shallow_clone"
+    subprocess.run(
+        ["git", "clone", "-q", "--depth", "2", f"file://{origin.path}", str(clone)],
+        check=True, capture_output=True,
+    )
+    manifest = _manifest("shallow_clone", origin, expected={
+        ("readme", "README.md", "old_fn()"): NEVER,
+        ("readme", "README.md", "mid_fn()"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "old_fn()"): [0, 0],
+        ("readme", "README.md", "mid_fn()"): [1, 0],
+    }, first_parent_revisions=2, graft_sha=origin.shas[2])
+    manifest["repo"] = str(clone)
+    return manifest
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -252,6 +359,10 @@ SCENARIO_BUILDERS = [
     build_merge_history,
     build_excluded_dir,
     build_rst_readme,
+    build_symlink_target,
+    build_submodule_gitlink,
+    build_file_becomes_symlink,
+    build_shallow_clone,
 ]
 
 

@@ -7,9 +7,11 @@ import json
 import pytest
 
 import scenarios
+from conftest import RepoBuilder
+from oracle_history import run_history_oracle
 from staleref import cli, pipeline
 from staleref.docdiscovery import DiscoveryConfig
-from staleref.matching import SourceScanner
+from staleref.matching import HistoryCounter
 from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
 from staleref.reporting import parse_report, render_findings
 from staleref.revgraph import GitError
@@ -46,14 +48,14 @@ def cut_after(monkeypatch, checks: int) -> None:
 
 
 def fail_count_at(monkeypatch, ordinal: int) -> None:
-    original = SourceScanner.count_instances
+    original = HistoryCounter.count
 
-    def count_instances(self, element_text, revision):
+    def count(self, element_text, revision):
         if revision.ordinal == ordinal:
             raise GitError("cat-file died")
         return original(self, element_text, revision)
 
-    monkeypatch.setattr(SourceScanner, "count_instances", count_instances)
+    monkeypatch.setattr(HistoryCounter, "count", count)
 
 
 def symbols_by_key(report):
@@ -182,6 +184,24 @@ class TestHistoryScenarios:
         assert list(f.timeline.symbols) == [1, 0]
         assert f.currently_outdated
 
+    def test_pinned_history_symbols(self, manifests):
+        pinned = [m for m in manifests if "history" in m]
+        assert len(pinned) >= 4
+        for manifest in pinned:
+            report = run_history(config_for(manifest))
+            assert symbols_by_key(report) == manifest["history"], manifest["name"]
+            assert report.warnings == [], manifest["name"]
+            if "graft_sha" in manifest:
+                assert len(report.revisions) == manifest["first_parent_revisions"]
+                assert report.revisions[0].sha == manifest["graft_sha"]
+
+    def test_matches_per_cell_oracle(self, manifests):
+        for manifest in manifests:
+            config = config_for(manifest)
+            assert render_findings(run_history(config)) == render_findings(
+                run_history_oracle(config)
+            ), manifest["name"]
+
     def test_history_round_trips(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "multi_doc")
         report = run_history(config_for(manifest))
@@ -236,6 +256,25 @@ class TestRunBehavior:
         report = run_scan(config)
         statuses = {f.element_text: f.status for f in report.findings}
         assert statuses == {"doc_fn()": "outdated"}
+
+
+class TestSkippedBlobWarnings:
+    def test_every_path_of_an_oversized_blob_warns(self, tmp_path):
+        builder = RepoBuilder(tmp_path / "twins")
+        body = "def twin_fn():\n    pass\n" + "# padding\n" * 30
+        size = len(body.encode())
+        builder.commit(scenarios.T0, {
+            "README.md": "Call `twin_fn()` now.\n", "a.py": body, "b.py": body,
+        })
+        config = RunConfig(
+            repo_path=str(builder.path), max_file_bytes=100, scan_time=scenarios.T0 + 1000
+        )
+        expected = [
+            {"kind": "oversized_file", "path": "a.py", "size": size},
+            {"kind": "oversized_file", "path": "b.py", "size": size},
+        ]
+        assert run_scan(config).warnings == expected
+        assert run_history(config).warnings == expected
 
 
 class TestPartialHistory:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
@@ -205,6 +208,92 @@ class TestSnapshotLinking:
         sources = seq(100, 300, 200)
         assert snapshot_for_doc(docv(250), sources).timestamp == 200
         assert snapshot_for_doc(docv(350), sources).ordinal == 1
+
+
+def _linear_snapshot(doc_ts, sources):
+    best = None
+    for rev in sources.revisions:
+        if rev.timestamp <= doc_ts and (best is None or rev.timestamp >= best.timestamp):
+            best = rev
+    return best if best is not None else sources.revisions[0]
+
+
+class TestSnapshotProperty:
+    def test_bisect_matches_linear_rule(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            # Few distinct timestamps: out-of-order runs and ties are common.
+            timestamps = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(1, 9))]
+            sources = seq(*timestamps)
+            for doc_ts in range(-5, 130, 5):
+                assert snapshot_for_doc(docv(doc_ts), sources) == _linear_snapshot(
+                    doc_ts, sources
+                ), (timestamps, doc_ts)
+
+    def test_by_sha(self):
+        sources = seq(100, 50, 200)
+        assert all(sources.by_sha[r.sha] is r for r in sources.revisions)
+        assert "f" * 40 not in sources.by_sha
+
+
+def _replayed_trees(repo, sequence):
+    """Tree of every revision, rebuilt from first_parent_changes alone."""
+    tree: dict[str, str] = {}
+    trees = []
+    for changes in repo.first_parent_changes(sequence):
+        for path, old, new in changes:
+            name = path.decode("utf-8", errors="replace")
+            assert tree.get(name) == old
+            if new is None:
+                tree.pop(name, None)
+            else:
+                tree[name] = new
+        trees.append(tuple(sorted(tree.items())))
+    return trees
+
+
+class TestFirstParentChanges:
+    def test_replay_matches_tree_entries(self, repo_factory):
+        builder = repo_factory()
+        builder.commit(T, {"a.txt": "one\n", "lib/dep.py": "dep\n", "README.md": "r\n"})
+        builder.branch("side")
+        builder.commit(T + 10, {"side.txt": "s\n", "a.txt": None})
+        builder.checkout("main")
+        builder.commit(T + 20, {"b.txt": "one\n"})
+        builder.merge(T + 30, "side")
+        os.symlink("b.txt", builder.path / "link")
+        builder.commit(T + 40, {"b.txt": "two\n"})
+        # The empty commit still gets an entry; the file becomes a symlink
+        # (a type change), and another file becomes a gitlink.
+        builder.commit(T + 50, {})
+        (builder.path / "README.md").unlink()
+        os.symlink("b.txt", builder.path / "README.md")
+        builder.git("rm", "-q", "--cached", "lib/dep.py")
+        (builder.path / "lib/dep.py").unlink()
+        (builder.path / "lib/dep.py").mkdir()
+        builder.git("update-index", "--add", "--cacheinfo", f"160000,{'ab' * 20},lib/dep.py")
+        builder.commit(T + 60, {})
+        with GitRepo(builder.path) as repo:
+            sequence = repo.linearize_history("main")
+            assert len(sequence) == 6
+            assert _replayed_trees(repo, sequence) == [
+                repo.tree_entries(r.sha) for r in sequence.revisions
+            ]
+            assert "lib/dep.py" not in repo.tree_at(sequence.head)
+
+    def test_shallow_graft_is_diffed_as_root(self, repo_factory, tmp_path):
+        builder = repo_factory()
+        for i in range(3):
+            builder.commit(T + i, {f"f{i}.txt": f"{i}\n"})
+        clone = tmp_path / "shallow"
+        builder.git("clone", "-q", "--depth", "1", f"file://{builder.path}", str(clone))
+        with GitRepo(clone) as repo:
+            sequence = repo.linearize_history(None)
+            assert len(sequence) == 1
+            (changes,) = repo.first_parent_changes(sequence)
+            assert sorted(path for path, old, _ in changes if old is None) == [
+                b"f0.txt", b"f1.txt", b"f2.txt"
+            ]
 
 
 class TestLinkSourceToDocs:
