@@ -26,13 +26,11 @@ from .extraction import (
     load_catalog,
 )
 from .matching import (
-    InstanceCount,
     MatchConfig,
     STATUS_IN_SYNC,
     STATUS_NEVER_MATCHED,
     STATUS_OUTDATED,
     classify_current,
-    count_instances,
     count_occurrences,
     expand_path_variants,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "FixEvent",
     "GitError",
     "GitRepo",
-    "InstanceCount",
     "MatchConfig",
     "MissingPathError",
     "MissingRepositoryError",
@@ -123,7 +120,6 @@ __all__ = [
     "classify_current",
     "classify_fix",
     "compute_aggregates",
-    "count_instances",
     "count_occurrences",
     "default_catalog",
     "detect_episodes",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import fnmatch
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .revgraph import Change, GitRepo, Revision
 
@@ -35,20 +35,6 @@ class MatchConfig:
     def __post_init__(self) -> None:
         if self.max_file_bytes <= 0 or self.max_count_per_file <= 0:
             raise ValueError("size and count limits must be positive")
-
-
-@dataclass(frozen=True)
-class InstanceCount:
-    """How often one element occurs in the tree at one revision.
-
-    ``matched_paths`` holds (path, line) pairs for the first match per file;
-    line 0 marks a synthetic path-variant match rather than a text match.
-    """
-
-    element_text: str
-    revision: Revision
-    count: int
-    matched_paths: tuple[tuple[str, int], ...] = ()
 
 
 def count_occurrences(
@@ -155,120 +141,16 @@ def _read_source_text(
     return data.decode("utf-8", errors="replace"), None
 
 
-class _WarningLog:
-    def __init__(self) -> None:
-        self.warnings: list[dict] = []
-        self._warned: set[tuple] = set()
-
-    def _warn(self, **entry) -> None:
-        key = tuple(sorted(entry.items()))
-        if key not in self._warned:
-            self._warned.add(key)
-            self.warnings.append(entry)
-
-    def _warn_skipped(self, skip: _Skip, path: str) -> None:
-        kind, detail_key, detail = skip
-        self._warn(kind=kind, path=path, **{detail_key: detail})
-
-
-class SourceScanner(_WarningLog):
-    """Counts element instances at arbitrary revisions with blob-level caching.
-
-    Each call walks the whole tree listing at its revision. Scan mode counts
-    with it; history mode uses ``HistoryCounter``, which must agree with it.
-    """
-
-    def __init__(self, repo: GitRepo, config: MatchConfig):
-        super().__init__()
-        self.repo = repo
-        self.config = config
-        self._scannable: dict[str, tuple[tuple[str, str], ...]] = {}
-        self._text_cache: dict[str, str | None] = {}
-        self._skips: dict[str, _Skip] = {}
-        self._count_cache: dict[tuple[str, str], tuple[int, int, bool]] = {}
-        self._variant_cache: dict[str, dict[str, list[str]]] = {}
-
-    def _scannable_entries(self, revision: Revision) -> tuple[tuple[str, str], ...]:
-        cached = self._scannable.get(revision.sha)
-        if cached is None:
-            cached = tuple(
-                (path, blob)
-                for path, blob in self.repo.tree_entries(revision.sha)
-                if not matches_exclude(path, self.config.exclude_globs)
-            )
-            self._scannable[revision.sha] = cached
-        return cached
-
-    def _blob_text(self, blob_sha: str, path: str) -> str | None:
-        if blob_sha in self._text_cache:
-            text = self._text_cache[blob_sha]
-        else:
-            text, skip = _read_source_text(self.repo, blob_sha, self.config.max_file_bytes)
-            self._text_cache[blob_sha] = text
-            if skip is not None:
-                self._skips[blob_sha] = skip
-        if text is None and blob_sha in self._skips:
-            # Every path that carries a skipped blob gets its own warning.
-            self._warn_skipped(self._skips[blob_sha], path)
-        return text
-
-    def _variants(self, revision: Revision) -> dict[str, list[str]]:
-        """variant -> contributing paths, over the full listing at *revision*."""
-        cached = self._variant_cache.get(revision.sha)
-        if cached is None:
-            cached = {}
-            for path, _ in self.repo.tree_entries(revision.sha):
-                for variant in expand_path_variants([path]):
-                    cached.setdefault(variant, []).append(path)
-            self._variant_cache[revision.sha] = cached
-        return cached
-
-    def count_instances(self, element_text: str, revision: Revision) -> InstanceCount:
-        total = 0
-        matched: list[tuple[str, int]] = []
-        for path, blob in self._scannable_entries(revision):
-            text = self._blob_text(blob, path)
-            if text is None:
-                continue
-            key = (blob, element_text)
-            result = self._count_cache.get(key)
-            if result is None:
-                result = count_occurrences(
-                    element_text, text, cap=self.config.max_count_per_file
-                )
-                self._count_cache[key] = result
-            count, first, capped = result
-            if capped:
-                self._warn(
-                    kind="count_capped",
-                    path=path,
-                    element=element_text,
-                    cap=self.config.max_count_per_file,
-                )
-            if count > 0:
-                total += count
-                line = text.count("\n", 0, first) + 1
-                matched.append((path, line))
-        for path in self._variants(revision).get(element_text, ()):
-            total += 1
-            matched.append((path, 0))
-        return InstanceCount(
-            element_text,
-            revision,
-            total,
-            tuple(matched[: self.config.max_matched_paths]),
-        )
-
-
-class HistoryCounter(_WarningLog):
+class HistoryCounter:
     """Running instance totals of a fixed set of elements over one history.
 
     The counter holds the tree of one revision as a path -> blob map and moves
     newest first, from the head down, by undoing each revision's changes.
-    Each blob is read once and counted once per element; only its non-zero
-    counts are kept, so a move costs the changed blobs, not the whole tree.
-    The totals and warnings agree with ``SourceScanner.count_instances`` at
-    the same revision.
+    *revisions* are the oldest-first revisions it may stop at, starting at
+    revision 0, and *changes* their ``GitRepo.first_parent_changes``. Each
+    blob is read once and counted once per element; only its non-zero counts
+    are kept, so a move costs the changed blobs, not the whole tree. Warnings
+    are logged once each, for the paths and elements of the counted cells.
     """
 
     def __init__(
@@ -276,14 +158,18 @@ class HistoryCounter(_WarningLog):
         repo: GitRepo,
         config: MatchConfig,
         elements: frozenset[str],
+        revisions: tuple[Revision, ...],
         changes: list[list[Change]],
     ):
-        super().__init__()
         self.repo = repo
         self.config = config
         self.revision: Revision | None = None  # whose tree the state holds
+        self.warnings: list[dict] = []
+        self._warned: set[tuple] = set()
         self._elements = elements
-        self._changes = changes  # first_parent_changes of the history
+        self._index = {revision: i for i, revision in enumerate(revisions)}
+        self._position = len(revisions)
+        self._changes = changes
         self._tree: dict[bytes, str] = {}
         # raw path -> (decoded path, scannable, cited elements among its variants)
         self._paths: dict[bytes, tuple[str, bool, tuple[str, ...]]] = {}
@@ -299,7 +185,9 @@ class HistoryCounter(_WarningLog):
     def seek(self, revision: Revision) -> None:
         """Move the state to *revision*, which must not be newer than the
         current one."""
-        target = revision.ordinal
+        target = self._index.get(revision)
+        if target is None:
+            raise ValueError(f"revision {revision.ordinal} is not one of the counter's")
         if self.revision is None:
             tree: dict[bytes, str] = {}
             for changes in self._changes[: target + 1]:
@@ -310,15 +198,16 @@ class HistoryCounter(_WarningLog):
                         tree[path] = new
             for path, blob in tree.items():
                 self._add(path, blob)
-        elif target > self.revision.ordinal:
+        elif target > self._position:
             raise ValueError("the counter only moves towards older revisions")
         else:
-            for ordinal in range(self.revision.ordinal, target, -1):
-                for path, old, new in self._changes[ordinal]:
+            for i in range(self._position, target, -1):
+                for path, old, new in self._changes[i]:
                     if new is not None:
                         self._remove(path, new)
                     if old is not None:
                         self._add(path, old)
+        self._position = target
         if revision != self.revision:
             self.revision = revision
             self._counted = set()
@@ -329,8 +218,8 @@ class HistoryCounter(_WarningLog):
             raise ValueError(f"the counter is not at revision {revision.ordinal}")
         if element_text not in self._counted:
             if not self._counted:
-                for path, skip in self._skipped_paths.items():
-                    self._warn_skipped(skip, self._paths[path][0])
+                for path, (kind, detail_key, detail) in self._skipped_paths.items():
+                    self._warn(kind=kind, path=self._paths[path][0], **{detail_key: detail})
             self._counted.add(element_text)
             for path in self._capped_paths[element_text]:
                 self._warn(
@@ -342,7 +231,8 @@ class HistoryCounter(_WarningLog):
         return self._totals[element_text] + len(self._variant_paths[element_text])
 
     def evidence(self, element_text: str) -> tuple[tuple[str, int], ...]:
-        """``InstanceCount.matched_paths`` of one element at the current revision."""
+        """(path, line of the first match) per file that matches one element
+        at the current revision; line 0 marks a path-variant match."""
         hits = []
         for path, blob in self._tree.items():
             name, scannable, _ = self._paths[path]
@@ -355,6 +245,12 @@ class HistoryCounter(_WarningLog):
         matched = [(name, line) for name, _, line in sorted(hits)]
         matched += [(name, 0) for name, _ in variants]
         return tuple(matched[: self.config.max_matched_paths])
+
+    def _warn(self, **entry) -> None:
+        key = tuple(sorted(entry.items()))
+        if key not in self._warned:
+            self._warned.add(key)
+            self.warnings.append(entry)
 
     def _path_info(self, path: bytes) -> tuple[str, bool, tuple[str, ...]]:
         info = self._paths.get(path)
@@ -414,25 +310,14 @@ class HistoryCounter(_WarningLog):
         self._skipped_paths.pop(path, None)
 
 
-def count_instances(
-    repo: GitRepo, element_text: str, revision: Revision, config: MatchConfig
-) -> InstanceCount:
-    """One-shot counting without a shared scanner (tests, small call sites)."""
-    return SourceScanner(repo, config).count_instances(element_text, revision)
-
-
-def classify_current(snapshot: InstanceCount, current: InstanceCount) -> str:
+def classify_current(snapshot_count: int, current_count: int) -> str:
     """Compare counts at the doc snapshot and at the current revision.
 
     Outdated means the element matched when the document was last written but
     matches nothing now; never_matched means it did not match even back then.
     """
-    if snapshot.element_text != current.element_text:
-        raise ValueError(
-            f"mismatched elements: {snapshot.element_text!r} vs {current.element_text!r}"
-        )
-    if snapshot.count == 0:
+    if snapshot_count == 0:
         return STATUS_NEVER_MATCHED
-    if current.count == 0:
+    if current_count == 0:
         return STATUS_OUTDATED
     return STATUS_IN_SYNC

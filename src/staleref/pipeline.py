@@ -15,7 +15,7 @@ from .docdiscovery import (
     discover_documents,
 )
 from .extraction import RegexCatalog, default_catalog, extract_elements
-from .matching import HistoryCounter, MatchConfig, SourceScanner, classify_current
+from .matching import HistoryCounter, MatchConfig, classify_current
 from .reporting import (
     MODE_CURRENT,
     MODE_HISTORY,
@@ -169,11 +169,19 @@ class _Project:
 
 def run_scan(config: RunConfig) -> ScanReport:
     """Current-state scan: compare each document's references between its
-    snapshot revision and the head of the source history."""
+    snapshot revision and the head of the source history.
+
+    Documents are read first, with one deadline check each. One
+    ``HistoryCounter`` over revision 0, the snapshots and head then counts
+    every cited element at head and moves to each snapshot, newest first,
+    with one deadline check per move. A timed-out scan holds the findings of
+    the documents whose snapshot was counted.
+    """
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
     try:
-        head = project.source_seq.head
+        seq = project.source_seq
+        head = seq.head
         wiki_tree = (
             project.wiki.tree_at(project.wiki_seq.head.sha)
             if project.wiki is not None
@@ -182,9 +190,12 @@ def run_scan(config: RunConfig) -> ScanReport:
         documents = discover_documents(
             project.source.tree_at(head.sha), wiki_tree, config.discovery
         )
-        scanner = SourceScanner(project.source, project.match_config(documents))
 
+        # snapshot -> (document, its refs, sha of its hosting head) per document
+        cited: dict[Revision, list[tuple]] = {}
+        elements: set[str] = set()
         findings: list[Finding] = []
+        warnings: list[dict] = []
         partial = False
         try:
             for document in documents:
@@ -200,25 +211,42 @@ def run_scan(config: RunConfig) -> ScanReport:
                 doc_version = DocVersion(
                     document, project.revision_by_sha(hosting_seq, touch[0]), doc_text
                 )
-                snapshot = snapshot_for_doc(doc_version, project.source_seq)
-                for ref in refs:
-                    snap_ic = scanner.count_instances(ref.text, snapshot)
-                    cur_ic = scanner.count_instances(ref.text, head)
-                    status = classify_current(snap_ic, cur_ic)
-                    finding = Finding(
-                        element_text=ref.text,
-                        document=document,
-                        status=status,
-                        snapshot_sha=snapshot.sha,
-                        snapshot_count=snap_ic.count,
-                        current_sha=head.sha,
-                        current_count=cur_ic.count,
-                        evidence=_evidence(snap_ic.matched_paths),
-                        evidence_sha=snapshot.sha,
-                        doc_sha=hosting_seq.head.sha,
-                    )
-                    finding.urls = build_finding_urls(finding, project.templates)
-                    findings.append(finding)
+                snapshot = snapshot_for_doc(doc_version, seq)
+                cited.setdefault(snapshot, []).append((document, refs, hosting_seq.head.sha))
+                elements.update(ref.text for ref in refs)
+
+            deadline.check()
+            revisions = tuple(sorted({seq.revisions[0], head, *cited}, key=lambda r: r.ordinal))
+            counter = HistoryCounter(
+                project.source,
+                project.match_config(documents),
+                frozenset(elements),
+                revisions,
+                project.source.first_parent_changes(revisions),
+            )
+            warnings = counter.warnings
+            counter.seek(head)
+            current = {element: counter.count(element, head) for element in elements}
+            for snapshot in sorted(cited, key=lambda r: r.ordinal, reverse=True):
+                deadline.check()
+                counter.seek(snapshot)
+                for document, refs, doc_sha in cited[snapshot]:
+                    for ref in refs:
+                        snapshot_count = counter.count(ref.text, snapshot)
+                        finding = Finding(
+                            element_text=ref.text,
+                            document=document,
+                            status=classify_current(snapshot_count, current[ref.text]),
+                            snapshot_sha=snapshot.sha,
+                            snapshot_count=snapshot_count,
+                            current_sha=head.sha,
+                            current_count=current[ref.text],
+                            evidence=_evidence(counter.evidence(ref.text)),
+                            evidence_sha=snapshot.sha,
+                            doc_sha=doc_sha,
+                        )
+                        finding.urls = build_finding_urls(finding, project.templates)
+                        findings.append(finding)
         except ScanTimeout:
             partial = True
 
@@ -228,7 +256,7 @@ def run_scan(config: RunConfig) -> ScanReport:
             scan_time=project.scan_time,
             mode=MODE_CURRENT,
             findings=findings,
-            warnings=_sorted_warnings(project.warnings, scanner.warnings),
+            warnings=_sorted_warnings(project.warnings, warnings),
             aggregates=compute_aggregates(findings),
             revisions=None,
             partial=partial,
@@ -276,9 +304,9 @@ def run_history(config: RunConfig) -> ScanReport:
         source_seq = project.source_seq
         head = source_seq.head
         # Keyed by the origin of the documents each repository hosts.
-        changes = {ORIGIN_README: project.source.first_parent_changes(source_seq)}
+        changes = {ORIGIN_README: project.source.first_parent_changes(source_seq.revisions)}
         if project.wiki is not None:
-            changes[ORIGIN_WIKI] = project.wiki.first_parent_changes(project.wiki_seq)
+            changes[ORIGIN_WIKI] = project.wiki.first_parent_changes(project.wiki_seq.revisions)
         documents = discover_documents(
             _union_listing(changes[ORIGIN_README]),
             _union_listing(changes[ORIGIN_WIKI]) if ORIGIN_WIKI in changes else None,
@@ -353,6 +381,7 @@ def run_history(config: RunConfig) -> ScanReport:
             project.source,
             project.match_config(documents),
             frozenset(row["element"] for row in rows),
+            source_seq.revisions,
             changes[ORIGIN_README],
         )
         if not partial:

@@ -150,6 +150,7 @@ class GitRepo:
                 self._batch.stdin.close()
                 self._batch.terminate()
                 self._batch.wait(timeout=5)
+                self._batch.stdout.close()
             except Exception:
                 pass
             self._batch = None
@@ -272,15 +273,19 @@ class GitRepo:
     def blob_sha(self, commit_sha: str, path: str) -> str | None:
         return self._entry_map(commit_sha).get(path)
 
-    def first_parent_changes(self, seq: RevisionSequence) -> list[list[Change]]:
-        """The blob changes of each revision of *seq* against the one before it.
+    def first_parent_changes(self, revs: tuple[Revision, ...]) -> list[list[Change]]:
+        """The blob changes of each of *revs* against the one before it.
 
-        Entry i lists revision i's changes; revision 0 is diffed against the
-        empty tree, so a shallow clone's graft starts from nothing. Like
+        *revs* are oldest first, from one sequence, and start at its revision
+        0, which is diffed against the empty tree: ``--root`` does that only
+        for a parentless commit (a root, or a shallow clone's graft). Entry i
+        lists the changes of ``revs[i]`` against ``revs[i-1]``. Like
         ``tree_entries``, only blobs count: a gitlink is no blob on either
-        side. One ``git diff-tree --stdin`` child serves the whole sequence.
+        side. One ``git diff-tree --stdin`` child serves every revision.
         """
-        revs = seq.revisions
+        ordinals = [rev.ordinal for rev in revs]
+        if ordinals[:1] != [0] or ordinals != sorted(set(ordinals)):
+            raise ValueError("revisions must start at ordinal 0 and ascend")
         lines = [revs[0].sha] + [f"{rev.sha} {prev.sha}" for prev, rev in zip(revs, revs[1:])]
         completed = subprocess.run(
             ["git", "-C", str(self.path), "diff-tree", "-r", "-z", "--no-renames",

@@ -344,6 +344,46 @@ def build_shallow_clone(base: Path):
     return manifest
 
 
+def build_non_utf8_path(base: Path):
+    # A 0xff byte in a file name is no UTF-8: the path reads with U+FFFD in
+    # the evidence, and deleting the file makes wide_fn disappear.
+    repo = RepoBuilder(base / "non_utf8_path")
+    raw = bytes(repo.path / "src") + b"/\xffwide.py"
+    os.makedirs(repo.path / "src", exist_ok=True)
+    with open(raw, "wb") as handle:
+        handle.write(b"def wide_fn():\n    pass\n")
+    repo.commit(T0, {"README.md": "Call `wide_fn()` and `calm_fn()`.\n",
+                     "src/calm.py": "def calm_fn():\n    pass\n"})
+    os.unlink(raw)
+    repo.commit(T0 + STEP, {})
+    return _manifest("non_utf8_path", repo, expected={
+        ("readme", "README.md", "wide_fn()"): OUTDATED,
+        ("readme", "README.md", "calm_fn()"): IN_SYNC,
+    }, history={
+        ("readme", "README.md", "wide_fn()"): [1, 0],
+        ("readme", "README.md", "calm_fn()"): [1, 1],
+    }, evidence={
+        ("readme", "README.md", "wide_fn()"): (("src/\ufffdwide.py", 1, "text"),),
+    })
+
+
+def build_crlf_readme(base: Path):
+    # CRLF line endings in the document change neither extraction nor counts.
+    repo = RepoBuilder(base / "crlf_readme")
+    repo.commit(T0, {
+        "README.md": "Intro line.\r\nCall `crlf_fn()` first.\r\nThen `stay_fn()`.\r\n",
+        "src/app.py": "def crlf_fn():\n    pass\n\ndef stay_fn():\n    pass\n",
+    })
+    repo.commit(T0 + STEP, {"src/app.py": "def stay_fn():\n    pass\n"})
+    return _manifest("crlf_readme", repo, expected={
+        ("readme", "README.md", "crlf_fn()"): OUTDATED,
+        ("readme", "README.md", "stay_fn()"): IN_SYNC,
+    }, history={
+        ("readme", "README.md", "crlf_fn()"): [1, 0],
+        ("readme", "README.md", "stay_fn()"): [1, 1],
+    })
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -363,6 +403,8 @@ SCENARIO_BUILDERS = [
     build_submodule_gitlink,
     build_file_becomes_symlink,
     build_shallow_clone,
+    build_non_utf8_path,
+    build_crlf_readme,
 ]
 
 

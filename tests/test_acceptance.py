@@ -38,7 +38,7 @@ from staleref import (
     run_scan,
     survival_curve,
 )
-from staleref.matching import SourceScanner
+from staleref.matching import HistoryCounter
 
 DOC = DocumentDescriptor(ORIGIN_README, "README.md", "markdown")
 
@@ -253,11 +253,23 @@ def test_pinned_real_world_counts(tmp_path):
         pytest.skip("network unavailable")
 
     with GitRepo(str(tmp_path / "glog")) as repo:
-        scanner = SourceScanner(repo, MatchConfig(exclude_globs=("README*",)))
-        snapshot = Revision(snapshot_sha, 0, 0)
-        after_namespace = Revision(namespace_fix_sha, 0, 1)
-        after_fpic = Revision(fpic_fix_sha, 0, 2)
-        assert scanner.count_instances("DGFLAGS_NAMESPACE", snapshot).count == 1
-        assert scanner.count_instances("DGFLAGS_NAMESPACE", after_namespace).count == 0
-        assert scanner.count_instances("fPIC", snapshot).count == 21
-        assert scanner.count_instances("fPIC", after_fpic).count == 0
+        # The pinned commits need not lie on the first-parent chain, so the
+        # counter steps from the history's revision 0 through them in order.
+        shas = (snapshot_sha, namespace_fix_sha, fpic_fix_sha)
+        revisions = (repo.linearize_history().revisions[0],) + tuple(
+            Revision(sha, 0, i) for i, sha in enumerate(shas, start=1)
+        )
+        counter = HistoryCounter(
+            repo, MatchConfig(exclude_globs=("README*",)),
+            frozenset({"DGFLAGS_NAMESPACE", "fPIC"}), revisions,
+            repo.first_parent_changes(revisions),
+        )
+        counts = {}
+        for revision in reversed(revisions[1:]):
+            counter.seek(revision)
+            counts[revision.sha] = (
+                counter.count("DGFLAGS_NAMESPACE", revision), counter.count("fPIC", revision)
+            )
+        assert counts[snapshot_sha] == (1, 21)
+        assert counts[namespace_fix_sha][0] == 0
+        assert counts[fpic_fix_sha][1] == 0

@@ -80,6 +80,12 @@ class TestScan:
         assert proc.stdout == ""
         json.loads(out.read_text())
 
+    def test_timeout_exits_3_with_partial_json(self, dirty_repo, tmp_path):
+        out = tmp_path / "partial.json"
+        proc = run_cli("scan", "--repo", dirty_repo, "--timeout", "0.000001", "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(out.read_text())["partial"] is True
+
     def test_issue_draft(self, dirty_repo, tmp_path):
         draft = tmp_path / "issue.md"
         proc = run_cli(

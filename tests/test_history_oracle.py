@@ -1,11 +1,12 @@
-"""Differential test: incremental history counting against the per-cell oracle.
+"""Differential test: incremental counting against the per-cell oracles.
 
 Hypothesis scripts random repositories (adds, deletes, renames, edits, the
 same content at two paths, symlinks, binary and oversized blobs, merged side
 branches, out-of-order and equal timestamps, an optional wiki) and random run
 settings (exclude globs, a small per-file cap, a failing count at one
-revision). ``run_history`` must render the same report, byte for byte, as
-``oracle_history.run_history_oracle``.
+revision). On each repository ``run_scan`` must render the same report, byte
+for byte, as ``oracle_history.run_scan_oracle`` (without the failing count),
+and ``run_history`` the same as ``oracle_history.run_history_oracle``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from conftest import RepoBuilder  # noqa: E402
-from oracle_history import run_history_oracle  # noqa: E402
+from oracle_history import SourceScanner, run_history_oracle, run_scan_oracle  # noqa: E402
 from staleref import pipeline  # noqa: E402
-from staleref.matching import HistoryCounter, MatchConfig, SourceScanner  # noqa: E402
-from staleref.pipeline import RunConfig, run_history  # noqa: E402
+from staleref.matching import HistoryCounter, MatchConfig  # noqa: E402
+from staleref.pipeline import RunConfig, run_history, run_scan  # noqa: E402
 from staleref.reporting import render_findings  # noqa: E402
 from staleref.revgraph import GitError  # noqa: E402
 
@@ -187,10 +188,6 @@ def test_incremental_history_matches_per_cell_oracle(
         repo, wiki = _build(Path(tmp), steps, wiki_steps)
         if cap is not None:
             mp.setattr(pipeline, "MatchConfig", functools.partial(MatchConfig, max_count_per_file=cap))
-        if fail_ordinal is not None:
-            mp.setattr(HistoryCounter, "count", _fail_at(fail_ordinal, HistoryCounter.count))
-            mp.setattr(SourceScanner, "count_instances",
-                       _fail_at(fail_ordinal, SourceScanner.count_instances))
         config = RunConfig(
             repo_path=repo,
             wiki_path=wiki,
@@ -198,6 +195,15 @@ def test_incremental_history_matches_per_cell_oracle(
             max_file_bytes=max_file_bytes,
             scan_time=T0 + 100 * STEP,
         )
+        expected_scan = run_scan_oracle(config)
+        got_scan = run_scan(config)
+        assert got_scan.warnings == expected_scan.warnings
+        assert render_findings(got_scan) == render_findings(expected_scan)
+
+        if fail_ordinal is not None:
+            mp.setattr(HistoryCounter, "count", _fail_at(fail_ordinal, HistoryCounter.count))
+            mp.setattr(SourceScanner, "count_instances",
+                       _fail_at(fail_ordinal, SourceScanner.count_instances))
         expected = run_history_oracle(config)
         got = run_history(config)
         assert _symbols(got) == _symbols(expected)

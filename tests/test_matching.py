@@ -7,25 +7,21 @@ import re
 
 import pytest
 
+from oracle_history import SourceScanner
 from staleref.matching import (
+    HistoryCounter,
     MatchConfig,
     STATUS_IN_SYNC,
     STATUS_NEVER_MATCHED,
     STATUS_OUTDATED,
-    SourceScanner,
     classify_current,
     count_occurrences,
     expand_path_variants,
     matches_exclude,
 )
-from staleref.matching import InstanceCount
-from staleref.revgraph import GitRepo, Revision
+from staleref.revgraph import GitRepo
 
 T = 1_600_000_000
-
-
-def rev(ordinal=0, ts=T):
-    return Revision(f"{ordinal:040x}", ts, ordinal)
 
 
 class TestCountOccurrences:
@@ -121,6 +117,8 @@ def build_counting_repo(repo_factory):
 
 
 class TestSourceScanner:
+    """The oracle that the differential tests trust, pinned by hand."""
+
     def test_counts_across_files(self, repo_factory):
         # app.py holds two occurrences (the def line ends in "():" which
         # contains the call text, plus the bare call), other.py two, vendor one.
@@ -204,20 +202,114 @@ class TestSourceScanner:
         assert first == second
 
 
+def counter_at_head(repo, elements, config=None):
+    """A HistoryCounter over the whole first-parent history, at its head."""
+    revisions = repo.linearize_history().revisions
+    counter = HistoryCounter(
+        repo, config or MatchConfig(), frozenset(elements), revisions,
+        repo.first_parent_changes(revisions),
+    )
+    counter.seek(revisions[-1])
+    return counter, revisions[-1]
+
+
+class TestHistoryCounter:
+    def test_counts_across_files(self, repo_factory):
+        # app.py holds two occurrences (the def line ends in "():" which
+        # contains the call text, plus the bare call), other.py two, vendor one.
+        builder = build_counting_repo(repo_factory)
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["target_fn()"])
+            assert counter.count("target_fn()", head) == 5
+            assert ("src/app.py", 1) in counter.evidence("target_fn()")
+
+    def test_exclude_is_monotone(self, repo_factory):
+        builder = build_counting_repo(repo_factory)
+        with GitRepo(builder.path) as repo:
+            base, head = counter_at_head(repo, ["target_fn()"])
+            trimmed, _ = counter_at_head(
+                repo, ["target_fn()"], MatchConfig(exclude_globs=("vendor/",))
+            )
+            assert trimmed.count("target_fn()", head) == base.count("target_fn()", head) - 1
+
+    def test_path_variant_synthetic_instance(self, repo_factory):
+        builder = build_counting_repo(repo_factory)
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["to/file.py"])
+            assert counter.count("to/file.py", head) == 1
+            assert counter.evidence("to/file.py")[0][1] == 0  # line 0 marks a path variant
+
+    def test_full_path_floor(self, repo_factory):
+        builder = build_counting_repo(repo_factory)
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["path/to/file.py"])
+            assert counter.count("path/to/file.py", head) >= 1
+
+    def test_binary_file_skipped(self, repo_factory):
+        builder = repo_factory("binary")
+        (builder.path / "blob.bin").write_bytes(b"target\x00garbage target")
+        (builder.path / "plain.txt").write_text("target\n")
+        builder.git("add", "-A")
+        builder.git(
+            "commit", "-q", "-m", "c",
+            env={"GIT_AUTHOR_DATE": f"{T} +0000", "GIT_COMMITTER_DATE": f"{T} +0000"},
+        )
+        builder.shas.append(builder.git("rev-parse", "HEAD").strip())
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["target"])
+            assert counter.count("target", head) == 1
+            assert counter.warnings == []
+
+    def test_oversize_file_skipped_with_warning(self, repo_factory):
+        builder = repo_factory("big")
+        builder.commit(T, {"big.txt": "needle " * 10, "small.txt": "needle\n"})
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["needle"], MatchConfig(max_file_bytes=20))
+            assert counter.count("needle", head) == 1
+            assert counter.warnings == [{"kind": "oversized_file", "path": "big.txt", "size": 70}]
+
+    def test_count_cap_warning(self, repo_factory):
+        builder = repo_factory("capped")
+        builder.commit(T, {"x.txt": "hit " * 40})
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["hit"], MatchConfig(max_count_per_file=5))
+            assert counter.count("hit", head) == 5
+            assert counter.warnings == [
+                {"kind": "count_capped", "path": "x.txt", "element": "hit", "cap": 5}
+            ]
+
+    def test_determinism(self, repo_factory):
+        builder = build_counting_repo(repo_factory)
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["target_fn()"])
+            first = (counter.count("target_fn()", head), counter.evidence("target_fn()"))
+            second = (counter.count("target_fn()", head), counter.evidence("target_fn()"))
+        assert first == second
+
+    def test_seeks_newest_first(self, repo_factory):
+        builder = repo_factory("moves")
+        builder.commit(T, {"a.py": "hop()\n"})
+        builder.commit(T + 1, {"b.py": "hop() hop()\n"})
+        builder.commit(T + 2, {"a.py": None})
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["hop()"])
+            r0, r1, _ = repo.linearize_history().revisions
+            assert counter.count("hop()", head) == 2
+            counter.seek(r1)
+            assert counter.count("hop()", r1) == 3
+            with pytest.raises(ValueError):
+                counter.count("hop()", head)
+            with pytest.raises(ValueError):
+                counter.seek(head)
+            counter.seek(r0)
+            assert counter.count("hop()", r0) == 1
+            assert counter.evidence("hop()") == (("a.py", 1),)
+
+
 class TestClassify:
-    def make(self, count):
-        paths = (("src/app.py", 1, "text"),) if count else ()
-        return InstanceCount("fPIC", rev(), count, paths)
-
     def test_table_semantics(self):
-        assert classify_current(self.make(21), self.make(0)) == STATUS_OUTDATED
-        assert classify_current(self.make(5), self.make(5)) == STATUS_IN_SYNC
-        assert classify_current(self.make(0), self.make(0)) == STATUS_NEVER_MATCHED
-        assert classify_current(self.make(0), self.make(3)) == STATUS_NEVER_MATCHED
-        assert classify_current(self.make(3), self.make(1)) == STATUS_IN_SYNC
-
-    def test_element_mismatch_rejected(self):
-        a = InstanceCount("one", rev(), 1, (("f", 1, "text"),))
-        b = InstanceCount("two", rev(), 0, ())
-        with pytest.raises(ValueError):
-            classify_current(a, b)
+        assert classify_current(21, 0) == STATUS_OUTDATED
+        assert classify_current(5, 5) == STATUS_IN_SYNC
+        assert classify_current(0, 0) == STATUS_NEVER_MATCHED
+        assert classify_current(0, 3) == STATUS_NEVER_MATCHED
+        assert classify_current(3, 1) == STATUS_IN_SYNC

@@ -8,13 +8,13 @@ import pytest
 
 import scenarios
 from conftest import RepoBuilder
-from oracle_history import run_history_oracle
+from oracle_history import run_history_oracle, run_scan_oracle
 from staleref import cli, pipeline
 from staleref.docdiscovery import DiscoveryConfig
-from staleref.matching import HistoryCounter
+from staleref.matching import HistoryCounter, MatchConfig
 from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
 from staleref.reporting import parse_report, render_findings
-from staleref.revgraph import GitError
+from staleref.revgraph import GitError, GitRepo
 
 
 def config_for(manifest, **overrides):
@@ -45,6 +45,15 @@ class _FakeDeadline:
 
 def cut_after(monkeypatch, checks: int) -> None:
     monkeypatch.setattr(pipeline, "_Deadline", lambda seconds: _FakeDeadline(checks))
+
+
+def checks_of(monkeypatch, run, config) -> int:
+    """How many deadline checks a complete run makes."""
+    deadline = _FakeDeadline(10**6)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_Deadline", lambda seconds: deadline)
+        assert not run(config).partial
+    return 10**6 - deadline.left
 
 
 def fail_count_at(monkeypatch, ordinal: int) -> None:
@@ -97,6 +106,60 @@ class TestScanScenarios:
                     assert f.snapshot_count > 0 and f.current_count == 0
                 elif manifest["expected"][key] == "never_matched":
                     assert f.snapshot_count == 0
+
+    @pytest.mark.criterion("scan reports equal the per-document oracle")
+    def test_matches_per_document_oracle(self, manifests):
+        for manifest in manifests:
+            config = config_for(manifest)
+            got, expected = run_scan(config), run_scan_oracle(config)
+            assert got.warnings == expected.warnings, manifest["name"]
+            assert render_findings(got) == render_findings(expected), manifest["name"]
+
+    def test_pinned_evidence(self, manifests):
+        pinned = [m for m in manifests if "evidence" in m]
+        assert pinned
+        for manifest in pinned:
+            for run in (run_scan, run_history):
+                got = {
+                    (f.document.origin, f.document.path, f.element_text): f.evidence
+                    for f in run(config_for(manifest)).findings
+                }
+                for key, evidence in manifest["evidence"].items():
+                    assert got[key] == evidence, (manifest["name"], run.__name__)
+
+    def test_diffs_only_revision_zero_snapshots_and_head(self, tmp_path, monkeypatch):
+        # The README's snapshot is r1 and both wiki pages' is r2; r3 and r4
+        # lie between the snapshots and head, and no scan needs them.
+        T0, STEP = scenarios.T0, scenarios.STEP
+        repo = RepoBuilder(tmp_path / "proj")
+        repo.commit(T0, {"src/a.py": "def a_fn():\n    pass\n"})
+        repo.commit(T0 + STEP, {"README.md": "Use `a_fn()` and `b_fn()`.\n",
+                                "src/b.py": "def b_fn():\n    pass\n"})
+        for i in (2, 3, 4):
+            repo.commit(T0 + i * STEP, {f"src/c{i}.py": f"c = {i}\n"})
+        repo.commit(T0 + 5 * STEP, {"src/a.py": None})
+        wiki = RepoBuilder(tmp_path / "proj.wiki")
+        wiki.commit(T0 + 2 * STEP + 10, {"Home.md": "See `a_fn()`.\n"})
+        wiki.commit(T0 + 2 * STEP + 20, {"Other.md": "See `b_fn()`.\n"})
+        calls = []
+        original = GitRepo.first_parent_changes
+
+        def record(self, revisions):
+            calls.append([rev.ordinal for rev in revisions])
+            return original(self, revisions)
+
+        monkeypatch.setattr(GitRepo, "first_parent_changes", record)
+        config = RunConfig(repo_path=str(repo.path), wiki_path=str(wiki.path),
+                           scan_time=T0 + 10 * STEP)
+        report = run_scan(config)
+        assert calls == [[0, 1, 2, 5]]
+        assert {(f.document.path, f.element_text): f.status for f in report.findings} == {
+            ("README.md", "a_fn()"): "outdated",
+            ("README.md", "b_fn()"): "in_sync",
+            ("Home.md", "a_fn()"): "outdated",
+            ("Other.md", "b_fn()"): "in_sync",
+        }
+        assert render_findings(report) == render_findings(run_scan_oracle(config))
 
     def test_scan_report_round_trips(self, manifests):
         manifest = manifests[0]
@@ -276,6 +339,28 @@ class TestSkippedBlobWarnings:
         assert run_scan(config).warnings == expected
         assert run_history(config).warnings == expected
 
+    def test_scan_warns_for_snapshot_paths_gone_at_head(self, tmp_path, monkeypatch):
+        # The README's snapshot is r0; the oversized and the capped file are
+        # gone at head, so only the count at the snapshot can warn about them.
+        builder = RepoBuilder(tmp_path / "gone")
+        builder.commit(scenarios.T0, {
+            "README.md": "Call `gone_fn()` now.\n",
+            "big.py": "def gone_fn():\n    pass\n" + "# padding\n" * 30,
+            "hot.py": "gone_fn() " * 5 + "\n",
+        })
+        builder.commit(scenarios.T0 + 10, {"big.py": None, "hot.py": None})
+        monkeypatch.setattr(pipeline, "MatchConfig",
+                            lambda **kwargs: MatchConfig(max_count_per_file=2, **kwargs))
+        config = RunConfig(
+            repo_path=str(builder.path), max_file_bytes=100, scan_time=scenarios.T0 + 1000
+        )
+        report = run_scan(config)
+        assert report.warnings == [
+            {"kind": "count_capped", "path": "hot.py", "element": "gone_fn()", "cap": 2},
+            {"kind": "oversized_file", "path": "big.py", "size": 324},
+        ]
+        assert render_findings(report) == render_findings(run_scan_oracle(config))
+
 
 class TestPartialHistory:
     def test_cut_mid_pass_emits_newest_suffix(self, manifests, monkeypatch):
@@ -323,3 +408,30 @@ class TestPartialHistory:
         assert finding["symbols"] == [1, ".", 0]
         assert finding["failed_ordinals"] == [1]
         assert finding["timeline_partial"] is True
+
+
+class TestPartialScan:
+    def test_cut_keeps_whole_findings(self, manifests, monkeypatch):
+        # Documents take one check each, then head one and each distinct
+        # snapshot one; a finding is emitted whole or not at all.
+        cuts_with_findings = 0
+        for manifest in [m for m in manifests if m["wiki"]]:
+            config = config_for(manifest)
+            full = json.loads(render_findings(run_scan(config)))
+            by_key = {
+                (f["document"]["origin"], f["document"]["path"], f["element_text"]): f
+                for f in full["findings"]
+            }
+            total = checks_of(monkeypatch, run_scan, config)
+            for checks in range(total + 2):
+                with monkeypatch.context() as m:
+                    cut_after(m, checks)
+                    report = json.loads(render_findings(run_scan(config)))
+                assert report["partial"] is (checks < total), (manifest["name"], checks)
+                for f in report["findings"]:
+                    key = (f["document"]["origin"], f["document"]["path"], f["element_text"])
+                    assert f == by_key[key], (manifest["name"], checks)
+                if report["partial"] and report["findings"]:
+                    cuts_with_findings += 1
+            assert report["findings"] == full["findings"]
+        assert cuts_with_findings >= 1

@@ -236,11 +236,11 @@ class TestSnapshotProperty:
         assert "f" * 40 not in sources.by_sha
 
 
-def _replayed_trees(repo, sequence):
-    """Tree of every revision, rebuilt from first_parent_changes alone."""
+def _replayed_trees(repo, revisions):
+    """Tree of every one of *revisions*, rebuilt from first_parent_changes alone."""
     tree: dict[str, str] = {}
     trees = []
-    for changes in repo.first_parent_changes(sequence):
+    for changes in repo.first_parent_changes(revisions):
         for path, old, new in changes:
             name = path.decode("utf-8", errors="replace")
             assert tree.get(name) == old
@@ -276,10 +276,27 @@ class TestFirstParentChanges:
         with GitRepo(builder.path) as repo:
             sequence = repo.linearize_history("main")
             assert len(sequence) == 6
-            assert _replayed_trees(repo, sequence) == [
+            assert _replayed_trees(repo, sequence.revisions) == [
                 repo.tree_entries(r.sha) for r in sequence.revisions
             ]
             assert "lib/dep.py" not in repo.tree_at(sequence.head)
+            # Any ascending subset from revision 0 diffs each revision
+            # against the previous one of the subset.
+            for subset in ([0, 3, 5], [0, 1, 4], [0, 5], [0]):
+                revisions = tuple(sequence.revisions[i] for i in subset)
+                assert _replayed_trees(repo, revisions) == [
+                    repo.tree_entries(r.sha) for r in revisions
+                ]
+
+    def test_revisions_must_start_at_zero_and_ascend(self, repo_factory):
+        builder = repo_factory()
+        for i in range(3):
+            builder.commit(T + i, {f"f{i}.txt": f"{i}\n"})
+        with GitRepo(builder.path) as repo:
+            r0, r1, r2 = repo.linearize_history().revisions
+            for revisions in ((r1, r2), (r1,), (), (r0, r2, r1), (r0, r1, r1)):
+                with pytest.raises(ValueError):
+                    repo.first_parent_changes(revisions)
 
     def test_shallow_graft_is_diffed_as_root(self, repo_factory, tmp_path):
         builder = repo_factory()
@@ -290,7 +307,7 @@ class TestFirstParentChanges:
         with GitRepo(clone) as repo:
             sequence = repo.linearize_history(None)
             assert len(sequence) == 1
-            (changes,) = repo.first_parent_changes(sequence)
+            (changes,) = repo.first_parent_changes(sequence.revisions)
             assert sorted(path for path, old, _ in changes if old is None) == [
                 b"f0.txt", b"f1.txt", b"f2.txt"
             ]
