@@ -48,7 +48,6 @@ from .reporting import (
     render_issue_draft,
 )
 from .revgraph import (
-    DocVersion,
     EmptyHistoryError,
     GitError,
     GitRepo,
@@ -70,7 +69,6 @@ from .timeline import (
     FixEvent,
     NO_REFERENCE,
     OutdatedEpisode,
-    build_timeline,
     classify_fix,
     detect_episodes,
     episode_duration,
@@ -84,7 +82,6 @@ __all__ = [
     "CatalogError",
     "CodeElementRef",
     "DiscoveryConfig",
-    "DocVersion",
     "DocumentDescriptor",
     "DOC_ABSENT",
     "ElementTimeline",

@@ -178,7 +178,8 @@ class HistoryCounter:
         self._blob_skips: dict[str, _Skip] = {}
         self._totals: dict[str, int] = dict.fromkeys(elements, 0)
         self._variant_paths: dict[str, set[bytes]] = {e: set() for e in elements}
-        self._capped_paths: dict[str, set[bytes]] = {e: set() for e in elements}
+        # element -> the scannable paths whose blob matches it
+        self._hit_paths: dict[str, set[bytes]] = {e: set() for e in elements}
         self._skipped_paths: dict[bytes, _Skip] = {}
         self._counted: set[str] = set()  # elements counted at this revision
 
@@ -221,24 +222,23 @@ class HistoryCounter:
                 for path, (kind, detail_key, detail) in self._skipped_paths.items():
                     self._warn(kind=kind, path=self._paths[path][0], **{detail_key: detail})
             self._counted.add(element_text)
-            for path in self._capped_paths[element_text]:
-                self._warn(
-                    kind="count_capped",
-                    path=self._paths[path][0],
-                    element=element_text,
-                    cap=self.config.max_count_per_file,
-                )
+            for path in self._hit_paths[element_text]:
+                if self._blob_counts[self._tree[path]][element_text][2]:
+                    self._warn(
+                        kind="count_capped",
+                        path=self._paths[path][0],
+                        element=element_text,
+                        cap=self.config.max_count_per_file,
+                    )
         return self._totals[element_text] + len(self._variant_paths[element_text])
 
     def evidence(self, element_text: str) -> tuple[tuple[str, int], ...]:
         """(path, line of the first match) per file that matches one element
         at the current revision; line 0 marks a path-variant match."""
         hits = []
-        for path, blob in self._tree.items():
-            name, scannable, _ = self._paths[path]
-            found = self._blob_counts[blob].get(element_text) if scannable else None
-            if found is not None:
-                hits.append((name, blob, found[1]))
+        for path in self._hit_paths[element_text]:
+            blob = self._tree[path]
+            hits.append((self._paths[path][0], blob, self._blob_counts[blob][element_text][1]))
         variants = sorted(
             (self._paths[path][0], self._tree[path]) for path in self._variant_paths[element_text]
         )
@@ -289,10 +289,9 @@ class HistoryCounter:
             self._variant_paths[element].add(path)
         if not scannable:
             return
-        for element, (count, _, capped) in self._counts_of(blob).items():
+        for element, (count, _, _) in self._counts_of(blob).items():
             self._totals[element] += count
-            if capped:
-                self._capped_paths[element].add(path)
+            self._hit_paths[element].add(path)
         if blob in self._blob_skips:
             self._skipped_paths[path] = self._blob_skips[blob]
 
@@ -303,10 +302,9 @@ class HistoryCounter:
             self._variant_paths[element].discard(path)
         if not scannable:
             return
-        for element, (count, _, capped) in self._blob_counts[blob].items():
+        for element, (count, _, _) in self._blob_counts[blob].items():
             self._totals[element] -= count
-            if capped:
-                self._capped_paths[element].discard(path)
+            self._hit_paths[element].discard(path)
         self._skipped_paths.pop(path, None)
 
 

@@ -29,7 +29,6 @@ from .reporting import (
 )
 from .revgraph import (
     Change,
-    DocVersion,
     EmptyHistoryError,
     GitRepo,
     KIND_WIKI,
@@ -40,12 +39,12 @@ from .revgraph import (
     snapshot_for_doc,
 )
 from .timeline import (
+    DOC_ABSENT,
+    NO_REFERENCE,
     ElementTimeline,
-    cell_symbol,
     detect_episodes,
     episode_duration,
     is_count,
-    is_positive,
 )
 
 DEFAULT_TIMEOUT_SECONDS = 86_400.0
@@ -208,10 +207,7 @@ def run_scan(config: RunConfig) -> ScanReport:
                 touch = repo.last_touch(branch, document.path)
                 if touch is None:
                     continue
-                doc_version = DocVersion(
-                    document, project.revision_by_sha(hosting_seq, touch[0]), doc_text
-                )
-                snapshot = snapshot_for_doc(doc_version, seq)
+                snapshot = snapshot_for_doc(project.revision_by_sha(hosting_seq, touch[0]), seq)
                 cited.setdefault(snapshot, []).append((document, refs, hosting_seq.head.sha))
                 elements.update(ref.text for ref in refs)
 
@@ -317,10 +313,10 @@ def run_history(config: RunConfig) -> ScanReport:
             for origin, origin_changes in changes.items()
         }
 
-        # Document side: dense version lists over each document's hosting
-        # history, extraction cached per distinct blob.
-        doc_text_cache: dict[str, str | None] = {}
-        refs_by_blob: dict[str | None, frozenset[str]] = {None: frozenset()}
+        # Document side: per source revision, the element texts each document
+        # cites there, or None where it is absent. Each distinct blob is read
+        # and extracted once, and its text is dropped.
+        refs_by_blob: dict[str, frozenset[str]] = {}
         rows: list[dict] = []
         n = len(source_seq.revisions)
         covered_from = n
@@ -331,43 +327,24 @@ def run_history(config: RunConfig) -> ScanReport:
                 break
             repo, hosting_seq, _ = project.hosting(document)
             blobs = doc_blobs[document.origin][document.path]
-            versions: list[DocVersion] = []
-            refs_map: dict[tuple[str, str], frozenset[str]] = {}
-            elements: set[str] = set()
-            for rev, blob in zip(hosting_seq.revisions, blobs):
-                if blob is None:
-                    text = None
-                    refs: frozenset[str] = frozenset()
-                else:
-                    if blob not in doc_text_cache:
-                        doc_text_cache[blob] = repo.read_blob_bytes(blob).decode(
-                            "utf-8", errors="replace"
-                        )
-                    text = doc_text_cache[blob]
-                    if blob not in refs_by_blob:
-                        refs_by_blob[blob] = frozenset(
-                            ref.text
-                            for ref in extract_elements(text, project.catalog, document)
-                        )
-                    refs = refs_by_blob[blob]
-                versions.append(DocVersion(document, rev, text))
-                refs_map[(document.path, rev.sha)] = refs
-                elements.update(refs)
+            for blob in blobs:
+                if blob is not None and blob not in refs_by_blob:
+                    text = repo.read_blob_bytes(blob).decode("utf-8", errors="replace")
+                    refs_by_blob[blob] = frozenset(
+                        ref.text for ref in extract_elements(text, project.catalog, document)
+                    )
+            refs = [None if blob is None else refs_by_blob[blob] for blob in blobs]
+            elements = frozenset().union(*(cited for cited in refs if cited is not None))
             if not elements:
                 continue
-            if document.origin == ORIGIN_README:
-                pairs = list(zip(source_seq.revisions, versions))
-            else:
-                ordered = sorted(versions, key=lambda v: v.timestamp)
-                pairs = link_source_to_docs(source_seq, ordered)
-            refs_provider = lambda dv, _m=refs_map: _m[(dv.descriptor.path, dv.revision.sha)]
+            if document.origin != ORIGIN_README:
+                refs = [refs[r.ordinal] for r in link_source_to_docs(source_seq, hosting_seq)]
             for element in sorted(elements):
                 rows.append(
                     {
                         "document": document,
                         "element": element,
-                        "pairs": pairs,
-                        "refs_provider": refs_provider,
+                        "refs": refs,
                         "doc_sha": hosting_seq.head.sha if blobs[-1] else None,
                         "symbols": [None] * n,
                         "failed": [],
@@ -388,21 +365,26 @@ def run_history(config: RunConfig) -> ScanReport:
             try:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
-                    counter.seek(source_seq.revisions[i])
+                    revision = source_seq.revisions[i]
+                    counter.seek(revision)
                     for row in rows:
-                        revision, doc_version = row["pairs"][i]
-                        symbol, failed = cell_symbol(
-                            row["element"],
-                            revision,
-                            doc_version,
-                            counter.count,
-                            row["refs_provider"],
-                        )
+                        element, cited = row["element"], row["refs"][i]
+                        if cited is None:
+                            symbol = DOC_ABSENT
+                        elif element not in cited:
+                            symbol = NO_REFERENCE
+                        else:
+                            # A failed count reads as DocAbsent, so that it can
+                            # never fabricate an outdated stretch on its own.
+                            try:
+                                symbol = counter.count(element, revision)
+                            except Exception:
+                                symbol = DOC_ABSENT
+                                row["failed"].append(i)
+                            else:
+                                if symbol > 0 and row["evidence"] is None:
+                                    row["evidence"] = (counter.evidence(element), revision.sha)
                         row["symbols"][i] = symbol
-                        if failed:
-                            row["failed"].append(i)
-                        elif row["evidence"] is None and is_positive(symbol):
-                            row["evidence"] = (counter.evidence(row["element"]), revision.sha)
                     covered_from = i
             except ScanTimeout:
                 partial = True

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .docdiscovery import DocumentDescriptor
-
 KIND_SOURCE = "source"
 KIND_WIKI = "wiki"
 
@@ -93,22 +91,6 @@ class RevisionSequence:
     def time_order(self) -> list[tuple[int, int]]:
         """(timestamp, ordinal) of every revision, ascending."""
         return sorted((rev.timestamp, rev.ordinal) for rev in self.revisions)
-
-
-@dataclass(frozen=True)
-class DocVersion:
-    """The state of one document at one revision of its hosting repository.
-
-    ``text`` is None when the file is absent at that revision.
-    """
-
-    descriptor: DocumentDescriptor
-    revision: Revision
-    text: str | None
-
-    @property
-    def timestamp(self) -> int:
-        return self.revision.timestamp
 
 
 class GitRepo:
@@ -356,8 +338,9 @@ class GitRepo:
         return self.read_blob_bytes(blob).decode("utf-8", errors="replace")
 
 
-def snapshot_for_doc(doc_version: DocVersion, source_seq: RevisionSequence) -> Revision:
-    """The source revision a document version describes.
+def snapshot_for_doc(doc_revision: Revision, source_seq: RevisionSequence) -> Revision:
+    """The source revision a document describes, given the revision of its
+    hosting repository that last wrote it.
 
     This is the revision with the greatest timestamp at or before the document
     timestamp; equal timestamps resolve to the later ordinal so a doc edit and
@@ -368,29 +351,24 @@ def snapshot_for_doc(doc_version: DocVersion, source_seq: RevisionSequence) -> R
     if not source_seq.revisions:
         raise EmptyHistoryError("cannot snapshot against an empty revision sequence")
     order = source_seq.time_order
-    idx = bisect.bisect_right(order, (doc_version.timestamp, len(order)))
+    idx = bisect.bisect_right(order, (doc_revision.timestamp, len(order)))
     return source_seq.revisions[order[idx - 1][1] if idx else 0]
 
 
-def link_source_to_docs(
-    source_seq: RevisionSequence,
-    doc_versions: list[DocVersion],
-) -> list[tuple[Revision, DocVersion | None]]:
-    """Pair every source revision with the next version of one document.
+def link_source_to_docs(source_seq: RevisionSequence, doc_seq: RevisionSequence) -> list[Revision]:
+    """The revision of a document's hosting repository that each source
+    revision sees.
 
-    Each revision pairs with the earliest doc version whose timestamp is at or
-    after the revision's; revisions after the final doc version pair with that
-    final (current) version. With no doc versions at all, every revision pairs
-    with None. ``doc_versions`` must be sorted by timestamp ascending.
+    This is the earliest hosting revision by (timestamp, ordinal) whose
+    timestamp is at or after the source revision's; source revisions after
+    every hosting revision see the last one in that order. It is the mirror
+    of ``snapshot_for_doc``.
     """
-    if not doc_versions:
-        return [(rev, None) for rev in source_seq.revisions]
-    timestamps = [v.timestamp for v in doc_versions]
-    if timestamps != sorted(timestamps):
-        raise ValueError("doc versions must be sorted by timestamp")
-    pairs: list[tuple[Revision, DocVersion | None]] = []
-    last = len(doc_versions) - 1
-    for rev in source_seq.revisions:
-        idx = bisect.bisect_left(timestamps, rev.timestamp)
-        pairs.append((rev, doc_versions[min(idx, last)]))
-    return pairs
+    if not doc_seq.revisions:
+        raise EmptyHistoryError("cannot link to an empty revision sequence")
+    order = doc_seq.time_order
+    last = len(order) - 1
+    return [
+        doc_seq.revisions[order[min(bisect.bisect_left(order, (rev.timestamp, -1)), last)][1]]
+        for rev in source_seq.revisions
+    ]

@@ -20,10 +20,10 @@ document was updated, or matching source code came (back) into existence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .docdiscovery import DocumentDescriptor
-from .revgraph import DocVersion, Revision
+from .revgraph import Revision
 
 DOC_ABSENT = "."
 NO_REFERENCE = "-"
@@ -108,62 +108,6 @@ class ElementTimeline:
             raise ValueError("one symbol per revision required")
         for symbol in self.symbols:
             validate_symbol(symbol)
-
-
-def cell_symbol(
-    element_text: str,
-    revision: Revision,
-    doc_version: DocVersion | None,
-    counts_provider: Callable[[str, Revision], int],
-    refs_provider: Callable[[DocVersion], frozenset[str]],
-) -> tuple[Symbol, bool]:
-    """The symbol for one (revision, document version) cell, and whether its
-    count failed.
-
-    A failed count reads as DocAbsent, so that it can never fabricate an
-    outdated stretch on its own.
-    """
-    if doc_version is None or doc_version.text is None:
-        return DOC_ABSENT, False
-    if element_text not in refs_provider(doc_version):
-        return NO_REFERENCE, False
-    try:
-        return int(counts_provider(element_text, revision)), False
-    except Exception:
-        return DOC_ABSENT, True
-
-
-def build_timeline(
-    element_text: str,
-    document: DocumentDescriptor | None,
-    linked_pairs: list[tuple[Revision, DocVersion | None]],
-    counts_provider: Callable[[str, Revision], int],
-    refs_provider: Callable[[DocVersion], frozenset[str]],
-) -> ElementTimeline:
-    """Derive the symbol sequence for one element from linked (revision, doc) pairs.
-
-    ``refs_provider`` maps a document version to the set of element texts it
-    references; ``counts_provider`` counts source instances at a revision. A
-    counting failure marks the timeline partial instead of aborting the run.
-    """
-    symbols: list[Symbol] = []
-    failed: list[int] = []
-    for ordinal, (revision, doc_version) in enumerate(linked_pairs):
-        symbol, count_failed = cell_symbol(
-            element_text, revision, doc_version, counts_provider, refs_provider
-        )
-        symbols.append(symbol)
-        if count_failed:
-            failed.append(ordinal)
-    revisions = tuple(revision for revision, _ in linked_pairs)
-    return ElementTimeline(
-        element_text,
-        document,
-        symbols,
-        revisions,
-        partial=bool(failed),
-        failed_ordinals=failed,
-    )
 
 
 def classify_fix(timeline: ElementTimeline, episode: OutdatedEpisode) -> FixEvent:

@@ -4,18 +4,22 @@
 tree listing of that revision. ``run_scan_oracle`` is the scan that counts
 each (reference, revision) pair with it, document by document.
 ``run_history_oracle`` lists every revision's tree with ``git ls-tree``,
-builds each (element, document) timeline with ``build_timeline`` and
-``SourceScanner.count_instances`` as its counts provider, and takes evidence
-from ``count_instances`` at the last positive revision. Nothing is
-incremental, so their reports are the ones that ``run_scan`` and
-``run_history`` must reproduce byte for byte.
+reads one ``DocVersion`` per (document, hosting revision), pairs wiki
+versions with source revisions through the list-based
+``link_source_to_docs``, builds each (element, document) timeline with
+``build_timeline`` and ``SourceScanner.count_instances`` as its counts
+provider, and takes evidence from ``count_instances`` at the last positive
+revision. Nothing is incremental, so their reports are the ones that
+``run_scan`` and ``run_history`` must reproduce byte for byte.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from typing import Callable
 
-from staleref.docdiscovery import ORIGIN_README, discover_documents
+from staleref.docdiscovery import ORIGIN_README, DocumentDescriptor, discover_documents
 from staleref.extraction import extract_elements
 from staleref.matching import (
     MatchConfig,
@@ -43,8 +47,112 @@ from staleref.reporting import (
     compute_aggregates,
     sort_findings,
 )
-from staleref.revgraph import DocVersion, GitRepo, Revision, link_source_to_docs, snapshot_for_doc
-from staleref.timeline import build_timeline, detect_episodes, episode_duration, is_positive
+from staleref.revgraph import GitRepo, Revision, RevisionSequence, snapshot_for_doc
+from staleref.timeline import (
+    DOC_ABSENT,
+    NO_REFERENCE,
+    ElementTimeline,
+    Symbol,
+    detect_episodes,
+    episode_duration,
+    is_positive,
+)
+
+
+@dataclass(frozen=True)
+class DocVersion:
+    """The state of one document at one revision of its hosting repository.
+
+    ``text`` is None when the file is absent at that revision.
+    """
+
+    descriptor: DocumentDescriptor
+    revision: Revision
+    text: str | None
+
+    @property
+    def timestamp(self) -> int:
+        return self.revision.timestamp
+
+
+def link_source_to_docs(
+    source_seq: RevisionSequence,
+    doc_versions: list[DocVersion],
+) -> list[tuple[Revision, DocVersion | None]]:
+    """Pair every source revision with the next version of one document.
+
+    Each revision pairs with the earliest doc version whose timestamp is at or
+    after the revision's; revisions after the final doc version pair with that
+    final (current) version. With no doc versions at all, every revision pairs
+    with None. ``doc_versions`` must be sorted by timestamp ascending.
+    """
+    if not doc_versions:
+        return [(rev, None) for rev in source_seq.revisions]
+    timestamps = [v.timestamp for v in doc_versions]
+    if timestamps != sorted(timestamps):
+        raise ValueError("doc versions must be sorted by timestamp")
+    pairs: list[tuple[Revision, DocVersion | None]] = []
+    last = len(doc_versions) - 1
+    for rev in source_seq.revisions:
+        idx = bisect.bisect_left(timestamps, rev.timestamp)
+        pairs.append((rev, doc_versions[min(idx, last)]))
+    return pairs
+
+
+def cell_symbol(
+    element_text: str,
+    revision: Revision,
+    doc_version: DocVersion | None,
+    counts_provider: Callable[[str, Revision], int],
+    refs_provider: Callable[[DocVersion], frozenset[str]],
+) -> tuple[Symbol, bool]:
+    """The symbol for one (revision, document version) cell, and whether its
+    count failed.
+
+    A failed count reads as DocAbsent, so that it can never fabricate an
+    outdated stretch on its own.
+    """
+    if doc_version is None or doc_version.text is None:
+        return DOC_ABSENT, False
+    if element_text not in refs_provider(doc_version):
+        return NO_REFERENCE, False
+    try:
+        return int(counts_provider(element_text, revision)), False
+    except Exception:
+        return DOC_ABSENT, True
+
+
+def build_timeline(
+    element_text: str,
+    document: DocumentDescriptor | None,
+    linked_pairs: list[tuple[Revision, DocVersion | None]],
+    counts_provider: Callable[[str, Revision], int],
+    refs_provider: Callable[[DocVersion], frozenset[str]],
+) -> ElementTimeline:
+    """Derive the symbol sequence for one element from linked (revision, doc) pairs.
+
+    ``refs_provider`` maps a document version to the set of element texts it
+    references; ``counts_provider`` counts source instances at a revision. A
+    counting failure marks the timeline partial instead of aborting the run.
+    """
+    symbols: list[Symbol] = []
+    failed: list[int] = []
+    for ordinal, (revision, doc_version) in enumerate(linked_pairs):
+        symbol, count_failed = cell_symbol(
+            element_text, revision, doc_version, counts_provider, refs_provider
+        )
+        symbols.append(symbol)
+        if count_failed:
+            failed.append(ordinal)
+    revisions = tuple(revision for revision, _ in linked_pairs)
+    return ElementTimeline(
+        element_text,
+        document,
+        symbols,
+        revisions,
+        partial=bool(failed),
+        failed_ordinals=failed,
+    )
 
 
 @dataclass(frozen=True)
@@ -195,10 +303,9 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
                 touch = repo.last_touch(branch, document.path)
                 if touch is None:
                     continue
-                doc_version = DocVersion(
-                    document, project.revision_by_sha(hosting_seq, touch[0]), doc_text
+                snapshot = snapshot_for_doc(
+                    project.revision_by_sha(hosting_seq, touch[0]), project.source_seq
                 )
-                snapshot = snapshot_for_doc(doc_version, project.source_seq)
                 for ref in refs:
                     snap_ic = scanner.count_instances(ref.text, snapshot)
                     cur_ic = scanner.count_instances(ref.text, head)

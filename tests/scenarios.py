@@ -384,6 +384,52 @@ def build_crlf_readme(base: Path):
     })
 
 
+def build_wiki_out_of_order(base: Path):
+    # Wiki timestamps go backwards: w1 is older than w0, which ties with r1,
+    # and w2 ties with r2. Each source revision sees the earliest page
+    # version by time at or after it (r0 -> w1, r1 -> w0, r2 and r3 -> w2),
+    # and the scan's snapshot of w2 is r2.
+    repo = RepoBuilder(base / "wiki_out_of_order")
+    repo.commit(T0, {"src/app.py": "def old_fn():\n    pass\n\ndef keep_fn():\n    pass\n"})
+    repo.commit(T0 + 2 * STEP, {"src/app.py": "def keep_fn():\n    pass\n"})
+    repo.commit(T0 + 4 * STEP, {
+        "src/app.py": "def keep_fn():\n    pass\n\ndef new_fn():\n    pass\n",
+    })
+    repo.commit(T0 + 5 * STEP, {"src/app.py": "def keep_fn():\n    pass\n"})
+    wiki = RepoBuilder(base / "wiki_out_of_order.wiki")
+    wiki.commit(T0 + 2 * STEP, {"Home.md": "Use `old_fn()` and `keep_fn()`.\n"})
+    wiki.commit(T0 + STEP, {"Home.md": "Use `keep_fn()` and `new_fn()`.\n"})
+    wiki.commit(T0 + 4 * STEP, {"Home.md": "Use `keep_fn()`, `new_fn()` and `old_fn()`.\n"})
+    return _manifest("wiki_out_of_order", repo, wiki, expected={
+        ("wiki", "Home.md", "keep_fn()"): IN_SYNC,
+        ("wiki", "Home.md", "new_fn()"): OUTDATED,
+        ("wiki", "Home.md", "old_fn()"): NEVER,
+    }, history={
+        ("wiki", "Home.md", "keep_fn()"): [1, 1, 1, 1],
+        ("wiki", "Home.md", "new_fn()"): [0, "-", 1, 0],
+        ("wiki", "Home.md", "old_fn()"): ["-", 0, 0, 0],
+    })
+
+
+def build_unborn_wiki(base: Path):
+    # A wiki that was created but never committed to: both modes warn and
+    # still report the README.
+    repo = RepoBuilder(base / "unborn_wiki")
+    repo.commit(T0, {
+        "README.md": "Call `lone_fn()` and `gone_fn()`.\n",
+        "src/app.py": "def lone_fn():\n    pass\n\ndef gone_fn():\n    pass\n",
+    })
+    repo.commit(T0 + STEP, {"src/app.py": "def lone_fn():\n    pass\n"})
+    wiki = RepoBuilder(base / "unborn_wiki.wiki")
+    return _manifest("unborn_wiki", repo, wiki, expected={
+        ("readme", "README.md", "lone_fn()"): IN_SYNC,
+        ("readme", "README.md", "gone_fn()"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "lone_fn()"): [1, 1],
+        ("readme", "README.md", "gone_fn()"): [1, 0],
+    }, warnings=["wiki_unavailable"])
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -405,6 +451,8 @@ SCENARIO_BUILDERS = [
     build_shallow_clone,
     build_non_utf8_path,
     build_crlf_readme,
+    build_wiki_out_of_order,
+    build_unborn_wiki,
 ]
 
 

@@ -2,7 +2,8 @@
 
 Hypothesis scripts random repositories (adds, deletes, renames, edits, the
 same content at two paths, symlinks, binary and oversized blobs, merged side
-branches, out-of-order and equal timestamps, an optional wiki) and random run
+branches, out-of-order and equal timestamps, an optional wiki whose commits
+keep the order drawn, so their timestamps may go backwards) and random run
 settings (exclude globs, a small per-file cap, a failing count at one
 revision). On each repository ``run_scan`` must render the same report, byte
 for byte, as ``oracle_history.run_scan_oracle`` (without the failing count),
@@ -69,7 +70,8 @@ merge_st = st.tuples(
 )
 wiki_st = st.lists(
     st.tuples(
-        st.integers(0, 8 * STEP),
+        # Whole steps tie with a source commit.
+        st.one_of(st.integers(0, 8 * STEP), st.integers(0, 8).map(lambda k: k * STEP)),
         st.sampled_from(["Home.md", "Other.md"]),
         st.one_of(st.none(), st.lists(st.sampled_from(CITED), max_size=3)),
     ),
@@ -142,7 +144,7 @@ def _build(base: Path, steps: list, wiki_steps: list) -> tuple[str, str | None]:
     if not wiki_steps:
         return str(repo.path), None
     wiki = RepoBuilder(base / "proj.wiki")
-    for ts, page, cites in sorted(wiki_steps, key=lambda step: step[0]):
+    for ts, page, cites in wiki_steps:
         _apply(wiki.path, ("delete", page) if cites is None else ("write", page, " ".join(
             f"See `{element}`." for element in cites) + "\n"))
         wiki.commit(T0 + ts, {})

@@ -253,7 +253,8 @@ class TestHistoryScenarios:
         for manifest in pinned:
             report = run_history(config_for(manifest))
             assert symbols_by_key(report) == manifest["history"], manifest["name"]
-            assert report.warnings == [], manifest["name"]
+            kinds = [w["kind"] for w in report.warnings]
+            assert kinds == manifest.get("warnings", []), manifest["name"]
             if "graft_sha" in manifest:
                 assert len(report.revisions) == manifest["first_parent_revisions"]
                 assert report.revisions[0].sha == manifest["graft_sha"]
@@ -285,6 +286,16 @@ class TestRunBehavior:
         report = run_scan(config_for(manifest, wiki_path=manifest["repo"] + ".wiki"))
         assert any(w.get("kind") == "wiki_unavailable" for w in report.warnings)
         assert report.findings
+
+    def test_unborn_wiki_warns_in_both_modes(self, manifests):
+        manifest = next(m for m in manifests if m["name"] == "unborn_wiki")
+        for run in (run_scan, run_history):
+            report = run(config_for(manifest))
+            assert [w["kind"] for w in report.warnings] == ["wiki_unavailable"], run.__name__
+            assert "has no commits" in report.warnings[0]["detail"]
+            assert {
+                (f.document.origin, f.document.path, f.element_text) for f in report.findings
+            } == set(manifest["expected"]), run.__name__
 
     def test_url_base_fills_finding_urls(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "backtick_outdated")

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
+import oracle_history
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
 from staleref.revgraph import (
-    DocVersion,
     EmptyHistoryError,
     GitRepo,
     KIND_SOURCE,
@@ -36,9 +36,9 @@ def seq(*timestamps):
     )
 
 
-def docv(ts, text="body"):
-    descriptor = DocumentDescriptor(ORIGIN_WIKI, "Home.md", "markdown")
-    return DocVersion(descriptor, rev(0, ts), text)
+def doc_rev(ts):
+    """A hosting revision that last wrote a document at *ts*."""
+    return rev(0, ts)
 
 
 class TestLinearize:
@@ -176,38 +176,38 @@ class TestTreeAndBlobs:
 class TestSnapshotLinking:
     def test_strictly_prior(self):
         sources = seq(100, 200)
-        assert snapshot_for_doc(docv(150), sources).timestamp == 100
+        assert snapshot_for_doc(doc_rev(150), sources).timestamp == 100
 
     def test_doc_after_head_links_head(self):
         sources = seq(100, 200)
-        assert snapshot_for_doc(docv(300), sources).ordinal == 1
+        assert snapshot_for_doc(doc_rev(300), sources).ordinal == 1
 
     def test_equal_timestamp_ties_later_ordinal(self):
         sources = seq(100, 200)
-        assert snapshot_for_doc(docv(100), sources).timestamp == 100
+        assert snapshot_for_doc(doc_rev(100), sources).timestamp == 100
         tied = seq(100, 100)
-        assert snapshot_for_doc(docv(100), tied).ordinal == 1
+        assert snapshot_for_doc(doc_rev(100), tied).ordinal == 1
 
     def test_doc_before_all_sources_gets_first(self):
         sources = seq(100, 200)
-        assert snapshot_for_doc(docv(50), sources).ordinal == 0
+        assert snapshot_for_doc(doc_rev(50), sources).ordinal == 0
 
     def test_empty_sequence_errors(self):
         empty = RevisionSequence(KIND_SOURCE, ())
         with pytest.raises(EmptyHistoryError):
-            snapshot_for_doc(docv(100), empty)
+            snapshot_for_doc(doc_rev(100), empty)
 
     def test_monotone_in_doc_time(self):
         sources = seq(100, 200, 300, 400)
-        ordinals = [snapshot_for_doc(docv(t), sources).ordinal for t in (50, 150, 250, 999)]
+        ordinals = [snapshot_for_doc(doc_rev(t), sources).ordinal for t in (50, 150, 250, 999)]
         assert ordinals == sorted(ordinals)
 
     def test_non_monotone_sequence_max_ts_rule(self):
         # A revert can put an older timestamp later in the walk; the rule is
         # still max timestamp <= doc time, ties to the later ordinal.
         sources = seq(100, 300, 200)
-        assert snapshot_for_doc(docv(250), sources).timestamp == 200
-        assert snapshot_for_doc(docv(350), sources).ordinal == 1
+        assert snapshot_for_doc(doc_rev(250), sources).timestamp == 200
+        assert snapshot_for_doc(doc_rev(350), sources).ordinal == 1
 
 
 def _linear_snapshot(doc_ts, sources):
@@ -226,7 +226,7 @@ class TestSnapshotProperty:
             timestamps = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(1, 9))]
             sources = seq(*timestamps)
             for doc_ts in range(-5, 130, 5):
-                assert snapshot_for_doc(docv(doc_ts), sources) == _linear_snapshot(
+                assert snapshot_for_doc(doc_rev(doc_ts), sources) == _linear_snapshot(
                     doc_ts, sources
                 ), (timestamps, doc_ts)
 
@@ -316,36 +316,53 @@ class TestFirstParentChanges:
 class TestLinkSourceToDocs:
     def test_single_doc_version(self):
         sources = seq(1, 2, 3)
-        v1 = docv(2)  # between t=1 and t=3, ts greater than first revision
-        pairs = link_source_to_docs(sources, [v1])
-        assert [p[1] for p in pairs] == [v1, v1, v1]
+        docs = seq(2)  # between t=1 and t=3, ts greater than first revision
+        assert link_source_to_docs(sources, docs) == [docs.head] * 3
 
     def test_two_doc_versions_split(self):
         sources = seq(1, 2, 3, 4)
-        v1, v2 = docv(1), docv(3)
-        v1 = DocVersion(v1.descriptor, rev(0, 1), "v1")
-        v2 = DocVersion(v2.descriptor, rev(1, 3), "v2")
-        pairs = link_source_to_docs(sources, [v1, v2])
-        assert [p[1].text for p in pairs] == ["v1", "v2", "v2", "v2"]
+        docs = seq(1, 3)
+        assert [r.ordinal for r in link_source_to_docs(sources, docs)] == [0, 1, 1, 1]
 
-    def test_no_doc_versions_all_absent(self):
-        sources = seq(1, 2, 3)
-        pairs = link_source_to_docs(sources, [])
-        assert [p[1] for p in pairs] == [None, None, None]
-        assert [p[0].ordinal for p in pairs] == [0, 1, 2]
+    def test_empty_doc_sequence_errors(self):
+        with pytest.raises(EmptyHistoryError):
+            link_source_to_docs(seq(1, 2, 3), RevisionSequence(KIND_SOURCE, ()))
 
     def test_partition_property(self):
         sources = seq(10, 20, 30, 40, 50)
-        versions = [docv(15), docv(35)]
-        pairs = link_source_to_docs(sources, versions)
-        assert [p[0].ordinal for p in pairs] == [0, 1, 2, 3, 4]
+        links = link_source_to_docs(sources, seq(15, 35))
+        assert [r.ordinal for r in links] == [0, 1, 1, 1, 1]
 
     def test_round_trip_property(self):
         sources = seq(10, 20, 30, 40)
-        versions = [docv(25)]
-        for revision, version in link_source_to_docs(sources, versions):
-            assert revision.timestamp <= version.timestamp or version is versions[-1]
+        docs = seq(25)
+        for revision, linked in zip(sources.revisions, link_source_to_docs(sources, docs)):
+            assert revision.timestamp <= linked.timestamp or linked is docs.head
 
-    def test_unsorted_versions_rejected(self):
-        with pytest.raises(ValueError):
-            link_source_to_docs(seq(1, 2), [docv(5), docv(3)])
+    def test_out_of_order_docs_link_by_time_then_ordinal(self):
+        # Doc ordinal 2 is older than ordinal 1, and ordinals 0 and 3 tie.
+        links = link_source_to_docs(seq(5, 10, 15, 25, 35), seq(10, 30, 20, 10))
+        assert [r.ordinal for r in links] == [0, 0, 2, 1, 1]
+
+
+def _oracle_links(sources, docs):
+    """The list-based reference rule over timestamp-sorted document versions."""
+    descriptor = DocumentDescriptor(ORIGIN_WIKI, "Home.md", "markdown")
+    versions = sorted(
+        (oracle_history.DocVersion(descriptor, r, "body") for r in docs.revisions),
+        key=lambda v: v.timestamp,
+    )
+    return [version.revision for _, version in oracle_history.link_source_to_docs(sources, versions)]
+
+
+class TestLinkProperty:
+    def test_bisect_matches_list_rule(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            # Few distinct timestamps: out-of-order runs and ties are common.
+            source_ts = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(1, 9))]
+            doc_ts = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(1, 9))]
+            sources, docs = seq(*source_ts), seq(*doc_ts)
+            assert link_source_to_docs(sources, docs) == _oracle_links(sources, docs), (
+                source_ts, doc_ts
+            )

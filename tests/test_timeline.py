@@ -7,8 +7,9 @@ import random
 import pytest
 
 from oracle_episodes import episodes_oracle
+from oracle_history import DocVersion, build_timeline
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_README
-from staleref.revgraph import DocVersion, Revision
+from staleref.revgraph import Revision
 from staleref.timeline import (
     DOC_ABSENT,
     ElementTimeline,
@@ -17,7 +18,6 @@ from staleref.timeline import (
     FIX_SOURCE_CHANGE,
     NO_REFERENCE,
     OutdatedEpisode,
-    build_timeline,
     classify_fix,
     detect_episodes,
     episode_duration,
@@ -43,6 +43,8 @@ def shape(episodes):
 
 
 class TestBuildTimeline:
+    """Pins the oracle's ``build_timeline``, which run_history must agree with."""
+
     def test_symbol_derivation(self):
         revisions = revs(4)
         versions = [
