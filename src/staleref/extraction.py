@@ -6,6 +6,11 @@ empty-parens calls, template types, file paths, and anything an author put in
 inline backticks. Fenced code blocks, markdown link destinations, and bare
 URLs are masked out before the rules run, so offsets always refer to the
 original document text.
+
+``extract_elements`` returns each element with its span. ``element_texts``
+returns only the set of element texts, and with the built-in rules it
+extracts each distinct line once per run: after fence masking, no rule and no
+mask crosses a ``\n``, so a document's set is the union of its lines' sets.
 """
 
 from __future__ import annotations
@@ -134,6 +139,11 @@ def default_catalog() -> RegexCatalog:
     return load_catalog(DEFAULT_CATALOG_TEXT, version=DEFAULT_CATALOG_VERSION)
 
 
+# The built-in patterns, none of which can match a "\n". A catalog of these
+# alone (in any order, with any capture groups) may be extracted line by line.
+_LINE_LOCAL_PATTERNS = frozenset(rule.pattern for rule in default_catalog().rules)
+
+
 _FENCE_LINE_RE = re.compile(r"^[ \t]*```")
 _NON_NEWLINE_RE = re.compile(r"[^\r\n]")
 _LINK_DEST_RE = re.compile(r"\]\(([^)\r\n]*)\)")
@@ -172,9 +182,8 @@ def _mask_ranges(text: str, ranges: list[tuple[int, int]]) -> str:
     return "".join(buf)
 
 
-def _prepare_text(doc_text: str) -> str:
-    masked = mask_fenced_blocks(doc_text)
-    masked = _mask_ranges(masked, [m.span(1) for m in _LINK_DEST_RE.finditer(masked)])
+def _mask_links_and_urls(text: str) -> str:
+    masked = _mask_ranges(text, [m.span(1) for m in _LINK_DEST_RE.finditer(text)])
     # Bare URLs are never elements, but URLs kept inside inline backticks
     # still are, so only URLs outside backtick spans get masked.
     backtick_spans = [m.span(1) for m in _BACKTICK_INTERIOR_RE.finditer(masked)]
@@ -210,21 +219,16 @@ def _drop_contained(
     return kept
 
 
-def extract_elements(
-    doc_text: str,
-    catalog: RegexCatalog,
-    document: DocumentDescriptor | None = None,
-) -> list[CodeElementRef]:
-    """Run every catalog rule over *doc_text* and collect element references.
+def _matches(
+    fenced: str, doc_text: str, catalog: RegexCatalog
+) -> list[tuple[int, int, int, str, str]]:
+    """(start, end, rule index, text, rule id) of every kept rule match.
 
-    Results are ordered by first occurrence and deduplicated by element text,
-    keeping the earliest span. A match strictly inside another match's span is
-    dropped (`renderFiles` inside `renderFiles('./files')` is not a separate
-    element). Matches shorter than MIN_ELEMENT_LENGTH after trimming are also
-    dropped, as is anything that only matched because of masking (the emitted
-    text must equal the original document substring at its span).
+    *fenced* is *doc_text* after ``mask_fenced_blocks``; links and bare URLs
+    are masked here. A match must equal the *doc_text* substring at its span,
+    and one strictly inside another is dropped.
     """
-    masked = _prepare_text(doc_text)
+    masked = _mask_links_and_urls(fenced)
     matches: list[tuple[int, int, int, str, str]] = []
     for rule_index, rule in enumerate(catalog.rules):
         for m in rule.compiled.finditer(masked):
@@ -239,8 +243,24 @@ def extract_elements(
             if doc_text[start:end] != text:
                 continue
             matches.append((start, end, rule_index, text, rule.id))
+    return _drop_contained(matches)
 
-    matches = _drop_contained(matches)
+
+def extract_elements(
+    doc_text: str,
+    catalog: RegexCatalog,
+    document: DocumentDescriptor | None = None,
+) -> list[CodeElementRef]:
+    """Run every catalog rule over *doc_text* and collect element references.
+
+    Results are ordered by first occurrence and deduplicated by element text,
+    keeping the earliest span. A match strictly inside another match's span is
+    dropped (`renderFiles` inside `renderFiles('./files')` is not a separate
+    element). Matches shorter than MIN_ELEMENT_LENGTH after trimming are also
+    dropped, as is anything that only matched because of masking (the emitted
+    text must equal the original document substring at its span).
+    """
+    matches = _matches(mask_fenced_blocks(doc_text), doc_text, catalog)
     matches.sort(key=lambda item: (item[0], item[1], item[2]))
     refs: list[CodeElementRef] = []
     seen: set[str] = set()
@@ -250,3 +270,24 @@ def extract_elements(
         seen.add(text)
         refs.append(CodeElementRef(text, rule_id, document, (start, end)))
     return refs
+
+
+def element_texts(doc_text: str, catalog: RegexCatalog, memo: dict) -> frozenset[str]:
+    """The texts of ``extract_elements(doc_text, catalog)``, as a set.
+
+    When every rule has a built-in pattern, fences are masked over the whole
+    document and each ``\n``-split line is extracted on its own, once per
+    *memo*: a dict that maps lines to their element sets and must only ever
+    see *catalog*. Any other catalog extracts the whole document.
+    """
+    if not all(rule.pattern in _LINE_LOCAL_PATTERNS for rule in catalog.rules):
+        return frozenset(ref.text for ref in extract_elements(doc_text, catalog))
+    texts: set[str] = set()
+    for line, fenced in zip(doc_text.split("\n"), mask_fenced_blocks(doc_text).split("\n")):
+        # Where fence masking changed a line, both forms decide its elements.
+        key = line if fenced == line else (fenced, line)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = frozenset(m[3] for m in _matches(fenced, line, catalog))
+        texts.update(found)
+    return frozenset(texts)

@@ -14,7 +14,7 @@ from .docdiscovery import (
     DocumentDescriptor,
     discover_documents,
 )
-from .extraction import RegexCatalog, default_catalog, extract_elements
+from .extraction import RegexCatalog, default_catalog, element_texts
 from .matching import HistoryCounter, MatchConfig, classify_current
 from .reporting import (
     MODE_CURRENT,
@@ -30,6 +30,7 @@ from .reporting import (
 from .revgraph import (
     Change,
     EmptyHistoryError,
+    GitError,
     GitRepo,
     KIND_WIKI,
     MissingRepositoryError,
@@ -135,6 +136,8 @@ class _Project:
             except (MissingRepositoryError, EmptyHistoryError) as exc:
                 self.warnings.append({"kind": "wiki_unavailable", "detail": str(exc)})
         self.catalog = config.catalog or default_catalog()
+        # Line -> element texts, shared by every document the run extracts.
+        self._line_elements: dict = {}
         templates_base = config.url_base or _derive_url_base(self.source)
         self.templates = UrlTemplates(base=templates_base)
         self.scan_time = (
@@ -165,16 +168,24 @@ class _Project:
     def revision_by_sha(self, seq: RevisionSequence, sha: str) -> Revision:
         return seq.by_sha.get(sha, seq.head)
 
+    def element_texts(self, doc_text: str) -> frozenset[str]:
+        return element_texts(doc_text, self.catalog, self._line_elements)
+
+
+def _unreadable(document: DocumentDescriptor, exc: Exception) -> dict:
+    return {"kind": "unreadable_document", "document": document.path, "detail": str(exc)}
+
 
 def run_scan(config: RunConfig) -> ScanReport:
     """Current-state scan: compare each document's references between its
     snapshot revision and the head of the source history.
 
-    Documents are read first, with one deadline check each. One
-    ``HistoryCounter`` over revision 0, the snapshots and head then counts
-    every cited element at head and moves to each snapshot, newest first,
-    with one deadline check per move. A timed-out scan holds the findings of
-    the documents whose snapshot was counted.
+    Documents are read first, with one deadline check each; a document that
+    cannot be read is skipped with a warning. One ``HistoryCounter`` over
+    revision 0, the snapshots and head then counts every cited element at
+    head and moves to each snapshot, newest first, with one deadline check
+    per move. A timed-out scan holds the findings of the documents whose
+    snapshot was counted.
     """
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
@@ -190,26 +201,35 @@ def run_scan(config: RunConfig) -> ScanReport:
             project.source.tree_at(head.sha), wiki_tree, config.discovery
         )
 
-        # snapshot -> (document, its refs, sha of its hosting head) per document
+        # snapshot -> (document, its element texts, sha of its hosting head)
         cited: dict[Revision, list[tuple]] = {}
         elements: set[str] = set()
         findings: list[Finding] = []
         warnings: list[dict] = []
+        doc_warnings: list[dict] = []
         partial = False
         try:
             for document in documents:
                 deadline.check()
                 repo, hosting_seq, branch = project.hosting(document)
-                doc_text = repo.read_blob(hosting_seq.head.sha, document.path)
-                refs = extract_elements(doc_text, project.catalog, document)
-                if not refs:
+                try:
+                    doc_text = repo.read_blob(hosting_seq.head.sha, document.path)
+                except (GitError, OSError) as exc:
+                    doc_warnings.append(_unreadable(document, exc))
                     continue
-                touch = repo.last_touch(branch, document.path)
+                texts = project.element_texts(doc_text)
+                if not texts:
+                    continue
+                try:
+                    touch = repo.last_touch(branch, document.path)
+                except (GitError, OSError) as exc:
+                    doc_warnings.append(_unreadable(document, exc))
+                    continue
                 if touch is None:
                     continue
                 snapshot = snapshot_for_doc(project.revision_by_sha(hosting_seq, touch[0]), seq)
-                cited.setdefault(snapshot, []).append((document, refs, hosting_seq.head.sha))
-                elements.update(ref.text for ref in refs)
+                cited.setdefault(snapshot, []).append((document, texts, hosting_seq.head.sha))
+                elements.update(texts)
 
             deadline.check()
             revisions = tuple(sorted({seq.revisions[0], head, *cited}, key=lambda r: r.ordinal))
@@ -226,18 +246,18 @@ def run_scan(config: RunConfig) -> ScanReport:
             for snapshot in sorted(cited, key=lambda r: r.ordinal, reverse=True):
                 deadline.check()
                 counter.seek(snapshot)
-                for document, refs, doc_sha in cited[snapshot]:
-                    for ref in refs:
-                        snapshot_count = counter.count(ref.text, snapshot)
+                for document, texts, doc_sha in cited[snapshot]:
+                    for text in sorted(texts):
+                        snapshot_count = counter.count(text, snapshot)
                         finding = Finding(
-                            element_text=ref.text,
+                            element_text=text,
                             document=document,
-                            status=classify_current(snapshot_count, current[ref.text]),
+                            status=classify_current(snapshot_count, current[text]),
                             snapshot_sha=snapshot.sha,
                             snapshot_count=snapshot_count,
                             current_sha=head.sha,
-                            current_count=current[ref.text],
-                            evidence=_evidence(counter.evidence(ref.text)),
+                            current_count=current[text],
+                            evidence=_evidence(counter.evidence(text)),
                             evidence_sha=snapshot.sha,
                             doc_sha=doc_sha,
                         )
@@ -252,7 +272,7 @@ def run_scan(config: RunConfig) -> ScanReport:
             scan_time=project.scan_time,
             mode=MODE_CURRENT,
             findings=findings,
-            warnings=_sorted_warnings(project.warnings, warnings),
+            warnings=_sorted_warnings(project.warnings, doc_warnings, warnings),
             aggregates=compute_aggregates(findings),
             revisions=None,
             partial=partial,
@@ -293,6 +313,7 @@ def run_history(config: RunConfig) -> ScanReport:
     are decided in one pass over the revisions, newest first, while a
     ``HistoryCounter`` undoes each revision's changes, so that when the
     timeout strikes, the partial output covers the most recent revisions.
+    A document blob that cannot be read warns, and its cells read absent.
     """
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
@@ -314,9 +335,12 @@ def run_history(config: RunConfig) -> ScanReport:
         }
 
         # Document side: per source revision, the element texts each document
-        # cites there, or None where it is absent. Each distinct blob is read
-        # and extracted once, and its text is dropped.
-        refs_by_blob: dict[str, frozenset[str]] = {}
+        # cites there, or None where it is absent or its blob was unreadable.
+        # Each distinct blob is read and extracted once, and its text is
+        # dropped.
+        refs_by_blob: dict[str, frozenset[str] | None] = {}
+        unreadable: dict[str, Exception] = {}
+        doc_warnings: list[dict] = []
         rows: list[dict] = []
         n = len(source_seq.revisions)
         covered_from = n
@@ -327,12 +351,21 @@ def run_history(config: RunConfig) -> ScanReport:
                 break
             repo, hosting_seq, _ = project.hosting(document)
             blobs = doc_blobs[document.origin][document.path]
-            for blob in blobs:
-                if blob is not None and blob not in refs_by_blob:
-                    text = repo.read_blob_bytes(blob).decode("utf-8", errors="replace")
-                    refs_by_blob[blob] = frozenset(
-                        ref.text for ref in extract_elements(text, project.catalog, document)
-                    )
+            for blob in dict.fromkeys(blobs):
+                if blob is None:
+                    continue
+                if blob not in refs_by_blob:
+                    try:
+                        data = repo.read_blob_bytes(blob)
+                    except (GitError, OSError) as exc:
+                        refs_by_blob[blob] = None
+                        unreadable[blob] = exc
+                    else:
+                        refs_by_blob[blob] = project.element_texts(
+                            data.decode("utf-8", errors="replace")
+                        )
+                if blob in unreadable:
+                    doc_warnings.append(_unreadable(document, unreadable[blob]))
             refs = [None if blob is None else refs_by_blob[blob] for blob in blobs]
             elements = frozenset().union(*(cited for cited in refs if cited is not None))
             if not elements:
@@ -435,7 +468,9 @@ def run_history(config: RunConfig) -> ScanReport:
             scan_time=project.scan_time,
             mode=MODE_HISTORY,
             findings=findings,
-            warnings=_sorted_warnings(project.warnings, counter.warnings, warnings_extra),
+            warnings=_sorted_warnings(
+                project.warnings, doc_warnings, counter.warnings, warnings_extra
+            ),
             aggregates=compute_aggregates(findings),
             revisions=source_seq.revisions,
             partial=partial,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import subprocess
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -108,7 +107,6 @@ class GitRepo:
         if probe.returncode != 0:
             raise MissingRepositoryError(f"not a git repository: {self.path}")
         self._batch: subprocess.Popen | None = None
-        self._batch_lock = threading.Lock()
         self._tree_cache: dict[str, tuple[tuple[str, str], ...]] = {}
         self._entry_map_cache: dict[str, dict[str, str]] = {}
 
@@ -308,27 +306,26 @@ class GitRepo:
 
     def read_blob_bytes(self, blob_sha: str) -> bytes:
         """Raw contents of a blob object, via a persistent cat-file process."""
-        with self._batch_lock:
-            if self._batch is None or self._batch.poll() is not None:
-                self._batch = subprocess.Popen(
-                    ["git", "-C", str(self.path), "cat-file", "--batch"],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                )
-            self._batch.stdin.write(blob_sha.encode() + b"\n")
-            self._batch.stdin.flush()
-            header = self._batch.stdout.readline().decode().strip()
-            if header.endswith(" missing") or not header:
-                raise UnknownRevisionError(f"{self.path}: no such object {blob_sha}")
-            size = int(header.rsplit(" ", 1)[1])
-            data = b""
-            while len(data) < size:
-                chunk = self._batch.stdout.read(size - len(data))
-                if not chunk:
-                    raise GitError(f"{self.path}: truncated cat-file output for {blob_sha}")
-                data += chunk
-            self._batch.stdout.read(1)  # trailing newline
-            return data
+        if self._batch is None or self._batch.poll() is not None:
+            self._batch = subprocess.Popen(
+                ["git", "-C", str(self.path), "cat-file", "--batch"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+            )
+        self._batch.stdin.write(blob_sha.encode() + b"\n")
+        self._batch.stdin.flush()
+        header = self._batch.stdout.readline().decode().strip()
+        if header.endswith(" missing") or not header:
+            raise UnknownRevisionError(f"{self.path}: no such object {blob_sha}")
+        size = int(header.rsplit(" ", 1)[1])
+        data = b""
+        while len(data) < size:
+            chunk = self._batch.stdout.read(size - len(data))
+            if not chunk:
+                raise GitError(f"{self.path}: truncated cat-file output for {blob_sha}")
+            data += chunk
+        self._batch.stdout.read(1)  # trailing newline
+        return data
 
     def read_blob(self, commit_sha: str, path: str) -> str:
         """Decoded text of *path* at *commit_sha*; undecodable bytes are replaced."""

@@ -246,3 +246,13 @@ class TestDumpCatalog:
         out = tmp_path / "catalog.tsv"
         run_cli("dump-catalog", "--out", str(out))
         assert out.read_text() == first.stdout
+
+    def test_dumped_catalog_as_regex_file_gives_default_bytes(self, dirty_repo, tmp_path):
+        catalog = tmp_path / "catalog.tsv"
+        assert run_cli("dump-catalog", "--out", str(catalog)).returncode == 0
+        for mode in ("scan", "history"):
+            default = run_cli(mode, "--repo", dirty_repo, "--scan-time", PIN)
+            custom = run_cli(mode, "--repo", dirty_repo, "--scan-time", PIN,
+                             "--regex-file", str(catalog))
+            assert default.returncode == custom.returncode == 1, mode
+            assert custom.stdout == default.stdout, mode

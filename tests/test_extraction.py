@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from importlib.util import find_spec
 
 import pytest
 
@@ -10,6 +11,7 @@ from staleref.extraction import (
     CatalogError,
     DEFAULT_CATALOG_TEXT,
     default_catalog,
+    element_texts,
     extract_elements,
     load_catalog,
     mask_fenced_blocks,
@@ -166,3 +168,73 @@ class TestExtraction:
     def test_dump_is_byte_stable(self):
         assert DEFAULT_CATALOG_TEXT == DEFAULT_CATALOG_TEXT
         assert "template-class\t0\t[A-Z][a-zA-Z]+ ?<[A-Z][a-zA-Z]*>" in DEFAULT_CATALOG_TEXT
+
+
+def whole(doc, catalog):
+    return frozenset(ref.text for ref in extract_elements(doc, catalog))
+
+
+# Pieces of generated Markdown. Fence markers follow a "\n" (plain, indented,
+# with an info string, or a closing line that carries text) or another line
+# break that only splitlines() knows; the rest are elements, link and URL
+# parts, and the line breaks and spaces the rules treat specially.
+FRAGMENTS = [
+    "\n```", "\n```py", "\n  ```", "\n\t```", "\n``` done fooBar", "```", "\x0c```\x0c",
+    "\n", "\r\n", "\r", " ", "\t", "\x0c", "\x1c", "\x85", "\u2028",
+    "fooBar", "BazQux", "UPPER_NAME", "run_fn()", "pkg.mod.attr", "obj.call(x)",
+    "Worker<T>", "src/app.py", "./a/b", "x", ".", "a.b(", "(", ")", "<", "`", "`kept_fn()`",
+    "`https://x.io/a/b`", "https://example.com/p/q", "[guide](src/a.py)", "](",
+]
+
+
+@pytest.mark.criterion("per-line element sets equal whole-document extraction on generated Markdown")
+@pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+def test_element_texts_equal_whole_document_extraction(catalog):
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    shared: dict = {}  # one memo across documents, as in a run
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(
+        st.one_of(st.sampled_from(FRAGMENTS), st.text("`( )\n\x0cab_/.", max_size=3)),
+        max_size=40,
+    ).map("".join))
+    def check(doc):
+        expected = whole(doc, catalog)
+        assert element_texts(doc, catalog, {}) == expected
+        assert element_texts(doc, catalog, shared) == expected
+
+    check()
+
+
+class TestElementTexts:
+    def test_fenced_line_keyed_apart_from_plain_line(self, catalog):
+        memo: dict = {}
+        assert element_texts("```\nfooBar\n```\n", catalog, memo) == frozenset()
+        assert element_texts("fooBar", catalog, memo) == {"fooBar"}
+        assert memo[("      ", "fooBar")] == frozenset()
+        assert memo["fooBar"] == {"fooBar"}
+
+    def test_match_over_a_fenced_part_of_a_line_is_dropped(self, catalog):
+        # "\x0c" ends a line for the fence scan only: the call's parentheses
+        # enclose a fenced part, so its text is not the document's.
+        doc = "a.b(\x0c```\x0cSECRET\x0c```\x0c) c.d(e)"
+        assert element_texts(doc, catalog, {}) == {"c.d(e)"} == whole(doc, catalog)
+
+    def test_builtin_patterns_in_any_order_go_line_by_line(self):
+        rules = [line for line in DEFAULT_CATALOG_TEXT.splitlines() if not line.startswith("#")]
+        custom = load_catalog("\n".join(reversed(rules)), version="reordered.tsv")
+        memo: dict = {}
+        assert element_texts("a fooBar\nb `x_fn()`", custom, memo) == {"fooBar", "x_fn()"}
+        assert set(memo) == {"a fooBar", "b `x_fn()`"}
+
+    @pytest.mark.parametrize("rule, doc, expected", [
+        ("start\t0\t^Foo\\w*", "Foobar\nFooqux", {"Foobar"}),
+        ("pair\t0\ta\\s+b", "a\nb", {"a\nb"}),
+    ])
+    def test_other_rules_extract_whole_documents(self, rule, doc, expected):
+        custom = load_catalog(DEFAULT_CATALOG_TEXT + rule + "\n")
+        memo: dict = {}
+        assert element_texts(doc, custom, memo) == expected == whole(doc, custom)
+        assert memo == {}

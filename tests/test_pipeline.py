@@ -332,6 +332,95 @@ class TestRunBehavior:
         assert statuses == {"doc_fn()": "outdated"}
 
 
+@pytest.fixture(scope="module")
+def guide_repos(tmp_path_factory):
+    """A README and two wiki pages; Guide.md has an old and a head version."""
+    base = tmp_path_factory.mktemp("unreadable")
+    T0, STEP = scenarios.T0, 1000
+    repo = RepoBuilder(base / "proj")
+    repo.commit(T0, {
+        "README.md": "Use `old_fn()` and `keep_fn()`.\n",
+        "src/app.py": "def old_fn():\n    pass\n\ndef keep_fn():\n    pass\n",
+    })
+    repo.commit(T0 + 2 * STEP, {"src/app.py": "def keep_fn():\n    pass\n"})
+    repo.commit(T0 + 4 * STEP, {"src/other.py": "x = 1\n"})
+    wiki = RepoBuilder(base / "proj.wiki")
+    wiki.commit(T0 + STEP, {"Guide.md": "See `keep_fn()`.\n", "Extra.md": "Try `old_fn()`.\n"})
+    wiki.commit(T0 + 3 * STEP, {"Guide.md": "See `keep_fn()` and `old_fn()`.\n"})
+    old_blob, head_blob = (
+        wiki.git("rev-parse", f"{sha}:Guide.md").strip() for sha in wiki.shas
+    )
+    config = RunConfig(repo_path=str(repo.path), wiki_path=str(wiki.path), scan_time=T0 + 10 * STEP)
+    return config, old_blob, head_blob
+
+
+def fail_read_of(monkeypatch, blob: str) -> None:
+    original = GitRepo.read_blob_bytes
+
+    def read_blob_bytes(self, blob_sha):
+        if blob_sha == blob:
+            raise GitError(f"cannot read {blob_sha}")
+        return original(self, blob_sha)
+
+    monkeypatch.setattr(GitRepo, "read_blob_bytes", read_blob_bytes)
+
+
+def cli_exit(mode: str, config, out) -> int:
+    return cli.main([
+        mode, "--repo", config.repo_path, "--wiki", config.wiki_path,
+        "--scan-time", str(config.scan_time), "--out", str(out),
+    ])
+
+
+class TestUnreadableDocument:
+    def test_scan_skips_the_document(self, guide_repos, monkeypatch, tmp_path):
+        config, _, head_blob = guide_repos
+        full = run_scan(config)
+        expected = [f for f in json.loads(render_findings(full))["findings"]
+                    if f["document"]["path"] != "Guide.md"]
+        for fail in ("read", "touch"):
+            with monkeypatch.context() as m:
+                if fail == "read":
+                    fail_read_of(m, head_blob)
+                else:
+                    original = GitRepo.last_touch
+
+                    def last_touch(self, branch, path):
+                        if path == "Guide.md":
+                            raise GitError("log failed")
+                        return original(self, branch, path)
+
+                    m.setattr(GitRepo, "last_touch", last_touch)
+                report = run_scan(config)
+                code = cli_exit("scan", config, tmp_path / "scan.json")
+            assert [(w["kind"], w["document"]) for w in report.warnings] == [
+                ("unreadable_document", "Guide.md")
+            ], fail
+            assert json.loads(render_findings(report))["findings"] == expected, fail
+            assert code == cli.EXIT_OUTDATED, fail
+
+    def test_history_reads_absent_where_the_blob_is_current(
+        self, guide_repos, monkeypatch, tmp_path
+    ):
+        config, old_blob, _ = guide_repos
+        full = symbols_by_key(run_history(config))
+        fail_read_of(monkeypatch, old_blob)
+        report = run_history(config)
+        assert report.warnings == [{
+            "kind": "unreadable_document",
+            "document": "Guide.md",
+            "detail": f"cannot read {old_blob}",
+        }]
+        # Source revision 0 sees the old Guide.md version, which now reads ".".
+        assert symbols_by_key(report) == {
+            key: ["."] + symbols[1:] if key[1] == "Guide.md" else symbols
+            for key, symbols in full.items()
+        }
+        assert full[("wiki", "Guide.md", "keep_fn()")] == [1, 1, 1]
+        assert not report.partial
+        assert cli_exit("history", config, tmp_path / "history.json") == cli.EXIT_OUTDATED
+
+
 class TestSkippedBlobWarnings:
     def test_every_path_of_an_oversized_blob_warns(self, tmp_path):
         builder = RepoBuilder(tmp_path / "twins")
