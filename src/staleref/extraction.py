@@ -158,6 +158,8 @@ def mask_fenced_blocks(text: str) -> str:
     kept. Newlines are preserved so that every offset outside a fence is
     unchanged, and an unterminated fence masks to the end of the text.
     """
+    if "```" not in text:
+        return text
     out: list[str] = []
     in_fence = False
     for line in text.splitlines(keepends=True):
@@ -278,7 +280,10 @@ def element_texts(doc_text: str, catalog: RegexCatalog, memo: dict) -> frozenset
     When every rule has a built-in pattern, fences are masked over the whole
     document and each ``\n``-split line is extracted on its own, once per
     *memo*: a dict that maps lines to their element sets and must only ever
-    see *catalog*. Any other catalog extracts the whole document.
+    see *catalog*. A line with no fence marker that fence masking left alone
+    is extracted by ``extract_elements`` itself, so wrapping that function
+    still sees every line production extracts. Any other catalog extracts the
+    whole document.
     """
     if not all(rule.pattern in _LINE_LOCAL_PATTERNS for rule in catalog.rules):
         return frozenset(ref.text for ref in extract_elements(doc_text, catalog))
@@ -288,6 +293,12 @@ def element_texts(doc_text: str, catalog: RegexCatalog, memo: dict) -> frozenset
         key = line if fenced == line else (fenced, line)
         found = memo.get(key)
         if found is None:
-            found = memo[key] = frozenset(m[3] for m in _matches(fenced, line, catalog))
+            if fenced == line and "```" not in line:
+                # Masking fences again cannot change a line with no fence
+                # marker, so the public entry point is exact here.
+                found = frozenset(ref.text for ref in extract_elements(line, catalog))
+            else:
+                found = frozenset(m[3] for m in _matches(fenced, line, catalog))
+            memo[key] = found
         texts.update(found)
     return frozenset(texts)

@@ -313,7 +313,8 @@ def run_history(config: RunConfig) -> ScanReport:
     are decided in one pass over the revisions, newest first, while a
     ``HistoryCounter`` undoes each revision's changes, so that when the
     timeout strikes, the partial output covers the most recent revisions.
-    A document blob that cannot be read warns, and its cells read absent.
+    A document blob that cannot be read warns, and its cells read absent and
+    count as failed, as a failed count does.
     """
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
@@ -335,11 +336,10 @@ def run_history(config: RunConfig) -> ScanReport:
         }
 
         # Document side: per source revision, the element texts each document
-        # cites there, or None where it is absent or its blob was unreadable.
-        # Each distinct blob is read and extracted once, and its text is
-        # dropped.
-        refs_by_blob: dict[str, frozenset[str] | None] = {}
-        unreadable: dict[str, Exception] = {}
+        # cites there, None where it is absent, or the read error where its
+        # blob could not be read. Each distinct blob is read and extracted
+        # once, and its text is dropped.
+        refs_by_blob: dict[str, frozenset[str] | Exception] = {}
         doc_warnings: list[dict] = []
         rows: list[dict] = []
         n = len(source_seq.revisions)
@@ -358,20 +358,26 @@ def run_history(config: RunConfig) -> ScanReport:
                     try:
                         data = repo.read_blob_bytes(blob)
                     except (GitError, OSError) as exc:
-                        refs_by_blob[blob] = None
-                        unreadable[blob] = exc
+                        refs_by_blob[blob] = exc
                     else:
                         refs_by_blob[blob] = project.element_texts(
                             data.decode("utf-8", errors="replace")
                         )
-                if blob in unreadable:
-                    doc_warnings.append(_unreadable(document, unreadable[blob]))
+                if isinstance(refs_by_blob[blob], Exception):
+                    doc_warnings.append(_unreadable(document, refs_by_blob[blob]))
             refs = [None if blob is None else refs_by_blob[blob] for blob in blobs]
-            elements = frozenset().union(*(cited for cited in refs if cited is not None))
+            elements = frozenset().union(
+                *(cited for cited in refs if isinstance(cited, frozenset))
+            )
             if not elements:
                 continue
             if document.origin != ORIGIN_README:
                 refs = [refs[r.ordinal] for r in link_source_to_docs(source_seq, hosting_seq)]
+            # Revisions that see an unreadable version read absent and count
+            # as failed in every row of the document.
+            unreadable_at = [i for i, cited in enumerate(refs) if isinstance(cited, Exception)]
+            if unreadable_at:
+                refs = [None if isinstance(cited, Exception) else cited for cited in refs]
             for element in sorted(elements):
                 rows.append(
                     {
@@ -380,7 +386,7 @@ def run_history(config: RunConfig) -> ScanReport:
                         "refs": refs,
                         "doc_sha": hosting_seq.head.sha if blobs[-1] else None,
                         "symbols": [None] * n,
-                        "failed": [],
+                        "failed": list(unreadable_at),
                         "evidence": None,
                     }
                 )

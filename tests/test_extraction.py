@@ -7,6 +7,7 @@ from importlib.util import find_spec
 
 import pytest
 
+from staleref import extraction
 from staleref.extraction import (
     CatalogError,
     DEFAULT_CATALOG_TEXT,
@@ -215,6 +216,23 @@ class TestElementTexts:
         assert element_texts("fooBar", catalog, memo) == {"fooBar"}
         assert memo[("      ", "fooBar")] == frozenset()
         assert memo["fooBar"] == {"fooBar"}
+
+    def test_plain_line_misses_go_through_extract_elements(self, catalog, monkeypatch):
+        # Wrapping extract_elements (as perfbench's tracer does) sees each
+        # plain line the memo misses, once; fence lines take the private path.
+        seen: list[str] = []
+        original = extraction.extract_elements
+
+        def counted(doc_text, catalog, document=None):
+            seen.append(doc_text)
+            return original(doc_text, catalog, document)
+
+        monkeypatch.setattr(extraction, "extract_elements", counted)
+        memo: dict = {}
+        doc = "a fooBar\n```\nx_fn()\n```\na fooBar"
+        assert element_texts(doc, catalog, memo) == {"fooBar"}
+        assert element_texts(doc, catalog, memo) == {"fooBar"}
+        assert seen == ["a fooBar"]
 
     def test_match_over_a_fenced_part_of_a_line_is_dropped(self, catalog):
         # "\x0c" ends a line for the fence scan only: the call's parentheses

@@ -334,7 +334,11 @@ class TestRunBehavior:
 
 @pytest.fixture(scope="module")
 def guide_repos(tmp_path_factory):
-    """A README and two wiki pages; Guide.md has an old and a head version."""
+    """A README and two wiki pages; Guide.md has three versions.
+
+    Source revisions r0, r1 and r2 see Guide.md's versions w0, w1 and w2 in
+    turn; old_fn() leaves the source at r1 while w1 and w2 still cite it.
+    """
     base = tmp_path_factory.mktemp("unreadable")
     T0, STEP = scenarios.T0, 1000
     repo = RepoBuilder(base / "proj")
@@ -347,8 +351,9 @@ def guide_repos(tmp_path_factory):
     wiki = RepoBuilder(base / "proj.wiki")
     wiki.commit(T0 + STEP, {"Guide.md": "See `keep_fn()`.\n", "Extra.md": "Try `old_fn()`.\n"})
     wiki.commit(T0 + 3 * STEP, {"Guide.md": "See `keep_fn()` and `old_fn()`.\n"})
+    wiki.commit(T0 + 5 * STEP, {"Guide.md": "See `keep_fn()` and `old_fn()` today.\n"})
     old_blob, head_blob = (
-        wiki.git("rev-parse", f"{sha}:Guide.md").strip() for sha in wiki.shas
+        wiki.git("rev-parse", f"{sha}:Guide.md").strip() for sha in wiki.shas[::2]
     )
     config = RunConfig(repo_path=str(repo.path), wiki_path=str(wiki.path), scan_time=T0 + 10 * STEP)
     return config, old_blob, head_blob
@@ -399,24 +404,37 @@ class TestUnreadableDocument:
             assert json.loads(render_findings(report))["findings"] == expected, fail
             assert code == cli.EXIT_OUTDATED, fail
 
-    def test_history_reads_absent_where_the_blob_is_current(
-        self, guide_repos, monkeypatch, tmp_path
+    @pytest.mark.parametrize("which, ordinal", [("old", 0), ("head", 2)])
+    def test_history_reads_failed_absent_where_the_blob_is_current(
+        self, guide_repos, monkeypatch, tmp_path, which, ordinal
     ):
-        config, old_blob, _ = guide_repos
-        full = symbols_by_key(run_history(config))
-        fail_read_of(monkeypatch, old_blob)
+        config, old_blob, head_blob = guide_repos
+        blob = old_blob if which == "old" else head_blob
+        full = run_history(config)
+        fail_read_of(monkeypatch, blob)
         report = run_history(config)
         assert report.warnings == [{
             "kind": "unreadable_document",
             "document": "Guide.md",
-            "detail": f"cannot read {old_blob}",
+            "detail": f"cannot read {blob}",
         }]
-        # Source revision 0 sees the old Guide.md version, which now reads ".".
-        assert symbols_by_key(report) == {
-            key: ["."] + symbols[1:] if key[1] == "Guide.md" else symbols
-            for key, symbols in full.items()
+        # Only source revision *ordinal* sees the unreadable version, whose
+        # cells now read "." and are failed ordinals of every Guide.md row.
+        guide = lambda key: key[1] == "Guide.md"
+        expected = {
+            key: symbols[:ordinal] + ["."] + symbols[ordinal + 1:] if guide(key) else symbols
+            for key, symbols in symbols_by_key(full).items()
         }
-        assert full[("wiki", "Guide.md", "keep_fn()")] == [1, 1, 1]
+        assert symbols_by_key(report) == expected
+        assert symbols_by_key(full)[("wiki", "Guide.md", "keep_fn()")] == [1, 1, 1]
+        assert symbols_by_key(full)[("wiki", "Guide.md", "old_fn()")] == ["-", 0, 0]
+        rendered = json.loads(render_findings(report))["findings"]
+        assert {f["element_text"]: (f["timeline_partial"], f["failed_ordinals"])
+                for f in rendered if f["document"]["path"] == "Guide.md"} == {
+            "keep_fn()": (True, [ordinal]), "old_fn()": (True, [ordinal]),
+        }
+        assert not any(f["timeline_partial"] for f in rendered
+                       if f["document"]["path"] != "Guide.md")
         assert not report.partial
         assert cli_exit("history", config, tmp_path / "history.json") == cli.EXIT_OUTDATED
 
