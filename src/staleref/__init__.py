@@ -51,7 +51,6 @@ from .revgraph import (
     EmptyHistoryError,
     GitError,
     GitRepo,
-    MissingPathError,
     MissingRepositoryError,
     Revision,
     RevisionSequence,
@@ -94,7 +93,6 @@ __all__ = [
     "GitError",
     "GitRepo",
     "MatchConfig",
-    "MissingPathError",
     "MissingRepositoryError",
     "NO_REFERENCE",
     "ORIGIN_README",

@@ -25,7 +25,6 @@ from .reporting import (
     FORMAT_CSV,
     FORMAT_JSON,
     FORMAT_MARKDOWN,
-    UrlTemplates,
     _aggregates_dict,
     aggregate_corpus,
     parse_report,
@@ -187,7 +186,7 @@ def _run_analysis(args, mode: str) -> int:
     catalog = None
     regex_file = _opt(args, file_cfg, "regex_file")
     if regex_file:
-        catalog = load_catalog(Path(regex_file).read_text(encoding="utf-8"), version=regex_file)
+        catalog = load_catalog(Path(regex_file).read_text(encoding="utf-8"))
 
     scan_time = _opt(args, file_cfg, "scan_time")
     discovery = DiscoveryConfig(
@@ -230,11 +229,7 @@ def _run_analysis(args, mode: str) -> int:
     if draft_target:
         outdated = [f for f in report.findings if f.currently_outdated]
         if outdated:
-            draft = render_issue_draft(
-                outdated,
-                project_id=report.project_id,
-                templates=UrlTemplates(base=config.url_base),
-            )
+            draft = render_issue_draft(outdated, project_id=report.project_id)
             _write_output(draft, draft_target)
         else:
             print("note: no outdated findings, skipping issue draft", file=sys.stderr)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ORIGIN_README = "readme"
 ORIGIN_WIKI = "wiki"
@@ -86,14 +86,8 @@ class DocumentDescriptor:
 class DiscoveryConfig:
     readme_glob: str = "README*"
     extra_doc_globs: tuple[str, ...] = ()
-    format_allowlist: frozenset[str] = field(default_factory=lambda: ALL_FORMATS)
 
     def __post_init__(self) -> None:
-        if not self.format_allowlist:
-            raise ValueError("format allowlist must not be empty")
-        unknown = set(self.format_allowlist) - ALL_FORMATS
-        if unknown:
-            raise ValueError(f"unknown formats in allowlist: {sorted(unknown)}")
         for pattern in (self.readme_glob, *self.extra_doc_globs):
             # fnmatch.translate is total, but compiling surfaces pathological
             # patterns at config-build time rather than mid-scan.
@@ -120,7 +114,7 @@ def discover_documents(
         if "/" in path or not fnmatch.fnmatchcase(path.lower(), readme_glob):
             continue
         fmt = is_recognized_format(path)
-        if fmt and fmt in config.format_allowlist:
+        if fmt:
             desc = DocumentDescriptor(ORIGIN_README, path, fmt)
             found[(desc.origin, desc.path)] = desc
 
@@ -129,14 +123,14 @@ def discover_documents(
             if not fnmatch.fnmatchcase(path, glob):
                 continue
             fmt = is_recognized_format(path)
-            if fmt and fmt in config.format_allowlist:
+            if fmt:
                 desc = DocumentDescriptor(ORIGIN_README, path, fmt)
                 found.setdefault((desc.origin, desc.path), desc)
 
     if wiki_tree is not None:
         for path in wiki_tree:
             fmt = is_recognized_format(path)
-            if fmt and fmt in config.format_allowlist:
+            if fmt:
                 desc = DocumentDescriptor(ORIGIN_WIKI, path, fmt)
                 found[(desc.origin, desc.path)] = desc
 

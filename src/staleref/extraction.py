@@ -41,8 +41,6 @@ path-like\t0\t\\.{0,2}/?[A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*/[A-Za-z0-9_.-]*[A-Z
 # The built-in catalog deliberately has no rule for bare URLs; URLs are only
 # picked up when an author backticks them.
 
-DEFAULT_CATALOG_VERSION = "builtin-1"
-
 
 class CatalogError(ValueError):
     """Raised when a rule catalog cannot be parsed or compiled."""
@@ -67,7 +65,6 @@ class RegexRule:
 @dataclass
 class RegexCatalog:
     rules: list[RegexRule]
-    version: str
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class CodeElementRef:
             raise ValueError(f"span {self.span} does not fit text of length {len(self.text)}")
 
 
-def load_catalog(text: str, version: str = "custom") -> RegexCatalog:
+def load_catalog(text: str) -> RegexCatalog:
     """Parse a rule catalog from its tab-separated text form.
 
     Malformed lines, invalid regexes, bad capture-group indices, and duplicate
@@ -132,11 +129,11 @@ def load_catalog(text: str, version: str = "custom") -> RegexCatalog:
         rules.append(rule)
     if not rules:
         raise CatalogError("catalog contains no rules")
-    return RegexCatalog(rules, version)
+    return RegexCatalog(rules)
 
 
 def default_catalog() -> RegexCatalog:
-    return load_catalog(DEFAULT_CATALOG_TEXT, version=DEFAULT_CATALOG_VERSION)
+    return load_catalog(DEFAULT_CATALOG_TEXT)
 
 
 # The built-in patterns, none of which can match a "\n". A catalog of these

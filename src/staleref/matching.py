@@ -22,6 +22,9 @@ STATUS_NEVER_MATCHED = "never_matched"
 
 _BINARY_SNIFF_BYTES = 8192
 
+# Evidence lists at most this many matching files per element.
+MAX_MATCHED_PATHS = 20
+
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
 
 
@@ -30,7 +33,6 @@ class MatchConfig:
     exclude_globs: tuple[str, ...] = ()
     max_file_bytes: int = 10 * 1024 * 1024
     max_count_per_file: int = 10_000
-    max_matched_paths: int = 20
 
     def __post_init__(self) -> None:
         if self.max_file_bytes <= 0 or self.max_count_per_file <= 0:
@@ -124,14 +126,14 @@ _Skip = tuple[str, str, object]
 
 
 def _read_source_text(
-    repo: GitRepo, blob_sha: str, max_file_bytes: int
+    repo: GitRepo, blob: str, max_file_bytes: int
 ) -> tuple[str | None, _Skip | None]:
     """Decoded text of a source blob, or None and the reason it was skipped.
 
     Binary blobs are skipped silently, with no reason.
     """
     try:
-        data = repo.read_blob_bytes(blob_sha)
+        data = repo.read_blob_bytes(blob)
     except Exception as exc:
         return None, ("unreadable_blob", "detail", str(exc))
     if len(data) > max_file_bytes:
@@ -244,7 +246,7 @@ class HistoryCounter:
         )
         matched = [(name, line) for name, _, line in sorted(hits)]
         matched += [(name, 0) for name, _ in variants]
-        return tuple(matched[: self.config.max_matched_paths])
+        return tuple(matched[:MAX_MATCHED_PATHS])
 
     def _warn(self, **entry) -> None:
         key = tuple(sorted(entry.items()))

@@ -19,7 +19,6 @@ from .matching import HistoryCounter, MatchConfig, classify_current
 from .reporting import (
     MODE_CURRENT,
     MODE_HISTORY,
-    Aggregates,
     Finding,
     ScanReport,
     UrlTemplates,
@@ -32,7 +31,6 @@ from .revgraph import (
     EmptyHistoryError,
     GitError,
     GitRepo,
-    KIND_WIKI,
     MissingRepositoryError,
     Revision,
     RevisionSequence,
@@ -80,11 +78,8 @@ class RunConfig:
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
     url_base: str | None = None
     strict_episodes: bool = False
-    project_id: str | None = None
 
     def resolved_project_id(self) -> str:
-        if self.project_id:
-            return self.project_id
         name = Path(self.repo_path).name
         return name[:-4] if name.endswith(".git") else name
 
@@ -130,7 +125,7 @@ class _Project:
             try:
                 wiki = GitRepo(config.wiki_path)
                 branch = wiki.resolve_branch(None)
-                self.wiki_seq = wiki.linearize_history(branch, KIND_WIKI)
+                self.wiki_seq = wiki.linearize_history(branch)
                 self.wiki = wiki
                 self.wiki_branch = branch
             except (MissingRepositoryError, EmptyHistoryError) as exc:
@@ -172,16 +167,20 @@ class _Project:
         return element_texts(doc_text, self.catalog, self._line_elements)
 
 
-def _unreadable(document: DocumentDescriptor, exc: Exception) -> dict:
-    return {"kind": "unreadable_document", "document": document.path, "detail": str(exc)}
+def _unreadable(document: DocumentDescriptor, error: Exception | str) -> dict:
+    return {"kind": "unreadable_document", "document": document.path, "detail": str(error)}
 
 
 def run_scan(config: RunConfig) -> ScanReport:
     """Current-state scan: compare each document's references between its
     snapshot revision and the head of the source history.
 
-    Documents are read first, with one deadline check each; a document that
-    cannot be read is skipped with a warning. One ``HistoryCounter`` over
+    Each hosting repository's head tree is listed once, and gives both the
+    documents and their blobs. Documents are read first, with one deadline
+    check each; a document that cannot be read, or whose last touch is not
+    found, is skipped with a warning. A README's snapshot is the source
+    revision that last touched it; a wiki page's is the ``snapshot_for_doc``
+    of the wiki revision that last touched it. One ``HistoryCounter`` over
     revision 0, the snapshots and head then counts every cited element at
     head and moves to each snapshot, newest first, with one deadline check
     per move. A timed-out scan holds the findings of the documents whose
@@ -192,13 +191,15 @@ def run_scan(config: RunConfig) -> ScanReport:
     try:
         seq = project.source_seq
         head = seq.head
-        wiki_tree = (
-            project.wiki.tree_at(project.wiki_seq.head.sha)
-            if project.wiki is not None
-            else None
-        )
+        # path -> blob at the head of each repository, keyed by the origin of
+        # the documents it hosts.
+        trees = {ORIGIN_README: dict(project.source.tree_entries(head.sha))}
+        if project.wiki is not None:
+            trees[ORIGIN_WIKI] = dict(project.wiki.tree_entries(project.wiki_seq.head.sha))
         documents = discover_documents(
-            project.source.tree_at(head.sha), wiki_tree, config.discovery
+            list(trees[ORIGIN_README]),
+            list(trees[ORIGIN_WIKI]) if ORIGIN_WIKI in trees else None,
+            config.discovery,
         )
 
         # snapshot -> (document, its element texts, sha of its hosting head)
@@ -213,11 +214,11 @@ def run_scan(config: RunConfig) -> ScanReport:
                 deadline.check()
                 repo, hosting_seq, branch = project.hosting(document)
                 try:
-                    doc_text = repo.read_blob(hosting_seq.head.sha, document.path)
+                    data = repo.read_blob_bytes(trees[document.origin][document.path])
                 except (GitError, OSError) as exc:
                     doc_warnings.append(_unreadable(document, exc))
                     continue
-                texts = project.element_texts(doc_text)
+                texts = project.element_texts(data.decode("utf-8", errors="replace"))
                 if not texts:
                     continue
                 try:
@@ -226,8 +227,17 @@ def run_scan(config: RunConfig) -> ScanReport:
                     doc_warnings.append(_unreadable(document, exc))
                     continue
                 if touch is None:
+                    # git log matched no commit, as for a path that is not
+                    # UTF-8 and reached it decoded.
+                    doc_warnings.append(_unreadable(
+                        document, f"no first-parent commit of {branch} touches it"
+                    ))
                     continue
-                snapshot = snapshot_for_doc(project.revision_by_sha(hosting_seq, touch[0]), seq)
+                touched = project.revision_by_sha(hosting_seq, touch[0])
+                snapshot = (
+                    touched if document.origin == ORIGIN_README
+                    else snapshot_for_doc(touched, seq)
+                )
                 cited.setdefault(snapshot, []).append((document, texts, hosting_seq.head.sha))
                 elements.update(texts)
 

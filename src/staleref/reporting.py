@@ -30,35 +30,37 @@ FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
 FORMAT_MARKDOWN = "md"
 
+# GitHub-shaped browse URLs; never fetched.
+BLOB_URL = "{base}/blob/{sha}/{path}#L{line}"
+BLOB_NO_LINE_URL = "{base}/blob/{sha}/{path}"
+WIKI_URL = "{base}/wiki/{page}/{sha}"
+COMMIT_URL = "{base}/commit/{sha}"
+
 
 @dataclass(frozen=True)
 class UrlTemplates:
-    """Browse-URL templates; GitHub-shaped by default, never fetched."""
+    """Browse URLs under one base; none without a base."""
 
     base: str | None = None
-    blob: str = "{base}/blob/{sha}/{path}#L{line}"
-    blob_no_line: str = "{base}/blob/{sha}/{path}"
-    wiki: str = "{base}/wiki/{page}/{sha}"
-    commit: str = "{base}/commit/{sha}"
 
     def document_url(self, document: DocumentDescriptor, sha: str) -> str | None:
         if not self.base:
             return None
         if document.origin == ORIGIN_WIKI:
-            return self.wiki.format(base=self.base, page=document.page_name, sha=sha)
-        return self.blob_no_line.format(base=self.base, sha=sha, path=document.path)
+            return WIKI_URL.format(base=self.base, page=document.page_name, sha=sha)
+        return BLOB_NO_LINE_URL.format(base=self.base, sha=sha, path=document.path)
 
     def source_url(self, sha: str, path: str, line: int) -> str | None:
         if not self.base:
             return None
         if line > 0:
-            return self.blob.format(base=self.base, sha=sha, path=path, line=line)
-        return self.blob_no_line.format(base=self.base, sha=sha, path=path)
+            return BLOB_URL.format(base=self.base, sha=sha, path=path, line=line)
+        return BLOB_NO_LINE_URL.format(base=self.base, sha=sha, path=path)
 
     def commit_url(self, sha: str) -> str | None:
         if not self.base:
             return None
-        return self.commit.format(base=self.base, sha=sha)
+        return COMMIT_URL.format(base=self.base, sha=sha)
 
 
 @dataclass
@@ -114,10 +116,6 @@ class Aggregates:
     reoutdated_count: int = 0
     duration_stats: dict | None = None
     survival_points: list = field(default_factory=list)
-
-    @property
-    def project_outdated(self) -> bool:
-        return self.projects_outdated > 0
 
 
 @dataclass
@@ -535,17 +533,13 @@ def render_history_table(timelines: list[ElementTimeline]) -> str:
     return buf.getvalue()
 
 
-def render_issue_draft(
-    findings: list[Finding],
-    project_id: str = "",
-    templates: UrlTemplates | None = None,
-) -> str:
+def render_issue_draft(findings: list[Finding], project_id: str = "") -> str:
     """Markdown issue text covering the currently outdated findings.
 
+    Links come from each finding's ``urls``, as the report carries them.
     Raises ValueError when nothing is outdated; an empty issue would only be
     noise for maintainers.
     """
-    templates = templates or UrlTemplates()
     outdated = [f for f in findings if f.currently_outdated]
     if not outdated:
         raise ValueError("no outdated findings to draft an issue for")
@@ -561,14 +555,15 @@ def render_issue_draft(
         "",
     ]
     for f in outdated:
-        doc_url = templates.document_url(f.document, f.doc_sha) if f.doc_sha else None
+        urls = f.urls or {}
+        doc_url = urls.get("document")
         if doc_url:
             lines.append(f"- `{f.element_text}` in [{f.document.path}]({doc_url})")
         else:
             lines.append(f"- `{f.element_text}` in `{f.document.path}`")
         if f.evidence and f.evidence_sha:
             path, line, kind = f.evidence[0]
-            src_url = templates.source_url(f.evidence_sha, path, line)
+            src_url = urls.get("evidence")
             location = f"{path}:{line}" if line > 0 else path
             if kind == "path-variant":
                 location = f"{path} (referenced as a path)"
@@ -578,7 +573,7 @@ def render_issue_draft(
                 lines.append(f"  - last matched {location} at {f.evidence_sha[:10]}")
         deleting_sha = _deleting_sha(f)
         if deleting_sha:
-            url = templates.commit_url(deleting_sha)
+            url = urls.get("deleting_commit")
             if url:
                 lines.append(f"  - instances disappeared in [{deleting_sha[:10]}]({url})")
             else:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-KIND_SOURCE = "source"
-KIND_WIKI = "wiki"
-
 # Raw diff modes on a side that holds no blob: nothing there, or a gitlink.
 _NO_BLOB_MODES = (b"000000", b"160000")
 
@@ -44,10 +41,6 @@ class UnknownRevisionError(GitError):
     pass
 
 
-class MissingPathError(GitError):
-    pass
-
-
 @dataclass(frozen=True)
 class Revision:
     sha: str
@@ -65,12 +58,9 @@ class Revision:
 class RevisionSequence:
     """Oldest-first, first-parent linearization of one branch."""
 
-    repo_kind: str
     revisions: tuple[Revision, ...]
 
     def __post_init__(self) -> None:
-        if self.repo_kind not in (KIND_SOURCE, KIND_WIKI):
-            raise ValueError(f"unknown repo kind: {self.repo_kind!r}")
         for i, rev in enumerate(self.revisions):
             if rev.ordinal != i:
                 raise ValueError("revision ordinals must be contiguous from zero")
@@ -107,8 +97,6 @@ class GitRepo:
         if probe.returncode != 0:
             raise MissingRepositoryError(f"not a git repository: {self.path}")
         self._batch: subprocess.Popen | None = None
-        self._tree_cache: dict[str, tuple[tuple[str, str], ...]] = {}
-        self._entry_map_cache: dict[str, dict[str, str]] = {}
 
     # -- low-level helpers -------------------------------------------------
 
@@ -160,9 +148,7 @@ class GitRepo:
         name = head.stdout.strip()
         return name if name else "HEAD"
 
-    def linearize_history(
-        self, branch: str | None = None, repo_kind: str = KIND_SOURCE
-    ) -> RevisionSequence:
+    def linearize_history(self, branch: str | None = None) -> RevisionSequence:
         """First-parent history of *branch*, oldest first, committer timestamps.
 
         Raises UnknownBranchError for a branch that does not exist and
@@ -187,7 +173,7 @@ class GitRepo:
             revisions.append(Revision(sha, int(ts), i))
         if not revisions:
             raise EmptyHistoryError(f"{self.path}: branch {name!r} has no commits")
-        return RevisionSequence(repo_kind, tuple(revisions))
+        return RevisionSequence(tuple(revisions))
 
     def last_touch(self, branch: str | None, path: str) -> tuple[str, int] | None:
         """Most recent first-parent commit that changed *path*, or None."""
@@ -211,10 +197,10 @@ class GitRepo:
     # -- trees and blobs ----------------------------------------------------
 
     def tree_entries(self, sha: str) -> tuple[tuple[str, str], ...]:
-        """(path, blob-sha) pairs for every blob reachable at commit *sha*, sorted."""
-        cached = self._tree_cache.get(sha)
-        if cached is not None:
-            return cached
+        """(path, blob-sha) pairs for every blob reachable at commit *sha*, sorted.
+
+        Each call runs one ``git ls-tree``.
+        """
         completed = subprocess.run(
             ["git", "-C", str(self.path), "ls-tree", "-r", "-z", sha],
             capture_output=True,
@@ -234,24 +220,7 @@ class GitRepo:
                 continue
             entries.append((path_bytes.decode("utf-8", errors="replace"), obj_sha.decode()))
         entries.sort()
-        result = tuple(entries)
-        self._tree_cache[sha] = result
-        return result
-
-    def tree_at(self, revision: "Revision | str") -> list[str]:
-        """Sorted recursive file listing at a commit (Revision or sha)."""
-        sha = revision.sha if isinstance(revision, Revision) else revision
-        return [path for path, _ in self.tree_entries(sha)]
-
-    def _entry_map(self, sha: str) -> dict[str, str]:
-        cached = self._entry_map_cache.get(sha)
-        if cached is None:
-            cached = dict(self.tree_entries(sha))
-            self._entry_map_cache[sha] = cached
-        return cached
-
-    def blob_sha(self, commit_sha: str, path: str) -> str | None:
-        return self._entry_map(commit_sha).get(path)
+        return tuple(entries)
 
     def first_parent_changes(self, revs: tuple[Revision, ...]) -> list[list[Change]]:
         """The blob changes of each of *revs* against the one before it.
@@ -304,7 +273,7 @@ class GitRepo:
             )
         return changes
 
-    def read_blob_bytes(self, blob_sha: str) -> bytes:
+    def read_blob_bytes(self, blob: str) -> bytes:
         """Raw contents of a blob object, via a persistent cat-file process."""
         if self._batch is None or self._batch.poll() is not None:
             self._batch = subprocess.Popen(
@@ -312,38 +281,33 @@ class GitRepo:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
             )
-        self._batch.stdin.write(blob_sha.encode() + b"\n")
+        self._batch.stdin.write(blob.encode() + b"\n")
         self._batch.stdin.flush()
         header = self._batch.stdout.readline().decode().strip()
         if header.endswith(" missing") or not header:
-            raise UnknownRevisionError(f"{self.path}: no such object {blob_sha}")
+            raise UnknownRevisionError(f"{self.path}: no such object {blob}")
         size = int(header.rsplit(" ", 1)[1])
         data = b""
         while len(data) < size:
             chunk = self._batch.stdout.read(size - len(data))
             if not chunk:
-                raise GitError(f"{self.path}: truncated cat-file output for {blob_sha}")
+                raise GitError(f"{self.path}: truncated cat-file output for {blob}")
             data += chunk
         self._batch.stdout.read(1)  # trailing newline
         return data
 
-    def read_blob(self, commit_sha: str, path: str) -> str:
-        """Decoded text of *path* at *commit_sha*; undecodable bytes are replaced."""
-        blob = self.blob_sha(commit_sha, path)
-        if blob is None:
-            raise MissingPathError(f"{self.path}: {path} not present at {commit_sha}")
-        return self.read_blob_bytes(blob).decode("utf-8", errors="replace")
-
 
 def snapshot_for_doc(doc_revision: Revision, source_seq: RevisionSequence) -> Revision:
-    """The source revision a document describes, given the revision of its
-    hosting repository that last wrote it.
+    """The source revision a wiki page describes, given the wiki revision that
+    last wrote it.
 
-    This is the revision with the greatest timestamp at or before the document
-    timestamp; equal timestamps resolve to the later ordinal so a doc edit and
-    a source change in the same commit see each other. A document older than
-    the whole history maps to the first revision, and one newer than every
-    source commit maps to whatever revision carries the greatest timestamp.
+    This is the revision with the greatest timestamp at or before the page
+    timestamp; equal timestamps resolve to the later ordinal, so a page
+    edited in the second of a source commit sees that commit. A page older
+    than the whole history maps to the first revision, and one newer than
+    every source commit maps to whatever revision carries the greatest
+    timestamp. A README needs no such rule: its snapshot is the source
+    commit that last touched it.
     """
     if not source_seq.revisions:
         raise EmptyHistoryError("cannot snapshot against an empty revision sequence")

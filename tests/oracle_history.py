@@ -1,8 +1,10 @@
 """Slow, obviously correct references for both modes, used as test oracles.
 
-``SourceScanner`` counts one element at one revision by walking the whole
-tree listing of that revision. ``run_scan_oracle`` is the scan that counts
-each (reference, revision) pair with it, document by document.
+``tree_paths``, ``blob_at`` and ``read_text_at`` read a repository by
+(commit, path), with one ``git ls-tree`` per call. ``SourceScanner`` counts
+one element at one revision by walking the whole tree listing of that
+revision. ``run_scan_oracle`` is the scan that counts each (reference,
+revision) pair with it, document by document.
 ``run_history_oracle`` lists every revision's tree with ``git ls-tree``,
 reads one ``DocVersion`` per (document, hosting revision), pairs wiki
 versions with source revisions through the list-based
@@ -22,6 +24,7 @@ from typing import Callable
 from staleref.docdiscovery import ORIGIN_README, DocumentDescriptor, discover_documents
 from staleref.extraction import extract_elements
 from staleref.matching import (
+    MAX_MATCHED_PATHS,
     MatchConfig,
     _read_source_text,
     _Skip,
@@ -57,6 +60,23 @@ from staleref.timeline import (
     episode_duration,
     is_positive,
 )
+
+
+def tree_paths(repo: GitRepo, sha: str) -> list[str]:
+    """Sorted recursive file listing at commit *sha*."""
+    return [path for path, _ in repo.tree_entries(sha)]
+
+
+def blob_at(repo: GitRepo, sha: str, path: str) -> str | None:
+    return dict(repo.tree_entries(sha)).get(path)
+
+
+def read_text_at(repo: GitRepo, sha: str, path: str) -> str:
+    """Decoded text of *path* at commit *sha*; undecodable bytes are replaced."""
+    blob = blob_at(repo, sha, path)
+    if blob is None:
+        raise KeyError(f"{repo.path}: {path} not present at {sha}")
+    return repo.read_blob_bytes(blob).decode("utf-8", errors="replace")
 
 
 @dataclass(frozen=True)
@@ -270,7 +290,7 @@ class SourceScanner(_WarningLog):
             element_text,
             revision,
             total,
-            tuple(matched[: self.config.max_matched_paths]),
+            tuple(matched[:MAX_MATCHED_PATHS]),
         )
 
 
@@ -281,12 +301,12 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     try:
         head = project.source_seq.head
         wiki_tree = (
-            project.wiki.tree_at(project.wiki_seq.head.sha)
+            tree_paths(project.wiki, project.wiki_seq.head.sha)
             if project.wiki is not None
             else None
         )
         documents = discover_documents(
-            project.source.tree_at(head.sha), wiki_tree, config.discovery
+            tree_paths(project.source, head.sha), wiki_tree, config.discovery
         )
         scanner = SourceScanner(project.source, project.match_config(documents))
 
@@ -296,15 +316,17 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
             for document in documents:
                 deadline.check()
                 repo, hosting_seq, branch = project.hosting(document)
-                doc_text = repo.read_blob(hosting_seq.head.sha, document.path)
+                doc_text = read_text_at(repo, hosting_seq.head.sha, document.path)
                 refs = extract_elements(doc_text, project.catalog, document)
                 if not refs:
                     continue
                 touch = repo.last_touch(branch, document.path)
                 if touch is None:
                     continue
-                snapshot = snapshot_for_doc(
-                    project.revision_by_sha(hosting_seq, touch[0]), project.source_seq
+                touched = project.revision_by_sha(hosting_seq, touch[0])
+                snapshot = (
+                    touched if document.origin == ORIGIN_README
+                    else snapshot_for_doc(touched, project.source_seq)
                 )
                 for ref in refs:
                     snap_ic = scanner.count_instances(ref.text, snapshot)
@@ -346,7 +368,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
 def _union_listing(repo, seq) -> list[str]:
     paths: set[str] = set()
     for rev in seq.revisions:
-        paths.update(repo.tree_at(rev.sha))
+        paths.update(tree_paths(repo, rev.sha))
     return sorted(paths)
 
 
@@ -368,8 +390,8 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             repo, hosting_seq, _ = project.hosting(document)
             versions = []
             for rev in hosting_seq.revisions:
-                blob = repo.blob_sha(rev.sha, document.path)
-                text = None if blob is None else repo.read_blob(rev.sha, document.path)
+                blob = blob_at(repo, rev.sha, document.path)
+                text = None if blob is None else read_text_at(repo, rev.sha, document.path)
                 versions.append(DocVersion(document, rev, text))
             refs = {
                 version.revision.sha: frozenset(
@@ -383,7 +405,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                 pairs = link_source_to_docs(seq, sorted(versions, key=lambda v: v.timestamp))
             doc_sha = (
                 hosting_seq.head.sha
-                if repo.blob_sha(hosting_seq.head.sha, document.path)
+                if blob_at(repo, hosting_seq.head.sha, document.path)
                 else None
             )
             for element in sorted(set().union(*refs.values())):

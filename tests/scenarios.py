@@ -430,6 +430,25 @@ def build_unborn_wiki(base: Path):
     }, warnings=["wiki_unavailable"])
 
 
+def build_readme_same_second(base: Path):
+    # c1 deletes the definition in the committer second of c0, as a rebase
+    # does. The README's snapshot is c0, the commit that last touched it, not
+    # the latest source commit of that second.
+    repo = RepoBuilder(base / "readme_same_second")
+    repo.commit(T0, {
+        "README.md": "Call `fooBar()` to start.\n",
+        "src/app.py": "def fooBar():\n    pass\n",
+    })
+    repo.commit(T0, {"src/app.py": "def other_fn():\n    pass\n"})
+    return _manifest("readme_same_second", repo, expected={
+        ("readme", "README.md", "fooBar()"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "fooBar()"): [1, 0],
+    }, snapshot={
+        ("readme", "README.md", "fooBar()"): repo.shas[0],
+    })
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -453,6 +472,7 @@ SCENARIO_BUILDERS = [
     build_crlf_readme,
     build_wiki_out_of_order,
     build_unborn_wiki,
+    build_readme_same_second,
 ]
 
 

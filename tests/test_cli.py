@@ -97,6 +97,25 @@ class TestScan:
         assert "old_fn()" in text
         assert text.startswith("# Outdated code references in the documentation of dirty")
 
+    def test_issue_draft_links_under_the_remote_url_base(self, tmp_path):
+        builder = RepoBuilder(tmp_path / "proj")
+        builder.commit(T0, {
+            "README.md": "Use `old_fn()` often.\n",
+            "src/app.py": "def old_fn():\n    pass\n",
+        })
+        builder.commit(T0 + 10_000, {"src/app.py": "def new_fn():\n    pass\n"})
+        builder.git("remote", "add", "origin", "https://github.com/acme/proj.git")
+        draft, out = tmp_path / "issue.md", tmp_path / "r.json"
+        proc = run_cli("scan", "--repo", str(builder.path), "--issue-draft", str(draft),
+                       "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        (finding,) = json.loads(out.read_text())["findings"]
+        urls = finding["urls"]
+        assert urls["document"].startswith("https://github.com/acme/proj/blob/")
+        text = draft.read_text()
+        for key in ("document", "evidence"):
+            assert f"]({urls[key]})" in text
+
     def test_markdown_format(self, dirty_repo):
         proc = run_cli("scan", "--repo", dirty_repo, "--format", "md")
         assert proc.returncode == 1

@@ -113,9 +113,5 @@ class TestTypes:
         doc = DocumentDescriptor(ORIGIN_WIKI, "guides/Getting-Started.md", "markdown")
         assert doc.page_name == "Getting-Started"
 
-    def test_config_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            DiscoveryConfig(format_allowlist=frozenset({"markdown", "docx"}))
-
     def test_all_formats_non_empty(self):
         assert "markdown" in ALL_FORMATS

@@ -33,7 +33,6 @@ class TestCatalogParsing:
         ids = [r.id for r in catalog.rules]
         assert len(ids) == len(set(ids))
         assert "backtick" in ids and "template-class" in ids
-        assert catalog.version == "builtin-1"
 
     def test_comments_and_blanks_ignored(self):
         cat = load_catalog("# note\n\nword\t0\t\\bfoo\\b\n")
@@ -242,7 +241,7 @@ class TestElementTexts:
 
     def test_builtin_patterns_in_any_order_go_line_by_line(self):
         rules = [line for line in DEFAULT_CATALOG_TEXT.splitlines() if not line.startswith("#")]
-        custom = load_catalog("\n".join(reversed(rules)), version="reordered.tsv")
+        custom = load_catalog("\n".join(reversed(rules)))
         memo: dict = {}
         assert element_texts("a fooBar\nb `x_fn()`", custom, memo) == {"fooBar", "x_fn()"}
         assert set(memo) == {"a fooBar", "b `x_fn()`"}

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +117,18 @@ class TestScanScenarios:
             got, expected = run_scan(config), run_scan_oracle(config)
             assert got.warnings == expected.warnings, manifest["name"]
             assert render_findings(got) == render_findings(expected), manifest["name"]
+
+    def test_pinned_snapshots(self, manifests):
+        pinned = [m for m in manifests if "snapshot" in m]
+        assert pinned
+        for manifest in pinned:
+            config = config_for(manifest)
+            for report in (run_scan(config), run_scan_oracle(config)):
+                got = {
+                    (f.document.origin, f.document.path, f.element_text): f.snapshot_sha
+                    for f in report.findings
+                }
+                assert got == manifest["snapshot"], manifest["name"]
 
     def test_pinned_evidence(self, manifests):
         pinned = [m for m in manifests if "evidence" in m]
@@ -437,6 +452,64 @@ class TestUnreadableDocument:
                        if f["document"]["path"] != "Guide.md")
         assert not report.partial
         assert cli_exit("history", config, tmp_path / "history.json") == cli.EXIT_OUTDATED
+
+
+    def test_scan_warns_for_a_path_that_is_not_utf8(self, tmp_path):
+        # git log cannot find the decoded name, so the scan has no snapshot
+        # for the document; history reads it from the diff stream.
+        repo = RepoBuilder(tmp_path / "proj")
+        (repo.path / "docs").mkdir()
+        with open(bytes(repo.path / "docs") + b"/g\xffuide.md", "wb") as handle:
+            handle.write(b"Call `guide_fn()` here.\n")
+        repo.commit(scenarios.T0, {"src/app.py": "def guide_fn():\n    pass\n"})
+        config = RunConfig(
+            repo_path=str(repo.path),
+            discovery=DiscoveryConfig(extra_doc_globs=("docs/*",)),
+            scan_time=scenarios.T0 + 1000,
+        )
+        path = "docs/g\ufffduide.md"
+        history = run_history(config)
+        assert [(f.document.path, f.element_text) for f in history.findings] == [
+            (path, "guide_fn()")
+        ]
+        for report in (run_scan(config), run_scan_oracle(config)):
+            assert report.findings == []
+        assert run_scan(config).warnings == [{
+            "kind": "unreadable_document",
+            "document": path,
+            "detail": "no first-parent commit of main touches it",
+        }]
+
+
+class TestGitChildren:
+    def test_scan_spawns(self, guide_repos, monkeypatch):
+        # README.md in the source; Guide.md and Extra.md in the wiki.
+        config, _, _ = guide_repos
+        spawned = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, args, *rest, **kwargs):
+                assert args[:2] == ["git", "-C"]
+                spawned.append((Path(args[2]).name, args[3], "-1" in args))
+                super().__init__(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        run_scan(config)
+        setup = {
+            ("proj", "rev-parse", False): 2, ("proj", "symbolic-ref", False): 1,
+            ("proj", "log", False): 1, ("proj", "config", False): 1,
+            ("proj.wiki", "rev-parse", False): 2, ("proj.wiki", "symbolic-ref", False): 1,
+            ("proj.wiki", "log", False): 1,
+        }
+        # One ls-tree per repository, one git log -1 per document, one
+        # diff-tree, and one cat-file per repository that holds a read blob.
+        analysis = {
+            ("proj", "ls-tree", False): 1, ("proj.wiki", "ls-tree", False): 1,
+            ("proj", "log", True): 1, ("proj.wiki", "log", True): 2,
+            ("proj", "diff-tree", False): 1,
+            ("proj", "cat-file", False): 1, ("proj.wiki", "cat-file", False): 1,
+        }
+        assert Counter(spawned) == Counter(setup) + Counter(analysis)
 
 
 class TestSkippedBlobWarnings:

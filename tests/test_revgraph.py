@@ -12,8 +12,6 @@ from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
 from staleref.revgraph import (
     EmptyHistoryError,
     GitRepo,
-    KIND_SOURCE,
-    MissingPathError,
     MissingRepositoryError,
     Revision,
     RevisionSequence,
@@ -31,9 +29,7 @@ def rev(ordinal, ts, sha=None):
 
 
 def seq(*timestamps):
-    return RevisionSequence(
-        KIND_SOURCE, tuple(rev(i, ts) for i, ts in enumerate(timestamps))
-    )
+    return RevisionSequence(tuple(rev(i, ts) for i, ts in enumerate(timestamps)))
 
 
 def doc_rev(ts):
@@ -102,6 +98,11 @@ class TestLinearize:
                 repo.linearize_history()
 
 
+def blobs_at(repo, revision):
+    """path -> blob at *revision*, from one tree listing."""
+    return dict(repo.tree_entries(revision.sha))
+
+
 class TestTreeAndBlobs:
     def test_tree_listing_sorted_recursive(self, repo_factory):
         builder = repo_factory()
@@ -111,7 +112,7 @@ class TestTreeAndBlobs:
             "src/a.py": "pass\n",
         })
         with GitRepo(builder.path) as repo:
-            listing = repo.tree_at(repo.linearize_history().head)
+            listing = [path for path, _ in repo.tree_entries(repo.linearize_history().head.sha)]
         assert listing == ["README.md", "src/a.py", "src/deep/mod.py"]
         assert sha  # fixture committed
 
@@ -119,23 +120,23 @@ class TestTreeAndBlobs:
         builder = repo_factory()
         builder.commit(T, {"README.md": "hi\n"})
         with GitRepo(builder.path) as repo:
-            assert repo.tree_at(repo.linearize_history().head) == ["README.md"]
+            assert list(blobs_at(repo, repo.linearize_history().head)) == ["README.md"]
 
     def test_read_blob_roundtrip(self, repo_factory):
         builder = repo_factory()
         content = "uniçode line\nand more\n"
         builder.commit(T, {"f.txt": content})
         with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            assert repo.read_blob(head.sha, "f.txt") == content
+            blob = blobs_at(repo, repo.linearize_history().head)["f.txt"]
+            assert repo.read_blob_bytes(blob) == content.encode("utf-8")
 
     def test_read_blob_missing_path(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n"})
         with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            with pytest.raises(MissingPathError):
-                repo.read_blob(head.sha, "gone.txt")
+            assert "gone.txt" not in blobs_at(repo, repo.linearize_history().head)
+            with pytest.raises(UnknownRevisionError):
+                repo.read_blob_bytes("f" * 40)
 
     def test_read_blob_at_deleted_path(self, repo_factory):
         builder = repo_factory()
@@ -143,9 +144,8 @@ class TestTreeAndBlobs:
         builder.commit(T + 100, {"f.txt": None})
         with GitRepo(builder.path) as repo:
             first, head = repo.linearize_history().revisions
-            assert repo.read_blob(first.sha, "f.txt") == "a\n"
-            with pytest.raises(MissingPathError):
-                repo.read_blob(head.sha, "f.txt")
+            assert repo.read_blob_bytes(blobs_at(repo, first)["f.txt"]) == b"a\n"
+            assert "f.txt" not in blobs_at(repo, head)
 
     def test_unknown_revision(self, repo_factory):
         builder = repo_factory()
@@ -159,9 +159,9 @@ class TestTreeAndBlobs:
         files = {f"f{i}.txt": f"content {i}\n" for i in range(30)}
         builder.commit(T, files)
         with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
+            blobs = blobs_at(repo, repo.linearize_history().head)
             for i in range(30):
-                assert repo.read_blob(head.sha, f"f{i}.txt") == f"content {i}\n"
+                assert repo.read_blob_bytes(blobs[f"f{i}.txt"]) == f"content {i}\n".encode()
 
     def test_last_touch(self, repo_factory):
         builder = repo_factory()
@@ -193,7 +193,7 @@ class TestSnapshotLinking:
         assert snapshot_for_doc(doc_rev(50), sources).ordinal == 0
 
     def test_empty_sequence_errors(self):
-        empty = RevisionSequence(KIND_SOURCE, ())
+        empty = RevisionSequence(())
         with pytest.raises(EmptyHistoryError):
             snapshot_for_doc(doc_rev(100), empty)
 
@@ -279,7 +279,7 @@ class TestFirstParentChanges:
             assert _replayed_trees(repo, sequence.revisions) == [
                 repo.tree_entries(r.sha) for r in sequence.revisions
             ]
-            assert "lib/dep.py" not in repo.tree_at(sequence.head)
+            assert "lib/dep.py" not in blobs_at(repo, sequence.head)
             # Any ascending subset from revision 0 diffs each revision
             # against the previous one of the subset.
             for subset in ([0, 3, 5], [0, 1, 4], [0, 5], [0]):
@@ -326,7 +326,7 @@ class TestLinkSourceToDocs:
 
     def test_empty_doc_sequence_errors(self):
         with pytest.raises(EmptyHistoryError):
-            link_source_to_docs(seq(1, 2, 3), RevisionSequence(KIND_SOURCE, ()))
+            link_source_to_docs(seq(1, 2, 3), RevisionSequence(()))
 
     def test_partition_property(self):
         sources = seq(10, 20, 30, 40, 50)
