@@ -34,12 +34,11 @@ from .matching import (
     count_occurrences,
     expand_path_variants,
 )
-from .pipeline import RunConfig, ScanTimeout, run_history, run_scan
+from .pipeline import RunConfig, run_history, run_scan
 from .reporting import (
     Aggregates,
     Finding,
     ScanReport,
-    UrlTemplates,
     aggregate_corpus,
     compute_aggregates,
     parse_report,
@@ -107,10 +106,8 @@ __all__ = [
     "STATUS_NEVER_MATCHED",
     "STATUS_OUTDATED",
     "ScanReport",
-    "ScanTimeout",
     "UnknownBranchError",
     "UnknownRevisionError",
-    "UrlTemplates",
     "aggregate_corpus",
     "classify_current",
     "classify_fix",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,6 @@ from .reporting import (
     MODE_HISTORY,
     Finding,
     ScanReport,
-    UrlTemplates,
     build_finding_urls,
     compute_aggregates,
     sort_findings,
@@ -96,75 +96,105 @@ def _derive_url_base(repo: GitRepo) -> str | None:
     return url[:-4] if url.endswith(".git") else url
 
 
-def _sorted_warnings(*warning_lists: list[dict]) -> list[dict]:
-    merged: list[dict] = []
-    for warnings in warning_lists:
-        merged.extend(warnings)
-    return sorted(merged, key=lambda w: json.dumps(w, sort_keys=True))
-
-
 def _evidence(matched_paths: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int, str], ...]:
     return tuple(
         (path, line, "path-variant" if line == 0 else "text") for path, line in matched_paths
     )
 
 
+@dataclass(frozen=True)
+class _Host:
+    """One opened repository that hosts documents, with the branch a run
+    reads and its first-parent history."""
+
+    repo: GitRepo
+    branch: str
+    seq: RevisionSequence
+
+    @classmethod
+    def open(cls, path: str, branch: str | None) -> _Host:
+        repo = GitRepo(path)
+        branch = repo.resolve_branch(branch)
+        return cls(repo, branch, repo.linearize_history(branch))
+
+
 class _Project:
-    """Opened repositories plus the shared derived state both modes need."""
+    """Opened repositories plus the shared derived state both modes need.
+
+    ``hosts`` maps each document origin to the repository that hosts it;
+    ``source``, the README host, is the one whose instances are counted.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.source = GitRepo(config.repo_path)
-        self.source_branch = self.source.resolve_branch(config.branch)
-        self.source_seq = self.source.linearize_history(self.source_branch)
         self.warnings: list[dict] = []
-        self.wiki: GitRepo | None = None
-        self.wiki_branch: str | None = None
-        self.wiki_seq: RevisionSequence | None = None
+        self.source = _Host.open(config.repo_path, config.branch)
+        self.hosts = {ORIGIN_README: self.source}
         if config.wiki_path:
             try:
-                wiki = GitRepo(config.wiki_path)
-                branch = wiki.resolve_branch(None)
-                self.wiki_seq = wiki.linearize_history(branch)
-                self.wiki = wiki
-                self.wiki_branch = branch
+                self.hosts[ORIGIN_WIKI] = _Host.open(config.wiki_path, None)
             except (MissingRepositoryError, EmptyHistoryError) as exc:
                 self.warnings.append({"kind": "wiki_unavailable", "detail": str(exc)})
         self.catalog = config.catalog or default_catalog()
         # Line -> element texts, shared by every document the run extracts.
         self._line_elements: dict = {}
-        templates_base = config.url_base or _derive_url_base(self.source)
-        self.templates = UrlTemplates(base=templates_base)
+        self._refs_by_blob: dict[str, frozenset[str] | Exception] = {}
+        self.url_base = config.url_base or _derive_url_base(self.source.repo)
         self.scan_time = (
             config.scan_time if config.scan_time is not None else int(time.time())
         )
 
     def close(self) -> None:
-        self.source.close()
-        if self.wiki is not None:
-            self.wiki.close()
-
-    def hosting(self, document: DocumentDescriptor) -> tuple[GitRepo, RevisionSequence, str]:
-        if document.origin == ORIGIN_README:
-            return self.source, self.source_seq, self.source_branch
-        assert self.wiki is not None and self.wiki_seq is not None and self.wiki_branch
-        return self.wiki, self.wiki_seq, self.wiki_branch
+        for host in self.hosts.values():
+            host.repo.close()
 
     def match_config(self, documents: list[DocumentDescriptor]) -> MatchConfig:
         # The analysed documents themselves never count as source instances.
+        # Each is excluded by its exact path: an anchored, literal pattern.
         doc_paths = tuple(
-            d.path for d in documents if d.origin == ORIGIN_README
+            "/" + glob.escape(d.path) for d in documents if d.origin == ORIGIN_README
         )
         return MatchConfig(
             exclude_globs=(".git/",) + doc_paths + tuple(self.config.exclude_globs),
             max_file_bytes=self.config.max_file_bytes,
         )
 
-    def revision_by_sha(self, seq: RevisionSequence, sha: str) -> Revision:
-        return seq.by_sha.get(sha, seq.head)
+    def refs_of(self, document: DocumentDescriptor, blob: str) -> frozenset[str] | Exception:
+        """The element texts one blob of *document* cites, or the error that
+        reading it raised. Each distinct blob is read and extracted once per
+        run, and its text is dropped."""
+        refs = self._refs_by_blob.get(blob)
+        if refs is None:
+            try:
+                data = self.hosts[document.origin].repo.read_blob_bytes(blob)
+            except (GitError, OSError) as exc:
+                refs = exc
+            else:
+                refs = element_texts(
+                    data.decode("utf-8", errors="replace"), self.catalog, self._line_elements
+                )
+            self._refs_by_blob[blob] = refs
+        return refs
 
-    def element_texts(self, doc_text: str) -> frozenset[str]:
-        return element_texts(doc_text, self.catalog, self._line_elements)
+    def report(
+        self, mode: str, findings: list[Finding], *warning_lists: list[dict], **fields
+    ) -> ScanReport:
+        """The run's report: each finding gets its browse URLs, findings are
+        sorted, and the warnings of the project and of *warning_lists* are
+        merged in a stable order."""
+        for finding in findings:
+            finding.urls = build_finding_urls(finding, self.url_base)
+        findings = sort_findings(findings)
+        warnings = [w for group in (self.warnings, *warning_lists) for w in group]
+        return ScanReport(
+            project_id=self.config.resolved_project_id(),
+            scan_time=self.scan_time,
+            mode=mode,
+            findings=findings,
+            warnings=sorted(warnings, key=lambda w: json.dumps(w, sort_keys=True)),
+            aggregates=compute_aggregates(findings),
+            **fields,
+        )
 
 
 def _unreadable(document: DocumentDescriptor, error: Exception | str) -> dict:
@@ -189,13 +219,13 @@ def run_scan(config: RunConfig) -> ScanReport:
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
     try:
-        seq = project.source_seq
-        head = seq.head
-        # path -> blob at the head of each repository, keyed by the origin of
-        # the documents it hosts.
-        trees = {ORIGIN_README: dict(project.source.tree_entries(head.sha))}
-        if project.wiki is not None:
-            trees[ORIGIN_WIKI] = dict(project.wiki.tree_entries(project.wiki_seq.head.sha))
+        source = project.source
+        head = source.seq.head
+        # path -> blob at the head of each host, keyed by its origin.
+        trees = {
+            origin: dict(host.repo.tree_entries(host.seq.head.sha))
+            for origin, host in project.hosts.items()
+        }
         documents = discover_documents(
             list(trees[ORIGIN_README]),
             list(trees[ORIGIN_WIKI]) if ORIGIN_WIKI in trees else None,
@@ -212,17 +242,15 @@ def run_scan(config: RunConfig) -> ScanReport:
         try:
             for document in documents:
                 deadline.check()
-                repo, hosting_seq, branch = project.hosting(document)
-                try:
-                    data = repo.read_blob_bytes(trees[document.origin][document.path])
-                except (GitError, OSError) as exc:
-                    doc_warnings.append(_unreadable(document, exc))
+                host = project.hosts[document.origin]
+                texts = project.refs_of(document, trees[document.origin][document.path])
+                if isinstance(texts, Exception):
+                    doc_warnings.append(_unreadable(document, texts))
                     continue
-                texts = project.element_texts(data.decode("utf-8", errors="replace"))
                 if not texts:
                     continue
                 try:
-                    touch = repo.last_touch(branch, document.path)
+                    touch = host.repo.last_touch(host.branch, document.path)
                 except (GitError, OSError) as exc:
                     doc_warnings.append(_unreadable(document, exc))
                     continue
@@ -230,25 +258,27 @@ def run_scan(config: RunConfig) -> ScanReport:
                     # git log matched no commit, as for a path that is not
                     # UTF-8 and reached it decoded.
                     doc_warnings.append(_unreadable(
-                        document, f"no first-parent commit of {branch} touches it"
+                        document, f"no first-parent commit of {host.branch} touches it"
                     ))
                     continue
-                touched = project.revision_by_sha(hosting_seq, touch[0])
+                touched = host.seq.by_sha[touch[0]]
                 snapshot = (
                     touched if document.origin == ORIGIN_README
-                    else snapshot_for_doc(touched, seq)
+                    else snapshot_for_doc(touched, source.seq)
                 )
-                cited.setdefault(snapshot, []).append((document, texts, hosting_seq.head.sha))
+                cited.setdefault(snapshot, []).append((document, texts, host.seq.head.sha))
                 elements.update(texts)
 
             deadline.check()
-            revisions = tuple(sorted({seq.revisions[0], head, *cited}, key=lambda r: r.ordinal))
+            revisions = tuple(
+                sorted({source.seq.revisions[0], head, *cited}, key=lambda r: r.ordinal)
+            )
             counter = HistoryCounter(
-                project.source,
+                source.repo,
                 project.match_config(documents),
                 frozenset(elements),
                 revisions,
-                project.source.first_parent_changes(revisions),
+                source.repo.first_parent_changes(revisions),
             )
             warnings = counter.warnings
             counter.seek(head)
@@ -259,7 +289,7 @@ def run_scan(config: RunConfig) -> ScanReport:
                 for document, texts, doc_sha in cited[snapshot]:
                     for text in sorted(texts):
                         snapshot_count = counter.count(text, snapshot)
-                        finding = Finding(
+                        findings.append(Finding(
                             element_text=text,
                             document=document,
                             status=classify_current(snapshot_count, current[text]),
@@ -270,24 +300,11 @@ def run_scan(config: RunConfig) -> ScanReport:
                             evidence=_evidence(counter.evidence(text)),
                             evidence_sha=snapshot.sha,
                             doc_sha=doc_sha,
-                        )
-                        finding.urls = build_finding_urls(finding, project.templates)
-                        findings.append(finding)
+                        ))
         except ScanTimeout:
             partial = True
 
-        findings = sort_findings(findings)
-        report = ScanReport(
-            project_id=config.resolved_project_id(),
-            scan_time=project.scan_time,
-            mode=MODE_CURRENT,
-            findings=findings,
-            warnings=_sorted_warnings(project.warnings, doc_warnings, warnings),
-            aggregates=compute_aggregates(findings),
-            revisions=None,
-            partial=partial,
-        )
-        return report
+        return project.report(MODE_CURRENT, findings, doc_warnings, warnings, partial=partial)
     finally:
         project.close()
 
@@ -329,12 +346,12 @@ def run_history(config: RunConfig) -> ScanReport:
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
     try:
-        source_seq = project.source_seq
-        head = source_seq.head
-        # Keyed by the origin of the documents each repository hosts.
-        changes = {ORIGIN_README: project.source.first_parent_changes(source_seq.revisions)}
-        if project.wiki is not None:
-            changes[ORIGIN_WIKI] = project.wiki.first_parent_changes(project.wiki_seq.revisions)
+        source = project.source
+        head = source.seq.head
+        changes = {
+            origin: host.repo.first_parent_changes(host.seq.revisions)
+            for origin, host in project.hosts.items()
+        }
         documents = discover_documents(
             _union_listing(changes[ORIGIN_README]),
             _union_listing(changes[ORIGIN_WIKI]) if ORIGIN_WIKI in changes else None,
@@ -347,42 +364,34 @@ def run_history(config: RunConfig) -> ScanReport:
 
         # Document side: per source revision, the element texts each document
         # cites there, None where it is absent, or the read error where its
-        # blob could not be read. Each distinct blob is read and extracted
-        # once, and its text is dropped.
-        refs_by_blob: dict[str, frozenset[str] | Exception] = {}
+        # blob could not be read.
         doc_warnings: list[dict] = []
         rows: list[dict] = []
-        n = len(source_seq.revisions)
+        n = len(source.seq.revisions)
         covered_from = n
         partial = False
         for document in documents:
             if deadline.expired():
                 partial = True
                 break
-            repo, hosting_seq, _ = project.hosting(document)
+            host = project.hosts[document.origin]
             blobs = doc_blobs[document.origin][document.path]
-            for blob in dict.fromkeys(blobs):
-                if blob is None:
-                    continue
-                if blob not in refs_by_blob:
-                    try:
-                        data = repo.read_blob_bytes(blob)
-                    except (GitError, OSError) as exc:
-                        refs_by_blob[blob] = exc
-                    else:
-                        refs_by_blob[blob] = project.element_texts(
-                            data.decode("utf-8", errors="replace")
-                        )
-                if isinstance(refs_by_blob[blob], Exception):
-                    doc_warnings.append(_unreadable(document, refs_by_blob[blob]))
-            refs = [None if blob is None else refs_by_blob[blob] for blob in blobs]
+            by_blob = {
+                blob: project.refs_of(document, blob)
+                for blob in dict.fromkeys(blobs) if blob is not None
+            }
+            doc_warnings.extend(
+                _unreadable(document, cited) for cited in by_blob.values()
+                if isinstance(cited, Exception)
+            )
             elements = frozenset().union(
-                *(cited for cited in refs if isinstance(cited, frozenset))
+                *(cited for cited in by_blob.values() if isinstance(cited, frozenset))
             )
             if not elements:
                 continue
+            refs = [by_blob.get(blob) for blob in blobs]
             if document.origin != ORIGIN_README:
-                refs = [refs[r.ordinal] for r in link_source_to_docs(source_seq, hosting_seq)]
+                refs = [refs[r.ordinal] for r in link_source_to_docs(source.seq, host.seq)]
             # Revisions that see an unreadable version read absent and count
             # as failed in every row of the document.
             unreadable_at = [i for i, cited in enumerate(refs) if isinstance(cited, Exception)]
@@ -394,7 +403,7 @@ def run_history(config: RunConfig) -> ScanReport:
                         "document": document,
                         "element": element,
                         "refs": refs,
-                        "doc_sha": hosting_seq.head.sha if blobs[-1] else None,
+                        "doc_sha": host.seq.head.sha if blobs[-1] else None,
                         "symbols": [None] * n,
                         "failed": list(unreadable_at),
                         "evidence": None,
@@ -404,17 +413,17 @@ def run_history(config: RunConfig) -> ScanReport:
         # One symbol per (row, revision) cell, newest revisions first. A row's
         # evidence comes from its newest positive cell.
         counter = HistoryCounter(
-            project.source,
+            source.repo,
             project.match_config(documents),
             frozenset(row["element"] for row in rows),
-            source_seq.revisions,
+            source.seq.revisions,
             changes[ORIGIN_README],
         )
         if not partial:
             try:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
-                    revision = source_seq.revisions[i]
+                    revision = source.seq.revisions[i]
                     counter.seek(revision)
                     for row in rows:
                         element, cited = row["element"], row["refs"][i]
@@ -457,7 +466,7 @@ def run_history(config: RunConfig) -> ScanReport:
                     row["element"],
                     row["document"],
                     row["symbols"],
-                    source_seq.revisions,
+                    source.seq.revisions,
                     partial=bool(row["failed"]),
                     failed_ordinals=sorted(row["failed"]),
                 )
@@ -475,51 +484,28 @@ def run_history(config: RunConfig) -> ScanReport:
                                 "start_ordinal": episode.start_ordinal,
                             }
                         )
-                finding = _history_finding(row, timeline, episodes, head, project)
-                findings.append(finding)
+                matched_paths, evidence_sha = row["evidence"] or ((), None)
+                last = timeline.symbols[-1]
+                findings.append(
+                    Finding(
+                        element_text=row["element"],
+                        document=row["document"],
+                        status=None,
+                        current_sha=head.sha,
+                        current_count=last if is_count(last) else None,
+                        evidence=_evidence(matched_paths),
+                        evidence_sha=evidence_sha,
+                        doc_sha=row["doc_sha"],
+                        timeline=timeline,
+                        episodes=episodes,
+                    )
+                )
 
-        findings = sort_findings(findings)
-        report = ScanReport(
-            project_id=config.resolved_project_id(),
-            scan_time=project.scan_time,
-            mode=MODE_HISTORY,
-            findings=findings,
-            warnings=_sorted_warnings(
-                project.warnings, doc_warnings, counter.warnings, warnings_extra
-            ),
-            aggregates=compute_aggregates(findings),
-            revisions=source_seq.revisions,
+        return project.report(
+            MODE_HISTORY, findings, doc_warnings, counter.warnings, warnings_extra,
+            revisions=source.seq.revisions,
             partial=partial,
             covered_from_ordinal=covered_from if partial else None,
         )
-        return report
     finally:
         project.close()
-
-
-def _history_finding(
-    row: dict,
-    timeline: ElementTimeline,
-    episodes,
-    head: Revision,
-    project: _Project,
-) -> Finding:
-    symbols = timeline.symbols
-    current_count = symbols[-1] if symbols and is_count(symbols[-1]) else None
-    matched_paths, evidence_sha = row["evidence"] or ((), None)
-    finding = Finding(
-        element_text=row["element"],
-        document=row["document"],
-        status=None,
-        snapshot_sha=None,
-        snapshot_count=None,
-        current_sha=head.sha,
-        current_count=current_count,
-        evidence=_evidence(matched_paths),
-        evidence_sha=evidence_sha,
-        doc_sha=row["doc_sha"],
-        timeline=timeline,
-        episodes=episodes,
-    )
-    finding.urls = build_finding_urls(finding, project.templates)
-    return finding

@@ -37,32 +37,6 @@ WIKI_URL = "{base}/wiki/{page}/{sha}"
 COMMIT_URL = "{base}/commit/{sha}"
 
 
-@dataclass(frozen=True)
-class UrlTemplates:
-    """Browse URLs under one base; none without a base."""
-
-    base: str | None = None
-
-    def document_url(self, document: DocumentDescriptor, sha: str) -> str | None:
-        if not self.base:
-            return None
-        if document.origin == ORIGIN_WIKI:
-            return WIKI_URL.format(base=self.base, page=document.page_name, sha=sha)
-        return BLOB_NO_LINE_URL.format(base=self.base, sha=sha, path=document.path)
-
-    def source_url(self, sha: str, path: str, line: int) -> str | None:
-        if not self.base:
-            return None
-        if line > 0:
-            return BLOB_URL.format(base=self.base, sha=sha, path=path, line=line)
-        return BLOB_NO_LINE_URL.format(base=self.base, sha=sha, path=path)
-
-    def commit_url(self, sha: str) -> str | None:
-        if not self.base:
-            return None
-        return COMMIT_URL.format(base=self.base, sha=sha)
-
-
 @dataclass
 class Finding:
     """One (element, document) result.
@@ -592,20 +566,26 @@ def _deleting_sha(finding: Finding) -> str | None:
     return finding.timeline.revisions[ongoing[-1].start_ordinal].sha
 
 
-def build_finding_urls(finding: Finding, templates: UrlTemplates) -> dict | None:
-    if not templates.base:
+def build_finding_urls(finding: Finding, base: str | None) -> dict | None:
+    """Browse URLs under *base* for the finding's document, its first evidence
+    match and the commit that deleted its last instances; None without a base
+    or without any of them."""
+    if not base:
         return None
     urls: dict = {}
     if finding.doc_sha:
-        doc_url = templates.document_url(finding.document, finding.doc_sha)
-        if doc_url:
-            urls["document"] = doc_url
+        document = finding.document
+        template = WIKI_URL if document.origin == ORIGIN_WIKI else BLOB_NO_LINE_URL
+        urls["document"] = template.format(
+            base=base, sha=finding.doc_sha, page=document.page_name, path=document.path
+        )
     if finding.evidence and finding.evidence_sha:
         path, line, _ = finding.evidence[0]
-        src = templates.source_url(finding.evidence_sha, path, line)
-        if src:
-            urls["evidence"] = src
+        template = BLOB_URL if line > 0 else BLOB_NO_LINE_URL
+        urls["evidence"] = template.format(
+            base=base, sha=finding.evidence_sha, path=path, line=line
+        )
     deleting = _deleting_sha(finding)
     if deleting:
-        urls["deleting_commit"] = templates.commit_url(deleting)
+        urls["deleting_commit"] = COMMIT_URL.format(base=base, sha=deleting)
     return urls or None

@@ -178,7 +178,8 @@ class GitRepo:
     def last_touch(self, branch: str | None, path: str) -> tuple[str, int] | None:
         """Most recent first-parent commit that changed *path*, or None."""
         name = branch or "HEAD"
-        out = self._git("log", "--first-parent", "-1", "--format=%H %ct", name, "--", path)
+        pathspec = ":(literal)" + path  # a document path is never a glob
+        out = self._git("log", "--first-parent", "-1", "--format=%H %ct", name, "--", pathspec)
         line = out.strip()
         if not line:
             return None

@@ -21,7 +21,12 @@ import bisect
 from dataclasses import dataclass
 from typing import Callable
 
-from staleref.docdiscovery import ORIGIN_README, DocumentDescriptor, discover_documents
+from staleref.docdiscovery import (
+    ORIGIN_README,
+    ORIGIN_WIKI,
+    DocumentDescriptor,
+    discover_documents,
+)
 from staleref.extraction import extract_elements
 from staleref.matching import (
     MAX_MATCHED_PATHS,
@@ -38,18 +43,10 @@ from staleref.pipeline import (
     ScanTimeout,
     _Deadline,
     _evidence,
+    _Host,
     _Project,
-    _sorted_warnings,
 )
-from staleref.reporting import (
-    MODE_CURRENT,
-    MODE_HISTORY,
-    Finding,
-    ScanReport,
-    build_finding_urls,
-    compute_aggregates,
-    sort_findings,
-)
+from staleref.reporting import MODE_CURRENT, MODE_HISTORY, Finding, ScanReport
 from staleref.revgraph import GitRepo, Revision, RevisionSequence, snapshot_for_doc
 from staleref.timeline import (
     DOC_ABSENT,
@@ -299,99 +296,81 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
     try:
-        head = project.source_seq.head
-        wiki_tree = (
-            tree_paths(project.wiki, project.wiki_seq.head.sha)
-            if project.wiki is not None
-            else None
-        )
+        source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
+        head = source.seq.head
         documents = discover_documents(
-            tree_paths(project.source, head.sha), wiki_tree, config.discovery
+            tree_paths(source.repo, head.sha),
+            tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
+            config.discovery,
         )
-        scanner = SourceScanner(project.source, project.match_config(documents))
+        scanner = SourceScanner(source.repo, project.match_config(documents))
 
         findings: list[Finding] = []
         partial = False
         try:
             for document in documents:
                 deadline.check()
-                repo, hosting_seq, branch = project.hosting(document)
-                doc_text = read_text_at(repo, hosting_seq.head.sha, document.path)
+                host = project.hosts[document.origin]
+                doc_text = read_text_at(host.repo, host.seq.head.sha, document.path)
                 refs = extract_elements(doc_text, project.catalog, document)
                 if not refs:
                     continue
-                touch = repo.last_touch(branch, document.path)
+                touch = host.repo.last_touch(host.branch, document.path)
                 if touch is None:
                     continue
-                touched = project.revision_by_sha(hosting_seq, touch[0])
+                touched = host.seq.by_sha[touch[0]]
                 snapshot = (
                     touched if document.origin == ORIGIN_README
-                    else snapshot_for_doc(touched, project.source_seq)
+                    else snapshot_for_doc(touched, source.seq)
                 )
                 for ref in refs:
                     snap_ic = scanner.count_instances(ref.text, snapshot)
                     cur_ic = scanner.count_instances(ref.text, head)
-                    status = classify_current(snap_ic.count, cur_ic.count)
-                    finding = Finding(
+                    findings.append(Finding(
                         element_text=ref.text,
                         document=document,
-                        status=status,
+                        status=classify_current(snap_ic.count, cur_ic.count),
                         snapshot_sha=snapshot.sha,
                         snapshot_count=snap_ic.count,
                         current_sha=head.sha,
                         current_count=cur_ic.count,
                         evidence=_evidence(snap_ic.matched_paths),
                         evidence_sha=snapshot.sha,
-                        doc_sha=hosting_seq.head.sha,
-                    )
-                    finding.urls = build_finding_urls(finding, project.templates)
-                    findings.append(finding)
+                        doc_sha=host.seq.head.sha,
+                    ))
         except ScanTimeout:
             partial = True
 
-        findings = sort_findings(findings)
-        report = ScanReport(
-            project_id=config.resolved_project_id(),
-            scan_time=project.scan_time,
-            mode=MODE_CURRENT,
-            findings=findings,
-            warnings=_sorted_warnings(project.warnings, scanner.warnings),
-            aggregates=compute_aggregates(findings),
-            revisions=None,
-            partial=partial,
-        )
-        return report
+        return project.report(MODE_CURRENT, findings, scanner.warnings, partial=partial)
     finally:
         project.close()
 
 
-def _union_listing(repo, seq) -> list[str]:
+def _union_listing(host: _Host) -> list[str]:
     paths: set[str] = set()
-    for rev in seq.revisions:
-        paths.update(tree_paths(repo, rev.sha))
+    for rev in host.seq.revisions:
+        paths.update(tree_paths(host.repo, rev.sha))
     return sorted(paths)
 
 
 def run_history_oracle(config: RunConfig) -> ScanReport:
     project = _Project(config)
     try:
-        seq = project.source_seq
-        wiki_listing = (
-            _union_listing(project.wiki, project.wiki_seq) if project.wiki is not None else None
-        )
+        source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
+        seq = source.seq
         documents = discover_documents(
-            _union_listing(project.source, seq), wiki_listing, config.discovery
+            _union_listing(source), _union_listing(wiki) if wiki else None, config.discovery
         )
-        scanner = SourceScanner(project.source, project.match_config(documents))
+        scanner = SourceScanner(source.repo, project.match_config(documents))
         counts_provider = lambda element, rev: scanner.count_instances(element, rev).count
         findings: list[Finding] = []
         extra_warnings: list[dict] = []
         for document in documents:
-            repo, hosting_seq, _ = project.hosting(document)
+            host = project.hosts[document.origin]
             versions = []
-            for rev in hosting_seq.revisions:
-                blob = blob_at(repo, rev.sha, document.path)
-                text = None if blob is None else read_text_at(repo, rev.sha, document.path)
+            for rev in host.seq.revisions:
+                blob = blob_at(host.repo, rev.sha, document.path)
+                text = None if blob is None else read_text_at(host.repo, rev.sha, document.path)
                 versions.append(DocVersion(document, rev, text))
             refs = {
                 version.revision.sha: frozenset(
@@ -404,8 +383,8 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             else:
                 pairs = link_source_to_docs(seq, sorted(versions, key=lambda v: v.timestamp))
             doc_sha = (
-                hosting_seq.head.sha
-                if blob_at(repo, hosting_seq.head.sha, document.path)
+                host.seq.head.sha
+                if blob_at(host.repo, host.seq.head.sha, document.path)
                 else None
             )
             for element in sorted(set().union(*refs.values())):
@@ -437,7 +416,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                     )
                     evidence_sha = revision.sha
                 last = timeline.symbols[-1]
-                finding = Finding(
+                findings.append(Finding(
                     element_text=element,
                     document=document,
                     status=None,
@@ -448,19 +427,9 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                     doc_sha=doc_sha,
                     timeline=timeline,
                     episodes=episodes,
-                )
-                finding.urls = build_finding_urls(finding, project.templates)
-                findings.append(finding)
-        findings = sort_findings(findings)
-        return ScanReport(
-            project_id=config.resolved_project_id(),
-            scan_time=project.scan_time,
-            mode=MODE_HISTORY,
-            findings=findings,
-            warnings=_sorted_warnings(project.warnings, scanner.warnings, extra_warnings),
-            aggregates=compute_aggregates(findings),
-            revisions=seq.revisions,
-            partial=False,
+                ))
+        return project.report(
+            MODE_HISTORY, findings, scanner.warnings, extra_warnings, revisions=seq.revisions
         )
     finally:
         project.close()

@@ -14,6 +14,8 @@ import subprocess
 from pathlib import Path
 
 from conftest import RepoBuilder
+from staleref.docdiscovery import DiscoveryConfig
+from staleref.pipeline import RunConfig
 
 T0 = 1_600_000_000
 STEP = 10_000
@@ -23,17 +25,31 @@ IN_SYNC = "in_sync"
 NEVER = "never_matched"
 
 
-def _manifest(name, repo, wiki=None, exclude=(), expected=None, **extra):
+def _manifest(name, repo, wiki=None, exclude=(), expected=None, extra_doc_globs=(), **extra):
     data = {
         "name": name,
         "repo": str(repo.path),
         "wiki": str(wiki.path) if wiki else None,
         "exclude": list(exclude),
+        "extra_doc_globs": list(extra_doc_globs),
         "scan_time": T0 + 100_000,
         "expected": expected or {},
     }
     data.update(extra)
     return data
+
+
+def config_for(manifest, **overrides) -> RunConfig:
+    """The run configuration a manifest describes, with *overrides* applied."""
+    kwargs = dict(
+        repo_path=manifest["repo"],
+        wiki_path=manifest["wiki"],
+        exclude_globs=tuple(manifest["exclude"]),
+        discovery=DiscoveryConfig(extra_doc_globs=tuple(manifest["extra_doc_globs"])),
+        scan_time=manifest["scan_time"],
+    )
+    kwargs.update(overrides)
+    return RunConfig(**kwargs)
 
 
 def build_backtick_outdated(base: Path):
@@ -449,6 +465,32 @@ def build_readme_same_second(base: Path):
     })
 
 
+def build_glob_named_docs(base: Path):
+    # Document paths are literal, never globs. docs/[ab].md counts neither
+    # its own reference nor any path the glob would match, and its last
+    # touch is c0, not c1, which only adds docs/a.md. The root README.md
+    # hides no pkg/README.md from the count, so bar_fn() stays matched.
+    repo = RepoBuilder(base / "glob_named_docs")
+    repo.commit(T0, {
+        "README.md": "Call `bar_fn()` to start.\n",
+        "docs/[ab].md": "Use `foo_fn()` here.\n",
+        "pkg/README.md": "The entry point is bar_fn().\n",
+        "src/app.py": "def foo_fn():\n    pass\n",
+    })
+    repo.commit(T0 + STEP, {"docs/a.md": "Draft.\n"})
+    repo.commit(T0 + 2 * STEP, {"src/app.py": "def other_fn():\n    pass\n"})
+    return _manifest("glob_named_docs", repo, extra_doc_globs=["docs/*"], expected={
+        ("readme", "README.md", "bar_fn()"): IN_SYNC,
+        ("readme", "docs/[ab].md", "foo_fn()"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "bar_fn()"): [1, 1, 1],
+        ("readme", "docs/[ab].md", "foo_fn()"): [1, 1, 0],
+    }, snapshot={
+        ("readme", "README.md", "bar_fn()"): repo.shas[0],
+        ("readme", "docs/[ab].md", "foo_fn()"): repo.shas[0],
+    })
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -473,6 +515,7 @@ SCENARIO_BUILDERS = [
     build_wiki_out_of_order,
     build_unborn_wiki,
     build_readme_same_second,
+    build_glob_named_docs,
 ]
 
 

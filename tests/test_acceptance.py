@@ -96,14 +96,7 @@ def test_synthetic_end_to_end(tmp_path):
     names = {m["name"] for m in manifests}
     assert {"doc_newer_than_head", "equal_timestamp", "path_variant_only"} <= names
     for manifest in manifests:
-        report = run_scan(
-            RunConfig(
-                repo_path=manifest["repo"],
-                wiki_path=manifest["wiki"],
-                exclude_globs=tuple(manifest["exclude"]),
-                scan_time=manifest["scan_time"],
-            )
-        )
+        report = run_scan(scenarios.config_for(manifest))
         got = {
             (f.document.origin, f.document.path, f.element_text): f.status
             for f in report.findings

@@ -42,6 +42,43 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["line 2: os", "line 3: a"]
 
 
+def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Module-level functions and classes of *sources* (module name -> source)
+    that no code in any of them reads and that are not in *exported*.
+
+    A read is any name or attribute access, so a definition that only calls
+    itself counts as read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read
+        and node.name not in exported
+    ]
+
+
+def test_no_unreferenced_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_definitions(sources, set(staleref.__all__)) == []
+
+
+def test_unreferenced_definition_is_found():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef _left():\n    pass\n\nclass Public:\n    pass\n",
+        "b.py": "from a import used\nused()\n\ndef _loop():\n    _loop()\n",
+    }
+    assert unreferenced_definitions(sources, {"Public"}) == ["a.py: _left"]
+
+
 def test_every_exported_name_resolves():
     assert len(staleref.__all__) == len(set(staleref.__all__))
     assert [name for name in staleref.__all__ if not hasattr(staleref, name)] == []

@@ -11,6 +11,7 @@ import pytest
 
 import scenarios
 from conftest import RepoBuilder
+from scenarios import config_for
 from oracle_history import run_history_oracle, run_scan_oracle
 from staleref import cli, pipeline
 from staleref.docdiscovery import DiscoveryConfig
@@ -18,17 +19,6 @@ from staleref.matching import HistoryCounter, MatchConfig
 from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
 from staleref.reporting import parse_report, render_findings
 from staleref.revgraph import GitError, GitRepo
-
-
-def config_for(manifest, **overrides):
-    kwargs = dict(
-        repo_path=manifest["repo"],
-        wiki_path=manifest["wiki"],
-        exclude_globs=tuple(manifest["exclude"]),
-        scan_time=manifest["scan_time"],
-    )
-    kwargs.update(overrides)
-    return RunConfig(**kwargs)
 
 
 class _FakeDeadline:
