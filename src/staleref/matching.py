@@ -26,6 +26,11 @@ _BINARY_SNIFF_BYTES = 8192
 MAX_MATCHED_PATHS = 20
 
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
+# Maps every byte that is not a word character to a space.
+_NON_WORD_TO_SPACE = bytes(b if chr(b) in _WORD_CHARS else 0x20 for b in range(256))
+# A blob is split into word tokens about this many bytes at a time, so its
+# token list stays small however large the blob is.
+_TOKEN_SLICE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,10 +130,10 @@ def matches_exclude(path: str, patterns: tuple[str, ...]) -> bool:
 _Skip = tuple[str, str, object]
 
 
-def _read_source_text(
+def _read_source_bytes(
     repo: GitRepo, blob: str, max_file_bytes: int
-) -> tuple[str | None, _Skip | None]:
-    """Decoded text of a source blob, or None and the reason it was skipped.
+) -> tuple[bytes | None, _Skip | None]:
+    """Raw bytes of a source blob, or None and the reason it was skipped.
 
     Binary blobs are skipped silently, with no reason.
     """
@@ -140,7 +145,34 @@ def _read_source_text(
         return None, ("oversized_file", "size", len(data))
     if b"\x00" in data[:_BINARY_SNIFF_BYTES]:
         return None, None
-    return data.decode("utf-8", errors="replace"), None
+    return data, None
+
+
+def _decode(data: bytes) -> str:
+    return data.decode("utf-8", errors="replace")
+
+
+def _held_runs(data: bytes, runs: frozenset[bytes]) -> set[bytes]:
+    """The members of *runs* that appear in *data* as whole word tokens.
+
+    A token is a maximal run of ``[A-Za-z0-9_]`` bytes. UTF-8 never puts an
+    ASCII byte inside a multibyte sequence, and a replaced undecodable byte
+    is no word character, so these are also the tokens of the decoded text.
+    The bytes are split one slice at a time, each cut at a non-word byte.
+    """
+    words = data.translate(_NON_WORD_TO_SPACE)
+    held: set[bytes] = set()
+    start = 0
+    while start < len(words):
+        end = start + _TOKEN_SLICE_BYTES
+        if end < len(words):
+            cut = words.rfind(b" ", start, end)
+            if cut <= start:  # one token fills the slice: cut after it
+                cut = words.find(b" ", end)
+            end = cut if cut >= 0 else len(words)
+        held.update(runs.intersection(words[start:end].split()))
+        start = end
+    return held
 
 
 class HistoryCounter:
@@ -150,9 +182,11 @@ class HistoryCounter:
     newest first, from the head down, by undoing each revision's changes.
     *revisions* are the oldest-first revisions it may stop at, starting at
     revision 0, and *changes* their ``GitRepo.first_parent_changes``. Each
-    blob is read once and counted once per element; only its non-zero counts
-    are kept, so a move costs the changed blobs, not the whole tree. Warnings
-    are logged once each, for the paths and elements of the counted cells.
+    blob is read and split into word tokens once, and counted only for the
+    elements whose word runs are all among its tokens; an element with no
+    word run is counted in every blob. Only its non-zero counts are kept, so
+    a move costs the changed blobs, not the whole tree. Warnings are logged
+    once each, for the paths and elements of the counted cells.
     """
 
     def __init__(
@@ -169,6 +203,18 @@ class HistoryCounter:
         self.warnings: list[dict] = []
         self._warned: set[tuple] = set()
         self._elements = elements
+        # first word run -> (element, its other word runs)
+        self._by_first_run: dict[bytes, list[tuple[str, tuple[bytes, ...]]]] = {}
+        self._runless: list[str] = []
+        all_runs: set[bytes] = set()
+        for element in elements:
+            runs = element.encode().translate(_NON_WORD_TO_SPACE).split()
+            if runs:
+                self._by_first_run.setdefault(runs[0], []).append((element, tuple(runs[1:])))
+                all_runs.update(runs)
+            else:
+                self._runless.append(element)
+        self._runs = frozenset(all_runs)
         self._index = {revision: i for i, revision in enumerate(revisions)}
         self._position = len(revisions)
         self._changes = changes
@@ -271,18 +317,29 @@ class HistoryCounter:
             counts = self._blob_counts[blob] = {}
             if not self._elements:
                 return counts  # nothing is ever counted, so nothing is read
-            text, skip = _read_source_text(self.repo, blob, self.config.max_file_bytes)
+            data, skip = _read_source_bytes(self.repo, blob, self.config.max_file_bytes)
             if skip is not None:
                 self._blob_skips[blob] = skip
-            if text:
+            candidates = self._candidates(data) if data else ()
+            if candidates:
+                text = _decode(data)
                 cap = self.config.max_count_per_file
-                for element in self._elements:
+                for element in candidates:
                     if element not in text:
                         continue
                     count, first, capped = count_occurrences(element, text, cap=cap)
                     if count:
                         counts[element] = (count, text.count("\n", 0, first) + 1, capped)
         return counts
+
+    def _candidates(self, data: bytes) -> list[str]:
+        """The elements that may match in *data*: a whole-word match puts
+        each of the element's word runs in the text as a whole token."""
+        held = _held_runs(data, self._runs)
+        candidates = list(self._runless)
+        for run in held.intersection(self._by_first_run):
+            candidates += [e for e, rest in self._by_first_run[run] if held.issuperset(rest)]
+        return candidates
 
     def _add(self, path: bytes, blob: str) -> None:
         self._tree[path] = blob

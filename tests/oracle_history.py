@@ -31,7 +31,7 @@ from staleref.extraction import extract_elements
 from staleref.matching import (
     MAX_MATCHED_PATHS,
     MatchConfig,
-    _read_source_text,
+    _read_source_bytes,
     _Skip,
     classify_current,
     count_occurrences,
@@ -57,6 +57,14 @@ from staleref.timeline import (
     episode_duration,
     is_positive,
 )
+
+
+def _read_source_text(
+    repo: GitRepo, blob: str, max_file_bytes: int
+) -> tuple[str | None, _Skip | None]:
+    """Decoded text of a source blob, or None and the reason it was skipped."""
+    data, skip = _read_source_bytes(repo, blob, max_file_bytes)
+    return (None if data is None else data.decode("utf-8", errors="replace")), skip
 
 
 def tree_paths(repo: GitRepo, sha: str) -> list[str]:

@@ -491,6 +491,43 @@ def build_glob_named_docs(base: Path):
     })
 
 
+def build_detached_head(base: Path):
+    # The checkout is a detached HEAD at the tip of main. Both modes read
+    # HEAD's first-parent history and give the reports they give on main.
+    repo = RepoBuilder(base / "detached_head")
+    repo.commit(T0, {
+        "README.md": "Call `head_fn()` and `drop_fn()`.\n",
+        "src/app.py": "def head_fn():\n    pass\n\ndef drop_fn():\n    pass\n",
+    })
+    repo.commit(T0 + STEP, {"src/app.py": "def head_fn():\n    pass\n"})
+    repo.git("checkout", "-q", "--detach")
+    return _manifest("detached_head", repo, expected={
+        ("readme", "README.md", "head_fn()"): IN_SYNC,
+        ("readme", "README.md", "drop_fn()"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "head_fn()"): [1, 1],
+        ("readme", "README.md", "drop_fn()"): [1, 0],
+    }, same_as_branch="main")
+
+
+def build_readme_moved(base: Path):
+    # c1 moves README.md to docs/README.md, where discovery no longer finds
+    # it. History reads README.md as absent from c1 on; the scan discovers
+    # documents at head, finds none and reports nothing.
+    repo = RepoBuilder(base / "readme_moved")
+    repo.commit(T0, {
+        "README.md": "Call `move_fn()` to start.\n",
+        "src/app.py": "def move_fn():\n    pass\n",
+    })
+    (repo.path / "docs").mkdir()
+    repo.git("mv", "README.md", "docs/README.md")
+    repo.commit(T0 + STEP, {})
+    repo.commit(T0 + 2 * STEP, {"src/app.py": "def other_fn():\n    pass\n"})
+    return _manifest("readme_moved", repo, expected={}, history={
+        ("readme", "README.md", "move_fn()"): [1, ".", "."],
+    })
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -516,6 +553,8 @@ SCENARIO_BUILDERS = [
     build_unborn_wiki,
     build_readme_same_second,
     build_glob_named_docs,
+    build_detached_head,
+    build_readme_moved,
 ]
 
 

@@ -35,6 +35,8 @@ from staleref import (
     detect_episodes,
     expand_path_variants,
     extract_elements,
+    render_findings,
+    run_history,
     run_scan,
     survival_curve,
 )
@@ -106,6 +108,22 @@ def test_synthetic_end_to_end(tmp_path):
             if finding.status == "outdated":
                 assert finding.snapshot_count > 0 and finding.current_count == 0
     assert time.monotonic() - start < 60.0
+
+
+@pytest.mark.criterion("a detached HEAD reports as its branch does; a moved README ends in a report")
+def test_checkout_shapes(tmp_path):
+    detached = scenarios.build_detached_head(tmp_path)
+    for run in (run_scan, run_history):
+        assert render_findings(run(scenarios.config_for(detached))) == render_findings(
+            run(scenarios.config_for(detached, branch=detached["same_as_branch"]))
+        ), run.__name__
+    moved = scenarios.build_readme_moved(tmp_path)
+    scan = run_scan(scenarios.config_for(moved))
+    assert (scan.findings, scan.warnings) == ([], [])
+    history = run_history(scenarios.config_for(moved))
+    assert {f.element_text: list(f.timeline.symbols) for f in history.findings} == {
+        "move_fn()": [1, ".", "."]
+    }
 
 
 @pytest.mark.criterion("replica fixture yields outdated counts exactly 1->0 and 21->0")

@@ -1,9 +1,10 @@
 """Differential test: incremental counting against the per-cell oracles.
 
 Hypothesis scripts random repositories (adds, deletes, renames, edits, the
-same content at two paths, symlinks, binary and oversized blobs, merged side
-branches, out-of-order and equal timestamps, an optional wiki whose commits
-keep the order drawn, so their timestamps may go backwards) and random run
+same content at two paths, symlinks, binary and oversized blobs, non-ASCII
+text with CRLF line ends, merged side branches, out-of-order and equal
+timestamps, an optional wiki whose commits keep the order drawn, so their
+timestamps may go backwards) and random run
 settings (exclude globs, a small per-file cap, a failing count at one
 revision). On each repository ``run_scan`` must render the same report, byte
 for byte, as ``oracle_history.run_scan_oracle`` (without the failing count),
@@ -44,6 +45,7 @@ CONTENTS = [
     "nothing here\n",
     "def beta_fn():\n    pass\n# padding that makes this blob longer than sixty bytes\n",
     "bin\x00ary alpha_fn\n",
+    "# naïve café\r\nx = alpha_fn(GammaKit)\r\néalpha_fn\r\n",
 ]
 LINK_TARGETS = ["alpha_fn", "lib/util.py", "GammaKit"]
 CITED = ["alpha_fn", "beta_fn()", "GammaKit", "lib/util.py", "util.py", "/src/a.py", "ghost_fn"]

@@ -7,8 +7,10 @@ import re
 
 import pytest
 
-from oracle_history import SourceScanner
+from oracle_history import SourceScanner, _read_source_text
+from staleref import matching
 from staleref.matching import (
+    MAX_MATCHED_PATHS,
     HistoryCounter,
     MatchConfig,
     STATUS_IN_SYNC,
@@ -304,6 +306,162 @@ class TestHistoryCounter:
             counter.seek(r0)
             assert counter.count("hop()", r0) == 1
             assert counter.evidence("hop()") == (("a.py", 1),)
+
+
+def commit_bytes(builder, files: dict[str, bytes]) -> None:
+    """Commit *files*, written byte for byte, at time T."""
+    for rel, data in files.items():
+        target = builder.path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(data)
+    builder.git("add", "-A")
+    builder.git(
+        "commit", "-q", "-m", "c",
+        env={"GIT_AUTHOR_DATE": f"{T} +0000", "GIT_COMMITTER_DATE": f"{T} +0000"},
+    )
+
+
+def brute_force(repo, revision, elements, config):
+    """element -> (count, evidence) at *revision*: every element is tried on
+    every decoded blob, as ``HistoryCounter`` did before its token prefilter."""
+    hits = {element: [] for element in elements}
+    totals = dict.fromkeys(elements, 0)
+    entries = repo.tree_entries(revision.sha)
+    for path, blob in entries:
+        if matches_exclude(path, config.exclude_globs):
+            continue
+        text, _ = _read_source_text(repo, blob, config.max_file_bytes)
+        if not text:
+            continue
+        for element in elements:
+            if element not in text:
+                continue
+            count, first, _ = count_occurrences(element, text, cap=config.max_count_per_file)
+            if count:
+                totals[element] += count
+                hits[element].append((path, text.count("\n", 0, first) + 1))
+    result = {}
+    for element in elements:
+        variants = sorted(
+            path for path, _ in entries if element in expand_path_variants([path])
+        )
+        evidence = sorted(hits[element]) + [(path, 0) for path in variants]
+        result[element] = (totals[element] + len(variants), tuple(evidence[:MAX_MATCHED_PATHS]))
+    return result
+
+
+# Elements with non-word edges, non-ASCII characters or no word run at all.
+ODD_ELEMENTS = [
+    "alpha_fn", "alpha_fn()", "naïve", "na", "ve", "café_fn", "caf", "é_fn", "_fn",
+    "renderFiles('./files')", "files", "->next", "next", "a.b", "((", "::", "x",
+    "\ufffdalpha_fn", "src/odd.c",
+]
+ODD_FILES = {
+    "src/nonascii.py": "éalpha_fn = naïve\n# café_fn() calls alpha_fn\n".encode(),
+    "src/crlf.txt": b"alpha_fn()\r\nrenderFiles('./files')\r\n->next\r\nalpha_fn\r\n",
+    "src/odd.c": b"\xffalpha_fn\xfe x\xc3alpha_fn \xe2\x82 a.b\xff->next\n",
+    "src/edges.js": b"xrenderFiles('./files') renderFiles('./files')x\n"
+                    b"node->next->next a.b.c a.bc (( :: ((( std::vector\n",
+    "src/cafe.py": "def café_fn():\n    return cafe_fn\ncaf é_fn\n".encode(),
+    "src/punct.txt": b"(( :: ::\n",
+    "src/bin.dat": "alpha_fn\x00 naïve".encode(),
+}
+FRAGMENTS = [
+    b"alpha", b"_fn", "é".encode(), "ï".encode(), b"\r\n", b"\n", b" ", b" ", b"(", b"'",
+    b".", b"/", b"-", b">", b":", b"\xff", b"\xc3", b"a", b"b", b"na", b"ve", b"caf",
+    b"next", b"files", b"renderFiles", b"x",
+]
+
+
+class TestTokenPrefilter:
+    """The word-token prefilter only narrows the elements a blob is counted
+    for: counts and evidence equal trying every element on every blob."""
+
+    @pytest.mark.parametrize("config", [
+        MatchConfig(),
+        MatchConfig(max_count_per_file=2, exclude_globs=("src/edges.js",), max_file_bytes=60),
+    ], ids=["defaults", "cap-exclude-size"])
+    def test_equals_brute_force(self, repo_factory, config):
+        builder = repo_factory("odd")
+        rng = random.Random(7)
+        files = dict(ODD_FILES)
+        for i in range(40):
+            files[f"gen/f{i}.txt"] = b"".join(
+                rng.choice(FRAGMENTS) for _ in range(rng.randrange(0, 40))
+            )
+        commit_bytes(builder, files)
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ODD_ELEMENTS, config)
+            expected = brute_force(repo, head, ODD_ELEMENTS, config)
+            got = {e: (counter.count(e, head), counter.evidence(e)) for e in ODD_ELEMENTS}
+        assert got == expected
+        assert got["alpha_fn"][0] > 0 and got["::"][0] > 0 and got["naïve"][0] > 0
+
+    def test_slice_boundaries(self, repo_factory):
+        # A blob just under max_file_bytes, several token slices long: one
+        # element straddles the first slice boundary, one token fills a whole
+        # slice and is followed by an element, and one element ends the blob.
+        size = matching._TOKEN_SLICE_BYTES
+        config = MatchConfig(max_file_bytes=4 * size)
+        head_part = b"ab " * ((size - 4) // 3)
+        head_part += b" " * (size - 4 - len(head_part)) + b"straddle_fn ab\n"
+        middle = b"z" * (size + 100) + b" after_long_fn\n"
+        room = config.max_file_bytes - 1 - len(head_part) - len(middle) - len(b"last_fn")
+        data = head_part + middle + b"cd " * (room // 3) + b" " * (room % 3) + b"last_fn"
+        assert len(data) == config.max_file_bytes - 1
+        assert data.index(b"straddle_fn") < size < data.index(b"straddle_fn") + len(b"straddle_fn")
+        elements = ["straddle_fn", "after_long_fn", "last_fn", "ab", "cd", "missing_fn"]
+        builder = repo_factory("sliced")
+        commit_bytes(builder, {"big.txt": data})
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, elements, config)
+            expected = brute_force(repo, head, elements, config)
+            got = {e: (counter.count(e, head), counter.evidence(e)) for e in elements}
+        assert got == expected
+        assert [got[e][0] for e in elements[:3]] == [1, 1, 1]
+
+    def test_held_runs_across_slices(self):
+        # Slices are cut only between tokens, also when one token is longer
+        # than a slice.
+        size = matching._TOKEN_SLICE_BYTES
+        runs = frozenset([b"straddle", b"end", b"foo", b"bar", b"q"])
+        data = b"q" * (size - 3) + b" straddle " + b"y" * (size - 1) + b"foo bar\xffend"
+        assert matching._held_runs(data, runs) == {b"straddle", b"bar", b"end"}
+        assert matching._held_runs(b"\xc3\xa9foo\r\n((", runs) == {b"foo"}
+
+    def test_candidates_hold_every_word_run(self):
+        counter = HistoryCounter(
+            None, MatchConfig(), frozenset(["a.b", "c->d", "alpha_fn", "::"]), (), []
+        )
+        assert sorted(counter._candidates(b"a c alpha_fnx dd")) == ["::"]
+        assert sorted(counter._candidates(b"b.a d\xffc")) == ["::", "a.b", "c->d"]
+
+    def test_blob_without_candidates_is_never_decoded(self, repo_factory, monkeypatch):
+        decoded = []
+
+        def decode(data):
+            decoded.append(data)
+            return data.decode("utf-8", errors="replace")
+
+        monkeypatch.setattr(matching, "_decode", decode)
+        builder = repo_factory("nodecode")
+        commit_bytes(builder, {
+            "hit.py": b"alpha_fn()\n",
+            "near.py": b"alpha_fnx alpha fn\n",  # holds the text, not the token
+            "miss.py": b"nothing to see\n",
+            "bin.dat": b"alpha_fn\x00",
+            "big.txt": b"alpha_fn " * 20,
+            "huge.txt": b"unrelated " * 20,
+        })
+        with GitRepo(builder.path) as repo:
+            counter, head = counter_at_head(repo, ["alpha_fn"], MatchConfig(max_file_bytes=100))
+            assert counter.count("alpha_fn", head) == 1
+            assert counter.evidence("alpha_fn") == (("hit.py", 1),)
+        assert decoded == [b"alpha_fn()\n"]
+        assert counter.warnings == [
+            {"kind": "oversized_file", "path": "big.txt", "size": 180},
+            {"kind": "oversized_file", "path": "huge.txt", "size": 200},
+        ]
 
 
 class TestClassify:
