@@ -67,7 +67,6 @@ from .timeline import (
     FixEvent,
     NO_REFERENCE,
     OutdatedEpisode,
-    classify_fix,
     detect_episodes,
     episode_duration,
     survival_curve,
@@ -110,7 +109,6 @@ __all__ = [
     "UnknownRevisionError",
     "aggregate_corpus",
     "classify_current",
-    "classify_fix",
     "compute_aggregates",
     "count_occurrences",
     "default_catalog",

@@ -25,9 +25,9 @@ from .reporting import (
     FORMAT_CSV,
     FORMAT_JSON,
     FORMAT_MARKDOWN,
-    _aggregates_dict,
     aggregate_corpus,
     parse_report,
+    render_aggregates,
     render_findings,
     render_history_table,
     render_issue_draft,
@@ -280,17 +280,7 @@ def _cmd_stats(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_ERROR
-    agg = _aggregates_dict(aggregate_corpus(reports))
-    fmt = args.format or FORMAT_JSON
-    if fmt == FORMAT_JSON:
-        text = json.dumps(agg, indent=2) + "\n"
-    elif fmt == FORMAT_CSV:
-        keys = [k for k in agg if k not in ("fix_kind_counts", "duration_stats", "survival_points")]
-        text = ",".join(keys) + "\n" + ",".join(str(agg[k]) for k in keys) + "\n"
-    else:
-        lines = ["# Pooled aggregates", ""]
-        lines += [f"* {key}: {value}" for key, value in agg.items()]
-        text = "\n".join(lines) + "\n"
+    text = render_aggregates(aggregate_corpus(reports), args.format or FORMAT_JSON)
     _write_output(text, args.out)
     return EXIT_CLEAN
 

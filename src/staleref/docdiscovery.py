@@ -52,7 +52,7 @@ def is_recognized_format(path: str) -> str | None:
 
 
 def _validate_path(path: str) -> None:
-    if not path or path.startswith("/") or "\\" in path:
+    if not path or path.startswith("/"):
         raise ValueError(f"not a normalized repo-relative path: {path!r}")
     segments = path.split("/")
     if any(seg in ("", ".", "..") for seg in segments):

@@ -449,57 +449,39 @@ def run_history(config: RunConfig) -> ScanReport:
 
         findings: list[Finding] = []
         warnings_extra: list[dict] = []
-        if partial:
-            for row in rows:
-                findings.append(
-                    Finding(
-                        element_text=row["element"],
-                        document=row["document"],
-                        status=None,
-                        current_sha=head.sha,
-                        symbols_suffix=row["symbols"][covered_from:],
-                    )
+        for row in rows:
+            finding = Finding(row["element"], row["document"], status=None, current_sha=head.sha)
+            findings.append(finding)
+            if partial:
+                finding.symbols_suffix = row["symbols"][covered_from:]
+                continue
+            timeline = finding.timeline = ElementTimeline(
+                row["element"],
+                row["document"],
+                row["symbols"],
+                source.seq.revisions,
+                partial=bool(row["failed"]),
+                failed_ordinals=sorted(row["failed"]),
+            )
+            finding.episodes = detect_episodes(timeline, strict=config.strict_episodes)
+            for episode in finding.episodes:
+                episode.duration_seconds = episode_duration(
+                    episode, timeline.revisions, scan_time=project.scan_time
                 )
-        else:
-            for row in rows:
-                timeline = ElementTimeline(
-                    row["element"],
-                    row["document"],
-                    row["symbols"],
-                    source.seq.revisions,
-                    partial=bool(row["failed"]),
-                    failed_ordinals=sorted(row["failed"]),
-                )
-                episodes = detect_episodes(timeline, strict=config.strict_episodes)
-                for episode in episodes:
-                    episode.duration_seconds = episode_duration(
-                        episode, timeline.revisions, scan_time=project.scan_time
+                if not episode.ongoing and episode.duration_seconds < 0:
+                    warnings_extra.append(
+                        {
+                            "kind": "negative_duration",
+                            "element": row["element"],
+                            "document": row["document"].path,
+                            "start_ordinal": episode.start_ordinal,
+                        }
                     )
-                    if not episode.ongoing and episode.duration_seconds < 0:
-                        warnings_extra.append(
-                            {
-                                "kind": "negative_duration",
-                                "element": row["element"],
-                                "document": row["document"].path,
-                                "start_ordinal": episode.start_ordinal,
-                            }
-                        )
-                matched_paths, evidence_sha = row["evidence"] or ((), None)
-                last = timeline.symbols[-1]
-                findings.append(
-                    Finding(
-                        element_text=row["element"],
-                        document=row["document"],
-                        status=None,
-                        current_sha=head.sha,
-                        current_count=last if is_count(last) else None,
-                        evidence=_evidence(matched_paths),
-                        evidence_sha=evidence_sha,
-                        doc_sha=row["doc_sha"],
-                        timeline=timeline,
-                        episodes=episodes,
-                    )
-                )
+            matched_paths, finding.evidence_sha = row["evidence"] or ((), None)
+            finding.evidence = _evidence(matched_paths)
+            finding.doc_sha = row["doc_sha"]
+            last = timeline.symbols[-1]
+            finding.current_count = last if is_count(last) else None
 
         return project.report(
             MODE_HISTORY, findings, doc_warnings, counter.warnings, warnings_extra,

@@ -114,22 +114,48 @@ def sort_findings(findings: list[Finding]) -> list[Finding]:
 # -- aggregates ---------------------------------------------------------------
 
 
-def _episode_list(findings: list[Finding]) -> list[OutdatedEpisode]:
-    episodes: list[OutdatedEpisode] = []
-    for finding in findings:
-        if finding.episodes:
-            episodes.extend(finding.episodes)
-    return episodes
+def compute_aggregates(findings: list[Finding]) -> Aggregates:
+    """Totals over one report's findings; pure so it can be recomputed from
+    parsed output and compared against the in-process result."""
+    return _fold([findings])
 
 
-def _fold_episodes(agg: Aggregates, episodes: list[OutdatedEpisode]) -> None:
-    """Fix-kind counts, duration stats and the survival curve over *episodes*."""
-    for episode in episodes:
-        if episode.fix is not None:
-            agg.fix_kind_counts[episode.fix.kind] += 1
-    durations = [
-        ep.duration_seconds for ep in episodes if ep.duration_seconds is not None
-    ]
+def aggregate_corpus(reports: list[ScanReport]) -> Aggregates:
+    """Pool findings across reports from distinct projects."""
+    return _fold([report.findings for report in reports])
+
+
+def _fold(projects: list[list[Finding]]) -> Aggregates:
+    """Totals over the findings of each project, and fix kinds, durations
+    and the survival curve over all their episodes, in one pass."""
+    agg = Aggregates(projects_total=len(projects))
+    documents: set[tuple] = set()
+    outdated_docs: set[tuple] = set()
+    pairs_with_episode: set[tuple] = set()
+    durations: list[int] = []
+    fixed_positive: list[OutdatedEpisode] = []
+    for project, findings in enumerate(projects):
+        agg.elements_total += len(findings)
+        for f in findings:
+            document = (project, f.document.origin, f.document.path)
+            documents.add(document)
+            if f.outdated:
+                agg.elements_outdated += 1
+                outdated_docs.add(document)
+            if f.episodes:
+                pairs_with_episode.add((*document, f.element_text))
+                agg.reoutdated_count += len(f.episodes)
+            for episode in f.episodes or ():
+                if episode.fix is not None:
+                    agg.fix_kind_counts[episode.fix.kind] += 1
+                if episode.duration_seconds is not None:
+                    durations.append(episode.duration_seconds)
+                    if not episode.ongoing and episode.duration_seconds > 0:
+                        fixed_positive.append(episode)
+    agg.documents_total = len(documents)
+    agg.documents_outdated = len(outdated_docs)
+    agg.projects_outdated = len({project for project, _, _ in outdated_docs})
+    agg.reoutdated_count -= len(pairs_with_episode)  # all but each pair's first
     if durations:
         agg.duration_stats = {
             "min": min(durations),
@@ -137,57 +163,9 @@ def _fold_episodes(agg: Aggregates, episodes: list[OutdatedEpisode]) -> None:
             "mean": statistics.fmean(durations),
             "max": max(durations),
         }
-    fixed_positive = [
-        ep
-        for ep in episodes
-        if not ep.ongoing
-        and ep.duration_seconds is not None
-        and ep.duration_seconds > 0
-    ]
     if fixed_positive:
         grid = sorted({0, *(ep.duration_seconds for ep in fixed_positive)})
         agg.survival_points = [[d, f] for d, f in survival_curve(fixed_positive, grid)]
-
-
-def compute_aggregates(findings: list[Finding]) -> Aggregates:
-    """Totals over one report's findings; pure so it can be recomputed from
-    parsed output and compared against the in-process result."""
-    agg = Aggregates(projects_total=1)
-    agg.elements_total = len(findings)
-    agg.elements_outdated = sum(1 for f in findings if f.outdated)
-    documents = {(f.document.origin, f.document.path) for f in findings}
-    outdated_docs = {
-        (f.document.origin, f.document.path) for f in findings if f.outdated
-    }
-    agg.documents_total = len(documents)
-    agg.documents_outdated = len(outdated_docs)
-    agg.projects_outdated = 1 if outdated_docs else 0
-
-    episodes = _episode_list(findings)
-    pairs_with_episode = {
-        (f.document.origin, f.document.path, f.element_text)
-        for f in findings
-        if f.episodes
-    }
-    agg.reoutdated_count = len(episodes) - len(pairs_with_episode)
-    _fold_episodes(agg, episodes)
-    return agg
-
-
-def aggregate_corpus(reports: list[ScanReport]) -> Aggregates:
-    """Pool findings across reports from distinct projects."""
-    agg = Aggregates(projects_total=len(reports))
-    all_episodes: list[OutdatedEpisode] = []
-    for report in reports:
-        per = compute_aggregates(report.findings)
-        agg.elements_total += per.elements_total
-        agg.elements_outdated += per.elements_outdated
-        agg.documents_total += per.documents_total
-        agg.documents_outdated += per.documents_outdated
-        agg.projects_outdated += per.projects_outdated
-        agg.reoutdated_count += per.reoutdated_count
-        all_episodes.extend(_episode_list(report.findings))
-    _fold_episodes(agg, all_episodes)
     return agg
 
 
@@ -357,28 +335,36 @@ def report_to_dict(report: ScanReport) -> dict:
 
 
 def parse_report(text: str) -> ScanReport:
-    """Inverse of the JSON rendering; findings round-trip exactly."""
+    """Inverse of the JSON rendering; findings round-trip exactly.
+
+    Raises ValueError for text that is no report of this schema version.
+    """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a report is a JSON object")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema_version: {version!r}")
-    revisions = None
-    if data.get("revisions") is not None:
-        revisions = tuple(
-            Revision(r["sha"], r["timestamp"], r["ordinal"]) for r in data["revisions"]
+    try:
+        revisions = None
+        if data.get("revisions") is not None:
+            revisions = tuple(
+                Revision(r["sha"], r["timestamp"], r["ordinal"]) for r in data["revisions"]
+            )
+        findings = [_parse_finding(f, revisions) for f in data["findings"]]
+        return ScanReport(
+            project_id=data["project"],
+            scan_time=data["scan_time_epoch"],
+            mode=data["mode"],
+            findings=findings,
+            warnings=data.get("warnings", []),
+            aggregates=_parse_aggregates(data["aggregates"]),
+            revisions=revisions,
+            partial=bool(data.get("partial")),
+            covered_from_ordinal=data.get("covered_from_ordinal"),
         )
-    findings = [_parse_finding(f, revisions) for f in data["findings"]]
-    return ScanReport(
-        project_id=data["project"],
-        scan_time=data["scan_time_epoch"],
-        mode=data["mode"],
-        findings=findings,
-        warnings=data.get("warnings", []),
-        aggregates=_parse_aggregates(data["aggregates"]),
-        revisions=revisions,
-        partial=bool(data.get("partial")),
-        covered_from_ordinal=data.get("covered_from_ordinal"),
-    )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from None
 
 
 # -- rendering -------------------------------------------------------------------
@@ -391,6 +377,23 @@ def render_findings(report: ScanReport, fmt: str = FORMAT_JSON) -> str:
         return _render_findings_csv(report)
     if fmt == FORMAT_MARKDOWN:
         return _render_findings_markdown(report)
+    raise ValueError(f"unknown output format: {fmt!r}")
+
+
+def render_aggregates(agg: Aggregates, fmt: str = FORMAT_JSON) -> str:
+    """Pooled aggregates as JSON, as a one-row CSV table of the scalar
+    totals, or as a Markdown list."""
+    data = _aggregates_dict(agg)
+    if fmt == FORMAT_JSON:
+        return json.dumps(data, indent=2) + "\n"
+    if fmt == FORMAT_CSV:
+        nested = ("fix_kind_counts", "duration_stats", "survival_points")
+        keys = [k for k in data if k not in nested]
+        return ",".join(keys) + "\n" + ",".join(str(data[k]) for k in keys) + "\n"
+    if fmt == FORMAT_MARKDOWN:
+        lines = ["# Pooled aggregates", ""]
+        lines += [f"* {key}: {value}" for key, value in data.items()]
+        return "\n".join(lines) + "\n"
     raise ValueError(f"unknown output format: {fmt!r}")
 
 

@@ -48,7 +48,8 @@ class Revision:
     ordinal: int
 
     def __post_init__(self) -> None:
-        if len(self.sha) != 40 or any(c not in "0123456789abcdef" for c in self.sha):
+        # 40 hex digits name a SHA-1 object, 64 a SHA-256 one.
+        if len(self.sha) not in (40, 64) or any(c not in "0123456789abcdef" for c in self.sha):
             raise ValueError(f"not a full commit sha: {self.sha!r}")
         if self.ordinal < 0:
             raise ValueError("ordinal must be non-negative")
@@ -113,15 +114,15 @@ class GitRepo:
         return completed.stdout
 
     def close(self) -> None:
-        if self._batch is not None:
+        batch, self._batch = self._batch, None
+        if batch is not None:
             try:
-                self._batch.stdin.close()
-                self._batch.terminate()
-                self._batch.wait(timeout=5)
-                self._batch.stdout.close()
-            except Exception:
-                pass
-            self._batch = None
+                batch.stdin.close()
+            except BrokenPipeError:
+                pass  # a dead child leaves its last request unread
+            batch.terminate()
+            batch.wait(timeout=5)
+            batch.stdout.close()
 
     def __enter__(self) -> "GitRepo":
         return self
@@ -275,26 +276,35 @@ class GitRepo:
         return changes
 
     def read_blob_bytes(self, blob: str) -> bytes:
-        """Raw contents of a blob object, via a persistent cat-file process."""
+        """Raw contents of a blob object, via a persistent cat-file process.
+
+        A child that exits before it answers raises GitError and is dropped,
+        so the next read starts a new one.
+        """
         if self._batch is None or self._batch.poll() is not None:
+            self.close()
             self._batch = subprocess.Popen(
                 ["git", "-C", str(self.path), "cat-file", "--batch"],
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
             )
-        self._batch.stdin.write(blob.encode() + b"\n")
-        self._batch.stdin.flush()
-        header = self._batch.stdout.readline().decode().strip()
-        if header.endswith(" missing") or not header:
+        batch = self._batch
+        try:
+            batch.stdin.write(blob.encode() + b"\n")
+            batch.stdin.flush()
+            header = batch.stdout.readline().decode().strip()
+        except BrokenPipeError:
+            header = ""
+        if not header:
+            self.close()
+            raise GitError(f"{self.path}: git cat-file exited before it answered for {blob}")
+        if header.endswith(" missing"):
             raise UnknownRevisionError(f"{self.path}: no such object {blob}")
         size = int(header.rsplit(" ", 1)[1])
-        data = b""
-        while len(data) < size:
-            chunk = self._batch.stdout.read(size - len(data))
-            if not chunk:
-                raise GitError(f"{self.path}: truncated cat-file output for {blob}")
-            data += chunk
-        self._batch.stdout.read(1)  # trailing newline
+        data = batch.stdout.read(size)
+        if len(data) != size or batch.stdout.read(1) != b"\n":
+            self.close()
+            raise GitError(f"{self.path}: truncated cat-file output for {blob}")
         return data
 
 

@@ -40,14 +40,6 @@ def is_count(symbol: Symbol) -> bool:
     return isinstance(symbol, int) and not isinstance(symbol, bool)
 
 
-def is_zero(symbol: Symbol) -> bool:
-    return is_count(symbol) and symbol == 0
-
-
-def is_positive(symbol: Symbol) -> bool:
-    return is_count(symbol) and symbol > 0
-
-
 def validate_symbol(symbol: Symbol) -> None:
     if is_count(symbol):
         if symbol < 0:
@@ -110,85 +102,48 @@ class ElementTimeline:
             validate_symbol(symbol)
 
 
-def classify_fix(timeline: ElementTimeline, episode: OutdatedEpisode) -> FixEvent:
-    """What ended an episode, read off the symbol at its end ordinal."""
-    if episode.end_ordinal is None:
-        raise ValueError("an ongoing episode has no fix")
-    symbol = timeline.symbols[episode.end_ordinal]
-    if symbol == DOC_ABSENT:
-        kind = FIX_DOC_DELETE
-    elif symbol == NO_REFERENCE:
-        kind = FIX_DOC_UPDATE
-    elif is_positive(symbol):
-        kind = FIX_SOURCE_CHANGE
-    else:
-        raise ValueError(f"episode cannot end on symbol {symbol!r}")
-    revision = timeline.revisions[episode.end_ordinal]
-    return FixEvent(kind, episode.end_ordinal, revision.sha, revision.timestamp)
-
-
 def detect_episodes(timeline: ElementTimeline, strict: bool = False) -> list[OutdatedEpisode]:
-    """Find every outdated episode in a timeline.
+    """Find every outdated episode in a timeline, in one pass over its symbols.
 
     By default a zero opens an episode whenever any positive count appears
     anywhere earlier, even across intervening NoReference symbols. With
     ``strict`` the last doc-present symbol before the zero run must itself be
     a positive count, which drops stretches where the reference had already
     been removed from the document and only later re-added.
+
+    An open episode remembers the first DocAbsent of a gap. Zeros after the
+    gap resume it; any other symbol closes it, at the gap if there is one.
     """
-    symbols = timeline.symbols
-    n = len(symbols)
     episodes: list[OutdatedEpisode] = []
-    seen_positive = False
-    last_present_positive = False
-    i = 0
-    while i < n:
-        symbol = symbols[i]
-        if is_positive(symbol):
-            seen_positive = True
-            last_present_positive = True
-            i += 1
-            continue
-        if symbol == NO_REFERENCE:
-            last_present_positive = False
-            i += 1
-            continue
+    episode: OutdatedEpisode | None = None
+    gap: int | None = None  # first DocAbsent after the open episode's zeros
+    seen_positive = last_present_positive = False
+
+    def close(end: int, kind: str) -> None:
+        revision = timeline.revisions[end]
+        episode.end_ordinal = end
+        episode.fix = FixEvent(kind, end, revision.sha, revision.timestamp)
+
+    for i, symbol in enumerate(timeline.symbols):
         if symbol == DOC_ABSENT:
-            i += 1
-            continue
-        # A zero. Decide whether it opens an episode.
-        eligible = last_present_positive if strict else seen_positive
-        if not eligible:
-            last_present_positive = False
-            i += 1
-            continue
-        start = i
-        end: int | None = None
-        j = i
-        while j < n:
-            current = symbols[j]
-            if is_zero(current):
-                j += 1
-                continue
-            if current == DOC_ABSENT:
-                k = j
-                while k < n and symbols[k] == DOC_ABSENT:
-                    k += 1
-                if k < n and is_zero(symbols[k]):
-                    # Zeros resume after the gap: same episode.
-                    j = k
-                    continue
-                end = j
-                break
-            end = j
-            break
-        episode = OutdatedEpisode(timeline.element_text, timeline.document, start, end)
-        if end is not None:
-            episode.fix = classify_fix(timeline, episode)
-        episodes.append(episode)
-        if end is None:
-            break
-        i = end
+            if episode is not None and gap is None:
+                gap = i
+        elif symbol == 0:
+            if episode is not None:
+                gap = None
+            elif last_present_positive if strict else seen_positive:
+                episode = OutdatedEpisode(timeline.element_text, timeline.document, i, None)
+                episodes.append(episode)
+        else:
+            if gap is not None:
+                close(gap, FIX_DOC_DELETE)
+            elif episode is not None:
+                close(i, FIX_DOC_UPDATE if symbol == NO_REFERENCE else FIX_SOURCE_CHANGE)
+            episode = gap = None
+            last_present_positive = symbol != NO_REFERENCE
+            seen_positive = seen_positive or last_present_positive
+    if gap is not None:
+        close(gap, FIX_DOC_DELETE)
     return episodes
 
 

@@ -16,10 +16,10 @@ class RepoBuilder:
     tests can assert on snapshot linking and durations exactly.
     """
 
-    def __init__(self, path: Path, branch: str = "main"):
+    def __init__(self, path: Path, branch: str = "main", object_format: str = "sha1"):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.git("init", "-q", "-b", branch)
+        self.git("init", "-q", "-b", branch, f"--object-format={object_format}")
         self.git("config", "user.email", "dev@example.com")
         self.git("config", "user.name", "Dev")
         self.shas: list[str] = []

@@ -55,8 +55,12 @@ from staleref.timeline import (
     Symbol,
     detect_episodes,
     episode_duration,
-    is_positive,
+    is_count,
 )
+
+
+def is_positive(symbol: Symbol) -> bool:
+    return is_count(symbol) and symbol > 0
 
 
 def _read_source_text(

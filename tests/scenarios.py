@@ -9,9 +9,11 @@ mapping, so any false positive or false negative fails.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 from pathlib import Path
+from unittest import mock
 
 from conftest import RepoBuilder
 from staleref.docdiscovery import DiscoveryConfig
@@ -528,6 +530,123 @@ def build_readme_moved(base: Path):
     })
 
 
+def build_sha256_repo(base: Path):
+    # Source and wiki use SHA-256 object names, 64 hex digits each. Returns
+    # None where git cannot create such a repository.
+    try:
+        repo = RepoBuilder(base / "sha256_repo", object_format="sha256")
+        wiki = RepoBuilder(base / "sha256_repo.wiki", object_format="sha256")
+    except RuntimeError:
+        return None
+    repo.commit(T0, {
+        "README.md": "Call `wide_hash_fn()` and `keep_hash_fn()`.\n",
+        "src/app.py": "def wide_hash_fn():\n    pass\n\ndef keep_hash_fn():\n    pass\n",
+    })
+    wiki.commit(T0 + STEP, {"Home.md": "Then `keep_hash_fn()` and `wide_hash_fn()`.\n"})
+    repo.commit(T0 + 2 * STEP, {"src/app.py": "def keep_hash_fn():\n    pass\n"})
+    return _manifest("sha256_repo", repo, wiki, expected={
+        ("readme", "README.md", "keep_hash_fn()"): IN_SYNC,
+        ("readme", "README.md", "wide_hash_fn()"): OUTDATED,
+        ("wiki", "Home.md", "keep_hash_fn()"): IN_SYNC,
+        ("wiki", "Home.md", "wide_hash_fn()"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "keep_hash_fn()"): [1, 1],
+        ("readme", "README.md", "wide_hash_fn()"): [1, 0],
+        ("wiki", "Home.md", "keep_hash_fn()"): [1, 1],
+        ("wiki", "Home.md", "wide_hash_fn()"): [1, 0],
+    }, snapshot={
+        ("readme", "README.md", "keep_hash_fn()"): repo.shas[0],
+        ("readme", "README.md", "wide_hash_fn()"): repo.shas[0],
+        ("wiki", "Home.md", "keep_hash_fn()"): repo.shas[0],
+        ("wiki", "Home.md", "wide_hash_fn()"): repo.shas[0],
+    })
+
+
+def build_backslash_names(base: Path):
+    # Git tracks names with a backslash. The README README\x.md and the wiki
+    # page Back\slash.md are documents like any other, and the README still
+    # leaves itself out of the count, so its own text never keeps
+    # slash_fn() matched.
+    repo = RepoBuilder(base / "backslash_names")
+    repo.commit(T0, {
+        "README\\x.md": "Call `slash_fn()` and `stay_slash_fn()`.\n",
+        "src/app.py": "def slash_fn():\n    pass\n\ndef stay_slash_fn():\n    pass\n",
+    })
+    wiki = RepoBuilder(base / "backslash_names.wiki")
+    wiki.commit(T0 + STEP, {"Back\\slash.md": "Use `slash_fn()` here.\n"})
+    repo.commit(T0 + 2 * STEP, {"src/app.py": "def stay_slash_fn():\n    pass\n"})
+    return _manifest("backslash_names", repo, wiki, expected={
+        ("readme", "README\\x.md", "slash_fn()"): OUTDATED,
+        ("readme", "README\\x.md", "stay_slash_fn()"): IN_SYNC,
+        ("wiki", "Back\\slash.md", "slash_fn()"): OUTDATED,
+    }, history={
+        ("readme", "README\\x.md", "slash_fn()"): [1, 0],
+        ("readme", "README\\x.md", "stay_slash_fn()"): [1, 1],
+        ("wiki", "Back\\slash.md", "slash_fn()"): [1, 0],
+    })
+
+
+# A stand-in for "git -C <repo> cat-file --batch" that answers each request
+# through git, except that it exits unanswered when asked for blob $1.
+_DYING_CAT_FILE = (
+    'while read -r sha; do [ "$sha" = "$1" ] && exit 3; '
+    'printf "%s\\n" "$sha" | git -C "$2" cat-file --batch; done'
+)
+
+
+@contextlib.contextmanager
+def catfile_dies_at(blob: str):
+    """Make every git cat-file --batch child exit before it answers a
+    request for *blob*; it answers every other request as git does."""
+    popen = subprocess.Popen
+
+    def spawn(args, **kwargs):
+        if "cat-file" in args:
+            args = ["sh", "-c", _DYING_CAT_FILE, "sh", blob, args[args.index("-C") + 1]]
+        return popen(args, **kwargs)
+
+    with mock.patch.object(subprocess, "Popen", spawn):
+        yield
+
+
+def build_catfile_death(base: Path):
+    # Read normally, this is a plain outdated/in-sync pair in a README and a
+    # wiki page. "died" pins what each mode reports when the cat-file child
+    # exits at the blob of src/keep.py (source) or of Home.md (document):
+    # the unreadable source blob counts nothing, and the unreadable page is
+    # skipped; both end in a report with one warning.
+    repo = RepoBuilder(base / "catfile_death")
+    repo.commit(T0, {
+        "README.md": "Call `keep_cat_fn()` and `gone_cat_fn()`.\n",
+        "src/keep.py": "def keep_cat_fn():\n    pass\n",
+        "src/gone.py": "def gone_cat_fn():\n    pass\n",
+    })
+    wiki = RepoBuilder(base / "catfile_death.wiki")
+    wiki.commit(T0 + STEP, {"Home.md": "Start with `keep_cat_fn()`.\n"})
+    repo.commit(T0 + 2 * STEP, {"src/gone.py": None})
+    readme_gone = ("readme", "README.md", "gone_cat_fn()")
+    readme_keep = ("readme", "README.md", "keep_cat_fn()")
+    wiki_keep = ("wiki", "Home.md", "keep_cat_fn()")
+    return _manifest("catfile_death", repo, wiki, expected={
+        readme_gone: OUTDATED, readme_keep: IN_SYNC, wiki_keep: IN_SYNC,
+    }, history={
+        readme_gone: [1, 0], readme_keep: [1, 1], wiki_keep: [1, 1],
+    }, died={
+        "source": {
+            "blob": repo.git("rev-parse", "HEAD:src/keep.py").strip(),
+            "warning": "unreadable_blob",
+            "expected": {readme_gone: OUTDATED, readme_keep: NEVER, wiki_keep: NEVER},
+            "history": {readme_gone: [1, 0], readme_keep: [0, 0], wiki_keep: [0, 0]},
+        },
+        "document": {
+            "blob": wiki.git("rev-parse", "HEAD:Home.md").strip(),
+            "warning": "unreadable_document",
+            "expected": {readme_gone: OUTDATED, readme_keep: IN_SYNC},
+            "history": {readme_gone: [1, 0], readme_keep: [1, 1]},
+        },
+    })
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -555,8 +674,13 @@ SCENARIO_BUILDERS = [
     build_glob_named_docs,
     build_detached_head,
     build_readme_moved,
+    build_sha256_repo,
+    build_backslash_names,
+    build_catfile_death,
 ]
 
 
 def build_all(base: Path) -> list[dict]:
-    return [builder(base) for builder in SCENARIO_BUILDERS]
+    """Every scenario this git can build; a builder returns None for one it
+    cannot."""
+    return [m for m in (builder(base) for builder in SCENARIO_BUILDERS) if m is not None]

@@ -44,6 +44,9 @@ from staleref.matching import HistoryCounter
 
 DOC = DocumentDescriptor(ORIGIN_README, "README.md", "markdown")
 
+# Tests that reach an outside host run only when this variable is "1".
+NETWORK_OPT_IN = "STALEREF_TEST_NETWORK"
+
 
 def revs(n):
     return tuple(Revision(f"{i:040x}", 1_600_000_000 + i * 100, i) for i in range(n))
@@ -124,6 +127,26 @@ def test_checkout_shapes(tmp_path):
     assert {f.element_text: list(f.timeline.symbols) for f in history.findings} == {
         "move_fn()": [1, ".", "."]
     }
+
+
+@pytest.mark.criterion("a cat-file child that dies mid-read ends in a report and a warning")
+def test_catfile_child_death(tmp_path):
+    manifest = scenarios.build_catfile_death(tmp_path)
+    for target, died in manifest["died"].items():
+        for run in (run_scan, run_history):
+            with scenarios.catfile_dies_at(died["blob"]):
+                report = run(scenarios.config_for(manifest))
+            [warning] = report.warnings
+            assert warning["kind"] == died["warning"], (target, run.__name__)
+            assert "cat-file exited before it answered" in warning["detail"]
+            got = {
+                (f.document.origin, f.document.path, f.element_text):
+                    f.status if run is run_scan else list(f.timeline.symbols)
+                for f in report.findings
+            }
+            assert got == died["expected" if run is run_scan else "history"], (
+                target, run.__name__
+            )
 
 
 @pytest.mark.criterion("replica fixture yields outdated counts exactly 1->0 and 21->0")
@@ -247,6 +270,8 @@ def test_history_determinism(tmp_path):
 
 @pytest.mark.criterion("pinned real-world repository counts (network, optional)")
 def test_pinned_real_world_counts(tmp_path):
+    if os.environ.get(NETWORK_OPT_IN) != "1":
+        pytest.skip(f"clones github.com/google/glog; set {NETWORK_OPT_IN}=1 to run it")
     snapshot_sha = "921651e97c3892e656287f1cfa923319f0799729"
     namespace_fix_sha = "abce78806c8a93d99cf63a5a44ff09873f46b56f"
     fpic_fix_sha = "b539557b3692c9c68d4e91d3cc920e8d14490d46"

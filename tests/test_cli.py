@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import scenarios
 from conftest import RepoBuilder
 
 T0 = 1_600_000_000
@@ -154,6 +155,36 @@ class TestHistory:
         assert proc.returncode == 1
 
 
+class TestRepositoryShapes:
+    """Repositories whose object names or paths once ended both modes in exit 2."""
+
+    def test_sha256_object_names(self, tmp_path):
+        manifest = scenarios.build_sha256_repo(tmp_path)
+        if manifest is None:
+            pytest.skip("git cannot create SHA-256 repositories")
+        self.check_both_modes(manifest)
+
+    def test_backslash_in_document_names(self, tmp_path):
+        self.check_both_modes(scenarios.build_backslash_names(tmp_path))
+
+    @staticmethod
+    def check_both_modes(manifest):
+        args = ["--repo", manifest["repo"], "--wiki", manifest["wiki"],
+                "--scan-time", str(manifest["scan_time"])]
+        scan = run_cli("scan", *args)
+        assert (scan.returncode, scan.stderr) == (1, "")
+        assert {
+            (f["document"]["origin"], f["document"]["path"], f["element_text"]): f["status"]
+            for f in json.loads(scan.stdout)["findings"]
+        } == manifest["expected"]
+        history = run_cli("history", *args)
+        assert (history.returncode, history.stderr) == (1, "")
+        assert {
+            (f["document"]["origin"], f["document"]["path"], f["element_text"]): f["symbols"]
+            for f in json.loads(history.stdout)["findings"]
+        } == manifest["history"]
+
+
 class TestFetch:
     def test_clones_local_repo_and_wiki(self, tmp_path):
         origin = RepoBuilder(tmp_path / "origin" / "proj")
@@ -217,6 +248,21 @@ class TestStats:
         proc = run_cli("stats", str(bad))
         assert proc.returncode == 2
         assert "bad.json" in proc.stderr
+
+    @pytest.mark.parametrize("payload, detail", [
+        ({"schema_version": 1, "project": "p"}, "'findings'"),
+        ({"schema_version": 1, "findings": [{"element_text": "x()"}]}, "'document'"),
+        ([{"schema_version": 1}], "JSON object"),
+    ], ids=["no-findings", "finding-without-document", "json-array"])
+    def test_malformed_report_is_an_error(self, tmp_path, payload, detail):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        for fmt in ("json", "csv", "md"):
+            proc = run_cli("stats", str(bad), "--format", fmt)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(f"error: {bad}: ")
+            assert detail in proc.stderr and "Traceback" not in proc.stderr
+            assert proc.stdout == ""
 
     def test_csv_and_md_formats(self, dirty_repo, clean_repo, tmp_path):
         paths = self.make_reports(dirty_repo, clean_repo, tmp_path)

@@ -109,6 +109,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             DocumentDescriptor(ORIGIN_README, "README.md", "docx")
 
+    def test_backslash_is_a_plain_name_character(self):
+        doc = DocumentDescriptor(ORIGIN_WIKI, "guides/Back\\slash.md", "markdown")
+        assert doc.page_name == "Back\\slash"
+        for path in ("", "a//b.md", "./a.md", "a/../b.md", "a/"):
+            with pytest.raises(ValueError):
+                DocumentDescriptor(ORIGIN_README, path, "markdown")
+
+    def test_root_readme_with_backslash_discovered(self):
+        docs = discover_documents(["README\\x.md", "src/app.py"], None, DiscoveryConfig())
+        assert paths(docs) == [(ORIGIN_README, "README\\x.md")]
+
     def test_page_name(self):
         doc = DocumentDescriptor(ORIGIN_WIKI, "guides/Getting-Started.md", "markdown")
         assert doc.page_name == "Getting-Started"

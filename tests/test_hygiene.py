@@ -42,6 +42,40 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["line 2: os", "line 3: a"]
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names that *source* imports from a staleref module.
+
+    A module keeps its private names to itself; another module that needs
+    one needs a public name instead.
+    """
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "staleref")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from .reporting import _aggregates_dict, render_findings\n"
+        "from staleref.pipeline import _Deadline\n"
+        "from os import _exit\n"
+        "def f():\n    from . import _private\n"
+    )
+    assert private_imports(source) == [
+        "line 2: _aggregates_dict", "line 3: _Deadline", "line 6: _private"
+    ]
+
+
 def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
     """Module-level functions and classes of *sources* (module name -> source)
     that no code in any of them reads and that are not in *exported*.

@@ -186,6 +186,28 @@ class TestAggregates:
         assert pooled.projects_total == 2
         assert pooled.projects_outdated == 1
 
+    def test_corpus_of_one_report_equals_its_aggregates(self):
+        findings = [
+            history_finding("a()", [1, 0, 2, 0, NO_REFERENCE]),
+            history_finding("b()", [2, 0, 0, 3, DOC_ABSENT], WIKI),
+            history_finding("c()", [1, 1, 1, 1, 1]),
+        ]
+        report = make_report(findings, mode=MODE_HISTORY, revisions=findings[0].timeline.revisions)
+        assert aggregate_corpus([report]) == compute_aggregates(findings)
+
+    def test_corpus_keeps_projects_apart(self):
+        # The same (document, element) pair in two projects is two documents,
+        # two outdated projects and no re-outdated pair; episodes pool.
+        reports = [
+            make_report([history_finding("a()", [1, 0, 2])], mode=MODE_HISTORY)
+            for _ in range(2)
+        ]
+        pooled = aggregate_corpus(reports)
+        assert (pooled.elements_total, pooled.documents_total) == (2, 2)
+        assert (pooled.documents_outdated, pooled.projects_outdated) == (2, 2)
+        assert pooled.reoutdated_count == 0
+        assert pooled.fix_kind_counts["source_change"] == 2
+
     def test_fix_kind_distribution(self):
         findings = [
             history_finding("a()", [2, 0, 5]),

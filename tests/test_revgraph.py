@@ -8,9 +8,12 @@ import random
 import pytest
 
 import oracle_history
+import scenarios
+from conftest import RepoBuilder
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
 from staleref.revgraph import (
     EmptyHistoryError,
+    GitError,
     GitRepo,
     MissingRepositoryError,
     Revision,
@@ -163,6 +166,21 @@ class TestTreeAndBlobs:
             for i in range(30):
                 assert repo.read_blob_bytes(blobs[f"f{i}.txt"]) == f"content {i}\n".encode()
 
+    def test_dead_cat_file_child_is_named_and_replaced(self, repo_factory):
+        builder = repo_factory()
+        builder.commit(T, {"a.txt": "a\n", "b.txt": "b\n"})
+        with GitRepo(builder.path) as repo:
+            blobs = blobs_at(repo, repo.linearize_history().head)
+            with scenarios.catfile_dies_at(blobs["a.txt"]):
+                with pytest.raises(GitError, match="cat-file exited before it answered") as info:
+                    repo.read_blob_bytes(blobs["a.txt"])
+                assert not isinstance(info.value, UnknownRevisionError)
+                assert repo._batch is None
+                assert repo.read_blob_bytes(blobs["b.txt"]) == b"b\n"
+                with pytest.raises(GitError, match="cat-file exited before it answered"):
+                    repo.read_blob_bytes(blobs["a.txt"])
+            assert repo.read_blob_bytes(blobs["a.txt"]) == b"a\n"
+
     def test_last_touch(self, repo_factory):
         builder = repo_factory()
         first = builder.commit(T, {"README.md": "one\n", "src.py": "a\n"})
@@ -171,6 +189,31 @@ class TestTreeAndBlobs:
             sha, ts = repo.last_touch(None, "README.md")
             assert (sha, ts) == (first, T)
             assert repo.last_touch(None, "absent.md") is None
+
+
+class TestRevision:
+    def test_sha1_and_sha256_names(self):
+        assert Revision("a" * 40, T, 0).sha == "a" * 40
+        assert Revision("b" * 64, T, 0).sha == "b" * 64
+        for sha in ("a" * 39, "a" * 41, "a" * 63, "a" * 65, "A" * 40, "g" * 64):
+            with pytest.raises(ValueError, match="not a full commit sha"):
+                Revision(sha, T, 0)
+
+    def test_sha256_repository(self, tmp_path):
+        try:
+            builder = RepoBuilder(tmp_path / "sha256", object_format="sha256")
+        except RuntimeError:
+            pytest.skip("git cannot create SHA-256 repositories")
+        first = builder.commit(T, {"f.txt": "a\n"})
+        builder.commit(T + 100, {"f.txt": "b\n"})
+        with GitRepo(builder.path) as repo:
+            revisions = repo.linearize_history().revisions
+            assert [len(r.sha) for r in revisions] == [64, 64]
+            assert revisions[0].sha == first
+            changes = repo.first_parent_changes(revisions)
+            assert [[path for path, _, _ in c] for c in changes] == [[b"f.txt"], [b"f.txt"]]
+            assert repo.read_blob_bytes(changes[1][0][2]) == b"b\n"
+            assert repo.last_touch(None, "f.txt") == (revisions[1].sha, T + 100)
 
 
 class TestSnapshotLinking:

@@ -18,7 +18,6 @@ from staleref.timeline import (
     FIX_SOURCE_CHANGE,
     NO_REFERENCE,
     OutdatedEpisode,
-    classify_fix,
     detect_episodes,
     episode_duration,
     survival_curve,
@@ -176,13 +175,6 @@ class TestDetectEpisodes:
         assert fix.at_ordinal == 2
         assert fix.at_sha == revisions[2].sha
         assert fix.at_timestamp == revisions[2].timestamp
-
-    def test_classify_fix_rejects_ongoing(self):
-        timeline = tl([2, 0])
-        episode = detect_episodes(timeline)[0]
-        assert episode.ongoing
-        with pytest.raises(ValueError):
-            classify_fix(timeline, episode)
 
     def test_episodes_disjoint_and_ordered(self):
         episodes = detect_episodes(tl([1, 0, 2, 0, 3, 0, DOC_ABSENT, NO_REFERENCE]))
