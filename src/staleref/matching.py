@@ -14,7 +14,7 @@ import fnmatch
 import string
 from dataclasses import dataclass
 
-from .revgraph import Change, GitRepo, Revision
+from .revgraph import Change, GitRepo, Revision, replay
 
 STATUS_OUTDATED = "outdated"
 STATUS_IN_SYNC = "in_sync"
@@ -179,14 +179,16 @@ class HistoryCounter:
     """Running instance totals of a fixed set of elements over one history.
 
     The counter holds the tree of one revision as a path -> blob map and moves
-    newest first, from the head down, by undoing each revision's changes.
-    *revisions* are the oldest-first revisions it may stop at, starting at
-    revision 0, and *changes* their ``GitRepo.first_parent_changes``. Each
-    blob is read and split into word tokens once, and counted only for the
-    elements whose word runs are all among its tokens; an element with no
-    word run is counted in every blob. Only its non-zero counts are kept, so
-    a move costs the changed blobs, not the whole tree. Warnings are logged
-    once each, for the paths and elements of the counted cells.
+    newest first, from the head down, by undoing revisions' changes.
+    *changes* are the ``GitRepo.first_parent_changes`` of the whole sequence,
+    and a revision is found in them by its ordinal. A move first collapses
+    the changes it undoes into one blob per path, so it reads only blobs
+    that the target revision holds. Each blob is read and split into word
+    tokens once, and counted only for the elements whose word runs are all
+    among its tokens; an element with no word run is counted in every blob.
+    Only its non-zero counts are kept, so a move costs the changed blobs, not
+    the whole tree. Warnings are logged once each, for the paths and
+    elements of the counted cells.
     """
 
     def __init__(
@@ -194,7 +196,6 @@ class HistoryCounter:
         repo: GitRepo,
         config: MatchConfig,
         elements: frozenset[str],
-        revisions: tuple[Revision, ...],
         changes: list[list[Change]],
     ):
         self.repo = repo
@@ -215,8 +216,6 @@ class HistoryCounter:
             else:
                 self._runless.append(element)
         self._runs = frozenset(all_runs)
-        self._index = {revision: i for i, revision in enumerate(revisions)}
-        self._position = len(revisions)
         self._changes = changes
         self._tree: dict[bytes, str] = {}
         # raw path -> (decoded path, scannable, cited elements among its variants)
@@ -234,29 +233,28 @@ class HistoryCounter:
     def seek(self, revision: Revision) -> None:
         """Move the state to *revision*, which must not be newer than the
         current one."""
-        target = self._index.get(revision)
-        if target is None:
-            raise ValueError(f"revision {revision.ordinal} is not one of the counter's")
+        target = revision.ordinal
+        if target >= len(self._changes):
+            raise ValueError(f"revision {target} is not one of the counter's")
         if self.revision is None:
-            tree: dict[bytes, str] = {}
-            for changes in self._changes[: target + 1]:
-                for path, _, new in changes:
-                    if new is None:
-                        tree.pop(path, None)
-                    else:
-                        tree[path] = new
-            for path, blob in tree.items():
+            for path, (blob, _) in replay(self._changes[: target + 1]).items():
                 self._add(path, blob)
-        elif target > self._position:
+        elif target > self.revision.ordinal:
             raise ValueError("the counter only moves towards older revisions")
         else:
-            for i in range(self._position, target, -1):
-                for path, old, new in self._changes[i]:
+            # Each changed path's blob at *target*: the old side of its
+            # oldest change among the undone revisions.
+            net: dict[bytes, str | None] = {}
+            for changes in self._changes[target + 1 : self.revision.ordinal + 1]:
+                for path, old, _ in changes:
+                    net.setdefault(path, old)
+            for path, old in net.items():
+                new = self._tree.get(path)
+                if new != old:
                     if new is not None:
                         self._remove(path, new)
                     if old is not None:
                         self._add(path, old)
-        self._position = target
         if revision != self.revision:
             self.revision = revision
             self._counted = set()

@@ -35,6 +35,7 @@ from .revgraph import (
     Revision,
     RevisionSequence,
     link_source_to_docs,
+    replay,
     snapshot_for_doc,
 )
 from .timeline import (
@@ -104,18 +105,18 @@ def _evidence(matched_paths: tuple[tuple[str, int], ...]) -> tuple[tuple[str, in
 
 @dataclass(frozen=True)
 class _Host:
-    """One opened repository that hosts documents, with the branch a run
-    reads and its first-parent history."""
+    """One opened repository that hosts documents, with the first-parent
+    history of the branch a run reads and that history's changes."""
 
     repo: GitRepo
-    branch: str
     seq: RevisionSequence
+    changes: list[list[Change]]
 
     @classmethod
     def open(cls, path: str, branch: str | None) -> _Host:
         repo = GitRepo(path)
-        branch = repo.resolve_branch(branch)
-        return cls(repo, branch, repo.linearize_history(branch))
+        seq = repo.linearize_history(branch)
+        return cls(repo, seq, repo.first_parent_changes(seq))
 
 
 class _Project:
@@ -197,7 +198,7 @@ class _Project:
         )
 
 
-def _unreadable(document: DocumentDescriptor, error: Exception | str) -> dict:
+def _unreadable(document: DocumentDescriptor, error: Exception) -> dict:
     return {"kind": "unreadable_document", "document": document.path, "detail": str(error)}
 
 
@@ -205,30 +206,33 @@ def run_scan(config: RunConfig) -> ScanReport:
     """Current-state scan: compare each document's references between its
     snapshot revision and the head of the source history.
 
-    Each hosting repository's head tree is listed once, and gives both the
-    documents and their blobs. Documents are read first, with one deadline
-    check each; a document that cannot be read, or whose last touch is not
-    found, is skipped with a warning. A README's snapshot is the source
-    revision that last touched it; a wiki page's is the ``snapshot_for_doc``
-    of the wiki revision that last touched it. One ``HistoryCounter`` over
-    revision 0, the snapshots and head then counts every cited element at
-    head and moves to each snapshot, newest first, with one deadline check
-    per move. A timed-out scan holds the findings of the documents whose
-    snapshot was counted.
+    Each hosting repository's first-parent changes give its documents, their
+    blobs at head and the revision that last touched each. Documents are
+    read first, with one deadline check each; a document that cannot be read
+    is skipped with a warning. A README's snapshot is the source revision
+    that last touched it; a wiki page's is the ``snapshot_for_doc`` of the
+    wiki revision that last touched it. One ``HistoryCounter`` then counts
+    every cited element at head and moves to each snapshot, newest first,
+    with one deadline check per move. A timed-out scan holds the findings of
+    the documents whose snapshot was counted.
     """
-    project = _Project(config)
+    # The budget starts before the repositories are opened and diffed.
     deadline = _Deadline(config.timeout_seconds)
+    project = _Project(config)
     try:
         source = project.source
         head = source.seq.head
-        # path -> blob at the head of each host, keyed by its origin.
-        trees = {
-            origin: dict(host.repo.tree_entries(host.seq.head.sha))
+        # path -> (blob at head, ordinal of its last change), per origin.
+        heads = {
+            origin: {
+                path.decode("utf-8", errors="replace"): entry
+                for path, entry in replay(host.changes).items()
+            }
             for origin, host in project.hosts.items()
         }
         documents = discover_documents(
-            list(trees[ORIGIN_README]),
-            list(trees[ORIGIN_WIKI]) if ORIGIN_WIKI in trees else None,
+            list(heads[ORIGIN_README]),
+            list(heads[ORIGIN_WIKI]) if ORIGIN_WIKI in heads else None,
             config.discovery,
         )
 
@@ -243,25 +247,14 @@ def run_scan(config: RunConfig) -> ScanReport:
             for document in documents:
                 deadline.check()
                 host = project.hosts[document.origin]
-                texts = project.refs_of(document, trees[document.origin][document.path])
+                blob, touched_at = heads[document.origin][document.path]
+                texts = project.refs_of(document, blob)
                 if isinstance(texts, Exception):
                     doc_warnings.append(_unreadable(document, texts))
                     continue
                 if not texts:
                     continue
-                try:
-                    touch = host.repo.last_touch(host.branch, document.path)
-                except (GitError, OSError) as exc:
-                    doc_warnings.append(_unreadable(document, exc))
-                    continue
-                if touch is None:
-                    # git log matched no commit, as for a path that is not
-                    # UTF-8 and reached it decoded.
-                    doc_warnings.append(_unreadable(
-                        document, f"no first-parent commit of {host.branch} touches it"
-                    ))
-                    continue
-                touched = host.seq.by_sha[touch[0]]
+                touched = host.seq.revisions[touched_at]
                 snapshot = (
                     touched if document.origin == ORIGIN_README
                     else snapshot_for_doc(touched, source.seq)
@@ -270,15 +263,8 @@ def run_scan(config: RunConfig) -> ScanReport:
                 elements.update(texts)
 
             deadline.check()
-            revisions = tuple(
-                sorted({source.seq.revisions[0], head, *cited}, key=lambda r: r.ordinal)
-            )
             counter = HistoryCounter(
-                source.repo,
-                project.match_config(documents),
-                frozenset(elements),
-                revisions,
-                source.repo.first_parent_changes(revisions),
+                source.repo, project.match_config(documents), frozenset(elements), source.changes
             )
             warnings = counter.warnings
             counter.seek(head)
@@ -343,23 +329,21 @@ def run_history(config: RunConfig) -> ScanReport:
     A document blob that cannot be read warns, and its cells read absent and
     count as failed, as a failed count does.
     """
-    project = _Project(config)
+    # The budget starts before the repositories are opened and diffed.
     deadline = _Deadline(config.timeout_seconds)
+    project = _Project(config)
     try:
         source = project.source
         head = source.seq.head
-        changes = {
-            origin: host.repo.first_parent_changes(host.seq.revisions)
-            for origin, host in project.hosts.items()
-        }
+        hosts = project.hosts
         documents = discover_documents(
-            _union_listing(changes[ORIGIN_README]),
-            _union_listing(changes[ORIGIN_WIKI]) if ORIGIN_WIKI in changes else None,
+            _union_listing(source.changes),
+            _union_listing(hosts[ORIGIN_WIKI].changes) if ORIGIN_WIKI in hosts else None,
             config.discovery,
         )
         doc_blobs = {
-            origin: _blob_series(origin_changes, {d.path for d in documents if d.origin == origin})
-            for origin, origin_changes in changes.items()
+            origin: _blob_series(host.changes, {d.path for d in documents if d.origin == origin})
+            for origin, host in hosts.items()
         }
 
         # Document side: per source revision, the element texts each document
@@ -416,8 +400,7 @@ def run_history(config: RunConfig) -> ScanReport:
             source.repo,
             project.match_config(documents),
             frozenset(row["element"] for row in rows),
-            source.seq.revisions,
-            changes[ORIGIN_README],
+            source.changes,
         )
         if not partial:
             try:

@@ -21,6 +21,20 @@ _NO_BLOB_MODES = (b"000000", b"160000")
 Change = tuple[bytes, str | None, str | None]
 
 
+def replay(changes: list[list[Change]]) -> dict[bytes, tuple[str, int]]:
+    """Raw path -> (its blob, index of the last of *changes* that changed its
+    blob or mode), for every path that holds a blob after *changes*, which
+    are applied in order to an empty tree."""
+    tree: dict[bytes, tuple[str, int]] = {}
+    for i, revision_changes in enumerate(changes):
+        for path, _, new in revision_changes:
+            if new is None:
+                tree.pop(path, None)
+            else:
+                tree[path] = (new, i)
+    return tree
+
+
 class GitError(Exception):
     """Base class for repository access failures."""
 
@@ -72,10 +86,6 @@ class RevisionSequence:
     @property
     def head(self) -> Revision:
         return self.revisions[-1]
-
-    @cached_property
-    def by_sha(self) -> dict[str, Revision]:
-        return {rev.sha: rev for rev in self.revisions}
 
     @cached_property
     def time_order(self) -> list[tuple[int, int]]:
@@ -176,17 +186,6 @@ class GitRepo:
             raise EmptyHistoryError(f"{self.path}: branch {name!r} has no commits")
         return RevisionSequence(tuple(revisions))
 
-    def last_touch(self, branch: str | None, path: str) -> tuple[str, int] | None:
-        """Most recent first-parent commit that changed *path*, or None."""
-        name = branch or "HEAD"
-        pathspec = ":(literal)" + path  # a document path is never a glob
-        out = self._git("log", "--first-parent", "-1", "--format=%H %ct", name, "--", pathspec)
-        line = out.strip()
-        if not line:
-            return None
-        sha, ts = line.split()
-        return sha, int(ts)
-
     def remote_url(self) -> str | None:
         out = subprocess.run(
             ["git", "-C", str(self.path), "config", "--get", "remote.origin.url"],
@@ -196,47 +195,18 @@ class GitRepo:
         url = out.stdout.strip()
         return url or None
 
-    # -- trees and blobs ----------------------------------------------------
+    # -- changes and blobs ---------------------------------------------------
 
-    def tree_entries(self, sha: str) -> tuple[tuple[str, str], ...]:
-        """(path, blob-sha) pairs for every blob reachable at commit *sha*, sorted.
+    def first_parent_changes(self, seq: RevisionSequence) -> list[list[Change]]:
+        """The blob changes of each revision of *seq* against the one before it.
 
-        Each call runs one ``git ls-tree``.
+        Entry i lists the changes of revision i against revision i-1; revision
+        0 is diffed against the empty tree, which ``--root`` does for a
+        parentless commit (a root, or a shallow clone's graft). Only blobs
+        count: a gitlink is no blob on either side. One ``git diff-tree
+        --stdin`` child serves every revision.
         """
-        completed = subprocess.run(
-            ["git", "-C", str(self.path), "ls-tree", "-r", "-z", sha],
-            capture_output=True,
-        )
-        if completed.returncode != 0:
-            raise UnknownRevisionError(
-                f"{self.path}: cannot list tree at {sha}: "
-                f"{completed.stderr.decode(errors='replace').strip()}"
-            )
-        entries = []
-        for record in completed.stdout.split(b"\x00"):
-            if not record:
-                continue
-            meta, path_bytes = record.split(b"\t", 1)
-            _, obj_type, obj_sha = meta.split(b" ")
-            if obj_type != b"blob":
-                continue
-            entries.append((path_bytes.decode("utf-8", errors="replace"), obj_sha.decode()))
-        entries.sort()
-        return tuple(entries)
-
-    def first_parent_changes(self, revs: tuple[Revision, ...]) -> list[list[Change]]:
-        """The blob changes of each of *revs* against the one before it.
-
-        *revs* are oldest first, from one sequence, and start at its revision
-        0, which is diffed against the empty tree: ``--root`` does that only
-        for a parentless commit (a root, or a shallow clone's graft). Entry i
-        lists the changes of ``revs[i]`` against ``revs[i-1]``. Like
-        ``tree_entries``, only blobs count: a gitlink is no blob on either
-        side. One ``git diff-tree --stdin`` child serves every revision.
-        """
-        ordinals = [rev.ordinal for rev in revs]
-        if ordinals[:1] != [0] or ordinals != sorted(set(ordinals)):
-            raise ValueError("revisions must start at ordinal 0 and ascend")
+        revs = seq.revisions
         lines = [revs[0].sha] + [f"{rev.sha} {prev.sha}" for prev, rev in zip(revs, revs[1:])]
         completed = subprocess.run(
             ["git", "-C", str(self.path), "diff-tree", "-r", "-z", "--no-renames",

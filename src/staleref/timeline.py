@@ -19,6 +19,7 @@ document was updated, or matching source code came (back) into existence.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Union
 
@@ -184,8 +185,6 @@ def survival_curve(
         durations.append(episode.duration_seconds)
     if not durations:
         return []
+    durations.sort()
     total = len(durations)
-    return [
-        (float(d), sum(1 for x in durations if x > d) / total)
-        for d in grid
-    ]
+    return [(float(d), (total - bisect.bisect_right(durations, d)) / total) for d in grid]

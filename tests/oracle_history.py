@@ -1,10 +1,11 @@
 """Slow, obviously correct references for both modes, used as test oracles.
 
+``tree_entries`` lists a commit's tree with one ``git ls-tree``, and
 ``tree_paths``, ``blob_at`` and ``read_text_at`` read a repository by
-(commit, path), with one ``git ls-tree`` per call. ``SourceScanner`` counts
-one element at one revision by walking the whole tree listing of that
-revision. ``run_scan_oracle`` is the scan that counts each (reference,
-revision) pair with it, document by document.
+(commit, path) through it. ``last_touch`` compares those listings newest
+first. ``SourceScanner`` counts one element at one revision by walking the
+whole tree listing of that revision. ``run_scan_oracle`` is the scan that
+counts each (reference, revision) pair with it, document by document.
 ``run_history_oracle`` lists every revision's tree with ``git ls-tree``,
 reads one ``DocVersion`` per (document, hosting revision), pairs wiki
 versions with source revisions through the list-based
@@ -18,6 +19,7 @@ revision. Nothing is incremental, so their reports are the ones that
 from __future__ import annotations
 
 import bisect
+import subprocess
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +49,13 @@ from staleref.pipeline import (
     _Project,
 )
 from staleref.reporting import MODE_CURRENT, MODE_HISTORY, Finding, ScanReport
-from staleref.revgraph import GitRepo, Revision, RevisionSequence, snapshot_for_doc
+from staleref.revgraph import (
+    GitRepo,
+    Revision,
+    RevisionSequence,
+    UnknownRevisionError,
+    snapshot_for_doc,
+)
 from staleref.timeline import (
     DOC_ABSENT,
     NO_REFERENCE,
@@ -71,13 +79,58 @@ def _read_source_text(
     return (None if data is None else data.decode("utf-8", errors="replace")), skip
 
 
+def _ls_tree(repo: GitRepo, sha: str) -> list[tuple[str, str, str]]:
+    """(path, mode, blob-sha) for every blob reachable at commit *sha*, sorted."""
+    completed = subprocess.run(
+        ["git", "-C", str(repo.path), "ls-tree", "-r", "-z", sha], capture_output=True
+    )
+    if completed.returncode != 0:
+        raise UnknownRevisionError(
+            f"{repo.path}: cannot list tree at {sha}: "
+            f"{completed.stderr.decode(errors='replace').strip()}"
+        )
+    entries = []
+    for record in completed.stdout.split(b"\x00"):
+        if not record:
+            continue
+        meta, path_bytes = record.split(b"\t", 1)
+        mode, obj_type, obj_sha = meta.decode().split(" ")
+        if obj_type == "blob":
+            entries.append((path_bytes.decode("utf-8", errors="replace"), mode, obj_sha))
+    return sorted(entries)
+
+
+def tree_entries(repo: GitRepo, sha: str) -> tuple[tuple[str, str], ...]:
+    """(path, blob-sha) pairs for every blob reachable at commit *sha*, sorted."""
+    return tuple((path, blob) for path, _, blob in _ls_tree(repo, sha))
+
+
 def tree_paths(repo: GitRepo, sha: str) -> list[str]:
     """Sorted recursive file listing at commit *sha*."""
-    return [path for path, _ in repo.tree_entries(sha)]
+    return [path for path, _ in tree_entries(repo, sha)]
 
 
 def blob_at(repo: GitRepo, sha: str, path: str) -> str | None:
-    return dict(repo.tree_entries(sha)).get(path)
+    return dict(tree_entries(repo, sha)).get(path)
+
+
+def last_touch(seq: RevisionSequence, repo: GitRepo, path: str) -> Revision | None:
+    """The newest revision of *seq* whose listing differs from the one
+    before it in *path*'s mode or blob, or None if *path* holds no blob at
+    head. Paths are compared decoded, so a name that is not UTF-8 is found
+    too, which ``git log -- <path>`` cannot do."""
+    def entry(revision: Revision) -> tuple[str, str] | None:
+        listing = {p: (mode, blob) for p, mode, blob in _ls_tree(repo, revision.sha)}
+        return listing.get(path)
+
+    revisions = seq.revisions
+    current = entry(revisions[-1])
+    if current is None:
+        return None
+    for i in range(len(revisions) - 1, 0, -1):
+        if entry(revisions[i - 1]) != current:
+            return revisions[i]
+    return revisions[0]
 
 
 def read_text_at(repo: GitRepo, sha: str, path: str) -> str:
@@ -236,7 +289,7 @@ class SourceScanner(_WarningLog):
         if cached is None:
             cached = tuple(
                 (path, blob)
-                for path, blob in self.repo.tree_entries(revision.sha)
+                for path, blob in tree_entries(self.repo, revision.sha)
                 if not matches_exclude(path, self.config.exclude_globs)
             )
             self._scannable[revision.sha] = cached
@@ -260,7 +313,7 @@ class SourceScanner(_WarningLog):
         cached = self._variant_cache.get(revision.sha)
         if cached is None:
             cached = {}
-            for path, _ in self.repo.tree_entries(revision.sha):
+            for path, _ in tree_entries(self.repo, revision.sha):
                 for variant in expand_path_variants([path]):
                     cached.setdefault(variant, []).append(path)
             self._variant_cache[revision.sha] = cached
@@ -305,8 +358,8 @@ class SourceScanner(_WarningLog):
 
 def run_scan_oracle(config: RunConfig) -> ScanReport:
     """Current-state scan that counts each (reference, revision) pair on its own."""
-    project = _Project(config)
     deadline = _Deadline(config.timeout_seconds)
+    project = _Project(config)
     try:
         source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
         head = source.seq.head
@@ -327,10 +380,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
                 refs = extract_elements(doc_text, project.catalog, document)
                 if not refs:
                     continue
-                touch = host.repo.last_touch(host.branch, document.path)
-                if touch is None:
-                    continue
-                touched = host.seq.by_sha[touch[0]]
+                touched = last_touch(host.seq, host.repo, document.path)
                 snapshot = (
                     touched if document.origin == ORIGIN_README
                     else snapshot_for_doc(touched, source.seq)

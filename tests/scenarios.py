@@ -467,6 +467,57 @@ def build_readme_same_second(base: Path):
     })
 
 
+def build_readme_merged(base: Path):
+    # The README's last edit arrives through a merged side branch, so the
+    # first-parent commit that last touched it is the merge. late_fn()
+    # exists at the merge and is gone at head: outdated, where an older
+    # snapshot would call it never matched.
+    repo = RepoBuilder(base / "readme_merged")
+    repo.commit(T0, {
+        "README.md": "Call `base_fn()` first.\n",
+        "src/app.py": "def base_fn():\n    pass\n",
+    })
+    repo.branch("docs")
+    repo.commit(T0 + STEP, {"README.md": "Call `base_fn()`, then `late_fn()`.\n"})
+    repo.checkout("main")
+    repo.commit(T0 + 2 * STEP, {"src/late.py": "def late_fn():\n    pass\n"})
+    merge = repo.merge(T0 + 3 * STEP, "docs")
+    repo.commit(T0 + 4 * STEP, {"src/late.py": None})
+    return _manifest("readme_merged", repo, expected={
+        ("readme", "README.md", "base_fn()"): IN_SYNC,
+        ("readme", "README.md", "late_fn()"): OUTDATED,
+    }, history={
+        ("readme", "README.md", "base_fn()"): [1, 1, 1, 1],
+        ("readme", "README.md", "late_fn()"): ["-", "-", 1, 0],
+    }, snapshot={
+        ("readme", "README.md", "base_fn()"): merge,
+        ("readme", "README.md", "late_fn()"): merge,
+    }, first_parent_revisions=4)
+
+
+def build_readme_chmod(base: Path):
+    # The README's last change is only chmod +x, which touches it as much
+    # as an edit does: its snapshot is c2, where chmod_fn() is already gone.
+    repo = RepoBuilder(base / "readme_chmod")
+    repo.commit(T0, {
+        "README.md": "Call `chmod_fn()` or `still_fn()`.\n",
+        "src/app.py": "def chmod_fn():\n    pass\n\ndef still_fn():\n    pass\n",
+    })
+    repo.commit(T0 + STEP, {"src/app.py": "def still_fn():\n    pass\n"})
+    os.chmod(repo.path / "README.md", 0o755)
+    repo.commit(T0 + 2 * STEP, {})
+    return _manifest("readme_chmod", repo, expected={
+        ("readme", "README.md", "chmod_fn()"): NEVER,
+        ("readme", "README.md", "still_fn()"): IN_SYNC,
+    }, history={
+        ("readme", "README.md", "chmod_fn()"): [1, 0, 0],
+        ("readme", "README.md", "still_fn()"): [1, 1, 1],
+    }, snapshot={
+        ("readme", "README.md", "chmod_fn()"): repo.shas[2],
+        ("readme", "README.md", "still_fn()"): repo.shas[2],
+    })
+
+
 def build_glob_named_docs(base: Path):
     # Document paths are literal, never globs. docs/[ab].md counts neither
     # its own reference nor any path the glob would match, and its last
@@ -671,6 +722,8 @@ SCENARIO_BUILDERS = [
     build_wiki_out_of_order,
     build_unborn_wiki,
     build_readme_same_second,
+    build_readme_merged,
+    build_readme_chmod,
     build_glob_named_docs,
     build_detached_head,
     build_readme_moved,

@@ -18,6 +18,7 @@ import pytest
 import scenarios
 from conftest import RepoBuilder
 from oracle_episodes import episodes_oracle
+from oracle_history import SourceScanner
 from staleref import (
     FIX_DOC_DELETE,
     FIX_DOC_UPDATE,
@@ -29,6 +30,7 @@ from staleref import (
     MatchConfig,
     OutdatedEpisode,
     Revision,
+    RevisionSequence,
     RunConfig,
     count_occurrences,
     default_catalog,
@@ -268,6 +270,44 @@ def test_history_determinism(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def count_off_chain(repo, shas, elements, config) -> dict[str, tuple[int, ...]]:
+    """Counts of *elements* at commits that need not lie on the first-parent
+    chain: the counter runs over a sequence of revision 0 and *shas*, in
+    that order, and must agree with the oracle, which counts each commit
+    from its own tree listing."""
+    seq = RevisionSequence((repo.linearize_history().revisions[0],) + tuple(
+        Revision(sha, 0, i) for i, sha in enumerate(shas, start=1)
+    ))
+    counter = HistoryCounter(repo, config, frozenset(elements), repo.first_parent_changes(seq))
+    scanner = SourceScanner(repo, config)
+    counts = {}
+    for revision in reversed(seq.revisions[1:]):
+        counter.seek(revision)
+        counts[revision.sha] = tuple(counter.count(e, revision) for e in elements)
+        assert counts[revision.sha] == tuple(
+            scanner.count_instances(e, revision).count for e in elements
+        ), revision.sha
+    return counts
+
+
+def test_counts_off_chain_commits(tmp_path):
+    # The offline half of the check below: commits of an unmerged branch.
+    repo = RepoBuilder(tmp_path / "offchain")
+    repo.commit(scenarios.T0, {"README.md": "r\n", "a.c": "fPIC fPIC\n"})
+    repo.commit(scenarios.T0 + 10, {"b.c": "NS\n"})
+    repo.branch("side")
+    first = repo.commit(scenarios.T0 + 20, {"a.c": "fPIC\n", "c.c": "NS NS\n"})
+    second = repo.commit(scenarios.T0 + 30, {"b.c": None, "a.c": "none\n"})
+    third = repo.commit(scenarios.T0 + 40, {"a.c": "fPIC\n"})
+    repo.checkout("main")
+    repo.commit(scenarios.T0 + 50, {"d.c": "fPIC NS\n"})
+    with GitRepo(str(repo.path)) as git_repo:
+        counts = count_off_chain(
+            git_repo, (first, second, third), ("NS", "fPIC"), MatchConfig(exclude_globs=("README*",))
+        )
+    assert counts == {first: (3, 1), second: (2, 0), third: (2, 1)}
+
+
 @pytest.mark.criterion("pinned real-world repository counts (network, optional)")
 def test_pinned_real_world_counts(tmp_path):
     if os.environ.get(NETWORK_OPT_IN) != "1":
@@ -289,23 +329,10 @@ def test_pinned_real_world_counts(tmp_path):
         pytest.skip("network unavailable")
 
     with GitRepo(str(tmp_path / "glog")) as repo:
-        # The pinned commits need not lie on the first-parent chain, so the
-        # counter steps from the history's revision 0 through them in order.
-        shas = (snapshot_sha, namespace_fix_sha, fpic_fix_sha)
-        revisions = (repo.linearize_history().revisions[0],) + tuple(
-            Revision(sha, 0, i) for i, sha in enumerate(shas, start=1)
+        counts = count_off_chain(
+            repo, (snapshot_sha, namespace_fix_sha, fpic_fix_sha),
+            ("DGFLAGS_NAMESPACE", "fPIC"), MatchConfig(exclude_globs=("README*",)),
         )
-        counter = HistoryCounter(
-            repo, MatchConfig(exclude_globs=("README*",)),
-            frozenset({"DGFLAGS_NAMESPACE", "fPIC"}), revisions,
-            repo.first_parent_changes(revisions),
-        )
-        counts = {}
-        for revision in reversed(revisions[1:]):
-            counter.seek(revision)
-            counts[revision.sha] = (
-                counter.count("DGFLAGS_NAMESPACE", revision), counter.count("fPIC", revision)
-            )
         assert counts[snapshot_sha] == (1, 21)
         assert counts[namespace_fix_sha][0] == 0
         assert counts[fpic_fix_sha][1] == 0

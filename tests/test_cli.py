@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -218,6 +219,21 @@ class TestFetch:
         assert "clone failed" in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def history_report(dirty_repo, tmp_path_factory):
+    """A valid history report of dirty_repo, which stats accepts."""
+    out = tmp_path_factory.mktemp("report") / "history.json"
+    run_cli("history", "--repo", dirty_repo, "--scan-time", PIN, "--out", str(out))
+    assert run_cli("stats", str(out)).returncode == 0
+    return json.loads(out.read_text())
+
+
+def _set_symbol(value):
+    def spoil(report):
+        report["findings"][0]["symbols"][0] = value
+    return spoil
+
+
 class TestStats:
     def make_reports(self, dirty_repo, clean_repo, tmp_path):
         paths = []
@@ -253,8 +269,21 @@ class TestStats:
         ({"schema_version": 1, "project": "p"}, "'findings'"),
         ({"schema_version": 1, "findings": [{"element_text": "x()"}]}, "'document'"),
         ([{"schema_version": 1}], "JSON object"),
-    ], ids=["no-findings", "finding-without-document", "json-array"])
-    def test_malformed_report_is_an_error(self, tmp_path, payload, detail):
+        (_set_symbol("x"), "not a timeline symbol: 'x'"),
+        (_set_symbol(-1), "counts cannot be negative: -1"),
+        (_set_symbol(True), "not a timeline symbol: True"),
+        (lambda report: report["findings"][0]["symbols"].append(1),
+         "one symbol per revision required"),
+        (lambda report: report["revisions"][0].update(sha="g" * 40), "not a full commit sha"),
+    ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
+            "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
+            "revision-sha-not-hex"])
+    def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
+        # A callable payload spoils one field of a valid history report.
+        if callable(payload):
+            report = copy.deepcopy(history_report)
+            payload(report)
+            payload = report
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         for fmt in ("json", "csv", "md"):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from oracle_history import SourceScanner, _read_source_text
+from oracle_history import SourceScanner, _read_source_text, tree_entries
 from staleref import matching
 from staleref.matching import (
     MAX_MATCHED_PATHS,
@@ -206,13 +206,12 @@ class TestSourceScanner:
 
 def counter_at_head(repo, elements, config=None):
     """A HistoryCounter over the whole first-parent history, at its head."""
-    revisions = repo.linearize_history().revisions
+    seq = repo.linearize_history()
     counter = HistoryCounter(
-        repo, config or MatchConfig(), frozenset(elements), revisions,
-        repo.first_parent_changes(revisions),
+        repo, config or MatchConfig(), frozenset(elements), repo.first_parent_changes(seq)
     )
-    counter.seek(revisions[-1])
-    return counter, revisions[-1]
+    counter.seek(seq.head)
+    return counter, seq.head
 
 
 class TestHistoryCounter:
@@ -326,7 +325,7 @@ def brute_force(repo, revision, elements, config):
     every decoded blob, as ``HistoryCounter`` did before its token prefilter."""
     hits = {element: [] for element in elements}
     totals = dict.fromkeys(elements, 0)
-    entries = repo.tree_entries(revision.sha)
+    entries = tree_entries(repo, revision.sha)
     for path, blob in entries:
         if matches_exclude(path, config.exclude_globs):
             continue
@@ -431,7 +430,7 @@ class TestTokenPrefilter:
 
     def test_candidates_hold_every_word_run(self):
         counter = HistoryCounter(
-            None, MatchConfig(), frozenset(["a.b", "c->d", "alpha_fn", "::"]), (), []
+            None, MatchConfig(), frozenset(["a.b", "c->d", "alpha_fn", "::"]), []
         )
         assert sorted(counter._candidates(b"a c alpha_fnx dd")) == ["::"]
         assert sorted(counter._candidates(b"b.a d\xffc")) == ["::", "a.b", "c->d"]

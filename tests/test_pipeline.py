@@ -109,6 +109,8 @@ class TestScanScenarios:
             assert render_findings(got) == render_findings(expected), manifest["name"]
 
     def test_pinned_snapshots(self, manifests):
+        # A README's snapshot is also what git log names as the first-parent
+        # commit that last touched it.
         pinned = [m for m in manifests if "snapshot" in m]
         assert pinned
         for manifest in pinned:
@@ -119,6 +121,14 @@ class TestScanScenarios:
                     for f in report.findings
                 }
                 assert got == manifest["snapshot"], manifest["name"]
+            for (origin, path, _), sha in manifest["snapshot"].items():
+                if origin == "readme":
+                    logged = subprocess.run(
+                        ["git", "-C", manifest["repo"], "log", "--first-parent", "-1",
+                         "--format=%H", "--", ":(literal)" + path],
+                        capture_output=True, text=True, check=True,
+                    )
+                    assert logged.stdout.strip() == sha, (manifest["name"], path)
 
     def test_pinned_evidence(self, manifests):
         pinned = [m for m in manifests if "evidence" in m]
@@ -132,32 +142,34 @@ class TestScanScenarios:
                 for key, evidence in manifest["evidence"].items():
                     assert got[key] == evidence, (manifest["name"], run.__name__)
 
-    def test_diffs_only_revision_zero_snapshots_and_head(self, tmp_path, monkeypatch):
-        # The README's snapshot is r1 and both wiki pages' is r2; r3 and r4
-        # lie between the snapshots and head, and no scan needs them.
+    def test_reads_no_blob_that_only_skipped_revisions_hold(self, tmp_path, monkeypatch):
+        # The README's snapshot is r1 and both wiki pages' is r2; the
+        # versions of src/c.py that r3 and r4 hold lie between the snapshots
+        # and head, and no scan needs them.
         T0, STEP = scenarios.T0, scenarios.STEP
         repo = RepoBuilder(tmp_path / "proj")
         repo.commit(T0, {"src/a.py": "def a_fn():\n    pass\n"})
         repo.commit(T0 + STEP, {"README.md": "Use `a_fn()` and `b_fn()`.\n",
                                 "src/b.py": "def b_fn():\n    pass\n"})
         for i in (2, 3, 4):
-            repo.commit(T0 + i * STEP, {f"src/c{i}.py": f"c = {i}\n"})
-        repo.commit(T0 + 5 * STEP, {"src/a.py": None})
+            repo.commit(T0 + i * STEP, {"src/c.py": f"c = {i}\n"})
+        repo.commit(T0 + 5 * STEP, {"src/a.py": None, "src/c.py": "c = 5\n"})
         wiki = RepoBuilder(tmp_path / "proj.wiki")
         wiki.commit(T0 + 2 * STEP + 10, {"Home.md": "See `a_fn()`.\n"})
         wiki.commit(T0 + 2 * STEP + 20, {"Other.md": "See `b_fn()`.\n"})
-        calls = []
-        original = GitRepo.first_parent_changes
+        between = {repo.git("rev-parse", f"{sha}:src/c.py").strip() for sha in repo.shas[3:5]}
+        read = []
+        original = GitRepo.read_blob_bytes
 
-        def record(self, revisions):
-            calls.append([rev.ordinal for rev in revisions])
-            return original(self, revisions)
+        def record(self, blob):
+            read.append(blob)
+            return original(self, blob)
 
-        monkeypatch.setattr(GitRepo, "first_parent_changes", record)
+        monkeypatch.setattr(GitRepo, "read_blob_bytes", record)
         config = RunConfig(repo_path=str(repo.path), wiki_path=str(wiki.path),
                            scan_time=T0 + 10 * STEP)
         report = run_scan(config)
-        assert calls == [[0, 1, 2, 5]]
+        assert read and not between & set(read)
         assert {(f.document.path, f.element_text): f.status for f in report.findings} == {
             ("README.md", "a_fn()"): "outdated",
             ("README.md", "b_fn()"): "in_sync",
@@ -165,6 +177,9 @@ class TestScanScenarios:
             ("Other.md", "b_fn()"): "in_sync",
         }
         assert render_findings(report) == render_findings(run_scan_oracle(config))
+        read.clear()
+        run_history(config)
+        assert between <= set(read)
 
     def test_scan_report_round_trips(self, manifests):
         manifest = manifests[0]
@@ -318,6 +333,22 @@ class TestRunBehavior:
         assert parsed["partial"] is True
         assert parse_report(text).partial
 
+    @pytest.mark.parametrize("run", [run_scan, run_history], ids=["scan", "history"])
+    def test_budget_covers_the_diff_stream(self, manifests, monkeypatch, run):
+        # A diff stream that outlasts the budget leaves no time for analysis.
+        manifest = next(m for m in manifests if m["name"] == "multi_doc")
+        now = [0.0]
+        monkeypatch.setattr(pipeline.time, "monotonic", lambda: now[0])
+        original = GitRepo.first_parent_changes
+
+        def slow_changes(self, seq):
+            now[0] += 10.0
+            return original(self, seq)
+
+        monkeypatch.setattr(GitRepo, "first_parent_changes", slow_changes)
+        report = run(config_for(manifest, timeout_seconds=5.0))
+        assert report.partial and not report.findings
+
     def test_extra_doc_globs_flow_through(self, manifests, tmp_path):
         from conftest import RepoBuilder
 
@@ -388,26 +419,15 @@ class TestUnreadableDocument:
         full = run_scan(config)
         expected = [f for f in json.loads(render_findings(full))["findings"]
                     if f["document"]["path"] != "Guide.md"]
-        for fail in ("read", "touch"):
-            with monkeypatch.context() as m:
-                if fail == "read":
-                    fail_read_of(m, head_blob)
-                else:
-                    original = GitRepo.last_touch
-
-                    def last_touch(self, branch, path):
-                        if path == "Guide.md":
-                            raise GitError("log failed")
-                        return original(self, branch, path)
-
-                    m.setattr(GitRepo, "last_touch", last_touch)
-                report = run_scan(config)
-                code = cli_exit("scan", config, tmp_path / "scan.json")
-            assert [(w["kind"], w["document"]) for w in report.warnings] == [
-                ("unreadable_document", "Guide.md")
-            ], fail
-            assert json.loads(render_findings(report))["findings"] == expected, fail
-            assert code == cli.EXIT_OUTDATED, fail
+        fail_read_of(monkeypatch, head_blob)
+        report = run_scan(config)
+        assert report.warnings == [{
+            "kind": "unreadable_document",
+            "document": "Guide.md",
+            "detail": f"cannot read {head_blob}",
+        }]
+        assert json.loads(render_findings(report))["findings"] == expected
+        assert cli_exit("scan", config, tmp_path / "scan.json") == cli.EXIT_OUTDATED
 
     @pytest.mark.parametrize("which, ordinal", [("old", 0), ("head", 2)])
     def test_history_reads_failed_absent_where_the_blob_is_current(
@@ -444,9 +464,9 @@ class TestUnreadableDocument:
         assert cli_exit("history", config, tmp_path / "history.json") == cli.EXIT_OUTDATED
 
 
-    def test_scan_warns_for_a_path_that_is_not_utf8(self, tmp_path):
-        # git log cannot find the decoded name, so the scan has no snapshot
-        # for the document; history reads it from the diff stream.
+    def test_scan_reports_a_path_that_is_not_utf8(self, tmp_path):
+        # Both modes read the document from the diff stream under its decoded
+        # name, which git log could not look up.
         repo = RepoBuilder(tmp_path / "proj")
         (repo.path / "docs").mkdir()
         with open(bytes(repo.path / "docs") + b"/g\xffuide.md", "wb") as handle:
@@ -458,21 +478,22 @@ class TestUnreadableDocument:
             scan_time=scenarios.T0 + 1000,
         )
         path = "docs/g\ufffduide.md"
-        history = run_history(config)
-        assert [(f.document.path, f.element_text) for f in history.findings] == [
-            (path, "guide_fn()")
+        for run in (run_history, run_scan, run_scan_oracle):
+            report = run(config)
+            assert [(f.document.path, f.element_text) for f in report.findings] == [
+                (path, "guide_fn()")
+            ], run.__name__
+            assert report.warnings == [], run.__name__
+        scan = run_scan(config)
+        assert [(f.status, f.snapshot_sha) for f in scan.findings] == [
+            ("in_sync", repo.shas[0])
         ]
-        for report in (run_scan(config), run_scan_oracle(config)):
-            assert report.findings == []
-        assert run_scan(config).warnings == [{
-            "kind": "unreadable_document",
-            "document": path,
-            "detail": "no first-parent commit of main touches it",
-        }]
+        assert render_findings(scan) == render_findings(run_scan_oracle(config))
 
 
 class TestGitChildren:
-    def test_scan_spawns(self, guide_repos, monkeypatch):
+    @pytest.mark.parametrize("run", [run_scan, run_history], ids=["scan", "history"])
+    def test_spawns(self, guide_repos, monkeypatch, run):
         # README.md in the source; Guide.md and Extra.md in the wiki.
         config, _, _ = guide_repos
         spawned = []
@@ -484,19 +505,17 @@ class TestGitChildren:
                 super().__init__(args, *rest, **kwargs)
 
         monkeypatch.setattr(subprocess, "Popen", Recording)
-        run_scan(config)
+        run(config)
         setup = {
             ("proj", "rev-parse", False): 2, ("proj", "symbolic-ref", False): 1,
             ("proj", "log", False): 1, ("proj", "config", False): 1,
             ("proj.wiki", "rev-parse", False): 2, ("proj.wiki", "symbolic-ref", False): 1,
             ("proj.wiki", "log", False): 1,
         }
-        # One ls-tree per repository, one git log -1 per document, one
-        # diff-tree, and one cat-file per repository that holds a read blob.
+        # One diff-tree per repository and one cat-file per repository that
+        # holds a read blob; no ls-tree and no git log -1.
         analysis = {
-            ("proj", "ls-tree", False): 1, ("proj.wiki", "ls-tree", False): 1,
-            ("proj", "log", True): 1, ("proj.wiki", "log", True): 2,
-            ("proj", "diff-tree", False): 1,
+            ("proj", "diff-tree", False): 1, ("proj.wiki", "diff-tree", False): 1,
             ("proj", "cat-file", False): 1, ("proj.wiki", "cat-file", False): 1,
         }
         assert Counter(spawned) == Counter(setup) + Counter(analysis)

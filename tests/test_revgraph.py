@@ -21,6 +21,7 @@ from staleref.revgraph import (
     UnknownBranchError,
     UnknownRevisionError,
     link_source_to_docs,
+    replay,
     snapshot_for_doc,
 )
 
@@ -103,7 +104,7 @@ class TestLinearize:
 
 def blobs_at(repo, revision):
     """path -> blob at *revision*, from one tree listing."""
-    return dict(repo.tree_entries(revision.sha))
+    return dict(oracle_history.tree_entries(repo, revision.sha))
 
 
 class TestTreeAndBlobs:
@@ -115,7 +116,7 @@ class TestTreeAndBlobs:
             "src/a.py": "pass\n",
         })
         with GitRepo(builder.path) as repo:
-            listing = [path for path, _ in repo.tree_entries(repo.linearize_history().head.sha)]
+            listing = oracle_history.tree_paths(repo, repo.linearize_history().head.sha)
         assert listing == ["README.md", "src/a.py", "src/deep/mod.py"]
         assert sha  # fixture committed
 
@@ -154,8 +155,9 @@ class TestTreeAndBlobs:
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n"})
         with GitRepo(builder.path) as repo:
-            with pytest.raises(UnknownRevisionError):
-                repo.tree_entries("f" * 40)
+            unknown = RevisionSequence((rev(0, T, "f" * 40),))
+            with pytest.raises(GitError, match="covered 0 of 1 revisions"):
+                repo.first_parent_changes(unknown)
 
     def test_many_blob_reads_through_batch(self, repo_factory):
         builder = repo_factory()
@@ -182,13 +184,21 @@ class TestTreeAndBlobs:
             assert repo.read_blob_bytes(blobs["a.txt"]) == b"a\n"
 
     def test_last_touch(self, repo_factory):
+        # The oracle's last touch, from tree listings, agrees with git log.
         builder = repo_factory()
-        first = builder.commit(T, {"README.md": "one\n", "src.py": "a\n"})
+        first = builder.commit(T, {"README.md": "one\n", "src.py": "a\n", "run.sh": "x\n"})
         builder.commit(T + 100, {"src.py": "b\n"})
+        os.chmod(builder.path / "run.sh", 0o755)
+        builder.commit(T + 200, {})
+        builder.commit(T + 300, {"src.py": "a\n"})
         with GitRepo(builder.path) as repo:
-            sha, ts = repo.last_touch(None, "README.md")
-            assert (sha, ts) == (first, T)
-            assert repo.last_touch(None, "absent.md") is None
+            sequence = repo.linearize_history()
+            for path in ("README.md", "src.py", "run.sh"):
+                touched = oracle_history.last_touch(sequence, repo, path)
+                logged = builder.git("log", "--first-parent", "-1", "--format=%H", "--", path)
+                assert touched.sha == logged.strip(), path
+            assert oracle_history.last_touch(sequence, repo, "README.md").sha == first
+            assert oracle_history.last_touch(sequence, repo, "absent.md") is None
 
 
 class TestRevision:
@@ -207,13 +217,12 @@ class TestRevision:
         first = builder.commit(T, {"f.txt": "a\n"})
         builder.commit(T + 100, {"f.txt": "b\n"})
         with GitRepo(builder.path) as repo:
-            revisions = repo.linearize_history().revisions
-            assert [len(r.sha) for r in revisions] == [64, 64]
-            assert revisions[0].sha == first
-            changes = repo.first_parent_changes(revisions)
+            sequence = repo.linearize_history()
+            assert [len(r.sha) for r in sequence.revisions] == [64, 64]
+            assert sequence.revisions[0].sha == first
+            changes = repo.first_parent_changes(sequence)
             assert [[path for path, _, _ in c] for c in changes] == [[b"f.txt"], [b"f.txt"]]
             assert repo.read_blob_bytes(changes[1][0][2]) == b"b\n"
-            assert repo.last_touch(None, "f.txt") == (revisions[1].sha, T + 100)
 
 
 class TestSnapshotLinking:
@@ -273,17 +282,12 @@ class TestSnapshotProperty:
                     doc_ts, sources
                 ), (timestamps, doc_ts)
 
-    def test_by_sha(self):
-        sources = seq(100, 50, 200)
-        assert all(sources.by_sha[r.sha] is r for r in sources.revisions)
-        assert "f" * 40 not in sources.by_sha
 
-
-def _replayed_trees(repo, revisions):
-    """Tree of every one of *revisions*, rebuilt from first_parent_changes alone."""
+def _replayed_trees(repo, sequence):
+    """Tree of every revision of *sequence*, rebuilt from first_parent_changes alone."""
     tree: dict[str, str] = {}
     trees = []
-    for changes in repo.first_parent_changes(revisions):
+    for changes in repo.first_parent_changes(sequence):
         for path, old, new in changes:
             name = path.decode("utf-8", errors="replace")
             assert tree.get(name) == old
@@ -319,27 +323,18 @@ class TestFirstParentChanges:
         with GitRepo(builder.path) as repo:
             sequence = repo.linearize_history("main")
             assert len(sequence) == 6
-            assert _replayed_trees(repo, sequence.revisions) == [
-                repo.tree_entries(r.sha) for r in sequence.revisions
-            ]
+            listings = [oracle_history.tree_entries(repo, r.sha) for r in sequence.revisions]
+            assert _replayed_trees(repo, sequence) == listings
+            # replay folds any prefix into that revision's tree, and at head
+            # names each path's last change.
+            changes = repo.first_parent_changes(sequence)
+            for k, listing in enumerate(listings):
+                tree = replay(changes[: k + 1])
+                assert sorted((p.decode(), blob) for p, (blob, _) in tree.items()) == list(listing)
+            assert {
+                p.decode(): sequence.revisions[ordinal] for p, (_, ordinal) in tree.items()
+            } == {p: oracle_history.last_touch(sequence, repo, p) for p, _ in listings[-1]}
             assert "lib/dep.py" not in blobs_at(repo, sequence.head)
-            # Any ascending subset from revision 0 diffs each revision
-            # against the previous one of the subset.
-            for subset in ([0, 3, 5], [0, 1, 4], [0, 5], [0]):
-                revisions = tuple(sequence.revisions[i] for i in subset)
-                assert _replayed_trees(repo, revisions) == [
-                    repo.tree_entries(r.sha) for r in revisions
-                ]
-
-    def test_revisions_must_start_at_zero_and_ascend(self, repo_factory):
-        builder = repo_factory()
-        for i in range(3):
-            builder.commit(T + i, {f"f{i}.txt": f"{i}\n"})
-        with GitRepo(builder.path) as repo:
-            r0, r1, r2 = repo.linearize_history().revisions
-            for revisions in ((r1, r2), (r1,), (), (r0, r2, r1), (r0, r1, r1)):
-                with pytest.raises(ValueError):
-                    repo.first_parent_changes(revisions)
 
     def test_shallow_graft_is_diffed_as_root(self, repo_factory, tmp_path):
         builder = repo_factory()
@@ -350,7 +345,7 @@ class TestFirstParentChanges:
         with GitRepo(clone) as repo:
             sequence = repo.linearize_history(None)
             assert len(sequence) == 1
-            (changes,) = repo.first_parent_changes(sequence.revisions)
+            (changes,) = repo.first_parent_changes(sequence)
             assert sorted(path for path, old, _ in changes if old is None) == [
                 b"f0.txt", b"f1.txt", b"f2.txt"
             ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from importlib.util import find_spec
 
 import pytest
 
@@ -273,3 +274,24 @@ class TestSurvival:
 
     def test_empty_input_empty_curve(self):
         assert survival_curve([], [0, 10]) == []
+
+    @pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+    def test_equals_counting_every_episode(self):
+        from hypothesis import example, given, strategies as st
+
+        def oracle(durations, grid):
+            # Each grid point counts every episode that outlived it.
+            total = len(durations)
+            return [(float(d), sum(1 for x in durations if x > d) / total) for d in grid]
+
+        # A narrow range makes duplicate durations, and grid points between
+        # and beyond them, common.
+        values = st.integers(min_value=-5, max_value=40)
+
+        @given(st.lists(values, min_size=1, max_size=30), st.lists(values, max_size=20))
+        @example([7, 3, 3, 7, 7], [0, 3, 5, 7, 9])
+        def check(durations, grid):
+            episodes = [self.ep(d) for d in durations]
+            assert survival_curve(episodes, grid) == oracle(durations, grid)
+
+        check()
