@@ -60,7 +60,6 @@ from .revgraph import (
 )
 from .timeline import (
     DOC_ABSENT,
-    ElementTimeline,
     FIX_DOC_DELETE,
     FIX_DOC_UPDATE,
     FIX_SOURCE_CHANGE,
@@ -81,7 +80,6 @@ __all__ = [
     "DiscoveryConfig",
     "DocumentDescriptor",
     "DOC_ABSENT",
-    "ElementTimeline",
     "EmptyHistoryError",
     "FIX_DOC_DELETE",
     "FIX_DOC_UPDATE",

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .docdiscovery import DiscoveryConfig
-from .extraction import CatalogError, DEFAULT_CATALOG_TEXT, load_catalog
+from .extraction import DEFAULT_CATALOG_TEXT, load_catalog
 from .pipeline import DEFAULT_TIMEOUT_SECONDS, RunConfig, run_history, run_scan
 from .reporting import (
     FORMAT_CSV,
@@ -215,9 +215,8 @@ def _run_analysis(args, mode: str) -> int:
 
     fmt = _opt(args, file_cfg, "format", default=FORMAT_JSON)
     if mode == "history" and fmt == FORMAT_CSV and not report.partial:
-        timelines = [f.timeline for f in report.findings if f.timeline is not None]
         try:
-            text = render_history_table(timelines)
+            text = render_history_table(report)
         except ValueError as exc:
             print(f"warning: {exc}; emitting JSON", file=sys.stderr)
             text = render_findings(report, FORMAT_JSON)
@@ -227,10 +226,8 @@ def _run_analysis(args, mode: str) -> int:
 
     draft_target = _opt(args, file_cfg, "issue_draft")
     if draft_target:
-        outdated = [f for f in report.findings if f.currently_outdated]
-        if outdated:
-            draft = render_issue_draft(outdated, project_id=report.project_id)
-            _write_output(draft, draft_target)
+        if any(f.currently_outdated for f in report.findings):
+            _write_output(render_issue_draft(report), draft_target)
         else:
             print("note: no outdated findings, skipping issue draft", file=sys.stderr)
 
@@ -305,10 +302,7 @@ def main(argv=None) -> int:
         if args.command == "dump-catalog":
             return _cmd_dump_catalog(args)
         parser.error(f"unknown command {args.command!r}")
-    except (GitError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (GitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR

@@ -41,7 +41,6 @@ from .revgraph import (
 from .timeline import (
     DOC_ABSENT,
     NO_REFERENCE,
-    ElementTimeline,
     detect_episodes,
     episode_duration,
     is_count,
@@ -180,14 +179,12 @@ class _Project:
     def report(
         self, mode: str, findings: list[Finding], *warning_lists: list[dict], **fields
     ) -> ScanReport:
-        """The run's report: each finding gets its browse URLs, findings are
-        sorted, and the warnings of the project and of *warning_lists* are
-        merged in a stable order."""
-        for finding in findings:
-            finding.urls = build_finding_urls(finding, self.url_base)
+        """The run's report: findings are sorted and get their browse URLs,
+        and the warnings of the project and of *warning_lists* are merged in
+        a stable order."""
         findings = sort_findings(findings)
         warnings = [w for group in (self.warnings, *warning_lists) for w in group]
-        return ScanReport(
+        report = ScanReport(
             project_id=self.config.resolved_project_id(),
             scan_time=self.scan_time,
             mode=mode,
@@ -196,6 +193,9 @@ class _Project:
             aggregates=compute_aggregates(findings),
             **fields,
         )
+        for finding in findings:
+            finding.urls = build_finding_urls(finding, self.url_base, report.revisions)
+        return report
 
 
 def _unreadable(document: DocumentDescriptor, error: Exception) -> dict:
@@ -351,7 +351,8 @@ def run_history(config: RunConfig) -> ScanReport:
         # blob could not be read.
         doc_warnings: list[dict] = []
         rows: list[dict] = []
-        n = len(source.seq.revisions)
+        revisions = source.seq.revisions
+        n = len(revisions)
         covered_from = n
         partial = False
         for document in documents:
@@ -406,7 +407,7 @@ def run_history(config: RunConfig) -> ScanReport:
             try:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
-                    revision = source.seq.revisions[i]
+                    revision = revisions[i]
                     counter.seek(revision)
                     for row in rows:
                         element, cited = row["element"], row["refs"][i]
@@ -438,18 +439,14 @@ def run_history(config: RunConfig) -> ScanReport:
             if partial:
                 finding.symbols_suffix = row["symbols"][covered_from:]
                 continue
-            timeline = finding.timeline = ElementTimeline(
-                row["element"],
-                row["document"],
-                row["symbols"],
-                source.seq.revisions,
-                partial=bool(row["failed"]),
-                failed_ordinals=sorted(row["failed"]),
+            finding.symbols = tuple(row["symbols"])
+            finding.failed_ordinals = tuple(sorted(row["failed"]))
+            finding.episodes = detect_episodes(
+                finding.symbols, revisions, strict=config.strict_episodes
             )
-            finding.episodes = detect_episodes(timeline, strict=config.strict_episodes)
             for episode in finding.episodes:
                 episode.duration_seconds = episode_duration(
-                    episode, timeline.revisions, scan_time=project.scan_time
+                    episode, revisions, scan_time=project.scan_time
                 )
                 if not episode.ongoing and episode.duration_seconds < 0:
                     warnings_extra.append(
@@ -463,12 +460,12 @@ def run_history(config: RunConfig) -> ScanReport:
             matched_paths, finding.evidence_sha = row["evidence"] or ((), None)
             finding.evidence = _evidence(matched_paths)
             finding.doc_sha = row["doc_sha"]
-            last = timeline.symbols[-1]
+            last = finding.symbols[-1]
             finding.current_count = last if is_count(last) else None
 
         return project.report(
             MODE_HISTORY, findings, doc_warnings, counter.warnings, warnings_extra,
-            revisions=source.seq.revisions,
+            revisions=revisions,
             partial=partial,
             covered_from_ordinal=covered_from if partial else None,
         )

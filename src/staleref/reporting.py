@@ -6,18 +6,22 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from .docdiscovery import ORIGIN_WIKI, DocumentDescriptor
 from .matching import STATUS_OUTDATED
 from .revgraph import Revision
 from .timeline import (
+    DOC_ABSENT,
     FIX_KINDS,
-    ElementTimeline,
+    NO_REFERENCE,
     FixEvent,
     OutdatedEpisode,
+    Symbol,
+    is_count,
     survival_curve,
+    validate_symbol,
 )
 
 SCHEMA_VERSION = 1
@@ -42,9 +46,10 @@ class Finding:
     """One (element, document) result.
 
     Current-mode findings carry a status and the snapshot/current counts;
-    history-mode findings carry the timeline and its episodes instead (status
-    is None there). ``evidence`` lists (path, line, kind) for instances at the
-    evidence revision, where kind is "text" or "path-variant".
+    history-mode findings carry their symbols, one per revision of the report,
+    the ordinals whose count failed (read as DocAbsent), and their episodes
+    instead (status is None there). ``evidence`` lists (path, line, kind) for
+    instances at the evidence revision, where kind is "text" or "path-variant".
     """
 
     element_text: str
@@ -58,7 +63,8 @@ class Finding:
     evidence_sha: str | None = None
     doc_sha: str | None = None
     urls: dict | None = None
-    timeline: ElementTimeline | None = None
+    symbols: tuple[Symbol, ...] | None = None
+    failed_ordinals: tuple[int, ...] | None = None
     episodes: list[OutdatedEpisode] | None = None
     symbols_suffix: list | None = None
 
@@ -184,36 +190,33 @@ def _parse_document(data: dict) -> DocumentDescriptor:
     return DocumentDescriptor(data["origin"], data["path"], data["format"])
 
 
-def _episode_dict(episode: OutdatedEpisode) -> dict:
-    fix = None
-    if episode.fix is not None:
-        fix = {
-            "kind": episode.fix.kind,
-            "at_ordinal": episode.fix.at_ordinal,
-            "at_sha": episode.fix.at_sha,
-            "at_timestamp": episode.fix.at_timestamp,
-        }
-    return {
-        "start_ordinal": episode.start_ordinal,
-        "end_ordinal": episode.end_ordinal,
-        "fix": fix,
-        "duration_seconds": episode.duration_seconds,
-    }
-
-
-def _parse_episode(data: dict, element_text: str, document: DocumentDescriptor) -> OutdatedEpisode:
+def _parse_episode(data: dict) -> OutdatedEpisode:
     fix = None
     if data.get("fix"):
         fd = data["fix"]
         fix = FixEvent(fd["kind"], fd["at_ordinal"], fd["at_sha"], fd["at_timestamp"])
+    duration = data.get("duration_seconds")
+    if duration is not None and not is_count(duration):
+        raise ValueError(f"episode duration is no integer: {duration!r}")
     return OutdatedEpisode(
-        element_text,
-        document,
-        data["start_ordinal"],
-        data["end_ordinal"],
-        fix=fix,
-        duration_seconds=data.get("duration_seconds"),
+        data["start_ordinal"], data["end_ordinal"], fix=fix, duration_seconds=duration
     )
+
+
+def _parse_symbols(symbols: list, count: int) -> tuple[Symbol, ...]:
+    """*symbols* as a timeline of *count* symbols. One cheap pass accepts a
+    well-formed array; only one that fails it is walked symbol by symbol, so
+    that the error names the first offender."""
+    if type(symbols) is list and len(symbols) == count and all(
+        type(s) is int and s >= 0 or s == DOC_ABSENT or s == NO_REFERENCE for s in symbols
+    ):
+        return tuple(symbols)
+    symbols = tuple(symbols)
+    if len(symbols) != count:
+        raise ValueError("one symbol per revision required")
+    for symbol in symbols:
+        validate_symbol(symbol)
+    return symbols
 
 
 def _finding_dict(finding: Finding) -> dict:
@@ -232,12 +235,11 @@ def _finding_dict(finding: Finding) -> dict:
         "evidence_sha": finding.evidence_sha,
         "doc_sha": finding.doc_sha,
         "urls": finding.urls,
-        "symbols": list(finding.timeline.symbols) if finding.timeline else None,
-        "timeline_partial": finding.timeline.partial if finding.timeline else None,
-        "failed_ordinals": list(finding.timeline.failed_ordinals)
-        if finding.timeline
-        else None,
-        "episodes": [_episode_dict(ep) for ep in finding.episodes]
+        "symbols": finding.symbols,
+        "timeline_partial": None if finding.symbols is None else bool(finding.failed_ordinals),
+        "failed_ordinals": finding.failed_ordinals,
+        # An episode's JSON keys are its fields and its fix's, in order.
+        "episodes": [asdict(ep) for ep in finding.episodes]
         if finding.episodes is not None
         else None,
         "symbols_suffix": finding.symbols_suffix,
@@ -247,22 +249,15 @@ def _finding_dict(finding: Finding) -> dict:
 
 def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Finding:
     document = _parse_document(data["document"])
-    timeline = None
+    symbols = failed = None
     if data.get("symbols") is not None and revisions is not None:
-        timeline = ElementTimeline(
-            data["element_text"],
-            document,
-            list(data["symbols"]),
-            revisions,
-            partial=bool(data.get("timeline_partial")),
-            failed_ordinals=list(data.get("failed_ordinals") or []),
-        )
+        symbols = _parse_symbols(data["symbols"], len(revisions))
+        failed = tuple(data.get("failed_ordinals") or ())
+        if bool(data.get("timeline_partial")) != bool(failed):
+            raise ValueError("timeline_partial disagrees with failed_ordinals")
     episodes = None
     if data.get("episodes") is not None:
-        episodes = [
-            _parse_episode(ep, data["element_text"], document)
-            for ep in data["episodes"]
-        ]
+        episodes = [_parse_episode(ep) for ep in data["episodes"]]
     return Finding(
         element_text=data["element_text"],
         document=document,
@@ -277,7 +272,8 @@ def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Findin
         evidence_sha=data.get("evidence_sha"),
         doc_sha=data.get("doc_sha"),
         urls=data.get("urls"),
-        timeline=timeline,
+        symbols=symbols,
+        failed_ordinals=failed,
         episodes=episodes,
         symbols_suffix=data.get("symbols_suffix"),
     )
@@ -468,61 +464,48 @@ def _render_findings_markdown(report: ScanReport) -> str:
     return "\n".join(lines)
 
 
-def render_history_table(timelines: list[ElementTimeline]) -> str:
+def render_history_table(report: ScanReport) -> str:
     """CSV table with one row per (element, document) and one column per revision.
 
-    All timelines must describe the same revision sequence. Revision ordinals
-    R1..Rn head the columns and the sha behind each ordinal is carried in
-    leading comment lines.
+    Revision ordinals R1..Rn head the columns and the sha behind each ordinal
+    is carried in leading comment lines. Findings without symbols get no row.
     """
-    if not timelines:
+    findings = [f for f in report.findings if f.symbols is not None]
+    if not findings:
         return "element,origin,document\n"
-    shas = tuple(r.sha for r in timelines[0].revisions)
-    for tl in timelines[1:]:
-        if tuple(r.sha for r in tl.revisions) != shas:
-            raise ValueError("timelines describe different revision sequences")
-    if len(shas) > MAX_HISTORY_TABLE_COLUMNS:
+    revisions = report.revisions
+    if len(revisions) > MAX_HISTORY_TABLE_COLUMNS:
         raise ValueError(
             f"history table limited to {MAX_HISTORY_TABLE_COLUMNS} revision columns; "
-            f"got {len(shas)} (use the JSON report instead)"
+            f"got {len(revisions)} (use the JSON report instead)"
         )
     buf = io.StringIO()
-    for i, rev in enumerate(timelines[0].revisions):
+    for i, rev in enumerate(revisions):
         buf.write(f"# R{i + 1} {rev.sha} {rev.timestamp}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["element", "origin", "document"] + [f"R{i + 1}" for i in range(len(shas))]
+        ["element", "origin", "document"] + [f"R{i + 1}" for i in range(len(revisions))]
     )
-    def _key(tl: ElementTimeline):
-        doc = tl.document
-        return (doc.origin if doc else "", doc.path if doc else "", tl.element_text)
-
-    for tl in sorted(timelines, key=_key):
-        doc = tl.document
+    for f in sort_findings(findings):
         writer.writerow(
-            [
-                tl.element_text,
-                doc.origin if doc else "",
-                doc.path if doc else "",
-                *[str(sym) for sym in tl.symbols],
-            ]
+            [f.element_text, f.document.origin, f.document.path, *map(str, f.symbols)]
         )
     return buf.getvalue()
 
 
-def render_issue_draft(findings: list[Finding], project_id: str = "") -> str:
-    """Markdown issue text covering the currently outdated findings.
+def render_issue_draft(report: ScanReport) -> str:
+    """Markdown issue text covering the report's currently outdated findings.
 
     Links come from each finding's ``urls``, as the report carries them.
     Raises ValueError when nothing is outdated; an empty issue would only be
     noise for maintainers.
     """
-    outdated = [f for f in findings if f.currently_outdated]
+    outdated = [f for f in report.findings if f.currently_outdated]
     if not outdated:
         raise ValueError("no outdated findings to draft an issue for")
     title = "Outdated code references in the documentation"
-    if project_id:
-        title += f" of {project_id}"
+    if report.project_id:
+        title += f" of {report.project_id}"
     lines = [
         f"# {title}",
         "",
@@ -548,7 +531,7 @@ def render_issue_draft(findings: list[Finding], project_id: str = "") -> str:
                 lines.append(f"  - last matched [{location}]({src_url})")
             else:
                 lines.append(f"  - last matched {location} at {f.evidence_sha[:10]}")
-        deleting_sha = _deleting_sha(f)
+        deleting_sha = _deleting_sha(f, report.revisions)
         if deleting_sha:
             url = urls.get("deleting_commit")
             if url:
@@ -559,20 +542,22 @@ def render_issue_draft(findings: list[Finding], project_id: str = "") -> str:
     return "\n".join(lines)
 
 
-def _deleting_sha(finding: Finding) -> str | None:
+def _deleting_sha(finding: Finding, revisions: tuple[Revision, ...] | None) -> str | None:
     """Commit in which the last instances vanished, when the timeline shows it."""
-    if finding.timeline is None or finding.episodes is None:
+    if finding.symbols is None or finding.episodes is None:
         return None
     ongoing = [ep for ep in finding.episodes if ep.ongoing]
     if not ongoing:
         return None
-    return finding.timeline.revisions[ongoing[-1].start_ordinal].sha
+    return revisions[ongoing[-1].start_ordinal].sha
 
 
-def build_finding_urls(finding: Finding, base: str | None) -> dict | None:
+def build_finding_urls(
+    finding: Finding, base: str | None, revisions: tuple[Revision, ...] | None
+) -> dict | None:
     """Browse URLs under *base* for the finding's document, its first evidence
-    match and the commit that deleted its last instances; None without a base
-    or without any of them."""
+    match and the commit that deleted its last instances, which *revisions*
+    names; None without a base or without any of them."""
     if not base:
         return None
     urls: dict = {}
@@ -588,7 +573,7 @@ def build_finding_urls(finding: Finding, base: str | None) -> dict | None:
         urls["evidence"] = template.format(
             base=base, sha=finding.evidence_sha, path=path, line=line
         )
-    deleting = _deleting_sha(finding)
+    deleting = _deleting_sha(finding, revisions)
     if deleting:
         urls["deleting_commit"] = COMMIT_URL.format(base=base, sha=deleting)
     return urls or None

@@ -8,10 +8,14 @@ not pay process startup per file.
 from __future__ import annotations
 
 import bisect
+import re
 import subprocess
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+
+# 40 hex digits name a SHA-1 object, 64 a SHA-256 one.
+_FULL_SHA = re.compile("[0-9a-f]{40}|[0-9a-f]{64}")
 
 # Raw diff modes on a side that holds no blob: nothing there, or a gitlink.
 _NO_BLOB_MODES = (b"000000", b"160000")
@@ -62,8 +66,7 @@ class Revision:
     ordinal: int
 
     def __post_init__(self) -> None:
-        # 40 hex digits name a SHA-1 object, 64 a SHA-256 one.
-        if len(self.sha) not in (40, 64) or any(c not in "0123456789abcdef" for c in self.sha):
+        if not _FULL_SHA.fullmatch(self.sha):
             raise ValueError(f"not a full commit sha: {self.sha!r}")
         if self.ordinal < 0:
             raise ValueError("ordinal must be non-negative")

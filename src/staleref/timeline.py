@@ -23,7 +23,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Union
 
-from .docdiscovery import DocumentDescriptor
 from .revgraph import Revision
 
 DOC_ABSENT = "."
@@ -63,8 +62,6 @@ class FixEvent:
 
 @dataclass
 class OutdatedEpisode:
-    element_text: str
-    document: DocumentDescriptor | None
     start_ordinal: int
     end_ordinal: int | None
     fix: FixEvent | None = None
@@ -75,36 +72,13 @@ class OutdatedEpisode:
         return self.end_ordinal is None
 
 
-@dataclass
-class ElementTimeline:
-    """Symbols for one (element, document) pair, aligned with the source history.
-
-    ``revisions`` is the linearized source sequence the symbols describe;
-    ``symbols[i]`` belongs to ``revisions[i]``. When the counting backend
-    failed at some revision the timeline is marked partial and the affected
-    ordinals are listed; those positions carry a DocAbsent symbol so they can
-    never fabricate an outdated stretch on their own.
-    """
-
-    element_text: str
-    document: DocumentDescriptor | None
-    symbols: tuple[Symbol, ...]
-    revisions: tuple[Revision, ...]
-    partial: bool = False
-    failed_ordinals: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        self.symbols = tuple(self.symbols)
-        self.revisions = tuple(self.revisions)
-        self.failed_ordinals = tuple(self.failed_ordinals)
-        if len(self.symbols) != len(self.revisions):
-            raise ValueError("one symbol per revision required")
-        for symbol in self.symbols:
-            validate_symbol(symbol)
-
-
-def detect_episodes(timeline: ElementTimeline, strict: bool = False) -> list[OutdatedEpisode]:
+def detect_episodes(
+    symbols: tuple[Symbol, ...], revisions: tuple[Revision, ...], strict: bool = False
+) -> list[OutdatedEpisode]:
     """Find every outdated episode in a timeline, in one pass over its symbols.
+
+    ``symbols[i]`` belongs to ``revisions[i]``; a fix records the sha and
+    timestamp of the revision it happened at.
 
     By default a zero opens an episode whenever any positive count appears
     anywhere earlier, even across intervening NoReference symbols. With
@@ -121,11 +95,11 @@ def detect_episodes(timeline: ElementTimeline, strict: bool = False) -> list[Out
     seen_positive = last_present_positive = False
 
     def close(end: int, kind: str) -> None:
-        revision = timeline.revisions[end]
+        revision = revisions[end]
         episode.end_ordinal = end
         episode.fix = FixEvent(kind, end, revision.sha, revision.timestamp)
 
-    for i, symbol in enumerate(timeline.symbols):
+    for i, symbol in enumerate(symbols):
         if symbol == DOC_ABSENT:
             if episode is not None and gap is None:
                 gap = i
@@ -133,7 +107,7 @@ def detect_episodes(timeline: ElementTimeline, strict: bool = False) -> list[Out
             if episode is not None:
                 gap = None
             elif last_present_positive if strict else seen_positive:
-                episode = OutdatedEpisode(timeline.element_text, timeline.document, i, None)
+                episode = OutdatedEpisode(i, None)
                 episodes.append(episode)
         else:
             if gap is not None:

@@ -59,7 +59,6 @@ from staleref.revgraph import (
 from staleref.timeline import (
     DOC_ABSENT,
     NO_REFERENCE,
-    ElementTimeline,
     Symbol,
     detect_episodes,
     episode_duration,
@@ -206,16 +205,16 @@ def cell_symbol(
 
 def build_timeline(
     element_text: str,
-    document: DocumentDescriptor | None,
     linked_pairs: list[tuple[Revision, DocVersion | None]],
     counts_provider: Callable[[str, Revision], int],
     refs_provider: Callable[[DocVersion], frozenset[str]],
-) -> ElementTimeline:
-    """Derive the symbol sequence for one element from linked (revision, doc) pairs.
+) -> tuple[tuple[Symbol, ...], tuple[int, ...]]:
+    """The symbols for one element from linked (revision, doc) pairs, and the
+    ordinals whose count failed.
 
     ``refs_provider`` maps a document version to the set of element texts it
     references; ``counts_provider`` counts source instances at a revision. A
-    counting failure marks the timeline partial instead of aborting the run.
+    counting failure is listed instead of aborting the run.
     """
     symbols: list[Symbol] = []
     failed: list[int] = []
@@ -226,15 +225,7 @@ def build_timeline(
         symbols.append(symbol)
         if count_failed:
             failed.append(ordinal)
-    revisions = tuple(revision for revision, _ in linked_pairs)
-    return ElementTimeline(
-        element_text,
-        document,
-        symbols,
-        revisions,
-        partial=bool(failed),
-        failed_ordinals=failed,
-    )
+    return tuple(symbols), tuple(failed)
 
 
 @dataclass(frozen=True)
@@ -450,14 +441,15 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                 else None
             )
             for element in sorted(set().union(*refs.values())):
-                timeline = build_timeline(
-                    element, document, pairs, counts_provider,
-                    lambda dv: refs[dv.revision.sha],
+                symbols, failed = build_timeline(
+                    element, pairs, counts_provider, lambda dv: refs[dv.revision.sha]
                 )
-                episodes = detect_episodes(timeline, strict=config.strict_episodes)
+                episodes = detect_episodes(
+                    symbols, seq.revisions, strict=config.strict_episodes
+                )
                 for episode in episodes:
                     episode.duration_seconds = episode_duration(
-                        episode, timeline.revisions, scan_time=project.scan_time
+                        episode, seq.revisions, scan_time=project.scan_time
                     )
                     if not episode.ongoing and episode.duration_seconds < 0:
                         extra_warnings.append({
@@ -468,16 +460,16 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                         })
                 evidence: tuple = ()
                 evidence_sha = None
-                positives = [i for i, s in enumerate(timeline.symbols) if is_positive(s)]
+                positives = [i for i, s in enumerate(symbols) if is_positive(s)]
                 if positives:
-                    revision = timeline.revisions[positives[-1]]
+                    revision = seq.revisions[positives[-1]]
                     instance = scanner.count_instances(element, revision)
                     evidence = tuple(
                         (path, line, "path-variant" if line == 0 else "text")
                         for path, line in instance.matched_paths
                     )
                     evidence_sha = revision.sha
-                last = timeline.symbols[-1]
+                last = symbols[-1]
                 findings.append(Finding(
                     element_text=element,
                     document=document,
@@ -487,7 +479,8 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                     evidence=evidence,
                     evidence_sha=evidence_sha,
                     doc_sha=doc_sha,
-                    timeline=timeline,
+                    symbols=symbols,
+                    failed_ordinals=failed,
                     episodes=episodes,
                 ))
         return project.report(

@@ -23,9 +23,6 @@ from staleref import (
     FIX_DOC_DELETE,
     FIX_DOC_UPDATE,
     FIX_SOURCE_CHANGE,
-    ORIGIN_README,
-    DocumentDescriptor,
-    ElementTimeline,
     GitRepo,
     MatchConfig,
     OutdatedEpisode,
@@ -44,8 +41,6 @@ from staleref import (
 )
 from staleref.matching import HistoryCounter
 
-DOC = DocumentDescriptor(ORIGIN_README, "README.md", "markdown")
-
 # Tests that reach an outside host run only when this variable is "1".
 NETWORK_OPT_IN = "STALEREF_TEST_NETWORK"
 
@@ -55,7 +50,8 @@ def revs(n):
 
 
 def tl(symbols):
-    return ElementTimeline("elem()", DOC, tuple(symbols), revs(len(symbols)))
+    """Arguments for ``detect_episodes``: the symbols and their revisions."""
+    return tuple(symbols), revs(len(symbols))
 
 
 def shape(episodes):
@@ -126,7 +122,7 @@ def test_checkout_shapes(tmp_path):
     scan = run_scan(scenarios.config_for(moved))
     assert (scan.findings, scan.warnings) == ([], [])
     history = run_history(scenarios.config_for(moved))
-    assert {f.element_text: list(f.timeline.symbols) for f in history.findings} == {
+    assert {f.element_text: list(f.symbols) for f in history.findings} == {
         "move_fn()": [1, ".", "."]
     }
 
@@ -143,7 +139,7 @@ def test_catfile_child_death(tmp_path):
             assert "cat-file exited before it answered" in warning["detail"]
             got = {
                 (f.document.origin, f.document.path, f.element_text):
-                    f.status if run is run_scan else list(f.timeline.symbols)
+                    f.status if run is run_scan else list(f.symbols)
                 for f in report.findings
             }
             assert got == died["expected" if run is run_scan else "history"], (
@@ -176,15 +172,15 @@ def test_two_element_count_replica(tmp_path):
 
 @pytest.mark.criterion("timeline suite: ongoing merge, doc-update fix, all three fix kinds")
 def test_timeline_suite():
-    merged = detect_episodes(tl([2, 0, 0, ".", 0, 0, 0]))
+    merged = detect_episodes(*tl([2, 0, 0, ".", 0, 0, 0]))
     assert shape(merged) == [(1, None, None)]
     assert merged[0].ongoing
 
-    assert shape(detect_episodes(tl([3, 3, 0, 0, 0, 0, "-"]))) == [(2, 6, FIX_DOC_UPDATE)]
+    assert shape(detect_episodes(*tl([3, 3, 0, 0, 0, 0, "-"]))) == [(2, 6, FIX_DOC_UPDATE)]
 
-    assert shape(detect_episodes(tl([1, 0, 2]))) == [(1, 2, FIX_SOURCE_CHANGE)]
-    assert shape(detect_episodes(tl([1, 0, "-"]))) == [(1, 2, FIX_DOC_UPDATE)]
-    assert shape(detect_episodes(tl([1, 0, "."]))) == [(1, 2, FIX_DOC_DELETE)]
+    assert shape(detect_episodes(*tl([1, 0, 2]))) == [(1, 2, FIX_SOURCE_CHANGE)]
+    assert shape(detect_episodes(*tl([1, 0, "-"]))) == [(1, 2, FIX_DOC_UPDATE)]
+    assert shape(detect_episodes(*tl([1, 0, "."]))) == [(1, 2, FIX_DOC_DELETE)]
 
 
 @pytest.mark.criterion("episode detection equals the exhaustive oracle on >=500 histories (<30s)")
@@ -198,7 +194,7 @@ def test_brute_force_oracle_equivalence():
         strict = rng.random() < 0.5
         for _ in range(rng.randint(1, 5)):
             symbols = [rng.choice(alphabet) for _ in range(n_revisions)]
-            got = shape(detect_episodes(tl(symbols), strict=strict))
+            got = shape(detect_episodes(*tl(symbols), strict=strict))
             want = episodes_oracle(symbols, strict=strict)
             assert got == want, (symbols, strict)
         cases += 1
@@ -221,7 +217,7 @@ def test_whole_word_property():
 @pytest.mark.criterion("survival curve starts at 1.0, never increases, strictly-greater rule")
 def test_survival_curve_properties():
     def ep(duration):
-        episode = OutdatedEpisode("e", DOC, 0, 1)
+        episode = OutdatedEpisode(0, 1)
         episode.duration_seconds = duration
         return episode
 

@@ -234,6 +234,13 @@ def _set_symbol(value):
     return spoil
 
 
+def _set_duration(value):
+    def spoil(report):
+        episodes = next(f["episodes"] for f in report["findings"] if f["episodes"])
+        episodes[0]["duration_seconds"] = value
+    return spoil
+
+
 class TestStats:
     def make_reports(self, dirty_repo, clean_repo, tmp_path):
         paths = []
@@ -275,9 +282,12 @@ class TestStats:
         (lambda report: report["findings"][0]["symbols"].append(1),
          "one symbol per revision required"),
         (lambda report: report["revisions"][0].update(sha="g" * 40), "not a full commit sha"),
+        (_set_duration("x"), "episode duration is no integer: 'x'"),
+        (lambda report: report["findings"][0].update(timeline_partial=True),
+         "timeline_partial disagrees with failed_ordinals"),
     ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
             "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
-            "revision-sha-not-hex"])
+            "revision-sha-not-hex", "episode-duration-text", "partial-without-failed-ordinals"])
     def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
         # A callable payload spoils one field of a valid history report.
         if callable(payload):

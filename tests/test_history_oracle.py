@@ -165,7 +165,7 @@ def _fail_at(ordinal: int, original):
 def _symbols(report) -> dict:
     return {
         (f.document.origin, f.document.path, f.element_text): (
-            list(f.timeline.symbols), list(f.timeline.failed_ordinals), f.evidence
+            list(f.symbols), list(f.failed_ordinals), f.evidence
         )
         for f in report.findings
     }

@@ -17,7 +17,7 @@ from staleref import cli, pipeline
 from staleref.docdiscovery import DiscoveryConfig
 from staleref.matching import HistoryCounter, MatchConfig
 from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
-from staleref.reporting import parse_report, render_findings
+from staleref.reporting import MODE_HISTORY, parse_report, render_findings, render_history_table
 from staleref.revgraph import GitError, GitRepo
 
 
@@ -62,7 +62,7 @@ def fail_count_at(monkeypatch, ordinal: int) -> None:
 
 def symbols_by_key(report):
     return {
-        (f.document.origin, f.document.path, f.element_text): list(f.timeline.symbols)
+        (f.document.origin, f.document.path, f.element_text): list(f.symbols)
         for f in report.findings
     }
 
@@ -72,6 +72,16 @@ def suffixes_by_key(report):
         (f.document.origin, f.document.path, f.element_text): f.symbols_suffix
         for f in report.findings
     }
+
+
+def assert_round_trips(report, name):
+    """The JSON of *report* parses back to a report that renders the same
+    bytes; a complete history report also gives the same history table."""
+    text = render_findings(report)
+    parsed = parse_report(text)
+    assert render_findings(parsed) == text, name
+    if report.mode == MODE_HISTORY and not report.partial:
+        assert render_history_table(parsed) == render_history_table(report), name
 
 
 @pytest.fixture(scope="module")
@@ -181,11 +191,18 @@ class TestScanScenarios:
         run_history(config)
         assert between <= set(read)
 
-    def test_scan_report_round_trips(self, manifests):
-        manifest = manifests[0]
-        report = run_scan(config_for(manifest))
-        parsed = parse_report(render_findings(report))
-        assert render_findings(parsed) == render_findings(report)
+    def test_scan_report_round_trips(self, manifests, monkeypatch):
+        for manifest in manifests:
+            assert_round_trips(run_scan(config_for(manifest)), manifest["name"])
+        catfile_death = next(m for m in manifests if m["name"] == "catfile_death")
+        for target, died in catfile_death["died"].items():
+            with scenarios.catfile_dies_at(died["blob"]):
+                report = run_scan(config_for(catfile_death))
+            assert_round_trips(report, target)
+        cut_after(monkeypatch, 1)
+        report = run_scan(config_for(next(m for m in manifests if m["name"] == "multi_doc")))
+        assert report.partial
+        assert_round_trips(report, "partial")
 
 
 class TestHistoryScenarios:
@@ -193,7 +210,7 @@ class TestHistoryScenarios:
         manifest = next(m for m in manifests if m["name"] == "backtick_outdated")
         report = run_history(config_for(manifest))
         f = next(x for x in report.findings if x.element_text == "alpha_fn()")
-        assert list(f.timeline.symbols) == [1, 0]
+        assert list(f.symbols) == [1, 0]
         assert len(f.episodes) == 1 and f.episodes[0].ongoing
         assert f.episodes[0].duration_seconds == manifest["scan_time"] - (
             scenarios.T0 + scenarios.STEP
@@ -204,7 +221,7 @@ class TestHistoryScenarios:
         report = run_history(config_for(manifest))
         assert len(report.revisions) == manifest["first_parent_revisions"]
         f = next(x for x in report.findings if x.element_text == "merge_me()")
-        assert list(f.timeline.symbols) == [1, 1, 0]
+        assert list(f.symbols) == [1, 1, 0]
 
     def test_wiki_next_version_linking(self, manifests):
         # The wiki page was committed between the two source revisions; the
@@ -212,7 +229,7 @@ class TestHistoryScenarios:
         manifest = next(m for m in manifests if m["name"] == "wiki_outdated")
         report = run_history(config_for(manifest))
         f = next(x for x in report.findings if x.element_text == "gamma_fn()")
-        assert list(f.timeline.symbols) == [1, 0]
+        assert list(f.symbols) == [1, 0]
         assert f.episodes[0].ongoing
 
     def test_history_outdated_relates_to_scan_status(self, manifests):
@@ -251,7 +268,7 @@ class TestHistoryScenarios:
             }
             for f in history.findings:
                 key = (f.document.origin, f.document.path, f.element_text)
-                last = f.timeline.symbols[-1]
+                last = f.symbols[-1]
                 if isinstance(last, int):
                     assert last == scan_counts[key], manifest["name"]
 
@@ -264,7 +281,7 @@ class TestHistoryScenarios:
 
         history = run_history(config_for(manifest))
         f = next(x for x in history.findings if x.element_text == "delta_fn()")
-        assert list(f.timeline.symbols) == [1, 0]
+        assert list(f.symbols) == [1, 0]
         assert f.currently_outdated
 
     def test_pinned_history_symbols(self, manifests):
@@ -286,11 +303,24 @@ class TestHistoryScenarios:
                 run_history_oracle(config)
             ), manifest["name"]
 
-    def test_history_round_trips(self, manifests):
-        manifest = next(m for m in manifests if m["name"] == "multi_doc")
-        report = run_history(config_for(manifest))
-        parsed = parse_report(render_findings(report))
-        assert render_findings(parsed) == render_findings(report)
+    def test_history_round_trips(self, manifests, monkeypatch):
+        for manifest in manifests:
+            assert_round_trips(run_history(config_for(manifest)), manifest["name"])
+        catfile_death = next(m for m in manifests if m["name"] == "catfile_death")
+        for target, died in catfile_death["died"].items():
+            with scenarios.catfile_dies_at(died["blob"]):
+                report = run_history(config_for(catfile_death))
+            assert_round_trips(report, target)
+        merge_history = next(m for m in manifests if m["name"] == "merge_history")
+        with monkeypatch.context() as m:
+            fail_count_at(m, 1)
+            report = run_history(config_for(merge_history))
+        assert [f.failed_ordinals for f in report.findings] == [(1,)]
+        assert_round_trips(report, "failed count")
+        cut_after(monkeypatch, 1)
+        report = run_history(config_for(merge_history))
+        assert report.partial
+        assert_round_trips(report, "partial")
 
 
 class TestRunBehavior:

@@ -13,7 +13,6 @@ from staleref.docdiscovery import DocumentDescriptor, ORIGIN_README
 from staleref.revgraph import Revision
 from staleref.timeline import (
     DOC_ABSENT,
-    ElementTimeline,
     FIX_DOC_DELETE,
     FIX_DOC_UPDATE,
     FIX_SOURCE_CHANGE,
@@ -34,8 +33,8 @@ def revs(n, start=T, step=STEP):
 
 
 def tl(symbols, revisions=None):
-    revisions = revisions or revs(len(symbols))
-    return ElementTimeline("elem()", DOC, tuple(symbols), revisions)
+    """Arguments for ``detect_episodes``: the symbols and their revisions."""
+    return tuple(symbols), revisions or revs(len(symbols))
 
 
 def shape(episodes):
@@ -56,13 +55,13 @@ class TestBuildTimeline:
         pairs = list(zip(revisions, versions))
         counts = {2: 3, 3: 0}
         refs = {"no mention\n": set(), "use `elem()` now\n": {"elem()"}}
-        timeline = build_timeline(
-            "elem()", DOC, pairs,
+        symbols, failed = build_timeline(
+            "elem()", pairs,
             counts_provider=lambda element, rev: counts[rev.ordinal],
             refs_provider=lambda version: refs[version.text],
         )
-        assert list(timeline.symbols) == [DOC_ABSENT, NO_REFERENCE, 3, 0]
-        assert not timeline.partial
+        assert list(symbols) == [DOC_ABSENT, NO_REFERENCE, 3, 0]
+        assert not failed
 
     def test_table4_shape(self):
         # 50 revisions: no README for 13, present without the reference for
@@ -79,12 +78,12 @@ class TestBuildTimeline:
             else:
                 pairs.append((rev, DocVersion(DOC, rev, "`elem()`\n")))
         counts = {i: (3 if 31 <= i < 38 else 0) for i in range(50)}
-        timeline = build_timeline(
-            "elem()", DOC, pairs,
+        symbols, _ = build_timeline(
+            "elem()", pairs,
             counts_provider=lambda element, rev: counts[rev.ordinal],
             refs_provider=lambda version: {"elem()"} if "elem()" in version.text else set(),
         )
-        assert list(timeline.symbols) == expected
+        assert list(symbols) == expected
 
     def test_provider_failure_marks_partial(self):
         revisions = revs(3)
@@ -95,69 +94,65 @@ class TestBuildTimeline:
                 raise RuntimeError("boom")
             return 1
 
-        timeline = build_timeline(
-            "elem()", DOC, pairs,
+        symbols, failed = build_timeline(
+            "elem()", pairs,
             counts_provider=counts,
             refs_provider=lambda version: {"elem()"},
         )
-        assert timeline.partial
-        assert timeline.failed_ordinals == (1,)
+        assert symbols[1] == DOC_ABSENT
+        assert failed == (1,)
 
     def test_single_commit_repo(self):
         revisions = revs(1)
         pairs = [(revisions[0], DocVersion(DOC, revisions[0], "`elem()`\n"))]
-        timeline = build_timeline(
-            "elem()", DOC, pairs,
+        symbols, _ = build_timeline(
+            "elem()", pairs,
             counts_provider=lambda element, rev: 1,
             refs_provider=lambda version: {"elem()"},
         )
-        assert list(timeline.symbols) == [1]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ElementTimeline("elem()", DOC, (1, 0), revs(3))
+        assert list(symbols) == [1]
 
 
 class TestDetectEpisodes:
     def test_worked_scenario_single_ongoing(self):
-        episodes = detect_episodes(tl([2, 0, 0, DOC_ABSENT, 0, 0, 0]))
+        episodes = detect_episodes(*tl([2, 0, 0, DOC_ABSENT, 0, 0, 0]))
         assert shape(episodes) == [(1, None, None)]
         assert episodes[0].ongoing
 
     def test_render_files_row(self):
-        episodes = detect_episodes(tl([3, 3, 0, 0, 0, 0, NO_REFERENCE]))
+        episodes = detect_episodes(*tl([3, 3, 0, 0, 0, 0, NO_REFERENCE]))
         assert shape(episodes) == [(2, 6, FIX_DOC_UPDATE)]
 
     def test_never_zero_no_episodes(self):
-        assert detect_episodes(tl([NO_REFERENCE, NO_REFERENCE, 1, 2, 2])) == []
+        assert detect_episodes(*tl([NO_REFERENCE, NO_REFERENCE, 1, 2, 2])) == []
 
     def test_outdated_once_again(self):
-        episodes = detect_episodes(tl([1, 0, 2, 0, NO_REFERENCE]))
+        episodes = detect_episodes(*tl([1, 0, 2, 0, NO_REFERENCE]))
         assert shape(episodes) == [(1, 2, FIX_SOURCE_CHANGE), (3, 4, FIX_DOC_UPDATE)]
 
     def test_doc_delete_fix(self):
-        episodes = detect_episodes(tl([1, 0, DOC_ABSENT, NO_REFERENCE]))
+        episodes = detect_episodes(*tl([1, 0, DOC_ABSENT, NO_REFERENCE]))
         assert shape(episodes) == [(1, 2, FIX_DOC_DELETE)]
 
     def test_trailing_doc_absent_after_zeros(self):
-        episodes = detect_episodes(tl([3, 0, DOC_ABSENT, DOC_ABSENT]))
+        episodes = detect_episodes(*tl([3, 0, DOC_ABSENT, DOC_ABSENT]))
         assert shape(episodes) == [(1, 2, FIX_DOC_DELETE)]
 
     def test_zero_without_prior_positive_ignored(self):
-        assert detect_episodes(tl([0, 0, NO_REFERENCE, 0])) == []
+        assert detect_episodes(*tl([0, 0, NO_REFERENCE, 0])) == []
 
     def test_dash_crossing_opens_second_episode(self):
         # The relaxed rule only asks for a positive somewhere earlier, so the
         # zero after the dash still opens an episode.
-        episodes = detect_episodes(tl([3, 0, NO_REFERENCE, 0]))
+        episodes = detect_episodes(*tl([3, 0, NO_REFERENCE, 0]))
         assert shape(episodes) == [(1, 2, FIX_DOC_UPDATE), (3, None, None)]
 
     def test_strict_requires_positive_immediately_before(self):
-        episodes = detect_episodes(tl([3, 0, NO_REFERENCE, 0]), strict=True)
+        episodes = detect_episodes(*tl([3, 0, NO_REFERENCE, 0]), strict=True)
         assert shape(episodes) == [(1, 2, FIX_DOC_UPDATE)]
 
     def test_strict_allows_doc_absent_gap(self):
-        episodes = detect_episodes(tl([3, DOC_ABSENT, 0, 0]), strict=True)
+        episodes = detect_episodes(*tl([3, DOC_ABSENT, 0, 0]), strict=True)
         assert shape(episodes) == [(2, None, None)]
 
     def test_table6_all_three_fixes(self):
@@ -166,19 +161,19 @@ class TestDetectEpisodes:
             (NO_REFERENCE, FIX_DOC_UPDATE),
             (7, FIX_SOURCE_CHANGE),
         ):
-            episodes = detect_episodes(tl([2, 0, end_symbol]))
+            episodes = detect_episodes(*tl([2, 0, end_symbol]))
             assert shape(episodes) == [(1, 2, kind)], end_symbol
 
     def test_fix_event_carries_revision_details(self):
         revisions = revs(3)
-        episodes = detect_episodes(tl([2, 0, NO_REFERENCE], revisions))
+        episodes = detect_episodes(*tl([2, 0, NO_REFERENCE], revisions))
         fix = episodes[0].fix
         assert fix.at_ordinal == 2
         assert fix.at_sha == revisions[2].sha
         assert fix.at_timestamp == revisions[2].timestamp
 
     def test_episodes_disjoint_and_ordered(self):
-        episodes = detect_episodes(tl([1, 0, 2, 0, 3, 0, DOC_ABSENT, NO_REFERENCE]))
+        episodes = detect_episodes(*tl([1, 0, 2, 0, 3, 0, DOC_ABSENT, NO_REFERENCE]))
         spans = [(e.start_ordinal, e.end_ordinal) for e in episodes]
         assert spans == sorted(spans)
         for (s1, e1), (s2, _) in zip(spans, spans[1:]):
@@ -189,7 +184,7 @@ class TestOracleEquivalence:
     ALPHABET = [DOC_ABSENT, NO_REFERENCE, 0, 0, 1, 2, 4]
 
     def check(self, symbols, strict):
-        got = shape(detect_episodes(tl(symbols), strict=strict))
+        got = shape(detect_episodes(*tl(symbols), strict=strict))
         want = episodes_oracle(symbols, strict=strict)
         assert got == want, (symbols, strict)
 
@@ -216,18 +211,17 @@ class TestDurations:
     def test_fixed_episode_duration(self):
         # Start t=200 (first zero), fix t=400: duration 200.
         revisions = revs(4, start=100, step=100)
-        timeline = tl([2, 0, 0, NO_REFERENCE], revisions)
-        episode = detect_episodes(timeline)[0]
+        episode = detect_episodes(*tl([2, 0, 0, NO_REFERENCE], revisions))[0]
         assert episode_duration(episode, revisions) == 200
 
     def test_ongoing_duration_uses_scan_time(self):
         revisions = revs(2, start=100, step=100)
-        episode = detect_episodes(tl([2, 0], revisions))[0]
+        episode = detect_episodes(*tl([2, 0], revisions))[0]
         assert episode_duration(episode, revisions, scan_time=1000) == 800
 
     def test_ongoing_without_scan_time_rejected(self):
         revisions = revs(2)
-        episode = detect_episodes(tl([2, 0], revisions))[0]
+        episode = detect_episodes(*tl([2, 0], revisions))[0]
         with pytest.raises(ValueError):
             episode_duration(episode, revisions)
 
@@ -238,14 +232,13 @@ class TestDurations:
             Revision("1" * 39 + "a", 500, 1),
             Revision("2" * 39 + "b", 100, 2),
         )
-        timeline = tl([2, 0, NO_REFERENCE], revisions)
-        episode = detect_episodes(timeline)[0]
+        episode = detect_episodes(*tl([2, 0, NO_REFERENCE], revisions))[0]
         assert episode_duration(episode, revisions) == -400
 
 
 class TestSurvival:
     def ep(self, duration):
-        episode = OutdatedEpisode("e", DOC, 0, 1)
+        episode = OutdatedEpisode(0, 1)
         episode.duration_seconds = duration
         return episode
 
