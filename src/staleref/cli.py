@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .docdiscovery import DiscoveryConfig
 from .extraction import DEFAULT_CATALOG_TEXT, load_catalog
-from .pipeline import DEFAULT_TIMEOUT_SECONDS, RunConfig, run_history, run_scan
+from .pipeline import RunConfig, run_history, run_scan
 from .reporting import (
     FORMAT_CSV,
     FORMAT_JSON,
@@ -122,7 +122,7 @@ def _load_config_file(args) -> dict:
 
 
 def _opt(args, file_cfg: dict, name: str, default=None, cast=None, is_list: bool = False):
-    """Flag > environment > config file > default."""
+    """Flag > environment > config file > default; a list option is a tuple."""
     value = getattr(args, name, None)
     if value in (None, []):
         env = os.environ.get(ENV_PREFIX + name.upper())
@@ -136,7 +136,12 @@ def _opt(args, file_cfg: dict, name: str, default=None, cast=None, is_list: bool
         value = [value]
     if cast is not None:
         value = [cast(v) for v in value] if is_list else cast(value)
-    return value
+    return tuple(value) if is_list else value
+
+
+def _given(**options) -> dict:
+    """The options that have a value; the others keep their dataclass defaults."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _parse_scan_time(value) -> int:
@@ -183,33 +188,23 @@ def _run_analysis(args, mode: str) -> int:
         print("error: --repo is required (flag, STALEREF_REPO, or config file)", file=sys.stderr)
         return EXIT_ERROR
 
-    catalog = None
     regex_file = _opt(args, file_cfg, "regex_file")
-    if regex_file:
-        catalog = load_catalog(Path(regex_file).read_text(encoding="utf-8"))
-
-    scan_time = _opt(args, file_cfg, "scan_time")
-    discovery = DiscoveryConfig(
-        readme_glob=_opt(args, file_cfg, "readme_glob", default="README*"),
-        extra_doc_globs=tuple(_opt(args, file_cfg, "extra_doc_glob", default=[], is_list=True)),
-    )
-    config = RunConfig(
+    config = RunConfig(**_given(
         repo_path=repo,
         wiki_path=_resolve_wiki(repo, _opt(args, file_cfg, "wiki")),
         branch=_opt(args, file_cfg, "branch"),
-        catalog=catalog,
-        discovery=discovery,
-        exclude_globs=tuple(_opt(args, file_cfg, "exclude", default=[], is_list=True)),
-        max_file_bytes=_opt(
-            args, file_cfg, "max_file_bytes", default=10 * 1024 * 1024, cast=int
-        ),
-        scan_time=_parse_scan_time(scan_time) if scan_time is not None else None,
-        timeout_seconds=_opt(
-            args, file_cfg, "timeout", default=DEFAULT_TIMEOUT_SECONDS, cast=float
-        ),
+        catalog=load_catalog(Path(regex_file).read_text(encoding="utf-8")) if regex_file else None,
+        discovery=DiscoveryConfig(**_given(
+            readme_glob=_opt(args, file_cfg, "readme_glob"),
+            extra_doc_globs=_opt(args, file_cfg, "extra_doc_glob", is_list=True),
+        )),
+        exclude_globs=_opt(args, file_cfg, "exclude", is_list=True),
+        max_file_bytes=_opt(args, file_cfg, "max_file_bytes", cast=int),
+        scan_time=_opt(args, file_cfg, "scan_time", cast=_parse_scan_time),
+        timeout_seconds=_opt(args, file_cfg, "timeout", cast=float),
         url_base=_opt(args, file_cfg, "url_base"),
-        strict_episodes=_truthy(_opt(args, file_cfg, "strict_episodes", default=False)),
-    )
+        strict_episodes=_opt(args, file_cfg, "strict_episodes", cast=_truthy),
+    ))
 
     report = run_history(config) if mode == "history" else run_scan(config)
 

@@ -278,9 +278,10 @@ class HistoryCounter:
                     )
         return self._totals[element_text] + len(self._variant_paths[element_text])
 
-    def evidence(self, element_text: str) -> tuple[tuple[str, int], ...]:
-        """(path, line of the first match) per file that matches one element
-        at the current revision; line 0 marks a path-variant match."""
+    def evidence(self, element_text: str) -> tuple[tuple[str, int, str], ...]:
+        """(path, line of the first match, kind) per file that matches one
+        element at the current revision. Kind is "text" for a match in the
+        file's text, or "path-variant" for a match of its path, at line 0."""
         hits = []
         for path in self._hit_paths[element_text]:
             blob = self._tree[path]
@@ -288,8 +289,8 @@ class HistoryCounter:
         variants = sorted(
             (self._paths[path][0], self._tree[path]) for path in self._variant_paths[element_text]
         )
-        matched = [(name, line) for name, _, line in sorted(hits)]
-        matched += [(name, 0) for name, _ in variants]
+        matched = [(name, line, "text") for name, _, line in sorted(hits)]
+        matched += [(name, 0, "path-variant") for name, _ in variants]
         return tuple(matched[:MAX_MATCHED_PATHS])
 
     def _warn(self, **entry) -> None:

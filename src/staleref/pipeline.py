@@ -46,8 +46,6 @@ from .timeline import (
     is_count,
 )
 
-DEFAULT_TIMEOUT_SECONDS = 86_400.0
-
 
 class ScanTimeout(Exception):
     """Internal signal that the configured wall-clock budget ran out."""
@@ -73,9 +71,9 @@ class RunConfig:
     catalog: RegexCatalog | None = None
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
     exclude_globs: tuple[str, ...] = ()
-    max_file_bytes: int = 10 * 1024 * 1024
+    max_file_bytes: int = MatchConfig.max_file_bytes
     scan_time: int | None = None
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
+    timeout_seconds: float = 86_400.0
     url_base: str | None = None
     strict_episodes: bool = False
 
@@ -85,21 +83,16 @@ class RunConfig:
 
 
 def _derive_url_base(repo: GitRepo) -> str | None:
-    url = repo.remote_url()
-    if not url:
-        return None
+    """The origin remote's web address, without the credentials it may hold."""
+    url = repo.remote_url() or ""
     if url.startswith("git@") and ":" in url:
-        host, _, path = url[4:].partition(":")
-        url = f"https://{host}/{path}"
-    if not url.startswith(("http://", "https://")):
+        url = "https://" + url[4:].replace(":", "/", 1)
+    scheme, sep, rest = url.partition("://")
+    if not sep or scheme not in ("http", "https"):
         return None
-    return url[:-4] if url.endswith(".git") else url
-
-
-def _evidence(matched_paths: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int, str], ...]:
-    return tuple(
-        (path, line, "path-variant" if line == 0 else "text") for path, line in matched_paths
-    )
+    authority, slash, path = rest.partition("/")
+    url = f"{scheme}://{authority.rpartition('@')[2]}{slash}{path}".rstrip("/")
+    return url.removesuffix(".git")
 
 
 @dataclass(frozen=True)
@@ -283,7 +276,7 @@ def run_scan(config: RunConfig) -> ScanReport:
                             snapshot_count=snapshot_count,
                             current_sha=head.sha,
                             current_count=current[text],
-                            evidence=_evidence(counter.evidence(text)),
+                            evidence=counter.evidence(text),
                             evidence_sha=snapshot.sha,
                             doc_sha=doc_sha,
                         ))
@@ -326,8 +319,10 @@ def run_history(config: RunConfig) -> ScanReport:
     are decided in one pass over the revisions, newest first, while a
     ``HistoryCounter`` undoes each revision's changes, so that when the
     timeout strikes, the partial output covers the most recent revisions.
-    A document blob that cannot be read warns, and its cells read absent and
-    count as failed, as a failed count does.
+    A document version that cannot be read warns, and the source revisions
+    that see it read absent: they are the failed ordinals of each of the
+    document's findings. An error from counting ends the run, as in
+    ``run_scan``.
     """
     # The budget starts before the repositories are opened and diffed.
     deadline = _Deadline(config.timeout_seconds)
@@ -347,10 +342,11 @@ def run_history(config: RunConfig) -> ScanReport:
         }
 
         # Document side: per source revision, the element texts each document
-        # cites there, None where it is absent, or the read error where its
-        # blob could not be read.
+        # cites there, None where it is absent or its version unreadable. A
+        # row holds what the cell pass reads and writes for one element.
         doc_warnings: list[dict] = []
-        rows: list[dict] = []
+        # (document, sha of its hosting head or None, failed ordinals, rows)
+        docs: list[tuple[DocumentDescriptor, str | None, tuple[int, ...], list[dict]]] = []
         revisions = source.seq.revisions
         n = len(revisions)
         covered_from = n
@@ -377,23 +373,14 @@ def run_history(config: RunConfig) -> ScanReport:
             refs = [by_blob.get(blob) for blob in blobs]
             if document.origin != ORIGIN_README:
                 refs = [refs[r.ordinal] for r in link_source_to_docs(source.seq, host.seq)]
-            # Revisions that see an unreadable version read absent and count
-            # as failed in every row of the document.
-            unreadable_at = [i for i, cited in enumerate(refs) if isinstance(cited, Exception)]
-            if unreadable_at:
+            failed = tuple(i for i, cited in enumerate(refs) if isinstance(cited, Exception))
+            if failed:
                 refs = [None if isinstance(cited, Exception) else cited for cited in refs]
-            for element in sorted(elements):
-                rows.append(
-                    {
-                        "document": document,
-                        "element": element,
-                        "refs": refs,
-                        "doc_sha": host.seq.head.sha if blobs[-1] else None,
-                        "symbols": [None] * n,
-                        "failed": list(unreadable_at),
-                        "evidence": None,
-                    }
-                )
+            docs.append((document, host.seq.head.sha if blobs[-1] else None, failed, [
+                {"element": element, "refs": refs, "symbols": [None] * n, "evidence": None}
+                for element in sorted(elements)
+            ]))
+        rows = [row for *_, doc_rows in docs for row in doc_rows]
 
         # One symbol per (row, revision) cell, newest revisions first. A row's
         # evidence comes from its newest positive cell.
@@ -416,16 +403,9 @@ def run_history(config: RunConfig) -> ScanReport:
                         elif element not in cited:
                             symbol = NO_REFERENCE
                         else:
-                            # A failed count reads as DocAbsent, so that it can
-                            # never fabricate an outdated stretch on its own.
-                            try:
-                                symbol = counter.count(element, revision)
-                            except Exception:
-                                symbol = DOC_ABSENT
-                                row["failed"].append(i)
-                            else:
-                                if symbol > 0 and row["evidence"] is None:
-                                    row["evidence"] = (counter.evidence(element), revision.sha)
+                            symbol = counter.count(element, revision)
+                            if symbol > 0 and row["evidence"] is None:
+                                row["evidence"] = (counter.evidence(element), revision.sha)
                         row["symbols"][i] = symbol
                     covered_from = i
             except ScanTimeout:
@@ -433,35 +413,33 @@ def run_history(config: RunConfig) -> ScanReport:
 
         findings: list[Finding] = []
         warnings_extra: list[dict] = []
-        for row in rows:
-            finding = Finding(row["element"], row["document"], status=None, current_sha=head.sha)
-            findings.append(finding)
-            if partial:
-                finding.symbols_suffix = row["symbols"][covered_from:]
-                continue
-            finding.symbols = tuple(row["symbols"])
-            finding.failed_ordinals = tuple(sorted(row["failed"]))
-            finding.episodes = detect_episodes(
-                finding.symbols, revisions, strict=config.strict_episodes
-            )
-            for episode in finding.episodes:
-                episode.duration_seconds = episode_duration(
-                    episode, revisions, scan_time=project.scan_time
+        for document, doc_sha, failed, doc_rows in docs:
+            for row in doc_rows:
+                finding = Finding(row["element"], document, status=None, current_sha=head.sha)
+                findings.append(finding)
+                if partial:
+                    finding.symbols_suffix = row["symbols"][covered_from:]
+                    continue
+                finding.symbols = tuple(row["symbols"])
+                finding.failed_ordinals = failed
+                finding.episodes = detect_episodes(
+                    finding.symbols, revisions, strict=config.strict_episodes
                 )
-                if not episode.ongoing and episode.duration_seconds < 0:
-                    warnings_extra.append(
-                        {
+                for episode in finding.episodes:
+                    episode.duration_seconds = episode_duration(
+                        episode, revisions, scan_time=project.scan_time
+                    )
+                    if not episode.ongoing and episode.duration_seconds < 0:
+                        warnings_extra.append({
                             "kind": "negative_duration",
                             "element": row["element"],
-                            "document": row["document"].path,
+                            "document": document.path,
                             "start_ordinal": episode.start_ordinal,
-                        }
-                    )
-            matched_paths, finding.evidence_sha = row["evidence"] or ((), None)
-            finding.evidence = _evidence(matched_paths)
-            finding.doc_sha = row["doc_sha"]
-            last = finding.symbols[-1]
-            finding.current_count = last if is_count(last) else None
+                        })
+                finding.evidence, finding.evidence_sha = row["evidence"] or ((), None)
+                finding.doc_sha = doc_sha
+                last = finding.symbols[-1]
+                finding.current_count = last if is_count(last) else None
 
         return project.report(
             MODE_HISTORY, findings, doc_warnings, counter.warnings, warnings_extra,

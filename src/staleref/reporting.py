@@ -47,9 +47,10 @@ class Finding:
 
     Current-mode findings carry a status and the snapshot/current counts;
     history-mode findings carry their symbols, one per revision of the report,
-    the ordinals whose count failed (read as DocAbsent), and their episodes
-    instead (status is None there). ``evidence`` lists (path, line, kind) for
-    instances at the evidence revision, where kind is "text" or "path-variant".
+    the ordinals whose document version could not be read (read as
+    DocAbsent), and their episodes instead (status is None there).
+    ``evidence`` lists (path, line, kind) for instances at the evidence
+    revision, where kind is "text" or "path-variant".
     """
 
     element_text: str
@@ -219,6 +220,16 @@ def _parse_symbols(symbols: list, count: int) -> tuple[Symbol, ...]:
     return symbols
 
 
+def _parse_failed_ordinals(ordinals, count: int) -> tuple[int, ...]:
+    """*ordinals*, null for none, as strictly ascending ordinals below *count*."""
+    ordinals = [] if ordinals is None else ordinals
+    if type(ordinals) is not list or not all(
+        type(o) is int and previous < o < count for previous, o in zip([-1, *ordinals], ordinals)
+    ):
+        raise ValueError(f"failed_ordinals are no ascending revision ordinals: {ordinals!r}")
+    return tuple(ordinals)
+
+
 def _finding_dict(finding: Finding) -> dict:
     data: dict = {
         "element_text": finding.element_text,
@@ -250,11 +261,15 @@ def _finding_dict(finding: Finding) -> dict:
 def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Finding:
     document = _parse_document(data["document"])
     symbols = failed = None
-    if data.get("symbols") is not None and revisions is not None:
+    if data.get("symbols") is not None:
+        if revisions is None:
+            raise ValueError("symbols without revisions")
         symbols = _parse_symbols(data["symbols"], len(revisions))
-        failed = tuple(data.get("failed_ordinals") or ())
+        failed = _parse_failed_ordinals(data.get("failed_ordinals"), len(revisions))
         if bool(data.get("timeline_partial")) != bool(failed):
             raise ValueError("timeline_partial disagrees with failed_ordinals")
+    elif data.get("failed_ordinals") is not None:
+        raise ValueError("failed_ordinals without symbols")
     episodes = None
     if data.get("episodes") is not None:
         episodes = [_parse_episode(ep) for ep in data["episodes"]]

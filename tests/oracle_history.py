@@ -44,7 +44,6 @@ from staleref.pipeline import (
     RunConfig,
     ScanTimeout,
     _Deadline,
-    _evidence,
     _Host,
     _Project,
 )
@@ -186,21 +185,13 @@ def cell_symbol(
     doc_version: DocVersion | None,
     counts_provider: Callable[[str, Revision], int],
     refs_provider: Callable[[DocVersion], frozenset[str]],
-) -> tuple[Symbol, bool]:
-    """The symbol for one (revision, document version) cell, and whether its
-    count failed.
-
-    A failed count reads as DocAbsent, so that it can never fabricate an
-    outdated stretch on its own.
-    """
+) -> Symbol:
+    """The symbol for one (revision, document version) cell."""
     if doc_version is None or doc_version.text is None:
-        return DOC_ABSENT, False
+        return DOC_ABSENT
     if element_text not in refs_provider(doc_version):
-        return NO_REFERENCE, False
-    try:
-        return int(counts_provider(element_text, revision)), False
-    except Exception:
-        return DOC_ABSENT, True
+        return NO_REFERENCE
+    return int(counts_provider(element_text, revision))
 
 
 def build_timeline(
@@ -208,24 +199,24 @@ def build_timeline(
     linked_pairs: list[tuple[Revision, DocVersion | None]],
     counts_provider: Callable[[str, Revision], int],
     refs_provider: Callable[[DocVersion], frozenset[str]],
-) -> tuple[tuple[Symbol, ...], tuple[int, ...]]:
-    """The symbols for one element from linked (revision, doc) pairs, and the
-    ordinals whose count failed.
+) -> tuple[Symbol, ...]:
+    """The symbols for one element from linked (revision, doc) pairs.
 
     ``refs_provider`` maps a document version to the set of element texts it
-    references; ``counts_provider`` counts source instances at a revision. A
-    counting failure is listed instead of aborting the run.
+    references; ``counts_provider`` counts source instances at a revision.
     """
-    symbols: list[Symbol] = []
-    failed: list[int] = []
-    for ordinal, (revision, doc_version) in enumerate(linked_pairs):
-        symbol, count_failed = cell_symbol(
-            element_text, revision, doc_version, counts_provider, refs_provider
-        )
-        symbols.append(symbol)
-        if count_failed:
-            failed.append(ordinal)
-    return tuple(symbols), tuple(failed)
+    return tuple(
+        cell_symbol(element_text, revision, doc_version, counts_provider, refs_provider)
+        for revision, doc_version in linked_pairs
+    )
+
+
+def evidence_of(matched_paths: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int, str], ...]:
+    """(path, line, kind) evidence from (path, line) pairs: line 0 marks a
+    path-variant match, any other line a text match."""
+    return tuple(
+        (path, line, "path-variant" if line == 0 else "text") for path, line in matched_paths
+    )
 
 
 @dataclass(frozen=True)
@@ -387,7 +378,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
                         snapshot_count=snap_ic.count,
                         current_sha=head.sha,
                         current_count=cur_ic.count,
-                        evidence=_evidence(snap_ic.matched_paths),
+                        evidence=evidence_of(snap_ic.matched_paths),
                         evidence_sha=snapshot.sha,
                         doc_sha=host.seq.head.sha,
                     ))
@@ -441,7 +432,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                 else None
             )
             for element in sorted(set().union(*refs.values())):
-                symbols, failed = build_timeline(
+                symbols = build_timeline(
                     element, pairs, counts_provider, lambda dv: refs[dv.revision.sha]
                 )
                 episodes = detect_episodes(
@@ -464,10 +455,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                 if positives:
                     revision = seq.revisions[positives[-1]]
                     instance = scanner.count_instances(element, revision)
-                    evidence = tuple(
-                        (path, line, "path-variant" if line == 0 else "text")
-                        for path, line in instance.matched_paths
-                    )
+                    evidence = evidence_of(instance.matched_paths)
                     evidence_sha = revision.sha
                 last = symbols[-1]
                 findings.append(Finding(
@@ -480,7 +468,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                     evidence_sha=evidence_sha,
                     doc_sha=doc_sha,
                     symbols=symbols,
-                    failed_ordinals=failed,
+                    failed_ordinals=(),
                     episodes=episodes,
                 ))
         return project.report(

@@ -698,6 +698,34 @@ def build_catfile_death(base: Path):
     })
 
 
+def build_readme_version_death(base: Path):
+    # The README has two versions that cite the same two elements: revisions
+    # 0 and 1 see the first, 2 and 3 the second. "unreadable_version" pins
+    # history when the cat-file child exits at the first version's blob:
+    # revisions 0 and 1 read absent, and they are exactly the failed ordinals
+    # of both findings. The scan reads only the second version.
+    repo = RepoBuilder(base / "readme_version_death")
+    repo.commit(T0, {
+        "README.md": "Call `old_ver_fn()` and `stay_ver_fn()`.\n",
+        "src/app.py": "def old_ver_fn():\n    pass\n\ndef stay_ver_fn():\n    pass\n",
+    })
+    first_version = repo.git("rev-parse", "HEAD:README.md").strip()
+    repo.commit(T0 + STEP, {"src/util.py": "def util_fn():\n    pass\n"})
+    repo.commit(T0 + 2 * STEP, {"README.md": "First `old_ver_fn()`, then `stay_ver_fn()`.\n"})
+    repo.commit(T0 + 3 * STEP, {"src/app.py": "def stay_ver_fn():\n    pass\n"})
+    old = ("readme", "README.md", "old_ver_fn()")
+    stay = ("readme", "README.md", "stay_ver_fn()")
+    return _manifest("readme_version_death", repo, expected={
+        old: OUTDATED, stay: IN_SYNC,
+    }, history={
+        old: [1, 1, 1, 0], stay: [1, 1, 1, 1],
+    }, unreadable_version={
+        "blob": first_version,
+        "history": {old: [".", ".", 1, 0], stay: [".", ".", 1, 1]},
+        "failed_ordinals": [0, 1],
+    })
+
+
 SCENARIO_BUILDERS = [
     build_backtick_outdated,
     build_in_sync,
@@ -730,6 +758,7 @@ SCENARIO_BUILDERS = [
     build_sha256_repo,
     build_backslash_names,
     build_catfile_death,
+    build_readme_version_death,
 ]
 
 

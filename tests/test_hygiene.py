@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -116,3 +117,76 @@ def test_unreferenced_definition_is_found():
 def test_every_exported_name_resolves():
     assert len(staleref.__all__) == len(set(staleref.__all__))
     assert [name for name in staleref.__all__ if not hasattr(staleref, name)] == []
+
+
+
+# Where a handler may catch every exception: any read failure of a source
+# blob is a skip warning by design, and a finalizer must never raise.
+CATCH_ALL_ALLOWED = {"_read_source_bytes", "GitRepo.__del__"}
+
+
+def _catches_all(kind: ast.expr | None) -> bool:
+    if kind is None:
+        return True
+    kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+    return any(isinstance(k, ast.Name) and k.id in ("Exception", "BaseException") for k in kinds)
+
+
+def catch_all_handlers(source: str, allowed: set[str]) -> list[str]:
+    """Bare ``except`` clauses of *source*, and those that catch
+    ``Exception`` or ``BaseException`` alone or in a tuple, outside the
+    functions whose qualified names are in *allowed*."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.ExceptHandler) and _catches_all(child.type):
+                if scope not in allowed:
+                    found.append(f"line {child.lineno}: {scope or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_catch_all_handlers(path):
+    assert catch_all_handlers(path.read_text(encoding="utf-8"), CATCH_ALL_ALLOWED) == []
+
+
+def test_catch_all_handler_is_found():
+    source = textwrap.dedent("""\
+        try:
+            pass
+        except BaseException:
+            raise
+        def f():
+            try:
+                pass
+            except:
+                pass
+        class C:
+            def m(self):
+                try:
+                    pass
+                except (ValueError, Exception):
+                    pass
+                except ValueError:
+                    pass
+        def _read_source_bytes():
+            try:
+                pass
+            except Exception:
+                pass
+            def inner():
+                try:
+                    pass
+                except Exception:
+                    pass
+    """)
+    assert catch_all_handlers(source, {"_read_source_bytes", "C.n"}) == [
+        "line 3: <module>", "line 8: f", "line 14: C.m", "line 26: _read_source_bytes.inner",
+    ]

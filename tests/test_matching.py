@@ -222,7 +222,7 @@ class TestHistoryCounter:
         with GitRepo(builder.path) as repo:
             counter, head = counter_at_head(repo, ["target_fn()"])
             assert counter.count("target_fn()", head) == 5
-            assert ("src/app.py", 1) in counter.evidence("target_fn()")
+            assert ("src/app.py", 1, "text") in counter.evidence("target_fn()")
 
     def test_exclude_is_monotone(self, repo_factory):
         builder = build_counting_repo(repo_factory)
@@ -238,7 +238,7 @@ class TestHistoryCounter:
         with GitRepo(builder.path) as repo:
             counter, head = counter_at_head(repo, ["to/file.py"])
             assert counter.count("to/file.py", head) == 1
-            assert counter.evidence("to/file.py")[0][1] == 0  # line 0 marks a path variant
+            assert counter.evidence("to/file.py") == (("path/to/file.py", 0, "path-variant"),)
 
     def test_full_path_floor(self, repo_factory):
         builder = build_counting_repo(repo_factory)
@@ -304,7 +304,7 @@ class TestHistoryCounter:
                 counter.seek(head)
             counter.seek(r0)
             assert counter.count("hop()", r0) == 1
-            assert counter.evidence("hop()") == (("a.py", 1),)
+            assert counter.evidence("hop()") == (("a.py", 1, "text"),)
 
 
 def commit_bytes(builder, files: dict[str, bytes]) -> None:
@@ -338,13 +338,13 @@ def brute_force(repo, revision, elements, config):
             count, first, _ = count_occurrences(element, text, cap=config.max_count_per_file)
             if count:
                 totals[element] += count
-                hits[element].append((path, text.count("\n", 0, first) + 1))
+                hits[element].append((path, text.count("\n", 0, first) + 1, "text"))
     result = {}
     for element in elements:
         variants = sorted(
             path for path, _ in entries if element in expand_path_variants([path])
         )
-        evidence = sorted(hits[element]) + [(path, 0) for path in variants]
+        evidence = sorted(hits[element]) + [(path, 0, "path-variant") for path in variants]
         result[element] = (totals[element] + len(variants), tuple(evidence[:MAX_MATCHED_PATHS]))
     return result
 
@@ -455,7 +455,7 @@ class TestTokenPrefilter:
         with GitRepo(builder.path) as repo:
             counter, head = counter_at_head(repo, ["alpha_fn"], MatchConfig(max_file_bytes=100))
             assert counter.count("alpha_fn", head) == 1
-            assert counter.evidence("alpha_fn") == (("hit.py", 1),)
+            assert counter.evidence("alpha_fn") == (("hit.py", 1, "text"),)
         assert decoded == [b"alpha_fn()\n"]
         assert counter.warnings == [
             {"kind": "oversized_file", "path": "big.txt", "size": 180},

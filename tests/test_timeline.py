@@ -55,13 +55,12 @@ class TestBuildTimeline:
         pairs = list(zip(revisions, versions))
         counts = {2: 3, 3: 0}
         refs = {"no mention\n": set(), "use `elem()` now\n": {"elem()"}}
-        symbols, failed = build_timeline(
+        symbols = build_timeline(
             "elem()", pairs,
             counts_provider=lambda element, rev: counts[rev.ordinal],
             refs_provider=lambda version: refs[version.text],
         )
         assert list(symbols) == [DOC_ABSENT, NO_REFERENCE, 3, 0]
-        assert not failed
 
     def test_table4_shape(self):
         # 50 revisions: no README for 13, present without the reference for
@@ -78,14 +77,14 @@ class TestBuildTimeline:
             else:
                 pairs.append((rev, DocVersion(DOC, rev, "`elem()`\n")))
         counts = {i: (3 if 31 <= i < 38 else 0) for i in range(50)}
-        symbols, _ = build_timeline(
+        symbols = build_timeline(
             "elem()", pairs,
             counts_provider=lambda element, rev: counts[rev.ordinal],
             refs_provider=lambda version: {"elem()"} if "elem()" in version.text else set(),
         )
         assert list(symbols) == expected
 
-    def test_provider_failure_marks_partial(self):
+    def test_provider_failure_propagates(self):
         revisions = revs(3)
         pairs = [(rev, DocVersion(DOC, rev, "`elem()`\n")) for rev in revisions]
 
@@ -94,18 +93,17 @@ class TestBuildTimeline:
                 raise RuntimeError("boom")
             return 1
 
-        symbols, failed = build_timeline(
-            "elem()", pairs,
-            counts_provider=counts,
-            refs_provider=lambda version: {"elem()"},
-        )
-        assert symbols[1] == DOC_ABSENT
-        assert failed == (1,)
+        with pytest.raises(RuntimeError, match="boom"):
+            build_timeline(
+                "elem()", pairs,
+                counts_provider=counts,
+                refs_provider=lambda version: {"elem()"},
+            )
 
     def test_single_commit_repo(self):
         revisions = revs(1)
         pairs = [(revisions[0], DocVersion(DOC, revisions[0], "`elem()`\n"))]
-        symbols, _ = build_timeline(
+        symbols = build_timeline(
             "elem()", pairs,
             counts_provider=lambda element, rev: 1,
             refs_provider=lambda version: {"elem()"},
