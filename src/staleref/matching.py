@@ -10,11 +10,13 @@ that variant.
 
 from __future__ import annotations
 
+import contextlib
 import fnmatch
 import string
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .revgraph import Change, GitRepo, Revision, replay
+from .revgraph import Change, GitError, GitRepo, Revision, replay
 
 STATUS_OUTDATED = "outdated"
 STATUS_IN_SYNC = "in_sync"
@@ -130,17 +132,13 @@ def matches_exclude(path: str, patterns: tuple[str, ...]) -> bool:
 _Skip = tuple[str, str, object]
 
 
-def _read_source_bytes(
-    repo: GitRepo, blob: str, max_file_bytes: int
-) -> tuple[bytes | None, _Skip | None]:
-    """Raw bytes of a source blob, or None and the reason it was skipped.
+def _source_bytes(data: bytes | GitError, max_file_bytes: int) -> tuple[bytes | None, _Skip | None]:
+    """Raw bytes of a source blob as read, or None and the reason it was skipped.
 
     Binary blobs are skipped silently, with no reason.
     """
-    try:
-        data = repo.read_blob_bytes(blob)
-    except Exception as exc:
-        return None, ("unreadable_blob", "detail", str(exc))
+    if isinstance(data, GitError):
+        return None, ("unreadable_blob", "detail", str(data))
     if len(data) > max_file_bytes:
         return None, ("oversized_file", "size", len(data))
     if b"\x00" in data[:_BINARY_SNIFF_BYTES]:
@@ -183,10 +181,11 @@ class HistoryCounter:
     *changes* are the ``GitRepo.first_parent_changes`` of the whole sequence,
     and a revision is found in them by its ordinal. A move first collapses
     the changes it undoes into one blob per path, so it reads only blobs
-    that the target revision holds. Each blob is read and split into word
-    tokens once, and counted only for the elements whose word runs are all
-    among its tokens; an element with no word run is counted in every blob.
-    Only its non-zero counts are kept, so a move costs the changed blobs, not
+    that the target revision holds, and a walk reads the blobs of all its
+    moves through one stream. Each blob is read and split into word tokens
+    once, and counted only for the elements whose word runs are all among
+    its tokens; an element with no word run is counted in every blob. Only
+    its non-zero counts are kept, so a move costs the changed blobs, not
     the whole tree. Warnings are logged once each, for the paths and
     elements of the counted cells.
     """
@@ -230,34 +229,47 @@ class HistoryCounter:
         self._skipped_paths: dict[bytes, _Skip] = {}
         self._counted: set[str] = set()  # elements counted at this revision
 
-    def seek(self, revision: Revision) -> None:
-        """Move the state to *revision*, which must not be newer than the
-        current one."""
-        target = revision.ordinal
+    def walk(self, stops: Sequence[Revision]) -> Iterator[Revision]:
+        """Move the state to each of *stops* in turn, none newer than the one
+        before it, and yield each stop once the state is there. The blobs
+        that the moves add and that are not counted yet are read through one
+        ``GitRepo.read_blobs`` stream, in the order the moves first add them.
+        """
+        nets = [self._net(at, stop) for at, stop in zip([self.revision, *stops], stops)]
+        unread = {
+            blob: None for net in nets for path, blob in net.items()
+            if blob and blob not in self._blob_counts and self._path_info(path)[1]
+        }
+        with contextlib.closing(self.repo.read_blobs(list(unread))) as stream:
+            for stop, net in zip(stops, nets):
+                for path, old in net.items():
+                    new = self._tree.get(path)
+                    if new != old:
+                        if new is not None:
+                            self._remove(path, new)
+                        if old is not None:
+                            self._add(path, old, stream)
+                if stop != self.revision:
+                    self.revision = stop
+                    self._counted = set()
+                yield stop
+
+    def _net(self, at: Revision | None, stop: Revision) -> dict[bytes, str | None]:
+        """The blob at *stop* (None for none) of each path whose blob a move
+        from *at* may change."""
+        target = stop.ordinal
         if target >= len(self._changes):
             raise ValueError(f"revision {target} is not one of the counter's")
-        if self.revision is None:
-            for path, (blob, _) in replay(self._changes[: target + 1]).items():
-                self._add(path, blob)
-        elif target > self.revision.ordinal:
+        if at is None:
+            return {path: blob for path, (blob, _) in replay(self._changes[: target + 1]).items()}
+        if target > at.ordinal:
             raise ValueError("the counter only moves towards older revisions")
-        else:
-            # Each changed path's blob at *target*: the old side of its
-            # oldest change among the undone revisions.
-            net: dict[bytes, str | None] = {}
-            for changes in self._changes[target + 1 : self.revision.ordinal + 1]:
-                for path, old, _ in changes:
-                    net.setdefault(path, old)
-            for path, old in net.items():
-                new = self._tree.get(path)
-                if new != old:
-                    if new is not None:
-                        self._remove(path, new)
-                    if old is not None:
-                        self._add(path, old)
-        if revision != self.revision:
-            self.revision = revision
-            self._counted = set()
+        # The old side of each changed path's oldest undone change.
+        net: dict[bytes, str | None] = {}
+        for changes in self._changes[target + 1 : at.ordinal + 1]:
+            for path, old, _ in changes:
+                net.setdefault(path, old)
+        return net
 
     def count(self, element_text: str, revision: Revision) -> int:
         """Instances of one element at *revision*, the counter's position."""
@@ -303,20 +315,20 @@ class HistoryCounter:
         info = self._paths.get(path)
         if info is None:
             name = path.decode("utf-8", errors="replace")
+            # With no element cited, no path is scanned, so nothing is read.
             info = self._paths[path] = (
                 name,
-                not matches_exclude(name, self.config.exclude_globs),
+                bool(self._elements) and not matches_exclude(name, self.config.exclude_globs),
                 tuple(v for v in expand_path_variants([name]) if v in self._elements),
             )
         return info
 
-    def _counts_of(self, blob: str) -> dict[str, tuple[int, int, bool]]:
+    def _counts_of(self, blob: str, stream: Iterator) -> dict[str, tuple[int, int, bool]]:
         counts = self._blob_counts.get(blob)
         if counts is None:
             counts = self._blob_counts[blob] = {}
-            if not self._elements:
-                return counts  # nothing is ever counted, so nothing is read
-            data, skip = _read_source_bytes(self.repo, blob, self.config.max_file_bytes)
+            _, read = next(stream)
+            data, skip = _source_bytes(read, self.config.max_file_bytes)
             if skip is not None:
                 self._blob_skips[blob] = skip
             candidates = self._candidates(data) if data else ()
@@ -340,14 +352,14 @@ class HistoryCounter:
             candidates += [e for e, rest in self._by_first_run[run] if held.issuperset(rest)]
         return candidates
 
-    def _add(self, path: bytes, blob: str) -> None:
+    def _add(self, path: bytes, blob: str, stream: Iterator) -> None:
         self._tree[path] = blob
         _, scannable, variants = self._path_info(path)
         for element in variants:
             self._variant_paths[element].add(path)
         if not scannable:
             return
-        for element, (count, _, _) in self._counts_of(blob).items():
+        for element, (count, _, _) in self._counts_of(blob, stream).items():
             self._totals[element] += count
             self._hit_paths[element].add(path)
         if blob in self._blob_skips:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -141,6 +143,28 @@ class _Project:
         for host in self.hosts.values():
             host.repo.close()
 
+    def discover(
+        self, listings: dict[str, Iterable[bytes]]
+    ) -> tuple[list[DocumentDescriptor], dict[DocumentDescriptor, bytes]]:
+        """The documents among each origin's raw paths, and the raw path of
+        each one the run reads; one whose decoded path has two is not read."""
+        names: dict[str, dict[str, bytes | None]] = {origin: {} for origin in listings}
+        for origin, paths in listings.items():
+            for raw in paths:
+                name = raw.decode("utf-8", errors="replace")
+                names[origin][name] = None if name in names[origin] else raw
+        documents = discover_documents(
+            list(names[ORIGIN_README]),
+            list(names[ORIGIN_WIKI]) if ORIGIN_WIKI in names else None,
+            self.config.discovery,
+        )
+        raw_paths = {d: names[d.origin][d.path] for d in documents}
+        self.warnings += [
+            {"kind": "ambiguous_document_path", "document": d.path}
+            for d, raw in raw_paths.items() if raw is None
+        ]
+        return documents, {d: raw for d, raw in raw_paths.items() if raw is not None}
+
     def match_config(self, documents: list[DocumentDescriptor]) -> MatchConfig:
         # The analysed documents themselves never count as source instances.
         # Each is excluded by its exact path: an anchored, literal pattern.
@@ -152,22 +176,21 @@ class _Project:
             max_file_bytes=self.config.max_file_bytes,
         )
 
-    def refs_of(self, document: DocumentDescriptor, blob: str) -> frozenset[str] | Exception:
-        """The element texts one blob of *document* cites, or the error that
-        reading it raised. Each distinct blob is read and extracted once per
-        run, and its text is dropped."""
-        refs = self._refs_by_blob.get(blob)
-        if refs is None:
-            try:
-                data = self.hosts[document.origin].repo.read_blob_bytes(blob)
-            except (GitError, OSError) as exc:
-                refs = exc
-            else:
-                refs = element_texts(
-                    data.decode("utf-8", errors="replace"), self.catalog, self._line_elements
-                )
-            self._refs_by_blob[blob] = refs
-        return refs
+    def refs_of(self, origin: str, blobs: list[str]) -> Iterator[frozenset[str] | Exception]:
+        """The element texts that each of *blobs*, documents of *origin*,
+        cites, or the error that reading it gave, in order. Each distinct
+        blob is read and extracted once per run, and its text is dropped;
+        the blobs of one call are read through one stream."""
+        unread = [blob for blob in dict.fromkeys(blobs) if blob not in self._refs_by_blob]
+        with contextlib.closing(self.hosts[origin].repo.read_blobs(unread)) as stream:
+            for blob in blobs:
+                while blob not in self._refs_by_blob:
+                    read, data = next(stream)
+                    if not isinstance(data, GitError):
+                        text = data.decode("utf-8", errors="replace")
+                        data = element_texts(text, self.catalog, self._line_elements)
+                    self._refs_by_blob[read] = data
+                yield self._refs_by_blob[blob]
 
     def report(
         self, mode: str, findings: list[Finding], *warning_lists: list[dict], **fields
@@ -215,19 +238,9 @@ def run_scan(config: RunConfig) -> ScanReport:
     try:
         source = project.source
         head = source.seq.head
-        # path -> (blob at head, ordinal of its last change), per origin.
-        heads = {
-            origin: {
-                path.decode("utf-8", errors="replace"): entry
-                for path, entry in replay(host.changes).items()
-            }
-            for origin, host in project.hosts.items()
-        }
-        documents = discover_documents(
-            list(heads[ORIGIN_README]),
-            list(heads[ORIGIN_WIKI]) if ORIGIN_WIKI in heads else None,
-            config.discovery,
-        )
+        # raw path -> (blob at head, ordinal of its last change), per origin.
+        heads = {origin: replay(host.changes) for origin, host in project.hosts.items()}
+        documents, raw_paths = project.discover(heads)
 
         # snapshot -> (document, its element texts, sha of its hosting head)
         cited: dict[Revision, list[tuple]] = {}
@@ -236,18 +249,21 @@ def run_scan(config: RunConfig) -> ScanReport:
         warnings: list[dict] = []
         doc_warnings: list[dict] = []
         partial = False
+        # One stream per origin reads its head documents; project.close ends them.
+        refs = {origin: project.refs_of(origin, [
+            heads[origin][raw][0] for d, raw in raw_paths.items() if d.origin == origin
+        ]) for origin in project.hosts}
         try:
-            for document in documents:
+            for document, raw in raw_paths.items():
                 deadline.check()
                 host = project.hosts[document.origin]
-                blob, touched_at = heads[document.origin][document.path]
-                texts = project.refs_of(document, blob)
+                texts = next(refs[document.origin])
                 if isinstance(texts, Exception):
                     doc_warnings.append(_unreadable(document, texts))
                     continue
                 if not texts:
                     continue
-                touched = host.seq.revisions[touched_at]
+                touched = host.seq.revisions[heads[document.origin][raw][1]]
                 snapshot = (
                     touched if document.origin == ORIGIN_README
                     else snapshot_for_doc(touched, source.seq)
@@ -260,11 +276,13 @@ def run_scan(config: RunConfig) -> ScanReport:
                 source.repo, project.match_config(documents), frozenset(elements), source.changes
             )
             warnings = counter.warnings
-            counter.seek(head)
+            snapshots = sorted(cited, key=lambda r: r.ordinal, reverse=True)
+            stops = counter.walk([head, *snapshots])
+            next(stops)
             current = {element: counter.count(element, head) for element in elements}
-            for snapshot in sorted(cited, key=lambda r: r.ordinal, reverse=True):
+            for snapshot in snapshots:
                 deadline.check()
-                counter.seek(snapshot)
+                next(stops)
                 for document, texts, doc_sha in cited[snapshot]:
                     for text in sorted(texts):
                         snapshot_count = counter.count(text, snapshot)
@@ -288,23 +306,12 @@ def run_scan(config: RunConfig) -> ScanReport:
         project.close()
 
 
-def _union_listing(changes: list[list[Change]]) -> list[str]:
-    """Every path that holds a blob at some revision, sorted."""
-    return sorted({
-        path.decode("utf-8", errors="replace")
-        for revision_changes in changes
-        for path, _, new in revision_changes
-        if new is not None
-    })
-
-
-def _blob_series(changes: list[list[Change]], paths: set[str]) -> dict[str, list[str | None]]:
-    """The blob of each of *paths* at every revision, None where it is absent."""
-    current: dict[str, str | None] = dict.fromkeys(paths)
-    series: dict[str, list[str | None]] = {path: [] for path in paths}
+def _blob_series(changes: list[list[Change]], paths: set[bytes]) -> dict[bytes, list[str | None]]:
+    """The blob of each of the raw *paths* at every revision, None where it is absent."""
+    current: dict[bytes, str | None] = dict.fromkeys(paths)
+    series: dict[bytes, list[str | None]] = {path: [] for path in paths}
     for revision_changes in changes:
-        for raw, _, new in revision_changes:
-            path = raw.decode("utf-8", errors="replace")
+        for path, _, new in revision_changes:
             if path in current:
                 current[path] = new
         for path, blobs in series.items():
@@ -331,13 +338,15 @@ def run_history(config: RunConfig) -> ScanReport:
         source = project.source
         head = source.seq.head
         hosts = project.hosts
-        documents = discover_documents(
-            _union_listing(source.changes),
-            _union_listing(hosts[ORIGIN_WIKI].changes) if ORIGIN_WIKI in hosts else None,
-            config.discovery,
-        )
+        # Every raw path that holds a blob at some revision, per origin.
+        documents, raw_paths = project.discover({
+            origin: {path for changes in host.changes for path, _, new in changes if new}
+            for origin, host in hosts.items()
+        })
         doc_blobs = {
-            origin: _blob_series(host.changes, {d.path for d in documents if d.origin == origin})
+            origin: _blob_series(
+                host.changes, {raw for d, raw in raw_paths.items() if d.origin == origin}
+            )
             for origin, host in hosts.items()
         }
 
@@ -351,16 +360,14 @@ def run_history(config: RunConfig) -> ScanReport:
         n = len(revisions)
         covered_from = n
         partial = False
-        for document in documents:
+        for document, raw in raw_paths.items():
             if deadline.expired():
                 partial = True
                 break
             host = project.hosts[document.origin]
-            blobs = doc_blobs[document.origin][document.path]
-            by_blob = {
-                blob: project.refs_of(document, blob)
-                for blob in dict.fromkeys(blobs) if blob is not None
-            }
+            blobs = doc_blobs[document.origin][raw]
+            distinct = [blob for blob in dict.fromkeys(blobs) if blob is not None]
+            by_blob = dict(zip(distinct, project.refs_of(document.origin, distinct), strict=True))
             doc_warnings.extend(
                 _unreadable(document, cited) for cited in by_blob.values()
                 if isinstance(cited, Exception)
@@ -391,11 +398,11 @@ def run_history(config: RunConfig) -> ScanReport:
             source.changes,
         )
         if not partial:
+            stops = counter.walk(revisions[::-1])
             try:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
-                    revision = revisions[i]
-                    counter.seek(revision)
+                    revision = next(stops)
                     for row in rows:
                         element, cited = row["element"], row["refs"][i]
                         if cited is None:

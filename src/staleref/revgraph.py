@@ -1,8 +1,8 @@
 """Git plumbing: linearized first-parent histories and snapshot linking.
 
 All repository access goes through subprocess calls to the ``git`` binary; a
-long-lived ``cat-file --batch`` child is kept per repository so blob reads do
-not pay process startup per file.
+long-lived ``cat-file --batch`` child per repository streams blob reads, so
+they pay neither process startup per file nor a round trip per blob.
 """
 
 from __future__ import annotations
@@ -10,12 +10,17 @@ from __future__ import annotations
 import bisect
 import re
 import subprocess
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 # 40 hex digits name a SHA-1 object, 64 a SHA-256 one.
 _FULL_SHA = re.compile("[0-9a-f]{40}|[0-9a-f]{64}")
+
+# Blob requests a stream keeps unanswered: 63 SHA-256 request lines fit the
+# one page a Linux pipe holds at the least, so writing them never blocks.
+_WINDOW = 63
 
 # Raw diff modes on a side that holds no blob: nothing there, or a gitlink.
 _NO_BLOB_MODES = (b"000000", b"160000")
@@ -248,37 +253,53 @@ class GitRepo:
             )
         return changes
 
-    def read_blob_bytes(self, blob: str) -> bytes:
-        """Raw contents of a blob object, via a persistent cat-file process.
-
-        A child that exits before it answers raises GitError and is dropped,
-        so the next read starts a new one.
-        """
-        if self._batch is None or self._batch.poll() is not None:
-            self.close()
-            self._batch = subprocess.Popen(
-                ["git", "-C", str(self.path), "cat-file", "--batch"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-            )
-        batch = self._batch
+    def read_blobs(self, blobs: Sequence[str]) -> Iterator[tuple[str, bytes | GitError]]:
+        """(blob, its raw contents or the GitError that reading it gave) for
+        each of *blobs*, in order, through the persistent cat-file child.
+        Up to ``_WINDOW`` requests run ahead of the answers, so git looks up
+        the next objects while the caller works on this one. A missing object
+        fails only its blob. A child that exits or cuts an answer short fails
+        the first unanswered blob and is dropped; the blobs after it are
+        requested again from a new child. A stream closed with answers unread
+        drops its child. One stream at a time may read a repository."""
+        done = sent = 0  # blobs[done:sent] are requested and not answered
         try:
-            batch.stdin.write(blob.encode() + b"\n")
-            batch.stdin.flush()
-            header = batch.stdout.readline().decode().strip()
-        except BrokenPipeError:
-            header = ""
-        if not header:
-            self.close()
-            raise GitError(f"{self.path}: git cat-file exited before it answered for {blob}")
-        if header.endswith(" missing"):
-            raise UnknownRevisionError(f"{self.path}: no such object {blob}")
-        size = int(header.rsplit(" ", 1)[1])
-        data = batch.stdout.read(size)
-        if len(data) != size or batch.stdout.read(1) != b"\n":
-            self.close()
-            raise GitError(f"{self.path}: truncated cat-file output for {blob}")
-        return data
+            while done < len(blobs):
+                more = blobs[sent : done + _WINDOW]
+                if more:
+                    if done == sent and (self._batch is None or self._batch.poll() is not None):
+                        self.close()
+                        self._batch = subprocess.Popen(
+                            ["git", "-C", str(self.path), "cat-file", "--batch"],
+                            stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE,
+                        )
+                    sent += len(more)
+                    try:
+                        self._batch.stdin.write("".join(blob + "\n" for blob in more).encode())
+                        self._batch.stdin.flush()
+                    except BrokenPipeError:
+                        pass  # the child is gone: reading its answers finds out
+                blob, answers, done = blobs[done], self._batch.stdout, done + 1
+                header = answers.readline().decode().strip()
+                if header.endswith(" missing"):
+                    yield blob, UnknownRevisionError(f"{self.path}: no such object {blob}")
+                    continue
+                if header:
+                    size = int(header.rsplit(" ", 1)[1])
+                    data = answers.read(size)
+                    if len(data) == size and answers.read(1) == b"\n":
+                        yield blob, data
+                        continue
+                self.close()
+                sent = done  # the rest are requested again from a new child
+                yield blob, GitError(f"{self.path}: " + (
+                    f"truncated cat-file output for {blob}" if header
+                    else f"git cat-file exited before it answered for {blob}"
+                ))
+        finally:
+            if sent > done:
+                self.close()
 
 
 def snapshot_for_doc(doc_revision: Revision, source_seq: RevisionSequence) -> Revision:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import subprocess
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,8 +34,8 @@ from staleref.extraction import extract_elements
 from staleref.matching import (
     MAX_MATCHED_PATHS,
     MatchConfig,
-    _read_source_bytes,
     _Skip,
+    _source_bytes,
     classify_current,
     count_occurrences,
     expand_path_variants,
@@ -73,12 +74,13 @@ def _read_source_text(
     repo: GitRepo, blob: str, max_file_bytes: int
 ) -> tuple[str | None, _Skip | None]:
     """Decoded text of a source blob, or None and the reason it was skipped."""
-    data, skip = _read_source_bytes(repo, blob, max_file_bytes)
+    [(_, read)] = repo.read_blobs([blob])
+    data, skip = _source_bytes(read, max_file_bytes)
     return (None if data is None else data.decode("utf-8", errors="replace")), skip
 
 
-def _ls_tree(repo: GitRepo, sha: str) -> list[tuple[str, str, str]]:
-    """(path, mode, blob-sha) for every blob reachable at commit *sha*, sorted."""
+def _ls_tree_raw(repo: GitRepo, sha: str) -> list[tuple[bytes, str, str]]:
+    """(raw path, mode, blob-sha) for every blob reachable at commit *sha*."""
     completed = subprocess.run(
         ["git", "-C", str(repo.path), "ls-tree", "-r", "-z", sha], capture_output=True
     )
@@ -94,8 +96,38 @@ def _ls_tree(repo: GitRepo, sha: str) -> list[tuple[str, str, str]]:
         meta, path_bytes = record.split(b"\t", 1)
         mode, obj_type, obj_sha = meta.decode().split(" ")
         if obj_type == "blob":
-            entries.append((path_bytes.decode("utf-8", errors="replace"), mode, obj_sha))
-    return sorted(entries)
+            entries.append((path_bytes, mode, obj_sha))
+    return entries
+
+
+def _ls_tree(repo: GitRepo, sha: str) -> list[tuple[str, str, str]]:
+    """(path, mode, blob-sha) for every blob reachable at commit *sha*, sorted."""
+    return sorted(
+        (path.decode("utf-8", errors="replace"), mode, blob)
+        for path, mode, blob in _ls_tree_raw(repo, sha)
+    )
+
+
+def ambiguous_paths(repo: GitRepo, shas: list[str]) -> set[str]:
+    """The decoded paths that two raw blob paths of the trees at *shas* give."""
+    raw = {path for sha in shas for path, _, _ in _ls_tree_raw(repo, sha)}
+    names = Counter(path.decode("utf-8", errors="replace") for path in raw)
+    return {name for name, n in names.items() if n > 1}
+
+
+def _skip_ambiguous(project: _Project, documents, shas_of) -> list[DocumentDescriptor]:
+    """The documents a run reads: one whose decoded path two raw paths of its
+    host give at *shas_of(host)* is skipped, with a warning."""
+    ambiguous = {
+        origin: ambiguous_paths(host.repo, shas_of(host)) for origin, host in project.hosts.items()
+    }
+    kept = []
+    for document in documents:
+        if document.path in ambiguous[document.origin]:
+            project.warnings.append({"kind": "ambiguous_document_path", "document": document.path})
+        else:
+            kept.append(document)
+    return kept
 
 
 def tree_entries(repo: GitRepo, sha: str) -> tuple[tuple[str, str], ...]:
@@ -131,12 +163,20 @@ def last_touch(seq: RevisionSequence, repo: GitRepo, path: str) -> Revision | No
     return revisions[0]
 
 
+def read_blob_bytes(repo: GitRepo, blob: str) -> bytes:
+    """Raw contents of one blob, read as a stream of one; raises its error."""
+    [(_, data)] = repo.read_blobs([blob])
+    if isinstance(data, Exception):
+        raise data
+    return data
+
+
 def read_text_at(repo: GitRepo, sha: str, path: str) -> str:
     """Decoded text of *path* at commit *sha*; undecodable bytes are replaced."""
     blob = blob_at(repo, sha, path)
     if blob is None:
         raise KeyError(f"{repo.path}: {path} not present at {sha}")
-    return repo.read_blob_bytes(blob).decode("utf-8", errors="replace")
+    return read_blob_bytes(repo, blob).decode("utf-8", errors="replace")
 
 
 @dataclass(frozen=True)
@@ -351,6 +391,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
             config.discovery,
         )
         scanner = SourceScanner(source.repo, project.match_config(documents))
+        documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
 
         findings: list[Finding] = []
         partial = False
@@ -406,6 +447,9 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             _union_listing(source), _union_listing(wiki) if wiki else None, config.discovery
         )
         scanner = SourceScanner(source.repo, project.match_config(documents))
+        documents = _skip_ambiguous(
+            project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
+        )
         counts_provider = lambda element, rev: scanner.count_instances(element, rev).count
         findings: list[Finding] = []
         extra_warnings: list[dict] = []

@@ -637,6 +637,33 @@ def build_backslash_names(base: Path):
     })
 
 
+def build_ambiguous_doc_paths(base: Path):
+    # README\xff.md and README\xfe.md decode to one path, and so do the
+    # wiki's Page\xff.md and Page\xfe.md: neither of a pair is read, and
+    # each pair warns once in both modes. The READMEs are still no source,
+    # else README\xfe.md would keep gone_amb_fn() matched.
+    repo = RepoBuilder(base / "ambiguous_doc_paths")
+    wiki = RepoBuilder(base / "ambiguous_doc_paths.wiki")
+    for builder, name in ((repo, b"README"), (wiki, b"Page")):
+        for byte, element in ((b"\xff", "keep_amb_fn"), (b"\xfe", "gone_amb_fn")):
+            with open(bytes(builder.path) + b"/" + name + byte + b".md", "wb") as handle:
+                handle.write(f"Call `{element}()`.\n".encode())
+    repo.commit(T0, {
+        "README.md": "Call `stay_amb_fn()` and `gone_amb_fn()`.\n",
+        "src/app.py": "def gone_amb_fn():\n    pass\n\ndef stay_amb_fn():\n    pass\n",
+    })
+    wiki.commit(T0 + STEP, {"Home.md": "Use `stay_amb_fn()`.\n"})
+    repo.commit(T0 + 2 * STEP, {"src/app.py": "def stay_amb_fn():\n    pass\n"})
+    gone = ("readme", "README.md", "gone_amb_fn()")
+    stay = ("readme", "README.md", "stay_amb_fn()")
+    home = ("wiki", "Home.md", "stay_amb_fn()")
+    return _manifest("ambiguous_doc_paths", repo, wiki, expected={
+        gone: OUTDATED, stay: IN_SYNC, home: IN_SYNC,
+    }, history={
+        gone: [1, 0], stay: [1, 1], home: [1, 1],
+    }, warnings=["ambiguous_document_path"] * 2, ambiguous=["Page\ufffd.md", "README\ufffd.md"])
+
+
 # A stand-in for "git -C <repo> cat-file --batch" that answers each request
 # through git, except that it exits unanswered when asked for blob $1.
 _DYING_CAT_FILE = (
@@ -757,6 +784,7 @@ SCENARIO_BUILDERS = [
     build_readme_moved,
     build_sha256_repo,
     build_backslash_names,
+    build_ambiguous_doc_paths,
     build_catfile_death,
     build_readme_version_death,
 ]

@@ -275,14 +275,16 @@ def count_off_chain(repo, shas, elements, config) -> dict[str, tuple[int, ...]]:
         Revision(sha, 0, i) for i, sha in enumerate(shas, start=1)
     ))
     counter = HistoryCounter(repo, config, frozenset(elements), repo.first_parent_changes(seq))
-    scanner = SourceScanner(repo, config)
     counts = {}
-    for revision in reversed(seq.revisions[1:]):
-        counter.seek(revision)
-        counts[revision.sha] = tuple(counter.count(e, revision) for e in elements)
-        assert counts[revision.sha] == tuple(
-            scanner.count_instances(e, revision).count for e in elements
-        ), revision.sha
+    # The walk's blob stream stays open between its stops, and one stream at
+    # a time may read a repository, so the oracle reads through its own.
+    with GitRepo(repo.path) as oracle_repo:
+        scanner = SourceScanner(oracle_repo, config)
+        for revision in counter.walk(seq.revisions[:0:-1]):
+            counts[revision.sha] = tuple(counter.count(e, revision) for e in elements)
+            assert counts[revision.sha] == tuple(
+                scanner.count_instances(e, revision).count for e in elements
+            ), revision.sha
     return counts
 
 

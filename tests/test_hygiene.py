@@ -120,9 +120,8 @@ def test_every_exported_name_resolves():
 
 
 
-# Where a handler may catch every exception: any read failure of a source
-# blob is a skip warning by design, and a finalizer must never raise.
-CATCH_ALL_ALLOWED = {"_read_source_bytes", "GitRepo.__del__"}
+# Where a handler may catch every exception: a finalizer must never raise.
+CATCH_ALL_ALLOWED = {"GitRepo.__del__"}
 
 
 def _catches_all(kind: ast.expr | None) -> bool:

@@ -210,7 +210,7 @@ def counter_at_head(repo, elements, config=None):
     counter = HistoryCounter(
         repo, config or MatchConfig(), frozenset(elements), repo.first_parent_changes(seq)
     )
-    counter.seek(seq.head)
+    next(counter.walk([seq.head]))
     return counter, seq.head
 
 
@@ -296,13 +296,16 @@ class TestHistoryCounter:
             counter, head = counter_at_head(repo, ["hop()"])
             r0, r1, _ = repo.linearize_history().revisions
             assert counter.count("hop()", head) == 2
-            counter.seek(r1)
+            stops = counter.walk([r1, r0])
+            next(stops)
             assert counter.count("hop()", r1) == 3
             with pytest.raises(ValueError):
                 counter.count("hop()", head)
             with pytest.raises(ValueError):
-                counter.seek(head)
-            counter.seek(r0)
+                next(counter.walk([head]))
+            with pytest.raises(ValueError):
+                next(counter.walk([r0, r1]))
+            next(stops)
             assert counter.count("hop()", r0) == 1
             assert counter.evidence("hop()") == (("a.py", 1, "text"),)
 

@@ -12,10 +12,10 @@ import pytest
 import scenarios
 from conftest import RepoBuilder
 from scenarios import config_for
-from oracle_history import run_history_oracle, run_scan_oracle
+from oracle_history import run_history_oracle, run_scan_oracle, tree_entries
 from staleref import cli, pipeline
 from staleref.docdiscovery import DiscoveryConfig
-from staleref.matching import HistoryCounter, MatchConfig
+from staleref.matching import HistoryCounter, MatchConfig, matches_exclude
 from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
 from staleref.reporting import MODE_HISTORY, parse_report, render_findings, render_history_table
 from staleref.revgraph import GitError, GitRepo
@@ -169,13 +169,14 @@ class TestScanScenarios:
         wiki.commit(T0 + 2 * STEP + 20, {"Other.md": "See `b_fn()`.\n"})
         between = {repo.git("rev-parse", f"{sha}:src/c.py").strip() for sha in repo.shas[3:5]}
         read = []
-        original = GitRepo.read_blob_bytes
+        original = GitRepo.read_blobs
 
-        def record(self, blob):
-            read.append(blob)
-            return original(self, blob)
+        def record(self, blobs):
+            blobs = list(blobs)
+            read.extend(blobs)
+            return original(self, blobs)
 
-        monkeypatch.setattr(GitRepo, "read_blob_bytes", record)
+        monkeypatch.setattr(GitRepo, "read_blobs", record)
         config = RunConfig(repo_path=str(repo.path), wiki_path=str(wiki.path),
                            scan_time=T0 + 10 * STEP)
         report = run_scan(config)
@@ -355,6 +356,16 @@ class TestRunBehavior:
                 (f.document.origin, f.document.path, f.element_text) for f in report.findings
             } == set(manifest["expected"]), run.__name__
 
+    def test_ambiguous_document_paths_warn_and_are_skipped(self, manifests):
+        manifest = next(m for m in manifests if m["name"] == "ambiguous_doc_paths")
+        for run in (run_scan, run_history):
+            report = run(config_for(manifest))
+            assert report.warnings == [
+                {"kind": "ambiguous_document_path", "document": path}
+                for path in manifest["ambiguous"]
+            ], run.__name__
+            assert {f.document.path for f in report.findings} == {"README.md", "Home.md"}
+
     def test_url_base_fills_finding_urls(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "backtick_outdated")
         report = run_scan(config_for(manifest, url_base="https://github.com/acme/proj"))
@@ -449,14 +460,14 @@ def guide_repos(tmp_path_factory):
 
 
 def fail_read_of(monkeypatch, blob: str) -> None:
-    original = GitRepo.read_blob_bytes
+    """Make every blob stream give an error in place of *blob*'s bytes."""
+    original = GitRepo.read_blobs
 
-    def read_blob_bytes(self, blob_sha):
-        if blob_sha == blob:
-            raise GitError(f"cannot read {blob_sha}")
-        return original(self, blob_sha)
+    def read_blobs(self, blobs):
+        for sha, data in original(self, blobs):
+            yield sha, GitError(f"cannot read {sha}") if sha == blob else data
 
-    monkeypatch.setattr(GitRepo, "read_blob_bytes", read_blob_bytes)
+    monkeypatch.setattr(GitRepo, "read_blobs", read_blobs)
 
 
 def cli_exit(mode: str, config, out) -> int:
@@ -572,6 +583,41 @@ class TestGitChildren:
             ("proj", "cat-file", False): 1, ("proj.wiki", "cat-file", False): 1,
         }
         assert Counter(spawned) == Counter(setup) + Counter(analysis)
+
+    def test_counter_reads_once_each_blob_its_stops_hold(self, manifests, monkeypatch):
+        # Counting stop by stop reads each blob that a scanned path holds at
+        # some stop, once. A walk must ask its stream for exactly those blobs,
+        # each once, before it moves.
+        walks = []
+        original = HistoryCounter.walk
+
+        def walk(self, stops):
+            requested = []
+            walks.append((self, list(stops), requested))
+            read_blobs = self.repo.read_blobs
+            self.repo.read_blobs = lambda blobs: requested.extend(blobs) or read_blobs(blobs)
+            try:
+                yield from original(self, stops)
+            finally:
+                del self.repo.read_blobs
+
+        monkeypatch.setattr(HistoryCounter, "walk", walk)
+        read = 0
+        for manifest in manifests:
+            for run in (run_scan, run_history):
+                walks.clear()
+                run(config_for(manifest))
+                [(counter, stops, requested)] = walks
+                assert len(requested) == len(set(requested)), (manifest["name"], run.__name__)
+                expected = {
+                    blob
+                    for stop in stops
+                    for path, blob in tree_entries(counter.repo, stop.sha)
+                    if not matches_exclude(path, counter.config.exclude_globs)
+                } if counter._elements else set()
+                assert set(requested) == expected, (manifest["name"], run.__name__)
+                read += len(requested)
+        assert read
 
 
 class TestSkippedBlobWarnings:

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
 
 import pytest
 
 import oracle_history
 import scenarios
 from conftest import RepoBuilder
+from oracle_history import read_blob_bytes
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
+from staleref import revgraph
 from staleref.revgraph import (
     EmptyHistoryError,
     GitError,
@@ -132,7 +135,7 @@ class TestTreeAndBlobs:
         builder.commit(T, {"f.txt": content})
         with GitRepo(builder.path) as repo:
             blob = blobs_at(repo, repo.linearize_history().head)["f.txt"]
-            assert repo.read_blob_bytes(blob) == content.encode("utf-8")
+            assert read_blob_bytes(repo, blob) == content.encode("utf-8")
 
     def test_read_blob_missing_path(self, repo_factory):
         builder = repo_factory()
@@ -140,7 +143,7 @@ class TestTreeAndBlobs:
         with GitRepo(builder.path) as repo:
             assert "gone.txt" not in blobs_at(repo, repo.linearize_history().head)
             with pytest.raises(UnknownRevisionError):
-                repo.read_blob_bytes("f" * 40)
+                read_blob_bytes(repo, "f" * 40)
 
     def test_read_blob_at_deleted_path(self, repo_factory):
         builder = repo_factory()
@@ -148,7 +151,7 @@ class TestTreeAndBlobs:
         builder.commit(T + 100, {"f.txt": None})
         with GitRepo(builder.path) as repo:
             first, head = repo.linearize_history().revisions
-            assert repo.read_blob_bytes(blobs_at(repo, first)["f.txt"]) == b"a\n"
+            assert read_blob_bytes(repo, blobs_at(repo, first)["f.txt"]) == b"a\n"
             assert "f.txt" not in blobs_at(repo, head)
 
     def test_unknown_revision(self, repo_factory):
@@ -166,7 +169,7 @@ class TestTreeAndBlobs:
         with GitRepo(builder.path) as repo:
             blobs = blobs_at(repo, repo.linearize_history().head)
             for i in range(30):
-                assert repo.read_blob_bytes(blobs[f"f{i}.txt"]) == f"content {i}\n".encode()
+                assert read_blob_bytes(repo, blobs[f"f{i}.txt"]) == f"content {i}\n".encode()
 
     def test_dead_cat_file_child_is_named_and_replaced(self, repo_factory):
         builder = repo_factory()
@@ -175,13 +178,30 @@ class TestTreeAndBlobs:
             blobs = blobs_at(repo, repo.linearize_history().head)
             with scenarios.catfile_dies_at(blobs["a.txt"]):
                 with pytest.raises(GitError, match="cat-file exited before it answered") as info:
-                    repo.read_blob_bytes(blobs["a.txt"])
+                    read_blob_bytes(repo, blobs["a.txt"])
                 assert not isinstance(info.value, UnknownRevisionError)
                 assert repo._batch is None
-                assert repo.read_blob_bytes(blobs["b.txt"]) == b"b\n"
+                assert read_blob_bytes(repo, blobs["b.txt"]) == b"b\n"
                 with pytest.raises(GitError, match="cat-file exited before it answered"):
-                    repo.read_blob_bytes(blobs["a.txt"])
-            assert repo.read_blob_bytes(blobs["a.txt"]) == b"a\n"
+                    read_blob_bytes(repo, blobs["a.txt"])
+            assert read_blob_bytes(repo, blobs["a.txt"]) == b"a\n"
+
+    def test_abandoned_stream_leaves_no_answer_behind(self, repo_factory):
+        builder = repo_factory()
+        builder.commit(T, {f"f{i}.txt": f"content {i}\n" for i in range(3)})
+        with GitRepo(builder.path) as repo:
+            blobs = blobs_at(repo, repo.linearize_history().head)
+            shas = [blobs[f"f{i}.txt"] for i in range(3)]
+            stream = repo.read_blobs(shas)
+            assert next(stream) == (shas[0], b"content 0\n")
+            stream.close()  # two answers unread
+            assert read_blob_bytes(repo, shas[2]) == b"content 2\n"
+            stream = repo.read_blobs(shas)
+            next(stream)
+            del stream
+            assert list(repo.read_blobs(shas[::-1])) == [
+                (sha, f"content {i}\n".encode()) for i, sha in reversed(list(enumerate(shas)))
+            ]
 
     def test_last_touch(self, repo_factory):
         # The oracle's last touch, from tree listings, agrees with git log.
@@ -222,7 +242,7 @@ class TestRevision:
             assert sequence.revisions[0].sha == first
             changes = repo.first_parent_changes(sequence)
             assert [[path for path, _, _ in c] for c in changes] == [[b"f.txt"], [b"f.txt"]]
-            assert repo.read_blob_bytes(changes[1][0][2]) == b"b\n"
+            assert read_blob_bytes(repo, changes[1][0][2]) == b"b\n"
 
 
 class TestSnapshotLinking:
@@ -404,3 +424,171 @@ class TestLinkProperty:
             assert link_source_to_docs(sources, docs) == _oracle_links(sources, docs), (
                 source_ts, doc_ts
             )
+
+
+class FakeCatFile:
+    """An in-process stand-in for a ``git cat-file --batch`` child.
+
+    It answers requests in order from *objects* (sha -> bytes), and as
+    missing for any other sha. At the sha *dies_at* it exits unanswered, and
+    at *truncates_at* it writes half the answer and exits. It records every
+    request and the most that were ever outstanding: written, with no
+    answer begun.
+    """
+
+    def __init__(self, objects: dict[str, bytes], dies_at=None, truncates_at=None):
+        self.objects, self.dies_at, self.truncates_at = objects, dies_at, truncates_at
+        self.requests: list[str] = []
+        self.answered = 0
+        self.most_outstanding = 0
+        self.returncode = None
+        self.stdin, self.stdout = _FakeStdin(self), _FakeStdout(self)
+
+    def answer_next(self) -> None:
+        if self.returncode is not None or self.answered == len(self.requests):
+            return
+        sha = self.requests[self.answered]
+        self.answered += 1
+        data = self.objects.get(sha)
+        if sha == self.dies_at:
+            self.returncode = 3
+        elif data is None:
+            self.stdout.pending += f"{sha} missing\n".encode()
+        else:
+            answer = f"{sha} blob {len(data)}\n".encode() + data + b"\n"
+            if sha == self.truncates_at:
+                answer, self.returncode = answer[: len(answer) - len(data) // 2 - 1], 3
+            self.stdout.pending += answer
+
+    def poll(self):
+        return self.returncode
+
+    def terminate(self) -> None:
+        if self.returncode is None:
+            self.returncode = -15
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+class _FakeStdin:
+    def __init__(self, child: FakeCatFile):
+        self.child, self.buffer = child, b""
+
+    def write(self, data: bytes) -> None:
+        self.buffer += data
+
+    def flush(self) -> None:
+        child = self.child
+        if child.returncode is not None:
+            raise BrokenPipeError
+        *lines, self.buffer = self.buffer.split(b"\n")
+        child.requests += [line.decode() for line in lines]
+        child.most_outstanding = max(child.most_outstanding, len(child.requests) - child.answered)
+
+    def close(self) -> None:
+        if self.buffer:
+            self.flush()
+
+
+class _FakeStdout:
+    def __init__(self, child: FakeCatFile):
+        self.child, self.pending = child, b""
+
+    def readline(self) -> bytes:
+        if not self.pending:
+            self.child.answer_next()
+        line, newline, self.pending = self.pending.partition(b"\n")
+        return line + newline
+
+    def read(self, size: int) -> bytes:
+        data, self.pending = self.pending[:size], self.pending[size:]
+        return data
+
+    def close(self) -> None:
+        pass
+
+
+class TestBlobStream:
+    """``GitRepo.read_blobs`` against fake cat-file children."""
+
+    SHAS = [f"{i:040x}" for i in range(1, 201)]
+    OBJECTS = {sha: f"object {i}\n".encode() * (i % 3) for i, sha in enumerate(SHAS)}
+
+    @pytest.fixture
+    def fake_repo(self, repo_factory, monkeypatch):
+        """A GitRepo whose cat-file children are FakeCatFile instances made
+        by the returned function's keyword arguments; it lists them."""
+        builder = repo_factory()
+        builder.commit(T, {"f.txt": "a\n"})
+        repo = GitRepo(builder.path)
+        children: list[FakeCatFile] = []
+        options = {}
+
+        def spawn(args, **kwargs):
+            assert args[3:] == ["cat-file", "--batch"]
+            children.append(FakeCatFile(self.OBJECTS, **options))
+            return children[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+
+        def configure(**kwargs):
+            options.update(kwargs)
+            return repo, children
+
+        yield configure
+        repo.close()
+
+    def test_keeps_at_most_a_window_outstanding(self, fake_repo):
+        repo, children = fake_repo()
+        assert list(repo.read_blobs(self.SHAS)) == list(self.OBJECTS.items())
+        [child] = children
+        assert child.requests == self.SHAS
+        assert child.most_outstanding == revgraph._WINDOW == 63
+
+    @pytest.mark.parametrize("fault", ["dies_at", "truncates_at"])
+    @pytest.mark.parametrize("index", [0, 31, 62, 63, 199], ids=lambda i: f"sha{i}")
+    def test_a_dying_child_fails_one_blob(self, fake_repo, fault, index):
+        # 0, 31 and 62 are the first, a middle and the last sha of the first
+        # window; 63 opens the second, and 199 is the last of all.
+        bad = self.SHAS[index]
+        repo, children = fake_repo(**{fault: bad})
+        got = list(repo.read_blobs(self.SHAS))
+        assert [sha for sha, _ in got] == self.SHAS
+        [(_, error)] = [(sha, data) for sha, data in got if sha == bad]
+        message = "truncated cat-file output" if fault == "truncates_at" else (
+            "git cat-file exited before it answered"
+        )
+        assert type(error) is GitError and str(error) == f"{repo.path}: {message} for {bad}"
+        assert [(sha, data) for sha, data in got if sha != bad] == [
+            (sha, data) for sha, data in self.OBJECTS.items() if sha != bad
+        ]
+        if index == len(self.SHAS) - 1:
+            assert len(children) == 1
+        else:
+            first, second = children
+            assert first.requests[: index + 1] == self.SHAS[: index + 1]
+            assert second.requests == self.SHAS[index + 1 :]
+            assert first.returncode is not None and second.returncode is None
+
+    def test_a_missing_blob_fails_alone(self, fake_repo):
+        repo, children = fake_repo()
+        shas = self.SHAS[:20] + ["f" * 40] + self.SHAS[20:40]
+        got = list(repo.read_blobs(shas))
+        assert [sha for sha, _ in got] == shas
+        assert isinstance(got[20][1], UnknownRevisionError)
+        assert got[:20] + got[21:] == [(sha, self.OBJECTS[sha]) for sha in shas if sha in self.OBJECTS]
+        assert len(children) == 1 and children[0].returncode is None
+
+    def test_an_abandoned_stream_drops_its_child(self, fake_repo):
+        repo, children = fake_repo()
+        stream = repo.read_blobs(self.SHAS)
+        for _ in range(5):
+            next(stream)
+        stream.close()
+        assert children[0].returncode == -15 and repo._batch is None
+        assert read_blob_bytes(repo, self.SHAS[7]) == self.OBJECTS[self.SHAS[7]]
+        assert len(children) == 2 and children[1].requests == [self.SHAS[7]]
+        # A stream whose answers were all read keeps its child for the next.
+        assert list(repo.read_blobs(self.SHAS[:2])) == list(self.OBJECTS.items())[:2]
+        assert len(children) == 2
