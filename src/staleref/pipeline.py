@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import itertools
 import json
 import time
 from collections.abc import Iterable, Iterator
@@ -133,15 +134,10 @@ class _Project:
         self.catalog = config.catalog or default_catalog()
         # Line -> element texts, shared by every document the run extracts.
         self._line_elements: dict = {}
-        self._refs_by_blob: dict[str, frozenset[str] | Exception] = {}
         self.url_base = config.url_base or _derive_url_base(self.source.repo)
         self.scan_time = (
             config.scan_time if config.scan_time is not None else int(time.time())
         )
-
-    def close(self) -> None:
-        for host in self.hosts.values():
-            host.repo.close()
 
     def discover(
         self, listings: dict[str, Iterable[bytes]]
@@ -179,18 +175,19 @@ class _Project:
     def refs_of(self, origin: str, blobs: list[str]) -> Iterator[frozenset[str] | Exception]:
         """The element texts that each of *blobs*, documents of *origin*,
         cites, or the error that reading it gave, in order. Each distinct
-        blob is read and extracted once per run, and its text is dropped;
-        the blobs of one call are read through one stream."""
-        unread = [blob for blob in dict.fromkeys(blobs) if blob not in self._refs_by_blob]
-        with contextlib.closing(self.hosts[origin].repo.read_blobs(unread)) as stream:
+        blob is read and extracted once, and its text is dropped; the blobs
+        are read through one stream, which closing this iterator ends."""
+        refs: dict[str, frozenset[str] | Exception] = {}
+        distinct = list(dict.fromkeys(blobs))
+        with contextlib.closing(self.hosts[origin].repo.read_blobs(distinct)) as stream:
             for blob in blobs:
-                while blob not in self._refs_by_blob:
+                while blob not in refs:
                     read, data = next(stream)
                     if not isinstance(data, GitError):
                         text = data.decode("utf-8", errors="replace")
                         data = element_texts(text, self.catalog, self._line_elements)
-                    self._refs_by_blob[read] = data
-                yield self._refs_by_blob[blob]
+                    refs[read] = data
+                yield refs[blob]
 
     def report(
         self, mode: str, findings: list[Finding], *warning_lists: list[dict], **fields
@@ -224,8 +221,8 @@ def run_scan(config: RunConfig) -> ScanReport:
 
     Each hosting repository's first-parent changes give its documents, their
     blobs at head and the revision that last touched each. Documents are
-    read first, with one deadline check each; a document that cannot be read
-    is skipped with a warning. A README's snapshot is the source revision
+    read first, through one stream per repository, with one deadline check
+    each; a document that cannot be read is skipped with a warning. A README's snapshot is the source revision
     that last touched it; a wiki page's is the ``snapshot_for_doc`` of the
     wiki revision that last touched it. One ``HistoryCounter`` then counts
     every cited element at head and moves to each snapshot, newest first,
@@ -235,49 +232,49 @@ def run_scan(config: RunConfig) -> ScanReport:
     # The budget starts before the repositories are opened and diffed.
     deadline = _Deadline(config.timeout_seconds)
     project = _Project(config)
+    source = project.source
+    head = source.seq.head
+    # raw path -> (blob at head, ordinal of its last change), per origin.
+    heads = {origin: replay(host.changes) for origin, host in project.hosts.items()}
+    documents, raw_paths = project.discover(heads)
+
+    # snapshot -> (document, its element texts, sha of its hosting head)
+    cited: dict[Revision, list[tuple]] = {}
+    elements: set[str] = set()
+    findings: list[Finding] = []
+    warnings: list[dict] = []
+    doc_warnings: list[dict] = []
+    partial = False
     try:
-        source = project.source
-        head = source.seq.head
-        # raw path -> (blob at head, ordinal of its last change), per origin.
-        heads = {origin: replay(host.changes) for origin, host in project.hosts.items()}
-        documents, raw_paths = project.discover(heads)
+        # One stream per origin reads its head documents.
+        for origin, group in itertools.groupby(raw_paths.items(), key=lambda item: item[0].origin):
+            group = list(group)
+            host = project.hosts[origin]
+            blobs = [heads[origin][raw][0] for _, raw in group]
+            with contextlib.closing(project.refs_of(origin, blobs)) as refs:
+                for document, raw in group:
+                    deadline.check()
+                    texts = next(refs)
+                    if isinstance(texts, Exception):
+                        doc_warnings.append(_unreadable(document, texts))
+                        continue
+                    if not texts:
+                        continue
+                    touched = host.seq.revisions[heads[origin][raw][1]]
+                    snapshot = (
+                        touched if origin == ORIGIN_README
+                        else snapshot_for_doc(touched, source.seq)
+                    )
+                    cited.setdefault(snapshot, []).append((document, texts, host.seq.head.sha))
+                    elements.update(texts)
 
-        # snapshot -> (document, its element texts, sha of its hosting head)
-        cited: dict[Revision, list[tuple]] = {}
-        elements: set[str] = set()
-        findings: list[Finding] = []
-        warnings: list[dict] = []
-        doc_warnings: list[dict] = []
-        partial = False
-        # One stream per origin reads its head documents; project.close ends them.
-        refs = {origin: project.refs_of(origin, [
-            heads[origin][raw][0] for d, raw in raw_paths.items() if d.origin == origin
-        ]) for origin in project.hosts}
-        try:
-            for document, raw in raw_paths.items():
-                deadline.check()
-                host = project.hosts[document.origin]
-                texts = next(refs[document.origin])
-                if isinstance(texts, Exception):
-                    doc_warnings.append(_unreadable(document, texts))
-                    continue
-                if not texts:
-                    continue
-                touched = host.seq.revisions[heads[document.origin][raw][1]]
-                snapshot = (
-                    touched if document.origin == ORIGIN_README
-                    else snapshot_for_doc(touched, source.seq)
-                )
-                cited.setdefault(snapshot, []).append((document, texts, host.seq.head.sha))
-                elements.update(texts)
-
-            deadline.check()
-            counter = HistoryCounter(
-                source.repo, project.match_config(documents), frozenset(elements), source.changes
-            )
-            warnings = counter.warnings
-            snapshots = sorted(cited, key=lambda r: r.ordinal, reverse=True)
-            stops = counter.walk([head, *snapshots])
+        deadline.check()
+        counter = HistoryCounter(
+            source.repo, project.match_config(documents), frozenset(elements), source.changes
+        )
+        warnings = counter.warnings
+        snapshots = sorted(cited, key=lambda r: r.ordinal, reverse=True)
+        with contextlib.closing(counter.walk([head, *snapshots])) as stops:
             next(stops)
             current = {element: counter.count(element, head) for element in elements}
             for snapshot in snapshots:
@@ -298,34 +295,36 @@ def run_scan(config: RunConfig) -> ScanReport:
                             evidence_sha=snapshot.sha,
                             doc_sha=doc_sha,
                         ))
-        except ScanTimeout:
-            partial = True
+    except ScanTimeout:
+        partial = True
 
-        return project.report(MODE_CURRENT, findings, doc_warnings, warnings, partial=partial)
-    finally:
-        project.close()
+    return project.report(MODE_CURRENT, findings, doc_warnings, warnings, partial=partial)
 
 
-def _blob_series(changes: list[list[Change]], paths: set[bytes]) -> dict[bytes, list[str | None]]:
-    """The blob of each of the raw *paths* at every revision, None where it is absent."""
-    current: dict[bytes, str | None] = dict.fromkeys(paths)
-    series: dict[bytes, list[str | None]] = {path: [] for path in paths}
+def _blob_series(
+    changes: list[list[Change]], raw_paths: dict[DocumentDescriptor, bytes]
+) -> dict[DocumentDescriptor, list[str | None]]:
+    """The blob of each document's raw path at every revision, None where it is absent."""
+    current: dict[bytes, str | None] = dict.fromkeys(raw_paths.values())
+    series: dict[DocumentDescriptor, list[str | None]] = {document: [] for document in raw_paths}
     for revision_changes in changes:
         for path, _, new in revision_changes:
             if path in current:
                 current[path] = new
-        for path, blobs in series.items():
-            blobs.append(current[path])
+        for document, blobs in series.items():
+            blobs.append(current[raw_paths[document]])
     return series
 
 
 def run_history(config: RunConfig) -> ScanReport:
     """Full-history analysis producing symbolic timelines and episodes.
 
-    Each repository's first-parent changes come from one diff stream. Cells
-    are decided in one pass over the revisions, newest first, while a
-    ``HistoryCounter`` undoes each revision's changes, so that when the
-    timeout strikes, the partial output covers the most recent revisions.
+    Each repository's first-parent changes come from one diff stream, and
+    one blob stream per repository reads every version of its documents,
+    with one deadline check per document. Cells are decided in one pass
+    over the revisions, newest first, while a ``HistoryCounter`` undoes
+    each revision's changes, so that when the timeout strikes, the partial
+    output covers the most recent revisions.
     A document version that cannot be read warns, and the source revisions
     that see it read absent: they are the failed ordinals of each of the
     document's findings. An error from counting ends the run, as in
@@ -334,72 +333,72 @@ def run_history(config: RunConfig) -> ScanReport:
     # The budget starts before the repositories are opened and diffed.
     deadline = _Deadline(config.timeout_seconds)
     project = _Project(config)
+    source = project.source
+    head = source.seq.head
+    hosts = project.hosts
+    # Every raw path that holds a blob at some revision, per origin.
+    documents, raw_paths = project.discover({
+        origin: {path for changes in host.changes for path, _, new in changes if new}
+        for origin, host in hosts.items()
+    })
+
+    # Document side: per source revision, the element texts each document
+    # cites there, None where it is absent or its version unreadable. A
+    # row holds what the cell pass reads and writes for one element.
+    doc_warnings: list[dict] = []
+    # (document, sha of its hosting head or None, failed ordinals, rows)
+    docs: list[tuple[DocumentDescriptor, str | None, tuple[int, ...], list[dict]]] = []
+    revisions = source.seq.revisions
+    n = len(revisions)
+    covered_from = n
+    partial = False
     try:
-        source = project.source
-        head = source.seq.head
-        hosts = project.hosts
-        # Every raw path that holds a blob at some revision, per origin.
-        documents, raw_paths = project.discover({
-            origin: {path for changes in host.changes for path, _, new in changes if new}
-            for origin, host in hosts.items()
-        })
-        doc_blobs = {
-            origin: _blob_series(
-                host.changes, {raw for d, raw in raw_paths.items() if d.origin == origin}
-            )
-            for origin, host in hosts.items()
-        }
+        # One stream per origin reads the versions of its documents.
+        for origin, group in itertools.groupby(raw_paths.items(), key=lambda item: item[0].origin):
+            host = hosts[origin]
+            series = _blob_series(host.changes, dict(group))
+            # The hosting revision that each source revision sees.
+            seen = range(n) if origin == ORIGIN_README else [
+                r.ordinal for r in link_source_to_docs(source.seq, host.seq)
+            ]
+            versions = [blob for blobs in series.values() for blob in blobs if blob]
+            with contextlib.closing(project.refs_of(origin, versions)) as cited_by:
+                for document, blobs in series.items():
+                    if deadline.expired():
+                        raise ScanTimeout
+                    by_blob = {blob: next(cited_by) for blob in blobs if blob}
+                    doc_warnings.extend(
+                        _unreadable(document, cited) for cited in by_blob.values()
+                        if isinstance(cited, Exception)
+                    )
+                    elements = frozenset().union(
+                        *(cited for cited in by_blob.values() if isinstance(cited, frozenset))
+                    )
+                    if not elements:
+                        continue
+                    refs = [by_blob.get(blobs[i]) for i in seen]
+                    failed = tuple(i for i, cited in enumerate(refs) if isinstance(cited, Exception))
+                    if failed:
+                        refs = [None if isinstance(cited, Exception) else cited for cited in refs]
+                    docs.append((document, host.seq.head.sha if blobs[-1] else None, failed, [
+                        {"element": element, "refs": refs, "symbols": [None] * n, "evidence": None}
+                        for element in sorted(elements)
+                    ]))
+    except ScanTimeout:
+        partial = True
+    rows = [row for *_, doc_rows in docs for row in doc_rows]
 
-        # Document side: per source revision, the element texts each document
-        # cites there, None where it is absent or its version unreadable. A
-        # row holds what the cell pass reads and writes for one element.
-        doc_warnings: list[dict] = []
-        # (document, sha of its hosting head or None, failed ordinals, rows)
-        docs: list[tuple[DocumentDescriptor, str | None, tuple[int, ...], list[dict]]] = []
-        revisions = source.seq.revisions
-        n = len(revisions)
-        covered_from = n
-        partial = False
-        for document, raw in raw_paths.items():
-            if deadline.expired():
-                partial = True
-                break
-            host = project.hosts[document.origin]
-            blobs = doc_blobs[document.origin][raw]
-            distinct = [blob for blob in dict.fromkeys(blobs) if blob is not None]
-            by_blob = dict(zip(distinct, project.refs_of(document.origin, distinct), strict=True))
-            doc_warnings.extend(
-                _unreadable(document, cited) for cited in by_blob.values()
-                if isinstance(cited, Exception)
-            )
-            elements = frozenset().union(
-                *(cited for cited in by_blob.values() if isinstance(cited, frozenset))
-            )
-            if not elements:
-                continue
-            refs = [by_blob.get(blob) for blob in blobs]
-            if document.origin != ORIGIN_README:
-                refs = [refs[r.ordinal] for r in link_source_to_docs(source.seq, host.seq)]
-            failed = tuple(i for i, cited in enumerate(refs) if isinstance(cited, Exception))
-            if failed:
-                refs = [None if isinstance(cited, Exception) else cited for cited in refs]
-            docs.append((document, host.seq.head.sha if blobs[-1] else None, failed, [
-                {"element": element, "refs": refs, "symbols": [None] * n, "evidence": None}
-                for element in sorted(elements)
-            ]))
-        rows = [row for *_, doc_rows in docs for row in doc_rows]
-
-        # One symbol per (row, revision) cell, newest revisions first. A row's
-        # evidence comes from its newest positive cell.
-        counter = HistoryCounter(
-            source.repo,
-            project.match_config(documents),
-            frozenset(row["element"] for row in rows),
-            source.changes,
-        )
-        if not partial:
-            stops = counter.walk(revisions[::-1])
-            try:
+    # One symbol per (row, revision) cell, newest revisions first. A row's
+    # evidence comes from its newest positive cell.
+    counter = HistoryCounter(
+        source.repo,
+        project.match_config(documents),
+        frozenset(row["element"] for row in rows),
+        source.changes,
+    )
+    if not partial:
+        try:
+            with contextlib.closing(counter.walk(revisions[::-1])) as stops:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
                     revision = next(stops)
@@ -415,44 +414,42 @@ def run_history(config: RunConfig) -> ScanReport:
                                 row["evidence"] = (counter.evidence(element), revision.sha)
                         row["symbols"][i] = symbol
                     covered_from = i
-            except ScanTimeout:
-                partial = True
+        except ScanTimeout:
+            partial = True
 
-        findings: list[Finding] = []
-        warnings_extra: list[dict] = []
-        for document, doc_sha, failed, doc_rows in docs:
-            for row in doc_rows:
-                finding = Finding(row["element"], document, status=None, current_sha=head.sha)
-                findings.append(finding)
-                if partial:
-                    finding.symbols_suffix = row["symbols"][covered_from:]
-                    continue
-                finding.symbols = tuple(row["symbols"])
-                finding.failed_ordinals = failed
-                finding.episodes = detect_episodes(
-                    finding.symbols, revisions, strict=config.strict_episodes
+    findings: list[Finding] = []
+    warnings_extra: list[dict] = []
+    for document, doc_sha, failed, doc_rows in docs:
+        for row in doc_rows:
+            finding = Finding(row["element"], document, status=None, current_sha=head.sha)
+            findings.append(finding)
+            if partial:
+                finding.symbols_suffix = row["symbols"][covered_from:]
+                continue
+            finding.symbols = tuple(row["symbols"])
+            finding.failed_ordinals = failed
+            finding.episodes = detect_episodes(
+                finding.symbols, revisions, strict=config.strict_episodes
+            )
+            for episode in finding.episodes:
+                episode.duration_seconds = episode_duration(
+                    episode, revisions, scan_time=project.scan_time
                 )
-                for episode in finding.episodes:
-                    episode.duration_seconds = episode_duration(
-                        episode, revisions, scan_time=project.scan_time
-                    )
-                    if not episode.ongoing and episode.duration_seconds < 0:
-                        warnings_extra.append({
-                            "kind": "negative_duration",
-                            "element": row["element"],
-                            "document": document.path,
-                            "start_ordinal": episode.start_ordinal,
-                        })
-                finding.evidence, finding.evidence_sha = row["evidence"] or ((), None)
-                finding.doc_sha = doc_sha
-                last = finding.symbols[-1]
-                finding.current_count = last if is_count(last) else None
+                if not episode.ongoing and episode.duration_seconds < 0:
+                    warnings_extra.append({
+                        "kind": "negative_duration",
+                        "element": row["element"],
+                        "document": document.path,
+                        "start_ordinal": episode.start_ordinal,
+                    })
+            finding.evidence, finding.evidence_sha = row["evidence"] or ((), None)
+            finding.doc_sha = doc_sha
+            last = finding.symbols[-1]
+            finding.current_count = last if is_count(last) else None
 
-        return project.report(
-            MODE_HISTORY, findings, doc_warnings, counter.warnings, warnings_extra,
-            revisions=revisions,
-            partial=partial,
-            covered_from_ordinal=covered_from if partial else None,
-        )
-    finally:
-        project.close()
+    return project.report(
+        MODE_HISTORY, findings, doc_warnings, counter.warnings, warnings_extra,
+        revisions=revisions,
+        partial=partial,
+        covered_from_ordinal=covered_from if partial else None,
+    )

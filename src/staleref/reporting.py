@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 
 from .docdiscovery import ORIGIN_WIKI, DocumentDescriptor
 from .matching import STATUS_OUTDATED
-from .revgraph import Revision
+from .revgraph import Revision, RevisionSequence
 from .timeline import (
     DOC_ABSENT,
     FIX_KINDS,
@@ -191,11 +191,16 @@ def _parse_document(data: dict) -> DocumentDescriptor:
     return DocumentDescriptor(data["origin"], data["path"], data["format"])
 
 
-def _parse_episode(data: dict) -> OutdatedEpisode:
+def _parse_episode(data: dict, count: int) -> OutdatedEpisode:
+    """*data* as an episode whose ordinals are among *count* revisions."""
     fix = None
     if data.get("fix"):
         fd = data["fix"]
         fix = FixEvent(fd["kind"], fd["at_ordinal"], fd["at_sha"], fd["at_timestamp"])
+    ordinals = [data["start_ordinal"]]
+    ordinals += [o for o in (data["end_ordinal"], fix and fix.at_ordinal) if o is not None]
+    if not all(type(o) is int and 0 <= o < count for o in ordinals):
+        raise ValueError(f"episode ordinals outside the revisions: {ordinals!r}")
     duration = data.get("duration_seconds")
     if duration is not None and not is_count(duration):
         raise ValueError(f"episode duration is no integer: {duration!r}")
@@ -272,7 +277,9 @@ def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Findin
         raise ValueError("failed_ordinals without symbols")
     episodes = None
     if data.get("episodes") is not None:
-        episodes = [_parse_episode(ep) for ep in data["episodes"]]
+        if revisions is None:
+            raise ValueError("episodes without revisions")
+        episodes = [_parse_episode(ep, len(revisions)) for ep in data["episodes"]]
     return Finding(
         element_text=data["element_text"],
         document=document,
@@ -359,9 +366,9 @@ def parse_report(text: str) -> ScanReport:
     try:
         revisions = None
         if data.get("revisions") is not None:
-            revisions = tuple(
+            revisions = RevisionSequence(tuple(
                 Revision(r["sha"], r["timestamp"], r["ordinal"]) for r in data["revisions"]
-            )
+            )).revisions
         findings = [_parse_finding(f, revisions) for f in data["findings"]]
         return ScanReport(
             project_id=data["project"],

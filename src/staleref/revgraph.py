@@ -1,8 +1,8 @@
 """Git plumbing: linearized first-parent histories and snapshot linking.
 
-All repository access goes through subprocess calls to the ``git`` binary; a
-long-lived ``cat-file --batch`` child per repository streams blob reads, so
-they pay neither process startup per file nor a round trip per blob.
+All repository access goes through subprocess calls to the ``git`` binary.
+Each blob stream reads through a ``cat-file --batch`` child of its own, so
+its reads pay neither process startup per file nor a round trip per blob.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class Revision:
     def __post_init__(self) -> None:
         if not _FULL_SHA.fullmatch(self.sha):
             raise ValueError(f"not a full commit sha: {self.sha!r}")
+        if type(self.timestamp) is not int:
+            raise ValueError(f"timestamp is no integer: {self.timestamp!r}")
         if self.ordinal < 0:
             raise ValueError("ordinal must be non-negative")
 
@@ -115,7 +117,6 @@ class GitRepo:
         )
         if probe.returncode != 0:
             raise MissingRepositoryError(f"not a git repository: {self.path}")
-        self._batch: subprocess.Popen | None = None
 
     # -- low-level helpers -------------------------------------------------
 
@@ -132,27 +133,8 @@ class GitRepo:
         return completed.stdout
 
     def close(self) -> None:
-        batch, self._batch = self._batch, None
-        if batch is not None:
-            try:
-                batch.stdin.close()
-            except BrokenPipeError:
-                pass  # a dead child leaves its last request unread
-            batch.terminate()
-            batch.wait(timeout=5)
-            batch.stdout.close()
-
-    def __enter__(self) -> "GitRepo":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Nothing to end, as each blob stream ends its own child. Kept
+        because the set-up probe of ``perfbench/run.py`` calls it."""
 
     # -- history -----------------------------------------------------------
 
@@ -255,32 +237,32 @@ class GitRepo:
 
     def read_blobs(self, blobs: Sequence[str]) -> Iterator[tuple[str, bytes | GitError]]:
         """(blob, its raw contents or the GitError that reading it gave) for
-        each of *blobs*, in order, through the persistent cat-file child.
-        Up to ``_WINDOW`` requests run ahead of the answers, so git looks up
-        the next objects while the caller works on this one. A missing object
+        each of *blobs*, in order, through a cat-file child of the stream's
+        own, started at the first request and ended with the stream. Up to
+        ``_WINDOW`` requests run ahead of the answers, so git looks up the
+        next objects while the caller works on this one. A missing object
         fails only its blob. A child that exits or cuts an answer short fails
-        the first unanswered blob and is dropped; the blobs after it are
-        requested again from a new child. A stream closed with answers unread
-        drops its child. One stream at a time may read a repository."""
+        the first unanswered blob and is ended; the blobs after it are
+        requested again from a new child."""
+        batch = None
         done = sent = 0  # blobs[done:sent] are requested and not answered
         try:
             while done < len(blobs):
                 more = blobs[sent : done + _WINDOW]
                 if more:
-                    if done == sent and (self._batch is None or self._batch.poll() is not None):
-                        self.close()
-                        self._batch = subprocess.Popen(
+                    if batch is None:
+                        batch = subprocess.Popen(
                             ["git", "-C", str(self.path), "cat-file", "--batch"],
                             stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE,
                         )
                     sent += len(more)
                     try:
-                        self._batch.stdin.write("".join(blob + "\n" for blob in more).encode())
-                        self._batch.stdin.flush()
+                        batch.stdin.write("".join(blob + "\n" for blob in more).encode())
+                        batch.stdin.flush()
                     except BrokenPipeError:
                         pass  # the child is gone: reading its answers finds out
-                blob, answers, done = blobs[done], self._batch.stdout, done + 1
+                blob, answers, done = blobs[done], batch.stdout, done + 1
                 header = answers.readline().decode().strip()
                 if header.endswith(" missing"):
                     yield blob, UnknownRevisionError(f"{self.path}: no such object {blob}")
@@ -291,15 +273,25 @@ class GitRepo:
                     if len(data) == size and answers.read(1) == b"\n":
                         yield blob, data
                         continue
-                self.close()
-                sent = done  # the rest are requested again from a new child
+                _end(batch)
+                batch, sent = None, done  # the rest are requested again from a new child
                 yield blob, GitError(f"{self.path}: " + (
                     f"truncated cat-file output for {blob}" if header
                     else f"git cat-file exited before it answered for {blob}"
                 ))
         finally:
-            if sent > done:
-                self.close()
+            if batch is not None:
+                _end(batch)
+
+
+def _end(child: subprocess.Popen) -> None:
+    try:
+        child.stdin.close()
+    except BrokenPipeError:
+        pass  # a dead child leaves its last request unread
+    child.terminate()
+    child.wait(timeout=5)
+    child.stdout.close()
 
 
 def snapshot_for_doc(doc_revision: Revision, source_seq: RevisionSequence) -> Revision:

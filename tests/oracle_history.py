@@ -382,53 +382,50 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     """Current-state scan that counts each (reference, revision) pair on its own."""
     deadline = _Deadline(config.timeout_seconds)
     project = _Project(config)
+    source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
+    head = source.seq.head
+    documents = discover_documents(
+        tree_paths(source.repo, head.sha),
+        tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
+        config.discovery,
+    )
+    scanner = SourceScanner(source.repo, project.match_config(documents))
+    documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
+
+    findings: list[Finding] = []
+    partial = False
     try:
-        source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
-        head = source.seq.head
-        documents = discover_documents(
-            tree_paths(source.repo, head.sha),
-            tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
-            config.discovery,
-        )
-        scanner = SourceScanner(source.repo, project.match_config(documents))
-        documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
+        for document in documents:
+            deadline.check()
+            host = project.hosts[document.origin]
+            doc_text = read_text_at(host.repo, host.seq.head.sha, document.path)
+            refs = extract_elements(doc_text, project.catalog, document)
+            if not refs:
+                continue
+            touched = last_touch(host.seq, host.repo, document.path)
+            snapshot = (
+                touched if document.origin == ORIGIN_README
+                else snapshot_for_doc(touched, source.seq)
+            )
+            for ref in refs:
+                snap_ic = scanner.count_instances(ref.text, snapshot)
+                cur_ic = scanner.count_instances(ref.text, head)
+                findings.append(Finding(
+                    element_text=ref.text,
+                    document=document,
+                    status=classify_current(snap_ic.count, cur_ic.count),
+                    snapshot_sha=snapshot.sha,
+                    snapshot_count=snap_ic.count,
+                    current_sha=head.sha,
+                    current_count=cur_ic.count,
+                    evidence=evidence_of(snap_ic.matched_paths),
+                    evidence_sha=snapshot.sha,
+                    doc_sha=host.seq.head.sha,
+                ))
+    except ScanTimeout:
+        partial = True
 
-        findings: list[Finding] = []
-        partial = False
-        try:
-            for document in documents:
-                deadline.check()
-                host = project.hosts[document.origin]
-                doc_text = read_text_at(host.repo, host.seq.head.sha, document.path)
-                refs = extract_elements(doc_text, project.catalog, document)
-                if not refs:
-                    continue
-                touched = last_touch(host.seq, host.repo, document.path)
-                snapshot = (
-                    touched if document.origin == ORIGIN_README
-                    else snapshot_for_doc(touched, source.seq)
-                )
-                for ref in refs:
-                    snap_ic = scanner.count_instances(ref.text, snapshot)
-                    cur_ic = scanner.count_instances(ref.text, head)
-                    findings.append(Finding(
-                        element_text=ref.text,
-                        document=document,
-                        status=classify_current(snap_ic.count, cur_ic.count),
-                        snapshot_sha=snapshot.sha,
-                        snapshot_count=snap_ic.count,
-                        current_sha=head.sha,
-                        current_count=cur_ic.count,
-                        evidence=evidence_of(snap_ic.matched_paths),
-                        evidence_sha=snapshot.sha,
-                        doc_sha=host.seq.head.sha,
-                    ))
-        except ScanTimeout:
-            partial = True
-
-        return project.report(MODE_CURRENT, findings, scanner.warnings, partial=partial)
-    finally:
-        project.close()
+    return project.report(MODE_CURRENT, findings, scanner.warnings, partial=partial)
 
 
 def _union_listing(host: _Host) -> list[str]:
@@ -440,83 +437,80 @@ def _union_listing(host: _Host) -> list[str]:
 
 def run_history_oracle(config: RunConfig) -> ScanReport:
     project = _Project(config)
-    try:
-        source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
-        seq = source.seq
-        documents = discover_documents(
-            _union_listing(source), _union_listing(wiki) if wiki else None, config.discovery
+    source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
+    seq = source.seq
+    documents = discover_documents(
+        _union_listing(source), _union_listing(wiki) if wiki else None, config.discovery
+    )
+    scanner = SourceScanner(source.repo, project.match_config(documents))
+    documents = _skip_ambiguous(
+        project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
+    )
+    counts_provider = lambda element, rev: scanner.count_instances(element, rev).count
+    findings: list[Finding] = []
+    extra_warnings: list[dict] = []
+    for document in documents:
+        host = project.hosts[document.origin]
+        versions = []
+        for rev in host.seq.revisions:
+            blob = blob_at(host.repo, rev.sha, document.path)
+            text = None if blob is None else read_text_at(host.repo, rev.sha, document.path)
+            versions.append(DocVersion(document, rev, text))
+        refs = {
+            version.revision.sha: frozenset(
+                ref.text for ref in extract_elements(version.text, project.catalog, document)
+            ) if version.text is not None else frozenset()
+            for version in versions
+        }
+        if document.origin == ORIGIN_README:
+            pairs = list(zip(seq.revisions, versions))
+        else:
+            pairs = link_source_to_docs(seq, sorted(versions, key=lambda v: v.timestamp))
+        doc_sha = (
+            host.seq.head.sha
+            if blob_at(host.repo, host.seq.head.sha, document.path)
+            else None
         )
-        scanner = SourceScanner(source.repo, project.match_config(documents))
-        documents = _skip_ambiguous(
-            project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
-        )
-        counts_provider = lambda element, rev: scanner.count_instances(element, rev).count
-        findings: list[Finding] = []
-        extra_warnings: list[dict] = []
-        for document in documents:
-            host = project.hosts[document.origin]
-            versions = []
-            for rev in host.seq.revisions:
-                blob = blob_at(host.repo, rev.sha, document.path)
-                text = None if blob is None else read_text_at(host.repo, rev.sha, document.path)
-                versions.append(DocVersion(document, rev, text))
-            refs = {
-                version.revision.sha: frozenset(
-                    ref.text for ref in extract_elements(version.text, project.catalog, document)
-                ) if version.text is not None else frozenset()
-                for version in versions
-            }
-            if document.origin == ORIGIN_README:
-                pairs = list(zip(seq.revisions, versions))
-            else:
-                pairs = link_source_to_docs(seq, sorted(versions, key=lambda v: v.timestamp))
-            doc_sha = (
-                host.seq.head.sha
-                if blob_at(host.repo, host.seq.head.sha, document.path)
-                else None
+        for element in sorted(set().union(*refs.values())):
+            symbols = build_timeline(
+                element, pairs, counts_provider, lambda dv: refs[dv.revision.sha]
             )
-            for element in sorted(set().union(*refs.values())):
-                symbols = build_timeline(
-                    element, pairs, counts_provider, lambda dv: refs[dv.revision.sha]
+            episodes = detect_episodes(
+                symbols, seq.revisions, strict=config.strict_episodes
+            )
+            for episode in episodes:
+                episode.duration_seconds = episode_duration(
+                    episode, seq.revisions, scan_time=project.scan_time
                 )
-                episodes = detect_episodes(
-                    symbols, seq.revisions, strict=config.strict_episodes
-                )
-                for episode in episodes:
-                    episode.duration_seconds = episode_duration(
-                        episode, seq.revisions, scan_time=project.scan_time
-                    )
-                    if not episode.ongoing and episode.duration_seconds < 0:
-                        extra_warnings.append({
-                            "kind": "negative_duration",
-                            "element": element,
-                            "document": document.path,
-                            "start_ordinal": episode.start_ordinal,
-                        })
-                evidence: tuple = ()
-                evidence_sha = None
-                positives = [i for i, s in enumerate(symbols) if is_positive(s)]
-                if positives:
-                    revision = seq.revisions[positives[-1]]
-                    instance = scanner.count_instances(element, revision)
-                    evidence = evidence_of(instance.matched_paths)
-                    evidence_sha = revision.sha
-                last = symbols[-1]
-                findings.append(Finding(
-                    element_text=element,
-                    document=document,
-                    status=None,
-                    current_sha=seq.head.sha,
-                    current_count=last if isinstance(last, int) else None,
-                    evidence=evidence,
-                    evidence_sha=evidence_sha,
-                    doc_sha=doc_sha,
-                    symbols=symbols,
-                    failed_ordinals=(),
-                    episodes=episodes,
-                ))
-        return project.report(
-            MODE_HISTORY, findings, scanner.warnings, extra_warnings, revisions=seq.revisions
-        )
-    finally:
-        project.close()
+                if not episode.ongoing and episode.duration_seconds < 0:
+                    extra_warnings.append({
+                        "kind": "negative_duration",
+                        "element": element,
+                        "document": document.path,
+                        "start_ordinal": episode.start_ordinal,
+                    })
+            evidence: tuple = ()
+            evidence_sha = None
+            positives = [i for i, s in enumerate(symbols) if is_positive(s)]
+            if positives:
+                revision = seq.revisions[positives[-1]]
+                instance = scanner.count_instances(element, revision)
+                evidence = evidence_of(instance.matched_paths)
+                evidence_sha = revision.sha
+            last = symbols[-1]
+            findings.append(Finding(
+                element_text=element,
+                document=document,
+                status=None,
+                current_sha=seq.head.sha,
+                current_count=last if isinstance(last, int) else None,
+                evidence=evidence,
+                evidence_sha=evidence_sha,
+                doc_sha=doc_sha,
+                symbols=symbols,
+                failed_ordinals=(),
+                episodes=episodes,
+            ))
+    return project.report(
+        MODE_HISTORY, findings, scanner.warnings, extra_warnings, revisions=seq.revisions
+    )

@@ -276,15 +276,12 @@ def count_off_chain(repo, shas, elements, config) -> dict[str, tuple[int, ...]]:
     ))
     counter = HistoryCounter(repo, config, frozenset(elements), repo.first_parent_changes(seq))
     counts = {}
-    # The walk's blob stream stays open between its stops, and one stream at
-    # a time may read a repository, so the oracle reads through its own.
-    with GitRepo(repo.path) as oracle_repo:
-        scanner = SourceScanner(oracle_repo, config)
-        for revision in counter.walk(seq.revisions[:0:-1]):
-            counts[revision.sha] = tuple(counter.count(e, revision) for e in elements)
-            assert counts[revision.sha] == tuple(
-                scanner.count_instances(e, revision).count for e in elements
-            ), revision.sha
+    scanner = SourceScanner(repo, config)
+    for revision in counter.walk(seq.revisions[:0:-1]):
+        counts[revision.sha] = tuple(counter.count(e, revision) for e in elements)
+        assert counts[revision.sha] == tuple(
+            scanner.count_instances(e, revision).count for e in elements
+        ), revision.sha
     return counts
 
 
@@ -299,10 +296,10 @@ def test_counts_off_chain_commits(tmp_path):
     third = repo.commit(scenarios.T0 + 40, {"a.c": "fPIC\n"})
     repo.checkout("main")
     repo.commit(scenarios.T0 + 50, {"d.c": "fPIC NS\n"})
-    with GitRepo(str(repo.path)) as git_repo:
-        counts = count_off_chain(
-            git_repo, (first, second, third), ("NS", "fPIC"), MatchConfig(exclude_globs=("README*",))
-        )
+    git_repo = GitRepo(str(repo.path))
+    counts = count_off_chain(
+        git_repo, (first, second, third), ("NS", "fPIC"), MatchConfig(exclude_globs=("README*",))
+    )
     assert counts == {first: (3, 1), second: (2, 0), third: (2, 1)}
 
 
@@ -326,11 +323,11 @@ def test_pinned_real_world_counts(tmp_path):
     if clone.returncode != 0:
         pytest.skip("network unavailable")
 
-    with GitRepo(str(tmp_path / "glog")) as repo:
-        counts = count_off_chain(
-            repo, (snapshot_sha, namespace_fix_sha, fpic_fix_sha),
-            ("DGFLAGS_NAMESPACE", "fPIC"), MatchConfig(exclude_globs=("README*",)),
-        )
-        assert counts[snapshot_sha] == (1, 21)
-        assert counts[namespace_fix_sha][0] == 0
-        assert counts[fpic_fix_sha][1] == 0
+    repo = GitRepo(str(tmp_path / "glog"))
+    counts = count_off_chain(
+        repo, (snapshot_sha, namespace_fix_sha, fpic_fix_sha),
+        ("DGFLAGS_NAMESPACE", "fPIC"), MatchConfig(exclude_globs=("README*",)),
+    )
+    assert counts[snapshot_sha] == (1, 21)
+    assert counts[namespace_fix_sha][0] == 0
+    assert counts[fpic_fix_sha][1] == 0

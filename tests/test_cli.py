@@ -257,10 +257,10 @@ def _set_symbol(value):
     return spoil
 
 
-def _set_duration(value):
+def _set_episode(**fields):
     def spoil(report):
         episodes = next(f["episodes"] for f in report["findings"] if f["episodes"])
-        episodes[0]["duration_seconds"] = value
+        episodes[0].update(fields)
     return spoil
 
 
@@ -311,7 +311,7 @@ class TestStats:
         (lambda report: report["findings"][0]["symbols"].append(1),
          "one symbol per revision required"),
         (lambda report: report["revisions"][0].update(sha="g" * 40), "not a full commit sha"),
-        (_set_duration("x"), "episode duration is no integer: 'x'"),
+        (_set_episode(duration_seconds="x"), "episode duration is no integer: 'x'"),
         (lambda report: report["findings"][0].update(timeline_partial=True),
          "timeline_partial disagrees with failed_ordinals"),
         (lambda report: report.update(revisions=None), "symbols without revisions"),
@@ -321,12 +321,20 @@ class TestStats:
         (_set_failed([1, 0]), "no ascending revision ordinals: [1, 0]"),
         (lambda report: report["findings"][0].update(symbols=None, failed_ordinals=[0]),
          "failed_ordinals without symbols"),
+        (lambda report: report["revisions"][0].update(ordinal=7),
+         "revision ordinals must be contiguous from zero"),
+        (lambda report: report["revisions"][0].update(timestamp="soon"),
+         "timestamp is no integer: 'soon'"),
+        (lambda report: report["revisions"][0].update(timestamp=True),
+         "timestamp is no integer: True"),
+        (_set_episode(start_ordinal=1_000_000), "episode ordinals outside the revisions: [1000000"),
     ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
             "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
             "revision-sha-not-hex", "episode-duration-text", "partial-without-failed-ordinals",
             "symbols-without-revisions", "failed-ordinal-past-revisions",
             "failed-ordinals-out-of-range", "failed-ordinal-bool", "failed-ordinals-descending",
-            "failed-ordinals-without-symbols"])
+            "failed-ordinals-without-symbols", "revision-ordinal-out-of-order",
+            "revision-timestamp-text", "revision-timestamp-bool", "episode-start-past-revisions"])
     def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
         # A callable payload spoils one field of a valid history report.
         if callable(payload):

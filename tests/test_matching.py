@@ -125,39 +125,39 @@ class TestSourceScanner:
         # app.py holds two occurrences (the def line ends in "():" which
         # contains the call text, plus the bare call), other.py two, vendor one.
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            scanner = SourceScanner(repo, MatchConfig())
-            result = scanner.count_instances("target_fn()", head)
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        scanner = SourceScanner(repo, MatchConfig())
+        result = scanner.count_instances("target_fn()", head)
         assert result.count == 5
         assert ("src/app.py", 1) in result.matched_paths
 
     def test_exclude_is_monotone(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            base = SourceScanner(repo, MatchConfig()).count_instances("target_fn()", head)
-            trimmed = SourceScanner(
-                repo, MatchConfig(exclude_globs=("vendor/",))
-            ).count_instances("target_fn()", head)
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        base = SourceScanner(repo, MatchConfig()).count_instances("target_fn()", head)
+        trimmed = SourceScanner(
+            repo, MatchConfig(exclude_globs=("vendor/",))
+        ).count_instances("target_fn()", head)
         assert trimmed.count == base.count - 1
         assert trimmed.count <= base.count
 
     def test_path_variant_synthetic_instance(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            scanner = SourceScanner(repo, MatchConfig())
-            result = scanner.count_instances("to/file.py", head)
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        scanner = SourceScanner(repo, MatchConfig())
+        result = scanner.count_instances("to/file.py", head)
         assert result.count == 1
         assert result.matched_paths[0][1] == 0  # line 0 marks a path variant
 
     def test_full_path_floor(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            scanner = SourceScanner(repo, MatchConfig())
-            assert scanner.count_instances("path/to/file.py", head).count >= 1
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        scanner = SourceScanner(repo, MatchConfig())
+        assert scanner.count_instances("path/to/file.py", head).count >= 1
 
     def test_binary_file_skipped(self, repo_factory):
         builder = repo_factory("binary")
@@ -169,38 +169,38 @@ class TestSourceScanner:
             env={"GIT_AUTHOR_DATE": f"{T} +0000", "GIT_COMMITTER_DATE": f"{T} +0000"},
         )
         builder.shas.append(builder.git("rev-parse", "HEAD").strip())
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            scanner = SourceScanner(repo, MatchConfig())
-            assert scanner.count_instances("target", head).count == 1
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        scanner = SourceScanner(repo, MatchConfig())
+        assert scanner.count_instances("target", head).count == 1
 
     def test_oversize_file_skipped_with_warning(self, repo_factory):
         builder = repo_factory("big")
         builder.commit(T, {"big.txt": "needle " * 10, "small.txt": "needle\n"})
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            scanner = SourceScanner(repo, MatchConfig(max_file_bytes=20))
-            result = scanner.count_instances("needle", head)
-            assert result.count == 1
-            assert any(w.get("kind") == "oversized_file" for w in scanner.warnings)
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        scanner = SourceScanner(repo, MatchConfig(max_file_bytes=20))
+        result = scanner.count_instances("needle", head)
+        assert result.count == 1
+        assert any(w.get("kind") == "oversized_file" for w in scanner.warnings)
 
     def test_count_cap_warning(self, repo_factory):
         builder = repo_factory("capped")
         builder.commit(T, {"x.txt": "hit " * 40})
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            scanner = SourceScanner(repo, MatchConfig(max_count_per_file=5))
-            result = scanner.count_instances("hit", head)
-            assert result.count == 5
-            assert any(w.get("kind") == "count_capped" for w in scanner.warnings)
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        scanner = SourceScanner(repo, MatchConfig(max_count_per_file=5))
+        result = scanner.count_instances("hit", head)
+        assert result.count == 5
+        assert any(w.get("kind") == "count_capped" for w in scanner.warnings)
 
     def test_determinism(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            head = repo.linearize_history().head
-            scanner = SourceScanner(repo, MatchConfig())
-            first = scanner.count_instances("target_fn()", head)
-            second = scanner.count_instances("target_fn()", head)
+        repo = GitRepo(builder.path)
+        head = repo.linearize_history().head
+        scanner = SourceScanner(repo, MatchConfig())
+        first = scanner.count_instances("target_fn()", head)
+        second = scanner.count_instances("target_fn()", head)
         assert first == second
 
 
@@ -219,32 +219,32 @@ class TestHistoryCounter:
         # app.py holds two occurrences (the def line ends in "():" which
         # contains the call text, plus the bare call), other.py two, vendor one.
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["target_fn()"])
-            assert counter.count("target_fn()", head) == 5
-            assert ("src/app.py", 1, "text") in counter.evidence("target_fn()")
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["target_fn()"])
+        assert counter.count("target_fn()", head) == 5
+        assert ("src/app.py", 1, "text") in counter.evidence("target_fn()")
 
     def test_exclude_is_monotone(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            base, head = counter_at_head(repo, ["target_fn()"])
-            trimmed, _ = counter_at_head(
-                repo, ["target_fn()"], MatchConfig(exclude_globs=("vendor/",))
-            )
-            assert trimmed.count("target_fn()", head) == base.count("target_fn()", head) - 1
+        repo = GitRepo(builder.path)
+        base, head = counter_at_head(repo, ["target_fn()"])
+        trimmed, _ = counter_at_head(
+            repo, ["target_fn()"], MatchConfig(exclude_globs=("vendor/",))
+        )
+        assert trimmed.count("target_fn()", head) == base.count("target_fn()", head) - 1
 
     def test_path_variant_synthetic_instance(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["to/file.py"])
-            assert counter.count("to/file.py", head) == 1
-            assert counter.evidence("to/file.py") == (("path/to/file.py", 0, "path-variant"),)
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["to/file.py"])
+        assert counter.count("to/file.py", head) == 1
+        assert counter.evidence("to/file.py") == (("path/to/file.py", 0, "path-variant"),)
 
     def test_full_path_floor(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["path/to/file.py"])
-            assert counter.count("path/to/file.py", head) >= 1
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["path/to/file.py"])
+        assert counter.count("path/to/file.py", head) >= 1
 
     def test_binary_file_skipped(self, repo_factory):
         builder = repo_factory("binary")
@@ -256,35 +256,35 @@ class TestHistoryCounter:
             env={"GIT_AUTHOR_DATE": f"{T} +0000", "GIT_COMMITTER_DATE": f"{T} +0000"},
         )
         builder.shas.append(builder.git("rev-parse", "HEAD").strip())
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["target"])
-            assert counter.count("target", head) == 1
-            assert counter.warnings == []
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["target"])
+        assert counter.count("target", head) == 1
+        assert counter.warnings == []
 
     def test_oversize_file_skipped_with_warning(self, repo_factory):
         builder = repo_factory("big")
         builder.commit(T, {"big.txt": "needle " * 10, "small.txt": "needle\n"})
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["needle"], MatchConfig(max_file_bytes=20))
-            assert counter.count("needle", head) == 1
-            assert counter.warnings == [{"kind": "oversized_file", "path": "big.txt", "size": 70}]
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["needle"], MatchConfig(max_file_bytes=20))
+        assert counter.count("needle", head) == 1
+        assert counter.warnings == [{"kind": "oversized_file", "path": "big.txt", "size": 70}]
 
     def test_count_cap_warning(self, repo_factory):
         builder = repo_factory("capped")
         builder.commit(T, {"x.txt": "hit " * 40})
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["hit"], MatchConfig(max_count_per_file=5))
-            assert counter.count("hit", head) == 5
-            assert counter.warnings == [
-                {"kind": "count_capped", "path": "x.txt", "element": "hit", "cap": 5}
-            ]
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["hit"], MatchConfig(max_count_per_file=5))
+        assert counter.count("hit", head) == 5
+        assert counter.warnings == [
+            {"kind": "count_capped", "path": "x.txt", "element": "hit", "cap": 5}
+        ]
 
     def test_determinism(self, repo_factory):
         builder = build_counting_repo(repo_factory)
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["target_fn()"])
-            first = (counter.count("target_fn()", head), counter.evidence("target_fn()"))
-            second = (counter.count("target_fn()", head), counter.evidence("target_fn()"))
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["target_fn()"])
+        first = (counter.count("target_fn()", head), counter.evidence("target_fn()"))
+        second = (counter.count("target_fn()", head), counter.evidence("target_fn()"))
         assert first == second
 
     def test_seeks_newest_first(self, repo_factory):
@@ -292,22 +292,22 @@ class TestHistoryCounter:
         builder.commit(T, {"a.py": "hop()\n"})
         builder.commit(T + 1, {"b.py": "hop() hop()\n"})
         builder.commit(T + 2, {"a.py": None})
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["hop()"])
-            r0, r1, _ = repo.linearize_history().revisions
-            assert counter.count("hop()", head) == 2
-            stops = counter.walk([r1, r0])
-            next(stops)
-            assert counter.count("hop()", r1) == 3
-            with pytest.raises(ValueError):
-                counter.count("hop()", head)
-            with pytest.raises(ValueError):
-                next(counter.walk([head]))
-            with pytest.raises(ValueError):
-                next(counter.walk([r0, r1]))
-            next(stops)
-            assert counter.count("hop()", r0) == 1
-            assert counter.evidence("hop()") == (("a.py", 1, "text"),)
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["hop()"])
+        r0, r1, _ = repo.linearize_history().revisions
+        assert counter.count("hop()", head) == 2
+        stops = counter.walk([r1, r0])
+        next(stops)
+        assert counter.count("hop()", r1) == 3
+        with pytest.raises(ValueError):
+            counter.count("hop()", head)
+        with pytest.raises(ValueError):
+            next(counter.walk([head]))
+        with pytest.raises(ValueError):
+            next(counter.walk([r0, r1]))
+        next(stops)
+        assert counter.count("hop()", r0) == 1
+        assert counter.evidence("hop()") == (("a.py", 1, "text"),)
 
 
 def commit_bytes(builder, files: dict[str, bytes]) -> None:
@@ -392,10 +392,10 @@ class TestTokenPrefilter:
                 rng.choice(FRAGMENTS) for _ in range(rng.randrange(0, 40))
             )
         commit_bytes(builder, files)
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ODD_ELEMENTS, config)
-            expected = brute_force(repo, head, ODD_ELEMENTS, config)
-            got = {e: (counter.count(e, head), counter.evidence(e)) for e in ODD_ELEMENTS}
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ODD_ELEMENTS, config)
+        expected = brute_force(repo, head, ODD_ELEMENTS, config)
+        got = {e: (counter.count(e, head), counter.evidence(e)) for e in ODD_ELEMENTS}
         assert got == expected
         assert got["alpha_fn"][0] > 0 and got["::"][0] > 0 and got["naïve"][0] > 0
 
@@ -415,10 +415,10 @@ class TestTokenPrefilter:
         elements = ["straddle_fn", "after_long_fn", "last_fn", "ab", "cd", "missing_fn"]
         builder = repo_factory("sliced")
         commit_bytes(builder, {"big.txt": data})
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, elements, config)
-            expected = brute_force(repo, head, elements, config)
-            got = {e: (counter.count(e, head), counter.evidence(e)) for e in elements}
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, elements, config)
+        expected = brute_force(repo, head, elements, config)
+        got = {e: (counter.count(e, head), counter.evidence(e)) for e in elements}
         assert got == expected
         assert [got[e][0] for e in elements[:3]] == [1, 1, 1]
 
@@ -455,10 +455,10 @@ class TestTokenPrefilter:
             "big.txt": b"alpha_fn " * 20,
             "huge.txt": b"unrelated " * 20,
         })
-        with GitRepo(builder.path) as repo:
-            counter, head = counter_at_head(repo, ["alpha_fn"], MatchConfig(max_file_bytes=100))
-            assert counter.count("alpha_fn", head) == 1
-            assert counter.evidence("alpha_fn") == (("hit.py", 1, "text"),)
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["alpha_fn"], MatchConfig(max_file_bytes=100))
+        assert counter.count("alpha_fn", head) == 1
+        assert counter.evidence("alpha_fn") == (("hit.py", 1, "text"),)
         assert decoded == [b"alpha_fn()\n"]
         assert counter.warnings == [
             {"kind": "oversized_file", "path": "big.txt", "size": 180},

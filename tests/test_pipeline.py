@@ -385,8 +385,8 @@ class TestRunBehavior:
     def test_derived_url_base_holds_no_credentials(self, tmp_path, remote, base):
         builder = RepoBuilder(tmp_path / "proj")
         builder.git("remote", "add", "origin", remote)
-        with GitRepo(builder.path) as repo:
-            assert pipeline._derive_url_base(repo) == base
+        repo = GitRepo(builder.path)
+        assert pipeline._derive_url_base(repo) == base
 
     def test_timeout_produces_wellformed_partial_report(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "multi_doc")
@@ -576,13 +576,45 @@ class TestGitChildren:
             ("proj.wiki", "rev-parse", False): 2, ("proj.wiki", "symbolic-ref", False): 1,
             ("proj.wiki", "log", False): 1,
         }
-        # One diff-tree per repository and one cat-file per repository that
-        # holds a read blob; no ls-tree and no git log -1.
+        # One diff-tree per repository and one cat-file per blob stream: one
+        # for the documents of each repository and one for the counter's
+        # walk; no ls-tree and no git log -1.
         analysis = {
             ("proj", "diff-tree", False): 1, ("proj.wiki", "diff-tree", False): 1,
-            ("proj", "cat-file", False): 1, ("proj.wiki", "cat-file", False): 1,
+            ("proj", "cat-file", False): 2, ("proj.wiki", "cat-file", False): 1,
         }
         assert Counter(spawned) == Counter(setup) + Counter(analysis)
+
+    @pytest.mark.parametrize("run", [run_scan, run_history], ids=["scan", "history"])
+    def test_no_child_outlives_the_run(self, guide_repos, monkeypatch, run):
+        # Every cat-file child has exited when a run returns: complete, cut
+        # by the deadline at each of its checks, or ended by a count error,
+        # while the error still holds the run's frames.
+        config, _, _ = guide_repos
+        children = []
+        popen = subprocess.Popen
+
+        def spawn(args, **kwargs):
+            child = popen(args, **kwargs)
+            if "cat-file" in args:
+                children.append(child)
+            return child
+
+        def running():
+            return [child.args for child in children if child.poll() is None]
+
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+        assert not run(config).partial
+        assert children and running() == []
+        for checks in range(checks_of(monkeypatch, run, config)):
+            with monkeypatch.context() as m:
+                cut_after(m, checks)
+                assert run(config).partial
+            assert running() == [], checks
+        fail_count_at(monkeypatch, 2)  # head, the first stop of either walk
+        with pytest.raises(GitError, match="cat-file died") as error:
+            run(config)
+        assert running() == [], error.value
 
     def test_counter_reads_once_each_blob_its_stops_hold(self, manifests, monkeypatch):
         # Counting stop by stop reads each blob that a scanned path holds at

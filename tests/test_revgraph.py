@@ -48,8 +48,8 @@ class TestLinearize:
     def test_linear_history(self, repo_factory):
         builder = repo_factory()
         shas = [builder.commit(T + i * 100, {"f.txt": f"v{i}\n"}) for i in range(3)]
-        with GitRepo(builder.path) as repo:
-            sequence = repo.linearize_history()
+        repo = GitRepo(builder.path)
+        sequence = repo.linearize_history()
         assert [r.sha for r in sequence.revisions] == shas
         assert [r.ordinal for r in sequence.revisions] == [0, 1, 2]
         assert [r.timestamp for r in sequence.revisions] == [T, T + 100, T + 200]
@@ -62,8 +62,8 @@ class TestLinearize:
         builder.checkout("main")
         b = builder.commit(T + 200, {"f.txt": "b\n"})
         m = builder.merge(T + 300, "side")
-        with GitRepo(builder.path) as repo:
-            sequence = repo.linearize_history()
+        repo = GitRepo(builder.path)
+        sequence = repo.linearize_history()
         assert [r.sha for r in sequence.revisions] == [a, b, m]
         assert x not in [r.sha for r in sequence.revisions]
 
@@ -73,15 +73,15 @@ class TestLinearize:
         builder.branch("feature")
         b = builder.commit(T + 100, {"f.txt": "b\n"})
         builder.checkout("main")
-        with GitRepo(builder.path) as repo:
-            assert [r.sha for r in repo.linearize_history("feature").revisions] == [a, b]
-            assert [r.sha for r in repo.linearize_history("main").revisions] == [a]
+        repo = GitRepo(builder.path)
+        assert [r.sha for r in repo.linearize_history("feature").revisions] == [a, b]
+        assert [r.sha for r in repo.linearize_history("main").revisions] == [a]
 
     def test_resolve_branch(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n"})
-        with GitRepo(builder.path) as repo:
-            assert repo.resolve_branch() == "main"
+        repo = GitRepo(builder.path)
+        assert repo.resolve_branch() == "main"
 
     def test_missing_repository(self, tmp_path):
         with pytest.raises(MissingRepositoryError):
@@ -94,15 +94,15 @@ class TestLinearize:
     def test_unknown_branch(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n"})
-        with GitRepo(builder.path) as repo:
-            with pytest.raises(UnknownBranchError):
-                repo.linearize_history("does-not-exist")
+        repo = GitRepo(builder.path)
+        with pytest.raises(UnknownBranchError):
+            repo.linearize_history("does-not-exist")
 
     def test_unborn_branch_is_empty_history(self, repo_factory):
         builder = repo_factory("empty")
-        with GitRepo(builder.path) as repo:
-            with pytest.raises(EmptyHistoryError):
-                repo.linearize_history()
+        repo = GitRepo(builder.path)
+        with pytest.raises(EmptyHistoryError):
+            repo.linearize_history()
 
 
 def blobs_at(repo, revision):
@@ -118,90 +118,104 @@ class TestTreeAndBlobs:
             "src/deep/mod.py": "x = 1\n",
             "src/a.py": "pass\n",
         })
-        with GitRepo(builder.path) as repo:
-            listing = oracle_history.tree_paths(repo, repo.linearize_history().head.sha)
+        repo = GitRepo(builder.path)
+        listing = oracle_history.tree_paths(repo, repo.linearize_history().head.sha)
         assert listing == ["README.md", "src/a.py", "src/deep/mod.py"]
         assert sha  # fixture committed
 
     def test_single_file_commit(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"README.md": "hi\n"})
-        with GitRepo(builder.path) as repo:
-            assert list(blobs_at(repo, repo.linearize_history().head)) == ["README.md"]
+        repo = GitRepo(builder.path)
+        assert list(blobs_at(repo, repo.linearize_history().head)) == ["README.md"]
 
     def test_read_blob_roundtrip(self, repo_factory):
         builder = repo_factory()
         content = "uniçode line\nand more\n"
         builder.commit(T, {"f.txt": content})
-        with GitRepo(builder.path) as repo:
-            blob = blobs_at(repo, repo.linearize_history().head)["f.txt"]
-            assert read_blob_bytes(repo, blob) == content.encode("utf-8")
+        repo = GitRepo(builder.path)
+        blob = blobs_at(repo, repo.linearize_history().head)["f.txt"]
+        assert read_blob_bytes(repo, blob) == content.encode("utf-8")
 
     def test_read_blob_missing_path(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n"})
-        with GitRepo(builder.path) as repo:
-            assert "gone.txt" not in blobs_at(repo, repo.linearize_history().head)
-            with pytest.raises(UnknownRevisionError):
-                read_blob_bytes(repo, "f" * 40)
+        repo = GitRepo(builder.path)
+        assert "gone.txt" not in blobs_at(repo, repo.linearize_history().head)
+        with pytest.raises(UnknownRevisionError):
+            read_blob_bytes(repo, "f" * 40)
 
     def test_read_blob_at_deleted_path(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n", "keep.txt": "k\n"})
         builder.commit(T + 100, {"f.txt": None})
-        with GitRepo(builder.path) as repo:
-            first, head = repo.linearize_history().revisions
-            assert read_blob_bytes(repo, blobs_at(repo, first)["f.txt"]) == b"a\n"
-            assert "f.txt" not in blobs_at(repo, head)
+        repo = GitRepo(builder.path)
+        first, head = repo.linearize_history().revisions
+        assert read_blob_bytes(repo, blobs_at(repo, first)["f.txt"]) == b"a\n"
+        assert "f.txt" not in blobs_at(repo, head)
 
     def test_unknown_revision(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n"})
-        with GitRepo(builder.path) as repo:
-            unknown = RevisionSequence((rev(0, T, "f" * 40),))
-            with pytest.raises(GitError, match="covered 0 of 1 revisions"):
-                repo.first_parent_changes(unknown)
+        repo = GitRepo(builder.path)
+        unknown = RevisionSequence((rev(0, T, "f" * 40),))
+        with pytest.raises(GitError, match="covered 0 of 1 revisions"):
+            repo.first_parent_changes(unknown)
 
     def test_many_blob_reads_through_batch(self, repo_factory):
         builder = repo_factory()
         files = {f"f{i}.txt": f"content {i}\n" for i in range(30)}
         builder.commit(T, files)
-        with GitRepo(builder.path) as repo:
-            blobs = blobs_at(repo, repo.linearize_history().head)
-            for i in range(30):
-                assert read_blob_bytes(repo, blobs[f"f{i}.txt"]) == f"content {i}\n".encode()
+        repo = GitRepo(builder.path)
+        blobs = blobs_at(repo, repo.linearize_history().head)
+        for i in range(30):
+            assert read_blob_bytes(repo, blobs[f"f{i}.txt"]) == f"content {i}\n".encode()
 
     def test_dead_cat_file_child_is_named_and_replaced(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {"a.txt": "a\n", "b.txt": "b\n"})
-        with GitRepo(builder.path) as repo:
-            blobs = blobs_at(repo, repo.linearize_history().head)
-            with scenarios.catfile_dies_at(blobs["a.txt"]):
-                with pytest.raises(GitError, match="cat-file exited before it answered") as info:
-                    read_blob_bytes(repo, blobs["a.txt"])
-                assert not isinstance(info.value, UnknownRevisionError)
-                assert repo._batch is None
-                assert read_blob_bytes(repo, blobs["b.txt"]) == b"b\n"
-                with pytest.raises(GitError, match="cat-file exited before it answered"):
-                    read_blob_bytes(repo, blobs["a.txt"])
-            assert read_blob_bytes(repo, blobs["a.txt"]) == b"a\n"
+        repo = GitRepo(builder.path)
+        blobs = blobs_at(repo, repo.linearize_history().head)
+        with scenarios.catfile_dies_at(blobs["a.txt"]):
+            with pytest.raises(GitError, match="cat-file exited before it answered") as info:
+                read_blob_bytes(repo, blobs["a.txt"])
+            assert not isinstance(info.value, UnknownRevisionError)
+            assert read_blob_bytes(repo, blobs["b.txt"]) == b"b\n"
+            with pytest.raises(GitError, match="cat-file exited before it answered"):
+                read_blob_bytes(repo, blobs["a.txt"])
+        assert read_blob_bytes(repo, blobs["a.txt"]) == b"a\n"
 
     def test_abandoned_stream_leaves_no_answer_behind(self, repo_factory):
         builder = repo_factory()
         builder.commit(T, {f"f{i}.txt": f"content {i}\n" for i in range(3)})
-        with GitRepo(builder.path) as repo:
-            blobs = blobs_at(repo, repo.linearize_history().head)
-            shas = [blobs[f"f{i}.txt"] for i in range(3)]
-            stream = repo.read_blobs(shas)
-            assert next(stream) == (shas[0], b"content 0\n")
-            stream.close()  # two answers unread
-            assert read_blob_bytes(repo, shas[2]) == b"content 2\n"
-            stream = repo.read_blobs(shas)
-            next(stream)
-            del stream
-            assert list(repo.read_blobs(shas[::-1])) == [
-                (sha, f"content {i}\n".encode()) for i, sha in reversed(list(enumerate(shas)))
-            ]
+        repo = GitRepo(builder.path)
+        blobs = blobs_at(repo, repo.linearize_history().head)
+        shas = [blobs[f"f{i}.txt"] for i in range(3)]
+        stream = repo.read_blobs(shas)
+        assert next(stream) == (shas[0], b"content 0\n")
+        stream.close()  # two answers unread
+        assert read_blob_bytes(repo, shas[2]) == b"content 2\n"
+        stream = repo.read_blobs(shas)
+        next(stream)
+        del stream
+        assert list(repo.read_blobs(shas[::-1])) == [
+            (sha, f"content {i}\n".encode()) for i, sha in reversed(list(enumerate(shas)))
+        ]
+
+    def test_interleaved_streams_read_their_own_answers(self, repo_factory):
+        builder = repo_factory()
+        builder.commit(T, {f"f{i}.txt": f"content {i}\n" for i in range(7)})
+        repo = GitRepo(builder.path)
+        blobs = blobs_at(repo, repo.linearize_history().head)
+        shas = [blobs[f"f{i}.txt"] for i in range(7)]
+        expected = [(sha, f"content {i}\n".encode()) for i, sha in enumerate(shas)]
+        first, second = repo.read_blobs(shas[:3]), repo.read_blobs(shas[3:6])
+        got = [next(first), next(second)]
+        # Both streams now have answers outstanding; a one-blob read between
+        # them gets its own too.
+        assert read_blob_bytes(repo, shas[6]) == b"content 6\n"
+        got += [next(first), next(second), next(first), next(second)]
+        assert got == [expected[i] for i in (0, 3, 1, 4, 2, 5)]
 
     def test_last_touch(self, repo_factory):
         # The oracle's last touch, from tree listings, agrees with git log.
@@ -211,14 +225,14 @@ class TestTreeAndBlobs:
         os.chmod(builder.path / "run.sh", 0o755)
         builder.commit(T + 200, {})
         builder.commit(T + 300, {"src.py": "a\n"})
-        with GitRepo(builder.path) as repo:
-            sequence = repo.linearize_history()
-            for path in ("README.md", "src.py", "run.sh"):
-                touched = oracle_history.last_touch(sequence, repo, path)
-                logged = builder.git("log", "--first-parent", "-1", "--format=%H", "--", path)
-                assert touched.sha == logged.strip(), path
-            assert oracle_history.last_touch(sequence, repo, "README.md").sha == first
-            assert oracle_history.last_touch(sequence, repo, "absent.md") is None
+        repo = GitRepo(builder.path)
+        sequence = repo.linearize_history()
+        for path in ("README.md", "src.py", "run.sh"):
+            touched = oracle_history.last_touch(sequence, repo, path)
+            logged = builder.git("log", "--first-parent", "-1", "--format=%H", "--", path)
+            assert touched.sha == logged.strip(), path
+        assert oracle_history.last_touch(sequence, repo, "README.md").sha == first
+        assert oracle_history.last_touch(sequence, repo, "absent.md") is None
 
 
 class TestRevision:
@@ -236,13 +250,13 @@ class TestRevision:
             pytest.skip("git cannot create SHA-256 repositories")
         first = builder.commit(T, {"f.txt": "a\n"})
         builder.commit(T + 100, {"f.txt": "b\n"})
-        with GitRepo(builder.path) as repo:
-            sequence = repo.linearize_history()
-            assert [len(r.sha) for r in sequence.revisions] == [64, 64]
-            assert sequence.revisions[0].sha == first
-            changes = repo.first_parent_changes(sequence)
-            assert [[path for path, _, _ in c] for c in changes] == [[b"f.txt"], [b"f.txt"]]
-            assert read_blob_bytes(repo, changes[1][0][2]) == b"b\n"
+        repo = GitRepo(builder.path)
+        sequence = repo.linearize_history()
+        assert [len(r.sha) for r in sequence.revisions] == [64, 64]
+        assert sequence.revisions[0].sha == first
+        changes = repo.first_parent_changes(sequence)
+        assert [[path for path, _, _ in c] for c in changes] == [[b"f.txt"], [b"f.txt"]]
+        assert read_blob_bytes(repo, changes[1][0][2]) == b"b\n"
 
 
 class TestSnapshotLinking:
@@ -340,21 +354,21 @@ class TestFirstParentChanges:
         (builder.path / "lib/dep.py").mkdir()
         builder.git("update-index", "--add", "--cacheinfo", f"160000,{'ab' * 20},lib/dep.py")
         builder.commit(T + 60, {})
-        with GitRepo(builder.path) as repo:
-            sequence = repo.linearize_history("main")
-            assert len(sequence) == 6
-            listings = [oracle_history.tree_entries(repo, r.sha) for r in sequence.revisions]
-            assert _replayed_trees(repo, sequence) == listings
-            # replay folds any prefix into that revision's tree, and at head
-            # names each path's last change.
-            changes = repo.first_parent_changes(sequence)
-            for k, listing in enumerate(listings):
-                tree = replay(changes[: k + 1])
-                assert sorted((p.decode(), blob) for p, (blob, _) in tree.items()) == list(listing)
-            assert {
-                p.decode(): sequence.revisions[ordinal] for p, (_, ordinal) in tree.items()
-            } == {p: oracle_history.last_touch(sequence, repo, p) for p, _ in listings[-1]}
-            assert "lib/dep.py" not in blobs_at(repo, sequence.head)
+        repo = GitRepo(builder.path)
+        sequence = repo.linearize_history("main")
+        assert len(sequence) == 6
+        listings = [oracle_history.tree_entries(repo, r.sha) for r in sequence.revisions]
+        assert _replayed_trees(repo, sequence) == listings
+        # replay folds any prefix into that revision's tree, and at head
+        # names each path's last change.
+        changes = repo.first_parent_changes(sequence)
+        for k, listing in enumerate(listings):
+            tree = replay(changes[: k + 1])
+            assert sorted((p.decode(), blob) for p, (blob, _) in tree.items()) == list(listing)
+        assert {
+            p.decode(): sequence.revisions[ordinal] for p, (_, ordinal) in tree.items()
+        } == {p: oracle_history.last_touch(sequence, repo, p) for p, _ in listings[-1]}
+        assert "lib/dep.py" not in blobs_at(repo, sequence.head)
 
     def test_shallow_graft_is_diffed_as_root(self, repo_factory, tmp_path):
         builder = repo_factory()
@@ -362,13 +376,13 @@ class TestFirstParentChanges:
             builder.commit(T + i, {f"f{i}.txt": f"{i}\n"})
         clone = tmp_path / "shallow"
         builder.git("clone", "-q", "--depth", "1", f"file://{builder.path}", str(clone))
-        with GitRepo(clone) as repo:
-            sequence = repo.linearize_history(None)
-            assert len(sequence) == 1
-            (changes,) = repo.first_parent_changes(sequence)
-            assert sorted(path for path, old, _ in changes if old is None) == [
-                b"f0.txt", b"f1.txt", b"f2.txt"
-            ]
+        repo = GitRepo(clone)
+        sequence = repo.linearize_history(None)
+        assert len(sequence) == 1
+        (changes,) = repo.first_parent_changes(sequence)
+        assert sorted(path for path, old, _ in changes if old is None) == [
+            b"f0.txt", b"f1.txt", b"f2.txt"
+        ]
 
 
 class TestLinkSourceToDocs:
@@ -536,8 +550,7 @@ class TestBlobStream:
             options.update(kwargs)
             return repo, children
 
-        yield configure
-        repo.close()
+        return configure
 
     def test_keeps_at_most_a_window_outstanding(self, fake_repo):
         repo, children = fake_repo()
@@ -545,6 +558,7 @@ class TestBlobStream:
         [child] = children
         assert child.requests == self.SHAS
         assert child.most_outstanding == revgraph._WINDOW == 63
+        assert child.returncode == -15  # the stream ended its child
 
     @pytest.mark.parametrize("fault", ["dies_at", "truncates_at"])
     @pytest.mark.parametrize("index", [0, 31, 62, 63, 199], ids=lambda i: f"sha{i}")
@@ -569,7 +583,8 @@ class TestBlobStream:
             first, second = children
             assert first.requests[: index + 1] == self.SHAS[: index + 1]
             assert second.requests == self.SHAS[index + 1 :]
-            assert first.returncode is not None and second.returncode is None
+        assert children[0].returncode == 3
+        assert all(child.returncode is not None for child in children)
 
     def test_a_missing_blob_fails_alone(self, fake_repo):
         repo, children = fake_repo()
@@ -578,7 +593,7 @@ class TestBlobStream:
         assert [sha for sha, _ in got] == shas
         assert isinstance(got[20][1], UnknownRevisionError)
         assert got[:20] + got[21:] == [(sha, self.OBJECTS[sha]) for sha in shas if sha in self.OBJECTS]
-        assert len(children) == 1 and children[0].returncode is None
+        assert len(children) == 1 and children[0].returncode == -15
 
     def test_an_abandoned_stream_drops_its_child(self, fake_repo):
         repo, children = fake_repo()
@@ -586,9 +601,10 @@ class TestBlobStream:
         for _ in range(5):
             next(stream)
         stream.close()
-        assert children[0].returncode == -15 and repo._batch is None
+        assert children[0].returncode == -15
         assert read_blob_bytes(repo, self.SHAS[7]) == self.OBJECTS[self.SHAS[7]]
         assert len(children) == 2 and children[1].requests == [self.SHAS[7]]
-        # A stream whose answers were all read keeps its child for the next.
-        assert list(repo.read_blobs(self.SHAS[:2])) == list(self.OBJECTS.items())[:2]
+        assert children[1].returncode == -15
+        # An empty stream starts no child.
+        assert list(repo.read_blobs([])) == []
         assert len(children) == 2
