@@ -5,7 +5,10 @@ identifiers in camelCase or PascalCase, UPPER_SNAKE constants, qualified and
 empty-parens calls, template types, file paths, and anything an author put in
 inline backticks. Fenced code blocks, markdown link destinations, and bare
 URLs are masked out before the rules run, so offsets always refer to the
-original document text.
+original document text. A built-in rule, and each mask pass, is skipped on a
+text that lacks a literal that every one of its matches contains (a ``/`` for
+``path-like``, ``](`` for link destinations), so it runs only where it could
+match.
 
 ``extract_elements`` returns each element with its span. ``element_texts``
 returns only the set of element texts, and with the built-in rules it
@@ -136,9 +139,29 @@ def default_catalog() -> RegexCatalog:
     return load_catalog(DEFAULT_CATALOG_TEXT)
 
 
-# The built-in patterns, none of which can match a "\n". A catalog of these
-# alone (in any order, with any capture groups) may be extracted line by line.
-_LINE_LOCAL_PATTERNS = frozenset(rule.pattern for rule in default_catalog().rules)
+# The literals that every match of each built-in rule contains, by rule id.
+# Each is a mandatory atom of its pattern, so a rule whose literals are not
+# all in a line cannot match there. Every capital-letter line could hold a
+# camel-case or pascal-case match, so those two run on every line.
+_BUILTIN_LITERALS: dict[str, tuple[str, ...]] = {
+    "backtick": ("`",),
+    "template-class": ("<", ">"),
+    "qualified-call": (".", "(", ")"),
+    "function-call": ("()",),
+    "camel-case": (),
+    "pascal-case": (),
+    "upper-snake": ("_",),
+    "dotted-name": (".",),
+    "path-like": ("/",),
+}
+
+# The same literals keyed by the exact built-in pattern, so that a custom
+# rule with a built-in id but its own pattern runs ungated. None of these
+# patterns can match a "\n": a catalog of them alone (in any order, with any
+# capture groups) may be extracted line by line.
+_REQUIRED_LITERALS: dict[str, tuple[str, ...]] = {
+    rule.pattern: _BUILTIN_LITERALS[rule.id] for rule in default_catalog().rules
+}
 
 
 _FENCE_LINE_RE = re.compile(r"^[ \t]*```")
@@ -182,17 +205,22 @@ def _mask_ranges(text: str, ranges: list[tuple[int, int]]) -> str:
 
 
 def _mask_links_and_urls(text: str) -> str:
-    masked = _mask_ranges(text, [m.span(1) for m in _LINK_DEST_RE.finditer(text)])
+    # A pass whose pattern needs a literal that the text lacks ("](" for
+    # link destinations, "://" for URLs) is skipped.
+    if "](" in text:
+        text = _mask_ranges(text, [m.span(1) for m in _LINK_DEST_RE.finditer(text)])
+    if "://" not in text:
+        return text
     # Bare URLs are never elements, but URLs kept inside inline backticks
     # still are, so only URLs outside backtick spans get masked.
-    backtick_spans = [m.span(1) for m in _BACKTICK_INTERIOR_RE.finditer(masked)]
+    backtick_spans = [m.span(1) for m in _BACKTICK_INTERIOR_RE.finditer(text)]
     url_ranges = []
-    for m in _BARE_URL_RE.finditer(masked):
+    for m in _BARE_URL_RE.finditer(text):
         start, end = m.span()
         inside = any(bs <= start and end <= be for bs, be in backtick_spans)
         if not inside:
             url_ranges.append((start, end))
-    return _mask_ranges(masked, url_ranges)
+    return _mask_ranges(text, url_ranges)
 
 
 def _drop_contained(
@@ -230,6 +258,9 @@ def _matches(
     masked = _mask_links_and_urls(fenced)
     matches: list[tuple[int, int, int, str, str]] = []
     for rule_index, rule in enumerate(catalog.rules):
+        # A built-in rule cannot match text that lacks one of its literals.
+        if not all(literal in masked for literal in _REQUIRED_LITERALS.get(rule.pattern, ())):
+            continue
         for m in rule.compiled.finditer(masked):
             raw = m.group(rule.capture_group)
             if raw is None:
@@ -282,7 +313,7 @@ def element_texts(doc_text: str, catalog: RegexCatalog, memo: dict) -> frozenset
     still sees every line production extracts. Any other catalog extracts the
     whole document.
     """
-    if not all(rule.pattern in _LINE_LOCAL_PATTERNS for rule in catalog.rules):
+    if not all(rule.pattern in _REQUIRED_LITERALS for rule in catalog.rules):
         return frozenset(ref.text for ref in extract_elements(doc_text, catalog))
     texts: set[str] = set()
     for line, fenced in zip(doc_text.split("\n"), mask_fenced_blocks(doc_text).split("\n")):

@@ -7,6 +7,7 @@ from importlib.util import find_spec
 
 import pytest
 
+import oracle_extraction
 from staleref import extraction
 from staleref.extraction import (
     CatalogError,
@@ -184,6 +185,7 @@ FRAGMENTS = [
     "fooBar", "BazQux", "UPPER_NAME", "run_fn()", "pkg.mod.attr", "obj.call(x)",
     "Worker<T>", "src/app.py", "./a/b", "x", ".", "a.b(", "(", ")", "<", "`", "`kept_fn()`",
     "`https://x.io/a/b`", "https://example.com/p/q", "[guide](src/a.py)", "](",
+    "Map <Key>", "()", "( )", ". x", ":/", "://", "] (", "a_", "_B", "/", "../",
 ]
 
 
@@ -197,15 +199,80 @@ def test_element_texts_equal_whole_document_extraction(catalog):
     @settings(max_examples=1000, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(
-        st.one_of(st.sampled_from(FRAGMENTS), st.text("`( )\n\x0cab_/.", max_size=3)),
+        st.one_of(st.sampled_from(FRAGMENTS), st.text("`( )\n\x0cab_/.<>]:B", max_size=3)),
         max_size=40,
     ).map("".join))
     def check(doc):
         expected = whole(doc, catalog)
+        assert expected == {ref.text for ref in oracle_extraction.extract_elements(doc, catalog)}
         assert element_texts(doc, catalog, {}) == expected
         assert element_texts(doc, catalog, shared) == expected
 
     check()
+
+
+def gate_rich_text():
+    """Text dense in the literals that gate rules and mask passes, and in
+    near misses of them."""
+    from hypothesis import strategies as st
+
+    pieces = [
+        "`", "<", ">", ".", "(", ")", "()", "_", "/", "](", "://", "( )", ". x", ":/", "] (",
+        "a.b", "x()", "Foo<Bar>", "Foo <Bar>", "a.b(c)", "a.b()", "A_B", "Z_9", "p/q", "./a",
+        "../b/c", "x://y", "[t](u/v)", "`a.b`", "`p/q`", "fooBar", "Baz", "9", " ", "\n",
+    ]
+    return st.lists(
+        st.one_of(st.sampled_from(pieces), st.text("`<>.()_/]:[ aAZ9-", max_size=4)),
+        max_size=20,
+    ).map("".join)
+
+
+@pytest.mark.criterion("a rule or mask pass whose literal gate is closed cannot match")
+@pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+def test_closed_gate_means_no_match(catalog):
+    from hypothesis import given, settings
+
+    gates = [
+        (rule.compiled, extraction._REQUIRED_LITERALS[rule.pattern]) for rule in catalog.rules
+    ] + [(extraction._LINK_DEST_RE, ("](",)), (extraction._BARE_URL_RE, ("://",))]
+    # Seven rules and both mask passes are gated.
+    assert sum(bool(literals) for _, literals in gates) == 9
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(gate_rich_text())
+    def check(text):
+        for pattern, literals in gates:
+            if not all(literal in text for literal in literals):
+                assert next(pattern.finditer(text), None) is None, (pattern.pattern, text)
+
+    check()
+
+
+@pytest.mark.criterion("gated extraction equals the ungated oracle in texts, spans and rule ids")
+@pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+def test_gated_extraction_equals_ungated_oracle(catalog):
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(gate_rich_text(), st.sampled_from(FRAGMENTS)), max_size=6)
+           .map("".join))
+    def check(doc):
+        assert extraction._mask_links_and_urls(doc) == oracle_extraction.mask_links_and_urls(doc)
+        assert extract_elements(doc, catalog) == oracle_extraction.extract_elements(doc, catalog)
+
+    check()
+
+
+class TestGates:
+    def test_gate_table_keys_are_the_builtin_patterns(self, catalog):
+        assert set(extraction._REQUIRED_LITERALS) == {rule.pattern for rule in catalog.rules}
+        assert set(extraction._BUILTIN_LITERALS) == {rule.id for rule in catalog.rules}
+
+    def test_custom_pattern_with_a_builtin_id_runs_ungated(self):
+        custom = load_catalog("path-like\t0\t\\bfoo_\\w+\n")
+        doc = "call foo_bar here"
+        assert texts(extract_elements(doc, custom)) == ["foo_bar"]
+        assert element_texts(doc, custom, {}) == {"foo_bar"}
 
 
 class TestElementTexts:

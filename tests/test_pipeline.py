@@ -22,18 +22,21 @@ from staleref.revgraph import GitError, GitRepo
 
 
 class _FakeDeadline:
-    """Lets *checks* revision checks pass, then times out."""
+    """Lets *checks* checks pass, then times out. A check is either call:
+    ``check`` asks ``expired``, as ``pipeline._Deadline.check`` does."""
 
     def __init__(self, checks: int):
         self.left = checks
 
     def expired(self) -> bool:
-        return self.left <= 0
+        if self.left <= 0:
+            return True
+        self.left -= 1
+        return False
 
     def check(self) -> None:
-        if self.left <= 0:
+        if self.expired():
             raise ScanTimeout
-        self.left -= 1
 
 
 def cut_after(monkeypatch, checks: int) -> None:
@@ -326,7 +329,7 @@ class TestHistoryScenarios:
         ] * 2
         assert_round_trips(report, "unreadable version")
         merge_history = next(m for m in manifests if m["name"] == "merge_history")
-        cut_after(monkeypatch, 1)
+        cut_after(monkeypatch, 2)  # the README's check, then the newest revision
         report = run_history(config_for(merge_history))
         assert report.partial
         assert_round_trips(report, "partial")
@@ -695,15 +698,18 @@ class TestSkippedBlobWarnings:
 
 class TestPartialHistory:
     def test_cut_mid_pass_emits_newest_suffix(self, manifests, monkeypatch):
+        # Each document takes one check, then each revision one, newest first.
         cuts = 0
         for manifest in manifests:
-            full = run_history(config_for(manifest))
+            config = config_for(manifest)
+            full = run_history(config)
             n = len(full.revisions)
+            documents = checks_of(monkeypatch, run_history, config) - n
             expected = symbols_by_key(full)
             for checks in range(1, n):
                 with monkeypatch.context() as m:
-                    cut_after(m, checks)
-                    report = run_history(config_for(manifest))
+                    cut_after(m, documents + checks)
+                    report = run_history(config)
                 assert report.partial, manifest["name"]
                 assert report.covered_from_ordinal == n - checks
                 assert suffixes_by_key(report) == {
@@ -712,11 +718,24 @@ class TestPartialHistory:
                 cuts += 1
         assert cuts >= 5
 
+    def test_cut_between_documents_keeps_the_documents_read(self, manifests, monkeypatch):
+        # The README takes the first check; the cut comes before the wiki's
+        # pages, so no revision is decided.
+        manifest = next(m for m in manifests if m["name"] == "multi_doc")
+        config = config_for(manifest)
+        n = len(run_history(config).revisions)
+        cut_after(monkeypatch, 1)
+        report = run_history(config)
+        assert report.partial and report.covered_from_ordinal == n
+        assert suffixes_by_key(report) == {("readme", "README.md", "omega_fn()"): []}
+        assert_round_trips(report, "cut between documents")
+
     def test_git_error_in_timed_out_run_reports_absent(self, manifests, monkeypatch, tmp_path):
         # The cat-file child dies at the README version that revisions 0 and
-        # 1 see; a cut after three of the four revisions ends at revision 1.
+        # 1 see; a cut after the README's check and three of the four
+        # revisions ends at revision 1.
         manifest = next(m for m in manifests if m["name"] == "readme_version_death")
-        cut_after(monkeypatch, 3)
+        cut_after(monkeypatch, 1 + 3)
         with scenarios.catfile_dies_at(manifest["unreadable_version"]["blob"]):
             report = run_history(config_for(manifest))
             out = tmp_path / "partial.json"
