@@ -16,7 +16,7 @@ import string
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .revgraph import Change, GitError, GitRepo, Revision, replay
+from .revgraph import Branch, GitError, Revision
 
 STATUS_OUTDATED = "outdated"
 STATUS_IN_SYNC = "in_sync"
@@ -176,13 +176,11 @@ def _held_runs(data: bytes, runs: frozenset[bytes]) -> set[bytes]:
 class HistoryCounter:
     """Running instance totals of a fixed set of elements over one history.
 
-    The counter holds the tree of one revision as a path -> blob map and moves
-    newest first, from the head down, by undoing revisions' changes.
-    *changes* are the ``GitRepo.first_parent_changes`` of the whole sequence,
-    and a revision is found in them by its ordinal. A move first collapses
-    the changes it undoes into one blob per path, so it reads only blobs
-    that the target revision holds, and a walk reads the blobs of all its
-    moves through one stream. Each blob is read and split into word tokens
+    The counter holds the tree of one revision of *branch* as a path -> blob
+    map and moves newest first, from the head down. ``Branch.nets`` gives
+    each move as one blob per path that it may change, so a move reads only
+    blobs that the target revision holds, and a walk reads the blobs of all
+    its moves through one stream. Each blob is read and split into word tokens
     once, and counted only for the elements whose word runs are all among
     its tokens; an element with no word run is counted in every blob. Only
     its non-zero counts are kept, so a move costs the changed blobs, not
@@ -190,14 +188,8 @@ class HistoryCounter:
     elements of the counted cells.
     """
 
-    def __init__(
-        self,
-        repo: GitRepo,
-        config: MatchConfig,
-        elements: frozenset[str],
-        changes: list[list[Change]],
-    ):
-        self.repo = repo
+    def __init__(self, branch: Branch, config: MatchConfig, elements: frozenset[str]):
+        self.branch = branch
         self.config = config
         self.revision: Revision | None = None  # whose tree the state holds
         self.warnings: list[dict] = []
@@ -215,7 +207,6 @@ class HistoryCounter:
             else:
                 self._runless.append(element)
         self._runs = frozenset(all_runs)
-        self._changes = changes
         self._tree: dict[bytes, str] = {}
         # raw path -> (decoded path, scannable, cited elements among its variants)
         self._paths: dict[bytes, tuple[str, bool, tuple[str, ...]]] = {}
@@ -235,12 +226,12 @@ class HistoryCounter:
         that the moves add and that are not counted yet are read through one
         ``GitRepo.read_blobs`` stream, in the order the moves first add them.
         """
-        nets = [self._net(at, stop) for at, stop in zip([self.revision, *stops], stops)]
+        nets = self.branch.nets(stops, self.revision)
         unread = {
             blob: None for net in nets for path, blob in net.items()
             if blob and blob not in self._blob_counts and self._path_info(path)[1]
         }
-        with contextlib.closing(self.repo.read_blobs(list(unread))) as stream:
+        with contextlib.closing(self.branch.repo.read_blobs(list(unread))) as stream:
             for stop, net in zip(stops, nets):
                 for path, old in net.items():
                     new = self._tree.get(path)
@@ -253,23 +244,6 @@ class HistoryCounter:
                     self.revision = stop
                     self._counted = set()
                 yield stop
-
-    def _net(self, at: Revision | None, stop: Revision) -> dict[bytes, str | None]:
-        """The blob at *stop* (None for none) of each path whose blob a move
-        from *at* may change."""
-        target = stop.ordinal
-        if target >= len(self._changes):
-            raise ValueError(f"revision {target} is not one of the counter's")
-        if at is None:
-            return {path: blob for path, (blob, _) in replay(self._changes[: target + 1]).items()}
-        if target > at.ordinal:
-            raise ValueError("the counter only moves towards older revisions")
-        # The old side of each changed path's oldest undone change.
-        net: dict[bytes, str | None] = {}
-        for changes in self._changes[target + 1 : at.ordinal + 1]:
-            for path, old, _ in changes:
-                net.setdefault(path, old)
-        return net
 
     def count(self, element_text: str, revision: Revision) -> int:
         """Instances of one element at *revision*, the counter's position."""

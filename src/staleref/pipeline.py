@@ -30,15 +30,13 @@ from .reporting import (
     sort_findings,
 )
 from .revgraph import (
-    Change,
+    Branch,
     EmptyHistoryError,
     GitError,
     GitRepo,
     MissingRepositoryError,
     Revision,
-    RevisionSequence,
     link_source_to_docs,
-    replay,
     snapshot_for_doc,
 )
 from .timeline import (
@@ -98,37 +96,22 @@ def _derive_url_base(repo: GitRepo) -> str | None:
     return url.removesuffix(".git")
 
 
-@dataclass(frozen=True)
-class _Host:
-    """One opened repository that hosts documents, with the first-parent
-    history of the branch a run reads and that history's changes."""
-
-    repo: GitRepo
-    seq: RevisionSequence
-    changes: list[list[Change]]
-
-    @classmethod
-    def open(cls, path: str, branch: str | None) -> _Host:
-        repo = GitRepo(path)
-        seq = repo.linearize_history(branch)
-        return cls(repo, seq, repo.first_parent_changes(seq))
-
-
 class _Project:
     """Opened repositories plus the shared derived state both modes need.
 
-    ``hosts`` maps each document origin to the repository that hosts it;
-    ``source``, the README host, is the one whose instances are counted.
+    ``hosts`` maps each document origin to the branch of the repository
+    that hosts it; ``source``, the README host, is the one whose instances
+    are counted.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.warnings: list[dict] = []
-        self.source = _Host.open(config.repo_path, config.branch)
+        self.source = Branch.open(config.repo_path, config.branch)
         self.hosts = {ORIGIN_README: self.source}
         if config.wiki_path:
             try:
-                self.hosts[ORIGIN_WIKI] = _Host.open(config.wiki_path, None)
+                self.hosts[ORIGIN_WIKI] = Branch.open(config.wiki_path, None)
             except (MissingRepositoryError, EmptyHistoryError) as exc:
                 self.warnings.append({"kind": "wiki_unavailable", "detail": str(exc)})
         self.catalog = config.catalog or default_catalog()
@@ -172,22 +155,39 @@ class _Project:
             max_file_bytes=self.config.max_file_bytes,
         )
 
-    def refs_of(self, origin: str, blobs: list[str]) -> Iterator[frozenset[str] | Exception]:
-        """The element texts that each of *blobs*, documents of *origin*,
-        cites, or the error that reading it gave, in order. Each distinct
-        blob is read and extracted once, and its text is dropped; the blobs
-        are read through one stream, which closing this iterator ends."""
-        refs: dict[str, frozenset[str] | Exception] = {}
-        distinct = list(dict.fromkeys(blobs))
-        with contextlib.closing(self.hosts[origin].repo.read_blobs(distinct)) as stream:
-            for blob in blobs:
-                while blob not in refs:
-                    read, data = next(stream)
-                    if not isinstance(data, GitError):
-                        text = data.decode("utf-8", errors="replace")
-                        data = element_texts(text, self.catalog, self._line_elements)
-                    refs[read] = data
-                yield refs[blob]
+    def read_documents(
+        self, versions: dict[DocumentDescriptor, list[str | None]], deadline: _Deadline
+    ) -> Iterator[tuple[DocumentDescriptor, dict[str, frozenset[str]]]]:
+        """Each document of *versions* (document -> its blob at each
+        revision, None where it has none), after one deadline check per
+        document, with the element texts that each of its blobs that could
+        be read cites. Each distinct blob is read through one stream per
+        origin and extracted once, and its text is dropped; a blob that
+        cannot be read is left out and warns once per document."""
+        for origin, group in itertools.groupby(versions.items(), key=lambda item: item[0].origin):
+            group = list(group)
+            refs: dict[str, frozenset[str] | GitError] = {}
+            distinct = list(dict.fromkeys(blob for _, blobs in group for blob in blobs if blob))
+            with contextlib.closing(self.hosts[origin].repo.read_blobs(distinct)) as stream:
+                for document, blobs in group:
+                    deadline.check()
+                    cited = {}
+                    for blob in dict.fromkeys(blob for blob in blobs if blob):
+                        while blob not in refs:
+                            read, data = next(stream)
+                            if not isinstance(data, GitError):
+                                text = data.decode("utf-8", errors="replace")
+                                data = element_texts(text, self.catalog, self._line_elements)
+                            refs[read] = data
+                        if isinstance(refs[blob], GitError):
+                            self.warnings.append({
+                                "kind": "unreadable_document",
+                                "document": document.path,
+                                "detail": str(refs[blob]),
+                            })
+                        else:
+                            cited[blob] = refs[blob]
+                    yield document, cited
 
     def report(
         self, mode: str, findings: list[Finding], *warning_lists: list[dict], **fields
@@ -211,67 +211,54 @@ class _Project:
         return report
 
 
-def _unreadable(document: DocumentDescriptor, error: Exception) -> dict:
-    return {"kind": "unreadable_document", "document": document.path, "detail": str(error)}
-
-
 def run_scan(config: RunConfig) -> ScanReport:
     """Current-state scan: compare each document's references between its
     snapshot revision and the head of the source history.
 
-    Each hosting repository's first-parent changes give its documents, their
-    blobs at head and the revision that last touched each. Documents are
-    read first, through one stream per repository, with one deadline check
-    each; a document that cannot be read is skipped with a warning. A README's snapshot is the source revision
-    that last touched it; a wiki page's is the ``snapshot_for_doc`` of the
-    wiki revision that last touched it. One ``HistoryCounter`` then counts
-    every cited element at head and moves to each snapshot, newest first,
-    with one deadline check per move. A timed-out scan holds the findings of
-    the documents whose snapshot was counted.
+    Each hosting repository's branch head gives its documents, their blobs
+    at head and the revision that last touched each. Documents are read
+    first, through one stream per repository, with one deadline check each;
+    a document that cannot be read is skipped with a warning. A README's
+    snapshot is the source revision that last touched it; a wiki page's is
+    the ``snapshot_for_doc`` of the wiki revision that last touched it. One
+    ``HistoryCounter`` then counts every cited element at head and moves to
+    each snapshot, newest first, with one deadline check per move. A
+    timed-out scan holds the findings of the documents whose snapshot was
+    counted.
     """
     # The budget starts before the repositories are opened and diffed.
     deadline = _Deadline(config.timeout_seconds)
     project = _Project(config)
     source = project.source
     head = source.seq.head
-    # raw path -> (blob at head, ordinal of its last change), per origin.
-    heads = {origin: replay(host.changes) for origin, host in project.hosts.items()}
-    documents, raw_paths = project.discover(heads)
+    hosts = project.hosts
+    documents, raw_paths = project.discover({origin: host.head for origin, host in hosts.items()})
+    versions = {
+        document: [hosts[document.origin].head[raw][0]] for document, raw in raw_paths.items()
+    }
 
     # snapshot -> (document, its element texts, sha of its hosting head)
     cited: dict[Revision, list[tuple]] = {}
     elements: set[str] = set()
     findings: list[Finding] = []
     warnings: list[dict] = []
-    doc_warnings: list[dict] = []
     partial = False
     try:
-        # One stream per origin reads its head documents.
-        for origin, group in itertools.groupby(raw_paths.items(), key=lambda item: item[0].origin):
-            group = list(group)
-            host = project.hosts[origin]
-            blobs = [heads[origin][raw][0] for _, raw in group]
-            with contextlib.closing(project.refs_of(origin, blobs)) as refs:
-                for document, raw in group:
-                    deadline.check()
-                    texts = next(refs)
-                    if isinstance(texts, Exception):
-                        doc_warnings.append(_unreadable(document, texts))
-                        continue
-                    if not texts:
-                        continue
-                    touched = host.seq.revisions[heads[origin][raw][1]]
-                    snapshot = (
-                        touched if origin == ORIGIN_README
-                        else snapshot_for_doc(touched, source.seq)
-                    )
-                    cited.setdefault(snapshot, []).append((document, texts, host.seq.head.sha))
-                    elements.update(texts)
+        for document, by_blob in project.read_documents(versions, deadline):
+            texts = frozenset().union(*by_blob.values())
+            if not texts:
+                continue
+            host = hosts[document.origin]
+            touched = host.seq.revisions[host.head[raw_paths[document]][1]]
+            snapshot = (
+                touched if document.origin == ORIGIN_README
+                else snapshot_for_doc(touched, source.seq)
+            )
+            cited.setdefault(snapshot, []).append((document, texts, host.seq.head.sha))
+            elements.update(texts)
 
         deadline.check()
-        counter = HistoryCounter(
-            source.repo, project.match_config(documents), frozenset(elements), source.changes
-        )
+        counter = HistoryCounter(source, project.match_config(documents), frozenset(elements))
         warnings = counter.warnings
         snapshots = sorted(cited, key=lambda r: r.ordinal, reverse=True)
         with contextlib.closing(counter.walk([head, *snapshots])) as stops:
@@ -298,22 +285,7 @@ def run_scan(config: RunConfig) -> ScanReport:
     except ScanTimeout:
         partial = True
 
-    return project.report(MODE_CURRENT, findings, doc_warnings, warnings, partial=partial)
-
-
-def _blob_series(
-    changes: list[list[Change]], raw_paths: dict[DocumentDescriptor, bytes]
-) -> dict[DocumentDescriptor, list[str | None]]:
-    """The blob of each document's raw path at every revision, None where it is absent."""
-    current: dict[bytes, str | None] = dict.fromkeys(raw_paths.values())
-    series: dict[DocumentDescriptor, list[str | None]] = {document: [] for document in raw_paths}
-    for revision_changes in changes:
-        for path, _, new in revision_changes:
-            if path in current:
-                current[path] = new
-        for document, blobs in series.items():
-            blobs.append(current[raw_paths[document]])
-    return series
+    return project.report(MODE_CURRENT, findings, warnings, partial=partial)
 
 
 def run_history(config: RunConfig) -> ScanReport:
@@ -336,65 +308,51 @@ def run_history(config: RunConfig) -> ScanReport:
     source = project.source
     head = source.seq.head
     hosts = project.hosts
-    # Every raw path that holds a blob at some revision, per origin.
     documents, raw_paths = project.discover({
-        origin: {path for changes in host.changes for path, _, new in changes if new}
-        for origin, host in hosts.items()
+        origin: host.paths() for origin, host in hosts.items()
     })
-
-    # Document side: per source revision, the element texts each document
-    # cites there, None where it is absent or its version unreadable. A
-    # row holds what the cell pass reads and writes for one element.
-    doc_warnings: list[dict] = []
-    # (document, sha of its hosting head or None, failed ordinals, rows)
-    docs: list[tuple[DocumentDescriptor, str | None, tuple[int, ...], list[dict]]] = []
+    series = {
+        origin: host.blob_series(raw for d, raw in raw_paths.items() if d.origin == origin)
+        for origin, host in hosts.items()
+    }
+    versions = {document: series[document.origin][raw] for document, raw in raw_paths.items()}
+    # The hosting revision that each source revision sees, per origin.
     revisions = source.seq.revisions
     n = len(revisions)
+    seen = {
+        origin: range(n) if origin == ORIGIN_README
+        else [r.ordinal for r in link_source_to_docs(source.seq, host.seq)]
+        for origin, host in hosts.items()
+    }
+
+    # A row is one finding, whose symbols the cell pass fills in, and the
+    # element texts its document cites at each source revision: None where
+    # the document is absent or its version unreadable.
+    rows: list[tuple[Finding, list[frozenset[str] | None]]] = []
     covered_from = n
     partial = False
     try:
-        # One stream per origin reads the versions of its documents.
-        for origin, group in itertools.groupby(raw_paths.items(), key=lambda item: item[0].origin):
-            host = hosts[origin]
-            series = _blob_series(host.changes, dict(group))
-            # The hosting revision that each source revision sees.
-            seen = range(n) if origin == ORIGIN_README else [
-                r.ordinal for r in link_source_to_docs(source.seq, host.seq)
+        for document, by_blob in project.read_documents(versions, deadline):
+            blobs, seen_at = versions[document], seen[document.origin]
+            refs = [by_blob.get(blobs[i]) for i in seen_at]
+            failed = tuple(
+                i for i, at in enumerate(seen_at) if blobs[at] and blobs[at] not in by_blob
+            )
+            doc_sha = hosts[document.origin].seq.head.sha if blobs[-1] else None
+            rows += [
+                (Finding(
+                    element, document, status=None, current_sha=head.sha, doc_sha=doc_sha,
+                    symbols=[None] * n, failed_ordinals=failed,
+                ), refs)
+                for element in sorted(frozenset().union(*by_blob.values()))
             ]
-            versions = [blob for blobs in series.values() for blob in blobs if blob]
-            with contextlib.closing(project.refs_of(origin, versions)) as cited_by:
-                for document, blobs in series.items():
-                    if deadline.expired():
-                        raise ScanTimeout
-                    by_blob = {blob: next(cited_by) for blob in blobs if blob}
-                    doc_warnings.extend(
-                        _unreadable(document, cited) for cited in by_blob.values()
-                        if isinstance(cited, Exception)
-                    )
-                    elements = frozenset().union(
-                        *(cited for cited in by_blob.values() if isinstance(cited, frozenset))
-                    )
-                    if not elements:
-                        continue
-                    refs = [by_blob.get(blobs[i]) for i in seen]
-                    failed = tuple(i for i, cited in enumerate(refs) if isinstance(cited, Exception))
-                    if failed:
-                        refs = [None if isinstance(cited, Exception) else cited for cited in refs]
-                    docs.append((document, host.seq.head.sha if blobs[-1] else None, failed, [
-                        {"element": element, "refs": refs, "symbols": [None] * n, "evidence": None}
-                        for element in sorted(elements)
-                    ]))
     except ScanTimeout:
         partial = True
-    rows = [row for *_, doc_rows in docs for row in doc_rows]
 
     # One symbol per (row, revision) cell, newest revisions first. A row's
     # evidence comes from its newest positive cell.
     counter = HistoryCounter(
-        source.repo,
-        project.match_config(documents),
-        frozenset(row["element"] for row in rows),
-        source.changes,
+        source, project.match_config(documents), frozenset(f.element_text for f, _ in rows)
     )
     if not partial:
         try:
@@ -402,53 +360,53 @@ def run_history(config: RunConfig) -> ScanReport:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
                     revision = next(stops)
-                    for row in rows:
-                        element, cited = row["element"], row["refs"][i]
+                    for finding, refs in rows:
+                        element, cited = finding.element_text, refs[i]
                         if cited is None:
                             symbol = DOC_ABSENT
                         elif element not in cited:
                             symbol = NO_REFERENCE
                         else:
                             symbol = counter.count(element, revision)
-                            if symbol > 0 and row["evidence"] is None:
-                                row["evidence"] = (counter.evidence(element), revision.sha)
-                        row["symbols"][i] = symbol
+                            if symbol > 0 and finding.evidence_sha is None:
+                                finding.evidence = counter.evidence(element)
+                                finding.evidence_sha = revision.sha
+                        finding.symbols[i] = symbol
                     covered_from = i
         except ScanTimeout:
             partial = True
 
     findings: list[Finding] = []
     warnings_extra: list[dict] = []
-    for document, doc_sha, failed, doc_rows in docs:
-        for row in doc_rows:
-            finding = Finding(row["element"], document, status=None, current_sha=head.sha)
-            findings.append(finding)
-            if partial:
-                finding.symbols_suffix = row["symbols"][covered_from:]
-                continue
-            finding.symbols = tuple(row["symbols"])
-            finding.failed_ordinals = failed
-            finding.episodes = detect_episodes(
-                finding.symbols, revisions, strict=config.strict_episodes
+    for finding, _ in rows:
+        if partial:
+            # Only the suffix of symbols the pass reached is reported.
+            findings.append(Finding(
+                finding.element_text, finding.document, status=None, current_sha=head.sha,
+                symbols_suffix=finding.symbols[covered_from:],
+            ))
+            continue
+        findings.append(finding)
+        finding.symbols = tuple(finding.symbols)
+        finding.episodes = detect_episodes(
+            finding.symbols, revisions, strict=config.strict_episodes
+        )
+        for episode in finding.episodes:
+            episode.duration_seconds = episode_duration(
+                episode, revisions, scan_time=project.scan_time
             )
-            for episode in finding.episodes:
-                episode.duration_seconds = episode_duration(
-                    episode, revisions, scan_time=project.scan_time
-                )
-                if not episode.ongoing and episode.duration_seconds < 0:
-                    warnings_extra.append({
-                        "kind": "negative_duration",
-                        "element": row["element"],
-                        "document": document.path,
-                        "start_ordinal": episode.start_ordinal,
-                    })
-            finding.evidence, finding.evidence_sha = row["evidence"] or ((), None)
-            finding.doc_sha = doc_sha
-            last = finding.symbols[-1]
-            finding.current_count = last if is_count(last) else None
+            if not episode.ongoing and episode.duration_seconds < 0:
+                warnings_extra.append({
+                    "kind": "negative_duration",
+                    "element": finding.element_text,
+                    "document": finding.document.path,
+                    "start_ordinal": episode.start_ordinal,
+                })
+        last = finding.symbols[-1]
+        finding.current_count = last if is_count(last) else None
 
     return project.report(
-        MODE_HISTORY, findings, doc_warnings, counter.warnings, warnings_extra,
+        MODE_HISTORY, findings, counter.warnings, warnings_extra,
         revisions=revisions,
         partial=partial,
         covered_from_ordinal=covered_from if partial else None,

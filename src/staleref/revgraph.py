@@ -1,6 +1,8 @@
 """Git plumbing: linearized first-parent histories and snapshot linking.
 
 All repository access goes through subprocess calls to the ``git`` binary.
+A ``Branch`` holds one history's per-revision changes and is the only code
+that folds them into trees.
 Each blob stream reads through a ``cat-file --batch`` child of its own, so
 its reads pay neither process startup per file nor a round trip per blob.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 import bisect
 import re
 import subprocess
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -110,27 +112,13 @@ class GitRepo:
         self.path = Path(path)
         if not self.path.exists():
             raise MissingRepositoryError(f"no such directory: {self.path}")
-        probe = subprocess.run(
-            ["git", "-C", str(self.path), "rev-parse", "--git-dir"],
-            capture_output=True,
-            text=True,
-        )
-        if probe.returncode != 0:
+        if self._run("rev-parse", "--git-dir").returncode != 0:
             raise MissingRepositoryError(f"not a git repository: {self.path}")
 
-    # -- low-level helpers -------------------------------------------------
-
-    def _git(self, *args: str) -> str:
-        completed = subprocess.run(
-            ["git", "-C", str(self.path), *args],
-            capture_output=True,
-            text=True,
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", "-C", str(self.path), *args], capture_output=True, text=True
         )
-        if completed.returncode != 0:
-            raise GitError(
-                f"git {' '.join(args)} failed in {self.path}: {completed.stderr.strip()}"
-            )
-        return completed.stdout
 
     def close(self) -> None:
         """Nothing to end, as each blob stream ends its own child. Kept
@@ -141,13 +129,7 @@ class GitRepo:
     def resolve_branch(self, branch: str | None = None) -> str:
         if branch:
             return branch
-        head = subprocess.run(
-            ["git", "-C", str(self.path), "symbolic-ref", "--short", "-q", "HEAD"],
-            capture_output=True,
-            text=True,
-        )
-        name = head.stdout.strip()
-        return name if name else "HEAD"
+        return self._run("symbolic-ref", "--short", "-q", "HEAD").stdout.strip() or "HEAD"
 
     def linearize_history(self, branch: str | None = None) -> RevisionSequence:
         """First-parent history of *branch*, oldest first, committer timestamps.
@@ -155,35 +137,36 @@ class GitRepo:
         Raises UnknownBranchError for a branch that does not exist and
         EmptyHistoryError for a repository (or unborn branch) with no commits.
         """
-        requested = branch
         name = self.resolve_branch(branch)
-        verify = subprocess.run(
-            ["git", "-C", str(self.path), "rev-parse", "--verify", "--quiet", f"{name}^{{commit}}"],
-            capture_output=True,
-            text=True,
-        )
-        if verify.returncode != 0:
-            current = self.resolve_branch(None)
-            if requested is None or requested == current:
+        commit = f"{name}^{{commit}}"
+        # git log reads the one name that rev-parse --verify reads: the
+        # ``^{commit}`` suffix keeps it from reading a parent shorthand such
+        # as ``^@``, and ``--end-of-options`` and ``--`` keep it from reading
+        # an option or a path. It still reads a range, so a name with ``..``
+        # is verified first.
+        args = ("log", "--first-parent", "--reverse", "--format=%H %ct",
+                "--end-of-options", commit, "--")
+        listed = None if ".." in name else self._run(*args)
+        # Only a failed or empty listing pays for telling its causes apart.
+        if listed is None or listed.returncode != 0 or not listed.stdout:
+            if self._run("rev-parse", "--verify", "--quiet", commit).returncode != 0:
+                if branch is None or branch == self.resolve_branch(None):
+                    raise EmptyHistoryError(f"{self.path}: branch {name!r} has no commits")
+                raise UnknownBranchError(f"{self.path}: unknown branch {name!r}")
+            listed = listed or self._run(*args)
+            if listed.returncode != 0:
+                raise GitError(
+                    f"git {' '.join(args)} failed in {self.path}: {listed.stderr.strip()}"
+                )
+            if not listed.stdout:
                 raise EmptyHistoryError(f"{self.path}: branch {name!r} has no commits")
-            raise UnknownBranchError(f"{self.path}: unknown branch {name!r}")
-        out = self._git("log", "--first-parent", "--reverse", "--format=%H %ct", name)
-        revisions = []
-        for i, line in enumerate(out.splitlines()):
-            sha, ts = line.split()
-            revisions.append(Revision(sha, int(ts), i))
-        if not revisions:
-            raise EmptyHistoryError(f"{self.path}: branch {name!r} has no commits")
-        return RevisionSequence(tuple(revisions))
+        return RevisionSequence(tuple(
+            Revision(sha, int(ts), i)
+            for i, (sha, ts) in enumerate(line.split() for line in listed.stdout.splitlines())
+        ))
 
     def remote_url(self) -> str | None:
-        out = subprocess.run(
-            ["git", "-C", str(self.path), "config", "--get", "remote.origin.url"],
-            capture_output=True,
-            text=True,
-        )
-        url = out.stdout.strip()
-        return url or None
+        return self._run("config", "--get", "remote.origin.url").stdout.strip() or None
 
     # -- changes and blobs ---------------------------------------------------
 
@@ -292,6 +275,70 @@ def _end(child: subprocess.Popen) -> None:
     child.terminate()
     child.wait(timeout=5)
     child.stdout.close()
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One repository's first-parent history of a branch and each of its
+    revisions' blob changes, which only this class folds into trees."""
+
+    repo: GitRepo
+    seq: RevisionSequence
+    changes: list[list[Change]]
+
+    @classmethod
+    def open(cls, path: str | Path, branch: str | None) -> Branch:
+        repo = GitRepo(path)
+        seq = repo.linearize_history(branch)
+        return cls(repo, seq, repo.first_parent_changes(seq))
+
+    @cached_property
+    def head(self) -> dict[bytes, tuple[str, int]]:
+        """Raw path -> (its blob at head, index of its last change)."""
+        return replay(self.changes)
+
+    def paths(self) -> set[bytes]:
+        """Every raw path that holds a blob at some revision."""
+        return {path for changes in self.changes for path, _, new in changes if new}
+
+    def blob_series(self, paths: Iterable[bytes]) -> dict[bytes, list[str | None]]:
+        """The blob of each of *paths* at every revision, None where it holds none."""
+        current: dict[bytes, str | None] = dict.fromkeys(paths)
+        series: dict[bytes, list[str | None]] = {path: [] for path in current}
+        for changes in self.changes:
+            for path, _, new in changes:
+                if path in current:
+                    current[path] = new
+            for path, blobs in series.items():
+                blobs.append(current[path])
+        return series
+
+    def nets(
+        self, stops: Sequence[Revision], at: Revision | None
+    ) -> list[dict[bytes, str | None]]:
+        """For each move from *at* (None for the empty tree) to each of
+        *stops* in turn, the blob at its stop (None for none) of each path
+        whose blob the move may change. No stop is newer than the one
+        before it."""
+        nets = []
+        for stop in stops:
+            target = stop.ordinal
+            if target >= len(self.changes):
+                raise ValueError(f"revision {target} is not one of the branch's")
+            if at is not None and target > at.ordinal:
+                raise ValueError("a move only goes towards older revisions")
+            # The old side of each changed path's oldest undone change, where
+            # a move from nothing undoes changes from the head's tree down.
+            undone: dict[bytes, str | None] = {}
+            top = len(self.changes) - 1 if at is None else at.ordinal
+            for changes in self.changes[target + 1 : top + 1]:
+                for path, old, _ in changes:
+                    undone.setdefault(path, old)
+            if at is None:
+                undone = {path: blob for path, (blob, _) in self.head.items()} | undone
+            nets.append(undone)
+            at = stop
+        return nets
 
 
 def snapshot_for_doc(doc_revision: Revision, source_seq: RevisionSequence) -> Revision:

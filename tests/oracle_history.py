@@ -45,11 +45,11 @@ from staleref.pipeline import (
     RunConfig,
     ScanTimeout,
     _Deadline,
-    _Host,
     _Project,
 )
 from staleref.reporting import MODE_CURRENT, MODE_HISTORY, Finding, ScanReport
 from staleref.revgraph import (
+    Branch,
     GitRepo,
     Revision,
     RevisionSequence,
@@ -428,7 +428,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     return project.report(MODE_CURRENT, findings, scanner.warnings, partial=partial)
 
 
-def _union_listing(host: _Host) -> list[str]:
+def _union_listing(host: Branch) -> list[str]:
     paths: set[str] = set()
     for rev in host.seq.revisions:
         paths.update(tree_paths(host.repo, rev.sha))

@@ -40,6 +40,7 @@ from staleref import (
     survival_curve,
 )
 from staleref.matching import HistoryCounter
+from staleref.revgraph import Branch
 
 # Tests that reach an outside host run only when this variable is "1".
 NETWORK_OPT_IN = "STALEREF_TEST_NETWORK"
@@ -274,7 +275,9 @@ def count_off_chain(repo, shas, elements, config) -> dict[str, tuple[int, ...]]:
     seq = RevisionSequence((repo.linearize_history().revisions[0],) + tuple(
         Revision(sha, 0, i) for i, sha in enumerate(shas, start=1)
     ))
-    counter = HistoryCounter(repo, config, frozenset(elements), repo.first_parent_changes(seq))
+    counter = HistoryCounter(
+        Branch(repo, seq, repo.first_parent_changes(seq)), config, frozenset(elements)
+    )
     counts = {}
     scanner = SourceScanner(repo, config)
     for revision in counter.walk(seq.revisions[:0:-1]):

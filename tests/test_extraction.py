@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from importlib.util import find_spec
 
@@ -167,7 +168,11 @@ class TestExtraction:
                 assert doc[start:end] == ref.text
 
     def test_dump_is_byte_stable(self):
-        assert DEFAULT_CATALOG_TEXT == DEFAULT_CATALOG_TEXT
+        # The digest pins every byte of the catalog that dump-catalog prints.
+        data = DEFAULT_CATALOG_TEXT.encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            625, "2d09a442293a8cbd60c40d6fff0b513db25a003eda66fac4db97c590766786e5"
+        )
         assert "template-class\t0\t[A-Z][a-zA-Z]+ ?<[A-Z][a-zA-Z]*>" in DEFAULT_CATALOG_TEXT
 
 

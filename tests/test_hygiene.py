@@ -77,6 +77,46 @@ def test_private_import_is_found():
     ]
 
 
+# The diff-stream format: only revgraph folds a history's changes.
+DIFF_STREAM_NAMES = frozenset({"Change", "replay", "first_parent_changes"})
+
+
+def diff_stream_uses(source: str) -> list[str]:
+    """Imports of ``Change`` or ``replay`` from a staleref module in
+    *source*, and its reads of an attribute of any of those names or
+    ``first_parent_changes``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "staleref"
+        ):
+            found += [(node.lineno, a.name) for a in node.names if a.name in DIFF_STREAM_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in DIFF_STREAM_NAMES:
+            found.append((node.lineno, node.attr))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "revgraph.py"], ids=lambda path: path.name
+)
+def test_only_revgraph_reads_the_diff_stream(path):
+    assert diff_stream_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_diff_stream_use_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from .revgraph import Branch, Change\n"
+        "from staleref.revgraph import replay as fold\n"
+        "from os import replay\n"
+        "def f(repo, seq, revgraph):\n"
+        "    return repo.first_parent_changes(seq), revgraph.replay\n"
+    )
+    assert diff_stream_uses(source) == [
+        "line 2: Change", "line 3: replay", "line 6: first_parent_changes", "line 6: replay"
+    ]
+
+
 def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
     """Module-level functions and classes of *sources* (module name -> source)
     that no code in any of them reads and that are not in *exported*.

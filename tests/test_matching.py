@@ -21,7 +21,7 @@ from staleref.matching import (
     expand_path_variants,
     matches_exclude,
 )
-from staleref.revgraph import GitRepo
+from staleref.revgraph import Branch, GitRepo
 
 T = 1_600_000_000
 
@@ -206,12 +206,10 @@ class TestSourceScanner:
 
 def counter_at_head(repo, elements, config=None):
     """A HistoryCounter over the whole first-parent history, at its head."""
-    seq = repo.linearize_history()
-    counter = HistoryCounter(
-        repo, config or MatchConfig(), frozenset(elements), repo.first_parent_changes(seq)
-    )
-    next(counter.walk([seq.head]))
-    return counter, seq.head
+    branch = Branch.open(repo.path, None)
+    counter = HistoryCounter(branch, config or MatchConfig(), frozenset(elements))
+    next(counter.walk([branch.seq.head]))
+    return counter, branch.seq.head
 
 
 class TestHistoryCounter:
@@ -432,9 +430,7 @@ class TestTokenPrefilter:
         assert matching._held_runs(b"\xc3\xa9foo\r\n((", runs) == {b"foo"}
 
     def test_candidates_hold_every_word_run(self):
-        counter = HistoryCounter(
-            None, MatchConfig(), frozenset(["a.b", "c->d", "alpha_fn", "::"]), []
-        )
+        counter = HistoryCounter(None, MatchConfig(), frozenset(["a.b", "c->d", "alpha_fn", "::"]))
         assert sorted(counter._candidates(b"a c alpha_fnx dd")) == ["::"]
         assert sorted(counter._candidates(b"b.a d\xffc")) == ["::", "a.b", "c->d"]
 

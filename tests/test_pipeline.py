@@ -573,10 +573,12 @@ class TestGitChildren:
 
         monkeypatch.setattr(subprocess, "Popen", Recording)
         run(config)
+        # One rev-parse opens each repository; a branch that git log lists
+        # needs no rev-parse --verify.
         setup = {
-            ("proj", "rev-parse", False): 2, ("proj", "symbolic-ref", False): 1,
+            ("proj", "rev-parse", False): 1, ("proj", "symbolic-ref", False): 1,
             ("proj", "log", False): 1, ("proj", "config", False): 1,
-            ("proj.wiki", "rev-parse", False): 2, ("proj.wiki", "symbolic-ref", False): 1,
+            ("proj.wiki", "rev-parse", False): 1, ("proj.wiki", "symbolic-ref", False): 1,
             ("proj.wiki", "log", False): 1,
         }
         # One diff-tree per repository and one cat-file per blob stream: one
@@ -629,12 +631,12 @@ class TestGitChildren:
         def walk(self, stops):
             requested = []
             walks.append((self, list(stops), requested))
-            read_blobs = self.repo.read_blobs
-            self.repo.read_blobs = lambda blobs: requested.extend(blobs) or read_blobs(blobs)
+            read_blobs = self.branch.repo.read_blobs
+            self.branch.repo.read_blobs = lambda blobs: requested.extend(blobs) or read_blobs(blobs)
             try:
                 yield from original(self, stops)
             finally:
-                del self.repo.read_blobs
+                del self.branch.repo.read_blobs
 
         monkeypatch.setattr(HistoryCounter, "walk", walk)
         read = 0
@@ -647,7 +649,7 @@ class TestGitChildren:
                 expected = {
                     blob
                     for stop in stops
-                    for path, blob in tree_entries(counter.repo, stop.sha)
+                    for path, blob in tree_entries(counter.branch.repo, stop.sha)
                     if not matches_exclude(path, counter.config.exclude_globs)
                 } if counter._elements else set()
                 assert set(requested) == expected, (manifest["name"], run.__name__)

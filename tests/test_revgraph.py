@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 
 import pytest
@@ -15,6 +16,7 @@ from oracle_history import read_blob_bytes
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
 from staleref import revgraph
 from staleref.revgraph import (
+    Branch,
     EmptyHistoryError,
     GitError,
     GitRepo,
@@ -97,6 +99,23 @@ class TestLinearize:
         repo = GitRepo(builder.path)
         with pytest.raises(UnknownBranchError):
             repo.linearize_history("does-not-exist")
+
+    @pytest.mark.parametrize("name", [
+        "HEAD^{tree}", "README.md", "docs", "main~1..main", "main^@", "main^!",
+        "--all", "-n1", "--output=out",
+    ])
+    def test_name_of_no_single_commit_is_unknown_branch(self, repo_factory, name):
+        # A tree, which git log lists as nothing with exit 0, is still told
+        # apart from an unborn branch. A worktree path, a range, a parent
+        # shorthand or an option: git log would list commits for each if it
+        # read the name as such.
+        builder = repo_factory()
+        builder.commit(T, {"README.md": "a\n", "docs/guide.md": "b\n"})
+        builder.commit(T + 1, {"README.md": "c\n"})
+        repo = GitRepo(builder.path)
+        with pytest.raises(UnknownBranchError, match=re.escape(repr(name))):
+            repo.linearize_history(name)
+        assert not (builder.path / "out").exists()
 
     def test_unborn_branch_is_empty_history(self, repo_factory):
         builder = repo_factory("empty")
@@ -383,6 +402,79 @@ class TestFirstParentChanges:
         assert sorted(path for path, old, _ in changes if old is None) == [
             b"f0.txt", b"f1.txt", b"f2.txt"
         ]
+
+
+@pytest.fixture(scope="module")
+def scenario_branches(tmp_path_factory):
+    """The branch of every repository of every scenario that has commits."""
+    branches = []
+    for manifest in scenarios.build_all(tmp_path_factory.mktemp("scenarios")):
+        for path in filter(None, (manifest["repo"], manifest["wiki"])):
+            try:
+                branches.append(Branch.open(path, None))
+            except EmptyHistoryError:
+                pass  # the unborn wiki
+    return branches
+
+
+def _blobs(tree):
+    return {path: blob for path, (blob, _) in tree.items()}
+
+
+class TestBranch:
+    def test_head_is_the_replayed_history(self, scenario_branches):
+        for branch in scenario_branches:
+            assert branch.head == replay(branch.changes), branch.repo.path
+
+    def test_nets_rebuild_each_stop(self, scenario_branches):
+        # From the empty tree or any revision, applying each move's net
+        # gives the stop's tree, over random descending stops that may skip
+        # revisions and repeat one.
+        rng = random.Random(5)
+        for branch in scenario_branches:
+            n = len(branch.changes)
+            for _ in range(20):
+                stops = sorted(
+                    (branch.seq.revisions[rng.randrange(n)] for _ in range(rng.randrange(1, 5))),
+                    key=lambda r: r.ordinal, reverse=True,
+                )
+                at = rng.choice([None, branch.seq.revisions[rng.randrange(stops[0].ordinal, n)]])
+                tree = {} if at is None else _blobs(replay(branch.changes[: at.ordinal + 1]))
+                for stop, net in zip(stops, branch.nets(stops, at)):
+                    for path, blob in net.items():
+                        if blob is None:
+                            tree.pop(path, None)
+                        else:
+                            tree[path] = blob
+                    assert tree == _blobs(replay(branch.changes[: stop.ordinal + 1])), (
+                        branch.repo.path, at, stops, stop
+                    )
+
+    def test_blob_series_matches_the_tree_listings(self, scenario_branches):
+        for branch in scenario_branches:
+            paths = branch.paths()
+            series = branch.blob_series(paths)
+            assert set(series) == paths
+            for revision in branch.seq.revisions:
+                listing = {
+                    path: blob
+                    for path, _, blob in oracle_history._ls_tree_raw(branch.repo, revision.sha)
+                }
+                assert {path: blobs[revision.ordinal] for path, blobs in series.items()} == {
+                    path: listing.get(path) for path in paths
+                }, (branch.repo.path, revision.ordinal)
+
+    def test_nets_refuse_moves_they_cannot_make(self, scenario_branches):
+        for branch in scenario_branches:
+            revisions = branch.seq.revisions
+            past = Revision(revisions[-1].sha, revisions[-1].timestamp, len(revisions))
+            with pytest.raises(ValueError, match="is not one of"):
+                branch.nets([past], None)
+            if len(revisions) > 1:
+                with pytest.raises(ValueError, match="towards older revisions"):
+                    branch.nets(revisions[:2], None)
+                with pytest.raises(ValueError, match="towards older revisions"):
+                    branch.nets([revisions[-1]], revisions[0])
 
 
 class TestLinkSourceToDocs:
