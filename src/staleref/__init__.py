@@ -67,7 +67,6 @@ from .timeline import (
     NO_REFERENCE,
     OutdatedEpisode,
     detect_episodes,
-    episode_duration,
     survival_curve,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "default_catalog",
     "detect_episodes",
     "discover_documents",
-    "episode_duration",
     "expand_path_variants",
     "extract_elements",
     "link_source_to_docs",

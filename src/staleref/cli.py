@@ -169,8 +169,12 @@ def _resolve_wiki(repo_path: str, wiki_opt: str | None) -> str | None:
     if wiki_opt == "none":
         return None
     if wiki_opt == "auto":
-        candidate = Path(str(Path(repo_path)) + ".wiki")
-        return str(candidate) if candidate.is_dir() else None
+        # Beside the repository and named after it, also for "." and "..";
+        # a relative repository path gives a relative wiki path.
+        candidate = os.path.abspath(repo_path) + ".wiki"
+        if not os.path.isabs(repo_path):
+            candidate = os.path.relpath(candidate)
+        return candidate if os.path.isdir(candidate) else None
     return wiki_opt
 
 

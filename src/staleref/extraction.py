@@ -25,24 +25,43 @@ from .docdiscovery import DocumentDescriptor
 
 MIN_ELEMENT_LENGTH = 2
 
+# The built-in rules: (id, capture group, pattern, literals). The literals
+# are those that every match of the pattern contains: each is a mandatory
+# atom of it, so a rule whose literals are not all in a line cannot match
+# there. Every capital-letter line could hold a camel-case or pascal-case
+# match, so those two run on every line.
+_BUILTIN_RULES: tuple[tuple[str, int, str, tuple[str, ...]], ...] = (
+    ("backtick", 1, r"`([^`\r\n]+)`", ("`",)),
+    ("template-class", 0, r"[A-Z][a-zA-Z]+ ?<[A-Z][a-zA-Z]*>", ("<", ">")),
+    ("qualified-call", 0,
+     r"\b[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+\([^()\r\n]*\)", (".", "(", ")")),
+    ("function-call", 0, r"\b[A-Za-z_][A-Za-z0-9_]*\(\)", ("()",)),
+    ("camel-case", 0, r"\b[a-z][a-z0-9]*(?:[A-Z][a-zA-Z0-9]*)+\b", ()),
+    ("pascal-case", 0, r"\b[A-Z][a-z0-9]+(?:[A-Z][a-zA-Z0-9]*)+\b", ()),
+    ("upper-snake", 0, r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", ("_",)),
+    ("dotted-name", 0,
+     r"\b[A-Za-z_][A-Za-z0-9_-]*\.[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*\b(?!\()", (".",)),
+    ("path-like", 0,
+     r"\.{0,2}/?[A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*/[A-Za-z0-9_.-]*[A-Za-z0-9_]", ("/",)),
+)
+# The built-in catalog deliberately has no rule for bare URLs; URLs are only
+# picked up when an author backticks them.
+
 # One rule per line: id<TAB>capture-group<TAB>pattern. Lines starting with
 # "#" and blank lines are ignored. The pattern is everything after the second
 # tab, so patterns may themselves contain tabs.
-DEFAULT_CATALOG_TEXT = """\
-# Built-in code-element extraction rules.
-# Format: id<TAB>capture-group<TAB>pattern
-backtick\t1\t`([^`\\r\\n]+)`
-template-class\t0\t[A-Z][a-zA-Z]+ ?<[A-Z][a-zA-Z]*>
-qualified-call\t0\t\\b[A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)+\\([^()\\r\\n]*\\)
-function-call\t0\t\\b[A-Za-z_][A-Za-z0-9_]*\\(\\)
-camel-case\t0\t\\b[a-z][a-z0-9]*(?:[A-Z][a-zA-Z0-9]*)+\\b
-pascal-case\t0\t\\b[A-Z][a-z0-9]+(?:[A-Z][a-zA-Z0-9]*)+\\b
-upper-snake\t0\t\\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\\b
-dotted-name\t0\t\\b[A-Za-z_][A-Za-z0-9_-]*\\.[A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z0-9_]+)*\\b(?!\\()
-path-like\t0\t\\.{0,2}/?[A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*/[A-Za-z0-9_.-]*[A-Za-z0-9_]
-"""
-# The built-in catalog deliberately has no rule for bare URLs; URLs are only
-# picked up when an author backticks them.
+DEFAULT_CATALOG_TEXT = (
+    "# Built-in code-element extraction rules.\n"
+    "# Format: id<TAB>capture-group<TAB>pattern\n"
+) + "".join(f"{rule_id}\t{group}\t{pattern}\n" for rule_id, group, pattern, _ in _BUILTIN_RULES)
+
+# The literals keyed by the exact built-in pattern, so that a custom rule
+# with a built-in id but its own pattern runs ungated. None of these
+# patterns can match a "\n": a catalog of them alone (in any order, with any
+# capture groups) may be extracted line by line.
+_REQUIRED_LITERALS: dict[str, tuple[str, ...]] = {
+    pattern: literals for _, _, pattern, literals in _BUILTIN_RULES
+}
 
 
 class CatalogError(ValueError):
@@ -137,31 +156,6 @@ def load_catalog(text: str) -> RegexCatalog:
 
 def default_catalog() -> RegexCatalog:
     return load_catalog(DEFAULT_CATALOG_TEXT)
-
-
-# The literals that every match of each built-in rule contains, by rule id.
-# Each is a mandatory atom of its pattern, so a rule whose literals are not
-# all in a line cannot match there. Every capital-letter line could hold a
-# camel-case or pascal-case match, so those two run on every line.
-_BUILTIN_LITERALS: dict[str, tuple[str, ...]] = {
-    "backtick": ("`",),
-    "template-class": ("<", ">"),
-    "qualified-call": (".", "(", ")"),
-    "function-call": ("()",),
-    "camel-case": (),
-    "pascal-case": (),
-    "upper-snake": ("_",),
-    "dotted-name": (".",),
-    "path-like": ("/",),
-}
-
-# The same literals keyed by the exact built-in pattern, so that a custom
-# rule with a built-in id but its own pattern runs ungated. None of these
-# patterns can match a "\n": a catalog of them alone (in any order, with any
-# capture groups) may be extracted line by line.
-_REQUIRED_LITERALS: dict[str, tuple[str, ...]] = {
-    rule.pattern: _BUILTIN_LITERALS[rule.id] for rule in default_catalog().rules
-}
 
 
 _FENCE_LINE_RE = re.compile(r"^[ \t]*```")

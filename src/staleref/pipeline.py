@@ -6,10 +6,11 @@ import contextlib
 import glob
 import itertools
 import json
+import math
+import os
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .docdiscovery import (
     ORIGIN_README,
@@ -43,7 +44,6 @@ from .timeline import (
     DOC_ABSENT,
     NO_REFERENCE,
     detect_episodes,
-    episode_duration,
     is_count,
 )
 
@@ -54,6 +54,9 @@ class ScanTimeout(Exception):
 
 class _Deadline:
     def __init__(self, seconds: float):
+        # No time is ever at or past a NaN deadline.
+        if math.isnan(seconds):
+            raise ValueError("timeout must be a number of seconds, not nan")
         self._at = time.monotonic() + seconds
 
     def expired(self) -> bool:
@@ -79,7 +82,8 @@ class RunConfig:
     strict_episodes: bool = False
 
     def resolved_project_id(self) -> str:
-        name = Path(self.repo_path).name
+        # abspath names "." and ".." too, without following symlinks.
+        name = os.path.basename(os.path.abspath(self.repo_path))
         return name[:-4] if name.endswith(".git") else name
 
 
@@ -377,7 +381,6 @@ def run_history(config: RunConfig) -> ScanReport:
             partial = True
 
     findings: list[Finding] = []
-    warnings_extra: list[dict] = []
     for finding, _ in rows:
         if partial:
             # Only the suffix of symbols the pass reached is reported.
@@ -389,24 +392,23 @@ def run_history(config: RunConfig) -> ScanReport:
         findings.append(finding)
         finding.symbols = tuple(finding.symbols)
         finding.episodes = detect_episodes(
-            finding.symbols, revisions, strict=config.strict_episodes
+            finding.symbols, revisions, config.strict_episodes, project.scan_time
         )
-        for episode in finding.episodes:
-            episode.duration_seconds = episode_duration(
-                episode, revisions, scan_time=project.scan_time
-            )
-            if not episode.ongoing and episode.duration_seconds < 0:
-                warnings_extra.append({
-                    "kind": "negative_duration",
-                    "element": finding.element_text,
-                    "document": finding.document.path,
-                    "start_ordinal": episode.start_ordinal,
-                })
         last = finding.symbols[-1]
         finding.current_count = last if is_count(last) else None
+    project.warnings += [
+        {
+            "kind": "negative_duration",
+            "element": finding.element_text,
+            "document": finding.document.path,
+            "start_ordinal": episode.start_ordinal,
+        }
+        for finding in findings for episode in finding.episodes or ()
+        if not episode.ongoing and episode.duration_seconds < 0
+    ]
 
     return project.report(
-        MODE_HISTORY, findings, counter.warnings, warnings_extra,
+        MODE_HISTORY, findings, counter.warnings,
         revisions=revisions,
         partial=partial,
         covered_from_ordinal=covered_from if partial else None,

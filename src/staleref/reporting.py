@@ -140,7 +140,7 @@ def _fold(projects: list[list[Finding]]) -> Aggregates:
     outdated_docs: set[tuple] = set()
     pairs_with_episode: set[tuple] = set()
     durations: list[int] = []
-    fixed_positive: list[OutdatedEpisode] = []
+    fixed_positive: list[int] = []
     for project, findings in enumerate(projects):
         agg.elements_total += len(findings)
         for f in findings:
@@ -158,7 +158,7 @@ def _fold(projects: list[list[Finding]]) -> Aggregates:
                 if episode.duration_seconds is not None:
                     durations.append(episode.duration_seconds)
                     if not episode.ongoing and episode.duration_seconds > 0:
-                        fixed_positive.append(episode)
+                        fixed_positive.append(episode.duration_seconds)
     agg.documents_total = len(documents)
     agg.documents_outdated = len(outdated_docs)
     agg.projects_outdated = len({project for project, _, _ in outdated_docs})
@@ -170,9 +170,9 @@ def _fold(projects: list[list[Finding]]) -> Aggregates:
             "mean": statistics.fmean(durations),
             "max": max(durations),
         }
-    if fixed_positive:
-        grid = sorted({0, *(ep.duration_seconds for ep in fixed_positive)})
-        agg.survival_points = [[d, f] for d, f in survival_curve(fixed_positive, grid)]
+    agg.survival_points = [
+        [d, f] for d, f in survival_curve(fixed_positive, sorted({0, *fixed_positive}))
+    ]
     return agg
 
 

@@ -112,8 +112,13 @@ class GitRepo:
         self.path = Path(path)
         if not self.path.exists():
             raise MissingRepositoryError(f"no such directory: {self.path}")
-        if self._run("rev-parse", "--git-dir").returncode != 0:
+        probe = self._run("rev-parse", "--git-dir", "--show-prefix")
+        if probe.returncode != 0:
             raise MissingRepositoryError(f"not a git repository: {self.path}")
+        # Below a work tree's top, git finds the enclosing repository and
+        # prints the directory's path in it as the prefix.
+        if probe.stdout.split("\n")[-2]:
+            raise MissingRepositoryError(f"not the top of a git repository: {self.path}")
 
     def _run(self, *args: str) -> subprocess.CompletedProcess:
         return subprocess.run(

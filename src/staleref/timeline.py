@@ -60,7 +60,7 @@ class FixEvent:
             raise ValueError(f"unknown fix kind: {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutdatedEpisode:
     start_ordinal: int
     end_ordinal: int | None
@@ -73,7 +73,10 @@ class OutdatedEpisode:
 
 
 def detect_episodes(
-    symbols: tuple[Symbol, ...], revisions: tuple[Revision, ...], strict: bool = False
+    symbols: tuple[Symbol, ...],
+    revisions: tuple[Revision, ...],
+    strict: bool = False,
+    scan_time: int | None = None,
 ) -> list[OutdatedEpisode]:
     """Find every outdated episode in a timeline, in one pass over its symbols.
 
@@ -88,77 +91,60 @@ def detect_episodes(
 
     An open episode remembers the first DocAbsent of a gap. Zeros after the
     gap resume it; any other symbol closes it, at the gap if there is one.
+
+    Each episode is built when it closes, with its duration in seconds from
+    its first zero to its fix: signed, as commit timestamps are not monotone.
+    An episode still open at the end lasts until *scan_time*; without one it
+    has no duration.
     """
     episodes: list[OutdatedEpisode] = []
-    episode: OutdatedEpisode | None = None
+    start: int | None = None  # first zero of the open episode
     gap: int | None = None  # first DocAbsent after the open episode's zeros
     seen_positive = last_present_positive = False
 
     def close(end: int, kind: str) -> None:
         revision = revisions[end]
-        episode.end_ordinal = end
-        episode.fix = FixEvent(kind, end, revision.sha, revision.timestamp)
+        episodes.append(OutdatedEpisode(
+            start, end, FixEvent(kind, end, revision.sha, revision.timestamp),
+            revision.timestamp - revisions[start].timestamp,
+        ))
 
     for i, symbol in enumerate(symbols):
         if symbol == DOC_ABSENT:
-            if episode is not None and gap is None:
+            if start is not None and gap is None:
                 gap = i
         elif symbol == 0:
-            if episode is not None:
+            if start is not None:
                 gap = None
             elif last_present_positive if strict else seen_positive:
-                episode = OutdatedEpisode(i, None)
-                episodes.append(episode)
+                start = i
         else:
             if gap is not None:
                 close(gap, FIX_DOC_DELETE)
-            elif episode is not None:
+            elif start is not None:
                 close(i, FIX_DOC_UPDATE if symbol == NO_REFERENCE else FIX_SOURCE_CHANGE)
-            episode = gap = None
+            start = gap = None
             last_present_positive = symbol != NO_REFERENCE
             seen_positive = seen_positive or last_present_positive
     if gap is not None:
         close(gap, FIX_DOC_DELETE)
+    elif start is not None:
+        duration = None if scan_time is None else scan_time - revisions[start].timestamp
+        episodes.append(OutdatedEpisode(start, None, duration_seconds=duration))
     return episodes
 
 
-def episode_duration(
-    episode: OutdatedEpisode,
-    revisions: tuple[Revision, ...],
-    scan_time: int | None = None,
-) -> int:
-    """Seconds from the first outdated revision to the fix (or to *scan_time*).
-
-    Commit timestamps are not monotone, so a fixed episode's duration can come
-    out negative; callers keep the signed value and flag it rather than
-    clamping.
-    """
-    start_ts = revisions[episode.start_ordinal].timestamp
-    if episode.end_ordinal is None:
-        if scan_time is None:
-            raise ValueError("scan_time required for an ongoing episode")
-        return scan_time - start_ts
-    assert episode.fix is not None
-    return episode.fix.at_timestamp - start_ts
-
-
 def survival_curve(
-    episodes: list[OutdatedEpisode],
-    grid: list[int] | tuple[int, ...],
+    durations: list[int], grid: list[int] | tuple[int, ...]
 ) -> list[tuple[float, float]]:
-    """Fraction of episodes that outlived each horizon in *grid*.
+    """Fraction of *durations* that exceed each horizon in *grid*.
 
-    Expects fixed episodes with positive durations already assigned. A point
-    (d, f) means a fraction f of the episodes took strictly longer than d
-    seconds to fix. No episodes yields an empty curve.
+    A point (d, f) means a fraction f of the durations (seconds each
+    episode took to fix) are strictly longer than d seconds. No durations
+    yields an empty curve.
     """
-    durations = []
-    for episode in episodes:
-        if episode.duration_seconds is None:
-            raise ValueError("episodes must carry duration_seconds")
-        durations.append(episode.duration_seconds)
     if not durations:
         return []
-    durations.sort()
+    durations = sorted(durations)
     total = len(durations)
     return [(float(d), (total - bisect.bisect_right(durations, d)) / total) for d in grid]

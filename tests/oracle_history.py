@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import subprocess
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from staleref.docdiscovery import (
@@ -60,14 +60,26 @@ from staleref.timeline import (
     DOC_ABSENT,
     NO_REFERENCE,
     Symbol,
+    OutdatedEpisode,
     detect_episodes,
-    episode_duration,
     is_count,
 )
 
 
 def is_positive(symbol: Symbol) -> bool:
     return is_count(symbol) and symbol > 0
+
+
+def episode_duration(
+    episode: OutdatedEpisode, revisions: tuple[Revision, ...], scan_time: int
+) -> int:
+    """Seconds from the first outdated revision to the fix, or to *scan_time*
+    for an ongoing episode; a fix at an older timestamp gives a negative
+    duration."""
+    start_ts = revisions[episode.start_ordinal].timestamp
+    if episode.fix is None:
+        return scan_time - start_ts
+    return episode.fix.at_timestamp - start_ts
 
 
 def _read_source_text(
@@ -475,13 +487,15 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             symbols = build_timeline(
                 element, pairs, counts_provider, lambda dv: refs[dv.revision.sha]
             )
-            episodes = detect_episodes(
-                symbols, seq.revisions, strict=config.strict_episodes
-            )
-            for episode in episodes:
-                episode.duration_seconds = episode_duration(
-                    episode, seq.revisions, scan_time=project.scan_time
+            episodes = [
+                replace(episode, duration_seconds=episode_duration(
+                    episode, seq.revisions, project.scan_time
+                ))
+                for episode in detect_episodes(
+                    symbols, seq.revisions, strict=config.strict_episodes
                 )
+            ]
+            for episode in episodes:
                 if not episode.ongoing and episode.duration_seconds < 0:
                     extra_warnings.append({
                         "kind": "negative_duration",

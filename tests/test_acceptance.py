@@ -25,7 +25,6 @@ from staleref import (
     FIX_SOURCE_CHANGE,
     GitRepo,
     MatchConfig,
-    OutdatedEpisode,
     Revision,
     RevisionSequence,
     RunConfig,
@@ -217,20 +216,14 @@ def test_whole_word_property():
 
 @pytest.mark.criterion("survival curve starts at 1.0, never increases, strictly-greater rule")
 def test_survival_curve_properties():
-    def ep(duration):
-        episode = OutdatedEpisode(0, 1)
-        episode.duration_seconds = duration
-        return episode
-
-    episodes = [ep(d) for d in (10, 20, 30)]
-    assert survival_curve(episodes, [0]) == [(0.0, 1.0)]
-    assert survival_curve(episodes, [15]) == [(15.0, pytest.approx(2 / 3))]
-    assert survival_curve(episodes, [30]) == [(30.0, 0.0)]
-    tied = [ep(42) for _ in range(4)]
-    assert survival_curve(tied, [41, 42]) == [(41.0, 1.0), (42.0, 0.0)]
+    durations = [10, 20, 30]
+    assert survival_curve(durations, [0]) == [(0.0, 1.0)]
+    assert survival_curve(durations, [15]) == [(15.0, pytest.approx(2 / 3))]
+    assert survival_curve(durations, [30]) == [(30.0, 0.0)]
+    assert survival_curve([42] * 4, [41, 42]) == [(41.0, 1.0), (42.0, 0.0)]
 
     grid = [0, 5, 10, 15, 20, 25, 30, 35]
-    fractions = [f for _, f in survival_curve(episodes, grid)]
+    fractions = [f for _, f in survival_curve(durations, grid)]
     assert fractions[0] == 1.0
     assert all(x >= y for x, y in zip(fractions, fractions[1:]))
 

@@ -11,14 +11,19 @@ import sys
 import pytest
 
 import scenarios
+import staleref
 from conftest import RepoBuilder
 
 T0 = 1_600_000_000
 PIN = str(T0 + 50_000)
+# The directory that holds the package under test, so that a CLI run from
+# another directory imports it too.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(staleref.__file__)))
 
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = {k: v for k, v in os.environ.items() if not k.startswith("STALEREF_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -207,6 +212,76 @@ class TestRepositoryShapes:
             (f["document"]["origin"], f["document"]["path"], f["element_text"]): f["symbols"]
             for f in json.loads(history.stdout)["findings"]
         } == manifest["history"]
+
+
+@pytest.fixture(scope="module")
+def proj_with_wiki(tmp_path_factory):
+    """``proj`` with a tracked ``src`` directory, an untracked ``notrepo``
+    directory, and ``proj.wiki`` beside it."""
+    base = tmp_path_factory.mktemp("paths")
+    repo = RepoBuilder(base / "proj")
+    repo.commit(T0, {
+        "README.md": "Call `gone_path_fn()`.\n",
+        "src/app.py": "def gone_path_fn():\n    pass\n",
+    })
+    repo.commit(T0 + 100, {"src/app.py": "x = 1\n"})
+    (repo.path / "notrepo").mkdir()
+    wiki = RepoBuilder(base / "proj.wiki")
+    wiki.commit(T0 + 50, {"Home.md": "See `wiki_path_fn()`.\n"})
+    return repo.path
+
+
+class TestRepositoryPaths:
+    @pytest.mark.parametrize("mode", ["scan", "history"])
+    def test_dot_from_inside_names_the_project_and_finds_its_wiki(self, proj_with_wiki, mode):
+        inside = run_cli(mode, "--repo", ".", "--scan-time", PIN, cwd=proj_with_wiki)
+        beside = run_cli(mode, "--repo", "proj", "--scan-time", PIN, cwd=proj_with_wiki.parent)
+        assert (inside.returncode, inside.stderr) == (1, "")
+        assert inside.stdout == beside.stdout
+        payload = json.loads(inside.stdout)
+        assert payload["project"] == "proj"
+        assert {f["document"]["origin"] for f in payload["findings"]} == {"readme", "wiki"}
+
+    def test_dot_dot_names_the_parent(self, proj_with_wiki):
+        up = run_cli("scan", "--repo", "..", "--scan-time", PIN, cwd=proj_with_wiki / "src")
+        beside = run_cli("scan", "--repo", "proj", "--scan-time", PIN, cwd=proj_with_wiki.parent)
+        assert up.returncode == 1, up.stderr
+        assert up.stdout == beside.stdout
+        assert json.loads(up.stdout)["project"] == "proj"
+
+    @pytest.mark.parametrize("below", ["src", "notrepo"])
+    def test_directory_below_the_top_is_no_repository(self, proj_with_wiki, below):
+        proc = run_cli("scan", "--repo", str(proj_with_wiki / below))
+        assert proc.returncode == 2
+        assert "not the top of a git repository" in proc.stderr
+        wiki = run_cli("scan", "--repo", str(proj_with_wiki), "--scan-time", PIN,
+                       "--wiki", str(proj_with_wiki / below))
+        assert wiki.returncode == 1, wiki.stderr
+        warnings = json.loads(wiki.stdout)["warnings"]
+        assert [w["kind"] for w in warnings] == ["wiki_unavailable"]
+        assert "not the top of a git repository" in warnings[0]["detail"]
+
+
+class TestTimeoutValue:
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_nan_budget_exits_2(self, dirty_repo, tmp_path, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"timeout": NaN}')
+        args, env = ["scan", "--repo", dirty_repo], None
+        if source == "flag":
+            args += ["--timeout", "nan"]
+        elif source == "env":
+            env = {"STALEREF_TIMEOUT": "NaN"}
+        else:
+            args += ["--config", str(cfg)]
+        proc = run_cli(*args, env_extra=env)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "nan" in proc.stderr
+
+    def test_infinite_budget_runs_to_the_end(self, dirty_repo):
+        proc = run_cli("history", "--repo", dirty_repo, "--timeout", "inf")
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["partial"] is False
 
 
 class TestFetch:

@@ -270,8 +270,11 @@ def test_gated_extraction_equals_ungated_oracle(catalog):
 
 class TestGates:
     def test_gate_table_keys_are_the_builtin_patterns(self, catalog):
-        assert set(extraction._REQUIRED_LITERALS) == {rule.pattern for rule in catalog.rules}
-        assert set(extraction._BUILTIN_LITERALS) == {rule.id for rule in catalog.rules}
+        rules = extraction._BUILTIN_RULES
+        assert [(r.id, r.capture_group, r.pattern) for r in catalog.rules] == [
+            (rule_id, group, pattern) for rule_id, group, pattern, _ in rules
+        ]
+        assert extraction._REQUIRED_LITERALS == {pattern: lits for _, _, pattern, lits in rules}
 
     def test_custom_pattern_with_a_builtin_id_runs_ungated(self):
         custom = load_catalog("path-like\t0\t\\bfoo_\\w+\n")

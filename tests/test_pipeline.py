@@ -434,6 +434,27 @@ class TestRunBehavior:
         statuses = {f.element_text: f.status for f in report.findings}
         assert statuses == {"doc_fn()": "outdated"}
 
+    def test_fix_at_an_older_timestamp_warns_negative_duration(self, tmp_path):
+        # back_fn() leaves at T0 + 200 and returns in a commit dated T0 + 50.
+        builder = RepoBuilder(tmp_path / "backdated")
+        builder.commit(scenarios.T0, {
+            "README.md": "Call `back_fn()` and `gone_fn()`.\n",
+            "src/app.py": "def back_fn():\n    pass\n\ndef gone_fn():\n    pass\n",
+        })
+        builder.commit(scenarios.T0 + 200, {"src/app.py": "x = 1\n"})
+        builder.commit(scenarios.T0 + 50, {"src/app.py": "def back_fn():\n    pass\n"})
+        config = RunConfig(repo_path=str(builder.path), scan_time=scenarios.T0 + 1000)
+        report = run_history(config)
+        episodes = {f.element_text: f.episodes for f in report.findings}
+        assert [(e.fix.kind, e.duration_seconds) for e in episodes["back_fn()"]] == [
+            ("source_change", -150)
+        ]
+        assert [e.duration_seconds for e in episodes["gone_fn()"]] == [800]
+        assert report.warnings == [{
+            "kind": "negative_duration", "element": "back_fn()", "document": "README.md",
+            "start_ordinal": 1,
+        }]
+
 
 @pytest.fixture(scope="module")
 def guide_repos(tmp_path_factory):

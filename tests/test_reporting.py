@@ -30,9 +30,7 @@ from staleref.revgraph import Revision
 from staleref.timeline import (
     DOC_ABSENT,
     NO_REFERENCE,
-    OutdatedEpisode,
     detect_episodes,
-    episode_duration,
 )
 
 README = DocumentDescriptor(ORIGIN_README, "README.md", "markdown")
@@ -63,11 +61,7 @@ def history_finding(element, symbols, document=README, scan_time=None):
     """A finding whose symbols describe ``revs(len(symbols))``."""
     symbols = tuple(symbols)
     revisions = revs(len(symbols))
-    episodes = detect_episodes(symbols, revisions)
-    for ep in episodes:
-        ep.duration_seconds = episode_duration(
-            ep, revisions, scan_time=scan_time or (T + 10_000)
-        )
+    episodes = detect_episodes(symbols, revisions, scan_time=scan_time or (T + 10_000))
     return Finding(
         element_text=element,
         document=document,

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from importlib.util import find_spec
 
 import pytest
 
 from oracle_episodes import episodes_oracle
-from oracle_history import DocVersion, build_timeline
+from oracle_history import DocVersion, build_timeline, episode_duration
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_README
 from staleref.revgraph import Revision
 from staleref.timeline import (
@@ -17,9 +18,7 @@ from staleref.timeline import (
     FIX_DOC_UPDATE,
     FIX_SOURCE_CHANGE,
     NO_REFERENCE,
-    OutdatedEpisode,
     detect_episodes,
-    episode_duration,
     survival_curve,
 )
 
@@ -210,18 +209,16 @@ class TestDurations:
         # Start t=200 (first zero), fix t=400: duration 200.
         revisions = revs(4, start=100, step=100)
         episode = detect_episodes(*tl([2, 0, 0, NO_REFERENCE], revisions))[0]
-        assert episode_duration(episode, revisions) == 200
+        assert episode.duration_seconds == 200
 
     def test_ongoing_duration_uses_scan_time(self):
         revisions = revs(2, start=100, step=100)
-        episode = detect_episodes(*tl([2, 0], revisions))[0]
-        assert episode_duration(episode, revisions, scan_time=1000) == 800
+        episode = detect_episodes(*tl([2, 0], revisions), scan_time=1000)[0]
+        assert episode.duration_seconds == 800
 
-    def test_ongoing_without_scan_time_rejected(self):
-        revisions = revs(2)
-        episode = detect_episodes(*tl([2, 0], revisions))[0]
-        with pytest.raises(ValueError):
-            episode_duration(episode, revisions)
+    def test_ongoing_without_scan_time_has_no_duration(self):
+        episode = detect_episodes(*tl([2, 0]))[0]
+        assert episode.ongoing and episode.duration_seconds is None
 
     def test_negative_duration_retained(self):
         # A revert can give the fix revision an older timestamp.
@@ -230,34 +227,60 @@ class TestDurations:
             Revision("1" * 39 + "a", 500, 1),
             Revision("2" * 39 + "b", 100, 2),
         )
-        episode = detect_episodes(*tl([2, 0, NO_REFERENCE], revisions))[0]
-        assert episode_duration(episode, revisions) == -400
+        episode = detect_episodes(*tl([2, 0, NO_REFERENCE], revisions), scan_time=900)[0]
+        assert episode.duration_seconds == -400
+
+    def test_episodes_are_frozen(self):
+        episode = detect_episodes(*tl([2, 0, NO_REFERENCE]))[0]
+        with pytest.raises(FrozenInstanceError):
+            episode.duration_seconds = 0
+        with pytest.raises(FrozenInstanceError):
+            episode.fix = None
+
+    @pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+    def test_durations_equal_the_oracle_arithmetic(self):
+        from hypothesis import given, settings, strategies as st
+
+        symbol = st.sampled_from([DOC_ABSENT, NO_REFERENCE, 0, 0, 1, 3])
+
+        # Timestamps in a narrow range, in any order, make negative and
+        # zero durations common.
+        @settings(max_examples=500, deadline=None, derandomize=True)
+        @given(
+            st.lists(st.tuples(symbol, st.integers(0, 50)), min_size=1, max_size=12),
+            st.booleans(),
+            st.one_of(st.none(), st.integers(0, 80)),
+        )
+        def check(cells, strict, scan_time):
+            symbols = tuple(s for s, _ in cells)
+            revisions = tuple(Revision(f"{i:040x}", t, i) for i, (_, t) in enumerate(cells))
+            episodes = detect_episodes(symbols, revisions, strict, scan_time)
+            assert shape(episodes) == episodes_oracle(symbols, strict=strict)
+            for episode in episodes:
+                want = (
+                    None if episode.ongoing and scan_time is None
+                    else episode_duration(episode, revisions, scan_time)
+                )
+                assert episode.duration_seconds == want, (symbols, strict, scan_time)
+
+        check()
 
 
 class TestSurvival:
-    def ep(self, duration):
-        episode = OutdatedEpisode(0, 1)
-        episode.duration_seconds = duration
-        return episode
-
     def test_hand_counted_fraction(self):
-        episodes = [self.ep(d) for d in (10, 20, 30)]
-        assert survival_curve(episodes, [15]) == [(15.0, pytest.approx(2 / 3))]
+        assert survival_curve([10, 20, 30], [15]) == [(15.0, pytest.approx(2 / 3))]
 
     def test_zero_horizon_everything_survives(self):
-        episodes = [self.ep(d) for d in (10, 20, 30)]
-        assert survival_curve(episodes, [0]) == [(0.0, 1.0)]
+        assert survival_curve([10, 20, 30], [0]) == [(0.0, 1.0)]
 
     def test_strictly_greater_rule(self):
-        episodes = [self.ep(42) for _ in range(4)]
-        assert survival_curve(episodes, [42]) == [(42.0, 0.0)]
+        assert survival_curve([42] * 4, [42]) == [(42.0, 0.0)]
 
     def test_monotone_nonincreasing_and_bounded(self):
         rng = random.Random(7)
         durations = [rng.randrange(1, 1000) for _ in range(60)]
-        episodes = [self.ep(d) for d in durations]
         grid = sorted({0, *durations})
-        curve = survival_curve(episodes, grid)
+        curve = survival_curve(durations, grid)
         fractions = [f for _, f in curve]
         assert fractions[0] == 1.0
         assert all(0.0 <= f <= 1.0 for f in fractions)
@@ -282,7 +305,6 @@ class TestSurvival:
         @given(st.lists(values, min_size=1, max_size=30), st.lists(values, max_size=20))
         @example([7, 3, 3, 7, 7], [0, 3, 5, 7, 9])
         def check(durations, grid):
-            episodes = [self.ep(d) for d in durations]
-            assert survival_curve(episodes, grid) == oracle(durations, grid)
+            assert survival_curve(list(durations), grid) == oracle(durations, grid)
 
         check()
