@@ -26,6 +26,8 @@ _BINARY_SNIFF_BYTES = 8192
 
 # Evidence lists at most this many matching files per element.
 MAX_MATCHED_PATHS = 20
+# A file counts at most this many instances of one element, and warns.
+MAX_COUNT_PER_FILE = 10_000
 
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
 # Maps every byte that is not a word character to a space.
@@ -39,10 +41,9 @@ _TOKEN_SLICE_BYTES = 1 << 16
 class MatchConfig:
     exclude_globs: tuple[str, ...] = ()
     max_file_bytes: int = 10 * 1024 * 1024
-    max_count_per_file: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.max_file_bytes <= 0 or self.max_count_per_file <= 0:
+        if self.max_file_bytes <= 0:
             raise ValueError("size and count limits must be positive")
 
 
@@ -260,7 +261,7 @@ class HistoryCounter:
                         kind="count_capped",
                         path=self._paths[path][0],
                         element=element_text,
-                        cap=self.config.max_count_per_file,
+                        cap=MAX_COUNT_PER_FILE,
                     )
         return self._totals[element_text] + len(self._variant_paths[element_text])
 
@@ -308,11 +309,12 @@ class HistoryCounter:
             candidates = self._candidates(data) if data else ()
             if candidates:
                 text = _decode(data)
-                cap = self.config.max_count_per_file
                 for element in candidates:
                     if element not in text:
                         continue
-                    count, first, capped = count_occurrences(element, text, cap=cap)
+                    count, first, capped = count_occurrences(
+                        element, text, cap=MAX_COUNT_PER_FILE
+                    )
                     if count:
                         counts[element] = (count, text.count("\n", 0, first) + 1, capped)
         return counts

@@ -27,7 +27,6 @@ from .reporting import (
     Finding,
     ScanReport,
     build_finding_urls,
-    compute_aggregates,
     sort_findings,
 )
 from .revgraph import (
@@ -207,7 +206,6 @@ class _Project:
             mode=mode,
             findings=findings,
             warnings=sorted(warnings, key=lambda w: json.dumps(w, sort_keys=True)),
-            aggregates=compute_aggregates(findings),
             **fields,
         )
         for finding in findings:

@@ -106,7 +106,6 @@ class ScanReport:
     mode: str
     findings: list[Finding]
     warnings: list[dict]
-    aggregates: Aggregates
     revisions: tuple[Revision, ...] | None = None
     partial: bool = False
     covered_from_ordinal: int | None = None
@@ -122,8 +121,8 @@ def sort_findings(findings: list[Finding]) -> list[Finding]:
 
 
 def compute_aggregates(findings: list[Finding]) -> Aggregates:
-    """Totals over one report's findings; pure so it can be recomputed from
-    parsed output and compared against the in-process result."""
+    """Totals over one report's findings: the report's ``aggregates`` block,
+    which is written from them and checked against them when parsed."""
     return _fold([findings])
 
 
@@ -209,20 +208,17 @@ def _parse_episode(data: dict, count: int) -> OutdatedEpisode:
     )
 
 
-def _parse_symbols(symbols: list, count: int) -> tuple[Symbol, ...]:
-    """*symbols* as a timeline of *count* symbols. One cheap pass accepts a
-    well-formed array; only one that fails it is walked symbol by symbol, so
-    that the error names the first offender."""
-    if type(symbols) is list and len(symbols) == count and all(
-        type(s) is int and s >= 0 or s == DOC_ABSENT or s == NO_REFERENCE for s in symbols
-    ):
-        return tuple(symbols)
-    symbols = tuple(symbols)
+def _parse_symbols(symbols, count: int) -> tuple[Symbol, ...]:
+    """*symbols*, a JSON array, as a timeline of *count* symbols; the error
+    names the first symbol that is none."""
+    if type(symbols) is not list:
+        raise ValueError("symbols are no array")
     if len(symbols) != count:
         raise ValueError("one symbol per revision required")
     for symbol in symbols:
-        validate_symbol(symbol)
-    return symbols
+        if not (type(symbol) is int and symbol >= 0 or symbol in (DOC_ABSENT, NO_REFERENCE)):
+            validate_symbol(symbol)
+    return tuple(symbols)
 
 
 def _parse_failed_ordinals(ordinals, count: int) -> tuple[int, ...]:
@@ -301,36 +297,6 @@ def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Findin
     )
 
 
-def _aggregates_dict(agg: Aggregates) -> dict:
-    return {
-        "elements_total": agg.elements_total,
-        "elements_outdated": agg.elements_outdated,
-        "documents_total": agg.documents_total,
-        "documents_outdated": agg.documents_outdated,
-        "projects_total": agg.projects_total,
-        "projects_outdated": agg.projects_outdated,
-        "fix_kind_counts": {kind: agg.fix_kind_counts.get(kind, 0) for kind in FIX_KINDS},
-        "reoutdated_count": agg.reoutdated_count,
-        "duration_stats": agg.duration_stats,
-        "survival_points": agg.survival_points,
-    }
-
-
-def _parse_aggregates(data: dict) -> Aggregates:
-    return Aggregates(
-        elements_total=data["elements_total"],
-        elements_outdated=data["elements_outdated"],
-        documents_total=data["documents_total"],
-        documents_outdated=data["documents_outdated"],
-        projects_total=data["projects_total"],
-        projects_outdated=data["projects_outdated"],
-        fix_kind_counts={k: data["fix_kind_counts"].get(k, 0) for k in FIX_KINDS},
-        reoutdated_count=data["reoutdated_count"],
-        duration_stats=data.get("duration_stats"),
-        survival_points=[list(p) for p in data.get("survival_points", [])],
-    )
-
-
 def report_to_dict(report: ScanReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -348,14 +314,16 @@ def report_to_dict(report: ScanReport) -> dict:
         else None,
         "findings": [_finding_dict(f) for f in report.findings],
         "warnings": report.warnings,
-        "aggregates": _aggregates_dict(report.aggregates),
+        # Aggregates declares its fields in the order of the JSON keys.
+        "aggregates": asdict(compute_aggregates(report.findings)),
     }
 
 
 def parse_report(text: str) -> ScanReport:
     """Inverse of the JSON rendering; findings round-trip exactly.
 
-    Raises ValueError for text that is no report of this schema version.
+    Raises ValueError for text that is no report of this schema version,
+    and for one whose aggregates are not the ones its findings give.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -370,13 +338,14 @@ def parse_report(text: str) -> ScanReport:
                 Revision(r["sha"], r["timestamp"], r["ordinal"]) for r in data["revisions"]
             )).revisions
         findings = [_parse_finding(f, revisions) for f in data["findings"]]
+        if data["aggregates"] != asdict(compute_aggregates(findings)):
+            raise ValueError("aggregates disagree with the findings")
         return ScanReport(
             project_id=data["project"],
             scan_time=data["scan_time_epoch"],
             mode=data["mode"],
             findings=findings,
             warnings=data.get("warnings", []),
-            aggregates=_parse_aggregates(data["aggregates"]),
             revisions=revisions,
             partial=bool(data.get("partial")),
             covered_from_ordinal=data.get("covered_from_ordinal"),
@@ -401,7 +370,7 @@ def render_findings(report: ScanReport, fmt: str = FORMAT_JSON) -> str:
 def render_aggregates(agg: Aggregates, fmt: str = FORMAT_JSON) -> str:
     """Pooled aggregates as JSON, as a one-row CSV table of the scalar
     totals, or as a Markdown list."""
-    data = _aggregates_dict(agg)
+    data = asdict(agg)
     if fmt == FORMAT_JSON:
         return json.dumps(data, indent=2) + "\n"
     if fmt == FORMAT_CSV:
@@ -460,7 +429,7 @@ def _render_findings_markdown(report: ScanReport) -> str:
         f"* mode: {report.mode}",
         f"* scan time: {_rfc3339(report.scan_time)}",
         f"* findings: {len(report.findings)} "
-        f"({report.aggregates.elements_outdated} outdated)",
+        f"({sum(f.outdated for f in report.findings)} outdated)",
     ]
     if report.partial:
         lines.append("* **partial results** (run hit its timeout)")

@@ -112,12 +112,14 @@ class GitRepo:
         self.path = Path(path)
         if not self.path.exists():
             raise MissingRepositoryError(f"no such directory: {self.path}")
-        probe = self._run("rev-parse", "--git-dir", "--show-prefix")
+        probe = self._run("rev-parse", "--git-dir", "--show-prefix", "--is-inside-git-dir")
         if probe.returncode != 0:
             raise MissingRepositoryError(f"not a git repository: {self.path}")
         # Below a work tree's top, git finds the enclosing repository and
-        # prints the directory's path in it as the prefix.
-        if probe.stdout.split("\n")[-2]:
+        # prints the directory's path in it as the prefix. Inside a git
+        # directory, only its top names itself as ".".
+        *git_dir, prefix, inside, _ = probe.stdout.split("\n")
+        if prefix or (inside == "true" and git_dir != ["."]):
             raise MissingRepositoryError(f"not the top of a git repository: {self.path}")
 
     def _run(self, *args: str) -> subprocess.CompletedProcess:

@@ -30,6 +30,7 @@ from staleref.docdiscovery import (
     DocumentDescriptor,
     discover_documents,
 )
+from staleref import matching
 from staleref.extraction import extract_elements
 from staleref.matching import (
     MAX_MATCHED_PATHS,
@@ -363,9 +364,7 @@ class SourceScanner(_WarningLog):
             key = (blob, element_text)
             result = self._count_cache.get(key)
             if result is None:
-                result = count_occurrences(
-                    element_text, text, cap=self.config.max_count_per_file
-                )
+                result = count_occurrences(element_text, text, cap=matching.MAX_COUNT_PER_FILE)
                 self._count_cache[key] = result
             count, first, capped = result
             if capped:
@@ -373,7 +372,7 @@ class SourceScanner(_WarningLog):
                     kind="count_capped",
                     path=path,
                     element=element_text,
-                    cap=self.config.max_count_per_file,
+                    cap=matching.MAX_COUNT_PER_FILE,
                 )
             if count > 0:
                 total += count

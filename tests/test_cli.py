@@ -249,7 +249,7 @@ class TestRepositoryPaths:
         assert up.stdout == beside.stdout
         assert json.loads(up.stdout)["project"] == "proj"
 
-    @pytest.mark.parametrize("below", ["src", "notrepo"])
+    @pytest.mark.parametrize("below", ["src", "notrepo", ".git/objects"])
     def test_directory_below_the_top_is_no_repository(self, proj_with_wiki, below):
         proc = run_cli("scan", "--repo", str(proj_with_wiki / below))
         assert proc.returncode == 2
@@ -260,6 +260,27 @@ class TestRepositoryPaths:
         warnings = json.loads(wiki.stdout)["warnings"]
         assert [w["kind"] for w in warnings] == ["wiki_unavailable"]
         assert "not the top of a git repository" in warnings[0]["detail"]
+
+    @pytest.mark.parametrize("path, accepted", [
+        ("proj", True), ("proj/.git", True), ("bare.git", True),
+        ("proj/.git/objects", False), ("bare.git/objects", False),
+    ])
+    def test_only_the_top_of_a_git_directory_is_a_repository(
+        self, proj_with_wiki, path, accepted
+    ):
+        base = proj_with_wiki.parent
+        if not (base / "bare.git").exists():
+            subprocess.run(["git", "clone", "--quiet", "--bare", "proj", "bare.git"],
+                           cwd=base, check=True)
+        proc = run_cli("scan", "--repo", path, "--wiki", "none", "--scan-time", PIN, cwd=base)
+        if accepted:
+            assert (proc.returncode, proc.stderr) == (1, "")
+            proj = run_cli("scan", "--repo", "proj", "--wiki", "none", "--scan-time", PIN,
+                           cwd=base)
+            assert json.loads(proc.stdout)["findings"] == json.loads(proj.stdout)["findings"]
+        else:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert "not the top of a git repository" in proc.stderr
 
 
 class TestTimeoutValue:
@@ -403,13 +424,21 @@ class TestStats:
         (lambda report: report["revisions"][0].update(timestamp=True),
          "timestamp is no integer: True"),
         (_set_episode(start_ordinal=1_000_000), "episode ordinals outside the revisions: [1000000"),
+        (lambda report: report["findings"][0].update(symbols="." * len(report["revisions"])),
+         "symbols are no array"),
+        (lambda report: report["findings"][0].update(symbols={"0": "."}), "symbols are no array"),
+        (lambda report: report["aggregates"].update(
+            elements_outdated=report["aggregates"]["elements_outdated"] + 5),
+         "aggregates disagree with the findings"),
+        (lambda report: report.pop("aggregates"), "malformed report: KeyError('aggregates')"),
     ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
             "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
             "revision-sha-not-hex", "episode-duration-text", "partial-without-failed-ordinals",
             "symbols-without-revisions", "failed-ordinal-past-revisions",
             "failed-ordinals-out-of-range", "failed-ordinal-bool", "failed-ordinals-descending",
             "failed-ordinals-without-symbols", "revision-ordinal-out-of-order",
-            "revision-timestamp-text", "revision-timestamp-bool", "episode-start-past-revisions"])
+            "revision-timestamp-text", "revision-timestamp-bool", "episode-start-past-revisions",
+            "symbols-string", "symbols-object", "aggregates-disagree", "aggregates-missing"])
     def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
         # A callable payload spoils one field of a valid history report.
         if callable(payload):

@@ -13,7 +13,6 @@ repository ``run_scan`` must render the same report, byte for byte, as
 
 from __future__ import annotations
 
-import functools
 import os
 import tempfile
 from pathlib import Path
@@ -25,8 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from conftest import RepoBuilder  # noqa: E402
 from oracle_history import run_history_oracle, run_scan_oracle  # noqa: E402
-from staleref import pipeline  # noqa: E402
-from staleref.matching import MatchConfig  # noqa: E402
+from staleref import matching  # noqa: E402
 from staleref.pipeline import RunConfig, run_history, run_scan  # noqa: E402
 from staleref.reporting import render_findings  # noqa: E402
 
@@ -180,7 +178,7 @@ def test_incremental_history_matches_per_cell_oracle(
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         repo, wiki = _build(Path(tmp), steps, wiki_steps)
         if cap is not None:
-            mp.setattr(pipeline, "MatchConfig", functools.partial(MatchConfig, max_count_per_file=cap))
+            mp.setattr(matching, "MAX_COUNT_PER_FILE", cap)
         config = RunConfig(
             repo_path=repo,
             wiki_path=wiki,

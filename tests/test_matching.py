@@ -184,12 +184,13 @@ class TestSourceScanner:
         assert result.count == 1
         assert any(w.get("kind") == "oversized_file" for w in scanner.warnings)
 
-    def test_count_cap_warning(self, repo_factory):
+    def test_count_cap_warning(self, repo_factory, monkeypatch):
         builder = repo_factory("capped")
         builder.commit(T, {"x.txt": "hit " * 40})
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        scanner = SourceScanner(repo, MatchConfig(max_count_per_file=5))
+        monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", 5)
+        scanner = SourceScanner(repo, MatchConfig())
         result = scanner.count_instances("hit", head)
         assert result.count == 5
         assert any(w.get("kind") == "count_capped" for w in scanner.warnings)
@@ -267,11 +268,12 @@ class TestHistoryCounter:
         assert counter.count("needle", head) == 1
         assert counter.warnings == [{"kind": "oversized_file", "path": "big.txt", "size": 70}]
 
-    def test_count_cap_warning(self, repo_factory):
+    def test_count_cap_warning(self, repo_factory, monkeypatch):
         builder = repo_factory("capped")
         builder.commit(T, {"x.txt": "hit " * 40})
         repo = GitRepo(builder.path)
-        counter, head = counter_at_head(repo, ["hit"], MatchConfig(max_count_per_file=5))
+        monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", 5)
+        counter, head = counter_at_head(repo, ["hit"])
         assert counter.count("hit", head) == 5
         assert counter.warnings == [
             {"kind": "count_capped", "path": "x.txt", "element": "hit", "cap": 5}
@@ -336,7 +338,7 @@ def brute_force(repo, revision, elements, config):
         for element in elements:
             if element not in text:
                 continue
-            count, first, _ = count_occurrences(element, text, cap=config.max_count_per_file)
+            count, first, _ = count_occurrences(element, text, cap=matching.MAX_COUNT_PER_FILE)
             if count:
                 totals[element] += count
                 hits[element].append((path, text.count("\n", 0, first) + 1, "text"))
@@ -377,11 +379,12 @@ class TestTokenPrefilter:
     """The word-token prefilter only narrows the elements a blob is counted
     for: counts and evidence equal trying every element on every blob."""
 
-    @pytest.mark.parametrize("config", [
-        MatchConfig(),
-        MatchConfig(max_count_per_file=2, exclude_globs=("src/edges.js",), max_file_bytes=60),
+    @pytest.mark.parametrize("config, cap", [
+        (MatchConfig(), matching.MAX_COUNT_PER_FILE),
+        (MatchConfig(exclude_globs=("src/edges.js",), max_file_bytes=60), 2),
     ], ids=["defaults", "cap-exclude-size"])
-    def test_equals_brute_force(self, repo_factory, config):
+    def test_equals_brute_force(self, repo_factory, monkeypatch, config, cap):
+        monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", cap)
         builder = repo_factory("odd")
         rng = random.Random(7)
         files = dict(ODD_FILES)

@@ -13,9 +13,9 @@ import scenarios
 from conftest import RepoBuilder
 from scenarios import config_for
 from oracle_history import run_history_oracle, run_scan_oracle, tree_entries
-from staleref import cli, pipeline
+from staleref import cli, matching, pipeline
 from staleref.docdiscovery import DiscoveryConfig
-from staleref.matching import HistoryCounter, MatchConfig, matches_exclude
+from staleref.matching import HistoryCounter, matches_exclude
 from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
 from staleref.reporting import MODE_HISTORY, parse_report, render_findings, render_history_table
 from staleref.revgraph import GitError, GitRepo
@@ -207,6 +207,22 @@ class TestScanScenarios:
         report = run_scan(config_for(next(m for m in manifests if m["name"] == "multi_doc")))
         assert report.partial
         assert_round_trips(report, "partial")
+
+
+class TestAggregatesCheck:
+    @pytest.mark.parametrize("run, strict", [
+        (run_scan, False), (run_history, False), (run_history, True),
+    ], ids=["scan", "history", "history-strict"])
+    def test_every_report_and_cut_parses_back(self, manifests, monkeypatch, run, strict):
+        # parse_report checks the aggregates block against the findings; no
+        # report that a run writes, complete or cut at any check, fails it.
+        for manifest in manifests:
+            config = config_for(manifest, strict_episodes=strict)
+            for checks in range(checks_of(monkeypatch, run, config) + 1):
+                with monkeypatch.context() as m:
+                    cut_after(m, checks)
+                    text = render_findings(run(config))
+                assert render_findings(parse_report(text)) == text, (manifest["name"], checks)
 
 
 class TestHistoryScenarios:
@@ -706,8 +722,7 @@ class TestSkippedBlobWarnings:
             "hot.py": "gone_fn() " * 5 + "\n",
         })
         builder.commit(scenarios.T0 + 10, {"big.py": None, "hot.py": None})
-        monkeypatch.setattr(pipeline, "MatchConfig",
-                            lambda **kwargs: MatchConfig(max_count_per_file=2, **kwargs))
+        monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", 2)
         config = RunConfig(
             repo_path=str(builder.path), max_file_bytes=100, scan_time=scenarios.T0 + 1000
         )

@@ -1,0 +1,38 @@
+"""The README's examples run as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import scenarios
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_use_snippet() -> str:
+    """The first ``python`` block under the README's "## Library use"."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_library_use_snippet_prints_the_outdated_findings(tmp_path, monkeypatch, capsys):
+    manifest = scenarios.build_backtick_outdated(tmp_path / "build")
+    (tmp_path / "work").mkdir()
+    Path(manifest["repo"]).rename(tmp_path / "work" / "proj")
+    monkeypatch.chdir(tmp_path)
+
+    namespace: dict = {}
+    exec(compile(library_use_snippet(), "README.md", "exec"), namespace)
+
+    report = namespace["report"]
+    outdated = [f for f in report.findings if f.status == "outdated"]
+    assert {(f.document.origin, f.document.path, f.element_text) for f in outdated} == {
+        key for key, status in manifest["expected"].items() if status == scenarios.OUTDATED
+    }
+    assert capsys.readouterr().out == "".join(
+        f"{f.element_text} {f.document.path} {f.evidence}\n" for f in outdated
+    )
+    # The snippet names a wiki clone that is not there.
+    assert [w["kind"] for w in report.warnings] == ["wiki_unavailable"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from importlib.util import find_spec
 
@@ -80,7 +81,6 @@ def make_report(findings, mode=MODE_CURRENT, revisions=None, project_id="proj"):
         mode=mode,
         findings=findings,
         warnings=[],
-        aggregates=compute_aggregates(findings),
         revisions=revisions,
     )
 
@@ -152,6 +152,13 @@ class TestSerialization:
                 assert parse_report(text).findings[0].symbols == tuple(symbols)
 
         check()
+
+    @pytest.mark.parametrize("symbols", ["...", {"0": "."}], ids=["string", "object"])
+    def test_symbols_must_be_an_array(self, symbols):
+        data = json.loads(render_findings(history_report([history_finding("a()", [1, 0, 0])])))
+        data["findings"][0]["symbols"] = symbols
+        with pytest.raises(ValueError, match="^symbols are no array$"):
+            parse_report(json.dumps(data))
 
     def test_schema_version_check(self):
         report = make_report([finding()])
@@ -293,7 +300,25 @@ class TestAggregates:
         report = history_report([f1, f2])
         parsed = parse_report(render_findings(report))
         recomputed = compute_aggregates(parsed.findings)
-        assert recomputed == report.aggregates
+        assert recomputed == compute_aggregates(report.findings)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda agg: agg.update(elements_outdated=agg["elements_outdated"] + 5),
+        lambda agg: agg["fix_kind_counts"].update(doc_update=9),
+        lambda agg: agg["duration_stats"].update(max=agg["duration_stats"]["max"] + 1),
+        lambda agg: agg["survival_points"][0].__setitem__(1, 0.5),
+    ], ids=["total", "fix-kind-count", "duration-stats", "survival-point"])
+    def test_parse_rejects_aggregates_that_disagree_with_the_findings(self, spoil):
+        report = history_report([
+            history_finding("a()", [1, 0, 2, 0, NO_REFERENCE]),
+            history_finding("b()", [2, 0, 0, 0, 0], WIKI),
+        ])
+        data = json.loads(render_findings(report))
+        spoiled = copy.deepcopy(data)
+        spoil(spoiled["aggregates"])
+        assert spoiled["aggregates"] != data["aggregates"]
+        with pytest.raises(ValueError, match="^aggregates disagree with the findings$"):
+            parse_report(json.dumps(spoiled))
 
     def test_outdated_leveling_invariant(self):
         findings = [finding(), finding("x()", WIKI, status="in_sync", snap=1, cur=1)]
