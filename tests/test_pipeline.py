@@ -11,45 +11,15 @@ import pytest
 
 import scenarios
 from conftest import RepoBuilder
+from cuts import checks_of, cut_after
 from scenarios import config_for
 from oracle_history import run_history_oracle, run_scan_oracle, tree_entries
 from staleref import cli, matching, pipeline
 from staleref.docdiscovery import DiscoveryConfig
 from staleref.matching import HistoryCounter, matches_exclude
-from staleref.pipeline import RunConfig, ScanTimeout, run_history, run_scan
+from staleref.pipeline import RunConfig, run_history, run_scan
 from staleref.reporting import MODE_HISTORY, parse_report, render_findings, render_history_table
 from staleref.revgraph import GitError, GitRepo
-
-
-class _FakeDeadline:
-    """Lets *checks* checks pass, then times out. A check is either call:
-    ``check`` asks ``expired``, as ``pipeline._Deadline.check`` does."""
-
-    def __init__(self, checks: int):
-        self.left = checks
-
-    def expired(self) -> bool:
-        if self.left <= 0:
-            return True
-        self.left -= 1
-        return False
-
-    def check(self) -> None:
-        if self.expired():
-            raise ScanTimeout
-
-
-def cut_after(monkeypatch, checks: int) -> None:
-    monkeypatch.setattr(pipeline, "_Deadline", lambda seconds: _FakeDeadline(checks))
-
-
-def checks_of(monkeypatch, run, config) -> int:
-    """How many deadline checks a complete run makes."""
-    deadline = _FakeDeadline(10**6)
-    with monkeypatch.context() as m:
-        m.setattr(pipeline, "_Deadline", lambda seconds: deadline)
-        assert not run(config).partial
-    return 10**6 - deadline.left
 
 
 def fail_count_at(monkeypatch, ordinal: int) -> None:
