@@ -43,7 +43,6 @@ from .reporting import (
     compute_aggregates,
     parse_report,
     render_findings,
-    render_history_table,
     render_issue_draft,
 )
 from .revgraph import (
@@ -117,7 +116,6 @@ __all__ = [
     "load_catalog",
     "parse_report",
     "render_findings",
-    "render_history_table",
     "render_issue_draft",
     "run_history",
     "run_scan",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .docdiscovery import DiscoveryConfig
 from .extraction import DEFAULT_CATALOG_TEXT, load_catalog
-from .pipeline import RunConfig, run_history, run_scan
+from .pipeline import RunConfig, project_dir, run_history, run_scan
 from .reporting import (
     FORMAT_CSV,
     FORMAT_JSON,
@@ -29,7 +29,6 @@ from .reporting import (
     parse_report,
     render_aggregates,
     render_findings,
-    render_history_table,
     render_issue_draft,
 )
 from .revgraph import GitError
@@ -169,9 +168,8 @@ def _resolve_wiki(repo_path: str, wiki_opt: str | None) -> str | None:
     if wiki_opt == "none":
         return None
     if wiki_opt == "auto":
-        # Beside the repository and named after it, also for "." and "..";
-        # a relative repository path gives a relative wiki path.
-        candidate = os.path.abspath(repo_path) + ".wiki"
+        # Beside the project's directory; relative for a relative repository path.
+        candidate = project_dir(repo_path) + ".wiki"
         if not os.path.isabs(repo_path):
             candidate = os.path.relpath(candidate)
         return candidate if os.path.isdir(candidate) else None
@@ -212,15 +210,7 @@ def _run_analysis(args, mode: str) -> int:
 
     report = run_history(config) if mode == "history" else run_scan(config)
 
-    fmt = _opt(args, file_cfg, "format", default=FORMAT_JSON)
-    if mode == "history" and fmt == FORMAT_CSV and not report.partial:
-        try:
-            text = render_history_table(report)
-        except ValueError as exc:
-            print(f"warning: {exc}; emitting JSON", file=sys.stderr)
-            text = render_findings(report, FORMAT_JSON)
-    else:
-        text = render_findings(report, fmt)
+    text = render_findings(report, _opt(args, file_cfg, "format", default=FORMAT_JSON))
     _write_output(text, _opt(args, file_cfg, "out"))
 
     draft_target = _opt(args, file_cfg, "issue_draft")

@@ -44,7 +44,7 @@ class MatchConfig:
 
     def __post_init__(self) -> None:
         if self.max_file_bytes <= 0:
-            raise ValueError("size and count limits must be positive")
+            raise ValueError(f"max_file_bytes must be positive, got {self.max_file_bytes}")
 
 
 def count_occurrences(

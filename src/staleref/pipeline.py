@@ -81,9 +81,14 @@ class RunConfig:
     strict_episodes: bool = False
 
     def resolved_project_id(self) -> str:
-        # abspath names "." and ".." too, without following symlinks.
-        name = os.path.basename(os.path.abspath(self.repo_path))
-        return name[:-4] if name.endswith(".git") else name
+        return os.path.basename(project_dir(self.repo_path)).removesuffix(".git")
+
+
+def project_dir(repo_path: str) -> str:
+    """*repo_path* made absolute, or for a ``.git`` directory its work
+    tree's top: the directory that names the project and its wiki."""
+    path = os.path.abspath(repo_path)  # also "." and "..", without following symlinks
+    return os.path.dirname(path) if os.path.basename(path) == ".git" else path
 
 
 def _derive_url_base(repo: GitRepo) -> str | None:

@@ -28,8 +28,6 @@ SCHEMA_VERSION = 1
 MODE_CURRENT = "current"
 MODE_HISTORY = "history"
 
-MAX_HISTORY_TABLE_COLUMNS = 2000
-
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
 FORMAT_MARKDOWN = "md"
@@ -259,7 +257,9 @@ def _finding_dict(finding: Finding) -> dict:
     return data
 
 
-def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Finding:
+def _parse_finding(
+    data: dict, revisions: tuple[Revision, ...] | None, covered_from: int | None, history: bool
+) -> Finding:
     document = _parse_document(data["document"])
     symbols = failed = None
     if data.get("symbols") is not None:
@@ -271,6 +271,13 @@ def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Findin
             raise ValueError("timeline_partial disagrees with failed_ordinals")
     elif data.get("failed_ordinals") is not None:
         raise ValueError("failed_ordinals without symbols")
+    elif history and covered_from is None:
+        raise ValueError("history finding without symbols")
+    suffix = data.get("symbols_suffix")
+    if covered_from is not None:
+        suffix = list(_parse_symbols(suffix, len(revisions) - covered_from))
+    elif suffix is not None:
+        raise ValueError("symbols_suffix without covered_from_ordinal")
     episodes = None
     if data.get("episodes") is not None:
         if revisions is None:
@@ -293,7 +300,7 @@ def _parse_finding(data: dict, revisions: tuple[Revision, ...] | None) -> Findin
         symbols=symbols,
         failed_ordinals=failed,
         episodes=episodes,
-        symbols_suffix=data.get("symbols_suffix"),
+        symbols_suffix=suffix,
     )
 
 
@@ -322,8 +329,8 @@ def report_to_dict(report: ScanReport) -> dict:
 def parse_report(text: str) -> ScanReport:
     """Inverse of the JSON rendering; findings round-trip exactly.
 
-    Raises ValueError for text that is no report of this schema version,
-    and for one whose aggregates are not the ones its findings give.
+    Raises ValueError for text that is no report of this schema version, and
+    for one whose aggregates or timelines disagree with its findings or revisions.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -337,7 +344,13 @@ def parse_report(text: str) -> ScanReport:
             revisions = RevisionSequence(tuple(
                 Revision(r["sha"], r["timestamp"], r["ordinal"]) for r in data["revisions"]
             )).revisions
-        findings = [_parse_finding(f, revisions) for f in data["findings"]]
+        covered_from = data.get("covered_from_ordinal")
+        n = len(revisions) if revisions is not None and data.get("partial") else -1
+        if covered_from is not None and not (type(covered_from) is int and 0 <= covered_from <= n):
+            raise ValueError("covered_from_ordinal is no ordinal of a partial report's "
+                             f"revisions: {covered_from!r}")
+        history = data.get("mode") == MODE_HISTORY
+        findings = [_parse_finding(f, revisions, covered_from, history) for f in data["findings"]]
         if data["aggregates"] != asdict(compute_aggregates(findings)):
             raise ValueError("aggregates disagree with the findings")
         return ScanReport(
@@ -348,7 +361,7 @@ def parse_report(text: str) -> ScanReport:
             warnings=data.get("warnings", []),
             revisions=revisions,
             partial=bool(data.get("partial")),
-            covered_from_ordinal=data.get("covered_from_ordinal"),
+            covered_from_ordinal=covered_from,
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed report: {exc!r}") from None
@@ -361,6 +374,8 @@ def render_findings(report: ScanReport, fmt: str = FORMAT_JSON) -> str:
     if fmt == FORMAT_JSON:
         return json.dumps(report_to_dict(report), indent=2) + "\n"
     if fmt == FORMAT_CSV:
+        if report.mode == MODE_HISTORY:
+            return _render_history_table(report)
         return _render_findings_csv(report)
     if fmt == FORMAT_MARKDOWN:
         return _render_findings_markdown(report)
@@ -455,32 +470,23 @@ def _render_findings_markdown(report: ScanReport) -> str:
     return "\n".join(lines)
 
 
-def render_history_table(report: ScanReport) -> str:
-    """CSV table with one row per (element, document) and one column per revision.
-
-    Revision ordinals R1..Rn head the columns and the sha behind each ordinal
-    is carried in leading comment lines. Findings without symbols get no row.
-    """
-    findings = [f for f in report.findings if f.symbols is not None]
-    if not findings:
+def _render_history_table(report: ScanReport) -> str:
+    """CSV table with one row per finding and one column per revision the
+    report covers: all, or in a partial report those from ``covered_from_ordinal``
+    on, filled from ``symbols_suffix``. Each column, and the comment line that
+    carries its revision's sha, is named R1..Rn by ordinal in every table."""
+    if not report.findings:
         return "element,origin,document\n"
-    revisions = report.revisions
-    if len(revisions) > MAX_HISTORY_TABLE_COLUMNS:
-        raise ValueError(
-            f"history table limited to {MAX_HISTORY_TABLE_COLUMNS} revision columns; "
-            f"got {len(revisions)} (use the JSON report instead)"
-        )
+    start = report.covered_from_ordinal
+    covered = report.revisions if start is None else report.revisions[start:]
     buf = io.StringIO()
-    for i, rev in enumerate(revisions):
-        buf.write(f"# R{i + 1} {rev.sha} {rev.timestamp}\n")
+    for rev in covered:
+        buf.write(f"# R{rev.ordinal + 1} {rev.sha} {rev.timestamp}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["element", "origin", "document"] + [f"R{i + 1}" for i in range(len(revisions))]
-    )
-    for f in sort_findings(findings):
-        writer.writerow(
-            [f.element_text, f.document.origin, f.document.path, *map(str, f.symbols)]
-        )
+    writer.writerow(["element", "origin", "document"] + [f"R{rev.ordinal + 1}" for rev in covered])
+    for f in report.findings:
+        symbols = f.symbols if start is None else f.symbols_suffix
+        writer.writerow([f.element_text, f.document.origin, f.document.path, *map(str, symbols)])
     return buf.getvalue()
 
 

@@ -8,8 +8,7 @@ own:
   history strict modes: the report as JSON, CSV and Markdown, and the issue
   draft where a finding is currently outdated; JSON and CSV at every
   fake-deadline cut; and the runs whose ``cat-file`` child dies at the blob
-  the scenario names. Every format is rendered from one run's report, and
-  CSV as ``--format csv`` writes it;
+  the scenario names. Every format is rendered from one run's report;
 * ``corpora``: the bench's smoke corpora of every workload at seeds 1 and 21
   through ``cli.main``, with stdout, stderr and exit code of each run, and
   ``stats`` over their JSON reports in every format;
@@ -48,9 +47,7 @@ from staleref.pipeline import run_history, run_scan  # noqa: E402
 from staleref.reporting import (  # noqa: E402
     FORMAT_CSV,
     FORMAT_MARKDOWN,
-    MODE_HISTORY,
     render_findings,
-    render_history_table,
     render_issue_draft,
 )
 
@@ -65,15 +62,8 @@ SCENARIOS = {b.__name__.removeprefix("build_"): b for b in scenarios.SCENARIO_BU
 GROUPS = [*SCENARIOS, "corpora", "catalog"]
 
 
-def _csv(report) -> str:
-    """The report as ``--format csv`` writes it."""
-    if report.mode == MODE_HISTORY and not report.partial:
-        return render_history_table(report)
-    return render_findings(report, FORMAT_CSV)
-
-
 def _renderings(key: str, report, complete: bool) -> dict[str, str]:
-    texts = {"json": render_findings(report), "csv": _csv(report)}
+    texts = {"json": render_findings(report), "csv": render_findings(report, FORMAT_CSV)}
     if complete:
         texts["md"] = render_findings(report, FORMAT_MARKDOWN)
         if any(f.currently_outdated for f in report.findings):
@@ -88,24 +78,23 @@ def _dying_blobs(manifest: dict) -> dict[str, str]:
     return blobs
 
 
-def _scenario_outputs(builder, base: Path) -> dict[str, str] | None:
+def _scenario_outputs(builder, base: Path, monkeypatch) -> dict[str, str] | None:
     manifest = builder(base)
     if manifest is None:
         return None
     outputs: dict[str, str] = {}
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        for mode, (run, strict) in RUNS.items():
-            config = scenarios.config_for(manifest, strict_episodes=strict)
-            total = checks_of(monkeypatch, run, config)
-            for checks in range(total + 1):
-                with monkeypatch.context() as m:
-                    cut_after(m, checks)
-                    report = run(config)
-                key = mode if checks == total else f"{mode}/cut{checks}"
-                outputs.update(_renderings(key, report, checks == total))
-            for target, blob in _dying_blobs(manifest).items():
-                with scenarios.catfile_dies_at(blob):
-                    outputs.update(_renderings(f"{mode}/{target}", run(config), True))
+    for mode, (run, strict) in RUNS.items():
+        config = scenarios.config_for(manifest, strict_episodes=strict)
+        total = checks_of(monkeypatch, run, config)
+        for checks in range(total + 1):
+            with monkeypatch.context() as m:
+                cut_after(m, checks)
+                report = run(config)
+            key = mode if checks == total else f"{mode}/cut{checks}"
+            outputs.update(_renderings(key, report, checks == total))
+        for target, blob in _dying_blobs(manifest).items():
+            with scenarios.catfile_dies_at(blob):
+                outputs.update(_renderings(f"{mode}/{target}", run(config), True))
     return outputs
 
 
@@ -152,7 +141,7 @@ def outputs(group: str, base: Path) -> dict[str, str] | None:
         elif group == "corpora":
             texts = _corpus_outputs(base)
         else:
-            texts = _scenario_outputs(SCENARIOS[group], base)
+            texts = _scenario_outputs(SCENARIOS[group], base, monkeypatch)
     if texts is None:
         return None
     return {f"{group}/{key}": text.replace(str(base), PLACEHOLDER) for key, text in texts.items()}

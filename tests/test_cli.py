@@ -274,13 +274,32 @@ class TestRepositoryPaths:
                            cwd=base, check=True)
         proc = run_cli("scan", "--repo", path, "--wiki", "none", "--scan-time", PIN, cwd=base)
         if accepted:
+            # A .git directory names the project after its work tree.
             assert (proc.returncode, proc.stderr) == (1, "")
             proj = run_cli("scan", "--repo", "proj", "--wiki", "none", "--scan-time", PIN,
                            cwd=base)
             assert json.loads(proc.stdout)["findings"] == json.loads(proj.stdout)["findings"]
+            assert json.loads(proc.stdout)["project"] == {"bare.git": "bare"}.get(path, "proj")
         else:
             assert (proc.returncode, proc.stdout) == (2, "")
             assert "not the top of a git repository" in proc.stderr
+
+    def test_git_directory_finds_the_wiki_beside_its_work_tree(self, proj_with_wiki):
+        base = proj_with_wiki.parent
+        git_dir = run_cli("scan", "--repo", "proj/.git", "--scan-time", PIN, cwd=base)
+        proj = run_cli("scan", "--repo", "proj", "--scan-time", PIN, cwd=base)
+        assert (git_dir.returncode, git_dir.stderr) == (1, "")
+        assert git_dir.stdout == proj.stdout
+        payload = json.loads(git_dir.stdout)
+        assert {f["document"]["origin"] for f in payload["findings"]} == {"readme", "wiki"}
+
+
+class TestMaxFileBytes:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_must_be_positive(self, dirty_repo, value):
+        proc = run_cli("scan", "--repo", dirty_repo, "--max-file-bytes", value)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: max_file_bytes must be positive, got {value}\n"
 
 
 class TestTimeoutValue:
@@ -431,6 +450,8 @@ class TestStats:
             elements_outdated=report["aggregates"]["elements_outdated"] + 5),
          "aggregates disagree with the findings"),
         (lambda report: report.pop("aggregates"), "malformed report: KeyError('aggregates')"),
+        (lambda report: report.update(partial=True, covered_from_ordinal=-7),
+         "covered_from_ordinal is no ordinal of a partial report's revisions: -7"),
     ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
             "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
             "revision-sha-not-hex", "episode-duration-text", "partial-without-failed-ordinals",
@@ -438,7 +459,8 @@ class TestStats:
             "failed-ordinals-out-of-range", "failed-ordinal-bool", "failed-ordinals-descending",
             "failed-ordinals-without-symbols", "revision-ordinal-out-of-order",
             "revision-timestamp-text", "revision-timestamp-bool", "episode-start-past-revisions",
-            "symbols-string", "symbols-object", "aggregates-disagree", "aggregates-missing"])
+            "symbols-string", "symbols-object", "aggregates-disagree", "aggregates-missing",
+            "covered-from-negative"])
     def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
         # A callable payload spoils one field of a valid history report.
         if callable(payload):

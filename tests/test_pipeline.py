@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 from collections import Counter
@@ -18,7 +20,7 @@ from staleref import cli, matching, pipeline
 from staleref.docdiscovery import DiscoveryConfig
 from staleref.matching import HistoryCounter, matches_exclude
 from staleref.pipeline import RunConfig, run_history, run_scan
-from staleref.reporting import MODE_HISTORY, parse_report, render_findings, render_history_table
+from staleref.reporting import FORMAT_CSV, parse_report, render_findings
 from staleref.revgraph import GitError, GitRepo
 
 
@@ -49,12 +51,29 @@ def suffixes_by_key(report):
 
 def assert_round_trips(report, name):
     """The JSON of *report* parses back to a report that renders the same
-    bytes; a complete history report also gives the same history table."""
+    bytes, in JSON and in CSV."""
     text = render_findings(report)
     parsed = parse_report(text)
     assert render_findings(parsed) == text, name
-    if report.mode == MODE_HISTORY and not report.partial:
-        assert render_history_table(parsed) == render_history_table(report), name
+    assert render_findings(parsed, FORMAT_CSV) == render_findings(report, FORMAT_CSV), name
+
+
+def covered_table(table: str, report) -> str:
+    """*table*, the CSV table of a complete history run, cut to what
+    *report*, a run of the same history, covers: the rows of its findings,
+    and the comment lines and columns of the revisions from its
+    ``covered_from_ordinal`` on."""
+    start = report.covered_from_ordinal or 0
+    keys = {(f.element_text, f.document.origin, f.document.path) for f in report.findings}
+    lines = table.splitlines(keepends=True)
+    comments = [line for line in lines if line.startswith("# ")]
+    buf = io.StringIO()
+    buf.writelines(comments[start:])
+    writer = csv.writer(buf, lineterminator="\n")
+    header, *rows = csv.reader(lines[len(comments):])
+    writer.writerow(header[:3] + header[3 + start:])
+    writer.writerows(row[:3] + row[3 + start:] for row in rows if tuple(row[:3]) in keys)
+    return buf.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -186,13 +205,23 @@ class TestAggregatesCheck:
     def test_every_report_and_cut_parses_back(self, manifests, monkeypatch, run, strict):
         # parse_report checks the aggregates block against the findings; no
         # report that a run writes, complete or cut at any check, fails it.
+        # The complete run comes first: the CSV table of a history run cut
+        # at any check is the part of the complete table that it covers.
         for manifest in manifests:
             config = config_for(manifest, strict_episodes=strict)
-            for checks in range(checks_of(monkeypatch, run, config) + 1):
+            for checks in reversed(range(checks_of(monkeypatch, run, config) + 1)):
                 with monkeypatch.context() as m:
                     cut_after(m, checks)
-                    text = render_findings(run(config))
+                    report = run(config)
+                text = render_findings(report)
                 assert render_findings(parse_report(text)) == text, (manifest["name"], checks)
+                if run is not run_history:
+                    continue
+                if not report.partial:
+                    table = render_findings(report, FORMAT_CSV)
+                assert render_findings(report, FORMAT_CSV) == covered_table(table, report), (
+                    manifest["name"], checks
+                )
 
 
 class TestHistoryScenarios:
@@ -714,6 +743,7 @@ class TestPartialHistory:
             n = len(full.revisions)
             documents = checks_of(monkeypatch, run_history, config) - n
             expected = symbols_by_key(full)
+            table = render_findings(full, FORMAT_CSV)
             for checks in range(1, n):
                 with monkeypatch.context() as m:
                     cut_after(m, documents + checks)
@@ -723,6 +753,9 @@ class TestPartialHistory:
                 assert suffixes_by_key(report) == {
                     key: symbols[n - checks:] for key, symbols in expected.items()
                 }, (manifest["name"], checks)
+                assert render_findings(report, FORMAT_CSV) == covered_table(table, report), (
+                    manifest["name"], checks
+                )
                 cuts += 1
         assert cuts >= 5
 
@@ -736,21 +769,25 @@ class TestPartialHistory:
         report = run_history(config)
         assert report.partial and report.covered_from_ordinal == n
         assert suffixes_by_key(report) == {("readme", "README.md", "omega_fn()"): []}
+        assert render_findings(report, FORMAT_CSV) == (
+            "element,origin,document\nomega_fn(),readme,README.md\n"
+        )
         assert_round_trips(report, "cut between documents")
 
     def test_git_error_in_timed_out_run_reports_absent(self, manifests, monkeypatch, tmp_path):
         # The cat-file child dies at the README version that revisions 0 and
         # 1 see; a cut after the README's check and three of the four
-        # revisions ends at revision 1.
+        # revisions ends at revision 1. Its CSV is the table of revisions 1
+        # to 3, which keep their column names R2 to R4.
         manifest = next(m for m in manifests if m["name"] == "readme_version_death")
         cut_after(monkeypatch, 1 + 3)
+        args = ["history", "--repo", manifest["repo"], "--wiki", "none",
+                "--scan-time", str(manifest["scan_time"])]
+        out, csv_out = tmp_path / "partial.json", tmp_path / "partial.csv"
         with scenarios.catfile_dies_at(manifest["unreadable_version"]["blob"]):
             report = run_history(config_for(manifest))
-            out = tmp_path / "partial.json"
-            code = cli.main([
-                "history", "--repo", manifest["repo"], "--wiki", "none",
-                "--scan-time", str(manifest["scan_time"]), "--out", str(out),
-            ])
+            code = cli.main([*args, "--out", str(out)])
+            csv_code = cli.main([*args, "--format", "csv", "--out", str(csv_out)])
         expected = {
             key: symbols[1:] for key, symbols in manifest["unreadable_version"]["history"].items()
         }
@@ -763,6 +800,14 @@ class TestPartialHistory:
         payload = json.loads(out.read_text())
         assert payload["partial"] is True
         assert [f["symbols_suffix"] for f in payload["findings"]] == list(expected.values())
+        assert csv_code == cli.EXIT_TIMEOUT
+        assert csv_out.read_text() == "".join(
+            f"# R{r.ordinal + 1} {r.sha} {r.timestamp}\n" for r in report.revisions[1:]
+        ) + (
+            "element,origin,document,R2,R3,R4\n"
+            "old_ver_fn(),readme,README.md,.,1,0\n"
+            "stay_ver_fn(),readme,README.md,.,1,1\n"
+        )
 
     def test_git_error_in_full_run_marks_failed_ordinal(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "readme_version_death")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from importlib.util import find_spec
 
 import pytest
@@ -22,7 +23,6 @@ from staleref.reporting import (
     compute_aggregates,
     parse_report,
     render_findings,
-    render_history_table,
     render_issue_draft,
     report_to_dict,
     sort_findings,
@@ -73,7 +73,7 @@ def history_finding(element, symbols, document=README, scan_time=None):
     )
 
 
-def make_report(findings, mode=MODE_CURRENT, revisions=None, project_id="proj"):
+def make_report(findings, mode=MODE_CURRENT, revisions=None, project_id="proj", **fields):
     findings = sort_findings(findings)
     return ScanReport(
         project_id=project_id,
@@ -82,6 +82,7 @@ def make_report(findings, mode=MODE_CURRENT, revisions=None, project_id="proj"):
         findings=findings,
         warnings=[],
         revisions=revisions,
+        **fields,
     )
 
 
@@ -90,6 +91,16 @@ def history_report(findings, n=None, **fields):
     first finding's symbols describe."""
     n = len(findings[0].symbols) if n is None else n
     return make_report(findings, mode=MODE_HISTORY, revisions=revs(n), **fields)
+
+
+def partial_report(suffixes, n, covered_from):
+    """A timed-out history report over ``revs(n)`` that covers the revisions
+    from *covered_from* on, where element -> README symbols *suffixes*."""
+    findings = [
+        Finding(element, README, status=None, symbols_suffix=list(suffix))
+        for element, suffix in suffixes.items()
+    ]
+    return history_report(findings, n=n, partial=True, covered_from_ordinal=covered_from)
 
 
 def per_symbol_check(symbols, count):
@@ -158,6 +169,40 @@ class TestSerialization:
         data = json.loads(render_findings(history_report([history_finding("a()", [1, 0, 0])])))
         data["findings"][0]["symbols"] = symbols
         with pytest.raises(ValueError, match="^symbols are no array$"):
+            parse_report(json.dumps(data))
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda data: data["findings"][0].update(symbols_suffix="garbage"),
+         "symbols are no array"),
+        (lambda data: data["findings"][0].update(symbols_suffix=[0, 1]),
+         "one symbol per revision required"),
+        (lambda data: data["findings"][0]["symbols_suffix"].__setitem__(0, "x"),
+         "not a timeline symbol: 'x'"),
+        (lambda data: data.update(covered_from_ordinal=-7),
+         "covered_from_ordinal is no ordinal of a partial report's revisions: -7"),
+        (lambda data: data.update(covered_from_ordinal=6),
+         "covered_from_ordinal is no ordinal of a partial report's revisions: 6"),
+        (lambda data: data.update(covered_from_ordinal=True),
+         "covered_from_ordinal is no ordinal of a partial report's revisions: True"),
+        (lambda data: data.update(partial=False),
+         "covered_from_ordinal is no ordinal of a partial report's revisions: 2"),
+        (lambda data: data.update(revisions=None),
+         "covered_from_ordinal is no ordinal of a partial report's revisions: 2"),
+        (lambda data: data.update(covered_from_ordinal=None), "history finding without symbols"),
+    ], ids=["suffix-string", "suffix-short", "suffix-symbol", "covered-from-negative",
+            "covered-from-past-revisions", "covered-from-bool", "covered-from-complete",
+            "covered-from-without-revisions", "partial-without-covered-from"])
+    def test_parse_checks_the_partial_timelines(self, spoil, message):
+        data = json.loads(render_findings(partial_report({"a()": [1, 0, 0]}, 5, 2)))
+        assert parse_report(json.dumps(data)).findings[0].symbols_suffix == [1, 0, 0]
+        spoil(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_report(json.dumps(data))
+
+    def test_parse_rejects_a_suffix_in_a_complete_report(self):
+        data = json.loads(render_findings(history_report([history_finding("a()", [1, 0])])))
+        data["findings"][0]["symbols_suffix"] = [0]
+        with pytest.raises(ValueError, match="^symbols_suffix without covered_from_ordinal$"):
             parse_report(json.dumps(data))
 
     def test_schema_version_check(self):
@@ -331,7 +376,7 @@ class TestAggregates:
 class TestHistoryTable:
     def test_render_files_row(self):
         f = history_finding("renderFiles('./files')", (3, 3, 0, 0, 0, 0, NO_REFERENCE))
-        table = render_history_table(history_report([f]))
+        table = render_findings(history_report([f]), FORMAT_CSV)
         lines = table.strip().splitlines()
         assert lines[0].startswith("# R1 ")
         header = lines[7].split(",")
@@ -342,22 +387,41 @@ class TestHistoryTable:
 
     def test_vue_row(self):
         f = history_finding("vue", (198, 205, 205, 205, 205, 210, 210))
-        table = render_history_table(history_report([f]))
+        table = render_findings(history_report([f]), FORMAT_CSV)
         assert "198,205,205,205,205,210,210" in table.replace('"', "")
 
     def test_cell_by_cell_matches_symbols(self):
         f = history_finding("elem", (DOC_ABSENT, NO_REFERENCE, 2, 0, 1))
-        data_row = render_history_table(history_report([f])).strip().splitlines()[-1].split(",")
+        table = render_findings(history_report([f]), FORMAT_CSV)
+        data_row = table.strip().splitlines()[-1].split(",")
         assert data_row[3:] == [".", "-", "2", "0", "1"]
 
     def test_empty_set_header_only(self):
-        table = render_history_table(history_report([], n=3))
+        table = render_findings(history_report([], n=3), FORMAT_CSV)
         assert table.strip().splitlines() == ["element,origin,document"]
 
-    def test_column_cap(self):
+    def test_no_column_cap(self):
         f = history_finding("a", [1] * 2001)
-        with pytest.raises(ValueError, match="2000"):
-            render_history_table(history_report([f]))
+        lines = render_findings(history_report([f]), FORMAT_CSV).splitlines()
+        assert len(lines) == 2001 + 2
+        assert lines[2001] == "element,origin,document," + ",".join(
+            f"R{i}" for i in range(1, 2002)
+        )
+        assert lines[2002] == "a,readme,README.md," + ",".join(["1"] * 2001)
+
+    @pytest.mark.parametrize("covered_from", [2, 5])
+    def test_partial_table_covers_the_revisions_reached(self, covered_from):
+        # Columns keep the names the complete table gives them; with no
+        # revision covered, each finding read still gets its row.
+        suffixes = {"a()": [1, 0, 0][covered_from - 2:], "b()": [2, 2, 2][covered_from - 2:]}
+        table = render_findings(partial_report(suffixes, 5, covered_from), FORMAT_CSV)
+        names = [f"R{i + 1}" for i in range(covered_from, 5)]
+        assert table.splitlines() == [
+            *(f"# {name} {r.sha} {r.timestamp}" for name, r in zip(names, revs(5)[covered_from:])),
+            ",".join(["element", "origin", "document", *names]),
+            ",".join(["a(),readme,README.md", *map(str, suffixes["a()"])]),
+            ",".join(["b(),readme,README.md", *map(str, suffixes["b()"])]),
+        ]
 
 
 class TestUrls:
