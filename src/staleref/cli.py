@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .docdiscovery import DiscoveryConfig
 from .extraction import DEFAULT_CATALOG_TEXT, load_catalog
-from .pipeline import RunConfig, project_dir, run_history, run_scan
+from .pipeline import RunConfig, project_home, run_history, run_scan
 from .reporting import (
     FORMAT_CSV,
     FORMAT_JSON,
@@ -169,7 +169,7 @@ def _resolve_wiki(repo_path: str, wiki_opt: str | None) -> str | None:
         return None
     if wiki_opt == "auto":
         # Beside the project's directory; relative for a relative repository path.
-        candidate = project_dir(repo_path) + ".wiki"
+        candidate = os.path.join(*project_home(repo_path)) + ".wiki"
         if not os.path.isabs(repo_path):
             candidate = os.path.relpath(candidate)
         return candidate if os.path.isdir(candidate) else None

@@ -42,10 +42,6 @@ class MatchConfig:
     exclude_globs: tuple[str, ...] = ()
     max_file_bytes: int = 10 * 1024 * 1024
 
-    def __post_init__(self) -> None:
-        if self.max_file_bytes <= 0:
-            raise ValueError(f"max_file_bytes must be positive, got {self.max_file_bytes}")
-
 
 def count_occurrences(
     element: str, text: str, cap: int | None = None
@@ -185,8 +181,9 @@ class HistoryCounter:
     once, and counted only for the elements whose word runs are all among
     its tokens; an element with no word run is counted in every blob. Only
     its non-zero counts are kept, so a move costs the changed blobs, not
-    the whole tree. Warnings are logged once each, for the paths and
-    elements of the counted cells.
+    the whole tree. Warnings are logged by the moves, once each: when a
+    scanned path gets a skipped blob, and for each element whose count in a
+    path's new blob hit the cap. A count only reads the state.
     """
 
     def __init__(self, branch: Branch, config: MatchConfig, elements: frozenset[str]):
@@ -218,8 +215,6 @@ class HistoryCounter:
         self._variant_paths: dict[str, set[bytes]] = {e: set() for e in elements}
         # element -> the scannable paths whose blob matches it
         self._hit_paths: dict[str, set[bytes]] = {e: set() for e in elements}
-        self._skipped_paths: dict[bytes, _Skip] = {}
-        self._counted: set[str] = set()  # elements counted at this revision
 
     def walk(self, stops: Sequence[Revision]) -> Iterator[Revision]:
         """Move the state to each of *stops* in turn, none newer than the one
@@ -241,28 +236,13 @@ class HistoryCounter:
                             self._remove(path, new)
                         if old is not None:
                             self._add(path, old, stream)
-                if stop != self.revision:
-                    self.revision = stop
-                    self._counted = set()
+                self.revision = stop
                 yield stop
 
     def count(self, element_text: str, revision: Revision) -> int:
         """Instances of one element at *revision*, the counter's position."""
         if revision is not self.revision and revision != self.revision:
             raise ValueError(f"the counter is not at revision {revision.ordinal}")
-        if element_text not in self._counted:
-            if not self._counted:
-                for path, (kind, detail_key, detail) in self._skipped_paths.items():
-                    self._warn(kind=kind, path=self._paths[path][0], **{detail_key: detail})
-            self._counted.add(element_text)
-            for path in self._hit_paths[element_text]:
-                if self._blob_counts[self._tree[path]][element_text][2]:
-                    self._warn(
-                        kind="count_capped",
-                        path=self._paths[path][0],
-                        element=element_text,
-                        cap=MAX_COUNT_PER_FILE,
-                    )
         return self._totals[element_text] + len(self._variant_paths[element_text])
 
     def evidence(self, element_text: str) -> tuple[tuple[str, int, str], ...]:
@@ -330,16 +310,19 @@ class HistoryCounter:
 
     def _add(self, path: bytes, blob: str, stream: Iterator) -> None:
         self._tree[path] = blob
-        _, scannable, variants = self._path_info(path)
+        name, scannable, variants = self._path_info(path)
         for element in variants:
             self._variant_paths[element].add(path)
         if not scannable:
             return
-        for element, (count, _, _) in self._counts_of(blob, stream).items():
+        for element, (count, _, capped) in self._counts_of(blob, stream).items():
             self._totals[element] += count
             self._hit_paths[element].add(path)
+            if capped:
+                self._warn(kind="count_capped", path=name, element=element, cap=MAX_COUNT_PER_FILE)
         if blob in self._blob_skips:
-            self._skipped_paths[path] = self._blob_skips[blob]
+            kind, detail_key, detail = self._blob_skips[blob]
+            self._warn(kind=kind, path=name, **{detail_key: detail})
 
     def _remove(self, path: bytes, blob: str) -> None:
         del self._tree[path]
@@ -351,7 +334,6 @@ class HistoryCounter:
         for element, (count, _, _) in self._blob_counts[blob].items():
             self._totals[element] -= count
             self._hit_paths[element].discard(path)
-        self._skipped_paths.pop(path, None)
 
 
 def classify_current(snapshot_count: int, current_count: int) -> str:

@@ -53,9 +53,6 @@ class ScanTimeout(Exception):
 
 class _Deadline:
     def __init__(self, seconds: float):
-        # No time is ever at or past a NaN deadline.
-        if math.isnan(seconds):
-            raise ValueError("timeout must be a number of seconds, not nan")
         self._at = time.monotonic() + seconds
 
     def expired(self) -> bool:
@@ -80,15 +77,27 @@ class RunConfig:
     url_base: str | None = None
     strict_episodes: bool = False
 
+    def __post_init__(self) -> None:
+        # Checked before any git work, so a bad setting never ends in a report.
+        if self.max_file_bytes <= 0:
+            raise ValueError(f"max_file_bytes must be positive, got {self.max_file_bytes}")
+        # No time is ever at or past a NaN deadline.
+        if math.isnan(self.timeout_seconds):
+            raise ValueError("timeout must be a number of seconds, not nan")
+
     def resolved_project_id(self) -> str:
-        return os.path.basename(project_dir(self.repo_path)).removesuffix(".git")
+        return project_home(self.repo_path)[1]
 
 
-def project_dir(repo_path: str) -> str:
-    """*repo_path* made absolute, or for a ``.git`` directory its work
-    tree's top: the directory that names the project and its wiki."""
+def project_home(repo_path: str) -> tuple[str, str]:
+    """The directory that holds the project, and the project's name: the
+    base name of *repo_path*, or of its work tree's top for a ``.git``
+    directory, without a bare repository's ``.git`` suffix. The project's
+    wiki is ``<directory>/<name>.wiki``."""
     path = os.path.abspath(repo_path)  # also "." and "..", without following symlinks
-    return os.path.dirname(path) if os.path.basename(path) == ".git" else path
+    if os.path.basename(path) == ".git":
+        path = os.path.dirname(path)
+    return os.path.dirname(path), os.path.basename(path).removesuffix(".git")
 
 
 def _derive_url_base(repo: GitRepo) -> str | None:

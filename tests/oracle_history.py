@@ -12,8 +12,11 @@ versions with source revisions through the list-based
 ``link_source_to_docs``, builds each (element, document) timeline with
 ``build_timeline`` and ``SourceScanner.count_instances`` as its counts
 provider, and takes evidence from ``count_instances`` at the last positive
-revision. Nothing is incremental, so their reports are the ones that
-``run_scan`` and ``run_history`` must reproduce byte for byte.
+revision. ``run_history_oracle`` takes the production deadline and reports
+a cut as ``run_history`` does. In both, a skipped or capped file warns at
+every revision the run visits (``warn_at``), whichever cells are counted.
+Nothing is incremental, so their reports are the ones that ``run_scan``
+and ``run_history`` must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from staleref.docdiscovery import (
     DocumentDescriptor,
     discover_documents,
 )
-from staleref import matching
+from staleref import matching, pipeline
 from staleref.extraction import extract_elements
 from staleref.matching import (
     MAX_MATCHED_PATHS,
@@ -42,12 +45,7 @@ from staleref.matching import (
     expand_path_variants,
     matches_exclude,
 )
-from staleref.pipeline import (
-    RunConfig,
-    ScanTimeout,
-    _Deadline,
-    _Project,
-)
+from staleref.pipeline import RunConfig, ScanTimeout, _Project
 from staleref.reporting import MODE_CURRENT, MODE_HISTORY, Finding, ScanReport
 from staleref.revgraph import (
     Branch,
@@ -389,9 +387,18 @@ class SourceScanner(_WarningLog):
         )
 
 
+def warn_at(scanner: SourceScanner, revisions, elements) -> None:
+    """Log the warnings of *revisions*: skipped and capped files warn at
+    every revision a run visits, whichever of its cells are counted. So
+    every cited element is counted at each, and the counts are dropped."""
+    for revision in revisions:
+        for element in elements:
+            scanner.count_instances(element, revision)
+
+
 def run_scan_oracle(config: RunConfig) -> ScanReport:
     """Current-state scan that counts each (reference, revision) pair on its own."""
-    deadline = _Deadline(config.timeout_seconds)
+    deadline = pipeline._Deadline(config.timeout_seconds)
     project = _Project(config)
     source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
     head = source.seq.head
@@ -404,6 +411,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
 
     findings: list[Finding] = []
+    visited, elements = {head}, set()
     partial = False
     try:
         for document in documents:
@@ -418,6 +426,8 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
                 touched if document.origin == ORIGIN_README
                 else snapshot_for_doc(touched, source.seq)
             )
+            visited.add(snapshot)
+            elements.update(ref.text for ref in refs)
             for ref in refs:
                 snap_ic = scanner.count_instances(ref.text, snapshot)
                 cur_ic = scanner.count_instances(ref.text, head)
@@ -436,6 +446,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     except ScanTimeout:
         partial = True
 
+    warn_at(scanner, visited, elements)
     return project.report(MODE_CURRENT, findings, scanner.warnings, partial=partial)
 
 
@@ -447,9 +458,15 @@ def _union_listing(host: Branch) -> list[str]:
 
 
 def run_history_oracle(config: RunConfig) -> ScanReport:
+    """History with the production deadline: one check per document, in
+    the order ``run_history`` reads them, then one per revision, newest
+    first. A cut reports the documents read, with the symbols of the
+    revisions whose check passed; cells and warnings come only from those."""
+    deadline = pipeline._Deadline(config.timeout_seconds)
     project = _Project(config)
     source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
     seq = source.seq
+    n = len(seq.revisions)
     documents = discover_documents(
         _union_listing(source), _union_listing(wiki) if wiki else None, config.discovery
     )
@@ -458,72 +475,97 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
         project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
     )
     counts_provider = lambda element, rev: scanner.count_instances(element, rev).count
+    rows = []  # (element, document, linked pairs, refs by hosting sha, doc_sha)
+    covered_from = n
+    partial = False
+    try:
+        for document in documents:
+            deadline.check()
+            host = project.hosts[document.origin]
+            versions = []
+            for rev in host.seq.revisions:
+                blob = blob_at(host.repo, rev.sha, document.path)
+                text = None if blob is None else read_text_at(host.repo, rev.sha, document.path)
+                versions.append(DocVersion(document, rev, text))
+            refs = {
+                version.revision.sha: frozenset(
+                    ref.text for ref in extract_elements(version.text, project.catalog, document)
+                ) if version.text is not None else frozenset()
+                for version in versions
+            }
+            if document.origin == ORIGIN_README:
+                pairs = list(zip(seq.revisions, versions))
+            else:
+                pairs = link_source_to_docs(seq, sorted(versions, key=lambda v: v.timestamp))
+            doc_sha = (
+                host.seq.head.sha
+                if blob_at(host.repo, host.seq.head.sha, document.path)
+                else None
+            )
+            rows += [
+                (element, document, pairs, refs, doc_sha)
+                for element in sorted(set().union(*refs.values()))
+            ]
+        for i in reversed(range(n)):
+            deadline.check()
+            covered_from = i
+    except ScanTimeout:
+        partial = True
+
     findings: list[Finding] = []
     extra_warnings: list[dict] = []
-    for document in documents:
-        host = project.hosts[document.origin]
-        versions = []
-        for rev in host.seq.revisions:
-            blob = blob_at(host.repo, rev.sha, document.path)
-            text = None if blob is None else read_text_at(host.repo, rev.sha, document.path)
-            versions.append(DocVersion(document, rev, text))
-        refs = {
-            version.revision.sha: frozenset(
-                ref.text for ref in extract_elements(version.text, project.catalog, document)
-            ) if version.text is not None else frozenset()
-            for version in versions
-        }
-        if document.origin == ORIGIN_README:
-            pairs = list(zip(seq.revisions, versions))
-        else:
-            pairs = link_source_to_docs(seq, sorted(versions, key=lambda v: v.timestamp))
-        doc_sha = (
-            host.seq.head.sha
-            if blob_at(host.repo, host.seq.head.sha, document.path)
-            else None
+    for element, document, pairs, refs, doc_sha in rows:
+        symbols = build_timeline(
+            element, pairs[covered_from:], counts_provider, lambda dv: refs[dv.revision.sha]
         )
-        for element in sorted(set().union(*refs.values())):
-            symbols = build_timeline(
-                element, pairs, counts_provider, lambda dv: refs[dv.revision.sha]
-            )
-            episodes = [
-                replace(episode, duration_seconds=episode_duration(
-                    episode, seq.revisions, project.scan_time
-                ))
-                for episode in detect_episodes(
-                    symbols, seq.revisions, strict=config.strict_episodes
-                )
-            ]
-            for episode in episodes:
-                if not episode.ongoing and episode.duration_seconds < 0:
-                    extra_warnings.append({
-                        "kind": "negative_duration",
-                        "element": element,
-                        "document": document.path,
-                        "start_ordinal": episode.start_ordinal,
-                    })
-            evidence: tuple = ()
-            evidence_sha = None
-            positives = [i for i, s in enumerate(symbols) if is_positive(s)]
-            if positives:
-                revision = seq.revisions[positives[-1]]
-                instance = scanner.count_instances(element, revision)
-                evidence = evidence_of(instance.matched_paths)
-                evidence_sha = revision.sha
-            last = symbols[-1]
+        if partial:
             findings.append(Finding(
-                element_text=element,
-                document=document,
-                status=None,
-                current_sha=seq.head.sha,
-                current_count=last if isinstance(last, int) else None,
-                evidence=evidence,
-                evidence_sha=evidence_sha,
-                doc_sha=doc_sha,
-                symbols=symbols,
-                failed_ordinals=(),
-                episodes=episodes,
+                element, document, status=None, current_sha=seq.head.sha,
+                symbols_suffix=list(symbols),
             ))
+            continue
+        episodes = [
+            replace(episode, duration_seconds=episode_duration(
+                episode, seq.revisions, project.scan_time
+            ))
+            for episode in detect_episodes(
+                symbols, seq.revisions, strict=config.strict_episodes
+            )
+        ]
+        for episode in episodes:
+            if not episode.ongoing and episode.duration_seconds < 0:
+                extra_warnings.append({
+                    "kind": "negative_duration",
+                    "element": element,
+                    "document": document.path,
+                    "start_ordinal": episode.start_ordinal,
+                })
+        evidence: tuple = ()
+        evidence_sha = None
+        positives = [i for i, s in enumerate(symbols) if is_positive(s)]
+        if positives:
+            revision = seq.revisions[positives[-1]]
+            instance = scanner.count_instances(element, revision)
+            evidence = evidence_of(instance.matched_paths)
+            evidence_sha = revision.sha
+        last = symbols[-1]
+        findings.append(Finding(
+            element_text=element,
+            document=document,
+            status=None,
+            current_sha=seq.head.sha,
+            current_count=last if isinstance(last, int) else None,
+            evidence=evidence,
+            evidence_sha=evidence_sha,
+            doc_sha=doc_sha,
+            symbols=symbols,
+            failed_ordinals=(),
+            episodes=episodes,
+        ))
+    warn_at(scanner, seq.revisions[covered_from:], {row[0] for row in rows})
     return project.report(
-        MODE_HISTORY, findings, scanner.warnings, extra_warnings, revisions=seq.revisions
+        MODE_HISTORY, findings, scanner.warnings, extra_warnings,
+        revisions=seq.revisions,
+        partial=partial,
+        covered_from_ordinal=covered_from if partial else None,
     )

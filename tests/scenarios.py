@@ -50,6 +50,8 @@ def config_for(manifest, **overrides) -> RunConfig:
         discovery=DiscoveryConfig(extra_doc_globs=tuple(manifest["extra_doc_globs"])),
         scan_time=manifest["scan_time"],
     )
+    if "max_file_bytes" in manifest:
+        kwargs["max_file_bytes"] = manifest["max_file_bytes"]
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 
@@ -664,6 +666,21 @@ def build_ambiguous_doc_paths(base: Path):
     }, warnings=["ambiguous_document_path"] * 2, ambiguous=["Page\ufffd.md", "README\ufffd.md"])
 
 
+def build_oversized_before_readme(base: Path):
+    # big.txt, over the 50-byte cap, exists only at r0, before the README is
+    # added at r1. History visits r0 and warns about big.txt, though no pair
+    # is counted there; the scan visits only r1, where big.txt is gone.
+    repo = RepoBuilder(base / "oversized_before_readme")
+    repo.commit(T0, {
+        "big.txt": "early_big_fn() is defined in src/app.py, not here.\n" * 3,
+        "src/app.py": "def early_big_fn():\n    pass\n",
+    })
+    repo.commit(T0 + STEP, {"README.md": "Call `early_big_fn()`.\n", "big.txt": None})
+    key = ("readme", "README.md", "early_big_fn()")
+    return _manifest("oversized_before_readme", repo, expected={key: IN_SYNC},
+                     history={key: [".", 1]}, warnings=["oversized_file"], max_file_bytes=50)
+
+
 # A stand-in for "git -C <repo> cat-file --batch" that answers each request
 # through git, except that it exits unanswered when asked for blob $1.
 _DYING_CAT_FILE = (
@@ -785,6 +802,7 @@ SCENARIO_BUILDERS = [
     build_sha256_repo,
     build_backslash_names,
     build_ambiguous_doc_paths,
+    build_oversized_before_readme,
     build_catfile_death,
     build_readme_version_death,
 ]

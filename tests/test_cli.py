@@ -284,6 +284,21 @@ class TestRepositoryPaths:
             assert (proc.returncode, proc.stdout) == (2, "")
             assert "not the top of a git repository" in proc.stderr
 
+    def test_bare_repository_finds_the_wiki_named_after_the_project(self, proj_with_wiki):
+        # A bare b.git names the project b, and --wiki auto finds b.wiki.
+        base = proj_with_wiki.parent
+        if not (base / "b.git").exists():
+            for source, target in (("proj", "b.git"), ("proj.wiki", "b.wiki")):
+                subprocess.run(["git", "clone", "--quiet", "--bare", source, target],
+                               cwd=base, check=True)
+        bare = run_cli("scan", "--repo", "b.git", "--scan-time", PIN, cwd=base)
+        proj = run_cli("scan", "--repo", "proj", "--scan-time", PIN, cwd=base)
+        assert (bare.returncode, bare.stderr) == (1, "")
+        payload = json.loads(bare.stdout)
+        assert payload["project"] == "b"
+        assert payload["findings"] == json.loads(proj.stdout)["findings"]
+        assert {f["document"]["origin"] for f in payload["findings"]} == {"readme", "wiki"}
+
     def test_git_directory_finds_the_wiki_beside_its_work_tree(self, proj_with_wiki):
         base = proj_with_wiki.parent
         git_dir = run_cli("scan", "--repo", "proj/.git", "--scan-time", PIN, cwd=base)
@@ -300,6 +315,16 @@ class TestMaxFileBytes:
         proc = run_cli("scan", "--repo", dirty_repo, "--max-file-bytes", value)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: max_file_bytes must be positive, got {value}\n"
+
+    @pytest.mark.parametrize("mode", ["scan", "history"])
+    def test_checked_before_any_git_work(self, dirty_repo, tmp_path, mode):
+        # A budget spent before the first check, or a repository that is
+        # not there, does not hide a bad cap.
+        error = "error: max_file_bytes must be positive, got 0\n"
+        spent = run_cli(mode, "--repo", dirty_repo, "--max-file-bytes", "0", "--timeout", "0")
+        assert (spent.returncode, spent.stdout, spent.stderr) == (2, "", error)
+        missing = run_cli(mode, "--repo", str(tmp_path / "missing"), "--max-file-bytes", "0")
+        assert (missing.returncode, missing.stdout, missing.stderr) == (2, "", error)
 
 
 class TestTimeoutValue:

@@ -4,29 +4,33 @@ Hypothesis scripts random repositories (adds, deletes, renames, edits, the
 same content at two paths, symlinks, binary and oversized blobs, non-ASCII
 text with CRLF line ends, merged side branches, out-of-order and equal
 timestamps, an optional wiki whose commits keep the order drawn, so their
-timestamps may go backwards) and random run
-settings (exclude globs, a small per-file cap, a small size cap). On each
-repository ``run_scan`` must render the same report, byte for byte, as
+timestamps may go backwards) and random run settings (exclude globs, a
+small per-file cap, a small size cap, a strict mode). On each repository
+``run_scan`` must render the same report, byte for byte, as
 ``oracle_history.run_scan_oracle``, and ``run_history`` the same as
-``oracle_history.run_history_oracle``.
+``oracle_history.run_history_oracle``. Both history runs are then cut by a
+fake deadline after a drawn number of checks, from none to all of them, and
+must render the same JSON and CSV in both strict modes, warnings included.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, event, given, settings, strategies as st  # noqa: E402
 
 from conftest import RepoBuilder  # noqa: E402
+from cuts import checks_of, cut_after  # noqa: E402
 from oracle_history import run_history_oracle, run_scan_oracle  # noqa: E402
 from staleref import matching  # noqa: E402
 from staleref.pipeline import RunConfig, run_history, run_scan  # noqa: E402
-from staleref.reporting import render_findings  # noqa: E402
+from staleref.reporting import FORMAT_CSV, render_findings  # noqa: E402
 
 T0 = 1_600_000_000
 STEP = 10_000
@@ -171,9 +175,11 @@ def _symbols(report) -> dict:
     exclude=st.sampled_from([(), ("vendor/",), ("*.txt",), ("lib/util.py",)]),
     max_file_bytes=st.sampled_from([10 * 1024 * 1024, 60]),
     cap=st.sampled_from([None, 2]),
+    strict=st.booleans(),
+    data=st.data(),
 )
 def test_incremental_history_matches_per_cell_oracle(
-    steps, wiki_steps, exclude, max_file_bytes, cap
+    steps, wiki_steps, exclude, max_file_bytes, cap, strict, data
 ):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         repo, wiki = _build(Path(tmp), steps, wiki_steps)
@@ -185,6 +191,7 @@ def test_incremental_history_matches_per_cell_oracle(
             exclude_globs=exclude,
             max_file_bytes=max_file_bytes,
             scan_time=T0 + 100 * STEP,
+            strict_episodes=strict,
         )
         expected_scan = run_scan_oracle(config)
         got_scan = run_scan(config)
@@ -196,3 +203,26 @@ def test_incremental_history_matches_per_cell_oracle(
         assert _symbols(got) == _symbols(expected)
         assert got.warnings == expected.warnings
         assert render_findings(got) == render_findings(expected)
+
+        total = checks_of(mp, run_history, config)
+        # Hypothesis favours small integers: count from both ends.
+        checks = data.draw(st.one_of(
+            st.integers(0, total), st.integers(0, total).map(lambda k: total - k)
+        ), label="checks")
+        documents = total - len(got.revisions)
+        event("cut among documents" if checks < documents
+              else "cut among revisions" if checks < total else "no cut")
+        for cut_strict in (False, True):
+            cut_config = replace(config, strict_episodes=cut_strict)
+            with mp.context() as m:
+                cut_after(m, checks)
+                got = run_history(cut_config)
+            with mp.context() as m:
+                cut_after(m, checks)
+                expected = run_history_oracle(cut_config)
+            assert got.partial is (checks < total)
+            assert got.warnings == expected.warnings, cut_strict
+            for fmt in ("json", FORMAT_CSV):
+                assert render_findings(got, fmt) == render_findings(expected, fmt), (
+                    cut_strict, fmt
+                )

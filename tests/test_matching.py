@@ -309,6 +309,33 @@ class TestHistoryCounter:
         assert counter.count("hop()", r0) == 1
         assert counter.evidence("hop()") == (("a.py", 1, "text"),)
 
+    def test_moves_warn_and_counts_only_read(self, repo_factory, monkeypatch):
+        # r0 holds an oversized and a capped file that r1 deletes, and r2
+        # brings the oversized blob back. The moves warn before anything is
+        # counted, once per (path, blob); a count adds no warning.
+        builder = repo_factory("warn_by_moves")
+        builder.commit(T, {
+            "big.txt": "needle " * 10, "hot.txt": "needle " * 6, "keep.txt": "needle\n",
+        })
+        builder.commit(T + 1, {"big.txt": None, "hot.txt": None})
+        builder.commit(T + 2, {"big.txt": "needle " * 10})
+        monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", 5)
+        repo = GitRepo(builder.path)
+        counter, head = counter_at_head(repo, ["needle"], MatchConfig(max_file_bytes=60))
+        big = {"kind": "oversized_file", "path": "big.txt", "size": 70}
+        capped = {"kind": "count_capped", "path": "hot.txt", "element": "needle", "cap": 5}
+        assert counter.warnings == [big]
+        r0, r1, _ = repo.linearize_history().revisions
+        stops = counter.walk([r1, r0])
+        next(stops)
+        next(stops)
+        assert counter.warnings == [big, capped]
+        assert [list(w) for w in counter.warnings] == [
+            ["kind", "path", "size"], ["kind", "path", "element", "cap"]
+        ]
+        assert counter.count("needle", r0) == 6
+        assert counter.warnings == [big, capped]
+
 
 def commit_bytes(builder, files: dict[str, bytes]) -> None:
     """Commit *files*, written byte for byte, at time T."""
