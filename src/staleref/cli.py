@@ -134,7 +134,10 @@ def _opt(args, file_cfg: dict, name: str, default=None, cast=None, is_list: bool
     if is_list and isinstance(value, str):
         value = [value]
     if cast is not None:
-        value = [cast(v) for v in value] if is_list else cast(value)
+        try:
+            value = [cast(v) for v in value] if is_list else cast(value)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
     return tuple(value) if is_list else value
 
 
@@ -143,10 +146,26 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
+def _integer(value) -> int:
+    """An integer's text, or a JSON number without a fraction; never a bool."""
+    if isinstance(value, str):
+        return int(value)
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _number(value) -> float:
+    """A numeric string, or a JSON number; never a bool."""
+    if isinstance(value, str) or type(value) in (int, float):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def _parse_scan_time(value) -> int:
-    if isinstance(value, int):
-        return value
-    text = str(value).strip()
+    if not isinstance(value, str):
+        return _integer(value)
+    text = value.strip()
     try:
         return int(text)
     except ValueError:
@@ -201,9 +220,9 @@ def _run_analysis(args, mode: str) -> int:
             extra_doc_globs=_opt(args, file_cfg, "extra_doc_glob", is_list=True),
         )),
         exclude_globs=_opt(args, file_cfg, "exclude", is_list=True),
-        max_file_bytes=_opt(args, file_cfg, "max_file_bytes", cast=int),
+        max_file_bytes=_opt(args, file_cfg, "max_file_bytes", cast=_integer),
         scan_time=_opt(args, file_cfg, "scan_time", cast=_parse_scan_time),
-        timeout_seconds=_opt(args, file_cfg, "timeout", cast=float),
+        timeout_seconds=_opt(args, file_cfg, "timeout", cast=_number),
         url_base=_opt(args, file_cfg, "url_base"),
         strict_episodes=_opt(args, file_cfg, "strict_episodes", cast=_truthy),
     ))

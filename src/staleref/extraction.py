@@ -7,8 +7,11 @@ inline backticks. Fenced code blocks, markdown link destinations, and bare
 URLs are masked out before the rules run, so offsets always refer to the
 original document text. A built-in rule, and each mask pass, is skipped on a
 text that lacks a literal that every one of its matches contains (a ``/`` for
-``path-like``, ``](`` for link destinations), so it runs only where it could
-match.
+``path-like``, ``](`` for link destinations). A built-in rule whose literals
+prose leaves open, or that has none, is also skipped on a text that lacks its
+window: two or three characters that every match holds side by side (a
+lower-case letter or digit before a capital for ``camel-case``). So each rule
+runs only where it could match.
 
 ``extract_elements`` returns each element with its span. ``element_texts``
 returns only the set of element texts, and with the built-in rules it
@@ -25,24 +28,34 @@ from .docdiscovery import DocumentDescriptor
 
 MIN_ELEMENT_LENGTH = 2
 
-# The built-in rules: (id, capture group, pattern, literals). The literals
-# are those that every match of the pattern contains: each is a mandatory
-# atom of it, so a rule whose literals are not all in a line cannot match
-# there. Every capital-letter line could hold a camel-case or pascal-case
-# match, so those two run on every line.
-_BUILTIN_RULES: tuple[tuple[str, int, str, tuple[str, ...]], ...] = (
-    ("backtick", 1, r"`([^`\r\n]+)`", ("`",)),
-    ("template-class", 0, r"[A-Z][a-zA-Z]+ ?<[A-Z][a-zA-Z]*>", ("<", ">")),
+# The built-in rules: (id, capture group, pattern, literals, window). The
+# literals are those that every match of the pattern contains: each is a
+# mandatory atom of it, so a rule whose literals are not all in a line cannot
+# match there. The window, where there is one, is a pattern of two or three
+# characters that every match holds side by side, so a rule cannot match a
+# line where its window finds nothing. Rules that prose leaves open (a "." or
+# a "_" is common) or that have no literal (camel-case, pascal-case) carry one.
+# A window starts at its rarest character and looks behind for the one before
+# it: "[A-Z](?<=[a-z0-9][A-Z])" finds the pair "[a-z0-9][A-Z]", but the
+# engine tries only the capitals of a line, not every lower-case letter.
+_CAMEL_WINDOW = r"[A-Z](?<=[a-z0-9][A-Z])"
+_DOT_WINDOW = r"\.(?<=[A-Za-z0-9_-]\.)[A-Za-z_]"
+_BUILTIN_RULES: tuple[tuple[str, int, str, tuple[str, ...], str | None], ...] = (
+    ("backtick", 1, r"`([^`\r\n]+)`", ("`",), None),
+    ("template-class", 0, r"[A-Z][a-zA-Z]+ ?<[A-Z][a-zA-Z]*>", ("<", ">"), None),
     ("qualified-call", 0,
-     r"\b[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+\([^()\r\n]*\)", (".", "(", ")")),
-    ("function-call", 0, r"\b[A-Za-z_][A-Za-z0-9_]*\(\)", ("()",)),
-    ("camel-case", 0, r"\b[a-z][a-z0-9]*(?:[A-Z][a-zA-Z0-9]*)+\b", ()),
-    ("pascal-case", 0, r"\b[A-Z][a-z0-9]+(?:[A-Z][a-zA-Z0-9]*)+\b", ()),
-    ("upper-snake", 0, r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", ("_",)),
+     r"\b[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+\([^()\r\n]*\)", (".", "(", ")"),
+     _DOT_WINDOW),
+    ("function-call", 0, r"\b[A-Za-z_][A-Za-z0-9_]*\(\)", ("()",), None),
+    ("camel-case", 0, r"\b[a-z][a-z0-9]*(?:[A-Z][a-zA-Z0-9]*)+\b", (), _CAMEL_WINDOW),
+    ("pascal-case", 0, r"\b[A-Z][a-z0-9]+(?:[A-Z][a-zA-Z0-9]*)+\b", (), _CAMEL_WINDOW),
+    ("upper-snake", 0, r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", ("_",), r"_(?<=[A-Z0-9]_)[A-Z0-9]"),
     ("dotted-name", 0,
-     r"\b[A-Za-z_][A-Za-z0-9_-]*\.[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*\b(?!\()", (".",)),
+     r"\b[A-Za-z_][A-Za-z0-9_-]*\.[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*\b(?!\()", (".",),
+     _DOT_WINDOW),
     ("path-like", 0,
-     r"\.{0,2}/?[A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*/[A-Za-z0-9_.-]*[A-Za-z0-9_]", ("/",)),
+     r"\.{0,2}/?[A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*/[A-Za-z0-9_.-]*[A-Za-z0-9_]", ("/",),
+     r"/(?<=[A-Za-z0-9_.-]/)"),
 )
 # The built-in catalog deliberately has no rule for bare URLs; URLs are only
 # picked up when an author backticks them.
@@ -53,14 +66,18 @@ _BUILTIN_RULES: tuple[tuple[str, int, str, tuple[str, ...]], ...] = (
 DEFAULT_CATALOG_TEXT = (
     "# Built-in code-element extraction rules.\n"
     "# Format: id<TAB>capture-group<TAB>pattern\n"
-) + "".join(f"{rule_id}\t{group}\t{pattern}\n" for rule_id, group, pattern, _ in _BUILTIN_RULES)
+) + "".join(f"{rule_id}\t{group}\t{pattern}\n" for rule_id, group, pattern, _, _ in _BUILTIN_RULES)
 
-# The literals keyed by the exact built-in pattern, so that a custom rule
-# with a built-in id but its own pattern runs ungated. None of these
+# The gates keyed by the exact built-in pattern, so that a custom rule with a
+# built-in id but its own pattern runs ungated. Each window is compiled once,
+# and rules that share a window share its compiled pattern. None of these
 # patterns can match a "\n": a catalog of them alone (in any order, with any
 # capture groups) may be extracted line by line.
-_REQUIRED_LITERALS: dict[str, tuple[str, ...]] = {
-    pattern: literals for _, _, pattern, literals in _BUILTIN_RULES
+_WINDOWS: dict[str, re.Pattern] = {
+    window: re.compile(window) for *_, window in _BUILTIN_RULES if window is not None
+}
+_GATES: dict[str, tuple[tuple[str, ...], re.Pattern | None]] = {
+    pattern: (literals, _WINDOWS.get(window)) for _, _, pattern, literals, window in _BUILTIN_RULES
 }
 
 
@@ -251,10 +268,25 @@ def _matches(
     """
     masked = _mask_links_and_urls(fenced)
     matches: list[tuple[int, int, int, str, str]] = []
+    open_windows: dict[re.Pattern, bool] = {}
     for rule_index, rule in enumerate(catalog.rules):
-        # A built-in rule cannot match text that lacks one of its literals.
-        if not all(literal in masked for literal in _REQUIRED_LITERALS.get(rule.pattern, ())):
+        # A built-in rule cannot match text that lacks one of its literals or
+        # its window. Plain loops: a generator per rule per line costs more
+        # than the checks themselves.
+        literals, window = _GATES.get(rule.pattern, ((), None))
+        closed = False
+        for literal in literals:
+            if literal not in masked:
+                closed = True
+                break
+        if closed:
             continue
+        if window is not None:
+            is_open = open_windows.get(window)
+            if is_open is None:
+                is_open = open_windows[window] = window.search(masked) is not None
+            if not is_open:
+                continue
         for m in rule.compiled.finditer(masked):
             raw = m.group(rule.capture_group)
             if raw is None:
@@ -307,20 +339,21 @@ def element_texts(doc_text: str, catalog: RegexCatalog, memo: dict) -> frozenset
     still sees every line production extracts. Any other catalog extracts the
     whole document.
     """
-    if not all(rule.pattern in _REQUIRED_LITERALS for rule in catalog.rules):
+    if not all(rule.pattern in _GATES for rule in catalog.rules):
         return frozenset(ref.text for ref in extract_elements(doc_text, catalog))
-    texts: set[str] = set()
-    for line, fenced in zip(doc_text.split("\n"), mask_fenced_blocks(doc_text).split("\n")):
+    lines = doc_text.split("\n")
+    if "```" in doc_text:
         # Where fence masking changed a line, both forms decide its elements.
-        key = line if fenced == line else (fenced, line)
-        found = memo.get(key)
-        if found is None:
-            if fenced == line and "```" not in line:
-                # Masking fences again cannot change a line with no fence
-                # marker, so the public entry point is exact here.
-                found = frozenset(ref.text for ref in extract_elements(line, catalog))
-            else:
-                found = frozenset(m[3] for m in _matches(fenced, line, catalog))
-            memo[key] = found
-        texts.update(found)
-    return frozenset(texts)
+        masked = mask_fenced_blocks(doc_text).split("\n")
+        keys = {line if fenced == line else (fenced, line) for line, fenced in zip(lines, masked)}
+    else:
+        keys = set(lines)
+    for key in keys.difference(memo):
+        if isinstance(key, str) and "```" not in key:
+            # Masking fences again cannot change a line with no fence marker,
+            # so the public entry point is exact here.
+            memo[key] = frozenset(ref.text for ref in extract_elements(key, catalog))
+        else:
+            fenced, line = key if isinstance(key, tuple) else (key, key)
+            memo[key] = frozenset(m[3] for m in _matches(fenced, line, catalog))
+    return frozenset().union(*map(memo.__getitem__, keys))

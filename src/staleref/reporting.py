@@ -353,9 +353,19 @@ def parse_report(text: str) -> ScanReport:
         findings = [_parse_finding(f, revisions, covered_from, history) for f in data["findings"]]
         if data["aggregates"] != asdict(compute_aggregates(findings)):
             raise ValueError("aggregates disagree with the findings")
+        scan_time = data["scan_time_epoch"]
+        if type(scan_time) is not int:
+            raise ValueError(f"scan_time_epoch is no integer: {scan_time!r}")
+        try:
+            stated = _rfc3339(scan_time)
+        except (OverflowError, OSError, ValueError):
+            stated = None
+        if data["scan_time"] != stated:
+            raise ValueError(f"scan_time is not the RFC 3339 form of scan_time_epoch: "
+                             f"{data['scan_time']!r}")
         return ScanReport(
             project_id=data["project"],
-            scan_time=data["scan_time_epoch"],
+            scan_time=scan_time,
             mode=data["mode"],
             findings=findings,
             warnings=data.get("warnings", []),

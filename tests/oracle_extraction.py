@@ -1,11 +1,12 @@
-"""Extraction without literal gates, used as a test oracle.
+"""Extraction without gates, used as a test oracle.
 
 ``mask_links_and_urls`` runs the link-destination, backtick-span and URL
 passes over every text, and ``matches`` runs every catalog rule over every
-text, whatever literals the text holds. ``extract_elements`` orders and
-dedupes their matches as ``staleref.extraction.extract_elements`` does, so
-the production function, which skips a pass or a rule where a literal it
-needs is missing, must return the same references.
+text, whatever literals or character windows the text holds.
+``extract_elements`` orders and dedupes their matches as
+``staleref.extraction.extract_elements`` does, so the production function,
+which skips a pass or a rule where a literal or a window it needs is missing,
+must return the same references.
 """
 
 from __future__ import annotations

@@ -349,6 +349,36 @@ class TestTimeoutValue:
         assert json.loads(proc.stdout)["partial"] is False
 
 
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("setting, detail", [
+        ({"scan_time": True}, "scan_time: expected an integer, got True"),
+        ({"scan_time": 1.5}, "scan_time: expected an integer, got 1.5"),
+        ({"timeout": True}, "timeout: expected a number, got True"),
+        ({"timeout": [1]}, "timeout: expected a number, got [1]"),
+        ({"max_file_bytes": 1.9}, "max_file_bytes: expected an integer, got 1.9"),
+        ({"max_file_bytes": False}, "max_file_bytes: expected an integer, got False"),
+    ])
+    def test_wrong_json_type_exits_2(self, dirty_repo, tmp_path, setting, detail):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        proc = run_cli("history", "--repo", dirty_repo, "--config", str(cfg))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {detail}\n")
+
+    def test_environment_strings_and_whole_json_numbers_apply(self, dirty_repo, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scan_time": int(PIN), "timeout": 60, "max_file_bytes": 10.0}))
+        by_file = run_cli("scan", "--repo", dirty_repo, "--config", str(cfg))
+        by_env = run_cli("scan", "--repo", dirty_repo, env_extra={
+            "STALEREF_SCAN_TIME": PIN, "STALEREF_TIMEOUT": "60", "STALEREF_MAX_FILE_BYTES": "10",
+        })
+        # The 10-byte cap skips the only source file, so nothing reads outdated.
+        assert by_file.returncode == by_env.returncode == 0, by_file.stderr
+        assert by_file.stdout == by_env.stdout
+        report = json.loads(by_file.stdout)
+        assert report["scan_time_epoch"] == int(PIN)
+        assert "oversized_file" in {warning["kind"] for warning in report["warnings"]}
+
+
 class TestFetch:
     def test_clones_local_repo_and_wiki(self, tmp_path):
         origin = RepoBuilder(tmp_path / "origin" / "proj")
@@ -477,6 +507,14 @@ class TestStats:
         (lambda report: report.pop("aggregates"), "malformed report: KeyError('aggregates')"),
         (lambda report: report.update(partial=True, covered_from_ordinal=-7),
          "covered_from_ordinal is no ordinal of a partial report's revisions: -7"),
+        (lambda report: report.update(scan_time_epoch=True),
+         "scan_time_epoch is no integer: True"),
+        (lambda report: report.update(scan_time_epoch=1.5), "scan_time_epoch is no integer: 1.5"),
+        (lambda report: report.update(scan_time_epoch="x"), "scan_time_epoch is no integer: 'x'"),
+        (lambda report: report.update(scan_time_epoch=report["scan_time_epoch"] + 1),
+         "scan_time is not the RFC 3339 form of scan_time_epoch"),
+        (lambda report: report.update(scan_time_epoch=10**20),
+         "scan_time is not the RFC 3339 form of scan_time_epoch"),
     ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
             "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
             "revision-sha-not-hex", "episode-duration-text", "partial-without-failed-ordinals",
@@ -485,7 +523,8 @@ class TestStats:
             "failed-ordinals-without-symbols", "revision-ordinal-out-of-order",
             "revision-timestamp-text", "revision-timestamp-bool", "episode-start-past-revisions",
             "symbols-string", "symbols-object", "aggregates-disagree", "aggregates-missing",
-            "covered-from-negative"])
+            "covered-from-negative", "scan-time-epoch-bool", "scan-time-epoch-float",
+            "scan-time-epoch-text", "scan-time-disagrees", "scan-time-epoch-out-of-range"])
     def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
         # A callable payload spoils one field of a valid history report.
         if callable(payload):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
+import re
 from importlib.util import find_spec
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +228,8 @@ def gate_rich_text():
         "`", "<", ">", ".", "(", ")", "()", "_", "/", "](", "://", "( )", ". x", ":/", "] (",
         "a.b", "x()", "Foo<Bar>", "Foo <Bar>", "a.b(c)", "a.b()", "A_B", "Z_9", "p/q", "./a",
         "../b/c", "x://y", "[t](u/v)", "`a.b`", "`p/q`", "fooBar", "Baz", "9", " ", "\n",
+        # Window near misses.
+        "aB", "9Z", "a.B", "a.9", "-.x", "A_9", "A_ ", "_9", "x/", " /",
     ]
     return st.lists(
         st.one_of(st.sampled_from(pieces), st.text("`<>.()_/]:[ aAZ9-", max_size=4)),
@@ -232,25 +237,54 @@ def gate_rich_text():
     ).map("".join)
 
 
-@pytest.mark.criterion("a rule or mask pass whose literal gate is closed cannot match")
+# One character of each class that the rules, windows and mask passes tell
+# apart.
+CLASS_ALPHABET = "aZ9_-./()`<>[]: "
+
+
+def gates(catalog):
+    """(pattern, literals, window) of every built-in rule and both mask passes."""
+    return [
+        (rule.compiled, *extraction._GATES[rule.pattern]) for rule in catalog.rules
+    ] + [(extraction._LINK_DEST_RE, ("](",), None), (extraction._BARE_URL_RE, ("://",), None)]
+
+
+def closed(text, literals, window):
+    return not all(literal in text for literal in literals) or (
+        window is not None and window.search(text) is None
+    )
+
+
+@pytest.mark.criterion("a rule or mask pass whose literal or window gate is closed cannot match")
 @pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
 def test_closed_gate_means_no_match(catalog):
     from hypothesis import given, settings
 
-    gates = [
-        (rule.compiled, extraction._REQUIRED_LITERALS[rule.pattern]) for rule in catalog.rules
-    ] + [(extraction._LINK_DEST_RE, ("](",)), (extraction._BARE_URL_RE, ("://",))]
-    # Seven rules and both mask passes are gated.
-    assert sum(bool(literals) for _, literals in gates) == 9
+    checks = gates(catalog)
+    # Seven rules and both mask passes have literals; six rules have a window,
+    # so every rule is gated.
+    assert sum(bool(literals) for _, literals, _ in checks) == 9
+    assert sum(window is not None for _, _, window in checks) == 6
+    assert all(literals or window for _, literals, window in checks)
 
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(gate_rich_text())
     def check(text):
-        for pattern, literals in gates:
-            if not all(literal in text for literal in literals):
+        for pattern, literals, window in checks:
+            if closed(text, literals, window):
                 assert next(pattern.finditer(text), None) is None, (pattern.pattern, text)
 
     check()
+
+
+@pytest.mark.criterion("a closed gate admits no match on any string of up to four characters")
+def test_closed_gate_means_no_match_exhaustively(catalog):
+    checks = gates(catalog)
+    for n in range(5):
+        for text in map("".join, itertools.product(CLASS_ALPHABET, repeat=n)):
+            for pattern, literals, window in checks:
+                if closed(text, literals, window):
+                    assert pattern.search(text) is None, (pattern.pattern, text)
 
 
 @pytest.mark.criterion("gated extraction equals the ungated oracle in texts, spans and rule ids")
@@ -268,13 +302,50 @@ def test_gated_extraction_equals_ungated_oracle(catalog):
     check()
 
 
+@pytest.mark.parametrize("name", ["README.md", "CHANGES.md"])
+def test_repository_prose_extracts_as_the_ungated_oracle(catalog, name):
+    # Real prose, dense with code elements: every line and the whole document.
+    doc = (Path(__file__).resolve().parents[1] / name).read_text(encoding="utf-8")
+    memo: dict = {}
+    for line in doc.split("\n"):
+        oracle = oracle_extraction.extract_elements(line, catalog)
+        assert extract_elements(line, catalog) == oracle, line
+        assert element_texts(line, catalog, memo) == {ref.text for ref in oracle}, line
+    oracle = oracle_extraction.extract_elements(doc, catalog)
+    assert element_texts(doc, catalog, memo) == {ref.text for ref in oracle}
+
+
 class TestGates:
     def test_gate_table_keys_are_the_builtin_patterns(self, catalog):
         rules = extraction._BUILTIN_RULES
         assert [(r.id, r.capture_group, r.pattern) for r in catalog.rules] == [
-            (rule_id, group, pattern) for rule_id, group, pattern, _ in rules
+            (rule_id, group, pattern) for rule_id, group, pattern, _, _ in rules
         ]
-        assert extraction._REQUIRED_LITERALS == {pattern: lits for _, _, pattern, lits in rules}
+        gate_table = {
+            pattern: (literals, window and window.pattern)
+            for pattern, (literals, window) in extraction._GATES.items()
+        }
+        assert gate_table == {pattern: (lits, window) for _, _, pattern, lits, window in rules}
+
+    def test_each_window_finds_exactly_its_character_pair(self, catalog):
+        # A window is written to start at its rarest character; it must still
+        # find the pair of character classes that every match of its rules holds.
+        pairs = {
+            "camel-case": "[a-z0-9][A-Z]", "pascal-case": "[a-z0-9][A-Z]",
+            "dotted-name": r"[A-Za-z0-9_-]\.[A-Za-z_]",
+            "qualified-call": r"[A-Za-z0-9_-]\.[A-Za-z_]",
+            "upper-snake": "[A-Z0-9]_[A-Z0-9]", "path-like": "[A-Za-z0-9_.-]/",
+        }
+        windows = {rule.id: extraction._GATES[rule.pattern][1] for rule in catalog.rules}
+        assert {rule_id for rule_id, window in windows.items() if window} == set(pairs)
+        # Rules with the same pair share one compiled window.
+        assert windows["camel-case"] is windows["pascal-case"]
+        assert windows["dotted-name"] is windows["qualified-call"]
+        for n in range(4):
+            for text in map("".join, itertools.product(CLASS_ALPHABET, repeat=n)):
+                for rule_id, pair in pairs.items():
+                    found = windows[rule_id].search(text) is not None
+                    assert found == (re.search(pair, text) is not None), (rule_id, text)
 
     def test_custom_pattern_with_a_builtin_id_runs_ungated(self):
         custom = load_catalog("path-like\t0\t\\bfoo_\\w+\n")
