@@ -121,7 +121,8 @@ def _load_config_file(args) -> dict:
 
 
 def _opt(args, file_cfg: dict, name: str, default=None, cast=None, is_list: bool = False):
-    """Flag > environment > config file > default; a list option is a tuple."""
+    """Flag > environment > config file > default. A list option is a tuple
+    of strings; any other option is a string unless *cast* converts it."""
     value = getattr(args, name, None)
     if value in (None, []):
         env = os.environ.get(ENV_PREFIX + name.upper())
@@ -131,19 +132,28 @@ def _opt(args, file_cfg: dict, name: str, default=None, cast=None, is_list: bool
             value = file_cfg[name]
     if value in (None, []):
         return default
-    if is_list and isinstance(value, str):
-        value = [value]
-    if cast is not None:
-        try:
-            value = [cast(v) for v in value] if is_list else cast(value)
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"{name}: {exc}") from None
-    return tuple(value) if is_list else value
+    if is_list:
+        value = [value] if isinstance(value, str) else value
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{name}: expected a string or a list of strings, got {value!r}")
+        return tuple(value)
+    if cast is None and not isinstance(value, str):
+        raise ValueError(f"{name}: expected a string, got {value!r}")
+    try:
+        return value if cast is None else cast(value)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _given(**options) -> dict:
     """The options that have a value; the others keep their dataclass defaults."""
     return {name: value for name, value in options.items() if value is not None}
+
+
+def _format(value) -> str:
+    if value in (FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN):
+        return value
+    raise ValueError(f"expected json, csv or md, got {value!r}")
 
 
 def _integer(value) -> int:
@@ -177,9 +187,13 @@ def _parse_scan_time(value) -> int:
 
 
 def _truthy(value) -> bool:
+    """A bool, or one of the words 1/true/yes/on and 0/false/no/off."""
     if isinstance(value, bool):
         return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+    word = value.strip().lower() if isinstance(value, str) else None
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected a boolean, got {value!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 def _resolve_wiki(repo_path: str, wiki_opt: str | None) -> str | None:
@@ -226,13 +240,13 @@ def _run_analysis(args, mode: str) -> int:
         url_base=_opt(args, file_cfg, "url_base"),
         strict_episodes=_opt(args, file_cfg, "strict_episodes", cast=_truthy),
     ))
+    fmt = _opt(args, file_cfg, "format", default=FORMAT_JSON, cast=_format)
+    out = _opt(args, file_cfg, "out")
+    draft_target = _opt(args, file_cfg, "issue_draft")
 
     report = run_history(config) if mode == "history" else run_scan(config)
 
-    text = render_findings(report, _opt(args, file_cfg, "format", default=FORMAT_JSON))
-    _write_output(text, _opt(args, file_cfg, "out"))
-
-    draft_target = _opt(args, file_cfg, "issue_draft")
+    _write_output(render_findings(report, fmt), out)
     if draft_target:
         if any(f.currently_outdated for f in report.findings):
             _write_output(render_issue_draft(report), draft_target)
@@ -296,24 +310,23 @@ def _cmd_dump_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {"fetch": _cmd_fetch, "stats": _cmd_stats, "dump-catalog": _cmd_dump_catalog}
     try:
-        if args.command == "fetch":
-            return _cmd_fetch(args)
-        if args.command == "scan":
-            return _run_analysis(args, "scan")
-        if args.command == "history":
-            return _run_analysis(args, "history")
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "dump-catalog":
-            return _cmd_dump_catalog(args)
-        parser.error(f"unknown command {args.command!r}")
+        if args.command in ("scan", "history"):
+            return _run_analysis(args, args.command)
+        return commands[args.command](args)
     except (GitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
+    except Exception:
+        # Exit 1 means outdated references, so an unforeseen failure must
+        # not leave the interpreter's exit code. Only a failure needs the
+        # traceback module, which costs start-up time.
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

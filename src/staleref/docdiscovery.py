@@ -8,7 +8,6 @@ scanner is concerned.
 from __future__ import annotations
 
 import fnmatch
-import re
 from dataclasses import dataclass
 
 ORIGIN_README = "readme"
@@ -87,12 +86,6 @@ class DiscoveryConfig:
     readme_glob: str = "README*"
     extra_doc_globs: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        for pattern in (self.readme_glob, *self.extra_doc_globs):
-            # fnmatch.translate is total, but compiling surfaces pathological
-            # patterns at config-build time rather than mid-scan.
-            re.compile(fnmatch.translate(pattern))
-
 
 def discover_documents(
     source_tree: list[str],
@@ -107,31 +100,16 @@ def discover_documents(
     file with a recognised format is included. The result is deduplicated and
     sorted, so repeated calls over the same listings are identical.
     """
-    found: dict[tuple[str, str], DocumentDescriptor] = {}
-
     readme_glob = config.readme_glob.lower()
-    for path in source_tree:
-        if "/" in path or not fnmatch.fnmatchcase(path.lower(), readme_glob):
-            continue
-        fmt = is_recognized_format(path)
-        if fmt:
-            desc = DocumentDescriptor(ORIGIN_README, path, fmt)
-            found[(desc.origin, desc.path)] = desc
-
-    for glob in config.extra_doc_globs:
-        for path in source_tree:
-            if not fnmatch.fnmatchcase(path, glob):
-                continue
-            fmt = is_recognized_format(path)
-            if fmt:
-                desc = DocumentDescriptor(ORIGIN_README, path, fmt)
-                found.setdefault((desc.origin, desc.path), desc)
-
-    if wiki_tree is not None:
-        for path in wiki_tree:
-            fmt = is_recognized_format(path)
-            if fmt:
-                desc = DocumentDescriptor(ORIGIN_WIKI, path, fmt)
-                found[(desc.origin, desc.path)] = desc
-
-    return sorted(found.values())
+    pairs = [(ORIGIN_README, path) for path in source_tree]
+    pairs += [(ORIGIN_WIKI, path) for path in wiki_tree or ()]
+    return sorted({
+        DocumentDescriptor(origin, path, fmt)
+        for origin, path in pairs
+        if (
+            origin == ORIGIN_WIKI
+            or ("/" not in path and fnmatch.fnmatchcase(path.lower(), readme_glob))
+            or any(fnmatch.fnmatchcase(path, glob) for glob in config.extra_doc_globs)
+        )
+        and (fmt := is_recognized_format(path))
+    })

@@ -27,6 +27,7 @@ from .reporting import (
     Finding,
     ScanReport,
     build_finding_urls,
+    rfc3339,
     sort_findings,
 )
 from .revgraph import (
@@ -84,6 +85,11 @@ class RunConfig:
         # No time is ever at or past a NaN deadline.
         if math.isnan(self.timeout_seconds):
             raise ValueError("timeout must be a number of seconds, not nan")
+        if self.scan_time is not None:
+            try:
+                rfc3339(self.scan_time)
+            except (OverflowError, OSError, ValueError):
+                raise ValueError(f"scan_time: no RFC 3339 time at epoch {self.scan_time}") from None
 
     def resolved_project_id(self) -> str:
         return project_home(self.repo_path)[1]

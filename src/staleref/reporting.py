@@ -176,7 +176,7 @@ def _fold(projects: list[list[Finding]]) -> Aggregates:
 # -- serialization --------------------------------------------------------------
 
 
-def _rfc3339(epoch: int) -> str:
+def rfc3339(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
 
 
@@ -308,7 +308,7 @@ def report_to_dict(report: ScanReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "project": report.project_id,
-        "scan_time": _rfc3339(report.scan_time),
+        "scan_time": rfc3339(report.scan_time),
         "scan_time_epoch": report.scan_time,
         "mode": report.mode,
         "partial": report.partial,
@@ -357,7 +357,7 @@ def parse_report(text: str) -> ScanReport:
         if type(scan_time) is not int:
             raise ValueError(f"scan_time_epoch is no integer: {scan_time!r}")
         try:
-            stated = _rfc3339(scan_time)
+            stated = rfc3339(scan_time)
         except (OverflowError, OSError, ValueError):
             stated = None
         if data["scan_time"] != stated:
@@ -452,7 +452,7 @@ def _render_findings_markdown(report: ScanReport) -> str:
         f"# Reference scan of {report.project_id}",
         "",
         f"* mode: {report.mode}",
-        f"* scan time: {_rfc3339(report.scan_time)}",
+        f"* scan time: {rfc3339(report.scan_time)}",
         f"* findings: {len(report.findings)} "
         f"({sum(f.outdated for f in report.findings)} outdated)",
     ]

@@ -12,7 +12,10 @@ own:
 * ``corpora``: the bench's smoke corpora of every workload at seeds 1 and 21
   through ``cli.main``, with stdout, stderr and exit code of each run, and
   ``stats`` over their JSON reports in every format;
-* ``catalog``: ``dump-catalog``.
+* ``catalog``: ``dump-catalog``;
+* ``bad_settings``: each of ``scenarios.BAD_SETTINGS`` in scan and history
+  through ``cli.main``, with stdout, stderr and exit code, against a
+  repository path that does not exist.
 
 The group's directory reads ``<tmp>`` in every output before it is hashed.
 
@@ -59,7 +62,7 @@ CLI_RUNS = {
     "issue": ["--url-base", "https://example.invalid/proj", "--issue-draft", "-"],
 }
 SCENARIOS = {b.__name__.removeprefix("build_"): b for b in scenarios.SCENARIO_BUILDERS}
-GROUPS = [*SCENARIOS, "corpora", "catalog"]
+GROUPS = [*SCENARIOS, "corpora", "catalog", "bad_settings"]
 
 
 def _renderings(key: str, report, complete: bool) -> dict[str, str]:
@@ -129,6 +132,20 @@ def _corpus_outputs(base: Path) -> dict[str, str]:
     return texts
 
 
+def _bad_setting_outputs(base: Path, monkeypatch) -> dict[str, str]:
+    texts: dict[str, str] = {}
+    for name, (flags, env, setting) in scenarios.BAD_SETTINGS.items():
+        cfg = base / f"{name}.json"
+        cfg.write_text(json.dumps({"repo": str(base / "missing"), **setting}), encoding="utf-8")
+        for mode in ("scan", "history"):
+            with monkeypatch.context() as m:
+                for variable, value in env.items():
+                    m.setenv(variable, value)
+                run = _cli([mode, "--config", str(cfg), *flags])
+            texts.update((f"{name}/{mode}/{stream}", text) for stream, text in run.items())
+    return texts
+
+
 def outputs(group: str, base: Path) -> dict[str, str] | None:
     """The outputs of *group*, keyed under its name, built under *base*;
     None for a scenario this git cannot build."""
@@ -140,6 +157,8 @@ def outputs(group: str, base: Path) -> dict[str, str] | None:
             texts = _cli(["dump-catalog"])
         elif group == "corpora":
             texts = _corpus_outputs(base)
+        elif group == "bad_settings":
+            texts = _bad_setting_outputs(base, monkeypatch)
         else:
             texts = _scenario_outputs(SCENARIOS[group], base, monkeypatch)
     if texts is None:

@@ -812,3 +812,22 @@ def build_all(base: Path) -> list[dict]:
     """Every scenario this git can build; a builder returns None for one it
     cannot."""
     return [m for m in (builder(base) for builder in SCENARIO_BUILDERS) if m is not None]
+
+
+# Settings that the command line refuses before it starts any git process:
+# name -> (extra arguments, environment, config-file entries). The config
+# file names the repository too, so a "repo" entry replaces it.
+BAD_SETTINGS = {
+    "config-repo-number": ([], {}, {"repo": 5}),
+    "config-exclude-number": ([], {}, {"exclude": 5}),
+    "config-extra-doc-glob-number-item": ([], {}, {"extra_doc_glob": ["docs/*", 1]}),
+    "config-out-list": ([], {}, {"out": ["report.json"]}),
+    "config-strict-episodes-maybe": ([], {}, {"strict_episodes": "maybe"}),
+    "config-strict-episodes-number": ([], {}, {"strict_episodes": 1}),
+    "env-strict-episodes-maybe": ([], {"STALEREF_STRICT_EPISODES": "maybe"}, {}),
+    "config-format-number": ([], {}, {"format": 5}),
+    "env-format-xml": ([], {"STALEREF_FORMAT": "xml"}, {}),
+    "scan-time-overflow": (["--scan-time", "100000000000000000000"], {}, {}),
+    "scan-time-year-14645": (["--scan-time", "400000000000"], {}, {}),
+    "scan-time-before-year-1": (["--scan-time=-100000000000"], {}, {}),
+}

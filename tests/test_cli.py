@@ -13,6 +13,7 @@ import pytest
 import scenarios
 import staleref
 from conftest import RepoBuilder
+from staleref import cli
 
 T0 = 1_600_000_000
 PIN = str(T0 + 50_000)
@@ -357,12 +358,28 @@ class TestConfigValueTypes:
         ({"timeout": [1]}, "timeout: expected a number, got [1]"),
         ({"max_file_bytes": 1.9}, "max_file_bytes: expected an integer, got 1.9"),
         ({"max_file_bytes": False}, "max_file_bytes: expected an integer, got False"),
+        ({"exclude": 5}, "exclude: expected a string or a list of strings, got 5"),
+        ({"extra_doc_glob": ["a", 1]},
+         "extra_doc_glob: expected a string or a list of strings, got ['a', 1]"),
+        ({"repo": 5}, "repo: expected a string, got 5"),
+        ({"out": True}, "out: expected a string, got True"),
+        ({"strict_episodes": "maybe"}, "strict_episodes: expected a boolean, got 'maybe'"),
+        ({"strict_episodes": 0}, "strict_episodes: expected a boolean, got 0"),
+        ({"format": "xml"}, "format: expected json, csv or md, got 'xml'"),
     ])
     def test_wrong_json_type_exits_2(self, dirty_repo, tmp_path, setting, detail):
+        # The file names the repository, so that a "repo" entry replaces it.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(setting))
-        proc = run_cli("history", "--repo", dirty_repo, "--config", str(cfg))
+        cfg.write_text(json.dumps({"repo": dirty_repo, **setting}))
+        proc = run_cli("history", "--config", str(cfg))
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {detail}\n")
+
+    @pytest.mark.parametrize("word, strict", [
+        ("true", True), (" Yes ", True), ("ON", True), ("1", True),
+        ("false", False), ("no", False), ("Off", False), ("0", False),
+    ])
+    def test_boolean_words_apply(self, word, strict):
+        assert cli._truthy(word) is strict
 
     def test_environment_strings_and_whole_json_numbers_apply(self, dirty_repo, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -377,6 +394,46 @@ class TestConfigValueTypes:
         report = json.loads(by_file.stdout)
         assert report["scan_time_epoch"] == int(PIN)
         assert "oversized_file" in {warning["kind"] for warning in report["warnings"]}
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize("mode", ["scan", "history"])
+    @pytest.mark.parametrize("case", sorted(scenarios.BAD_SETTINGS))
+    def test_exit_2_before_any_git_process(
+        self, dirty_repo, tmp_path, monkeypatch, capsys, case, mode
+    ):
+        flags, env, setting = scenarios.BAD_SETTINGS[case]
+        for name in [name for name in os.environ if name.startswith(cli.ENV_PREFIX)]:
+            monkeypatch.delenv(name)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"repo": dirty_repo, **setting}))
+        spawned = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, args, *rest, **kwargs):
+                spawned.append(args)
+                super().__init__(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        code = cli.main([mode, "--config", str(cfg), *flags])
+        out, err = capsys.readouterr()
+        assert (code, out, spawned) == (2, "", [])
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_unforeseen_failure_prints_its_traceback_and_exits_2(
+        self, dirty_repo, monkeypatch, capsys
+    ):
+        def fail(config):
+            raise RuntimeError("unforeseen")
+
+        monkeypatch.setattr(cli, "run_history", fail)
+        assert cli.main(["history", "--repo", dirty_repo]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: unforeseen\n")
 
 
 class TestFetch:

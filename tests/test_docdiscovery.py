@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from importlib.util import find_spec
+
 import pytest
 
+import oracle_discovery
 from staleref.docdiscovery import (
     ALL_FORMATS,
     DiscoveryConfig,
@@ -126,3 +129,44 @@ class TestTypes:
 
     def test_all_formats_non_empty(self):
         assert "markdown" in ALL_FORMATS
+
+
+# Names that the rules tell apart: mixed-case READMEs with and without a
+# format, glob metacharacters taken literally, dotfiles and unrecognized
+# extensions.
+NAMES = [
+    "README.md", "readme.MD", "ReadMe.rst", "README", "README.py", "README.md.bak",
+    "READ.md", "guide.md", "a.md", "b.txt", "[ab].md", "x?.rst", "*.adoc", "Home.wiki",
+    ".md", ".readme.md", ".gitignore", "main.py", "archive.tar.gz", "notes.TXT",
+]
+DIRECTORIES = ["", "docs/", "Docs/", "pkg/", "docs/sub/", "[ab]/"]
+README_GLOBS = ["README*", "readme*", "README.md", "Read*.?d", "[Rr]eadme*", "*", "*.rst", "["]
+EXTRA_GLOBS = [
+    "docs/*", "docs/*.md", "*.md", "*/README*", "docs/?.md", "docs/[ab].md", "docs/[!a]*",
+    "*", "pkg/*/*.rst", "[[]ab]/*", "*[.]txt", "README*",
+]
+
+
+@pytest.mark.criterion("one-pass discovery lists the documents of the three-loop oracle")
+@pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+def test_one_pass_discovery_equals_three_loop_oracle():
+    from hypothesis import given, settings, strategies as st
+
+    segment = st.text("aAR._-[]*?!", min_size=1, max_size=5).filter(lambda s: s not in (".", ".."))
+    name = st.one_of(st.sampled_from(NAMES), segment)
+    path = st.builds(lambda d, n: d + n, st.sampled_from(DIRECTORIES), name)
+    pattern = st.one_of(st.sampled_from(EXTRA_GLOBS), st.text("dR/*?[]!.am", max_size=6))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        st.lists(path, max_size=12),
+        st.none() | st.lists(path, max_size=6),
+        st.one_of(st.sampled_from(README_GLOBS), st.text("Rr*?[]!.md", max_size=6)),
+        st.lists(pattern, max_size=3).map(tuple),
+    )
+    def check(source, wiki, readme_glob, extra):
+        config = DiscoveryConfig(readme_glob, extra)
+        expected = oracle_discovery.discover_documents(source, wiki, config)
+        assert discover_documents(source, wiki, config) == expected
+
+    check()

@@ -160,9 +160,10 @@ def test_every_exported_name_resolves():
 
 
 
-# The functions where a handler may catch every exception: none. Only a
-# finalizer, which must never raise, would need one, and src/ has none.
-CATCH_ALL_ALLOWED: set[str] = set()
+# The functions, by module, where a handler may catch every exception: only
+# the command line's entry point, which prints the traceback and exits 2, since
+# the interpreter's own exit code 1 reads as "outdated references found".
+CATCH_ALL_ALLOWED: dict[str, set[str]] = {"cli.py": {"main"}}
 
 
 def _catches_all(kind: ast.expr | None) -> bool:
@@ -194,7 +195,8 @@ def catch_all_handlers(source: str, allowed: set[str]) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_catch_all_handlers(path):
-    assert catch_all_handlers(path.read_text(encoding="utf-8"), CATCH_ALL_ALLOWED) == []
+    allowed = CATCH_ALL_ALLOWED.get(path.name, set())
+    assert catch_all_handlers(path.read_text(encoding="utf-8"), allowed) == []
 
 
 def test_catch_all_handler_is_found():
