@@ -8,6 +8,7 @@ import json
 import statistics
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from urllib.parse import quote
 
 from .docdiscovery import ORIGIN_WIKI, DocumentDescriptor
 from .matching import STATUS_OUTDATED
@@ -564,7 +565,8 @@ def build_finding_urls(
 ) -> dict | None:
     """Browse URLs under *base* for the finding's document, its first evidence
     match and the commit that deleted its last instances, which *revisions*
-    names; None without a base or without any of them."""
+    names; None without a base or without any of them. Paths and page names
+    are percent-encoded."""
     if not base:
         return None
     urls: dict = {}
@@ -572,13 +574,14 @@ def build_finding_urls(
         document = finding.document
         template = WIKI_URL if document.origin == ORIGIN_WIKI else BLOB_NO_LINE_URL
         urls["document"] = template.format(
-            base=base, sha=finding.doc_sha, page=document.page_name, path=document.path
+            base=base, sha=finding.doc_sha, page=quote(document.page_name),
+            path=quote(document.path),
         )
     if finding.evidence and finding.evidence_sha:
         path, line, _ = finding.evidence[0]
         template = BLOB_URL if line > 0 else BLOB_NO_LINE_URL
         urls["evidence"] = template.format(
-            base=base, sha=finding.evidence_sha, path=path, line=line
+            base=base, sha=finding.evidence_sha, path=quote(path), line=line
         )
     deleting = _deleting_sha(finding, revisions)
     if deleting:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import re
 import subprocess
+import tempfile
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,10 +123,8 @@ class GitRepo:
         if prefix or (inside == "true" and git_dir != ["."]):
             raise MissingRepositoryError(f"not the top of a git repository: {self.path}")
 
-    def _run(self, *args: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            ["git", "-C", str(self.path), *args], capture_output=True, text=True
-        )
+    def _run(self, *args: str, text: bool = True) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(self.path), *args], capture_output=True, text=text)
 
     def close(self) -> None:
         """Nothing to end, as each blob stream ends its own child. Kept
@@ -139,91 +138,66 @@ class GitRepo:
         return self._run("symbolic-ref", "--short", "-q", "HEAD").stdout.strip() or "HEAD"
 
     def linearize_history(self, branch: str | None = None) -> RevisionSequence:
-        """First-parent history of *branch*, oldest first, committer timestamps.
+        return self.first_parent_history(branch)[0]
+
+    def first_parent_history(
+        self, branch: str | None = None
+    ) -> tuple[RevisionSequence, list[list[Change]]]:
+        """First-parent history of *branch* (HEAD for None), oldest first with
+        committer timestamps, and each revision's blob changes against the
+        one before it, from one ``git log --raw`` child. Revision 0 is diffed
+        against the empty tree, as ``--root`` does for a parentless commit (a
+        root, or a shallow clone's graft); a gitlink is no blob on either side.
 
         Raises UnknownBranchError for a branch that does not exist and
         EmptyHistoryError for a repository (or unborn branch) with no commits.
         """
-        name = self.resolve_branch(branch)
+        name = branch or "HEAD"
         commit = f"{name}^{{commit}}"
         # git log reads the one name that rev-parse --verify reads: the
         # ``^{commit}`` suffix keeps it from reading a parent shorthand such
         # as ``^@``, and ``--end-of-options`` and ``--`` keep it from reading
         # an option or a path. It still reads a range, so a name with ``..``
-        # is verified first.
-        args = ("log", "--first-parent", "--reverse", "--format=%H %ct",
-                "--end-of-options", commit, "--")
-        listed = None if ".." in name else self._run(*args)
+        # is verified first. Options that a git config can change are given.
+        args = ("log", "--first-parent", "--reverse", "--format=%H %ct", "--raw", "-z",
+                "--no-abbrev", "--no-renames", "--root", "--diff-merges=first-parent",
+                "--no-show-signature", "--end-of-options", commit, "--")
+        listed = None if ".." in name else self._run(*args, text=False)
         # Only a failed or empty listing pays for telling its causes apart.
         if listed is None or listed.returncode != 0 or not listed.stdout:
+            name = self.resolve_branch(branch)
             if self._run("rev-parse", "--verify", "--quiet", commit).returncode != 0:
                 if branch is None or branch == self.resolve_branch(None):
                     raise EmptyHistoryError(f"{self.path}: branch {name!r} has no commits")
                 raise UnknownBranchError(f"{self.path}: unknown branch {name!r}")
-            listed = listed or self._run(*args)
+            listed = listed or self._run(*args, text=False)
             if listed.returncode != 0:
-                raise GitError(
-                    f"git {' '.join(args)} failed in {self.path}: {listed.stderr.strip()}"
-                )
+                raise GitError(f"git {' '.join(args)} failed in {self.path}: "
+                               f"{listed.stderr.decode(errors='replace').strip()}")
             if not listed.stdout:
                 raise EmptyHistoryError(f"{self.path}: branch {name!r} has no commits")
-        return RevisionSequence(tuple(
-            Revision(sha, int(ts), i)
-            for i, (sha, ts) in enumerate(line.split() for line in listed.stdout.splitlines())
-        ))
+        # -z output: each revision's "<sha> <time>" field, then a "[\n]:<modes>
+        # <shas> <status>" field and a path field per changed path; then "".
+        revisions, changes = [], []
+        fields = iter(listed.stdout.split(b"\x00")[:-1])
+        for field in fields:
+            if field.startswith((b":", b"\n:")):
+                old_mode, new_mode, old_sha, new_sha, _ = field.lstrip(b"\n:").split(b" ")
+                changes[-1].append((
+                    next(fields),
+                    None if old_mode in _NO_BLOB_MODES else old_sha.decode(),
+                    None if new_mode in _NO_BLOB_MODES else new_sha.decode(),
+                ))
+            else:
+                sha, timestamp = field.decode().split(" ")
+                revisions.append(Revision(sha, int(timestamp), len(revisions)))
+                changes.append([])
+        return RevisionSequence(tuple(revisions)), changes
 
     def remote_url(self) -> str | None:
         return self._run("config", "--get", "remote.origin.url").stdout.strip() or None
 
-    # -- changes and blobs ---------------------------------------------------
-
-    def first_parent_changes(self, seq: RevisionSequence) -> list[list[Change]]:
-        """The blob changes of each revision of *seq* against the one before it.
-
-        Entry i lists the changes of revision i against revision i-1; revision
-        0 is diffed against the empty tree, which ``--root`` does for a
-        parentless commit (a root, or a shallow clone's graft). Only blobs
-        count: a gitlink is no blob on either side. One ``git diff-tree
-        --stdin`` child serves every revision.
-        """
-        revs = seq.revisions
-        lines = [revs[0].sha] + [f"{rev.sha} {prev.sha}" for prev, rev in zip(revs, revs[1:])]
-        completed = subprocess.run(
-            ["git", "-C", str(self.path), "diff-tree", "-r", "-z", "--no-renames",
-             "--root", "--always", "--stdin"],
-            input="".join(line + "\n" for line in lines).encode(),
-            capture_output=True,
-        )
-        if completed.returncode != 0:
-            raise UnknownRevisionError(
-                f"{self.path}: cannot diff the first-parent history: "
-                f"{completed.stderr.decode(errors='replace').strip()}"
-            )
-        # -z output: each revision's sha, then a ":<modes> <shas> <status>"
-        # field and a path field per changed path.
-        fields = completed.stdout.split(b"\x00")
-        changes: list[list[Change]] = []
-        i = 0
-        while i < len(fields) - 1:
-            field = fields[i]
-            if field.startswith(b":") and changes:
-                old_mode, new_mode, old_sha, new_sha, _ = field[1:].split(b" ")
-                changes[-1].append((
-                    fields[i + 1],
-                    None if old_mode in _NO_BLOB_MODES else old_sha.decode(),
-                    None if new_mode in _NO_BLOB_MODES else new_sha.decode(),
-                ))
-                i += 2
-            elif len(changes) < len(revs) and field == revs[len(changes)].sha.encode():
-                changes.append([])
-                i += 1
-            else:
-                raise GitError(f"{self.path}: unexpected git diff-tree output {field[:80]!r}")
-        if len(changes) != len(revs):
-            raise GitError(
-                f"{self.path}: git diff-tree covered {len(changes)} of {len(revs)} revisions"
-            )
-        return changes
+    # -- blobs ---------------------------------------------------------------
 
     def read_blobs(self, blobs: Sequence[str]) -> Iterator[tuple[str, bytes | GitError]]:
         """(blob, its raw contents or the GitError that reading it gave) for
@@ -233,18 +207,21 @@ class GitRepo:
         next objects while the caller works on this one. A missing object
         fails only its blob. A child that exits or cuts an answer short fails
         the first unanswered blob and is ended; the blobs after it are
-        requested again from a new child."""
-        batch = None
+        requested again from a new child. Each child's stderr goes to an
+        unnamed temporary file, whose last line ends its failed blob's error."""
+        batch = stderr = None
         done = sent = 0  # blobs[done:sent] are requested and not answered
         try:
             while done < len(blobs):
                 more = blobs[sent : done + _WINDOW]
                 if more:
                     if batch is None:
+                        stderr = tempfile.TemporaryFile()
                         batch = subprocess.Popen(
                             ["git", "-C", str(self.path), "cat-file", "--batch"],
                             stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE,
+                            stderr=stderr,
                         )
                     sent += len(more)
                     try:
@@ -268,10 +245,20 @@ class GitRepo:
                 yield blob, GitError(f"{self.path}: " + (
                     f"truncated cat-file output for {blob}" if header
                     else f"git cat-file exited before it answered for {blob}"
-                ))
+                ) + _last_line(stderr))
         finally:
             if batch is not None:
                 _end(batch)
+            if stderr is not None:
+                stderr.close()
+
+
+def _last_line(stderr) -> str:
+    """": " and the last non-empty line of an ended child's *stderr* file, which is closed."""
+    with stderr:
+        stderr.seek(0)
+        lines = stderr.read().decode(errors="replace").split("\n")
+    return next((f": {line.strip()}" for line in reversed(lines) if line.strip()), "")
 
 
 def _end(child: subprocess.Popen) -> None:
@@ -296,8 +283,7 @@ class Branch:
     @classmethod
     def open(cls, path: str | Path, branch: str | None) -> Branch:
         repo = GitRepo(path)
-        seq = repo.linearize_history(branch)
-        return cls(repo, seq, repo.first_parent_changes(seq))
+        return cls(repo, *repo.first_parent_history(branch))
 
     @cached_property
     def head(self) -> dict[bytes, tuple[str, int]]:

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import oracle_revgraph
 import scenarios
 from conftest import RepoBuilder
 from oracle_episodes import episodes_oracle
@@ -264,12 +265,14 @@ def count_off_chain(repo, shas, elements, config) -> dict[str, tuple[int, ...]]:
     """Counts of *elements* at commits that need not lie on the first-parent
     chain: the counter runs over a sequence of revision 0 and *shas*, in
     that order, and must agree with the oracle, which counts each commit
-    from its own tree listing."""
+    from its own tree listing. The two-call reader of ``oracle_revgraph``
+    diffs each of them against the one before it."""
     seq = RevisionSequence((repo.linearize_history().revisions[0],) + tuple(
         Revision(sha, 0, i) for i, sha in enumerate(shas, start=1)
     ))
     counter = HistoryCounter(
-        Branch(repo, seq, repo.first_parent_changes(seq)), config, frozenset(elements)
+        Branch(repo, seq, oracle_revgraph.first_parent_changes(repo, seq)), config,
+        frozenset(elements),
     )
     counts = {}
     scanner = SourceScanner(repo, config)

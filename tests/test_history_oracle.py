@@ -4,18 +4,24 @@ Hypothesis scripts random repositories (adds, deletes, renames, edits, the
 same content at two paths, symlinks, binary and oversized blobs, non-ASCII
 text with CRLF line ends, merged side branches, out-of-order and equal
 timestamps, an optional wiki whose commits keep the order drawn, so their
-timestamps may go backwards) and random run settings (exclude globs, a
-small per-file cap, a small size cap, a strict mode). On each repository
+timestamps may go backwards, gitlinks and paths that switch between a
+gitlink and a blob, names whose bytes are no UTF-8) and random run settings
+(exclude globs, a small per-file cap, a small size cap, a strict mode).
+Each repository's ``GitRepo.first_parent_history`` must equal the two-call
+reader of ``oracle_revgraph``. On each repository
 ``run_scan`` must render the same report, byte for byte, as
 ``oracle_history.run_scan_oracle``, and ``run_history`` the same as
 ``oracle_history.run_history_oracle``. Both history runs are then cut by a
 fake deadline after a drawn number of checks, from none to all of them, and
 must render the same JSON and CSV in both strict modes, warnings included.
+A second pass runs both modes and both readers on a local
+``git clone --depth <drawn>`` of the source repository.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -27,15 +33,20 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st  # 
 
 from conftest import RepoBuilder  # noqa: E402
 from cuts import checks_of, cut_after  # noqa: E402
+import oracle_revgraph  # noqa: E402
 from oracle_history import run_history_oracle, run_scan_oracle  # noqa: E402
 from staleref import matching  # noqa: E402
 from staleref.pipeline import RunConfig, run_history, run_scan  # noqa: E402
 from staleref.reporting import FORMAT_CSV, render_findings  # noqa: E402
+from staleref.revgraph import GitRepo  # noqa: E402
 
 T0 = 1_600_000_000
 STEP = 10_000
 
-PATHS = ["src/a.py", "src/b.py", "lib/util.py", "vendor/dep.py", "docs/n.txt"]
+# The last two names are bytes that are no UTF-8, as os.fsdecode gives them.
+PATHS = ["src/a.py", "src/b.py", "lib/util.py", "vendor/dep.py", "docs/n.txt",
+         os.fsdecode(b"src/\xffwide.py"), os.fsdecode(b"lib/caf\xe9.py")]
+NON_UTF8 = PATHS[-2:]
 SIDE_PATH = "src/side.py"
 CONTENTS = [
     "def alpha_fn():\n    return 1\n",
@@ -49,6 +60,7 @@ CONTENTS = [
     "# naïve café\r\nx = alpha_fn(GammaKit)\r\néalpha_fn\r\n",
 ]
 LINK_TARGETS = ["alpha_fn", "lib/util.py", "GammaKit"]
+GITLINK_COMMITS = ["ab" * 20, "cd" * 20]
 CITED = ["alpha_fn", "beta_fn()", "GammaKit", "lib/util.py", "util.py", "/src/a.py", "ghost_fn"]
 
 path_st = st.sampled_from(PATHS)
@@ -58,6 +70,9 @@ op_st = st.one_of(
     st.tuples(st.just("rename"), path_st, path_st),
     st.tuples(st.just("copy"), path_st, path_st),
     st.tuples(st.just("link"), path_st, st.sampled_from(LINK_TARGETS)),
+    # Two of the choices make a gitlink: one at a path that starts as a blob.
+    st.tuples(st.just("gitlink"), st.sampled_from(PATHS[:4]), st.sampled_from(GITLINK_COMMITS)),
+    st.tuples(st.just("gitlink"), path_st, st.sampled_from(GITLINK_COMMITS)),
     st.tuples(st.just("readme"), st.lists(st.sampled_from(CITED), min_size=2, max_size=6)),
     st.tuples(st.just("readme_delete")),
 )
@@ -83,7 +98,9 @@ wiki_st = st.lists(
 
 
 def _remove(target: Path) -> None:
-    if target.is_symlink() or target.exists():
+    if target.is_dir() and not target.is_symlink():
+        target.rmdir()  # the empty directory that keeps a gitlink
+    elif target.is_symlink() or target.exists():
         target.unlink()
 
 
@@ -98,7 +115,7 @@ def _apply(root: Path, op: tuple) -> None:
         _remove(root / op[1])
     elif kind in ("rename", "copy"):
         source, dest = root / op[1], root / op[2]
-        if source == dest or not (source.exists() or source.is_symlink()):
+        if source == dest or not (source.is_file() or source.is_symlink()):
             return
         _remove(dest)
         dest.parent.mkdir(parents=True, exist_ok=True)
@@ -113,6 +130,16 @@ def _apply(root: Path, op: tuple) -> None:
         _remove(target)
         target.parent.mkdir(parents=True, exist_ok=True)
         os.symlink(op[2], target)
+    elif kind == "gitlink":
+        # An empty directory keeps `git add -A` from dropping the gitlink,
+        # and a file written there later turns it back into a blob.
+        _remove(root / op[1])
+        (root / op[1]).mkdir(parents=True)
+        subprocess.run(
+            ["git", "-C", str(root), "update-index", "--add", "--cacheinfo",
+             f"160000,{op[2]},{op[1]}"],
+            check=True, capture_output=True,
+        )
     elif kind == "readme":
         cites = " ".join(f"Use `{element}` here." for element in op[1])
         (root / "README.md").write_text(f"Intro.\n{cites}\n", encoding="utf-8")
@@ -154,6 +181,42 @@ def _build(base: Path, steps: list, wiki_steps: list) -> tuple[str, str | None]:
     return str(repo.path), str(wiki.path)
 
 
+def _drawn_shapes(steps: list) -> list[str]:
+    """The shapes among the drawn operations, for ``hypothesis.event``."""
+    ops = [op for step in steps for op in step[2]]
+    gitlinked = {op[1] for op in ops if op[0] == "gitlink"}
+    blobs = set(PATHS[:4]) | {op[1] for op in ops if op[0] in ("write", "link")} | {
+        op[2] for op in ops if op[0] in ("rename", "copy")
+    }
+    named = {name for op in ops for name in op[1:] if isinstance(name, str)}
+    return [shape for shape, drawn in (
+        ("gitlink", gitlinked),
+        ("gitlink at a path that holds a blob", gitlinked & blobs),
+        ("name that is no UTF-8", named & set(NON_UTF8)),
+    ) if drawn]
+
+
+def _assert_readers_agree(*paths: str | None) -> None:
+    for path in filter(None, paths):
+        repo = GitRepo(path)
+        assert repo.first_parent_history() == oracle_revgraph.first_parent_history(repo), path
+
+
+def _assert_modes_match_oracles(config: RunConfig):
+    """Both modes render what their oracles render; returns the history report."""
+    expected_scan = run_scan_oracle(config)
+    got_scan = run_scan(config)
+    assert got_scan.warnings == expected_scan.warnings
+    assert render_findings(got_scan) == render_findings(expected_scan)
+
+    expected = run_history_oracle(config)
+    got = run_history(config)
+    assert _symbols(got) == _symbols(expected)
+    assert got.warnings == expected.warnings
+    assert render_findings(got) == render_findings(expected)
+    return got
+
+
 def _symbols(report) -> dict:
     return {
         (f.document.origin, f.document.path, f.element_text): (
@@ -193,23 +256,18 @@ def test_incremental_history_matches_per_cell_oracle(
             scan_time=T0 + 100 * STEP,
             strict_episodes=strict,
         )
-        expected_scan = run_scan_oracle(config)
-        got_scan = run_scan(config)
-        assert got_scan.warnings == expected_scan.warnings
-        assert render_findings(got_scan) == render_findings(expected_scan)
-
-        expected = run_history_oracle(config)
-        got = run_history(config)
-        assert _symbols(got) == _symbols(expected)
-        assert got.warnings == expected.warnings
-        assert render_findings(got) == render_findings(expected)
+        for shape in _drawn_shapes(steps):
+            event(shape)
+        _assert_readers_agree(repo, wiki)
+        got = _assert_modes_match_oracles(config)
+        revisions = len(got.revisions)
 
         total = checks_of(mp, run_history, config)
         # Hypothesis favours small integers: count from both ends.
         checks = data.draw(st.one_of(
             st.integers(0, total), st.integers(0, total).map(lambda k: total - k)
         ), label="checks")
-        documents = total - len(got.revisions)
+        documents = total - revisions
         event("cut among documents" if checks < documents
               else "cut among revisions" if checks < total else "no cut")
         for cut_strict in (False, True):
@@ -226,3 +284,13 @@ def test_incremental_history_matches_per_cell_oracle(
                 assert render_findings(got, fmt) == render_findings(expected, fmt), (
                     cut_strict, fmt
                 )
+
+        depth = data.draw(st.integers(1, revisions), label="depth")
+        event("shallow clone" if depth < revisions else "clone of the whole history")
+        clone = Path(tmp) / "clone"
+        subprocess.run(
+            ["git", "clone", "-q", "--depth", str(depth), f"file://{repo}", str(clone)],
+            check=True, capture_output=True,
+        )
+        _assert_readers_agree(str(clone))
+        _assert_modes_match_oracles(replace(config, repo_path=str(clone)))

@@ -78,13 +78,13 @@ def test_private_import_is_found():
 
 
 # The diff-stream format: only revgraph folds a history's changes.
-DIFF_STREAM_NAMES = frozenset({"Change", "replay", "first_parent_changes"})
+DIFF_STREAM_NAMES = frozenset({"Change", "replay", "first_parent_history"})
 
 
 def diff_stream_uses(source: str) -> list[str]:
     """Imports of ``Change`` or ``replay`` from a staleref module in
     *source*, and its reads of an attribute of any of those names or
-    ``first_parent_changes``."""
+    ``first_parent_history``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (
@@ -110,10 +110,10 @@ def test_diff_stream_use_is_found():
         "from staleref.revgraph import replay as fold\n"
         "from os import replay\n"
         "def f(repo, seq, revgraph):\n"
-        "    return repo.first_parent_changes(seq), revgraph.replay\n"
+        "    return repo.first_parent_history(seq), revgraph.replay\n"
     )
     assert diff_stream_uses(source) == [
-        "line 2: Change", "line 3: replay", "line 6: first_parent_changes", "line 6: replay"
+        "line 2: Change", "line 3: replay", "line 6: first_parent_history", "line 6: replay"
     ]
 
 

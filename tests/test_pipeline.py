@@ -417,17 +417,17 @@ class TestRunBehavior:
 
     @pytest.mark.parametrize("run", [run_scan, run_history], ids=["scan", "history"])
     def test_budget_covers_the_diff_stream(self, manifests, monkeypatch, run):
-        # A diff stream that outlasts the budget leaves no time for analysis.
+        # A history stream that outlasts the budget leaves no time for analysis.
         manifest = next(m for m in manifests if m["name"] == "multi_doc")
         now = [0.0]
         monkeypatch.setattr(pipeline.time, "monotonic", lambda: now[0])
-        original = GitRepo.first_parent_changes
+        original = GitRepo.first_parent_history
 
-        def slow_changes(self, seq):
+        def slow_history(self, branch):
             now[0] += 10.0
-            return original(self, seq)
+            return original(self, branch)
 
-        monkeypatch.setattr(GitRepo, "first_parent_changes", slow_changes)
+        monkeypatch.setattr(GitRepo, "first_parent_history", slow_history)
         report = run(config_for(manifest, timeout_seconds=5.0))
         assert report.partial and not report.findings
 
@@ -609,21 +609,18 @@ class TestGitChildren:
 
         monkeypatch.setattr(subprocess, "Popen", Recording)
         run(config)
-        # One rev-parse opens each repository; a branch that git log lists
-        # needs no rev-parse --verify.
+        # One rev-parse opens each repository, and one git log --raw reads
+        # its history and changes; a branch that git log lists needs no
+        # symbolic-ref and no rev-parse --verify.
         setup = {
-            ("proj", "rev-parse", False): 1, ("proj", "symbolic-ref", False): 1,
-            ("proj", "log", False): 1, ("proj", "config", False): 1,
-            ("proj.wiki", "rev-parse", False): 1, ("proj.wiki", "symbolic-ref", False): 1,
-            ("proj.wiki", "log", False): 1,
+            ("proj", "rev-parse", False): 1, ("proj", "log", False): 1,
+            ("proj", "config", False): 1,
+            ("proj.wiki", "rev-parse", False): 1, ("proj.wiki", "log", False): 1,
         }
-        # One diff-tree per repository and one cat-file per blob stream: one
-        # for the documents of each repository and one for the counter's
-        # walk; no ls-tree and no git log -1.
-        analysis = {
-            ("proj", "diff-tree", False): 1, ("proj.wiki", "diff-tree", False): 1,
-            ("proj", "cat-file", False): 2, ("proj.wiki", "cat-file", False): 1,
-        }
+        # One cat-file per blob stream: one for the documents of each
+        # repository and one for the counter's walk; no ls-tree, no
+        # diff-tree and no git log -1.
+        analysis = {("proj", "cat-file", False): 2, ("proj.wiki", "cat-file", False): 1}
         assert Counter(spawned) == Counter(setup) + Counter(analysis)
 
     @pytest.mark.parametrize("run", [run_scan, run_history], ids=["scan", "history"])
@@ -691,6 +688,96 @@ class TestGitChildren:
                 assert set(requested) == expected, (manifest["name"], run.__name__)
                 read += len(requested)
         assert read
+
+
+# A global git config that sets every option of git log and git diff that
+# could change what staleref reads from them.
+HOSTILE_GIT_CONFIG = """\
+[log]
+\tshowSignature = true
+\tshowRoot = false
+\tfollow = true
+\tabbrevCommit = true
+[diff]
+\trenames = copies
+\tnoprefix = true
+\trelative = true
+\tignoreSubmodules = all
+[color]
+\tui = always
+[core]
+\tabbrev = 7
+[format]
+\tpretty = oneline
+"""
+
+
+def use_global_git_config(monkeypatch, path: Path, text: str) -> None:
+    """Make *text*, written to *path*, the only git config outside the repositories."""
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(path))
+    monkeypatch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+
+
+class TestUserGitConfig:
+    def test_signed_commits_under_show_signature(self, manifests, monkeypatch, tmp_path, capsys):
+        manifest = next((m for m in manifests if m["name"] == "signed_commits"), None)
+        if manifest is None:
+            pytest.skip("this git cannot sign commits with an ssh key")
+        show_signature = "[log]\n\tshowSignature = true\n"
+        use_global_git_config(monkeypatch, tmp_path / "gitconfig", show_signature)
+        config = config_for(manifest)
+        scan, history = run_scan(config), run_history(config)
+        assert {
+            (f.document.origin, f.document.path, f.element_text): f.status for f in scan.findings
+        } == manifest["expected"]
+        assert symbols_by_key(history) == manifest["history"]
+        assert render_findings(scan) == render_findings(run_scan_oracle(config))
+        assert render_findings(history) == render_findings(run_history_oracle(config))
+        for mode, report in (("scan", scan), ("history", history)):
+            args = [mode, "--repo", manifest["repo"], "--wiki", manifest["wiki"],
+                    "--scan-time", str(manifest["scan_time"])]
+            assert cli.main(args) == 1
+            assert capsys.readouterr() == (render_findings(report), "")
+
+    def test_reports_keep_their_bytes_under_a_hostile_config(
+        self, manifests, monkeypatch, tmp_path
+    ):
+        runs = (run_scan, run_history)
+        for manifest in manifests:
+            config = config_for(manifest)
+            reports = {}
+            for name, text in (("neutral", ""), ("hostile", HOSTILE_GIT_CONFIG)):
+                with monkeypatch.context() as m:
+                    use_global_git_config(m, tmp_path / name, text)
+                    reports[name] = [render_findings(run(config)) for run in runs]
+            assert reports["hostile"] == reports["neutral"], manifest["name"]
+
+
+class TestPartialClone:
+    def test_cat_file_stderr_goes_into_the_warning(self, tmp_path, capfd):
+        # A blob:none clone whose origin is gone: cat-file's lazy fetch of
+        # the README fails, and git's fatal lines reach only the warning.
+        origin = RepoBuilder(tmp_path / "origin")
+        origin.git("config", "uploadpack.allowfilter", "true")
+        origin.commit(scenarios.T0, {
+            "README.md": "Call `partial_fn()`.\n", "src/app.py": "def partial_fn():\n    pass\n",
+        })
+        readme = origin.git("rev-parse", "HEAD:README.md").strip()
+        clone = tmp_path / "clone"
+        origin.git("clone", "-q", "--no-checkout", "--filter=blob:none",
+                   f"file://{origin.path}", str(clone))
+        origin.path.rename(tmp_path / "moved")
+        capfd.readouterr()
+        report = run_scan(RunConfig(repo_path=str(clone), scan_time=scenarios.T0 + 100))
+        assert capfd.readouterr() == ("", "")
+        assert report.findings == []
+        assert report.warnings == [{
+            "kind": "unreadable_document",
+            "document": "README.md",
+            "detail": f"{clone}: git cat-file exited before it answered for {readme}: "
+                      f"fatal: could not fetch {readme} from promisor remote",
+        }]
 
 
 class TestSkippedBlobWarnings:

@@ -443,6 +443,22 @@ class TestUrls:
         url = build_finding_urls(f, self.base, None)["document"]
         assert url == f"https://github.com/acme/proj/wiki/Home/{'c' * 40}"
 
+    def test_document_path_is_percent_encoded(self):
+        f = finding(document=DocumentDescriptor(ORIGIN_README, "docs/My Guide.md", "markdown"))
+        url = build_finding_urls(f, self.base, None)["document"]
+        assert url == f"https://github.com/acme/proj/blob/{'b' * 40}/docs/My%20Guide.md"
+
+    def test_evidence_path_is_percent_encoded(self):
+        f = finding()
+        f.evidence = (("src/a#b.py", 3, "text"),)
+        url = build_finding_urls(f, self.base, None)["evidence"]
+        assert url == f"https://github.com/acme/proj/blob/{'a' * 40}/src/a%23b.py#L3"
+
+    def test_wiki_page_name_is_percent_encoded(self):
+        f = finding(document=DocumentDescriptor(ORIGIN_WIKI, "Set up?.md", "markdown"))
+        url = build_finding_urls(f, self.base, None)["document"]
+        assert url == f"https://github.com/acme/proj/wiki/Set%20up%3F/{'b' * 40}"
+
     def test_commit_url(self):
         revisions = (Revision("c" * 40, T, 0), Revision("d" * 40, T + 100, 1))
         f = Finding("gone_fn()", README, None, symbols=(2, 0), failed_ordinals=(),

@@ -10,6 +10,7 @@ import subprocess
 import pytest
 
 import oracle_history
+import oracle_revgraph
 import scenarios
 from conftest import RepoBuilder
 from oracle_history import read_blob_bytes
@@ -173,14 +174,6 @@ class TestTreeAndBlobs:
         assert read_blob_bytes(repo, blobs_at(repo, first)["f.txt"]) == b"a\n"
         assert "f.txt" not in blobs_at(repo, head)
 
-    def test_unknown_revision(self, repo_factory):
-        builder = repo_factory()
-        builder.commit(T, {"f.txt": "a\n"})
-        repo = GitRepo(builder.path)
-        unknown = RevisionSequence((rev(0, T, "f" * 40),))
-        with pytest.raises(GitError, match="covered 0 of 1 revisions"):
-            repo.first_parent_changes(unknown)
-
     def test_many_blob_reads_through_batch(self, repo_factory):
         builder = repo_factory()
         files = {f"f{i}.txt": f"content {i}\n" for i in range(30)}
@@ -270,10 +263,9 @@ class TestRevision:
         first = builder.commit(T, {"f.txt": "a\n"})
         builder.commit(T + 100, {"f.txt": "b\n"})
         repo = GitRepo(builder.path)
-        sequence = repo.linearize_history()
+        sequence, changes = repo.first_parent_history()
         assert [len(r.sha) for r in sequence.revisions] == [64, 64]
         assert sequence.revisions[0].sha == first
-        changes = repo.first_parent_changes(sequence)
         assert [[path for path, _, _ in c] for c in changes] == [[b"f.txt"], [b"f.txt"]]
         assert read_blob_bytes(repo, changes[1][0][2]) == b"b\n"
 
@@ -336,12 +328,12 @@ class TestSnapshotProperty:
                 ), (timestamps, doc_ts)
 
 
-def _replayed_trees(repo, sequence):
-    """Tree of every revision of *sequence*, rebuilt from first_parent_changes alone."""
+def _replayed_trees(changes):
+    """Tree of every revision, rebuilt from its history's *changes* alone."""
     tree: dict[str, str] = {}
     trees = []
-    for changes in repo.first_parent_changes(sequence):
-        for path, old, new in changes:
+    for revision_changes in changes:
+        for path, old, new in revision_changes:
             name = path.decode("utf-8", errors="replace")
             assert tree.get(name) == old
             if new is None:
@@ -374,13 +366,12 @@ class TestFirstParentChanges:
         builder.git("update-index", "--add", "--cacheinfo", f"160000,{'ab' * 20},lib/dep.py")
         builder.commit(T + 60, {})
         repo = GitRepo(builder.path)
-        sequence = repo.linearize_history("main")
+        sequence, changes = repo.first_parent_history("main")
         assert len(sequence) == 6
         listings = [oracle_history.tree_entries(repo, r.sha) for r in sequence.revisions]
-        assert _replayed_trees(repo, sequence) == listings
+        assert _replayed_trees(changes) == listings
         # replay folds any prefix into that revision's tree, and at head
         # names each path's last change.
-        changes = repo.first_parent_changes(sequence)
         for k, listing in enumerate(listings):
             tree = replay(changes[: k + 1])
             assert sorted((p.decode(), blob) for p, (blob, _) in tree.items()) == list(listing)
@@ -396,9 +387,8 @@ class TestFirstParentChanges:
         clone = tmp_path / "shallow"
         builder.git("clone", "-q", "--depth", "1", f"file://{builder.path}", str(clone))
         repo = GitRepo(clone)
-        sequence = repo.linearize_history(None)
+        sequence, (changes,) = repo.first_parent_history(None)
         assert len(sequence) == 1
-        (changes,) = repo.first_parent_changes(sequence)
         assert sorted(path for path, old, _ in changes if old is None) == [
             b"f0.txt", b"f1.txt", b"f2.txt"
         ]
@@ -422,6 +412,12 @@ def _blobs(tree):
 
 
 class TestBranch:
+    def test_history_equals_the_two_call_reader(self, scenario_branches):
+        for branch in scenario_branches:
+            assert oracle_revgraph.first_parent_history(branch.repo) == (
+                branch.seq, branch.changes
+            ), branch.repo.path
+
     def test_head_is_the_replayed_history(self, scenario_branches):
         for branch in scenario_branches:
             assert branch.head == replay(branch.changes), branch.repo.path
