@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from .docdiscovery import DiscoveryConfig
@@ -146,7 +147,7 @@ def _opt(args, file_cfg: dict, name: str, default=None, cast=None, is_list: bool
 
 
 def _given(**options) -> dict:
-    """The options that have a value; the others keep their dataclass defaults."""
+    """The options that have a value; the others keep their defaults."""
     return {name: value for name, value in options.items() if value is not None}
 
 
@@ -172,7 +173,17 @@ def _number(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
+# An RFC 3339 (section 5.6) date-time: "T" and "Z" in either case, a
+# fraction of any length, and "Z" or a numeric offset.
+_RFC3339 = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt]([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.[0-9]+)?"
+    r"(?:[Zz]|([+-])([01][0-9]|2[0-3]):([0-5][0-9]))"
+)
+
+
 def _parse_scan_time(value) -> int:
+    """Epoch seconds from an integer, its text, or an RFC 3339 date-time,
+    whose fraction of a second is dropped: the instant is floored."""
     if not isinstance(value, str):
         return _integer(value)
     text = value.strip()
@@ -180,10 +191,13 @@ def _parse_scan_time(value) -> int:
         return int(text)
     except ValueError:
         pass
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    match = _RFC3339.fullmatch(text)
+    if match is None:
+        raise ValueError(f"expected epoch seconds or an RFC 3339 date-time, got {value!r}")
+    *fields, sign, hours, minutes = match.groups()
+    seconds = (datetime(*map(int, fields)) - datetime(1970, 1, 1)) // timedelta(seconds=1)
+    offset = 0 if sign is None else int(hours) * 3600 + int(minutes) * 60
+    return seconds - offset if sign == "+" else seconds + offset
 
 
 def _truthy(value) -> bool:

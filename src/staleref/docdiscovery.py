@@ -8,7 +8,7 @@ scanner is concerned.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass
+from collections import namedtuple
 
 ORIGIN_README = "readme"
 ORIGIN_WIKI = "wiki"
@@ -58,20 +58,19 @@ def _validate_path(path: str) -> None:
         raise ValueError(f"not a normalized repo-relative path: {path!r}")
 
 
-@dataclass(frozen=True, order=True)
-class DocumentDescriptor:
-    """One documentation file under analysis."""
+class DocumentDescriptor(namedtuple("DocumentDescriptor", "origin path format")):
+    """One documentation file under analysis. Immutable, and ordered by
+    origin, then path, then format."""
 
-    origin: str
-    path: str
-    format: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.origin not in ORIGINS:
-            raise ValueError(f"unknown document origin: {self.origin!r}")
-        _validate_path(self.path)
-        if self.format not in ALL_FORMATS:
-            raise ValueError(f"unknown document format: {self.format!r}")
+    def __new__(cls, origin: str, path: str, format: str) -> DocumentDescriptor:
+        if origin not in ORIGINS:
+            raise ValueError(f"unknown document origin: {origin!r}")
+        _validate_path(path)
+        if format not in ALL_FORMATS:
+            raise ValueError(f"unknown document format: {format!r}")
+        return tuple.__new__(cls, (origin, path, format))
 
     @property
     def page_name(self) -> str:
@@ -81,10 +80,13 @@ class DocumentDescriptor:
         return name[:dot] if dot > 0 else name
 
 
-@dataclass(frozen=True)
-class DiscoveryConfig:
-    readme_glob: str = "README*"
-    extra_doc_globs: tuple[str, ...] = ()
+class DiscoveryConfig(
+    namedtuple("DiscoveryConfig", "readme_glob extra_doc_globs", defaults=("README*", ()))
+):
+    """Which files are documentation: root-level READMEs matching
+    ``readme_glob`` and any path matching one of ``extra_doc_globs``. Immutable."""
+
+    __slots__ = ()
 
 
 def discover_documents(

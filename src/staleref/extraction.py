@@ -22,7 +22,7 @@ mask crosses a ``\n``, so a document's set is the union of its lines' sets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .docdiscovery import DocumentDescriptor
 
@@ -85,46 +85,46 @@ class CatalogError(ValueError):
     """Raised when a rule catalog cannot be parsed or compiled."""
 
 
-@dataclass
 class RegexRule:
-    id: str
-    capture_group: int
-    pattern: str
-    compiled: re.Pattern = field(init=False, repr=False, compare=False)
+    """One extraction rule: its id, the capture group that holds the element,
+    and its pattern, compiled once."""
 
-    def __post_init__(self) -> None:
-        self.compiled = re.compile(self.pattern)
-        if not 0 <= self.capture_group <= self.compiled.groups:
+    def __init__(self, id: str, capture_group: int, pattern: str):
+        self.id = id
+        self.capture_group = capture_group
+        self.pattern = pattern
+        self.compiled = re.compile(pattern)
+        if not 0 <= capture_group <= self.compiled.groups:
             raise ValueError(
-                f"rule {self.id!r}: capture group {self.capture_group} "
-                f"not present in pattern"
+                f"rule {id!r}: capture group {capture_group} not present in pattern"
             )
 
 
-@dataclass
 class RegexCatalog:
-    rules: list[RegexRule]
+    """The rules that extraction runs, in order."""
+
+    def __init__(self, rules: list[RegexRule]):
+        self.rules = rules
 
 
-@dataclass(frozen=True)
-class CodeElementRef:
-    """A code element mentioned in a document, with its source span.
+class CodeElementRef(namedtuple("CodeElementRef", "text rule_id document span")):
+    """A code element mentioned in a document, with its source span. Immutable.
 
     ``span`` is a half-open [start, end) offset pair into the decoded document
     text, so ``doc_text[start:end] == text`` always holds.
     """
 
-    text: str
-    rule_id: str
-    document: DocumentDescriptor | None
-    span: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.text or self.text != self.text.strip():
-            raise ValueError(f"element text must be non-empty and trimmed: {self.text!r}")
-        start, end = self.span
-        if not (0 <= start < end) or end - start != len(self.text):
-            raise ValueError(f"span {self.span} does not fit text of length {len(self.text)}")
+    def __new__(
+        cls, text: str, rule_id: str, document: DocumentDescriptor | None, span: tuple[int, int]
+    ) -> CodeElementRef:
+        if not text or text != text.strip():
+            raise ValueError(f"element text must be non-empty and trimmed: {text!r}")
+        start, end = span
+        if not (0 <= start < end) or end - start != len(text):
+            raise ValueError(f"span {span} does not fit text of length {len(text)}")
+        return tuple.__new__(cls, (text, rule_id, document, span))
 
 
 def load_catalog(text: str) -> RegexCatalog:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import contextlib
 import fnmatch
 import string
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .revgraph import Branch, GitError, Revision
 
@@ -28,6 +28,8 @@ _BINARY_SNIFF_BYTES = 8192
 MAX_MATCHED_PATHS = 20
 # A file counts at most this many instances of one element, and warns.
 MAX_COUNT_PER_FILE = 10_000
+# Source files larger than this are skipped with a warning, by default.
+MAX_FILE_BYTES = 10 * 1024 * 1024
 
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_")
 # Maps every byte that is not a word character to a space.
@@ -37,10 +39,13 @@ _NON_WORD_TO_SPACE = bytes(b if chr(b) in _WORD_CHARS else 0x20 for b in range(2
 _TOKEN_SLICE_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
-class MatchConfig:
-    exclude_globs: tuple[str, ...] = ()
-    max_file_bytes: int = 10 * 1024 * 1024
+class MatchConfig(
+    namedtuple("MatchConfig", "exclude_globs max_file_bytes", defaults=((), MAX_FILE_BYTES))
+):
+    """Which source files counting reads: none that ``matches_exclude``
+    excludes and none larger than ``max_file_bytes``. Immutable."""
+
+    __slots__ = ()
 
 
 def count_occurrences(

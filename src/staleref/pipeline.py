@@ -10,7 +10,6 @@ import math
 import os
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .docdiscovery import (
     ORIGIN_README,
@@ -20,7 +19,7 @@ from .docdiscovery import (
     discover_documents,
 )
 from .extraction import RegexCatalog, default_catalog, element_texts
-from .matching import HistoryCounter, MatchConfig, classify_current
+from .matching import MAX_FILE_BYTES, HistoryCounter, MatchConfig, classify_current
 from .reporting import (
     MODE_CURRENT,
     MODE_HISTORY,
@@ -64,32 +63,45 @@ class _Deadline:
             raise ScanTimeout
 
 
-@dataclass
 class RunConfig:
-    repo_path: str
-    wiki_path: str | None = None
-    branch: str | None = None
-    catalog: RegexCatalog | None = None
-    discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
-    exclude_globs: tuple[str, ...] = ()
-    max_file_bytes: int = MatchConfig.max_file_bytes
-    scan_time: int | None = None
-    timeout_seconds: float = 86_400.0
-    url_base: str | None = None
-    strict_episodes: bool = False
+    """The settings of one scan or history run. Each is checked here, before
+    any git work, so a bad setting never ends in a report."""
 
-    def __post_init__(self) -> None:
-        # Checked before any git work, so a bad setting never ends in a report.
-        if self.max_file_bytes <= 0:
-            raise ValueError(f"max_file_bytes must be positive, got {self.max_file_bytes}")
+    def __init__(
+        self,
+        repo_path: str,
+        wiki_path: str | None = None,
+        branch: str | None = None,
+        catalog: RegexCatalog | None = None,
+        discovery: DiscoveryConfig = DiscoveryConfig(),
+        exclude_globs: tuple[str, ...] = (),
+        max_file_bytes: int = MAX_FILE_BYTES,
+        scan_time: int | None = None,
+        timeout_seconds: float = 86_400.0,
+        url_base: str | None = None,
+        strict_episodes: bool = False,
+    ):
+        if max_file_bytes <= 0:
+            raise ValueError(f"max_file_bytes must be positive, got {max_file_bytes}")
         # No time is ever at or past a NaN deadline.
-        if math.isnan(self.timeout_seconds):
+        if math.isnan(timeout_seconds):
             raise ValueError("timeout must be a number of seconds, not nan")
-        if self.scan_time is not None:
+        if scan_time is not None:
             try:
-                rfc3339(self.scan_time)
+                rfc3339(scan_time)
             except (OverflowError, OSError, ValueError):
-                raise ValueError(f"scan_time: no RFC 3339 time at epoch {self.scan_time}") from None
+                raise ValueError(f"scan_time: no RFC 3339 time at epoch {scan_time}") from None
+        self.repo_path = repo_path
+        self.wiki_path = wiki_path
+        self.branch = branch
+        self.catalog = catalog
+        self.discovery = discovery
+        self.exclude_globs = exclude_globs
+        self.max_file_bytes = max_file_bytes
+        self.scan_time = scan_time
+        self.timeout_seconds = timeout_seconds
+        self.url_base = url_base
+        self.strict_episodes = strict_episodes
 
     def resolved_project_id(self) -> str:
         return project_home(self.repo_path)[1]

@@ -5,8 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import statistics
-from dataclasses import asdict, dataclass, field
+import math
 from datetime import datetime, timezone
 from urllib.parse import quote
 
@@ -40,7 +39,6 @@ WIKI_URL = "{base}/wiki/{page}/{sha}"
 COMMIT_URL = "{base}/commit/{sha}"
 
 
-@dataclass
 class Finding:
     """One (element, document) result.
 
@@ -52,21 +50,39 @@ class Finding:
     revision, where kind is "text" or "path-variant".
     """
 
-    element_text: str
-    document: DocumentDescriptor
-    status: str | None
-    snapshot_sha: str | None = None
-    snapshot_count: int | None = None
-    current_sha: str | None = None
-    current_count: int | None = None
-    evidence: tuple[tuple[str, int, str], ...] = ()
-    evidence_sha: str | None = None
-    doc_sha: str | None = None
-    urls: dict | None = None
-    symbols: tuple[Symbol, ...] | None = None
-    failed_ordinals: tuple[int, ...] | None = None
-    episodes: list[OutdatedEpisode] | None = None
-    symbols_suffix: list | None = None
+    def __init__(
+        self,
+        element_text: str,
+        document: DocumentDescriptor,
+        status: str | None,
+        snapshot_sha: str | None = None,
+        snapshot_count: int | None = None,
+        current_sha: str | None = None,
+        current_count: int | None = None,
+        evidence: tuple[tuple[str, int, str], ...] = (),
+        evidence_sha: str | None = None,
+        doc_sha: str | None = None,
+        urls: dict | None = None,
+        symbols: tuple[Symbol, ...] | None = None,
+        failed_ordinals: tuple[int, ...] | None = None,
+        episodes: list[OutdatedEpisode] | None = None,
+        symbols_suffix: list | None = None,
+    ):
+        self.element_text = element_text
+        self.document = document
+        self.status = status
+        self.snapshot_sha = snapshot_sha
+        self.snapshot_count = snapshot_count
+        self.current_sha = current_sha
+        self.current_count = current_count
+        self.evidence = evidence
+        self.evidence_sha = evidence_sha
+        self.doc_sha = doc_sha
+        self.urls = urls
+        self.symbols = symbols
+        self.failed_ordinals = failed_ordinals
+        self.episodes = episodes
+        self.symbols_suffix = symbols_suffix
 
     @property
     def outdated(self) -> bool:
@@ -82,32 +98,59 @@ class Finding:
         return self.status == STATUS_OUTDATED
 
 
-@dataclass
 class Aggregates:
-    elements_total: int = 0
-    elements_outdated: int = 0
-    documents_total: int = 0
-    documents_outdated: int = 0
-    projects_total: int = 0
-    projects_outdated: int = 0
-    fix_kind_counts: dict = field(
-        default_factory=lambda: {kind: 0 for kind in FIX_KINDS}
-    )
-    reoutdated_count: int = 0
-    duration_stats: dict | None = None
-    survival_points: list = field(default_factory=list)
+    """Totals over the findings of one or more projects; see ``_fold``."""
+
+    def __init__(
+        self,
+        elements_total: int = 0,
+        elements_outdated: int = 0,
+        documents_total: int = 0,
+        documents_outdated: int = 0,
+        projects_total: int = 0,
+        projects_outdated: int = 0,
+        fix_kind_counts: dict | None = None,
+        reoutdated_count: int = 0,
+        duration_stats: dict | None = None,
+        survival_points: list | None = None,
+    ):
+        self.elements_total = elements_total
+        self.elements_outdated = elements_outdated
+        self.documents_total = documents_total
+        self.documents_outdated = documents_outdated
+        self.projects_total = projects_total
+        self.projects_outdated = projects_outdated
+        self.fix_kind_counts = (
+            {kind: 0 for kind in FIX_KINDS} if fix_kind_counts is None else fix_kind_counts
+        )
+        self.reoutdated_count = reoutdated_count
+        self.duration_stats = duration_stats
+        self.survival_points = [] if survival_points is None else survival_points
 
 
-@dataclass
 class ScanReport:
-    project_id: str
-    scan_time: int
-    mode: str
-    findings: list[Finding]
-    warnings: list[dict]
-    revisions: tuple[Revision, ...] | None = None
-    partial: bool = False
-    covered_from_ordinal: int | None = None
+    """One run's findings and warnings, with the revisions that history
+    symbols belong to and how far a partial run got."""
+
+    def __init__(
+        self,
+        project_id: str,
+        scan_time: int,
+        mode: str,
+        findings: list[Finding],
+        warnings: list[dict],
+        revisions: tuple[Revision, ...] | None = None,
+        partial: bool = False,
+        covered_from_ordinal: int | None = None,
+    ):
+        self.project_id = project_id
+        self.scan_time = scan_time
+        self.mode = mode
+        self.findings = findings
+        self.warnings = warnings
+        self.revisions = revisions
+        self.partial = partial
+        self.covered_from_ordinal = covered_from_ordinal
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:
@@ -164,14 +207,44 @@ def _fold(projects: list[list[Finding]]) -> Aggregates:
     if durations:
         agg.duration_stats = {
             "min": min(durations),
-            "median": statistics.median(durations),
-            "mean": statistics.fmean(durations),
+            "median": median(durations),
+            "mean": fmean(durations),
             "max": max(durations),
         }
     agg.survival_points = [
         [d, f] for d, f in survival_curve(fixed_positive, sorted({0, *fixed_positive}))
     ]
     return agg
+
+
+def median(values: list[int]) -> int | float:
+    """The median of *values*, as ``statistics.median`` gives it: the middle
+    value, or the correctly rounded mean of the two middle ones."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
+def fmean(values: list[int]) -> float:
+    """The mean of *values* as a float, as ``statistics.fmean`` gives it."""
+    return math.fsum(values) / len(values)
+
+
+def _aggregates_dict(agg: Aggregates) -> dict:
+    return {
+        "elements_total": agg.elements_total,
+        "elements_outdated": agg.elements_outdated,
+        "documents_total": agg.documents_total,
+        "documents_outdated": agg.documents_outdated,
+        "projects_total": agg.projects_total,
+        "projects_outdated": agg.projects_outdated,
+        "fix_kind_counts": agg.fix_kind_counts,
+        "reoutdated_count": agg.reoutdated_count,
+        "duration_stats": agg.duration_stats,
+        "survival_points": agg.survival_points,
+    }
 
 
 # -- serialization --------------------------------------------------------------
@@ -230,6 +303,12 @@ def _parse_failed_ordinals(ordinals, count: int) -> tuple[int, ...]:
     return tuple(ordinals)
 
 
+def _episode_dict(episode: OutdatedEpisode) -> dict:
+    """An episode's JSON object: its fields and its fix's, in order."""
+    fix = episode.fix
+    return dict(episode._asdict(), fix=None if fix is None else fix._asdict())
+
+
 def _finding_dict(finding: Finding) -> dict:
     data: dict = {
         "element_text": finding.element_text,
@@ -249,8 +328,7 @@ def _finding_dict(finding: Finding) -> dict:
         "symbols": finding.symbols,
         "timeline_partial": None if finding.symbols is None else bool(finding.failed_ordinals),
         "failed_ordinals": finding.failed_ordinals,
-        # An episode's JSON keys are its fields and its fix's, in order.
-        "episodes": [asdict(ep) for ep in finding.episodes]
+        "episodes": [_episode_dict(ep) for ep in finding.episodes]
         if finding.episodes is not None
         else None,
         "symbols_suffix": finding.symbols_suffix,
@@ -322,8 +400,7 @@ def report_to_dict(report: ScanReport) -> dict:
         else None,
         "findings": [_finding_dict(f) for f in report.findings],
         "warnings": report.warnings,
-        # Aggregates declares its fields in the order of the JSON keys.
-        "aggregates": asdict(compute_aggregates(report.findings)),
+        "aggregates": _aggregates_dict(compute_aggregates(report.findings)),
     }
 
 
@@ -352,7 +429,7 @@ def parse_report(text: str) -> ScanReport:
                              f"revisions: {covered_from!r}")
         history = data.get("mode") == MODE_HISTORY
         findings = [_parse_finding(f, revisions, covered_from, history) for f in data["findings"]]
-        if data["aggregates"] != asdict(compute_aggregates(findings)):
+        if data["aggregates"] != _aggregates_dict(compute_aggregates(findings)):
             raise ValueError("aggregates disagree with the findings")
         scan_time = data["scan_time_epoch"]
         if type(scan_time) is not int:
@@ -396,7 +473,7 @@ def render_findings(report: ScanReport, fmt: str = FORMAT_JSON) -> str:
 def render_aggregates(agg: Aggregates, fmt: str = FORMAT_JSON) -> str:
     """Pooled aggregates as JSON, as a one-row CSV table of the scalar
     totals, or as a Markdown list."""
-    data = asdict(agg)
+    data = _aggregates_dict(agg)
     if fmt == FORMAT_JSON:
         return json.dumps(data, indent=2) + "\n"
     if fmt == FORMAT_CSV:

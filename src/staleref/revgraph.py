@@ -13,8 +13,8 @@ import bisect
 import re
 import subprocess
 import tempfile
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -67,31 +67,35 @@ class UnknownRevisionError(GitError):
     pass
 
 
-@dataclass(frozen=True)
-class Revision:
-    sha: str
-    timestamp: int
-    ordinal: int
+class Revision(namedtuple("Revision", "sha timestamp ordinal")):
+    """One commit of a first-parent history: its full sha, its committer
+    timestamp and its position, oldest first. Immutable."""
 
-    def __post_init__(self) -> None:
-        if not _FULL_SHA.fullmatch(self.sha):
-            raise ValueError(f"not a full commit sha: {self.sha!r}")
-        if type(self.timestamp) is not int:
-            raise ValueError(f"timestamp is no integer: {self.timestamp!r}")
-        if self.ordinal < 0:
+    __slots__ = ()
+
+    def __new__(cls, sha: str, timestamp: int, ordinal: int) -> Revision:
+        if not _FULL_SHA.fullmatch(sha):
+            raise ValueError(f"not a full commit sha: {sha!r}")
+        if type(timestamp) is not int:
+            raise ValueError(f"timestamp is no integer: {timestamp!r}")
+        if ordinal < 0:
             raise ValueError("ordinal must be non-negative")
+        return tuple.__new__(cls, (sha, timestamp, ordinal))
 
 
-@dataclass(frozen=True)
 class RevisionSequence:
     """Oldest-first, first-parent linearization of one branch."""
 
-    revisions: tuple[Revision, ...]
-
-    def __post_init__(self) -> None:
-        for i, rev in enumerate(self.revisions):
+    def __init__(self, revisions: tuple[Revision, ...]):
+        for i, rev in enumerate(revisions):
             if rev.ordinal != i:
                 raise ValueError("revision ordinals must be contiguous from zero")
+        self.revisions = revisions
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RevisionSequence:
+            return NotImplemented
+        return self.revisions == other.revisions
 
     def __len__(self) -> int:
         return len(self.revisions)
@@ -271,14 +275,14 @@ def _end(child: subprocess.Popen) -> None:
     child.stdout.close()
 
 
-@dataclass(frozen=True)
 class Branch:
     """One repository's first-parent history of a branch and each of its
     revisions' blob changes, which only this class folds into trees."""
 
-    repo: GitRepo
-    seq: RevisionSequence
-    changes: list[list[Change]]
+    def __init__(self, repo: GitRepo, seq: RevisionSequence, changes: list[list[Change]]):
+        self.repo = repo
+        self.seq = seq
+        self.changes = changes
 
     @classmethod
     def open(cls, path: str | Path, branch: str | None) -> Branch:

@@ -20,15 +20,14 @@ document was updated, or matching source code came (back) into existence.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 from .revgraph import Revision
 
 DOC_ABSENT = "."
 NO_REFERENCE = "-"
 
-Symbol = Union[int, str]
+Symbol = int | str
 
 FIX_DOC_DELETE = "doc_delete"
 FIX_DOC_UPDATE = "doc_update"
@@ -48,24 +47,26 @@ def validate_symbol(symbol: Symbol) -> None:
         raise ValueError(f"not a timeline symbol: {symbol!r}")
 
 
-@dataclass(frozen=True)
-class FixEvent:
-    kind: str
-    at_ordinal: int
-    at_sha: str
-    at_timestamp: int
+class FixEvent(namedtuple("FixEvent", "kind at_ordinal at_sha at_timestamp")):
+    """How an episode ended, and the revision it ended at. Immutable."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in FIX_KINDS:
-            raise ValueError(f"unknown fix kind: {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, at_ordinal: int, at_sha: str, at_timestamp: int) -> FixEvent:
+        if kind not in FIX_KINDS:
+            raise ValueError(f"unknown fix kind: {kind!r}")
+        return tuple.__new__(cls, (kind, at_ordinal, at_sha, at_timestamp))
 
 
-@dataclass(frozen=True)
-class OutdatedEpisode:
-    start_ordinal: int
-    end_ordinal: int | None
-    fix: FixEvent | None = None
-    duration_seconds: int | None = None
+class OutdatedEpisode(
+    namedtuple(
+        "OutdatedEpisode", "start_ordinal end_ordinal fix duration_seconds", defaults=(None, None)
+    )
+):
+    """One run of outdated revisions: its first zero, the revision that
+    ended it (None while ongoing), its fix and its duration. Immutable."""
+
+    __slots__ = ()
 
     @property
     def ongoing(self) -> bool:

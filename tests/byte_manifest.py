@@ -18,6 +18,8 @@ own:
   repository path that does not exist.
 
 The group's directory reads ``<tmp>`` in every output before it is hashed.
+The script needs no pytest, so any supported interpreter can check the
+outputs: regenerate the manifest with it, and ``git diff`` shows what differs.
 
     python3 tests/byte_manifest.py --write    # regenerate byte_manifest.json
     python3 tests/byte_manifest.py --out DIR  # write every output under DIR
@@ -34,8 +36,6 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "byte_manifest.json"
@@ -63,6 +63,31 @@ CLI_RUNS = {
 }
 SCENARIOS = {b.__name__.removeprefix("build_"): b for b in scenarios.SCENARIO_BUILDERS}
 GROUPS = [*SCENARIOS, "corpora", "catalog", "bad_settings"]
+
+
+class Patches:
+    """The part of ``pytest.MonkeyPatch`` that the outputs need: attributes
+    set through ``setattr``, and any change to ``os.environ``, are undone
+    when the ``context()`` that made the object exits."""
+
+    def __init__(self):
+        self._undo: list[tuple[object, str, object]] = []
+
+    @classmethod
+    @contextlib.contextmanager
+    def context(cls):
+        patches, environ = cls(), dict(os.environ)
+        try:
+            yield patches
+        finally:
+            for target, name, value in reversed(patches._undo):
+                setattr(target, name, value)
+            os.environ.clear()
+            os.environ.update(environ)
+
+    def setattr(self, target: object, name: str, value: object) -> None:
+        self._undo.append((target, name, getattr(target, name)))
+        setattr(target, name, value)
 
 
 def _renderings(key: str, report, complete: bool) -> dict[str, str]:
@@ -132,15 +157,14 @@ def _corpus_outputs(base: Path) -> dict[str, str]:
     return texts
 
 
-def _bad_setting_outputs(base: Path, monkeypatch) -> dict[str, str]:
+def _bad_setting_outputs(base: Path) -> dict[str, str]:
     texts: dict[str, str] = {}
     for name, (flags, env, setting) in scenarios.BAD_SETTINGS.items():
         cfg = base / f"{name}.json"
         cfg.write_text(json.dumps({"repo": str(base / "missing"), **setting}), encoding="utf-8")
         for mode in ("scan", "history"):
-            with monkeypatch.context() as m:
-                for variable, value in env.items():
-                    m.setenv(variable, value)
+            with Patches.context():
+                os.environ.update(env)
                 run = _cli([mode, "--config", str(cfg), *flags])
             texts.update((f"{name}/{mode}/{stream}", text) for stream, text in run.items())
     return texts
@@ -150,15 +174,15 @@ def outputs(group: str, base: Path) -> dict[str, str] | None:
     """The outputs of *group*, keyed under its name, built under *base*;
     None for a scenario this git cannot build."""
     base.mkdir(parents=True)
-    with pytest.MonkeyPatch.context() as monkeypatch:
+    with Patches.context() as monkeypatch:
         for name in [name for name in os.environ if name.startswith(cli.ENV_PREFIX)]:
-            monkeypatch.delenv(name)
+            del os.environ[name]
         if group == "catalog":
             texts = _cli(["dump-catalog"])
         elif group == "corpora":
             texts = _corpus_outputs(base)
         elif group == "bad_settings":
-            texts = _bad_setting_outputs(base, monkeypatch)
+            texts = _bad_setting_outputs(base)
         else:
             texts = _scenario_outputs(SCENARIOS[group], base, monkeypatch)
     if texts is None:

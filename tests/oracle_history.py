@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import subprocess
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from staleref.docdiscovery import (
@@ -525,7 +525,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             ))
             continue
         episodes = [
-            replace(episode, duration_seconds=episode_duration(
+            episode._replace(duration_seconds=episode_duration(
                 episode, seq.revisions, project.scan_time
             ))
             for episode in detect_episodes(

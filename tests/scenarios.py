@@ -15,7 +15,7 @@ import subprocess
 from pathlib import Path
 from unittest import mock
 
-from conftest import RepoBuilder
+from repo_builder import RepoBuilder
 from staleref.docdiscovery import DiscoveryConfig
 from staleref.pipeline import RunConfig
 

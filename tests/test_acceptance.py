@@ -17,7 +17,7 @@ import pytest
 
 import oracle_revgraph
 import scenarios
-from conftest import RepoBuilder
+from repo_builder import RepoBuilder
 from oracle_episodes import episodes_oracle
 from oracle_history import SourceScanner
 from staleref import (

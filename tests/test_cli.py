@@ -12,7 +12,7 @@ import pytest
 
 import scenarios
 import staleref
-from conftest import RepoBuilder
+from repo_builder import RepoBuilder
 from staleref import cli
 
 T0 = 1_600_000_000
@@ -394,6 +394,46 @@ class TestConfigValueTypes:
         report = json.loads(by_file.stdout)
         assert report["scan_time_epoch"] == int(PIN)
         assert "oversized_file" in {warning["kind"] for warning in report["warnings"]}
+
+
+class TestScanTime:
+    # 1_700_000_000 is 2023-11-14T22:13:20Z.
+    @pytest.mark.parametrize("text, epoch", [
+        ("1700000000", 1_700_000_000),
+        (" 1700000000 ", 1_700_000_000),
+        ("2023-11-14T22:13:20Z", 1_700_000_000),
+        ("2023-11-14T22:13:20.5Z", 1_700_000_000),
+        ("2023-11-14t22:13:20z", 1_700_000_000),
+        ("2023-11-14T23:13:20.999999999+01:00", 1_700_000_000),
+        ("2023-11-14T21:43:20-00:30", 1_700_000_000),
+        ("2023-11-14T22:13:20-00:00", 1_700_000_000),
+        ("1969-12-31T23:59:59.5Z", -1),
+    ])
+    def test_rfc3339_date_times_are_floored_to_epoch_seconds(self, text, epoch):
+        assert cli._parse_scan_time(text) == epoch
+
+    @pytest.mark.parametrize("text", [
+        "20231114T221320Z",
+        "2023-W46-2",
+        "2023-11-14",
+        "2023-11-14T22:13:20",
+        "2023-11-14 22:13:20Z",
+        "2023-11-14T22:13Z",
+        "2023-11-14T22:13:20.Z",
+        "2023-11-14T22:13:20+0100",
+        "2023-11-14T22:13:20+24:00",
+        "2023-11-14T22:13:20+01:60",
+        "2023-11-14T22:13:60Z",
+        "2023-02-30T22:13:20Z",
+        "\uff12\uff10\uff12\uff13-11-14T22:13:20Z",
+    ])
+    def test_other_texts_exit_2(self, tmp_path, capsys, text):
+        with pytest.raises(ValueError):
+            cli._parse_scan_time(text)
+        code = cli.main(["scan", "--repo", str(tmp_path / "missing"), "--scan-time", text])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scan_time: ") and err.count("\n") == 1, err
 
 
 class TestBadSettings:

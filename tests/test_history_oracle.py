@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import subprocess
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, event, given, settings, strategies as st  # noqa: E402
 
-from conftest import RepoBuilder  # noqa: E402
+from repo_builder import RepoBuilder  # noqa: E402
 from cuts import checks_of, cut_after  # noqa: E402
 import oracle_revgraph  # noqa: E402
 from oracle_history import run_history_oracle, run_scan_oracle  # noqa: E402
@@ -248,14 +247,13 @@ def test_incremental_history_matches_per_cell_oracle(
         repo, wiki = _build(Path(tmp), steps, wiki_steps)
         if cap is not None:
             mp.setattr(matching, "MAX_COUNT_PER_FILE", cap)
-        config = RunConfig(
-            repo_path=repo,
+        settings = dict(
             wiki_path=wiki,
             exclude_globs=exclude,
             max_file_bytes=max_file_bytes,
             scan_time=T0 + 100 * STEP,
-            strict_episodes=strict,
         )
+        config = RunConfig(repo, **settings, strict_episodes=strict)
         for shape in _drawn_shapes(steps):
             event(shape)
         _assert_readers_agree(repo, wiki)
@@ -271,7 +269,7 @@ def test_incremental_history_matches_per_cell_oracle(
         event("cut among documents" if checks < documents
               else "cut among revisions" if checks < total else "no cut")
         for cut_strict in (False, True):
-            cut_config = replace(config, strict_episodes=cut_strict)
+            cut_config = RunConfig(repo, **settings, strict_episodes=cut_strict)
             with mp.context() as m:
                 cut_after(m, checks)
                 got = run_history(cut_config)
@@ -293,4 +291,4 @@ def test_incremental_history_matches_per_cell_oracle(
             check=True, capture_output=True,
         )
         _assert_readers_agree(str(clone))
-        _assert_modes_match_oracles(replace(config, repo_path=str(clone)))
+        _assert_modes_match_oracles(RunConfig(str(clone), **settings, strict_episodes=strict))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -157,6 +160,33 @@ def test_unreferenced_definition_is_found():
 def test_every_exported_name_resolves():
     assert len(staleref.__all__) == len(set(staleref.__all__))
     assert [name for name in staleref.__all__ if not hasattr(staleref, name)] == []
+
+
+# Standard modules that cost start-up time on every run and that the package
+# does without: dataclasses brings inspect, ast and dis; statistics brings
+# fractions and decimal.
+UNNEEDED_MODULES = {"dataclasses", "inspect", "statistics", "fractions", "decimal", "typing"}
+
+
+def modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` after *code* runs in a fresh interpreter
+    that finds this package first."""
+    package_root = str(Path(staleref.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_no_unneeded_module():
+    # A module that the interpreter loads before any code runs (through a
+    # site hook, say) is no cost of the package.
+    loaded = modules_after("import staleref.cli") - modules_after("pass")
+    assert "staleref.timeline" in loaded
+    assert sorted(loaded & UNNEEDED_MODULES) == []
 
 
 

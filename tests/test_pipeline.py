@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import scenarios
-from conftest import RepoBuilder
+from repo_builder import RepoBuilder
 from cuts import checks_of, cut_after
 from scenarios import config_for
 from oracle_history import run_history_oracle, run_scan_oracle, tree_entries
@@ -432,7 +432,7 @@ class TestRunBehavior:
         assert report.partial and not report.findings
 
     def test_extra_doc_globs_flow_through(self, manifests, tmp_path):
-        from conftest import RepoBuilder
+        from repo_builder import RepoBuilder
 
         builder = RepoBuilder(tmp_path / "extradocs")
         builder.commit(scenarios.T0, {

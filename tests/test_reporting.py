@@ -9,6 +9,7 @@ from importlib.util import find_spec
 
 import pytest
 
+from staleref import reporting
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_README, ORIGIN_WIKI
 from staleref.reporting import (
     Aggregates,
@@ -293,7 +294,7 @@ class TestAggregates:
             history_finding("c()", [1, 1, 1, 1, 1]),
         ]
         report = history_report(findings)
-        assert aggregate_corpus([report]) == compute_aggregates(findings)
+        assert vars(aggregate_corpus([report])) == vars(compute_aggregates(findings))
 
     def test_corpus_keeps_projects_apart(self):
         # The same (document, element) pair in two projects is two documents,
@@ -337,6 +338,28 @@ class TestAggregates:
         assert agg.duration_stats["min"] == 200
         assert agg.duration_stats["max"] == 200
 
+    @pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+    def test_median_and_mean_equal_the_statistics_module(self):
+        import statistics
+
+        from hypothesis import given, settings, strategies as st
+
+        value = st.one_of(
+            st.integers(-1000, 1000), st.integers(2**53, 2**64), st.integers(-(2**64), -(2**53))
+        )
+
+        # Each draw is checked at an odd and at an even length.
+        @settings(max_examples=300, derandomize=True)
+        @given(st.lists(value, min_size=1), value)
+        def check(values, extra):
+            for data in (values, [*values, extra]):
+                for ours, theirs in ((reporting.median, statistics.median),
+                                     (reporting.fmean, statistics.fmean)):
+                    got, want = ours(data), theirs(data)
+                    assert (type(got), got) == (type(want), want), (ours.__name__, data)
+
+        check()
+
     def test_aggregates_recompute_from_serialized(self):
         # Both findings must describe the same source sequence, as in a real
         # history report.
@@ -345,7 +368,7 @@ class TestAggregates:
         report = history_report([f1, f2])
         parsed = parse_report(render_findings(report))
         recomputed = compute_aggregates(parsed.findings)
-        assert recomputed == compute_aggregates(report.findings)
+        assert vars(recomputed) == vars(compute_aggregates(report.findings))
 
     @pytest.mark.parametrize("spoil", [
         lambda agg: agg.update(elements_outdated=agg["elements_outdated"] + 5),

@@ -12,7 +12,7 @@ import pytest
 import oracle_history
 import oracle_revgraph
 import scenarios
-from conftest import RepoBuilder
+from repo_builder import RepoBuilder
 from oracle_history import read_blob_bytes
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
 from staleref import revgraph
