@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: fetch, scan, history, stats, dump-catalog. Every option can also
+Subcommands: scan, history, stats, dump-catalog. Every option can also
 be supplied through a STALEREF_* environment variable or a JSON config file;
 explicit flags win over the environment, which wins over the file.
 
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import re
-import subprocess
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -49,11 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         "longer exist in the source tree.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fetch = sub.add_parser("fetch", help="clone a repository (and optionally its wiki)")
-    fetch.add_argument("url")
-    fetch.add_argument("--dest", default=".", help="directory to clone into")
-    fetch.add_argument("--with-wiki", action="store_true", help="also clone <url>.wiki")
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--repo", help="path to the source clone")
@@ -274,47 +268,20 @@ def _run_analysis(args, mode: str) -> int:
     return EXIT_CLEAN
 
 
-def _cmd_fetch(args) -> int:
-    url = args.url.rstrip("/")
-    name = url.rsplit("/", 1)[-1]
-    if name.endswith(".git"):
-        name = name[:-4]
-    dest = Path(args.dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    target = dest / name
-    clone = subprocess.run(
-        ["git", "clone", "--quiet", args.url, str(target)], capture_output=True, text=True
-    )
-    if clone.returncode != 0:
-        print(f"error: clone failed: {clone.stderr.strip()}", file=sys.stderr)
-        return EXIT_ERROR
-    print(target)
-    if args.with_wiki:
-        base = url[:-4] if url.endswith(".git") else url
-        wiki_url = base + ".wiki"
-        wiki_target = dest / (name + ".wiki")
-        wiki = subprocess.run(
-            ["git", "clone", "--quiet", wiki_url, str(wiki_target)],
-            capture_output=True,
-            text=True,
-        )
-        if wiki.returncode != 0:
-            print(f"warning: wiki clone failed: {wiki.stderr.strip()}", file=sys.stderr)
-        else:
-            print(wiki_target)
-    return EXIT_CLEAN
+def _parsed_reports(paths: list[str]):
+    """Each report file parsed in turn; the first that fails names its path."""
+    for path in paths:
+        try:
+            report = parse_report(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        yield report
 
 
 def _cmd_stats(args) -> int:
-    reports = []
-    for path in args.reports:
-        try:
-            reports.append(parse_report(Path(path).read_text(encoding="utf-8")))
-        except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    text = render_aggregates(aggregate_corpus(reports), args.format or FORMAT_JSON)
-    _write_output(text, args.out)
+    # One parsed report at a time: each is folded before the next is read.
+    aggregates = aggregate_corpus(_parsed_reports(args.reports))
+    _write_output(render_aggregates(aggregates, args.format or FORMAT_JSON), args.out)
     return EXIT_CLEAN
 
 
@@ -325,7 +292,7 @@ def _cmd_dump_catalog(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    commands = {"fetch": _cmd_fetch, "stats": _cmd_stats, "dump-catalog": _cmd_dump_catalog}
+    commands = {"stats": _cmd_stats, "dump-catalog": _cmd_dump_catalog}
     try:
         if args.command in ("scan", "history"):
             return _run_analysis(args, args.command)

@@ -225,24 +225,25 @@ class _Project:
                     yield document, cited
 
     def report(
-        self, mode: str, findings: list[Finding], *warning_lists: list[dict], **fields
+        self, mode: str, findings: list[Finding], *warning_lists: list[dict],
+        revisions: tuple[Revision, ...] | None = None, **fields,
     ) -> ScanReport:
         """The run's report: findings are sorted and get their browse URLs,
         and the warnings of the project and of *warning_lists* are merged in
         a stable order."""
-        findings = sort_findings(findings)
         warnings = [w for group in (self.warnings, *warning_lists) for w in group]
-        report = ScanReport(
+        return ScanReport(
             project_id=self.config.resolved_project_id(),
             scan_time=self.scan_time,
             mode=mode,
-            findings=findings,
+            findings=[
+                f._replace(urls=build_finding_urls(f, self.url_base, revisions))
+                for f in sort_findings(findings)
+            ],
             warnings=sorted(warnings, key=lambda w: json.dumps(w, sort_keys=True)),
+            revisions=revisions,
             **fields,
         )
-        for finding in findings:
-            finding.urls = build_finding_urls(finding, self.url_base, report.revisions)
-        return report
 
 
 def run_scan(config: RunConfig) -> ScanReport:
@@ -359,10 +360,11 @@ def run_history(config: RunConfig) -> ScanReport:
         for origin, host in hosts.items()
     }
 
-    # A row is one finding, whose symbols the cell pass fills in, and the
-    # element texts its document cites at each source revision: None where
-    # the document is absent or its version unreadable.
-    rows: list[tuple[Finding, list[frozenset[str] | None]]] = []
+    # A row is one (element, document) pair: the element texts its document
+    # cites at each source revision (None where the document is absent or
+    # its version unreadable), the ordinals whose version failed, the sha of
+    # the document's hosting head, and the symbols that the cell pass fills in.
+    rows: list[tuple] = []
     covered_from = n
     partial = False
     try:
@@ -374,19 +376,17 @@ def run_history(config: RunConfig) -> ScanReport:
             )
             doc_sha = hosts[document.origin].seq.head.sha if blobs[-1] else None
             rows += [
-                (Finding(
-                    element, document, status=None, current_sha=head.sha, doc_sha=doc_sha,
-                    symbols=[None] * n, failed_ordinals=failed,
-                ), refs)
+                (element, document, refs, failed, doc_sha, [None] * n)
                 for element in sorted(frozenset().union(*by_blob.values()))
             ]
     except ScanTimeout:
         partial = True
 
     # One symbol per (row, revision) cell, newest revisions first. A row's
-    # evidence comes from its newest positive cell.
+    # evidence, and the sha it was found at, come from its newest positive cell.
+    evidence: dict[int, tuple] = {}
     counter = HistoryCounter(
-        source, project.match_config(documents), frozenset(f.element_text for f, _ in rows)
+        source, project.match_config(documents), frozenset(row[0] for row in rows)
     )
     if not partial:
         try:
@@ -394,38 +394,39 @@ def run_history(config: RunConfig) -> ScanReport:
                 for i in range(n - 1, -1, -1):
                     deadline.check()
                     revision = next(stops)
-                    for finding, refs in rows:
-                        element, cited = finding.element_text, refs[i]
+                    for row, (element, _, refs, _, _, symbols) in enumerate(rows):
+                        cited = refs[i]
                         if cited is None:
                             symbol = DOC_ABSENT
                         elif element not in cited:
                             symbol = NO_REFERENCE
                         else:
                             symbol = counter.count(element, revision)
-                            if symbol > 0 and finding.evidence_sha is None:
-                                finding.evidence = counter.evidence(element)
-                                finding.evidence_sha = revision.sha
-                        finding.symbols[i] = symbol
+                            if symbol > 0 and row not in evidence:
+                                evidence[row] = (counter.evidence(element), revision.sha)
+                        symbols[i] = symbol
                     covered_from = i
         except ScanTimeout:
             partial = True
 
     findings: list[Finding] = []
-    for finding, _ in rows:
+    for row, (element, document, _, failed, doc_sha, symbols) in enumerate(rows):
         if partial:
             # Only the suffix of symbols the pass reached is reported.
             findings.append(Finding(
-                finding.element_text, finding.document, status=None, current_sha=head.sha,
-                symbols_suffix=finding.symbols[covered_from:],
+                element, document, None, current_sha=head.sha,
+                symbols_suffix=symbols[covered_from:],
             ))
             continue
-        findings.append(finding)
-        finding.symbols = tuple(finding.symbols)
-        finding.episodes = detect_episodes(
-            finding.symbols, revisions, config.strict_episodes, project.scan_time
-        )
-        last = finding.symbols[-1]
-        finding.current_count = last if is_count(last) else None
+        symbols = tuple(symbols)
+        found, found_sha = evidence.get(row, ((), None))
+        findings.append(Finding(
+            element, document, None, current_sha=head.sha,
+            current_count=symbols[-1] if is_count(symbols[-1]) else None,
+            evidence=found, evidence_sha=found_sha, doc_sha=doc_sha, symbols=symbols,
+            failed_ordinals=failed,
+            episodes=detect_episodes(symbols, revisions, config.strict_episodes, project.scan_time),
+        ))
     project.warnings += [
         {
             "kind": "negative_duration",

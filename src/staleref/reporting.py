@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import math
+from collections import namedtuple
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from urllib.parse import quote
 
@@ -39,8 +41,15 @@ WIKI_URL = "{base}/wiki/{page}/{sha}"
 COMMIT_URL = "{base}/commit/{sha}"
 
 
-class Finding:
-    """One (element, document) result.
+class Finding(
+    namedtuple(
+        "Finding",
+        "element_text document status snapshot_sha snapshot_count current_sha current_count"
+        " evidence evidence_sha doc_sha urls symbols failed_ordinals episodes symbols_suffix",
+        defaults=(None, None, None, None, (), None, None, None, None, None, None, None),
+    )
+):
+    """One (element, document) result. Immutable.
 
     Current-mode findings carry a status and the snapshot/current counts;
     history-mode findings carry their symbols, one per revision of the report,
@@ -50,39 +59,7 @@ class Finding:
     revision, where kind is "text" or "path-variant".
     """
 
-    def __init__(
-        self,
-        element_text: str,
-        document: DocumentDescriptor,
-        status: str | None,
-        snapshot_sha: str | None = None,
-        snapshot_count: int | None = None,
-        current_sha: str | None = None,
-        current_count: int | None = None,
-        evidence: tuple[tuple[str, int, str], ...] = (),
-        evidence_sha: str | None = None,
-        doc_sha: str | None = None,
-        urls: dict | None = None,
-        symbols: tuple[Symbol, ...] | None = None,
-        failed_ordinals: tuple[int, ...] | None = None,
-        episodes: list[OutdatedEpisode] | None = None,
-        symbols_suffix: list | None = None,
-    ):
-        self.element_text = element_text
-        self.document = document
-        self.status = status
-        self.snapshot_sha = snapshot_sha
-        self.snapshot_count = snapshot_count
-        self.current_sha = current_sha
-        self.current_count = current_count
-        self.evidence = evidence
-        self.evidence_sha = evidence_sha
-        self.doc_sha = doc_sha
-        self.urls = urls
-        self.symbols = symbols
-        self.failed_ordinals = failed_ordinals
-        self.episodes = episodes
-        self.symbols_suffix = symbols_suffix
+    __slots__ = ()
 
     @property
     def outdated(self) -> bool:
@@ -98,59 +75,30 @@ class Finding:
         return self.status == STATUS_OUTDATED
 
 
-class Aggregates:
-    """Totals over the findings of one or more projects; see ``_fold``."""
+class Aggregates(
+    namedtuple(
+        "Aggregates",
+        "elements_total elements_outdated documents_total documents_outdated projects_total"
+        " projects_outdated fix_kind_counts reoutdated_count duration_stats survival_points",
+    )
+):
+    """Totals over the findings of one or more projects; see ``_fold``.
+    Immutable, and its fields are in the order of a report's ``aggregates``."""
 
-    def __init__(
-        self,
-        elements_total: int = 0,
-        elements_outdated: int = 0,
-        documents_total: int = 0,
-        documents_outdated: int = 0,
-        projects_total: int = 0,
-        projects_outdated: int = 0,
-        fix_kind_counts: dict | None = None,
-        reoutdated_count: int = 0,
-        duration_stats: dict | None = None,
-        survival_points: list | None = None,
-    ):
-        self.elements_total = elements_total
-        self.elements_outdated = elements_outdated
-        self.documents_total = documents_total
-        self.documents_outdated = documents_outdated
-        self.projects_total = projects_total
-        self.projects_outdated = projects_outdated
-        self.fix_kind_counts = (
-            {kind: 0 for kind in FIX_KINDS} if fix_kind_counts is None else fix_kind_counts
-        )
-        self.reoutdated_count = reoutdated_count
-        self.duration_stats = duration_stats
-        self.survival_points = [] if survival_points is None else survival_points
+    __slots__ = ()
 
 
-class ScanReport:
+class ScanReport(
+    namedtuple(
+        "ScanReport",
+        "project_id scan_time mode findings warnings revisions partial covered_from_ordinal",
+        defaults=(None, False, None),
+    )
+):
     """One run's findings and warnings, with the revisions that history
-    symbols belong to and how far a partial run got."""
+    symbols belong to and how far a partial run got. Immutable."""
 
-    def __init__(
-        self,
-        project_id: str,
-        scan_time: int,
-        mode: str,
-        findings: list[Finding],
-        warnings: list[dict],
-        revisions: tuple[Revision, ...] | None = None,
-        partial: bool = False,
-        covered_from_ordinal: int | None = None,
-    ):
-        self.project_id = project_id
-        self.scan_time = scan_time
-        self.mode = mode
-        self.findings = findings
-        self.warnings = warnings
-        self.revisions = revisions
-        self.partial = partial
-        self.covered_from_ordinal = covered_from_ordinal
+    __slots__ = ()
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:
@@ -168,53 +116,60 @@ def compute_aggregates(findings: list[Finding]) -> Aggregates:
     return _fold([findings])
 
 
-def aggregate_corpus(reports: list[ScanReport]) -> Aggregates:
-    """Pool findings across reports from distinct projects."""
-    return _fold([report.findings for report in reports])
+def aggregate_corpus(reports: Iterable[ScanReport]) -> Aggregates:
+    """Pool findings across reports from distinct projects, folding each
+    report as it comes."""
+    return _fold(report.findings for report in reports)
 
 
-def _fold(projects: list[list[Finding]]) -> Aggregates:
+def _fold(projects: Iterable[list[Finding]]) -> Aggregates:
     """Totals over the findings of each project, and fix kinds, durations
-    and the survival curve over all their episodes, in one pass."""
-    agg = Aggregates(projects_total=len(projects))
-    documents: set[tuple] = set()
-    outdated_docs: set[tuple] = set()
-    pairs_with_episode: set[tuple] = set()
+    and the survival curve over all their episodes, in one pass. Only the
+    totals and the durations outlive a project's findings."""
+    projects_total = elements_total = elements_outdated = reoutdated_count = 0
+    documents_total = documents_outdated = projects_outdated = 0
+    fix_kind_counts = {kind: 0 for kind in FIX_KINDS}
     durations: list[int] = []
     fixed_positive: list[int] = []
-    for project, findings in enumerate(projects):
-        agg.elements_total += len(findings)
+    for findings in projects:
+        documents: set[tuple] = set()
+        outdated_docs: set[tuple] = set()
+        pairs_with_episode: set[tuple] = set()
         for f in findings:
-            document = (project, f.document.origin, f.document.path)
+            document = (f.document.origin, f.document.path)
             documents.add(document)
             if f.outdated:
-                agg.elements_outdated += 1
+                elements_outdated += 1
                 outdated_docs.add(document)
             if f.episodes:
-                pairs_with_episode.add((*document, f.element_text))
-                agg.reoutdated_count += len(f.episodes)
+                pairs_with_episode.add((document, f.element_text))
+                reoutdated_count += len(f.episodes)
             for episode in f.episodes or ():
                 if episode.fix is not None:
-                    agg.fix_kind_counts[episode.fix.kind] += 1
+                    fix_kind_counts[episode.fix.kind] += 1
                 if episode.duration_seconds is not None:
                     durations.append(episode.duration_seconds)
                     if not episode.ongoing and episode.duration_seconds > 0:
                         fixed_positive.append(episode.duration_seconds)
-    agg.documents_total = len(documents)
-    agg.documents_outdated = len(outdated_docs)
-    agg.projects_outdated = len({project for project, _, _ in outdated_docs})
-    agg.reoutdated_count -= len(pairs_with_episode)  # all but each pair's first
+        projects_total += 1
+        projects_outdated += bool(outdated_docs)
+        elements_total += len(findings)
+        documents_total += len(documents)
+        documents_outdated += len(outdated_docs)
+        reoutdated_count -= len(pairs_with_episode)  # all but each pair's first
+    duration_stats = None
     if durations:
-        agg.duration_stats = {
+        duration_stats = {
             "min": min(durations),
             "median": median(durations),
             "mean": fmean(durations),
             "max": max(durations),
         }
-    agg.survival_points = [
-        [d, f] for d, f in survival_curve(fixed_positive, sorted({0, *fixed_positive}))
-    ]
-    return agg
+    return Aggregates(
+        elements_total, elements_outdated, documents_total, documents_outdated, projects_total,
+        projects_outdated, fix_kind_counts, reoutdated_count, duration_stats,
+        [[d, f] for d, f in survival_curve(fixed_positive, sorted({0, *fixed_positive}))],
+    )
 
 
 def median(values: list[int]) -> int | float:
@@ -230,21 +185,6 @@ def median(values: list[int]) -> int | float:
 def fmean(values: list[int]) -> float:
     """The mean of *values* as a float, as ``statistics.fmean`` gives it."""
     return math.fsum(values) / len(values)
-
-
-def _aggregates_dict(agg: Aggregates) -> dict:
-    return {
-        "elements_total": agg.elements_total,
-        "elements_outdated": agg.elements_outdated,
-        "documents_total": agg.documents_total,
-        "documents_outdated": agg.documents_outdated,
-        "projects_total": agg.projects_total,
-        "projects_outdated": agg.projects_outdated,
-        "fix_kind_counts": agg.fix_kind_counts,
-        "reoutdated_count": agg.reoutdated_count,
-        "duration_stats": agg.duration_stats,
-        "survival_points": agg.survival_points,
-    }
 
 
 # -- serialization --------------------------------------------------------------
@@ -310,7 +250,7 @@ def _episode_dict(episode: OutdatedEpisode) -> dict:
 
 
 def _finding_dict(finding: Finding) -> dict:
-    data: dict = {
+    return {
         "element_text": finding.element_text,
         "document": _document_dict(finding.document),
         "status": finding.status,
@@ -333,7 +273,6 @@ def _finding_dict(finding: Finding) -> dict:
         else None,
         "symbols_suffix": finding.symbols_suffix,
     }
-    return data
 
 
 def _parse_finding(
@@ -400,7 +339,7 @@ def report_to_dict(report: ScanReport) -> dict:
         else None,
         "findings": [_finding_dict(f) for f in report.findings],
         "warnings": report.warnings,
-        "aggregates": _aggregates_dict(compute_aggregates(report.findings)),
+        "aggregates": compute_aggregates(report.findings)._asdict(),
     }
 
 
@@ -429,7 +368,7 @@ def parse_report(text: str) -> ScanReport:
                              f"revisions: {covered_from!r}")
         history = data.get("mode") == MODE_HISTORY
         findings = [_parse_finding(f, revisions, covered_from, history) for f in data["findings"]]
-        if data["aggregates"] != _aggregates_dict(compute_aggregates(findings)):
+        if data["aggregates"] != compute_aggregates(findings)._asdict():
             raise ValueError("aggregates disagree with the findings")
         scan_time = data["scan_time_epoch"]
         if type(scan_time) is not int:
@@ -473,7 +412,7 @@ def render_findings(report: ScanReport, fmt: str = FORMAT_JSON) -> str:
 def render_aggregates(agg: Aggregates, fmt: str = FORMAT_JSON) -> str:
     """Pooled aggregates as JSON, as a one-row CSV table of the scalar
     totals, or as a Markdown list."""
-    data = _aggregates_dict(agg)
+    data = agg._asdict()
     if fmt == FORMAT_JSON:
         return json.dumps(data, indent=2) + "\n"
     if fmt == FORMAT_CSV:

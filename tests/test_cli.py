@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,8 +15,13 @@ import scenarios
 import staleref
 from repo_builder import RepoBuilder
 from staleref import cli
+from staleref.docdiscovery import ORIGIN_README, DocumentDescriptor
+from staleref.reporting import MODE_HISTORY, Finding, ScanReport, render_findings
+from staleref.revgraph import Revision
+from staleref.timeline import detect_episodes
 
 T0 = 1_600_000_000
+README = DocumentDescriptor(ORIGIN_README, "README.md", "markdown")
 PIN = str(T0 + 50_000)
 # The directory that holds the package under test, so that a CLI run from
 # another directory imports it too.
@@ -476,39 +482,6 @@ class TestBadSettings:
         assert err.endswith("RuntimeError: unforeseen\n")
 
 
-class TestFetch:
-    def test_clones_local_repo_and_wiki(self, tmp_path):
-        origin = RepoBuilder(tmp_path / "origin" / "proj")
-        origin.commit(T0, {"README.md": "See `fetched_fn()`.\n",
-                           "app.py": "def fetched_fn():\n    pass\n"})
-        wiki = RepoBuilder(tmp_path / "origin" / "proj.wiki")
-        wiki.commit(T0, {"Home.md": "Wiki home.\n"})
-
-        dest = tmp_path / "work"
-        proc = run_cli("fetch", str(origin.path), "--dest", str(dest), "--with-wiki")
-        assert proc.returncode == 0
-        printed = proc.stdout.splitlines()
-        assert printed == [str(dest / "proj"), str(dest / "proj.wiki")]
-        assert (dest / "proj" / "README.md").exists()
-        assert (dest / "proj.wiki" / "Home.md").exists()
-
-        scan = run_cli("scan", "--repo", str(dest / "proj"))
-        assert scan.returncode == 0
-
-    def test_missing_wiki_is_only_a_warning(self, tmp_path):
-        origin = RepoBuilder(tmp_path / "solo")
-        origin.commit(T0, {"README.md": "hello\n"})
-        proc = run_cli("fetch", str(origin.path), "--dest", str(tmp_path / "w"),
-                       "--with-wiki")
-        assert proc.returncode == 0
-        assert "wiki clone failed" in proc.stderr
-
-    def test_bad_url_exits_2(self, tmp_path):
-        proc = run_cli("fetch", str(tmp_path / "missing"), "--dest", str(tmp_path / "d"))
-        assert proc.returncode == 2
-        assert "clone failed" in proc.stderr
-
-
 @pytest.fixture(scope="module")
 def history_report(dirty_repo, tmp_path_factory):
     """A valid history report of dirty_repo, which stats accepts."""
@@ -644,6 +617,41 @@ class TestStats:
         assert "projects_total" in header and len(header.split(",")) == len(row.split(","))
         md = run_cli("stats", *paths, "--format", "md")
         assert md.stdout.startswith("# Pooled aggregates")
+
+    def test_a_bad_report_after_good_ones_writes_no_aggregate(
+        self, dirty_repo, clean_repo, tmp_path
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        good = self.make_reports(dirty_repo, clean_repo, tmp_path)
+        out = tmp_path / "agg.json"
+        proc = run_cli("stats", *good, str(bad), good[0], "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {bad}: unsupported report schema_version: None\n"
+        assert proc.stdout == "" and not out.exists()
+
+    def test_peak_memory_stays_flat_as_reports_add_up(self, tmp_path):
+        # Each report is folded before the next one is parsed, so pooling
+        # 20 copies of a report needs about the memory that 2 copies need.
+        revisions = tuple(Revision(f"{i:040x}", T0 + i, i) for i in range(200))
+        symbols = tuple([3] * 100 + [0] * 100)
+        findings = [
+            Finding(f"fn_{k}()", README, None, symbols=symbols, failed_ordinals=(),
+                    episodes=detect_episodes(symbols, revisions, scan_time=T0 + 1_000))
+            for k in range(300)
+        ]
+        path = tmp_path / "report.json"
+        path.write_text(render_findings(ScanReport("p", T0, MODE_HISTORY, findings, [], revisions)))
+        peaks = {}
+        for copies in (2, 20):
+            tracemalloc.start()
+            try:
+                argv = ["stats", *[str(path)] * copies, "--out", str(tmp_path / "agg.json")]
+                assert cli.main(argv) == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] <= 1.5 * peaks[2], peaks
 
 
 class TestPrecedence:

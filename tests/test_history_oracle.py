@@ -3,10 +3,11 @@
 Hypothesis scripts random repositories (adds, deletes, renames, edits, the
 same content at two paths, symlinks, binary and oversized blobs, non-ASCII
 text with CRLF line ends, merged side branches, out-of-order and equal
-timestamps, an optional wiki whose commits keep the order drawn, so their
-timestamps may go backwards, gitlinks and paths that switch between a
-gitlink and a blob, names whose bytes are no UTF-8) and random run settings
-(exclude globs, a small per-file cap, a small size cap, a strict mode).
+timestamps, a root README moved to README.rst and back, an optional wiki
+whose commits keep the order drawn, so their timestamps may go backwards,
+gitlinks and paths that switch between a gitlink and a blob, names whose
+bytes are no UTF-8) and random run settings (exclude globs, a small
+per-file cap, a small size cap, a strict mode).
 Each repository's ``GitRepo.first_parent_history`` must equal the two-call
 reader of ``oracle_revgraph``. On each repository
 ``run_scan`` must render the same report, byte for byte, as
@@ -73,6 +74,7 @@ op_st = st.one_of(
     st.tuples(st.just("gitlink"), st.sampled_from(PATHS[:4]), st.sampled_from(GITLINK_COMMITS)),
     st.tuples(st.just("gitlink"), path_st, st.sampled_from(GITLINK_COMMITS)),
     st.tuples(st.just("readme"), st.lists(st.sampled_from(CITED), min_size=2, max_size=6)),
+    st.tuples(st.just("readme_move")),
     st.tuples(st.just("readme_delete")),
 )
 commit_st = st.tuples(
@@ -144,6 +146,15 @@ def _apply(root: Path, op: tuple) -> None:
         (root / "README.md").write_text(f"Intro.\n{cites}\n", encoding="utf-8")
     elif kind == "readme_delete":
         _remove(root / "README.md")
+    elif kind == "readme_move":
+        # README.md becomes README.rst, or back: one document vanishes as
+        # another appears.
+        source, dest = "README.md", "README.rst"
+        if not (root / source).exists():
+            source, dest = dest, source
+        if (root / source).exists():
+            for args in (["add", "--", source], ["mv", "-f", source, dest]):
+                subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True)
 
 
 def _build(base: Path, steps: list, wiki_steps: list) -> tuple[str, str | None]:
@@ -192,6 +203,7 @@ def _drawn_shapes(steps: list) -> list[str]:
         ("gitlink", gitlinked),
         ("gitlink at a path that holds a blob", gitlinked & blobs),
         ("name that is no UTF-8", named & set(NON_UTF8)),
+        ("README moved", any(op[0] == "readme_move" for op in ops)),
     ) if drawn]
 
 

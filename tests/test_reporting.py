@@ -31,8 +31,10 @@ from staleref.reporting import (
 from staleref.revgraph import Revision
 from staleref.timeline import (
     DOC_ABSENT,
+    FIX_KINDS,
     NO_REFERENCE,
     detect_episodes,
+    survival_curve,
 )
 
 README = DocumentDescriptor(ORIGIN_README, "README.md", "markdown")
@@ -102,6 +104,41 @@ def partial_report(suffixes, n, covered_from):
         for element, suffix in suffixes.items()
     ]
     return history_report(findings, n=n, partial=True, covered_from_ordinal=covered_from)
+
+
+def pooled_aggregates(reports):
+    """The corpus totals from every finding of every report at once, each
+    keyed by its report: the list-then-fold path that ``stats`` had."""
+    import statistics
+
+    rows = [(project, f) for project, report in enumerate(reports) for f in report.findings]
+    documents = {(p, f.document.origin, f.document.path) for p, f in rows}
+    outdated = {(p, f.document.origin, f.document.path) for p, f in rows if f.outdated}
+    pairs = {(p, f.document.origin, f.document.path, f.element_text)
+             for p, f in rows if f.episodes}
+    episodes = [episode for _, f in rows for episode in f.episodes or ()]
+    durations = [ep.duration_seconds for ep in episodes if ep.duration_seconds is not None]
+    fixed = [ep.duration_seconds for ep in episodes if not ep.ongoing and ep.duration_seconds > 0]
+    return {
+        "elements_total": len(rows),
+        "elements_outdated": sum(f.outdated for _, f in rows),
+        "documents_total": len(documents),
+        "documents_outdated": len(outdated),
+        "projects_total": len(reports),
+        "projects_outdated": len({p for p, _, _ in outdated}),
+        "fix_kind_counts": {
+            kind: sum(ep.fix is not None and ep.fix.kind == kind for ep in episodes)
+            for kind in FIX_KINDS
+        },
+        "reoutdated_count": len(episodes) - len(pairs),
+        "duration_stats": {
+            "min": min(durations),
+            "median": statistics.median(durations),
+            "mean": statistics.fmean(durations),
+            "max": max(durations),
+        } if durations else None,
+        "survival_points": [[d, f] for d, f in survival_curve(fixed, sorted({0, *fixed}))],
+    }
 
 
 def per_symbol_check(symbols, count):
@@ -249,9 +286,16 @@ class TestSerialization:
         md_text = render_findings(report, FORMAT_MARKDOWN)
         assert "`fPIC`" in md_text
 
+    def test_records_are_frozen(self):
+        f = history_finding("a()", [1, 0])
+        report = history_report([f])
+        for record, field in ((f, "evidence"), (f, "urls"), (report, "findings"),
+                              (compute_aggregates([f]), "elements_total")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
     def test_path_variant_evidence_marker(self):
-        f = finding()
-        f.evidence = (("path/to/file.py", 0, "path-variant"),)
+        f = finding()._replace(evidence=(("path/to/file.py", 0, "path-variant"),))
         data = json.loads(render_findings(make_report([f])))
         entry = data["findings"][0]["evidence"][0]
         assert entry["line"] == 0
@@ -259,6 +303,15 @@ class TestSerialization:
 
 
 class TestAggregates:
+    def test_fields_are_the_serialized_keys_in_order(self):
+        report = history_report([history_finding("a()", [1, 0, 2])])
+        data = json.loads(render_findings(report))
+        assert list(compute_aggregates(report.findings)._asdict()) == list(data["aggregates"]) == [
+            "elements_total", "elements_outdated", "documents_total", "documents_outdated",
+            "projects_total", "projects_outdated", "fix_kind_counts", "reoutdated_count",
+            "duration_stats", "survival_points",
+        ]
+
     def test_rates_example(self):
         docs = [README] + [
             DocumentDescriptor(ORIGIN_WIKI, f"P{i}.md", "markdown") for i in (1, 2)
@@ -294,7 +347,7 @@ class TestAggregates:
             history_finding("c()", [1, 1, 1, 1, 1]),
         ]
         report = history_report(findings)
-        assert vars(aggregate_corpus([report])) == vars(compute_aggregates(findings))
+        assert aggregate_corpus([report])._asdict() == compute_aggregates(findings)._asdict()
 
     def test_corpus_keeps_projects_apart(self):
         # The same (document, element) pair in two projects is two documents,
@@ -308,6 +361,32 @@ class TestAggregates:
         assert (pooled.documents_outdated, pooled.projects_outdated) == (2, 2)
         assert pooled.reoutdated_count == 0
         assert pooled.fix_kind_counts["source_change"] == 2
+
+    @pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+    def test_streamed_corpus_equals_the_pooled_oracle(self):
+        from hypothesis import given, settings, strategies as st
+
+        element, document = st.sampled_from(["a()", "b()"]), st.sampled_from([README, WIKI])
+        symbols = st.lists(st.sampled_from([0, 1, 2, DOC_ABSENT, NO_REFERENCE]), min_size=5,
+                           max_size=5)
+        current = st.builds(
+            lambda e, d, cur: finding(e, d, "in_sync" if cur else "outdated", snap=1, cur=cur),
+            element, document, st.integers(0, 1),
+        )
+        report = st.one_of(
+            st.lists(st.builds(history_finding, element, symbols, document), max_size=4).map(
+                lambda findings: history_report(findings, n=5)),
+            st.lists(current, max_size=4).map(make_report),
+        )
+
+        # A generator of reports, as stats passes them, folds to the totals
+        # of every report's findings pooled at once.
+        @settings(max_examples=200, derandomize=True)
+        @given(st.lists(report, max_size=5))
+        def check(reports):
+            assert aggregate_corpus(iter(reports))._asdict() == pooled_aggregates(reports)
+
+        check()
 
     def test_fix_kind_distribution(self):
         findings = [
@@ -368,7 +447,7 @@ class TestAggregates:
         report = history_report([f1, f2])
         parsed = parse_report(render_findings(report))
         recomputed = compute_aggregates(parsed.findings)
-        assert vars(recomputed) == vars(compute_aggregates(report.findings))
+        assert recomputed._asdict() == compute_aggregates(report.findings)._asdict()
 
     @pytest.mark.parametrize("spoil", [
         lambda agg: agg.update(elements_outdated=agg["elements_outdated"] + 5),
@@ -455,14 +534,12 @@ class TestUrls:
         assert url == f"https://github.com/acme/proj/blob/{'a' * 40}/src/x.c#L12"
 
     def test_blob_url_without_line(self):
-        f = finding()
-        f.evidence = (("src/x.c", 0, "path-variant"),)
+        f = finding()._replace(evidence=(("src/x.c", 0, "path-variant"),))
         url = build_finding_urls(f, self.base, None)["evidence"]
         assert url == f"https://github.com/acme/proj/blob/{'a' * 40}/src/x.c"
 
     def test_wiki_url_uses_page_name(self):
-        f = finding(document=WIKI)
-        f.doc_sha = "c" * 40
+        f = finding(document=WIKI)._replace(doc_sha="c" * 40)
         url = build_finding_urls(f, self.base, None)["document"]
         assert url == f"https://github.com/acme/proj/wiki/Home/{'c' * 40}"
 
@@ -472,8 +549,7 @@ class TestUrls:
         assert url == f"https://github.com/acme/proj/blob/{'b' * 40}/docs/My%20Guide.md"
 
     def test_evidence_path_is_percent_encoded(self):
-        f = finding()
-        f.evidence = (("src/a#b.py", 3, "text"),)
+        f = finding()._replace(evidence=(("src/a#b.py", 3, "text"),))
         url = build_finding_urls(f, self.base, None)["evidence"]
         assert url == f"https://github.com/acme/proj/blob/{'a' * 40}/src/a%23b.py#L3"
 
@@ -498,9 +574,10 @@ class TestUrls:
 
 class TestIssueDraft:
     def test_outdated_findings_listed(self):
-        findings = [finding("DGFLAGS_NAMESPACE"), finding()]
-        for f in findings:
-            f.urls = build_finding_urls(f, "https://github.com/google/glog", None)
+        findings = [
+            f._replace(urls=build_finding_urls(f, "https://github.com/google/glog", None))
+            for f in (finding("DGFLAGS_NAMESPACE"), finding())
+        ]
         drafts = render_issue_draft(make_report(findings, project_id="glog"))
         assert "`DGFLAGS_NAMESPACE`" in drafts
         assert "`fPIC`" in drafts
@@ -508,18 +585,18 @@ class TestIssueDraft:
         assert "glog" in drafts.splitlines()[0]
 
     def test_links_come_from_each_findings_urls(self):
-        f = history_finding("gone_fn()", [2, 0, 0])
-        f.doc_sha = "b" * 40
-        f.evidence, f.evidence_sha = (("src/x.c", 12, "text"),), "a" * 40
+        f = history_finding("gone_fn()", [2, 0, 0])._replace(
+            doc_sha="b" * 40, evidence=(("src/x.c", 12, "text"),), evidence_sha="a" * 40
+        )
+        bare = history_report([f])
+        f = f._replace(urls=build_finding_urls(f, "https://example.com/o/p", bare.revisions))
         report = history_report([f])
-        f.urls = build_finding_urls(f, "https://example.com/o/p", report.revisions)
         parsed = parse_report(render_findings(report))
         draft = render_issue_draft(parsed)
         assert draft == render_issue_draft(report)
         for url in f.urls.values():
             assert f"]({url})" in draft
-        f.urls = None
-        assert "](" not in render_issue_draft(report)
+        assert "](" not in render_issue_draft(bare)
 
     def test_single_finding_single_bullet(self):
         draft = render_issue_draft(make_report([finding()]))
@@ -530,8 +607,7 @@ class TestIssueDraft:
             render_issue_draft(make_report([finding("x()", status="in_sync", snap=1, cur=1)]))
 
     def test_path_variant_evidence_links_file_not_line(self):
-        f = finding()
-        f.evidence = (("path/to/file.py", 0, "path-variant"),)
+        f = finding()._replace(evidence=(("path/to/file.py", 0, "path-variant"),))
         draft = render_issue_draft(make_report([f]))
         assert "path/to/file.py (referenced as a path)" in draft
         assert "#L0" not in draft
