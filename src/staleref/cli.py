@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Subcommands: scan, history, stats, dump-catalog. Every option can also
-be supplied through a STALEREF_* environment variable or a JSON config file;
-explicit flags win over the environment, which wins over the file.
+Subcommands: scan, history, stats, dump-catalog. Each option of scan and
+history comes from its flag, or else from its STALEREF_<NAME> environment
+variable (STALEREF_REPO, STALEREF_MAX_FILE_BYTES, ...). A variable holds
+text: a repeatable option takes a comma-separated list (STALEREF_EXCLUDE=a,b),
+STALEREF_STRICT_EPISODES one of the words 1/true/yes/on or 0/false/no/off,
+and a number the text its flag takes.
 
 Exit codes: 0 no outdated references, 1 outdated references found, 2 error,
 3 timed out (partial report still written).
@@ -11,7 +14,6 @@ Exit codes: 0 no outdated references, 1 outdated references found, 2 error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -80,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--issue-draft", help="also write a Markdown issue draft here ('-' for stdout)"
     )
-    shared.add_argument("--config", help="JSON config file with option defaults")
 
     sub.add_parser(
         "scan",
@@ -104,36 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(args) -> dict:
-    path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
-    return data
-
-
-def _opt(args, file_cfg: dict, name: str, default=None, cast=None, is_list: bool = False):
-    """Flag > environment > config file > default. A list option is a tuple
-    of strings; any other option is a string unless *cast* converts it."""
+def _opt(args, name: str, default=None, cast=None, is_list: bool = False):
+    """Flag > environment > default. A list option is a tuple of strings;
+    any other option is a string unless *cast* converts it."""
     value = getattr(args, name, None)
     if value in (None, []):
         env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is not None:
-            value = env.split(",") if is_list else env
-        elif name in file_cfg:
-            value = file_cfg[name]
-    if value in (None, []):
-        return default
+        if env is None:
+            return default
+        value = env.split(",") if is_list else env
     if is_list:
-        value = [value] if isinstance(value, str) else value
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ValueError(f"{name}: expected a string or a list of strings, got {value!r}")
         return tuple(value)
-    if cast is None and not isinstance(value, str):
-        raise ValueError(f"{name}: expected a string, got {value!r}")
     try:
         return value if cast is None else cast(value)
     except (OverflowError, ValueError) as exc:
@@ -151,22 +133,6 @@ def _format(value) -> str:
     raise ValueError(f"expected json, csv or md, got {value!r}")
 
 
-def _integer(value) -> int:
-    """An integer's text, or a JSON number without a fraction; never a bool."""
-    if isinstance(value, str):
-        return int(value)
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _number(value) -> float:
-    """A numeric string, or a JSON number; never a bool."""
-    if isinstance(value, str) or type(value) in (int, float):
-        return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
-
-
 # An RFC 3339 (section 5.6) date-time: "T" and "Z" in either case, a
 # fraction of any length, and "Z" or a numeric offset.
 _RFC3339 = re.compile(
@@ -175,11 +141,9 @@ _RFC3339 = re.compile(
 )
 
 
-def _parse_scan_time(value) -> int:
-    """Epoch seconds from an integer, its text, or an RFC 3339 date-time,
-    whose fraction of a second is dropped: the instant is floored."""
-    if not isinstance(value, str):
-        return _integer(value)
+def _parse_scan_time(value: str) -> int:
+    """Epoch seconds from an integer's text or an RFC 3339 date-time, whose
+    fraction of a second is dropped: the instant is floored."""
     text = value.strip()
     try:
         return int(text)
@@ -195,10 +159,9 @@ def _parse_scan_time(value) -> int:
 
 
 def _truthy(value) -> bool:
-    """A bool, or one of the words 1/true/yes/on and 0/false/no/off."""
-    if isinstance(value, bool):
-        return value
-    word = value.strip().lower() if isinstance(value, str) else None
+    """One of the words 1/true/yes/on and 0/false/no/off, or the flag's True,
+    whose text is one of them."""
+    word = str(value).strip().lower()
     if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
         raise ValueError(f"expected a boolean, got {value!r}")
     return word in ("1", "true", "yes", "on")
@@ -225,32 +188,31 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _run_analysis(args, mode: str) -> int:
-    file_cfg = _load_config_file(args)
-    repo = _opt(args, file_cfg, "repo")
+    repo = _opt(args, "repo")
     if not repo:
-        print("error: --repo is required (flag, STALEREF_REPO, or config file)", file=sys.stderr)
+        print("error: --repo is required (flag or STALEREF_REPO)", file=sys.stderr)
         return EXIT_ERROR
 
-    regex_file = _opt(args, file_cfg, "regex_file")
+    regex_file = _opt(args, "regex_file")
     config = RunConfig(**_given(
         repo_path=repo,
-        wiki_path=_resolve_wiki(repo, _opt(args, file_cfg, "wiki")),
-        branch=_opt(args, file_cfg, "branch"),
+        wiki_path=_resolve_wiki(repo, _opt(args, "wiki")),
+        branch=_opt(args, "branch"),
         catalog=load_catalog(Path(regex_file).read_text(encoding="utf-8")) if regex_file else None,
         discovery=DiscoveryConfig(**_given(
-            readme_glob=_opt(args, file_cfg, "readme_glob"),
-            extra_doc_globs=_opt(args, file_cfg, "extra_doc_glob", is_list=True),
+            readme_glob=_opt(args, "readme_glob"),
+            extra_doc_globs=_opt(args, "extra_doc_glob", is_list=True),
         )),
-        exclude_globs=_opt(args, file_cfg, "exclude", is_list=True),
-        max_file_bytes=_opt(args, file_cfg, "max_file_bytes", cast=_integer),
-        scan_time=_opt(args, file_cfg, "scan_time", cast=_parse_scan_time),
-        timeout_seconds=_opt(args, file_cfg, "timeout", cast=_number),
-        url_base=_opt(args, file_cfg, "url_base"),
-        strict_episodes=_opt(args, file_cfg, "strict_episodes", cast=_truthy),
+        exclude_globs=_opt(args, "exclude", is_list=True),
+        max_file_bytes=_opt(args, "max_file_bytes", cast=int),
+        scan_time=_opt(args, "scan_time", cast=_parse_scan_time),
+        timeout_seconds=_opt(args, "timeout", cast=float),
+        url_base=_opt(args, "url_base"),
+        strict_episodes=_opt(args, "strict_episodes", cast=_truthy),
     ))
-    fmt = _opt(args, file_cfg, "format", default=FORMAT_JSON, cast=_format)
-    out = _opt(args, file_cfg, "out")
-    draft_target = _opt(args, file_cfg, "issue_draft")
+    fmt = _opt(args, "format", default=FORMAT_JSON, cast=_format)
+    out = _opt(args, "out")
+    draft_target = _opt(args, "issue_draft")
 
     report = run_history(config) if mode == "history" else run_scan(config)
 

@@ -23,6 +23,9 @@ outputs: regenerate the manifest with it, and ``git diff`` shows what differs.
 
     python3 tests/byte_manifest.py --write    # regenerate byte_manifest.json
     python3 tests/byte_manifest.py --out DIR  # write every output under DIR
+
+``--write`` prints how many keys it added, removed and changed, then each
+removed and each changed key, so that a change can list them.
 """
 
 from __future__ import annotations
@@ -129,7 +132,10 @@ def _scenario_outputs(builder, base: Path, monkeypatch) -> dict[str, str] | None
 def _cli(argv: list[str]) -> dict[str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:  # argparse refused the arguments
+            code = exit.code
     return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "exit": str(code)}
 
 
@@ -159,13 +165,11 @@ def _corpus_outputs(base: Path) -> dict[str, str]:
 
 def _bad_setting_outputs(base: Path) -> dict[str, str]:
     texts: dict[str, str] = {}
-    for name, (flags, env, setting) in scenarios.BAD_SETTINGS.items():
-        cfg = base / f"{name}.json"
-        cfg.write_text(json.dumps({"repo": str(base / "missing"), **setting}), encoding="utf-8")
+    for name, (flags, env) in scenarios.BAD_SETTINGS.items():
         for mode in ("scan", "history"):
             with Patches.context():
                 os.environ.update(env)
-                run = _cli([mode, "--config", str(cfg), *flags])
+                run = _cli([mode, "--repo", str(base / "missing"), *flags])
             texts.update((f"{name}/{mode}/{stream}", text) for stream, text in run.items())
     return texts
 
@@ -203,6 +207,18 @@ def load_manifest() -> dict[str, list]:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
+def changes(old: dict[str, list], new: dict[str, list]) -> list[str]:
+    """What regenerating manifest *old* as *new* did: the number of keys
+    added, removed and changed, then each removed and each changed key."""
+    removed = sorted(old.keys() - new.keys())
+    changed = sorted(key for key in old.keys() & new.keys() if old[key] != new[key])
+    return [
+        f"{len(new.keys() - old.keys())} added, {len(removed)} removed, {len(changed)} changed",
+        *(f"removed: {key}" for key in removed),
+        *(f"changed: {key}" for key in changed),
+    ]
+
+
 def write_outputs(texts: dict[str, str], directory: Path) -> None:
     """One file per output, at its key's path under *directory*."""
     for key, text in texts.items():
@@ -234,6 +250,7 @@ def main(argv=None) -> int:
         lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in sorted(manifest.items())]
         MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
         print(f"{len(manifest)} outputs in {MANIFEST}", file=sys.stderr)
+        print("\n".join(changes(old, manifest)))
     return 0
 
 

@@ -12,9 +12,13 @@ versions with source revisions through the list-based
 ``link_source_to_docs``, builds each (element, document) timeline with
 ``build_timeline`` and ``SourceScanner.count_instances`` as its counts
 provider, and takes evidence from ``count_instances`` at the last positive
-revision. ``run_history_oracle`` takes the production deadline and reports
-a cut as ``run_history`` does. In both, a skipped or capped file warns at
-every revision the run visits (``warn_at``), whichever cells are counted.
+revision. A document whose head blob cannot be read warns and is skipped
+in scan. In history a document version whose blob cannot be read reads as
+absent, its source ordinals are the finding's failed ordinals, and each
+such blob warns once per document. ``run_history_oracle`` takes the
+production deadline and reports a cut as ``run_history`` does. In both, a
+skipped or capped file warns at every revision the run visits
+(``warn_at``), whichever cells are counted.
 Nothing is incremental, so their reports are the ones that ``run_scan``
 and ``run_history`` must reproduce byte for byte.
 """
@@ -49,6 +53,7 @@ from staleref.pipeline import RunConfig, ScanTimeout, _Project
 from staleref.reporting import MODE_CURRENT, MODE_HISTORY, Finding, ScanReport
 from staleref.revgraph import (
     Branch,
+    GitError,
     GitRepo,
     Revision,
     RevisionSequence,
@@ -396,6 +401,10 @@ def warn_at(scanner: SourceScanner, revisions, elements) -> None:
             scanner.count_instances(element, revision)
 
 
+def _unreadable(document: DocumentDescriptor, error: GitError) -> dict:
+    return {"kind": "unreadable_document", "document": document.path, "detail": str(error)}
+
+
 def run_scan_oracle(config: RunConfig) -> ScanReport:
     """Current-state scan that counts each (reference, revision) pair on its own."""
     deadline = pipeline._Deadline(config.timeout_seconds)
@@ -417,7 +426,11 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
         for document in documents:
             deadline.check()
             host = project.hosts[document.origin]
-            doc_text = read_text_at(host.repo, host.seq.head.sha, document.path)
+            try:
+                doc_text = read_text_at(host.repo, host.seq.head.sha, document.path)
+            except GitError as exc:
+                project.warnings.append(_unreadable(document, exc))
+                continue
             refs = extract_elements(doc_text, project.catalog, document)
             if not refs:
                 continue
@@ -475,17 +488,23 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
         project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
     )
     counts_provider = lambda element, rev: scanner.count_instances(element, rev).count
-    rows = []  # (element, document, linked pairs, refs by hosting sha, doc_sha)
+    # (element, document, linked pairs, refs by hosting sha, doc_sha, failed ordinals)
+    rows = []
     covered_from = n
     partial = False
     try:
         for document in documents:
             deadline.check()
             host = project.hosts[document.origin]
-            versions = []
+            versions, unreadable = [], {}  # unreadable: hosting sha -> blob
             for rev in host.seq.revisions:
                 blob = blob_at(host.repo, rev.sha, document.path)
-                text = None if blob is None else read_text_at(host.repo, rev.sha, document.path)
+                try:
+                    text = None if blob is None else read_text_at(host.repo, rev.sha, document.path)
+                except GitError as exc:
+                    if blob not in unreadable.values():
+                        project.warnings.append(_unreadable(document, exc))
+                    unreadable[rev.sha], text = blob, None
                 versions.append(DocVersion(document, rev, text))
             refs = {
                 version.revision.sha: frozenset(
@@ -502,8 +521,12 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                 if blob_at(host.repo, host.seq.head.sha, document.path)
                 else None
             )
+            failed = tuple(
+                i for i, (_, version) in enumerate(pairs)
+                if version is not None and version.revision.sha in unreadable
+            )
             rows += [
-                (element, document, pairs, refs, doc_sha)
+                (element, document, pairs, refs, doc_sha, failed)
                 for element in sorted(set().union(*refs.values()))
             ]
         for i in reversed(range(n)):
@@ -514,7 +537,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
 
     findings: list[Finding] = []
     extra_warnings: list[dict] = []
-    for element, document, pairs, refs, doc_sha in rows:
+    for element, document, pairs, refs, doc_sha, failed in rows:
         symbols = build_timeline(
             element, pairs[covered_from:], counts_provider, lambda dv: refs[dv.revision.sha]
         )
@@ -559,7 +582,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             evidence_sha=evidence_sha,
             doc_sha=doc_sha,
             symbols=symbols,
-            failed_ordinals=(),
+            failed_ordinals=failed,
             episodes=episodes,
         ))
     warn_at(scanner, seq.revisions[covered_from:], {row[0] for row in rows})

@@ -873,19 +873,13 @@ def build_all(base: Path) -> list[dict]:
 
 
 # Settings that the command line refuses before it starts any git process:
-# name -> (extra arguments, environment, config-file entries). The config
-# file names the repository too, so a "repo" entry replaces it.
+# name -> (arguments after --repo, environment). There is no config file:
+# --config is an unrecognized argument.
 BAD_SETTINGS = {
-    "config-repo-number": ([], {}, {"repo": 5}),
-    "config-exclude-number": ([], {}, {"exclude": 5}),
-    "config-extra-doc-glob-number-item": ([], {}, {"extra_doc_glob": ["docs/*", 1]}),
-    "config-out-list": ([], {}, {"out": ["report.json"]}),
-    "config-strict-episodes-maybe": ([], {}, {"strict_episodes": "maybe"}),
-    "config-strict-episodes-number": ([], {}, {"strict_episodes": 1}),
-    "env-strict-episodes-maybe": ([], {"STALEREF_STRICT_EPISODES": "maybe"}, {}),
-    "config-format-number": ([], {}, {"format": 5}),
-    "env-format-xml": ([], {"STALEREF_FORMAT": "xml"}, {}),
-    "scan-time-overflow": (["--scan-time", "100000000000000000000"], {}, {}),
-    "scan-time-year-14645": (["--scan-time", "400000000000"], {}, {}),
-    "scan-time-before-year-1": (["--scan-time=-100000000000"], {}, {}),
+    "config-flag": (["--config", "cfg.json"], {}),
+    "env-strict-episodes-maybe": ([], {"STALEREF_STRICT_EPISODES": "maybe"}),
+    "env-format-xml": ([], {"STALEREF_FORMAT": "xml"}),
+    "scan-time-overflow": (["--scan-time", "100000000000000000000"], {}),
+    "scan-time-year-14645": (["--scan-time", "400000000000"], {}),
+    "scan-time-before-year-1": (["--scan-time=-100000000000"], {}),
 }

@@ -1,11 +1,13 @@
 """Every output that ``byte_manifest.py`` lists keeps its bytes.
 
 After an intended change, regenerate the manifest with
-``python3 tests/byte_manifest.py --write`` and name each changed key, with
-its reason, in the change's description.
+``python3 tests/byte_manifest.py --write``, which names each removed and
+changed key, and give each its reason in the change's description.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -33,3 +35,19 @@ def test_outputs_keep_their_bytes(group, manifest, tmp_path):
             f"{len(differing)} outputs differ from {byte_manifest.MANIFEST.name}: "
             f"{', '.join(differing)}; this run's outputs are under {directory}"
         )
+
+
+def test_write_counts_and_names_the_keys_it_changes(manifest, tmp_path, monkeypatch, capsys):
+    # A copy of the catalog's keys with one edited, one dropped and one that
+    # no output has any more.
+    catalog = {key: value for key, value in manifest.items() if key.startswith("catalog/")}
+    copy = {**catalog, "catalog/stdout": [0, "0" * 64], "catalog/gone": [0, "0" * 64]}
+    del copy["catalog/exit"]
+    monkeypatch.setattr(byte_manifest, "MANIFEST", tmp_path / "manifest.json")
+    monkeypatch.setattr(byte_manifest, "GROUPS", ["catalog"])
+    byte_manifest.MANIFEST.write_text(json.dumps(copy), encoding="utf-8")
+    assert byte_manifest.main(["--write"]) == 0
+    assert capsys.readouterr().out == (
+        "1 added, 1 removed, 1 changed\nremoved: catalog/gone\nchanged: catalog/stdout\n"
+    )
+    assert byte_manifest.load_manifest() == catalog

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -335,17 +336,13 @@ class TestMaxFileBytes:
 
 
 class TestTimeoutValue:
-    @pytest.mark.parametrize("source", ["flag", "env", "config"])
-    def test_nan_budget_exits_2(self, dirty_repo, tmp_path, source):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"timeout": NaN}')
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_nan_budget_exits_2(self, dirty_repo, source):
         args, env = ["scan", "--repo", dirty_repo], None
         if source == "flag":
             args += ["--timeout", "nan"]
-        elif source == "env":
-            env = {"STALEREF_TIMEOUT": "NaN"}
         else:
-            args += ["--config", str(cfg)]
+            env = {"STALEREF_TIMEOUT": "NaN"}
         proc = run_cli(*args, env_extra=env)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "nan" in proc.stderr
@@ -357,29 +354,6 @@ class TestTimeoutValue:
 
 
 class TestConfigValueTypes:
-    @pytest.mark.parametrize("setting, detail", [
-        ({"scan_time": True}, "scan_time: expected an integer, got True"),
-        ({"scan_time": 1.5}, "scan_time: expected an integer, got 1.5"),
-        ({"timeout": True}, "timeout: expected a number, got True"),
-        ({"timeout": [1]}, "timeout: expected a number, got [1]"),
-        ({"max_file_bytes": 1.9}, "max_file_bytes: expected an integer, got 1.9"),
-        ({"max_file_bytes": False}, "max_file_bytes: expected an integer, got False"),
-        ({"exclude": 5}, "exclude: expected a string or a list of strings, got 5"),
-        ({"extra_doc_glob": ["a", 1]},
-         "extra_doc_glob: expected a string or a list of strings, got ['a', 1]"),
-        ({"repo": 5}, "repo: expected a string, got 5"),
-        ({"out": True}, "out: expected a string, got True"),
-        ({"strict_episodes": "maybe"}, "strict_episodes: expected a boolean, got 'maybe'"),
-        ({"strict_episodes": 0}, "strict_episodes: expected a boolean, got 0"),
-        ({"format": "xml"}, "format: expected json, csv or md, got 'xml'"),
-    ])
-    def test_wrong_json_type_exits_2(self, dirty_repo, tmp_path, setting, detail):
-        # The file names the repository, so that a "repo" entry replaces it.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"repo": dirty_repo, **setting}))
-        proc = run_cli("history", "--config", str(cfg))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {detail}\n")
-
     @pytest.mark.parametrize("word, strict", [
         ("true", True), (" Yes ", True), ("ON", True), ("1", True),
         ("false", False), ("no", False), ("Off", False), ("0", False),
@@ -387,17 +361,17 @@ class TestConfigValueTypes:
     def test_boolean_words_apply(self, word, strict):
         assert cli._truthy(word) is strict
 
-    def test_environment_strings_and_whole_json_numbers_apply(self, dirty_repo, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scan_time": int(PIN), "timeout": 60, "max_file_bytes": 10.0}))
-        by_file = run_cli("scan", "--repo", dirty_repo, "--config", str(cfg))
-        by_env = run_cli("scan", "--repo", dirty_repo, env_extra={
-            "STALEREF_SCAN_TIME": PIN, "STALEREF_TIMEOUT": "60", "STALEREF_MAX_FILE_BYTES": "10",
+    def test_environment_strings_apply_as_flags(self, dirty_repo):
+        by_flags = run_cli("scan", "--repo", dirty_repo, "--scan-time", PIN, "--timeout", "60",
+                           "--max-file-bytes", "10", "--exclude", "a", "--exclude", "b")
+        by_env = run_cli("scan", env_extra={
+            "STALEREF_REPO": dirty_repo, "STALEREF_SCAN_TIME": PIN, "STALEREF_TIMEOUT": "60",
+            "STALEREF_MAX_FILE_BYTES": "10", "STALEREF_EXCLUDE": "a,b",
         })
         # The 10-byte cap skips the only source file, so nothing reads outdated.
-        assert by_file.returncode == by_env.returncode == 0, by_file.stderr
-        assert by_file.stdout == by_env.stdout
-        report = json.loads(by_file.stdout)
+        assert by_flags.returncode == by_env.returncode == 0, by_env.stderr
+        assert by_flags.stdout == by_env.stdout
+        report = json.loads(by_env.stdout)
         assert report["scan_time_epoch"] == int(PIN)
         assert "oversized_file" in {warning["kind"] for warning in report["warnings"]}
 
@@ -445,16 +419,12 @@ class TestScanTime:
 class TestBadSettings:
     @pytest.mark.parametrize("mode", ["scan", "history"])
     @pytest.mark.parametrize("case", sorted(scenarios.BAD_SETTINGS))
-    def test_exit_2_before_any_git_process(
-        self, dirty_repo, tmp_path, monkeypatch, capsys, case, mode
-    ):
-        flags, env, setting = scenarios.BAD_SETTINGS[case]
+    def test_exit_2_before_any_git_process(self, dirty_repo, monkeypatch, capsys, case, mode):
+        flags, env = scenarios.BAD_SETTINGS[case]
         for name in [name for name in os.environ if name.startswith(cli.ENV_PREFIX)]:
             monkeypatch.delenv(name)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"repo": dirty_repo, **setting}))
         spawned = []
 
         class Recording(subprocess.Popen):
@@ -463,10 +433,14 @@ class TestBadSettings:
                 super().__init__(args, *rest, **kwargs)
 
         monkeypatch.setattr(subprocess, "Popen", Recording)
-        code = cli.main([mode, "--config", str(cfg), *flags])
+        try:
+            code = cli.main([mode, "--repo", dirty_repo, *flags])
+        except SystemExit as exit:  # argparse refused the arguments
+            code = exit.code
         out, err = capsys.readouterr()
         assert (code, out, spawned) == (2, "", [])
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        # One error line, after argparse's usage line where argparse refused.
+        assert re.fullmatch(r"(usage: staleref .*\nstaleref: )?error: .*\n", err), err
 
     def test_unforeseen_failure_prints_its_traceback_and_exits_2(
         self, dirty_repo, monkeypatch, capsys
@@ -655,30 +629,28 @@ class TestStats:
 
 
 class TestPrecedence:
-    def test_env_beats_config(self, dirty_repo, clean_repo, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"repo": clean_repo}))
-        proc = run_cli("scan", "--config", str(cfg),
-                       env_extra={"STALEREF_REPO": dirty_repo})
-        assert proc.returncode == 1
-
     def test_flag_beats_env(self, dirty_repo, clean_repo):
         proc = run_cli("scan", "--repo", clean_repo,
                        env_extra={"STALEREF_REPO": dirty_repo})
         assert proc.returncode == 0
 
-    def test_config_alone_applies(self, dirty_repo, tmp_path):
+    def test_config_variable_is_ignored(self, dirty_repo, tmp_path):
+        # A config file would have failed this run: its timeout is no number.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"repo": dirty_repo, "timeout": "soon"}))
+        args = ("history", "--repo", dirty_repo, "--scan-time", PIN)
+        with_variable = run_cli(*args, env_extra={"STALEREF_CONFIG": str(cfg)})
+        without = run_cli(*args)
+        assert with_variable.returncode == without.returncode == 1, with_variable.stderr
+        assert (with_variable.stdout, with_variable.stderr) == (without.stdout, without.stderr)
+
+    def test_config_flag_is_an_unrecognized_argument(self, dirty_repo, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"repo": dirty_repo}))
-        proc = run_cli("scan", env_extra={"STALEREF_CONFIG": str(cfg)})
-        assert proc.returncode == 1
-
-    def test_malformed_config_exits_2(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        proc = run_cli("scan", "--config", str(cfg))
-        assert proc.returncode == 2
-        assert "JSON object" in proc.stderr
+        proc = run_cli("scan", "--repo", dirty_repo, "--config", str(cfg))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: staleref ")
+        assert proc.stderr.endswith(f"staleref: error: unrecognized arguments: --config {cfg}\n")
 
 
 class TestDumpCatalog:

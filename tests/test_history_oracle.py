@@ -15,8 +15,11 @@ reader of ``oracle_revgraph``. On each repository
 ``oracle_history.run_history_oracle``. Both history runs are then cut by a
 fake deadline after a drawn number of checks, from none to all of them, and
 must render the same JSON and CSV in both strict modes, warnings included.
-A second pass runs both modes and both readers on a local
-``git clone --depth <drawn>`` of the source repository.
+A second pass runs both modes and both readers on a local clone of the
+source repository: either ``git clone --depth <drawn>``, or a
+``--filter=blob:none`` clone, with or without a checkout, whose origin is
+then moved away, so that it holds only the blobs of its checkout and cannot
+fetch the others.
 """
 
 from __future__ import annotations
@@ -295,12 +298,21 @@ def test_incremental_history_matches_per_cell_oracle(
                     cut_strict, fmt
                 )
 
-        depth = data.draw(st.integers(1, revisions), label="depth")
-        event("shallow clone" if depth < revisions else "clone of the whole history")
         clone = Path(tmp) / "clone"
-        subprocess.run(
-            ["git", "clone", "-q", "--depth", str(depth), f"file://{repo}", str(clone)],
-            check=True, capture_output=True,
-        )
+        if data.draw(st.booleans(), label="blob:none"):
+            # Without a checkout the clone holds no blob at all.
+            checkout = data.draw(st.booleans(), label="checkout")
+            event("blob:none clone whose origin moved away"
+                  + ("" if checkout else ", without a checkout"))
+            subprocess.run(["git", "-C", repo, "config", "uploadpack.allowfilter", "true"],
+                           check=True, capture_output=True)
+            how = ["--filter=blob:none", *([] if checkout else ["--no-checkout"])]
+        else:
+            depth = data.draw(st.integers(1, revisions), label="depth")
+            event("shallow clone" if depth < revisions else "clone of the whole history")
+            how = ["--depth", str(depth)]
+        subprocess.run(["git", "clone", "-q", *how, f"file://{repo}", str(clone)],
+                       check=True, capture_output=True)
+        Path(repo).rename(Path(tmp) / "origin-moved")
         _assert_readers_agree(str(clone))
         _assert_modes_match_oracles(RunConfig(str(clone), **settings, strict_episodes=strict))

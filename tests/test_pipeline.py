@@ -322,6 +322,19 @@ class TestHistoryScenarios:
                 run_history_oracle(config)
             ), manifest["name"]
 
+    def test_matches_oracles_where_cat_file_dies(self, manifests):
+        # A source blob counts nothing. A document is skipped in scan, and
+        # in history its version reads as absent, warns and marks its
+        # ordinals failed.
+        catfile_death = next(m for m in manifests if m["name"] == "catfile_death")
+        death = next(m for m in manifests if m["name"] == "readme_version_death")
+        cases = [(catfile_death, died["blob"]) for died in catfile_death["died"].values()]
+        for manifest, blob in [*cases, (death, death["unreadable_version"]["blob"])]:
+            config = config_for(manifest)
+            for run, oracle in ((run_scan, run_scan_oracle), (run_history, run_history_oracle)):
+                with scenarios.catfile_dies_at(blob):
+                    assert render_findings(run(config)) == render_findings(oracle(config)), blob
+
     def test_history_round_trips(self, manifests, monkeypatch):
         # Failed ordinals are the revisions that see an unreadable document
         # version: none where every version reads.

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
 import scenarios
+from staleref import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,6 +17,32 @@ def library_use_snippet() -> str:
     section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def shared_options_block() -> str:
+    """README's "Shared `scan`/`history` options" block, to the next heading."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("\nShared `scan`/`history` options:\n", 1)[1].split("\n## ", 1)[0]
+
+
+def parser_options(command: str) -> set[str]:
+    """The long options of a subcommand of ``cli.build_parser()``, --help aside."""
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {option for action in commands.choices[command]._actions
+            for option in action.option_strings if option.startswith("--")} - {"--help"}
+
+
+def test_shared_options_block_names_every_shared_option_and_no_other():
+    block = shared_options_block()
+    shared = parser_options("scan")
+    assert parser_options("history") == shared
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", block))
+    variables = set(re.findall(r"\bSTALEREF_[A-Z_]+", block))
+    assert flags == shared
+    assert variables, "the block names no environment variable"
+    assert {"--" + name.removeprefix("STALEREF_").lower().replace("_", "-")
+            for name in variables} <= shared, variables
 
 
 def test_library_use_snippet_prints_the_outdated_findings(tmp_path, monkeypatch, capsys):
