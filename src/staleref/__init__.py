@@ -16,15 +16,7 @@ from .docdiscovery import (
     ORIGIN_WIKI,
     discover_documents,
 )
-from .extraction import (
-    CatalogError,
-    CodeElementRef,
-    RegexCatalog,
-    RegexRule,
-    default_catalog,
-    extract_elements,
-    load_catalog,
-)
+from .extraction import CodeElementRef, extract_elements
 from .matching import (
     MatchConfig,
     STATUS_IN_SYNC,
@@ -73,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Aggregates",
-    "CatalogError",
     "CodeElementRef",
     "DiscoveryConfig",
     "DocumentDescriptor",
@@ -92,8 +83,6 @@ __all__ = [
     "ORIGIN_README",
     "ORIGIN_WIKI",
     "OutdatedEpisode",
-    "RegexCatalog",
-    "RegexRule",
     "Revision",
     "RevisionSequence",
     "RunConfig",
@@ -107,13 +96,11 @@ __all__ = [
     "classify_current",
     "compute_aggregates",
     "count_occurrences",
-    "default_catalog",
     "detect_episodes",
     "discover_documents",
     "expand_path_variants",
     "extract_elements",
     "link_source_to_docs",
-    "load_catalog",
     "parse_report",
     "render_findings",
     "render_issue_draft",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: scan, history, stats, dump-catalog. Each option of scan and
-history comes from its flag, or else from its STALEREF_<NAME> environment
-variable (STALEREF_REPO, STALEREF_MAX_FILE_BYTES, ...). A variable holds
-text: a repeatable option takes a comma-separated list (STALEREF_EXCLUDE=a,b),
+Subcommands: scan, history, stats. Each option of scan and history comes
+from its flag, or else from its STALEREF_<NAME> environment variable
+(STALEREF_REPO, STALEREF_MAX_FILE_BYTES, ...). A variable holds text: a
+repeatable option takes a comma-separated list (STALEREF_EXCLUDE=a,b),
 STALEREF_STRICT_EPISODES one of the words 1/true/yes/on or 0/false/no/off,
 and a number the text its flag takes.
 
@@ -21,7 +21,6 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from .docdiscovery import DiscoveryConfig
-from .extraction import DEFAULT_CATALOG_TEXT, load_catalog
 from .pipeline import RunConfig, project_home, run_history, run_scan
 from .reporting import (
     FORMAT_CSV,
@@ -55,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--repo", help="path to the source clone")
     shared.add_argument("--wiki", help="path to the wiki clone, 'auto', or 'none'")
     shared.add_argument("--branch", help="source branch (default: checked-out branch)")
-    shared.add_argument("--regex-file", help="rule catalog file replacing the built-in one")
     shared.add_argument(
         "--exclude", action="append", help="exclude glob for source scanning (repeatable)"
     )
@@ -98,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("reports", nargs="+", help="report files produced by scan/history")
     stats.add_argument("--format", choices=[FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN])
     stats.add_argument("--out")
-
-    dump = sub.add_parser("dump-catalog", help="print the built-in rule catalog")
-    dump.add_argument("--out")
 
     return parser
 
@@ -193,12 +188,10 @@ def _run_analysis(args, mode: str) -> int:
         print("error: --repo is required (flag or STALEREF_REPO)", file=sys.stderr)
         return EXIT_ERROR
 
-    regex_file = _opt(args, "regex_file")
     config = RunConfig(**_given(
         repo_path=repo,
         wiki_path=_resolve_wiki(repo, _opt(args, "wiki")),
         branch=_opt(args, "branch"),
-        catalog=load_catalog(Path(regex_file).read_text(encoding="utf-8")) if regex_file else None,
         discovery=DiscoveryConfig(**_given(
             readme_glob=_opt(args, "readme_glob"),
             extra_doc_globs=_opt(args, "extra_doc_glob", is_list=True),
@@ -247,18 +240,12 @@ def _cmd_stats(args) -> int:
     return EXIT_CLEAN
 
 
-def _cmd_dump_catalog(args) -> int:
-    _write_output(DEFAULT_CATALOG_TEXT, args.out)
-    return EXIT_CLEAN
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    commands = {"stats": _cmd_stats, "dump-catalog": _cmd_dump_catalog}
     try:
         if args.command in ("scan", "history"):
             return _run_analysis(args, args.command)
-        return commands[args.command](args)
+        return _cmd_stats(args)
     except (GitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -18,7 +18,7 @@ from .docdiscovery import (
     DocumentDescriptor,
     discover_documents,
 )
-from .extraction import RegexCatalog, default_catalog, element_texts
+from .extraction import element_texts
 from .matching import MAX_FILE_BYTES, HistoryCounter, MatchConfig, classify_current
 from .reporting import (
     MODE_CURRENT,
@@ -72,7 +72,6 @@ class RunConfig:
         repo_path: str,
         wiki_path: str | None = None,
         branch: str | None = None,
-        catalog: RegexCatalog | None = None,
         discovery: DiscoveryConfig = DiscoveryConfig(),
         exclude_globs: tuple[str, ...] = (),
         max_file_bytes: int = MAX_FILE_BYTES,
@@ -94,7 +93,6 @@ class RunConfig:
         self.repo_path = repo_path
         self.wiki_path = wiki_path
         self.branch = branch
-        self.catalog = catalog
         self.discovery = discovery
         self.exclude_globs = exclude_globs
         self.max_file_bytes = max_file_bytes
@@ -149,7 +147,6 @@ class _Project:
                 self.hosts[ORIGIN_WIKI] = Branch.open(config.wiki_path, None)
             except (MissingRepositoryError, EmptyHistoryError) as exc:
                 self.warnings.append({"kind": "wiki_unavailable", "detail": str(exc)})
-        self.catalog = config.catalog or default_catalog()
         # Line -> element texts, shared by every document the run extracts.
         self._line_elements: dict = {}
         self.url_base = config.url_base or _derive_url_base(self.source.repo)
@@ -212,7 +209,7 @@ class _Project:
                             read, data = next(stream)
                             if not isinstance(data, GitError):
                                 text = data.decode("utf-8", errors="replace")
-                                data = element_texts(text, self.catalog, self._line_elements)
+                                data = element_texts(text, self._line_elements)
                             refs[read] = data
                         if isinstance(refs[blob], GitError):
                             self.warnings.append({

@@ -12,7 +12,6 @@ own:
 * ``corpora``: the bench's smoke corpora of every workload at seeds 1 and 21
   through ``cli.main``, with stdout, stderr and exit code of each run, and
   ``stats`` over their JSON reports in every format;
-* ``catalog``: ``dump-catalog``;
 * ``bad_settings``: each of ``scenarios.BAD_SETTINGS`` in scan and history
   through ``cli.main``, with stdout, stderr and exit code, against a
   repository path that does not exist.
@@ -65,7 +64,7 @@ CLI_RUNS = {
     "issue": ["--url-base", "https://example.invalid/proj", "--issue-draft", "-"],
 }
 SCENARIOS = {b.__name__.removeprefix("build_"): b for b in scenarios.SCENARIO_BUILDERS}
-GROUPS = [*SCENARIOS, "corpora", "catalog", "bad_settings"]
+GROUPS = [*SCENARIOS, "corpora", "bad_settings"]
 
 
 class Patches:
@@ -181,9 +180,7 @@ def outputs(group: str, base: Path) -> dict[str, str] | None:
     with Patches.context() as monkeypatch:
         for name in [name for name in os.environ if name.startswith(cli.ENV_PREFIX)]:
             del os.environ[name]
-        if group == "catalog":
-            texts = _cli(["dump-catalog"])
-        elif group == "corpora":
+        if group == "corpora":
             texts = _corpus_outputs(base)
         elif group == "bad_settings":
             texts = _bad_setting_outputs(base)

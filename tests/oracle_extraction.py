@@ -1,8 +1,9 @@
 """Extraction without gates, used as a test oracle.
 
 ``mask_links_and_urls`` runs the link-destination, backtick-span and URL
-passes over every text, and ``matches`` runs every catalog rule over every
-text, whatever literals or character windows the text holds.
+passes over every text, and ``matches`` runs every rule of the module's
+table over every text, whatever literals or character windows the text
+holds.
 ``extract_elements`` orders and dedupes their matches as
 ``staleref.extraction.extract_elements`` does, so the production function,
 which skips a pass or a rule where a literal or a window it needs is missing,
@@ -16,8 +17,8 @@ from staleref.extraction import (
     _BACKTICK_INTERIOR_RE,
     _BARE_URL_RE,
     _LINK_DEST_RE,
+    _RULES,
     CodeElementRef,
-    RegexCatalog,
     _drop_contained,
     _mask_ranges,
     mask_fenced_blocks,
@@ -38,31 +39,29 @@ def mask_links_and_urls(text: str) -> str:
     return _mask_ranges(masked, url_ranges)
 
 
-def matches(
-    fenced: str, doc_text: str, catalog: RegexCatalog
-) -> list[tuple[int, int, int, str, str]]:
+def matches(fenced: str, doc_text: str) -> list[tuple[int, int, int, str, str]]:
     """(start, end, rule index, text, rule id) of every kept rule match."""
     masked = mask_links_and_urls(fenced)
     found: list[tuple[int, int, int, str, str]] = []
-    for rule_index, rule in enumerate(catalog.rules):
-        for m in rule.compiled.finditer(masked):
-            raw = m.group(rule.capture_group)
+    for rule_index, (rule_id, group, pattern, _, _) in enumerate(_RULES):
+        for m in pattern.finditer(masked):
+            raw = m.group(group)
             if raw is None:
                 continue
             text = raw.strip()
             if len(text) < MIN_ELEMENT_LENGTH:
                 continue
-            start = m.start(rule.capture_group) + (len(raw) - len(raw.lstrip()))
+            start = m.start(group) + (len(raw) - len(raw.lstrip()))
             end = start + len(text)
             if doc_text[start:end] != text:
                 continue
-            found.append((start, end, rule_index, text, rule.id))
+            found.append((start, end, rule_index, text, rule_id))
     return _drop_contained(found)
 
 
-def extract_elements(doc_text: str, catalog: RegexCatalog) -> list[CodeElementRef]:
+def extract_elements(doc_text: str) -> list[CodeElementRef]:
     """The first span of each distinct element text, in document order."""
-    found = matches(mask_fenced_blocks(doc_text), doc_text, catalog)
+    found = matches(mask_fenced_blocks(doc_text), doc_text)
     found.sort(key=lambda item: (item[0], item[1], item[2]))
     refs: list[CodeElementRef] = []
     seen: set[str] = set()

@@ -873,10 +873,11 @@ def build_all(base: Path) -> list[dict]:
 
 
 # Settings that the command line refuses before it starts any git process:
-# name -> (arguments after --repo, environment). There is no config file:
-# --config is an unrecognized argument.
+# name -> (arguments after --repo, environment). There is no config file and
+# no rule catalog file: --config and --regex-file are unrecognized arguments.
 BAD_SETTINGS = {
     "config-flag": (["--config", "cfg.json"], {}),
+    "regex-file-flag": (["--regex-file", "rules.tsv"], {}),
     "env-strict-episodes-maybe": ([], {"STALEREF_STRICT_EPISODES": "maybe"}),
     "env-format-xml": ([], {"STALEREF_FORMAT": "xml"}),
     "scan-time-overflow": (["--scan-time", "100000000000000000000"], {}),

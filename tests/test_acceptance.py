@@ -30,7 +30,6 @@ from staleref import (
     RevisionSequence,
     RunConfig,
     count_occurrences,
-    default_catalog,
     detect_episodes,
     expand_path_variants,
     extract_elements,
@@ -62,7 +61,6 @@ def shape(episodes):
 @pytest.mark.criterion("regex golden set: template, backtick, and bare-url cases exact (<1s)")
 def test_regex_golden_suite():
     start = time.monotonic()
-    catalog = default_catalog()
     cases = [
         ("use `Worker<T>` and ArrayList<String>", ["Worker<T>", "ArrayList<String>"]),
         ("returns Callback<SimpleResponse> to the caller", ["Callback<SimpleResponse>"]),
@@ -70,10 +68,10 @@ def test_regex_golden_suite():
         ("", []),
     ]
     for text, expected in cases:
-        assert [r.text for r in extract_elements(text, catalog)] == expected, text
+        assert [r.text for r in extract_elements(text)] == expected, text
 
     text = "run `renderFiles('./files')` after edits"
-    refs = extract_elements(text, catalog)
+    refs = extract_elements(text)
     assert [r.text for r in refs] == ["renderFiles('./files')"]
     lo, hi = refs[0].span
     assert text[lo:hi] == "renderFiles('./files')"

@@ -38,16 +38,17 @@ def test_outputs_keep_their_bytes(group, manifest, tmp_path):
 
 
 def test_write_counts_and_names_the_keys_it_changes(manifest, tmp_path, monkeypatch, capsys):
-    # A copy of the catalog's keys with one edited, one dropped and one that
-    # no output has any more.
-    catalog = {key: value for key, value in manifest.items() if key.startswith("catalog/")}
-    copy = {**catalog, "catalog/stdout": [0, "0" * 64], "catalog/gone": [0, "0" * 64]}
-    del copy["catalog/exit"]
+    # A copy of the bad settings' keys with one edited, one dropped and one
+    # that no output has any more.
+    group = {key: value for key, value in manifest.items() if key.startswith("bad_settings/")}
+    edited, dropped = "bad_settings/config-flag/scan/stdout", "bad_settings/config-flag/scan/exit"
+    copy = {**group, edited: [0, "0" * 64], "bad_settings/gone": [0, "0" * 64]}
+    del copy[dropped]
     monkeypatch.setattr(byte_manifest, "MANIFEST", tmp_path / "manifest.json")
-    monkeypatch.setattr(byte_manifest, "GROUPS", ["catalog"])
+    monkeypatch.setattr(byte_manifest, "GROUPS", ["bad_settings"])
     byte_manifest.MANIFEST.write_text(json.dumps(copy), encoding="utf-8")
     assert byte_manifest.main(["--write"]) == 0
     assert capsys.readouterr().out == (
-        "1 added, 1 removed, 1 changed\nremoved: catalog/gone\nchanged: catalog/stdout\n"
+        f"1 added, 1 removed, 1 changed\nremoved: bad_settings/gone\nchanged: {edited}\n"
     )
-    assert byte_manifest.load_manifest() == catalog
+    assert byte_manifest.load_manifest() == group

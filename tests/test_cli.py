@@ -652,25 +652,19 @@ class TestPrecedence:
         assert proc.stderr.startswith("usage: staleref ")
         assert proc.stderr.endswith(f"staleref: error: unrecognized arguments: --config {cfg}\n")
 
-
-class TestDumpCatalog:
-    def test_stable_and_complete(self, tmp_path):
-        first = run_cli("dump-catalog")
-        second = run_cli("dump-catalog")
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-        assert "template-class" in first.stdout
-
-        out = tmp_path / "catalog.tsv"
-        run_cli("dump-catalog", "--out", str(out))
-        assert out.read_text() == first.stdout
-
-    def test_dumped_catalog_as_regex_file_gives_default_bytes(self, dirty_repo, tmp_path):
-        catalog = tmp_path / "catalog.tsv"
-        assert run_cli("dump-catalog", "--out", str(catalog)).returncode == 0
+    def test_regex_file_variable_is_ignored(self, dirty_repo, tmp_path):
+        # A rule catalog would have failed these runs: its line has no pattern.
+        rules = tmp_path / "rules.tsv"
+        rules.write_text("only-two-fields\t0\n")
         for mode in ("scan", "history"):
-            default = run_cli(mode, "--repo", dirty_repo, "--scan-time", PIN)
-            custom = run_cli(mode, "--repo", dirty_repo, "--scan-time", PIN,
-                             "--regex-file", str(catalog))
-            assert default.returncode == custom.returncode == 1, mode
-            assert custom.stdout == default.stdout, mode
+            args = (mode, "--repo", dirty_repo, "--scan-time", PIN)
+            with_variable = run_cli(*args, env_extra={"STALEREF_REGEX_FILE": str(rules)})
+            without = run_cli(*args)
+            assert with_variable.returncode == without.returncode == 1, with_variable.stderr
+            assert (with_variable.stdout, with_variable.stderr) == (without.stdout, without.stderr)
+
+    def test_dump_catalog_is_an_invalid_choice(self):
+        proc = run_cli("dump-catalog")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: staleref ")
+        assert "staleref: error: argument command: invalid choice: 'dump-catalog'" in proc.stderr

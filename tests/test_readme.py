@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import scenarios
-from staleref import cli
+from staleref import cli, extraction
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,6 +23,12 @@ def shared_options_block() -> str:
     """README's "Shared `scan`/`history` options" block, to the next heading."""
     text = README.read_text(encoding="utf-8")
     return text.split("\nShared `scan`/`history` options:\n", 1)[1].split("\n## ", 1)[0]
+
+
+def rule_list() -> str:
+    """The bullet list after "nine fixed rules run, in this order:"."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("nine fixed rules run, in this order:\n\n", 1)[1].split("\n\n", 1)[0]
 
 
 def parser_options(command: str) -> set[str]:
@@ -43,6 +49,11 @@ def test_shared_options_block_names_every_shared_option_and_no_other():
     assert variables, "the block names no environment variable"
     assert {"--" + name.removeprefix("STALEREF_").lower().replace("_", "-")
             for name in variables} <= shared, variables
+
+
+def test_rule_list_names_every_rule_in_order():
+    ids = re.findall(r"^- `([a-z-]+)`: ", rule_list(), re.MULTILINE)
+    assert ids == [rule_id for rule_id, *_ in extraction._RULES]
 
 
 def test_library_use_snippet_prints_the_outdated_findings(tmp_path, monkeypatch, capsys):

@@ -124,6 +124,32 @@ class TestLinearize:
         with pytest.raises(EmptyHistoryError):
             repo.linearize_history()
 
+    @pytest.mark.parametrize("commits, branch, error, expected", [
+        (2, "does-not-exist", UnknownBranchError, ["log", "rev-parse --verify", "symbolic-ref"]),
+        (0, None, EmptyHistoryError, ["log", "symbolic-ref", "rev-parse --verify"]),
+        (2, "main~1..main", UnknownBranchError, ["rev-parse --verify", "symbolic-ref"]),
+    ], ids=["unknown-branch", "unborn-default", "range"])
+    def test_failed_listing_costs_a_verify_and_a_symbolic_ref(
+        self, repo_factory, monkeypatch, commits, branch, error, expected
+    ):
+        # Named or the default, a branch that cannot be listed starts one
+        # rev-parse --verify and one symbolic-ref; a range is never listed.
+        builder = repo_factory()
+        for i in range(commits):
+            builder.commit(T + i, {"f.txt": f"v{i}\n"})
+        repo = GitRepo(builder.path)
+        spawned = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, args, *rest, **kwargs):
+                spawned.append(" ".join(args[3:5]) if args[3] == "rev-parse" else args[3])
+                super().__init__(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        with pytest.raises(error):
+            repo.first_parent_history(branch)
+        assert spawned == expected
+
 
 def blobs_at(repo, revision):
     """path -> blob at *revision*, from one tree listing."""
