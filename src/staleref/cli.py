@@ -3,9 +3,8 @@
 Subcommands: scan, history, stats. Each option of scan and history comes
 from its flag, or else from its STALEREF_<NAME> environment variable
 (STALEREF_REPO, STALEREF_MAX_FILE_BYTES, ...). A variable holds text: a
-repeatable option takes a comma-separated list (STALEREF_EXCLUDE=a,b),
-STALEREF_STRICT_EPISODES one of the words 1/true/yes/on or 0/false/no/off,
-and a number the text its flag takes.
+repeatable option takes a comma-separated list (STALEREF_EXCLUDE=a,b), and
+a number the text its flag takes.
 
 Exit codes: 0 no outdated references, 1 outdated references found, 2 error,
 3 timed out (partial report still written).
@@ -70,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--extra-doc-glob",
         action="append",
         help="treat matching source files as documentation too (repeatable)",
-    )
-    shared.add_argument(
-        "--strict-episodes",
-        action="store_true",
-        default=None,
-        help="only open an episode when the reference was in sync immediately before",
     )
     shared.add_argument(
         "--issue-draft", help="also write a Markdown issue draft here ('-' for stdout)"
@@ -153,15 +146,6 @@ def _parse_scan_time(value: str) -> int:
     return seconds - offset if sign == "+" else seconds + offset
 
 
-def _truthy(value) -> bool:
-    """One of the words 1/true/yes/on and 0/false/no/off, or the flag's True,
-    whose text is one of them."""
-    word = str(value).strip().lower()
-    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return word in ("1", "true", "yes", "on")
-
-
 def _resolve_wiki(repo_path: str, wiki_opt: str | None) -> str | None:
     wiki_opt = wiki_opt or "auto"
     if wiki_opt == "none":
@@ -201,7 +185,6 @@ def _run_analysis(args, mode: str) -> int:
         scan_time=_opt(args, "scan_time", cast=_parse_scan_time),
         timeout_seconds=_opt(args, "timeout", cast=float),
         url_base=_opt(args, "url_base"),
-        strict_episodes=_opt(args, "strict_episodes", cast=_truthy),
     ))
     fmt = _opt(args, "format", default=FORMAT_JSON, cast=_format)
     out = _opt(args, "out")
@@ -224,12 +207,15 @@ def _run_analysis(args, mode: str) -> int:
 
 
 def _parsed_reports(paths: list[str]):
-    """Each report file parsed in turn; the first that fails names its path."""
+    """Each report file parsed in turn; the first that fails, or that a
+    timeout cut short, names its path."""
     for path in paths:
         try:
             report = parse_report(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if report.partial:
+            raise ValueError(f"{path}: partial report (the run timed out), not pooled")
         yield report
 
 

@@ -150,7 +150,7 @@ def _drop_contained(
     Equal spans (the same text hit by two rules) are kept; the later text
     dedupe picks the lower-index rule. Sorting by (start, -end) means every
     potential container precedes its containees, so one running maximum-extent
-    span is enough to detect strict containment.
+    span is enough to detect a span that lies strictly inside another.
     """
     ordered = sorted(matches, key=lambda item: (item[0], -item[1]))
     kept: list[tuple[int, int, int, str, str]] = []

@@ -78,7 +78,6 @@ class RunConfig:
         scan_time: int | None = None,
         timeout_seconds: float = 86_400.0,
         url_base: str | None = None,
-        strict_episodes: bool = False,
     ):
         if max_file_bytes <= 0:
             raise ValueError(f"max_file_bytes must be positive, got {max_file_bytes}")
@@ -99,7 +98,6 @@ class RunConfig:
         self.scan_time = scan_time
         self.timeout_seconds = timeout_seconds
         self.url_base = url_base
-        self.strict_episodes = strict_episodes
 
     def resolved_project_id(self) -> str:
         return project_home(self.repo_path)[1]
@@ -422,7 +420,7 @@ def run_history(config: RunConfig) -> ScanReport:
             current_count=symbols[-1] if is_count(symbols[-1]) else None,
             evidence=found, evidence_sha=found_sha, doc_sha=doc_sha, symbols=symbols,
             failed_ordinals=failed,
-            episodes=detect_episodes(symbols, revisions, config.strict_episodes, project.scan_time),
+            episodes=detect_episodes(symbols, revisions, scan_time=project.scan_time),
         ))
     project.warnings += [
         {

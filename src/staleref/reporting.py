@@ -368,6 +368,9 @@ def parse_report(text: str) -> ScanReport:
                              f"revisions: {covered_from!r}")
         history = data.get("mode") == MODE_HISTORY
         findings = [_parse_finding(f, revisions, covered_from, history) for f in data["findings"]]
+        mode = data["mode"]
+        if mode not in (MODE_CURRENT, MODE_HISTORY):
+            raise ValueError(f"unknown report mode: {mode!r}")
         if data["aggregates"] != compute_aggregates(findings)._asdict():
             raise ValueError("aggregates disagree with the findings")
         scan_time = data["scan_time_epoch"]
@@ -383,7 +386,7 @@ def parse_report(text: str) -> ScanReport:
         return ScanReport(
             project_id=data["project"],
             scan_time=scan_time,
-            mode=data["mode"],
+            mode=mode,
             findings=findings,
             warnings=data.get("warnings", []),
             revisions=revisions,

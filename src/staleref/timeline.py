@@ -76,7 +76,7 @@ class OutdatedEpisode(
 def detect_episodes(
     symbols: tuple[Symbol, ...],
     revisions: tuple[Revision, ...],
-    strict: bool = False,
+    *,
     scan_time: int | None = None,
 ) -> list[OutdatedEpisode]:
     """Find every outdated episode in a timeline, in one pass over its symbols.
@@ -84,11 +84,8 @@ def detect_episodes(
     ``symbols[i]`` belongs to ``revisions[i]``; a fix records the sha and
     timestamp of the revision it happened at.
 
-    By default a zero opens an episode whenever any positive count appears
-    anywhere earlier, even across intervening NoReference symbols. With
-    ``strict`` the last doc-present symbol before the zero run must itself be
-    a positive count, which drops stretches where the reference had already
-    been removed from the document and only later re-added.
+    A zero opens an episode whenever any positive count appears anywhere
+    earlier, even across intervening NoReference symbols.
 
     An open episode remembers the first DocAbsent of a gap. Zeros after the
     gap resume it; any other symbol closes it, at the gap if there is one.
@@ -101,7 +98,7 @@ def detect_episodes(
     episodes: list[OutdatedEpisode] = []
     start: int | None = None  # first zero of the open episode
     gap: int | None = None  # first DocAbsent after the open episode's zeros
-    seen_positive = last_present_positive = False
+    seen_positive = False
 
     def close(end: int, kind: str) -> None:
         revision = revisions[end]
@@ -117,7 +114,7 @@ def detect_episodes(
         elif symbol == 0:
             if start is not None:
                 gap = None
-            elif last_present_positive if strict else seen_positive:
+            elif seen_positive:
                 start = i
         else:
             if gap is not None:
@@ -125,8 +122,7 @@ def detect_episodes(
             elif start is not None:
                 close(i, FIX_DOC_UPDATE if symbol == NO_REFERENCE else FIX_SOURCE_CHANGE)
             start = gap = None
-            last_present_positive = symbol != NO_REFERENCE
-            seen_positive = seen_positive or last_present_positive
+            seen_positive = seen_positive or symbol != NO_REFERENCE
     if gap is not None:
         close(gap, FIX_DOC_DELETE)
     elif start is not None:

@@ -4,11 +4,11 @@ Each output is one text the program writes, under a key that says where it
 comes from. The outputs fall into groups, each built in a directory of its
 own:
 
-* one group per scenario of ``scenarios.py``, run in scan and in both
-  history strict modes: the report as JSON, CSV and Markdown, and the issue
-  draft where a finding is currently outdated; JSON and CSV at every
-  fake-deadline cut; and the runs whose ``cat-file`` child dies at the blob
-  the scenario names. Every format is rendered from one run's report;
+* one group per scenario of ``scenarios.py``, run in scan and in history:
+  the report as JSON, CSV and Markdown, and the issue draft where a finding
+  is currently outdated; JSON and CSV at every fake-deadline cut; and the
+  runs whose ``cat-file`` child dies at the blob the scenario names. Every
+  format is rendered from one run's report;
 * ``corpora``: the bench's smoke corpora of every workload at seeds 1 and 21
   through ``cli.main``, with stdout, stderr and exit code of each run, and
   ``stats`` over their JSON reports in every format;
@@ -57,8 +57,7 @@ from staleref.reporting import (  # noqa: E402
 )
 
 PLACEHOLDER = "<tmp>"
-RUNS = {"scan": (run_scan, False), "history": (run_history, False),
-        "history-strict": (run_history, True)}
+RUNS = {"scan": run_scan, "history": run_history}
 CLI_RUNS = {
     "json": [], "csv": ["--format", "csv"], "md": ["--format", "md"],
     "issue": ["--url-base", "https://example.invalid/proj", "--issue-draft", "-"],
@@ -113,8 +112,8 @@ def _scenario_outputs(builder, base: Path, monkeypatch) -> dict[str, str] | None
     if manifest is None:
         return None
     outputs: dict[str, str] = {}
-    for mode, (run, strict) in RUNS.items():
-        config = scenarios.config_for(manifest, strict_episodes=strict)
+    config = scenarios.config_for(manifest)
+    for mode, run in RUNS.items():
         total = checks_of(monkeypatch, run, config)
         for checks in range(total + 1):
             with monkeypatch.context() as m:
@@ -154,7 +153,6 @@ def _corpus_outputs(base: Path) -> dict[str, str]:
             for mode in ("scan", "history"):
                 for name, extra in CLI_RUNS.items():
                     record(f"{key}/{mode}/{name}", [mode, *args, *extra])
-            record(f"{key}/history/strict", ["history", *args, "--strict-episodes"])
             reports.append(base / f"{workload}-{seed}.json")
             reports[-1].write_text(texts[f"{key}/{built.mode}/json/stdout"], encoding="utf-8")
     for fmt in ("json", "csv", "md"):

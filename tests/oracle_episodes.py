@@ -19,21 +19,16 @@ def _is_positive(symbol) -> bool:
     return isinstance(symbol, int) and not isinstance(symbol, bool) and symbol > 0
 
 
-def _eligible(symbols, i: int, strict: bool) -> bool:
-    if strict:
-        j = i - 1
-        while j >= 0 and symbols[j] == DOT:
-            j -= 1
-        return j >= 0 and _is_positive(symbols[j])
+def _eligible(symbols, i: int) -> bool:
     return any(_is_positive(s) for s in symbols[:i])
 
 
-def episodes_oracle(symbols, strict: bool = False) -> list[tuple]:
+def episodes_oracle(symbols) -> list[tuple]:
     n = len(symbols)
     out: list[tuple] = []
     i = 0
     while i < n:
-        if symbols[i] != 0 or not _eligible(symbols, i, strict):
+        if symbols[i] != 0 or not _eligible(symbols, i):
             i += 1
             continue
         start = i

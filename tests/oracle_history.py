@@ -551,9 +551,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             episode._replace(duration_seconds=episode_duration(
                 episode, seq.revisions, project.scan_time
             ))
-            for episode in detect_episodes(
-                symbols, seq.revisions, strict=config.strict_episodes
-            )
+            for episode in detect_episodes(symbols, seq.revisions)
         ]
         for episode in episodes:
             if not episode.ongoing and episode.duration_seconds < 0:

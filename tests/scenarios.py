@@ -873,12 +873,13 @@ def build_all(base: Path) -> list[dict]:
 
 
 # Settings that the command line refuses before it starts any git process:
-# name -> (arguments after --repo, environment). There is no config file and
-# no rule catalog file: --config and --regex-file are unrecognized arguments.
+# name -> (arguments after --repo, environment). There is no config file, no
+# rule catalog file and one episode rule: --config, --regex-file and
+# --strict-episodes are unrecognized arguments.
 BAD_SETTINGS = {
     "config-flag": (["--config", "cfg.json"], {}),
     "regex-file-flag": (["--regex-file", "rules.tsv"], {}),
-    "env-strict-episodes-maybe": ([], {"STALEREF_STRICT_EPISODES": "maybe"}),
+    "strict-episodes-flag": (["--strict-episodes"], {}),
     "env-format-xml": ([], {"STALEREF_FORMAT": "xml"}),
     "scan-time-overflow": (["--scan-time", "100000000000000000000"], {}),
     "scan-time-year-14645": (["--scan-time", "400000000000"], {}),

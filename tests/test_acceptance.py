@@ -190,12 +190,9 @@ def test_brute_force_oracle_equivalence():
     cases = 0
     for _ in range(520):
         n_revisions = rng.randint(1, 8)
-        strict = rng.random() < 0.5
         for _ in range(rng.randint(1, 5)):
             symbols = [rng.choice(alphabet) for _ in range(n_revisions)]
-            got = shape(detect_episodes(*tl(symbols), strict=strict))
-            want = episodes_oracle(symbols, strict=strict)
-            assert got == want, (symbols, strict)
+            assert shape(detect_episodes(*tl(symbols))) == episodes_oracle(symbols), symbols
         cases += 1
     assert cases >= 500
     assert time.monotonic() - start < 30.0

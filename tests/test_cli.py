@@ -187,10 +187,6 @@ class TestHistory:
         assert a.returncode == b.returncode == 1
         assert one.read_bytes() == two.read_bytes()
 
-    def test_strict_episodes_flag_accepted(self, dirty_repo):
-        proc = run_cli("history", "--repo", dirty_repo, "--strict-episodes")
-        assert proc.returncode == 1
-
 
 class TestRepositoryShapes:
     """Repositories whose object names or paths once ended both modes in exit 2."""
@@ -354,13 +350,6 @@ class TestTimeoutValue:
 
 
 class TestConfigValueTypes:
-    @pytest.mark.parametrize("word, strict", [
-        ("true", True), (" Yes ", True), ("ON", True), ("1", True),
-        ("false", False), ("no", False), ("Off", False), ("0", False),
-    ])
-    def test_boolean_words_apply(self, word, strict):
-        assert cli._truthy(word) is strict
-
     def test_environment_strings_apply_as_flags(self, dirty_repo):
         by_flags = run_cli("scan", "--repo", dirty_repo, "--scan-time", PIN, "--timeout", "60",
                            "--max-file-bytes", "10", "--exclude", "a", "--exclude", "b")
@@ -559,6 +548,7 @@ class TestStats:
          "scan_time is not the RFC 3339 form of scan_time_epoch"),
         (lambda report: report.update(scan_time_epoch=10**20),
          "scan_time is not the RFC 3339 form of scan_time_epoch"),
+        (lambda report: report.update(mode="bogus"), "unknown report mode: 'bogus'"),
     ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
             "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
             "revision-sha-not-hex", "episode-duration-text", "partial-without-failed-ordinals",
@@ -568,7 +558,8 @@ class TestStats:
             "revision-timestamp-text", "revision-timestamp-bool", "episode-start-past-revisions",
             "symbols-string", "symbols-object", "aggregates-disagree", "aggregates-missing",
             "covered-from-negative", "scan-time-epoch-bool", "scan-time-epoch-float",
-            "scan-time-epoch-text", "scan-time-disagrees", "scan-time-epoch-out-of-range"])
+            "scan-time-epoch-text", "scan-time-disagrees", "scan-time-epoch-out-of-range",
+            "mode-bogus"])
     def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
         # A callable payload spoils one field of a valid history report.
         if callable(payload):
@@ -602,6 +593,18 @@ class TestStats:
         proc = run_cli("stats", *good, str(bad), good[0], "--out", str(out))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {bad}: unsupported report schema_version: None\n"
+        assert proc.stdout == "" and not out.exists()
+
+    def test_a_timed_out_report_is_not_pooled(self, dirty_repo, clean_repo, tmp_path):
+        part = tmp_path / "part.json"
+        timed_out = run_cli("history", "--repo", dirty_repo, "--timeout", "0.000001",
+                            "--out", str(part))
+        assert timed_out.returncode == 3 and json.loads(part.read_text())["partial"] is True
+        good = self.make_reports(dirty_repo, clean_repo, tmp_path)
+        out = tmp_path / "agg.json"
+        proc = run_cli("stats", *good, str(part), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {part}: partial report ")
         assert proc.stdout == "" and not out.exists()
 
     def test_peak_memory_stays_flat_as_reports_add_up(self, tmp_path):
@@ -659,6 +662,15 @@ class TestPrecedence:
         for mode in ("scan", "history"):
             args = (mode, "--repo", dirty_repo, "--scan-time", PIN)
             with_variable = run_cli(*args, env_extra={"STALEREF_REGEX_FILE": str(rules)})
+            without = run_cli(*args)
+            assert with_variable.returncode == without.returncode == 1, with_variable.stderr
+            assert (with_variable.stdout, with_variable.stderr) == (without.stdout, without.stderr)
+
+    def test_strict_episodes_variable_is_ignored(self, dirty_repo):
+        # "maybe" is no boolean word: reading the variable would fail these runs.
+        for mode in ("scan", "history"):
+            args = (mode, "--repo", dirty_repo, "--scan-time", PIN)
+            with_variable = run_cli(*args, env_extra={"STALEREF_STRICT_EPISODES": "maybe"})
             without = run_cli(*args)
             assert with_variable.returncode == without.returncode == 1, with_variable.stderr
             assert (with_variable.stdout, with_variable.stderr) == (without.stdout, without.stderr)

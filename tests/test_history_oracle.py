@@ -7,14 +7,14 @@ timestamps, a root README moved to README.rst and back, an optional wiki
 whose commits keep the order drawn, so their timestamps may go backwards,
 gitlinks and paths that switch between a gitlink and a blob, names whose
 bytes are no UTF-8) and random run settings (exclude globs, a small
-per-file cap, a small size cap, a strict mode).
+per-file cap, a small size cap).
 Each repository's ``GitRepo.first_parent_history`` must equal the two-call
 reader of ``oracle_revgraph``. On each repository
 ``run_scan`` must render the same report, byte for byte, as
 ``oracle_history.run_scan_oracle``, and ``run_history`` the same as
 ``oracle_history.run_history_oracle``. Both history runs are then cut by a
 fake deadline after a drawn number of checks, from none to all of them, and
-must render the same JSON and CSV in both strict modes, warnings included.
+must render the same JSON and CSV, warnings included.
 A second pass runs both modes and both readers on a local clone of the
 source repository: either ``git clone --depth <drawn>``, or a
 ``--filter=blob:none`` clone, with or without a checkout, whose origin is
@@ -252,11 +252,10 @@ def _symbols(report) -> dict:
     exclude=st.sampled_from([(), ("vendor/",), ("*.txt",), ("lib/util.py",)]),
     max_file_bytes=st.sampled_from([10 * 1024 * 1024, 60]),
     cap=st.sampled_from([None, 2]),
-    strict=st.booleans(),
     data=st.data(),
 )
 def test_incremental_history_matches_per_cell_oracle(
-    steps, wiki_steps, exclude, max_file_bytes, cap, strict, data
+    steps, wiki_steps, exclude, max_file_bytes, cap, data
 ):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         repo, wiki = _build(Path(tmp), steps, wiki_steps)
@@ -268,7 +267,7 @@ def test_incremental_history_matches_per_cell_oracle(
             max_file_bytes=max_file_bytes,
             scan_time=T0 + 100 * STEP,
         )
-        config = RunConfig(repo, **settings, strict_episodes=strict)
+        config = RunConfig(repo, **settings)
         for shape in _drawn_shapes(steps):
             event(shape)
         _assert_readers_agree(repo, wiki)
@@ -283,20 +282,16 @@ def test_incremental_history_matches_per_cell_oracle(
         documents = total - revisions
         event("cut among documents" if checks < documents
               else "cut among revisions" if checks < total else "no cut")
-        for cut_strict in (False, True):
-            cut_config = RunConfig(repo, **settings, strict_episodes=cut_strict)
-            with mp.context() as m:
-                cut_after(m, checks)
-                got = run_history(cut_config)
-            with mp.context() as m:
-                cut_after(m, checks)
-                expected = run_history_oracle(cut_config)
-            assert got.partial is (checks < total)
-            assert got.warnings == expected.warnings, cut_strict
-            for fmt in ("json", FORMAT_CSV):
-                assert render_findings(got, fmt) == render_findings(expected, fmt), (
-                    cut_strict, fmt
-                )
+        with mp.context() as m:
+            cut_after(m, checks)
+            got = run_history(config)
+        with mp.context() as m:
+            cut_after(m, checks)
+            expected = run_history_oracle(config)
+        assert got.partial is (checks < total)
+        assert got.warnings == expected.warnings
+        for fmt in ("json", FORMAT_CSV):
+            assert render_findings(got, fmt) == render_findings(expected, fmt), fmt
 
         clone = Path(tmp) / "clone"
         if data.draw(st.booleans(), label="blob:none"):
@@ -315,4 +310,4 @@ def test_incremental_history_matches_per_cell_oracle(
                        check=True, capture_output=True)
         Path(repo).rename(Path(tmp) / "origin-moved")
         _assert_readers_agree(str(clone))
-        _assert_modes_match_oracles(RunConfig(str(clone), **settings, strict_episodes=strict))
+        _assert_modes_match_oracles(RunConfig(str(clone), **settings))

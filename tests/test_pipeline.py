@@ -199,16 +199,14 @@ class TestScanScenarios:
 
 
 class TestAggregatesCheck:
-    @pytest.mark.parametrize("run, strict", [
-        (run_scan, False), (run_history, False), (run_history, True),
-    ], ids=["scan", "history", "history-strict"])
-    def test_every_report_and_cut_parses_back(self, manifests, monkeypatch, run, strict):
+    @pytest.mark.parametrize("run", [run_scan, run_history], ids=["scan", "history"])
+    def test_every_report_and_cut_parses_back(self, manifests, monkeypatch, run):
         # parse_report checks the aggregates block against the findings; no
         # report that a run writes, complete or cut at any check, fails it.
         # The complete run comes first: the CSV table of a history run cut
         # at any check is the part of the complete table that it covers.
         for manifest in manifests:
-            config = config_for(manifest, strict_episodes=strict)
+            config = config_for(manifest)
             for checks in reversed(range(checks_of(monkeypatch, run, config) + 1)):
                 with monkeypatch.context() as m:
                     cut_after(m, checks)

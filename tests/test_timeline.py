@@ -143,12 +143,8 @@ class TestDetectEpisodes:
         episodes = detect_episodes(*tl([3, 0, NO_REFERENCE, 0]))
         assert shape(episodes) == [(1, 2, FIX_DOC_UPDATE), (3, None, None)]
 
-    def test_strict_requires_positive_immediately_before(self):
-        episodes = detect_episodes(*tl([3, 0, NO_REFERENCE, 0]), strict=True)
-        assert shape(episodes) == [(1, 2, FIX_DOC_UPDATE)]
-
-    def test_strict_allows_doc_absent_gap(self):
-        episodes = detect_episodes(*tl([3, DOC_ABSENT, 0, 0]), strict=True)
+    def test_doc_absent_gap_before_zeros_opens_episode(self):
+        episodes = detect_episodes(*tl([3, DOC_ABSENT, 0, 0]))
         assert shape(episodes) == [(2, None, None)]
 
     def test_table6_all_three_fixes(self):
@@ -179,23 +175,20 @@ class TestDetectEpisodes:
 class TestOracleEquivalence:
     ALPHABET = [DOC_ABSENT, NO_REFERENCE, 0, 0, 1, 2, 4]
 
-    def check(self, symbols, strict):
-        got = shape(detect_episodes(*tl(symbols), strict=strict))
-        want = episodes_oracle(symbols, strict=strict)
-        assert got == want, (symbols, strict)
+    def check(self, symbols):
+        assert shape(detect_episodes(*tl(symbols))) == episodes_oracle(symbols), symbols
 
     def test_randomized_sequences_match_oracle(self):
         rng = random.Random(1234)
-        for case in range(1500):
+        for _ in range(1500):
             symbols = [rng.choice(self.ALPHABET) for _ in range(rng.randrange(1, 9))]
-            self.check(symbols, strict=case % 3 == 0)
+            self.check(symbols)
 
     def test_exhaustive_short_sequences(self):
         alphabet = [DOC_ABSENT, NO_REFERENCE, 0, 2]
         def walk(prefix, depth):
             if depth == 0:
-                self.check(prefix, strict=False)
-                self.check(prefix, strict=True)
+                self.check(prefix)
                 return
             for symbol in alphabet:
                 walk(prefix + [symbol], depth - 1)
@@ -214,6 +207,11 @@ class TestDurations:
         revisions = revs(2, start=100, step=100)
         episode = detect_episodes(*tl([2, 0], revisions), scan_time=1000)[0]
         assert episode.duration_seconds == 800
+
+    def test_scan_time_is_keyword_only(self):
+        # A third positional argument would otherwise read as epoch second 1.
+        with pytest.raises(TypeError):
+            detect_episodes(*tl([2, 0]), True)
 
     def test_ongoing_without_scan_time_has_no_duration(self):
         episode = detect_episodes(*tl([2, 0]))[0]
@@ -249,20 +247,19 @@ class TestDurations:
         @settings(max_examples=500, deadline=None, derandomize=True)
         @given(
             st.lists(st.tuples(symbol, st.integers(0, 50)), min_size=1, max_size=12),
-            st.booleans(),
             st.one_of(st.none(), st.integers(0, 80)),
         )
-        def check(cells, strict, scan_time):
+        def check(cells, scan_time):
             symbols = tuple(s for s, _ in cells)
             revisions = tuple(Revision(f"{i:040x}", t, i) for i, (_, t) in enumerate(cells))
-            episodes = detect_episodes(symbols, revisions, strict, scan_time)
-            assert shape(episodes) == episodes_oracle(symbols, strict=strict)
+            episodes = detect_episodes(symbols, revisions, scan_time=scan_time)
+            assert shape(episodes) == episodes_oracle(symbols)
             for episode in episodes:
                 want = (
                     None if episode.ongoing and scan_time is None
                     else episode_duration(episode, revisions, scan_time)
                 )
-                assert episode.duration_seconds == want, (symbols, strict, scan_time)
+                assert episode.duration_seconds == want, (symbols, scan_time)
 
         check()
 
