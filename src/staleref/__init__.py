@@ -9,23 +9,8 @@ timelines, outdated episodes, and fix statistics.
 
 from __future__ import annotations
 
-from .docdiscovery import (
-    DiscoveryConfig,
-    DocumentDescriptor,
-    ORIGIN_README,
-    ORIGIN_WIKI,
-    discover_documents,
-)
-from .extraction import CodeElementRef, extract_elements
-from .matching import (
-    MatchConfig,
-    STATUS_IN_SYNC,
-    STATUS_NEVER_MATCHED,
-    STATUS_OUTDATED,
-    classify_current,
-    count_occurrences,
-    expand_path_variants,
-)
+from .docdiscovery import DiscoveryConfig, DocumentDescriptor, ORIGIN_README, ORIGIN_WIKI
+from .matching import STATUS_IN_SYNC, STATUS_NEVER_MATCHED, STATUS_OUTDATED
 from .pipeline import RunConfig, run_history, run_scan
 from .reporting import (
     Aggregates,
@@ -43,11 +28,8 @@ from .revgraph import (
     GitRepo,
     MissingRepositoryError,
     Revision,
-    RevisionSequence,
     UnknownBranchError,
     UnknownRevisionError,
-    link_source_to_docs,
-    snapshot_for_doc,
 )
 from .timeline import (
     DOC_ABSENT,
@@ -57,15 +39,12 @@ from .timeline import (
     FixEvent,
     NO_REFERENCE,
     OutdatedEpisode,
-    detect_episodes,
-    survival_curve,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Aggregates",
-    "CodeElementRef",
     "DiscoveryConfig",
     "DocumentDescriptor",
     "DOC_ABSENT",
@@ -77,14 +56,12 @@ __all__ = [
     "FixEvent",
     "GitError",
     "GitRepo",
-    "MatchConfig",
     "MissingRepositoryError",
     "NO_REFERENCE",
     "ORIGIN_README",
     "ORIGIN_WIKI",
     "OutdatedEpisode",
     "Revision",
-    "RevisionSequence",
     "RunConfig",
     "STATUS_IN_SYNC",
     "STATUS_NEVER_MATCHED",
@@ -93,19 +70,10 @@ __all__ = [
     "UnknownBranchError",
     "UnknownRevisionError",
     "aggregate_corpus",
-    "classify_current",
     "compute_aggregates",
-    "count_occurrences",
-    "detect_episodes",
-    "discover_documents",
-    "expand_path_variants",
-    "extract_elements",
-    "link_source_to_docs",
     "parse_report",
     "render_findings",
     "render_issue_draft",
     "run_history",
     "run_scan",
-    "snapshot_for_doc",
-    "survival_curve",
 ]

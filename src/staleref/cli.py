@@ -189,6 +189,11 @@ def _run_analysis(args, mode: str) -> int:
     fmt = _opt(args, "format", default=FORMAT_JSON, cast=_format)
     out = _opt(args, "out")
     draft_target = _opt(args, "issue_draft")
+    if (out and draft_target and "-" not in (out, draft_target)
+            and os.path.realpath(out) == os.path.realpath(draft_target)):
+        raise ValueError(
+            f"--out and --issue-draft name the same file: {out!r} and {draft_target!r}"
+        )
 
     report = run_history(config) if mode == "history" else run_scan(config)
 

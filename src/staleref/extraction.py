@@ -24,8 +24,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .docdiscovery import DocumentDescriptor
-
 MIN_ELEMENT_LENGTH = 2
 
 # The rules, in order: (id, capture group, pattern, literals, window). The
@@ -63,7 +61,7 @@ _RULES: tuple[tuple[str, int, re.Pattern, tuple[str, ...], re.Pattern | None], .
 )
 
 
-class CodeElementRef(namedtuple("CodeElementRef", "text rule_id document span")):
+class CodeElementRef(namedtuple("CodeElementRef", "text rule_id span")):
     """A code element mentioned in a document, with its source span. Immutable.
 
     ``span`` is a half-open [start, end) offset pair into the decoded document
@@ -72,15 +70,13 @@ class CodeElementRef(namedtuple("CodeElementRef", "text rule_id document span"))
 
     __slots__ = ()
 
-    def __new__(
-        cls, text: str, rule_id: str, document: DocumentDescriptor | None, span: tuple[int, int]
-    ) -> CodeElementRef:
+    def __new__(cls, text: str, rule_id: str, span: tuple[int, int]) -> CodeElementRef:
         if not text or text != text.strip():
             raise ValueError(f"element text must be non-empty and trimmed: {text!r}")
         start, end = span
         if not (0 <= start < end) or end - start != len(text):
             raise ValueError(f"span {span} does not fit text of length {len(text)}")
-        return tuple.__new__(cls, (text, rule_id, document, span))
+        return tuple.__new__(cls, (text, rule_id, span))
 
 
 _FENCE_LINE_RE = re.compile(r"^[ \t]*```")
@@ -207,9 +203,7 @@ def _matches(fenced: str, doc_text: str) -> list[tuple[int, int, int, str, str]]
     return _drop_contained(matches)
 
 
-def extract_elements(
-    doc_text: str, document: DocumentDescriptor | None = None
-) -> list[CodeElementRef]:
+def extract_elements(doc_text: str) -> list[CodeElementRef]:
     """Run every rule over *doc_text* and collect element references.
 
     Results are ordered by first occurrence and deduplicated by element text,
@@ -227,7 +221,7 @@ def extract_elements(
         if text in seen:
             continue
         seen.add(text)
-        refs.append(CodeElementRef(text, rule_id, document, (start, end)))
+        refs.append(CodeElementRef(text, rule_id, (start, end)))
     return refs
 
 

@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from urllib.parse import quote
 
 from .docdiscovery import ORIGIN_WIKI, DocumentDescriptor
-from .matching import STATUS_OUTDATED
+from .matching import STATUS_IN_SYNC, STATUS_NEVER_MATCHED, STATUS_OUTDATED
 from .revgraph import Revision, RevisionSequence
 from .timeline import (
     DOC_ABSENT,
@@ -276,9 +276,18 @@ def _finding_dict(finding: Finding) -> dict:
 
 
 def _parse_finding(
-    data: dict, revisions: tuple[Revision, ...] | None, covered_from: int | None, history: bool
+    data: dict, revisions: tuple[Revision, ...] | None, covered_from: int | None, mode: str | None
 ) -> Finding:
     document = _parse_document(data["document"])
+    status = data.get("status")
+    if mode == MODE_HISTORY and status is not None:
+        raise ValueError(f"history finding with a status: {status!r}")
+    if mode == MODE_CURRENT:
+        for key in ("symbols", "failed_ordinals", "episodes", "symbols_suffix"):
+            if data.get(key) is not None:
+                raise ValueError(f"current finding with {key}")
+        if status not in (STATUS_OUTDATED, STATUS_IN_SYNC, STATUS_NEVER_MATCHED):
+            raise ValueError(f"current finding with status: {status!r}")
     symbols = failed = None
     if data.get("symbols") is not None:
         if revisions is None:
@@ -289,7 +298,7 @@ def _parse_finding(
             raise ValueError("timeline_partial disagrees with failed_ordinals")
     elif data.get("failed_ordinals") is not None:
         raise ValueError("failed_ordinals without symbols")
-    elif history and covered_from is None:
+    elif mode == MODE_HISTORY and covered_from is None:
         raise ValueError("history finding without symbols")
     suffix = data.get("symbols_suffix")
     if covered_from is not None:
@@ -304,7 +313,7 @@ def _parse_finding(
     return Finding(
         element_text=data["element_text"],
         document=document,
-        status=data.get("status"),
+        status=status,
         snapshot_sha=data.get("snapshot_sha"),
         snapshot_count=data.get("snapshot_count"),
         current_sha=data.get("current_sha"),
@@ -346,8 +355,9 @@ def report_to_dict(report: ScanReport) -> dict:
 def parse_report(text: str) -> ScanReport:
     """Inverse of the JSON rendering; findings round-trip exactly.
 
-    Raises ValueError for text that is no report of this schema version, and
-    for one whose aggregates or timelines disagree with its findings or revisions.
+    Raises ValueError for text that is no report of this schema version, for
+    one whose aggregates or timelines disagree with its findings or revisions,
+    and for a finding whose fields belong to the other mode.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -366,8 +376,9 @@ def parse_report(text: str) -> ScanReport:
         if covered_from is not None and not (type(covered_from) is int and 0 <= covered_from <= n):
             raise ValueError("covered_from_ordinal is no ordinal of a partial report's "
                              f"revisions: {covered_from!r}")
-        history = data.get("mode") == MODE_HISTORY
-        findings = [_parse_finding(f, revisions, covered_from, history) for f in data["findings"]]
+        findings = [
+            _parse_finding(f, revisions, covered_from, data.get("mode")) for f in data["findings"]
+        ]
         mode = data["mode"]
         if mode not in (MODE_CURRENT, MODE_HISTORY):
             raise ValueError(f"unknown report mode: {mode!r}")

@@ -92,14 +92,6 @@ class RevisionSequence:
                 raise ValueError("revision ordinals must be contiguous from zero")
         self.revisions = revisions
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RevisionSequence:
-            return NotImplemented
-        return self.revisions == other.revisions
-
-    def __len__(self) -> int:
-        return len(self.revisions)
-
     @property
     def head(self) -> Revision:
         return self.revisions[-1]

@@ -68,5 +68,5 @@ def extract_elements(doc_text: str) -> list[CodeElementRef]:
     for start, end, _, text, rule_id in found:
         if text not in seen:
             seen.add(text)
-            refs.append(CodeElementRef(text, rule_id, None, (start, end)))
+            refs.append(CodeElementRef(text, rule_id, (start, end)))
     return refs

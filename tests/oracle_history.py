@@ -431,7 +431,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
             except GitError as exc:
                 project.warnings.append(_unreadable(document, exc))
                 continue
-            refs = extract_elements(doc_text, document)
+            refs = extract_elements(doc_text)
             if not refs:
                 continue
             touched = last_touch(host.seq, host.repo, document.path)
@@ -508,7 +508,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
                 versions.append(DocVersion(document, rev, text))
             refs = {
                 version.revision.sha: frozenset(
-                    ref.text for ref in extract_elements(version.text, document)
+                    ref.text for ref in extract_elements(version.text)
                 ) if version.text is not None else frozenset()
                 for version in versions
             }

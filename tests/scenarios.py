@@ -875,7 +875,8 @@ def build_all(base: Path) -> list[dict]:
 # Settings that the command line refuses before it starts any git process:
 # name -> (arguments after --repo, environment). There is no config file, no
 # rule catalog file and one episode rule: --config, --regex-file and
-# --strict-episodes are unrecognized arguments.
+# --strict-episodes are unrecognized arguments. The report and its issue
+# draft need two files.
 BAD_SETTINGS = {
     "config-flag": (["--config", "cfg.json"], {}),
     "regex-file-flag": (["--regex-file", "rules.tsv"], {}),
@@ -884,4 +885,5 @@ BAD_SETTINGS = {
     "scan-time-overflow": (["--scan-time", "100000000000000000000"], {}),
     "scan-time-year-14645": (["--scan-time", "400000000000"], {}),
     "scan-time-before-year-1": (["--scan-time=-100000000000"], {}),
+    "out-is-issue-draft": (["--out", "report.json", "--issue-draft", "./report.json"], {}),
 }

@@ -25,21 +25,16 @@ from staleref import (
     FIX_DOC_UPDATE,
     FIX_SOURCE_CHANGE,
     GitRepo,
-    MatchConfig,
     Revision,
-    RevisionSequence,
     RunConfig,
-    count_occurrences,
-    detect_episodes,
-    expand_path_variants,
-    extract_elements,
     render_findings,
     run_history,
     run_scan,
-    survival_curve,
 )
-from staleref.matching import HistoryCounter
-from staleref.revgraph import Branch
+from staleref.extraction import extract_elements
+from staleref.matching import HistoryCounter, MatchConfig, count_occurrences, expand_path_variants
+from staleref.revgraph import Branch, RevisionSequence
+from staleref.timeline import detect_episodes, survival_curve
 
 # Tests that reach an outside host run only when this variable is "1".
 NETWORK_OPT_IN = "STALEREF_TEST_NETWORK"

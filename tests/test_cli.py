@@ -112,6 +112,26 @@ class TestScan:
         assert "old_fn()" in text
         assert text.startswith("# Outdated code references in the documentation of dirty")
 
+    def test_issue_draft_never_replaces_the_report(self, dirty_repo, tmp_path):
+        # One file under any spelling is refused before the run; stdout ("-")
+        # takes both.
+        report = tmp_path / "r.json"
+        report.write_text("kept\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(report)
+        for draft in (report, tmp_path / "sub" / ".." / "r.json", tmp_path / "link.json"):
+            proc = run_cli("scan", "--repo", dirty_repo, "--out", str(report),
+                           "--issue-draft", str(draft))
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == (f"error: --out and --issue-draft name the same file: "
+                                   f"{str(report)!r} and {str(draft)!r}\n")
+        assert report.read_text() == "kept\n"
+        proc = run_cli("scan", "--repo", dirty_repo, "--out", "-", "--issue-draft", "-")
+        assert proc.returncode == 1, proc.stderr
+        payload, end = json.JSONDecoder().raw_decode(proc.stdout)
+        assert payload["mode"] == "current"
+        assert proc.stdout[end:].lstrip().startswith("# Outdated code references")
+
     def test_issue_draft_links_under_the_remote_url_base(self, tmp_path):
         builder = RepoBuilder(tmp_path / "proj")
         builder.commit(T0, {
@@ -549,6 +569,9 @@ class TestStats:
         (lambda report: report.update(scan_time_epoch=10**20),
          "scan_time is not the RFC 3339 form of scan_time_epoch"),
         (lambda report: report.update(mode="bogus"), "unknown report mode: 'bogus'"),
+        (lambda report: report.update(mode="current"), "current finding with symbols"),
+        (lambda report: report["findings"][0].update(status="outdated"),
+         "history finding with a status: 'outdated'"),
     ], ids=["no-findings", "finding-without-document", "json-array", "symbol-text",
             "symbol-negative", "symbol-bool", "symbols-longer-than-revisions",
             "revision-sha-not-hex", "episode-duration-text", "partial-without-failed-ordinals",
@@ -559,7 +582,7 @@ class TestStats:
             "symbols-string", "symbols-object", "aggregates-disagree", "aggregates-missing",
             "covered-from-negative", "scan-time-epoch-bool", "scan-time-epoch-float",
             "scan-time-epoch-text", "scan-time-disagrees", "scan-time-epoch-out-of-range",
-            "mode-bogus"])
+            "mode-bogus", "mode-current", "history-status"])
     def test_malformed_report_is_an_error(self, tmp_path, history_report, payload, detail):
         # A callable payload spoils one field of a valid history report.
         if callable(payload):

@@ -310,9 +310,9 @@ class TestElementTexts:
         seen: list[str] = []
         original = extraction.extract_elements
 
-        def counted(doc_text, document=None):
+        def counted(doc_text):
             seen.append(doc_text)
-            return original(doc_text, document)
+            return original(doc_text)
 
         monkeypatch.setattr(extraction, "extract_elements", counted)
         memo: dict = {}

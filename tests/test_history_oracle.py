@@ -213,7 +213,9 @@ def _drawn_shapes(steps: list) -> list[str]:
 def _assert_readers_agree(*paths: str | None) -> None:
     for path in filter(None, paths):
         repo = GitRepo(path)
-        assert repo.first_parent_history() == oracle_revgraph.first_parent_history(repo), path
+        seq, changes = repo.first_parent_history()
+        oracle_seq, oracle_changes = oracle_revgraph.first_parent_history(repo)
+        assert (seq.revisions, changes) == (oracle_seq.revisions, oracle_changes), path
 
 
 def _assert_modes_match_oracles(config: RunConfig):

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import scenarios
+import staleref
 from staleref import cli, extraction
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -23,6 +24,12 @@ def shared_options_block() -> str:
     """README's "Shared `scan`/`history` options" block, to the next heading."""
     text = README.read_text(encoding="utf-8")
     return text.split("\nShared `scan`/`history` options:\n", 1)[1].split("\n## ", 1)[0]
+
+
+def exported_names_list() -> str:
+    """The bullet list after "exports these names and no others:"."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("exports these names and no others:\n\n", 1)[1].split("\n\n", 1)[0]
 
 
 def rule_list() -> str:
@@ -49,6 +56,11 @@ def test_shared_options_block_names_every_shared_option_and_no_other():
     assert variables, "the block names no environment variable"
     assert {"--" + name.removeprefix("STALEREF_").lower().replace("_", "-")
             for name in variables} <= shared, variables
+
+
+def test_exported_names_list_is_the_package_root_all():
+    names = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", exported_names_list())
+    assert sorted(names) == sorted(staleref.__all__)
 
 
 def test_rule_list_names_every_rule_in_order():

@@ -227,9 +227,25 @@ class TestSerialization:
         (lambda data: data.update(revisions=None),
          "covered_from_ordinal is no ordinal of a partial report's revisions: 2"),
         (lambda data: data.update(covered_from_ordinal=None), "history finding without symbols"),
+        (lambda data: data["findings"][0].update(status="outdated"),
+         "history finding with a status: 'outdated'"),
+        (lambda data: data.update(mode="current"), "current finding with symbols_suffix"),
+        (lambda data: data.update(mode="current") or data["findings"][0].update(
+            symbols=[1, 0, 0, 0, 0]), "current finding with symbols"),
+        (lambda data: data.update(mode="current") or data["findings"][0].update(
+            failed_ordinals=[0], symbols_suffix=None), "current finding with failed_ordinals"),
+        (lambda data: data.update(mode="current") or data["findings"][0].update(
+            episodes=[], symbols_suffix=None), "current finding with episodes"),
+        (lambda data: data.update(mode="current") or data["findings"][0].update(
+            status="stale", symbols_suffix=None), "current finding with status: 'stale'"),
+        (lambda data: data.update(mode="current") or data["findings"][0].update(
+            symbols_suffix=None), "current finding with status: None"),
     ], ids=["suffix-string", "suffix-short", "suffix-symbol", "covered-from-negative",
             "covered-from-past-revisions", "covered-from-bool", "covered-from-complete",
-            "covered-from-without-revisions", "partial-without-covered-from"])
+            "covered-from-without-revisions", "partial-without-covered-from",
+            "history-status", "current-suffix", "current-symbols", "current-failed-ordinals",
+            "current-episodes", "current-status-unknown",
+            "current-status-missing"])
     def test_parse_checks_the_partial_timelines(self, spoil, message):
         data = json.loads(render_findings(partial_report({"a()": [1, 0, 0]}, 5, 2)))
         assert parse_report(json.dumps(data)).findings[0].symbols_suffix == [1, 0, 0]

@@ -393,7 +393,7 @@ class TestFirstParentChanges:
         builder.commit(T + 60, {})
         repo = GitRepo(builder.path)
         sequence, changes = repo.first_parent_history("main")
-        assert len(sequence) == 6
+        assert len(sequence.revisions) == 6
         listings = [oracle_history.tree_entries(repo, r.sha) for r in sequence.revisions]
         assert _replayed_trees(changes) == listings
         # replay folds any prefix into that revision's tree, and at head
@@ -414,7 +414,7 @@ class TestFirstParentChanges:
         builder.git("clone", "-q", "--depth", "1", f"file://{builder.path}", str(clone))
         repo = GitRepo(clone)
         sequence, (changes,) = repo.first_parent_history(None)
-        assert len(sequence) == 1
+        assert len(sequence.revisions) == 1
         assert sorted(path for path, old, _ in changes if old is None) == [
             b"f0.txt", b"f1.txt", b"f2.txt"
         ]
@@ -440,8 +440,9 @@ def _blobs(tree):
 class TestBranch:
     def test_history_equals_the_two_call_reader(self, scenario_branches):
         for branch in scenario_branches:
-            assert oracle_revgraph.first_parent_history(branch.repo) == (
-                branch.seq, branch.changes
+            seq, changes = oracle_revgraph.first_parent_history(branch.repo)
+            assert (seq.revisions, changes) == (
+                branch.seq.revisions, branch.changes
             ), branch.repo.path
 
     def test_head_is_the_replayed_history(self, scenario_branches):
