@@ -9,7 +9,7 @@ timelines, outdated episodes, and fix statistics.
 
 from __future__ import annotations
 
-from .docdiscovery import DiscoveryConfig, DocumentDescriptor, ORIGIN_README, ORIGIN_WIKI
+from .docdiscovery import DocumentDescriptor, ORIGIN_README, ORIGIN_WIKI
 from .matching import STATUS_IN_SYNC, STATUS_NEVER_MATCHED, STATUS_OUTDATED
 from .pipeline import RunConfig, run_history, run_scan
 from .reporting import (
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Aggregates",
-    "DiscoveryConfig",
     "DocumentDescriptor",
     "DOC_ABSENT",
     "EmptyHistoryError",

@@ -1,10 +1,7 @@
 """Command-line interface.
 
-Subcommands: scan, history, stats. Each option of scan and history comes
-from its flag, or else from its STALEREF_<NAME> environment variable
-(STALEREF_REPO, STALEREF_MAX_FILE_BYTES, ...). A variable holds text: a
-repeatable option takes a comma-separated list (STALEREF_EXCLUDE=a,b), and
-a number the text its flag takes.
+Subcommands: scan, history, stats. Every setting comes from its flag; one
+whose flag is not given keeps the default of RunConfig.
 
 Exit codes: 0 no outdated references, 1 outdated references found, 2 error,
 3 timed out (partial report still written).
@@ -19,7 +16,6 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .docdiscovery import DiscoveryConfig
 from .pipeline import RunConfig, project_home, run_history, run_scan
 from .reporting import (
     FORMAT_CSV,
@@ -32,8 +28,6 @@ from .reporting import (
     render_issue_draft,
 )
 from .revgraph import GitError
-
-ENV_PREFIX = "STALEREF_"
 
 EXIT_CLEAN = 0
 EXIT_OUTDATED = 1
@@ -50,13 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--repo", help="path to the source clone")
+    shared.add_argument("--repo", required=True, help="path to the source clone")
     shared.add_argument("--wiki", help="path to the wiki clone, 'auto', or 'none'")
     shared.add_argument("--branch", help="source branch (default: checked-out branch)")
     shared.add_argument(
         "--exclude", action="append", help="exclude glob for source scanning (repeatable)"
     )
-    shared.add_argument("--format", choices=[FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN])
+    shared.add_argument(
+        "--format", choices=[FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN], default=FORMAT_JSON
+    )
     shared.add_argument("--out", help="write the report here instead of stdout")
     shared.add_argument("--timeout", type=float, help="wall-clock budget in seconds")
     shared.add_argument("--max-file-bytes", type=int, help="skip source files larger than this")
@@ -64,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan-time", help="pin the scan timestamp (epoch seconds or RFC 3339)"
     )
     shared.add_argument("--url-base", help="base URL for browse links in reports")
-    shared.add_argument("--readme-glob", help="root-level README pattern")
     shared.add_argument(
         "--extra-doc-glob",
         action="append",
@@ -87,27 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="pool aggregates over saved JSON reports")
     stats.add_argument("reports", nargs="+", help="report files produced by scan/history")
-    stats.add_argument("--format", choices=[FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN])
+    stats.add_argument(
+        "--format", choices=[FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN], default=FORMAT_JSON
+    )
     stats.add_argument("--out")
 
     return parser
-
-
-def _opt(args, name: str, default=None, cast=None, is_list: bool = False):
-    """Flag > environment > default. A list option is a tuple of strings;
-    any other option is a string unless *cast* converts it."""
-    value = getattr(args, name, None)
-    if value in (None, []):
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        if env is None:
-            return default
-        value = env.split(",") if is_list else env
-    if is_list:
-        return tuple(value)
-    try:
-        return value if cast is None else cast(value)
-    except (OverflowError, ValueError) as exc:
-        raise ValueError(f"{name}: {exc}") from None
 
 
 def _given(**options) -> dict:
@@ -115,12 +95,8 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
-def _format(value) -> str:
-    if value in (FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN):
-        return value
-    raise ValueError(f"expected json, csv or md, got {value!r}")
-
-
+# Epoch seconds in ASCII digits: no "_" separator and no other script's digits.
+_EPOCH = re.compile(r"[+-]?[0-9]+")
 # An RFC 3339 (section 5.6) date-time: "T" and "Z" in either case, a
 # fraction of any length, and "Z" or a numeric offset.
 _RFC3339 = re.compile(
@@ -130,13 +106,11 @@ _RFC3339 = re.compile(
 
 
 def _parse_scan_time(value: str) -> int:
-    """Epoch seconds from an integer's text or an RFC 3339 date-time, whose
+    """Epoch seconds from an integer in ASCII digits or an RFC 3339 date-time, whose
     fraction of a second is dropped: the instant is floored."""
     text = value.strip()
-    try:
+    if _EPOCH.fullmatch(text):
         return int(text)
-    except ValueError:
-        pass
     match = _RFC3339.fullmatch(text)
     if match is None:
         raise ValueError(f"expected epoch seconds or an RFC 3339 date-time, got {value!r}")
@@ -167,37 +141,40 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _run_analysis(args, mode: str) -> int:
-    repo = _opt(args, "repo")
-    if not repo:
-        print("error: --repo is required (flag or STALEREF_REPO)", file=sys.stderr)
-        return EXIT_ERROR
-
+    scan_time = None
+    if args.scan_time is not None:
+        try:
+            scan_time = _parse_scan_time(args.scan_time)
+        except ValueError as exc:
+            raise ValueError(f"scan_time: {exc}") from None
     config = RunConfig(**_given(
-        repo_path=repo,
-        wiki_path=_resolve_wiki(repo, _opt(args, "wiki")),
-        branch=_opt(args, "branch"),
-        discovery=DiscoveryConfig(**_given(
-            readme_glob=_opt(args, "readme_glob"),
-            extra_doc_globs=_opt(args, "extra_doc_glob", is_list=True),
-        )),
-        exclude_globs=_opt(args, "exclude", is_list=True),
-        max_file_bytes=_opt(args, "max_file_bytes", cast=int),
-        scan_time=_opt(args, "scan_time", cast=_parse_scan_time),
-        timeout_seconds=_opt(args, "timeout", cast=float),
-        url_base=_opt(args, "url_base"),
+        repo_path=args.repo,
+        wiki_path=_resolve_wiki(args.repo, args.wiki),
+        branch=args.branch,
+        extra_doc_globs=tuple(args.extra_doc_glob or ()),
+        exclude_globs=tuple(args.exclude or ()),
+        max_file_bytes=args.max_file_bytes,
+        scan_time=scan_time,
+        timeout_seconds=args.timeout,
+        url_base=args.url_base,
     ))
-    fmt = _opt(args, "format", default=FORMAT_JSON, cast=_format)
-    out = _opt(args, "out")
-    draft_target = _opt(args, "issue_draft")
+    out, draft_target = args.out, args.issue_draft
     if (out and draft_target and "-" not in (out, draft_target)
             and os.path.realpath(out) == os.path.realpath(draft_target)):
         raise ValueError(
             f"--out and --issue-draft name the same file: {out!r} and {draft_target!r}"
         )
+    # A target that cannot be opened fails now, not after the run.
+    for flag, target in (("--out", out), ("--issue-draft", draft_target)):
+        if target and target != "-":
+            if os.path.isdir(target):
+                raise ValueError(f"{flag} names a directory: {target!r}")
+            if not os.path.isdir(os.path.dirname(target) or "."):
+                raise ValueError(f"{flag} names a file whose directory is not there: {target!r}")
 
     report = run_history(config) if mode == "history" else run_scan(config)
 
-    _write_output(render_findings(report, fmt), out)
+    _write_output(render_findings(report, args.format), out)
     if draft_target:
         if any(f.currently_outdated for f in report.findings):
             _write_output(render_issue_draft(report), draft_target)
@@ -227,7 +204,7 @@ def _parsed_reports(paths: list[str]):
 def _cmd_stats(args) -> int:
     # One parsed report at a time: each is folded before the next is read.
     aggregates = aggregate_corpus(_parsed_reports(args.reports))
-    _write_output(render_aggregates(aggregates, args.format or FORMAT_JSON), args.out)
+    _write_output(render_aggregates(aggregates, args.format), args.out)
     return EXIT_CLEAN
 
 

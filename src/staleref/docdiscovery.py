@@ -80,29 +80,19 @@ class DocumentDescriptor(namedtuple("DocumentDescriptor", "origin path format"))
         return name[:dot] if dot > 0 else name
 
 
-class DiscoveryConfig(
-    namedtuple("DiscoveryConfig", "readme_glob extra_doc_globs", defaults=("README*", ()))
-):
-    """Which files are documentation: root-level READMEs matching
-    ``readme_glob`` and any path matching one of ``extra_doc_globs``. Immutable."""
-
-    __slots__ = ()
-
-
 def discover_documents(
     source_tree: list[str],
     wiki_tree: list[str] | None,
-    config: DiscoveryConfig,
+    extra_doc_globs: tuple[str, ...],
 ) -> list[DocumentDescriptor]:
     """Collect documentation files from a source listing and an optional wiki listing.
 
-    README files are matched case-insensitively against ``readme_glob`` at the
-    repository root only; deeper documentation must be opted in through
+    A README is a file at the repository root whose name starts with
+    ``readme`` in any case; deeper documentation must be opted in through
     ``extra_doc_globs`` (matched against the full relative path). Every wiki
     file with a recognised format is included. The result is deduplicated and
     sorted, so repeated calls over the same listings are identical.
     """
-    readme_glob = config.readme_glob.lower()
     pairs = [(ORIGIN_README, path) for path in source_tree]
     pairs += [(ORIGIN_WIKI, path) for path in wiki_tree or ()]
     return sorted({
@@ -110,8 +100,8 @@ def discover_documents(
         for origin, path in pairs
         if (
             origin == ORIGIN_WIKI
-            or ("/" not in path and fnmatch.fnmatchcase(path.lower(), readme_glob))
-            or any(fnmatch.fnmatchcase(path, glob) for glob in config.extra_doc_globs)
+            or ("/" not in path and path.lower().startswith("readme"))
+            or any(fnmatch.fnmatchcase(path, glob) for glob in extra_doc_globs)
         )
         and (fmt := is_recognized_format(path))
     })

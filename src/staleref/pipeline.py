@@ -14,7 +14,6 @@ from collections.abc import Iterable, Iterator
 from .docdiscovery import (
     ORIGIN_README,
     ORIGIN_WIKI,
-    DiscoveryConfig,
     DocumentDescriptor,
     discover_documents,
 )
@@ -72,7 +71,7 @@ class RunConfig:
         repo_path: str,
         wiki_path: str | None = None,
         branch: str | None = None,
-        discovery: DiscoveryConfig = DiscoveryConfig(),
+        extra_doc_globs: tuple[str, ...] = (),
         exclude_globs: tuple[str, ...] = (),
         max_file_bytes: int = MAX_FILE_BYTES,
         scan_time: int | None = None,
@@ -92,7 +91,7 @@ class RunConfig:
         self.repo_path = repo_path
         self.wiki_path = wiki_path
         self.branch = branch
-        self.discovery = discovery
+        self.extra_doc_globs = extra_doc_globs
         self.exclude_globs = exclude_globs
         self.max_file_bytes = max_file_bytes
         self.scan_time = scan_time
@@ -165,7 +164,7 @@ class _Project:
         documents = discover_documents(
             list(names[ORIGIN_README]),
             list(names[ORIGIN_WIKI]) if ORIGIN_WIKI in names else None,
-            self.config.discovery,
+            self.config.extra_doc_globs,
         )
         raw_paths = {d: names[d.origin][d.path] for d in documents}
         self.warnings += [

@@ -38,6 +38,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "byte_manifest.json"
@@ -68,8 +69,8 @@ GROUPS = [*SCENARIOS, "corpora", "bad_settings"]
 
 class Patches:
     """The part of ``pytest.MonkeyPatch`` that the outputs need: attributes
-    set through ``setattr``, and any change to ``os.environ``, are undone
-    when the ``context()`` that made the object exits."""
+    set through ``setattr`` are undone when the ``context()`` that made the
+    object exits."""
 
     def __init__(self):
         self._undo: list[tuple[object, str, object]] = []
@@ -77,14 +78,12 @@ class Patches:
     @classmethod
     @contextlib.contextmanager
     def context(cls):
-        patches, environ = cls(), dict(os.environ)
+        patches = cls()
         try:
             yield patches
         finally:
             for target, name, value in reversed(patches._undo):
                 setattr(target, name, value)
-            os.environ.clear()
-            os.environ.update(environ)
 
     def setattr(self, target: object, name: str, value: object) -> None:
         self._undo.append((target, name, getattr(target, name)))
@@ -129,7 +128,10 @@ def _scenario_outputs(builder, base: Path, monkeypatch) -> dict[str, str] | None
 
 def _cli(argv: list[str]) -> dict[str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    # argparse wraps its usage lines to the terminal's width; any terminal
+    # gets the width of none.
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
         except SystemExit as exit:  # argparse refused the arguments
@@ -162,11 +164,9 @@ def _corpus_outputs(base: Path) -> dict[str, str]:
 
 def _bad_setting_outputs(base: Path) -> dict[str, str]:
     texts: dict[str, str] = {}
-    for name, (flags, env) in scenarios.BAD_SETTINGS.items():
+    for name, flags in scenarios.BAD_SETTINGS.items():
         for mode in ("scan", "history"):
-            with Patches.context():
-                os.environ.update(env)
-                run = _cli([mode, "--repo", str(base / "missing"), *flags])
+            run = _cli([mode, "--repo", str(base / "missing"), *flags])
             texts.update((f"{name}/{mode}/{stream}", text) for stream, text in run.items())
     return texts
 
@@ -176,8 +176,6 @@ def outputs(group: str, base: Path) -> dict[str, str] | None:
     None for a scenario this git cannot build."""
     base.mkdir(parents=True)
     with Patches.context() as monkeypatch:
-        for name in [name for name in os.environ if name.startswith(cli.ENV_PREFIX)]:
-            del os.environ[name]
         if group == "corpora":
             texts = _corpus_outputs(base)
         elif group == "bad_settings":

@@ -1,7 +1,7 @@
 """Reference document discovery used as a test oracle.
 
 One loop per kind of listed path, in the order the rules are stated: root
-READMEs matching ``readme_glob`` case-insensitively, then each
+READMEs matching ``README*`` case-insensitively, then each
 ``extra_doc_globs`` pattern over the whole source listing, then every wiki
 path. Each keeps a path with a recognized format, keyed by (origin, path).
 """
@@ -13,7 +13,6 @@ import fnmatch
 from staleref.docdiscovery import (
     ORIGIN_README,
     ORIGIN_WIKI,
-    DiscoveryConfig,
     DocumentDescriptor,
     is_recognized_format,
 )
@@ -22,20 +21,19 @@ from staleref.docdiscovery import (
 def discover_documents(
     source_tree: list[str],
     wiki_tree: list[str] | None,
-    config: DiscoveryConfig,
+    extra_doc_globs: tuple[str, ...],
 ) -> list[DocumentDescriptor]:
     found: dict[tuple[str, str], DocumentDescriptor] = {}
 
-    readme_glob = config.readme_glob.lower()
     for path in source_tree:
-        if "/" in path or not fnmatch.fnmatchcase(path.lower(), readme_glob):
+        if "/" in path or not fnmatch.fnmatchcase(path.lower(), "readme*"):
             continue
         fmt = is_recognized_format(path)
         if fmt:
             desc = DocumentDescriptor(ORIGIN_README, path, fmt)
             found[(desc.origin, desc.path)] = desc
 
-    for glob in config.extra_doc_globs:
+    for glob in extra_doc_globs:
         for path in source_tree:
             if not fnmatch.fnmatchcase(path, glob):
                 continue

@@ -414,7 +414,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     documents = discover_documents(
         tree_paths(source.repo, head.sha),
         tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
-        config.discovery,
+        config.extra_doc_globs,
     )
     scanner = SourceScanner(source.repo, project.match_config(documents))
     documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
@@ -481,7 +481,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
     seq = source.seq
     n = len(seq.revisions)
     documents = discover_documents(
-        _union_listing(source), _union_listing(wiki) if wiki else None, config.discovery
+        _union_listing(source), _union_listing(wiki) if wiki else None, config.extra_doc_globs
     )
     scanner = SourceScanner(source.repo, project.match_config(documents))
     documents = _skip_ambiguous(

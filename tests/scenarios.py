@@ -16,7 +16,6 @@ from pathlib import Path
 from unittest import mock
 
 from repo_builder import RepoBuilder
-from staleref.docdiscovery import DiscoveryConfig
 from staleref.pipeline import RunConfig
 
 T0 = 1_600_000_000
@@ -47,7 +46,7 @@ def config_for(manifest, **overrides) -> RunConfig:
         repo_path=manifest["repo"],
         wiki_path=manifest["wiki"],
         exclude_globs=tuple(manifest["exclude"]),
-        discovery=DiscoveryConfig(extra_doc_globs=tuple(manifest["extra_doc_globs"])),
+        extra_doc_globs=tuple(manifest["extra_doc_globs"]),
         scan_time=manifest["scan_time"],
     )
     if "max_file_bytes" in manifest:
@@ -873,17 +872,20 @@ def build_all(base: Path) -> list[dict]:
 
 
 # Settings that the command line refuses before it starts any git process:
-# name -> (arguments after --repo, environment). There is no config file, no
-# rule catalog file and one episode rule: --config, --regex-file and
-# --strict-episodes are unrecognized arguments. The report and its issue
-# draft need two files.
+# name -> arguments after --repo. There is no config file, no rule catalog
+# file, one episode rule and one README rule: --config, --regex-file,
+# --strict-episodes and --readme-glob are unrecognized arguments. The report
+# and its issue draft need two files, each in a directory that is there.
 BAD_SETTINGS = {
-    "config-flag": (["--config", "cfg.json"], {}),
-    "regex-file-flag": (["--regex-file", "rules.tsv"], {}),
-    "strict-episodes-flag": (["--strict-episodes"], {}),
-    "env-format-xml": ([], {"STALEREF_FORMAT": "xml"}),
-    "scan-time-overflow": (["--scan-time", "100000000000000000000"], {}),
-    "scan-time-year-14645": (["--scan-time", "400000000000"], {}),
-    "scan-time-before-year-1": (["--scan-time=-100000000000"], {}),
-    "out-is-issue-draft": (["--out", "report.json", "--issue-draft", "./report.json"], {}),
+    "config-flag": ["--config", "cfg.json"],
+    "regex-file-flag": ["--regex-file", "rules.tsv"],
+    "strict-episodes-flag": ["--strict-episodes"],
+    "readme-glob-flag": ["--readme-glob", "*"],
+    "format-xml-flag": ["--format", "xml"],
+    "scan-time-overflow": ["--scan-time", "100000000000000000000"],
+    "scan-time-year-14645": ["--scan-time", "400000000000"],
+    "scan-time-before-year-1": ["--scan-time=-100000000000"],
+    "out-is-issue-draft": ["--out", "report.json", "--issue-draft", "./report.json"],
+    "out-in-missing-dir": ["--out", "nodir/r.json"],
+    "issue-draft-is-a-directory": ["--issue-draft", "."],
 }

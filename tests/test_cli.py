@@ -30,7 +30,7 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(staleref.__file__
 
 
 def run_cli(*args, env_extra=None, cwd=None):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("STALEREF_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
@@ -352,14 +352,8 @@ class TestMaxFileBytes:
 
 
 class TestTimeoutValue:
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_nan_budget_exits_2(self, dirty_repo, source):
-        args, env = ["scan", "--repo", dirty_repo], None
-        if source == "flag":
-            args += ["--timeout", "nan"]
-        else:
-            env = {"STALEREF_TIMEOUT": "NaN"}
-        proc = run_cli(*args, env_extra=env)
+    def test_nan_budget_exits_2(self, dirty_repo):
+        proc = run_cli("scan", "--repo", dirty_repo, "--timeout", "nan")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "nan" in proc.stderr
 
@@ -367,22 +361,6 @@ class TestTimeoutValue:
         proc = run_cli("history", "--repo", dirty_repo, "--timeout", "inf")
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["partial"] is False
-
-
-class TestConfigValueTypes:
-    def test_environment_strings_apply_as_flags(self, dirty_repo):
-        by_flags = run_cli("scan", "--repo", dirty_repo, "--scan-time", PIN, "--timeout", "60",
-                           "--max-file-bytes", "10", "--exclude", "a", "--exclude", "b")
-        by_env = run_cli("scan", env_extra={
-            "STALEREF_REPO": dirty_repo, "STALEREF_SCAN_TIME": PIN, "STALEREF_TIMEOUT": "60",
-            "STALEREF_MAX_FILE_BYTES": "10", "STALEREF_EXCLUDE": "a,b",
-        })
-        # The 10-byte cap skips the only source file, so nothing reads outdated.
-        assert by_flags.returncode == by_env.returncode == 0, by_env.stderr
-        assert by_flags.stdout == by_env.stdout
-        report = json.loads(by_env.stdout)
-        assert report["scan_time_epoch"] == int(PIN)
-        assert "oversized_file" in {warning["kind"] for warning in report["warnings"]}
 
 
 class TestScanTime:
@@ -415,6 +393,8 @@ class TestScanTime:
         "2023-11-14T22:13:60Z",
         "2023-02-30T22:13:20Z",
         "\uff12\uff10\uff12\uff13-11-14T22:13:20Z",
+        "1_700_000_000",
+        "\uff11\uff17" + "\uff10" * 8,
     ])
     def test_other_texts_exit_2(self, tmp_path, capsys, text):
         with pytest.raises(ValueError):
@@ -429,11 +409,7 @@ class TestBadSettings:
     @pytest.mark.parametrize("mode", ["scan", "history"])
     @pytest.mark.parametrize("case", sorted(scenarios.BAD_SETTINGS))
     def test_exit_2_before_any_git_process(self, dirty_repo, monkeypatch, capsys, case, mode):
-        flags, env = scenarios.BAD_SETTINGS[case]
-        for name in [name for name in os.environ if name.startswith(cli.ENV_PREFIX)]:
-            monkeypatch.delenv(name)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+        flags = scenarios.BAD_SETTINGS[case]
         spawned = []
 
         class Recording(subprocess.Popen):
@@ -448,8 +424,9 @@ class TestBadSettings:
             code = exit.code
         out, err = capsys.readouterr()
         assert (code, out, spawned) == (2, "", [])
-        # One error line, after argparse's usage line where argparse refused.
-        assert re.fullmatch(r"(usage: staleref .*\nstaleref: )?error: .*\n", err), err
+        # One error line, after argparse's usage lines where argparse refused.
+        usage = r"usage: staleref .*\n(?: +.*\n)*staleref(?: scan| history)?: "
+        assert re.fullmatch(rf"({usage})?error: .*\n", err), err
 
     def test_unforeseen_failure_prints_its_traceback_and_exits_2(
         self, dirty_repo, monkeypatch, capsys
@@ -655,10 +632,40 @@ class TestStats:
 
 
 class TestPrecedence:
-    def test_flag_beats_env(self, dirty_repo, clean_repo):
-        proc = run_cli("scan", "--repo", clean_repo,
-                       env_extra={"STALEREF_REPO": dirty_repo})
-        assert proc.returncode == 0
+    def test_former_variables_are_ignored(self, clean_repo, tmp_path):
+        builder = RepoBuilder(tmp_path / "proj")
+        builder.commit(T0, {
+            "README.md": "Use `old_fn()` often.\n",
+            "docs/guide.md": "Call `guide_fn()` here.\n",
+            "src/app.py": "def old_fn():\n    pass\n\ndef guide_fn():\n    pass\n",
+        })
+        builder.commit(T0 + 10_000, {"src/app.py": "def other_fn():\n    pass\n"})
+        work = tmp_path / "work"
+        work.mkdir()
+        # Each value would fail these runs or change their output if it
+        # were read.
+        variables = {
+            "STALEREF_REPO": clean_repo,
+            "STALEREF_WIKI": str(tmp_path / "missing.wiki"),
+            "STALEREF_BRANCH": "no-such-branch",
+            "STALEREF_EXCLUDE": "*",
+            "STALEREF_FORMAT": "xml",
+            "STALEREF_OUT": "report.json",
+            "STALEREF_TIMEOUT": "nan",
+            "STALEREF_MAX_FILE_BYTES": "0",
+            "STALEREF_SCAN_TIME": "soon",
+            "STALEREF_URL_BASE": "https://example.invalid/env",
+            "STALEREF_README_GLOB": "nothing*",
+            "STALEREF_EXTRA_DOC_GLOB": "docs/*",
+            "STALEREF_ISSUE_DRAFT": "draft.md",
+        }
+        for mode in ("scan", "history"):
+            args = (mode, "--repo", str(builder.path), "--scan-time", PIN)
+            with_variables = run_cli(*args, env_extra=variables, cwd=work)
+            without = run_cli(*args, cwd=work)
+            assert with_variables.returncode == without.returncode == 1, with_variables.stderr
+            assert (with_variables.stdout, with_variables.stderr) == (without.stdout, without.stderr)
+        assert list(work.iterdir()) == []
 
     def test_config_variable_is_ignored(self, dirty_repo, tmp_path):
         # A config file would have failed this run: its timeout is no number.

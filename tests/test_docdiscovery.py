@@ -9,7 +9,6 @@ import pytest
 import oracle_discovery
 from staleref.docdiscovery import (
     ALL_FORMATS,
-    DiscoveryConfig,
     DocumentDescriptor,
     ORIGIN_README,
     ORIGIN_WIKI,
@@ -50,27 +49,27 @@ class TestFormatTable:
 
 class TestDiscovery:
     def test_root_readme_case_insensitive(self):
-        docs = discover_documents(["readme.md", "src/x.py"], None, DiscoveryConfig())
+        docs = discover_documents(["readme.md", "src/x.py"], None, ())
         assert paths(docs) == [(ORIGIN_README, "readme.md")]
 
     def test_nested_readme_not_discovered(self):
-        docs = discover_documents(["docs/README.md", "x.py"], None, DiscoveryConfig())
+        docs = discover_documents(["docs/README.md", "x.py"], None, ())
         assert docs == []
 
     def test_extensionless_readme_excluded(self):
         # Without an extension the markup format cannot be derived.
-        docs = discover_documents(["README", "x.py"], None, DiscoveryConfig())
+        docs = discover_documents(["README", "x.py"], None, ())
         assert docs == []
 
     def test_readme_format_variants(self):
-        docs = discover_documents(["README.rst"], None, DiscoveryConfig())
+        docs = discover_documents(["README.rst"], None, ())
         assert docs[0].format == "restructuredtext"
 
     def test_wiki_collects_all_recognized(self):
         docs = discover_documents(
             ["README.md"],
             ["Home.md", "deep/Page.rst", "img/logo.png", "Data.json"],
-            DiscoveryConfig(),
+            (),
         )
         assert paths(docs) == [
             (ORIGIN_README, "README.md"),
@@ -79,19 +78,15 @@ class TestDiscovery:
         ]
 
     def test_extra_doc_globs(self):
-        config = DiscoveryConfig(extra_doc_globs=("docs/*.md",))
-        docs = discover_documents(["docs/guide.md", "docs/img.png", "x.py"], None, config)
+        docs = discover_documents(["docs/guide.md", "docs/img.png", "x.py"], None, ("docs/*.md",))
         assert paths(docs) == [(ORIGIN_README, "docs/guide.md")]
 
     def test_extra_glob_does_not_duplicate_readme(self):
-        config = DiscoveryConfig(extra_doc_globs=("*.md",))
-        docs = discover_documents(["README.md"], None, config)
+        docs = discover_documents(["README.md"], None, ("*.md",))
         assert paths(docs) == [(ORIGIN_README, "README.md")]
 
     def test_deterministic_order(self):
-        docs = discover_documents(
-            ["README.md"], ["Zeta.md", "Alpha.md"], DiscoveryConfig()
-        )
+        docs = discover_documents(["README.md"], ["Zeta.md", "Alpha.md"], ())
         assert paths(docs) == [
             (ORIGIN_README, "README.md"),
             (ORIGIN_WIKI, "Alpha.md"),
@@ -99,7 +94,7 @@ class TestDiscovery:
         ]
 
     def test_no_wiki_tree(self):
-        docs = discover_documents(["README.md"], None, DiscoveryConfig())
+        docs = discover_documents(["README.md"], None, ())
         assert paths(docs) == [(ORIGIN_README, "README.md")]
 
 
@@ -120,7 +115,7 @@ class TestTypes:
                 DocumentDescriptor(ORIGIN_README, path, "markdown")
 
     def test_root_readme_with_backslash_discovered(self):
-        docs = discover_documents(["README\\x.md", "src/app.py"], None, DiscoveryConfig())
+        docs = discover_documents(["README\\x.md", "src/app.py"], None, ())
         assert paths(docs) == [(ORIGIN_README, "README\\x.md")]
 
     def test_page_name(self):
@@ -140,7 +135,6 @@ NAMES = [
     ".md", ".readme.md", ".gitignore", "main.py", "archive.tar.gz", "notes.TXT",
 ]
 DIRECTORIES = ["", "docs/", "Docs/", "pkg/", "docs/sub/", "[ab]/"]
-README_GLOBS = ["README*", "readme*", "README.md", "Read*.?d", "[Rr]eadme*", "*", "*.rst", "["]
 EXTRA_GLOBS = [
     "docs/*", "docs/*.md", "*.md", "*/README*", "docs/?.md", "docs/[ab].md", "docs/[!a]*",
     "*", "pkg/*/*.rst", "[[]ab]/*", "*[.]txt", "README*",
@@ -161,12 +155,10 @@ def test_one_pass_discovery_equals_three_loop_oracle():
     @given(
         st.lists(path, max_size=12),
         st.none() | st.lists(path, max_size=6),
-        st.one_of(st.sampled_from(README_GLOBS), st.text("Rr*?[]!.md", max_size=6)),
         st.lists(pattern, max_size=3).map(tuple),
     )
-    def check(source, wiki, readme_glob, extra):
-        config = DiscoveryConfig(readme_glob, extra)
-        expected = oracle_discovery.discover_documents(source, wiki, config)
-        assert discover_documents(source, wiki, config) == expected
+    def check(source, wiki, extra):
+        expected = oracle_discovery.discover_documents(source, wiki, extra)
+        assert discover_documents(source, wiki, extra) == expected
 
     check()

@@ -120,6 +120,42 @@ def test_diff_stream_use_is_found():
     ]
 
 
+# Every setting comes from its flag: the package reads no environment variable.
+ENVIRONMENT_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+
+def environment_reads(source: str) -> list[str]:
+    """Reads of the process environment in *source*: any attribute named
+    like ``os.environ`` or ``os.getenv``, and any import of such a name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT_NAMES]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [*MODULES, Path(staleref.__file__)], ids=lambda path: path.name
+)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_environment_read_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from os import getenv as read, path\n"
+        "def f(env=os.environ):\n"
+        "    return os.getenv('A') or env.get('B') or os.environb\n"
+    )
+    assert environment_reads(source) == [
+        "line 3: getenv", "line 4: environ", "line 5: environb", "line 5: getenv"
+    ]
+
+
 def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
     """Module-level functions and classes of *sources* (module name -> source)
     that no code in any of them reads and that are not in *exported*.

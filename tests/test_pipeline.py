@@ -17,7 +17,6 @@ from cuts import checks_of, cut_after
 from scenarios import config_for
 from oracle_history import run_history_oracle, run_scan_oracle, tree_entries
 from staleref import cli, matching, pipeline
-from staleref.docdiscovery import DiscoveryConfig
 from staleref.matching import HistoryCounter, matches_exclude
 from staleref.pipeline import RunConfig, run_history, run_scan
 from staleref.reporting import FORMAT_CSV, parse_report, render_findings
@@ -453,7 +452,7 @@ class TestRunBehavior:
         builder.commit(scenarios.T0 + 100, {"src/app.py": "def other():\n    pass\n"})
         config = RunConfig(
             repo_path=str(builder.path),
-            discovery=DiscoveryConfig(extra_doc_globs=("docs/*.md",)),
+            extra_doc_globs=("docs/*.md",),
             scan_time=scenarios.T0 + 1000,
         )
         report = run_scan(config)
@@ -588,7 +587,7 @@ class TestUnreadableDocument:
         repo.commit(scenarios.T0, {"src/app.py": "def guide_fn():\n    pass\n"})
         config = RunConfig(
             repo_path=str(repo.path),
-            discovery=DiscoveryConfig(extra_doc_globs=("docs/*",)),
+            extra_doc_globs=("docs/*",),
             scan_time=scenarios.T0 + 1000,
         )
         path = "docs/g\ufffduide.md"
