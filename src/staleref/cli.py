@@ -20,7 +20,6 @@ from .pipeline import RunConfig, project_home, run_history, run_scan
 from .reporting import (
     FORMAT_CSV,
     FORMAT_JSON,
-    FORMAT_MARKDOWN,
     aggregate_corpus,
     parse_report,
     render_aggregates,
@@ -50,9 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--exclude", action="append", help="exclude glob for source scanning (repeatable)"
     )
-    shared.add_argument(
-        "--format", choices=[FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN], default=FORMAT_JSON
-    )
+    shared.add_argument("--format", choices=[FORMAT_JSON, FORMAT_CSV], default=FORMAT_JSON)
     shared.add_argument("--out", help="write the report here instead of stdout")
     shared.add_argument("--timeout", type=float, help="wall-clock budget in seconds")
     shared.add_argument("--max-file-bytes", type=int, help="skip source files larger than this")
@@ -82,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="pool aggregates over saved JSON reports")
     stats.add_argument("reports", nargs="+", help="report files produced by scan/history")
-    stats.add_argument(
-        "--format", choices=[FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN], default=FORMAT_JSON
-    )
     stats.add_argument("--out")
 
     return parser
@@ -204,7 +198,7 @@ def _parsed_reports(paths: list[str]):
 def _cmd_stats(args) -> int:
     # One parsed report at a time: each is folded before the next is read.
     aggregates = aggregate_corpus(_parsed_reports(args.reports))
-    _write_output(render_aggregates(aggregates, args.format), args.out)
+    _write_output(render_aggregates(aggregates), args.out)
     return EXIT_CLEAN
 
 

@@ -189,11 +189,20 @@ class HistoryCounter:
     the whole tree. Warnings are logged by the moves, once each: when a
     scanned path gets a skipped blob, and for each element whose count in a
     path's new blob hit the cap. A count only reads the state.
+
+    No file under a ``.git`` directory is scanned, and no file whose decoded
+    path is one of *documents*: each is left out by its exact path, so the
+    files below a directory of that name are scanned.
     """
 
-    def __init__(self, branch: Branch, config: MatchConfig, elements: frozenset[str]):
+    def __init__(
+        self, branch: Branch, config: MatchConfig, elements: frozenset[str],
+        documents: frozenset[str] = frozenset(),
+    ):
         self.branch = branch
         self.config = config
+        self.documents = documents
+        self._excludes = (".git/", *config.exclude_globs)
         self.revision: Revision | None = None  # whose tree the state holds
         self.warnings: list[dict] = []
         self._warned: set[tuple] = set()
@@ -278,7 +287,8 @@ class HistoryCounter:
             # With no element cited, no path is scanned, so nothing is read.
             info = self._paths[path] = (
                 name,
-                bool(self._elements) and not matches_exclude(name, self.config.exclude_globs),
+                bool(self._elements) and name not in self.documents
+                and not matches_exclude(name, self._excludes),
                 tuple(v for v in expand_path_variants([name]) if v in self._elements),
             )
         return info
@@ -287,7 +297,9 @@ class HistoryCounter:
         counts = self._blob_counts.get(blob)
         if counts is None:
             counts = self._blob_counts[blob] = {}
-            _, read = next(stream)
+            answered, read = next(stream)
+            if answered != blob:
+                raise RuntimeError(f"the blob stream answered {answered} for {blob}")
             data, skip = _source_bytes(read, self.config.max_file_bytes)
             if skip is not None:
                 self._blob_skips[blob] = skip

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import glob
 import itertools
 import json
 import math
@@ -173,15 +172,16 @@ class _Project:
         ]
         return documents, {d: raw for d, raw in raw_paths.items() if raw is not None}
 
-    def match_config(self, documents: list[DocumentDescriptor]) -> MatchConfig:
-        # The analysed documents themselves never count as source instances.
-        # Each is excluded by its exact path: an anchored, literal pattern.
-        doc_paths = tuple(
-            "/" + glob.escape(d.path) for d in documents if d.origin == ORIGIN_README
-        )
-        return MatchConfig(
-            exclude_globs=(".git/",) + doc_paths + tuple(self.config.exclude_globs),
-            max_file_bytes=self.config.max_file_bytes,
+    def counter(
+        self, documents: list[DocumentDescriptor], elements: Iterable[str]
+    ) -> HistoryCounter:
+        """A counter of *elements* over the source history, in which the
+        README-origin *documents* never count as source instances."""
+        return HistoryCounter(
+            self.source,
+            MatchConfig(self.config.exclude_globs, self.config.max_file_bytes),
+            frozenset(elements),
+            frozenset(d.path for d in documents if d.origin == ORIGIN_README),
         )
 
     def read_documents(
@@ -287,7 +287,7 @@ def run_scan(config: RunConfig) -> ScanReport:
             elements.update(texts)
 
         deadline.check()
-        counter = HistoryCounter(source, project.match_config(documents), frozenset(elements))
+        counter = project.counter(documents, elements)
         warnings = counter.warnings
         snapshots = sorted(cited, key=lambda r: r.ordinal, reverse=True)
         with contextlib.closing(counter.walk([head, *snapshots])) as stops:
@@ -379,9 +379,7 @@ def run_history(config: RunConfig) -> ScanReport:
     # One symbol per (row, revision) cell, newest revisions first. A row's
     # evidence, and the sha it was found at, come from its newest positive cell.
     evidence: dict[int, tuple] = {}
-    counter = HistoryCounter(
-        source, project.match_config(documents), frozenset(row[0] for row in rows)
-    )
+    counter = project.counter(documents, (row[0] for row in rows))
     if not partial:
         try:
             with contextlib.closing(counter.walk(revisions[::-1])) as stops:

@@ -1,4 +1,4 @@
-"""Report assembly and rendering: JSON, CSV, Markdown, and issue drafts."""
+"""Report assembly and rendering: JSON, CSV, and issue drafts."""
 
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ MODE_HISTORY = "history"
 
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
-FORMAT_MARKDOWN = "md"
 
 # GitHub-shaped browse URLs; never fetched.
 BLOB_URL = "{base}/blob/{sha}/{path}#L{line}"
@@ -418,26 +417,12 @@ def render_findings(report: ScanReport, fmt: str = FORMAT_JSON) -> str:
         if report.mode == MODE_HISTORY:
             return _render_history_table(report)
         return _render_findings_csv(report)
-    if fmt == FORMAT_MARKDOWN:
-        return _render_findings_markdown(report)
     raise ValueError(f"unknown output format: {fmt!r}")
 
 
-def render_aggregates(agg: Aggregates, fmt: str = FORMAT_JSON) -> str:
-    """Pooled aggregates as JSON, as a one-row CSV table of the scalar
-    totals, or as a Markdown list."""
-    data = agg._asdict()
-    if fmt == FORMAT_JSON:
-        return json.dumps(data, indent=2) + "\n"
-    if fmt == FORMAT_CSV:
-        nested = ("fix_kind_counts", "duration_stats", "survival_points")
-        keys = [k for k in data if k not in nested]
-        return ",".join(keys) + "\n" + ",".join(str(data[k]) for k in keys) + "\n"
-    if fmt == FORMAT_MARKDOWN:
-        lines = ["# Pooled aggregates", ""]
-        lines += [f"* {key}: {value}" for key, value in data.items()]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown output format: {fmt!r}")
+def render_aggregates(agg: Aggregates) -> str:
+    """Pooled aggregates as JSON."""
+    return json.dumps(agg._asdict(), indent=2) + "\n"
 
 
 def _render_findings_csv(report: ScanReport) -> str:
@@ -476,39 +461,6 @@ def _render_findings_csv(report: ScanReport) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def _render_findings_markdown(report: ScanReport) -> str:
-    lines = [
-        f"# Reference scan of {report.project_id}",
-        "",
-        f"* mode: {report.mode}",
-        f"* scan time: {rfc3339(report.scan_time)}",
-        f"* findings: {len(report.findings)} "
-        f"({sum(f.outdated for f in report.findings)} outdated)",
-    ]
-    if report.partial:
-        lines.append("* **partial results** (run hit its timeout)")
-    lines.append("")
-    for f in report.findings:
-        marker = "**outdated**" if f.outdated else (f.status or "history")
-        lines.append(f"- `{f.element_text}` in `{f.document.path}` ({f.document.origin}): {marker}")
-        if f.status is not None:
-            lines.append(
-                f"  - snapshot count {f.snapshot_count} at `{(f.snapshot_sha or '')[:10]}`, "
-                f"current count {f.current_count} at `{(f.current_sha or '')[:10]}`"
-            )
-        if f.episodes:
-            for ep in f.episodes:
-                if ep.ongoing:
-                    lines.append(f"  - outdated since ordinal {ep.start_ordinal}, not fixed")
-                else:
-                    lines.append(
-                        f"  - outdated at ordinal {ep.start_ordinal}, fixed by "
-                        f"{ep.fix.kind} at ordinal {ep.end_ordinal}"
-                    )
-    lines.append("")
-    return "\n".join(lines)
 
 
 def _render_history_table(report: ScanReport) -> str:

@@ -258,12 +258,14 @@ def _last_line(stderr) -> str:
 
 
 def _end(child: subprocess.Popen) -> None:
+    """Kill *child* and reap it with one blocking wait: no poll loop, and no
+    child that ignores SIGTERM outlives its stream."""
     try:
         child.stdin.close()
     except BrokenPipeError:
         pass  # a dead child leaves its last request unread
-    child.terminate()
-    child.wait(timeout=5)
+    child.kill()
+    child.wait()
     child.stdout.close()
 
 

@@ -5,13 +5,13 @@ comes from. The outputs fall into groups, each built in a directory of its
 own:
 
 * one group per scenario of ``scenarios.py``, run in scan and in history:
-  the report as JSON, CSV and Markdown, and the issue draft where a finding
-  is currently outdated; JSON and CSV at every fake-deadline cut; and the
-  runs whose ``cat-file`` child dies at the blob the scenario names. Every
-  format is rendered from one run's report;
+  the report as JSON and CSV, and the issue draft where a finding is
+  currently outdated; JSON and CSV at every fake-deadline cut; and the runs
+  whose ``cat-file`` child dies at the blob the scenario names. Every format
+  is rendered from one run's report;
 * ``corpora``: the bench's smoke corpora of every workload at seeds 1 and 21
   through ``cli.main``, with stdout, stderr and exit code of each run, and
-  ``stats`` over their JSON reports in every format;
+  ``stats`` over their JSON reports;
 * ``bad_settings``: each of ``scenarios.BAD_SETTINGS`` in scan and history
   through ``cli.main``, with stdout, stderr and exit code, against a
   repository path that does not exist.
@@ -50,17 +50,12 @@ import scenarios  # noqa: E402
 from cuts import checks_of, cut_after  # noqa: E402
 from staleref import cli  # noqa: E402
 from staleref.pipeline import run_history, run_scan  # noqa: E402
-from staleref.reporting import (  # noqa: E402
-    FORMAT_CSV,
-    FORMAT_MARKDOWN,
-    render_findings,
-    render_issue_draft,
-)
+from staleref.reporting import FORMAT_CSV, render_findings, render_issue_draft  # noqa: E402
 
 PLACEHOLDER = "<tmp>"
 RUNS = {"scan": run_scan, "history": run_history}
 CLI_RUNS = {
-    "json": [], "csv": ["--format", "csv"], "md": ["--format", "md"],
+    "json": [], "csv": ["--format", "csv"],
     "issue": ["--url-base", "https://example.invalid/proj", "--issue-draft", "-"],
 }
 SCENARIOS = {b.__name__.removeprefix("build_"): b for b in scenarios.SCENARIO_BUILDERS}
@@ -92,10 +87,8 @@ class Patches:
 
 def _renderings(key: str, report, complete: bool) -> dict[str, str]:
     texts = {"json": render_findings(report), "csv": render_findings(report, FORMAT_CSV)}
-    if complete:
-        texts["md"] = render_findings(report, FORMAT_MARKDOWN)
-        if any(f.currently_outdated for f in report.findings):
-            texts["issue"] = render_issue_draft(report)
+    if complete and any(f.currently_outdated for f in report.findings):
+        texts["issue"] = render_issue_draft(report)
     return {f"{key}/{fmt}": text for fmt, text in texts.items()}
 
 
@@ -157,8 +150,7 @@ def _corpus_outputs(base: Path) -> dict[str, str]:
                     record(f"{key}/{mode}/{name}", [mode, *args, *extra])
             reports.append(base / f"{workload}-{seed}.json")
             reports[-1].write_text(texts[f"{key}/{built.mode}/json/stdout"], encoding="utf-8")
-    for fmt in ("json", "csv", "md"):
-        record(f"stats/{fmt}", ["stats", *map(str, reports), "--format", fmt])
+    record("stats/json", ["stats", *map(str, reports)])
     return texts
 
 

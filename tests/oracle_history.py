@@ -309,13 +309,15 @@ class SourceScanner(_WarningLog):
     """Counts element instances at arbitrary revisions with blob-level caching.
 
     Each call walks the whole tree listing at its revision. ``HistoryCounter``
-    must agree with it in both modes.
+    must agree with it in both modes. Files under a ``.git`` directory and
+    the files at the paths of *documents* are not scanned.
     """
 
-    def __init__(self, repo: GitRepo, config: MatchConfig):
+    def __init__(self, repo: GitRepo, config: MatchConfig, documents: frozenset[str] = frozenset()):
         super().__init__()
         self.repo = repo
         self.config = config
+        self.documents = documents
         self._scannable: dict[str, tuple[tuple[str, str], ...]] = {}
         self._text_cache: dict[str, str | None] = {}
         self._skips: dict[str, _Skip] = {}
@@ -328,7 +330,8 @@ class SourceScanner(_WarningLog):
             cached = tuple(
                 (path, blob)
                 for path, blob in tree_entries(self.repo, revision.sha)
-                if not matches_exclude(path, self.config.exclude_globs)
+                if path not in self.documents
+                and not matches_exclude(path, (".git/", *self.config.exclude_globs))
             )
             self._scannable[revision.sha] = cached
         return cached
@@ -401,6 +404,15 @@ def warn_at(scanner: SourceScanner, revisions, elements) -> None:
             scanner.count_instances(element, revision)
 
 
+def readme_scanner(config: RunConfig, repo: GitRepo, documents) -> SourceScanner:
+    """A scanner of *config*'s source files in which the README-origin
+    *documents* never count."""
+    return SourceScanner(
+        repo, MatchConfig(config.exclude_globs, config.max_file_bytes),
+        frozenset(d.path for d in documents if d.origin == ORIGIN_README),
+    )
+
+
 def _unreadable(document: DocumentDescriptor, error: GitError) -> dict:
     return {"kind": "unreadable_document", "document": document.path, "detail": str(error)}
 
@@ -416,7 +428,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
         tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
         config.extra_doc_globs,
     )
-    scanner = SourceScanner(source.repo, project.match_config(documents))
+    scanner = readme_scanner(config, source.repo, documents)
     documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
 
     findings: list[Finding] = []
@@ -483,7 +495,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
     documents = discover_documents(
         _union_listing(source), _union_listing(wiki) if wiki else None, config.extra_doc_globs
     )
-    scanner = SourceScanner(source.repo, project.match_config(documents))
+    scanner = readme_scanner(config, source.repo, documents)
     documents = _skip_ambiguous(
         project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
     )

@@ -874,14 +874,16 @@ def build_all(base: Path) -> list[dict]:
 # Settings that the command line refuses before it starts any git process:
 # name -> arguments after --repo. There is no config file, no rule catalog
 # file, one episode rule and one README rule: --config, --regex-file,
-# --strict-episodes and --readme-glob are unrecognized arguments. The report
-# and its issue draft need two files, each in a directory that is there.
+# --strict-episodes and --readme-glob are unrecognized arguments. A report is
+# JSON or CSV, so md is no --format. The report and its issue draft need two
+# files, each in a directory that is there.
 BAD_SETTINGS = {
     "config-flag": ["--config", "cfg.json"],
     "regex-file-flag": ["--regex-file", "rules.tsv"],
     "strict-episodes-flag": ["--strict-episodes"],
     "readme-glob-flag": ["--readme-glob", "*"],
     "format-xml-flag": ["--format", "xml"],
+    "format-md-flag": ["--format", "md"],
     "scan-time-overflow": ["--scan-time", "100000000000000000000"],
     "scan-time-year-14645": ["--scan-time", "400000000000"],
     "scan-time-before-year-1": ["--scan-time=-100000000000"],

@@ -174,11 +174,6 @@ class TestScan:
         (finding,) = json.loads(out.read_text())["findings"]
         assert finding["urls"]["document"].startswith("https://u:p@example.org/x/blob/")
 
-    def test_markdown_format(self, dirty_repo):
-        proc = run_cli("scan", "--repo", dirty_repo, "--format", "md")
-        assert proc.returncode == 1
-        assert "`old_fn()`" in proc.stdout and "**outdated**" in proc.stdout
-
 
 class TestHistory:
     def test_csv_emits_symbol_table(self, dirty_repo):
@@ -568,20 +563,20 @@ class TestStats:
             payload = report
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        for fmt in ("json", "csv", "md"):
-            proc = run_cli("stats", str(bad), "--format", fmt)
-            assert proc.returncode == 2
-            assert proc.stderr.startswith(f"error: {bad}: ")
-            assert detail in proc.stderr and "Traceback" not in proc.stderr
-            assert proc.stdout == ""
+        proc = run_cli("stats", str(bad))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {bad}: ")
+        assert detail in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
-    def test_csv_and_md_formats(self, dirty_repo, clean_repo, tmp_path):
-        paths = self.make_reports(dirty_repo, clean_repo, tmp_path)
-        csv = run_cli("stats", *paths, "--format", "csv")
-        header, row = csv.stdout.splitlines()[:2]
-        assert "projects_total" in header and len(header.split(",")) == len(row.split(","))
-        md = run_cli("stats", *paths, "--format", "md")
-        assert md.stdout.startswith("# Pooled aggregates")
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    def test_format_option_is_gone(self, history_report, tmp_path, fmt):
+        # stats prints JSON only; --format is an unrecognized argument.
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps(history_report))
+        proc = run_cli("stats", str(report), "--format", fmt)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(f"error: unrecognized arguments: --format {fmt}\n")
 
     def test_a_bad_report_after_good_ones_writes_no_aggregate(
         self, dirty_repo, clean_repo, tmp_path

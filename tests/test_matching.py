@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import subprocess
 
 import pytest
 
@@ -335,6 +336,51 @@ class TestHistoryCounter:
         ]
         assert counter.count("needle", r0) == 6
         assert counter.warnings == [big, capped]
+
+    def test_git_directories_and_documents_never_count(self, repo_factory):
+        # git refuses to add a path under .git, so the tree is made by hand.
+        # A document leaves counting by its exact path: lib is one, and the
+        # file below the directory lib still counts.
+        builder = repo_factory("git_dirs")
+
+        def git_in(args, text):
+            return subprocess.run(["git", "-C", str(builder.path), *args], input=text,
+                                  capture_output=True, text=True, check=True).stdout.strip()
+        blob = git_in(["hash-object", "-w", "--stdin"], "helper_fn()\n")
+        inner = git_in(["mktree"], f"100644 blob {blob}\thooks.py\n")
+        sub = git_in(["mktree"], f"040000 tree {inner}\t.git\n")
+        root = git_in(["mktree"], "".join(
+            f"{mode}\t{name}\n" for mode, name in [
+                (f"040000 tree {inner}", ".git"), (f"100644 blob {blob}", "README.md"),
+                (f"100644 blob {blob}", "a.py"), (f"040000 tree {inner}", "lib"),
+                (f"040000 tree {sub}", "sub"),
+            ]
+        ))
+        commit = git_in(["commit-tree", root, "-m", "c"], "")
+        builder.git("update-ref", "refs/heads/main", commit)
+        branch = Branch.open(builder.path, None)
+        counter = HistoryCounter(
+            branch, MatchConfig(), frozenset(["helper_fn()"]), frozenset(["README.md", "lib"])
+        )
+        head = next(counter.walk([branch.seq.head]))
+        assert counter.count("helper_fn()", head) == 2
+        assert counter.evidence("helper_fn()") == (
+            ("a.py", 1, "text"), ("lib/hooks.py", 1, "text"),
+        )
+
+    def test_a_blob_answered_out_of_order_fails(self, repo_factory, monkeypatch):
+        # a.py and c.py share a blob. Read in swapped order, the blobs would
+        # count alpha once and beta twice.
+        builder = repo_factory("swapped")
+        builder.commit(T, {"a.py": "alpha\n", "b.py": "beta\n", "c.py": "alpha\n"})
+        read_blobs = GitRepo.read_blobs
+
+        def swapped(self, blobs):
+            yield from reversed(list(read_blobs(self, blobs)))
+
+        monkeypatch.setattr(GitRepo, "read_blobs", swapped)
+        with pytest.raises(RuntimeError, match="the blob stream answered"):
+            counter_at_head(GitRepo(builder.path), ["alpha", "beta"])
 
 
 def commit_bytes(builder, files: dict[str, bytes]) -> None:

@@ -394,6 +394,24 @@ class TestRunBehavior:
             ], run.__name__
             assert {f.document.path for f in report.findings} == {"README.md", "Home.md"}
 
+    def test_a_document_leaves_counting_by_its_exact_path(self, tmp_path):
+        # README.rst is a document of the history. Where it is a directory,
+        # the file below it counts in both modes, as README.md never does.
+        builder = RepoBuilder(tmp_path / "proj")
+        builder.commit(scenarios.T0, {
+            "README.md": "Call `helper_fn()`.\n", "README.rst": "Notes.\n",
+            "src/a.py": "def helper_fn():\n    pass\n",
+        })
+        builder.commit(scenarios.T0 + 10, {
+            "README.rst": None, "src/a.py": None, "README.rst/b.py": "helper_fn()\nhelper_fn()\n",
+        })
+        config = RunConfig(str(builder.path), scan_time=scenarios.T0 + 20)
+        (history,) = run_history(config).findings
+        assert (history.symbols, history.episodes) == ((1, 2), [])
+        assert history.evidence == (("README.rst/b.py", 1, "text"),)
+        (scan,) = run_scan(config).findings
+        assert (scan.snapshot_count, scan.current_count) == (1, 2)
+
     def test_url_base_fills_finding_urls(self, manifests):
         manifest = next(m for m in manifests if m["name"] == "backtick_outdated")
         report = run_scan(config_for(manifest, url_base="https://github.com/acme/proj"))
@@ -693,7 +711,8 @@ class TestGitChildren:
                     blob
                     for stop in stops
                     for path, blob in tree_entries(counter.branch.repo, stop.sha)
-                    if not matches_exclude(path, counter.config.exclude_globs)
+                    if path not in counter.documents
+                    and not matches_exclude(path, (".git/", *counter.config.exclude_globs))
                 } if counter._elements else set()
                 assert set(requested) == expected, (manifest["name"], run.__name__)
                 read += len(requested)

@@ -14,7 +14,6 @@ from staleref.docdiscovery import DocumentDescriptor, ORIGIN_README, ORIGIN_WIKI
 from staleref.reporting import (
     Aggregates,
     FORMAT_CSV,
-    FORMAT_MARKDOWN,
     Finding,
     MODE_CURRENT,
     MODE_HISTORY,
@@ -295,12 +294,10 @@ class TestSerialization:
         csv_text = render_findings(report, FORMAT_CSV)
         assert len(csv_text.strip().splitlines()) == 1  # header only
 
-    def test_csv_and_markdown_contain_counts(self):
+    def test_csv_contains_counts(self):
         report = make_report([finding()])
         csv_text = render_findings(report, FORMAT_CSV)
         assert "fPIC" in csv_text and "21" in csv_text
-        md_text = render_findings(report, FORMAT_MARKDOWN)
-        assert "`fPIC`" in md_text
 
     def test_records_are_frozen(self):
         f = history_finding("a()", [1, 0])

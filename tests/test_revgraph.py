@@ -592,11 +592,28 @@ class FakeCatFile:
     def poll(self):
         return self.returncode
 
-    def terminate(self) -> None:
+    def kill(self) -> None:
         if self.returncode is None:
-            self.returncode = -15
+            self.returncode = -9
 
     def wait(self, timeout=None):
+        return self.returncode
+
+
+class StubbornCatFile(FakeCatFile):
+    """A FakeCatFile that ignores SIGTERM and the end of its input, as a
+    wrapper that traps the signal would: only SIGKILL ends it. Waiting for
+    it with a timeout times out, and waiting without one never returns,
+    which the fake reports as a failure."""
+
+    def terminate(self) -> None:
+        pass  # ignored
+
+    def wait(self, timeout=None):
+        if self.returncode is None:
+            if timeout is not None:
+                raise subprocess.TimeoutExpired("git cat-file --batch", timeout)
+            raise AssertionError("wait() on a live child would never return")
         return self.returncode
 
 
@@ -646,8 +663,9 @@ class TestBlobStream:
 
     @pytest.fixture
     def fake_repo(self, repo_factory, monkeypatch):
-        """A GitRepo whose cat-file children are FakeCatFile instances made
-        by the returned function's keyword arguments; it lists them."""
+        """A GitRepo whose cat-file children are FakeCatFile instances, or
+        instances of the class given as ``child``, made by the returned
+        function's other keyword arguments; it lists them."""
         builder = repo_factory()
         builder.commit(T, {"f.txt": "a\n"})
         repo = GitRepo(builder.path)
@@ -656,7 +674,8 @@ class TestBlobStream:
 
         def spawn(args, **kwargs):
             assert args[3:] == ["cat-file", "--batch"]
-            children.append(FakeCatFile(self.OBJECTS, **options))
+            faults = dict(options)
+            children.append(faults.pop("child", FakeCatFile)(self.OBJECTS, **faults))
             return children[-1]
 
         monkeypatch.setattr(subprocess, "Popen", spawn)
@@ -673,7 +692,17 @@ class TestBlobStream:
         [child] = children
         assert child.requests == self.SHAS
         assert child.most_outstanding == revgraph._WINDOW == 63
-        assert child.returncode == -15  # the stream ended its child
+        assert child.returncode == -9  # the stream ended its child
+
+    @pytest.mark.parametrize("read", [200, 5], ids=["complete", "abandoned"])
+    def test_a_child_that_ignores_sigterm_still_ends(self, fake_repo, read):
+        repo, children = fake_repo(child=StubbornCatFile)
+        stream = repo.read_blobs(self.SHAS)
+        got = [next(stream) for _ in range(read)]
+        stream.close()
+        assert got == list(self.OBJECTS.items())[:read]
+        [child] = children
+        assert child.returncode == -9
 
     @pytest.mark.parametrize("fault", ["dies_at", "truncates_at"])
     @pytest.mark.parametrize("index", [0, 31, 62, 63, 199], ids=lambda i: f"sha{i}")
@@ -708,7 +737,7 @@ class TestBlobStream:
         assert [sha for sha, _ in got] == shas
         assert isinstance(got[20][1], UnknownRevisionError)
         assert got[:20] + got[21:] == [(sha, self.OBJECTS[sha]) for sha in shas if sha in self.OBJECTS]
-        assert len(children) == 1 and children[0].returncode == -15
+        assert len(children) == 1 and children[0].returncode == -9
 
     def test_an_abandoned_stream_drops_its_child(self, fake_repo):
         repo, children = fake_repo()
@@ -716,10 +745,10 @@ class TestBlobStream:
         for _ in range(5):
             next(stream)
         stream.close()
-        assert children[0].returncode == -15
+        assert children[0].returncode == -9
         assert read_blob_bytes(repo, self.SHAS[7]) == self.OBJECTS[self.SHAS[7]]
         assert len(children) == 2 and children[1].requests == [self.SHAS[7]]
-        assert children[1].returncode == -15
+        assert children[1].returncode == -9
         # An empty stream starts no child.
         assert list(repo.read_blobs([])) == []
         assert len(children) == 2
