@@ -80,6 +80,22 @@ class DocumentDescriptor(namedtuple("DocumentDescriptor", "origin path format"))
         return name[:dot] if dot > 0 else name
 
 
+def readme_format(path: str, extra_doc_globs: tuple[str, ...]) -> str | None:
+    """The format of the source file at *path* if it is a document, else None.
+
+    A README is a file at the repository root whose name starts with
+    ``readme`` in any case; deeper documentation must be opted in through
+    ``extra_doc_globs`` (matched against the full relative path). Either
+    needs a recognised format. The rule is the same at every revision, and a
+    document never counts as source.
+    """
+    if ("/" in path or not path.lower().startswith("readme")) and not any(
+        fnmatch.fnmatchcase(path, glob) for glob in extra_doc_globs
+    ):
+        return None
+    return is_recognized_format(path)
+
+
 def discover_documents(
     source_tree: list[str],
     wiki_tree: list[str] | None,
@@ -87,21 +103,16 @@ def discover_documents(
 ) -> list[DocumentDescriptor]:
     """Collect documentation files from a source listing and an optional wiki listing.
 
-    A README is a file at the repository root whose name starts with
-    ``readme`` in any case; deeper documentation must be opted in through
-    ``extra_doc_globs`` (matched against the full relative path). Every wiki
-    file with a recognised format is included. The result is deduplicated and
-    sorted, so repeated calls over the same listings are identical.
+    A source file is a document by ``readme_format``; every wiki file with a
+    recognised format is one. The result is deduplicated and sorted, so
+    repeated calls over the same listings are identical.
     """
-    pairs = [(ORIGIN_README, path) for path in source_tree]
-    pairs += [(ORIGIN_WIKI, path) for path in wiki_tree or ()]
-    return sorted({
-        DocumentDescriptor(origin, path, fmt)
-        for origin, path in pairs
-        if (
-            origin == ORIGIN_WIKI
-            or ("/" not in path and path.lower().startswith("readme"))
-            or any(fnmatch.fnmatchcase(path, glob) for glob in extra_doc_globs)
-        )
-        and (fmt := is_recognized_format(path))
-    })
+    documents = {
+        DocumentDescriptor(ORIGIN_README, path, fmt)
+        for path in source_tree if (fmt := readme_format(path, extra_doc_globs))
+    }
+    documents.update(
+        DocumentDescriptor(ORIGIN_WIKI, path, fmt)
+        for path in wiki_tree or () if (fmt := is_recognized_format(path))
+    )
+    return sorted(documents)

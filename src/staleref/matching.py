@@ -16,6 +16,7 @@ import string
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
+from .docdiscovery import readme_format
 from .revgraph import Branch, GitError, Revision
 
 STATUS_OUTDATED = "outdated"
@@ -39,11 +40,13 @@ _NON_WORD_TO_SPACE = bytes(b if chr(b) in _WORD_CHARS else 0x20 for b in range(2
 _TOKEN_SLICE_BYTES = 1 << 16
 
 
-class MatchConfig(
-    namedtuple("MatchConfig", "exclude_globs max_file_bytes", defaults=((), MAX_FILE_BYTES))
-):
-    """Which source files counting reads: none that ``matches_exclude``
-    excludes and none larger than ``max_file_bytes``. Immutable."""
+class MatchConfig(namedtuple(
+    "MatchConfig", "exclude_globs max_file_bytes extra_doc_globs",
+    defaults=((), MAX_FILE_BYTES, ()),
+)):
+    """Which source files counting reads: no document, by ``readme_format``
+    with ``extra_doc_globs``, none that ``matches_exclude`` excludes and none
+    larger than ``max_file_bytes``. Immutable."""
 
     __slots__ = ()
 
@@ -191,17 +194,14 @@ class HistoryCounter:
     path's new blob hit the cap. A count only reads the state.
 
     No file under a ``.git`` directory is scanned, and no file whose decoded
-    path is one of *documents*: each is left out by its exact path, so the
-    files below a directory of that name are scanned.
+    path ``readme_format`` finds a document's, at any revision: each is left
+    out by its exact path, so the files below a directory of that name are
+    scanned.
     """
 
-    def __init__(
-        self, branch: Branch, config: MatchConfig, elements: frozenset[str],
-        documents: frozenset[str] = frozenset(),
-    ):
+    def __init__(self, branch: Branch, config: MatchConfig, elements: frozenset[str]):
         self.branch = branch
         self.config = config
-        self.documents = documents
         self._excludes = (".git/", *config.exclude_globs)
         self.revision: Revision | None = None  # whose tree the state holds
         self.warnings: list[dict] = []
@@ -287,7 +287,7 @@ class HistoryCounter:
             # With no element cited, no path is scanned, so nothing is read.
             info = self._paths[path] = (
                 name,
-                bool(self._elements) and name not in self.documents
+                bool(self._elements) and not readme_format(name, self.config.extra_doc_globs)
                 and not matches_exclude(name, self._excludes),
                 tuple(v for v in expand_path_variants([name]) if v in self._elements),
             )

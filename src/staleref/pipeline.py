@@ -150,38 +150,33 @@ class _Project:
             config.scan_time if config.scan_time is not None else int(time.time())
         )
 
-    def discover(
-        self, listings: dict[str, Iterable[bytes]]
-    ) -> tuple[list[DocumentDescriptor], dict[DocumentDescriptor, bytes]]:
-        """The documents among each origin's raw paths, and the raw path of
-        each one the run reads; one whose decoded path has two is not read."""
+    def discover(self, listings: dict[str, Iterable[bytes]]) -> dict[DocumentDescriptor, bytes]:
+        """The raw path of each document among each origin's raw paths that
+        the run reads; one whose decoded path has two is not read."""
         names: dict[str, dict[str, bytes | None]] = {origin: {} for origin in listings}
         for origin, paths in listings.items():
             for raw in paths:
                 name = raw.decode("utf-8", errors="replace")
                 names[origin][name] = None if name in names[origin] else raw
-        documents = discover_documents(
+        raw_paths = {d: names[d.origin][d.path] for d in discover_documents(
             list(names[ORIGIN_README]),
             list(names[ORIGIN_WIKI]) if ORIGIN_WIKI in names else None,
             self.config.extra_doc_globs,
-        )
-        raw_paths = {d: names[d.origin][d.path] for d in documents}
+        )}
         self.warnings += [
             {"kind": "ambiguous_document_path", "document": d.path}
             for d, raw in raw_paths.items() if raw is None
         ]
-        return documents, {d: raw for d, raw in raw_paths.items() if raw is not None}
+        return {d: raw for d, raw in raw_paths.items() if raw is not None}
 
-    def counter(
-        self, documents: list[DocumentDescriptor], elements: Iterable[str]
-    ) -> HistoryCounter:
-        """A counter of *elements* over the source history, in which the
-        README-origin *documents* never count as source instances."""
+    def counter(self, elements: Iterable[str]) -> HistoryCounter:
+        """A counter of *elements* over the source history, in which no
+        document counts as a source instance."""
+        config = self.config
         return HistoryCounter(
             self.source,
-            MatchConfig(self.config.exclude_globs, self.config.max_file_bytes),
+            MatchConfig(config.exclude_globs, config.max_file_bytes, config.extra_doc_globs),
             frozenset(elements),
-            frozenset(d.path for d in documents if d.origin == ORIGIN_README),
         )
 
     def read_documents(
@@ -261,7 +256,7 @@ def run_scan(config: RunConfig) -> ScanReport:
     source = project.source
     head = source.seq.head
     hosts = project.hosts
-    documents, raw_paths = project.discover({origin: host.head for origin, host in hosts.items()})
+    raw_paths = project.discover({origin: host.head for origin, host in hosts.items()})
     versions = {
         document: [hosts[document.origin].head[raw][0]] for document, raw in raw_paths.items()
     }
@@ -287,7 +282,7 @@ def run_scan(config: RunConfig) -> ScanReport:
             elements.update(texts)
 
         deadline.check()
-        counter = project.counter(documents, elements)
+        counter = project.counter(elements)
         warnings = counter.warnings
         snapshots = sorted(cited, key=lambda r: r.ordinal, reverse=True)
         with contextlib.closing(counter.walk([head, *snapshots])) as stops:
@@ -337,9 +332,7 @@ def run_history(config: RunConfig) -> ScanReport:
     source = project.source
     head = source.seq.head
     hosts = project.hosts
-    documents, raw_paths = project.discover({
-        origin: host.paths() for origin, host in hosts.items()
-    })
+    raw_paths = project.discover({origin: host.paths() for origin, host in hosts.items()})
     series = {
         origin: host.blob_series(raw for d, raw in raw_paths.items() if d.origin == origin)
         for origin, host in hosts.items()
@@ -379,7 +372,7 @@ def run_history(config: RunConfig) -> ScanReport:
     # One symbol per (row, revision) cell, newest revisions first. A row's
     # evidence, and the sha it was found at, come from its newest positive cell.
     evidence: dict[int, tuple] = {}
-    counter = project.counter(documents, (row[0] for row in rows))
+    counter = project.counter(row[0] for row in rows)
     if not partial:
         try:
             with contextlib.closing(counter.walk(revisions[::-1])) as stops:

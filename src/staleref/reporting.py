@@ -439,7 +439,6 @@ def _render_findings_csv(report: ScanReport) -> str:
             "snapshot_count",
             "current_sha",
             "current_count",
-            "episodes",
             "evidence",
         ]
     )
@@ -456,7 +455,6 @@ def _render_findings_csv(report: ScanReport) -> str:
                 f.snapshot_count if f.snapshot_count is not None else "",
                 f.current_sha or "",
                 f.current_count if f.current_count is not None else "",
-                len(f.episodes) if f.episodes is not None else "",
                 evidence,
             ]
         )

@@ -3,8 +3,9 @@
 All repository access goes through subprocess calls to the ``git`` binary.
 A ``Branch`` holds one history's per-revision changes and is the only code
 that folds them into trees.
-Each blob stream reads through a ``cat-file --batch`` child of its own, so
-its reads pay neither process startup per file nor a round trip per blob.
+Each blob stream reads through a ``cat-file --batch --buffer`` child of its
+own, which reads the stream's requests from a file, so its reads pay neither
+process startup per file nor a round trip per blob.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from pathlib import Path
 
 # 40 hex digits name a SHA-1 object, 64 a SHA-256 one.
 _FULL_SHA = re.compile("[0-9a-f]{40}|[0-9a-f]{64}")
-
-# Blob requests a stream keeps unanswered: 63 SHA-256 request lines fit the
-# one page a Linux pipe holds at the least, so writing them never blocks.
-_WINDOW = 63
 
 # Raw diff modes on a side that holds no blob: nothing there, or a gitlink.
 _NO_BLOB_MODES = (b"000000", b"160000")
@@ -191,62 +188,64 @@ class GitRepo:
         return RevisionSequence(tuple(revisions)), changes
 
     def remote_url(self) -> str | None:
-        return self._run("config", "--get", "remote.origin.url").stdout.strip() or None
+        """The origin remote's URL; None for no remote and for a URL that is
+        not UTF-8."""
+        url = self._run("config", "--get", "remote.origin.url", text=False).stdout.strip()
+        try:
+            return url.decode() or None
+        except UnicodeDecodeError:
+            return None
 
     # -- blobs ---------------------------------------------------------------
 
     def read_blobs(self, blobs: Sequence[str]) -> Iterator[tuple[str, bytes | GitError]]:
         """(blob, its raw contents or the GitError that reading it gave) for
-        each of *blobs*, in order, through a cat-file child of the stream's
-        own, started at the first request and ended with the stream. Up to
-        ``_WINDOW`` requests run ahead of the answers, so git looks up the
-        next objects while the caller works on this one. A missing object
-        fails only its blob. A child that exits or cuts an answer short fails
-        the first unanswered blob and is ended; the blobs after it are
-        requested again from a new child. Each child's stderr goes to an
-        unnamed temporary file, whose last line ends its failed blob's error."""
+        each of *blobs*, in order, through a ``cat-file --batch --buffer``
+        child of the stream's own, started at the first request and ended
+        with the stream. Every request is written once, to an unnamed
+        temporary file that is the child's input, so git looks up the next
+        objects while the caller works on this one. A missing object fails
+        only its blob. A child that exits or cuts an answer short fails the
+        first unanswered blob and is ended; a new child reads the requests
+        from the next blob's on. Each child's stderr goes to an unnamed
+        temporary file, whose last line ends its failed blob's error."""
         batch = stderr = None
-        done = sent = 0  # blobs[done:sent] are requested and not answered
-        try:
-            while done < len(blobs):
-                more = blobs[sent : done + _WINDOW]
-                if more:
+        offset = 0  # where the next blob's request starts
+        with tempfile.TemporaryFile() as requests:
+            requests.write("".join(blob + "\n" for blob in blobs).encode())
+            try:
+                for blob in blobs:
                     if batch is None:
+                        requests.seek(offset)  # which flushes the requests first
                         stderr = tempfile.TemporaryFile()
                         batch = subprocess.Popen(
-                            ["git", "-C", str(self.path), "cat-file", "--batch"],
-                            stdin=subprocess.PIPE,
+                            ["git", "-C", str(self.path), "cat-file", "--batch", "--buffer"],
+                            stdin=requests,
                             stdout=subprocess.PIPE,
                             stderr=stderr,
                         )
-                    sent += len(more)
-                    try:
-                        batch.stdin.write("".join(blob + "\n" for blob in more).encode())
-                        batch.stdin.flush()
-                    except BrokenPipeError:
-                        pass  # the child is gone: reading its answers finds out
-                blob, answers, done = blobs[done], batch.stdout, done + 1
-                header = answers.readline().decode().strip()
-                if header.endswith(" missing"):
-                    yield blob, UnknownRevisionError(f"{self.path}: no such object {blob}")
-                    continue
-                if header:
-                    size = int(header.rsplit(" ", 1)[1])
-                    data = answers.read(size)
-                    if len(data) == size and answers.read(1) == b"\n":
-                        yield blob, data
+                    offset += len(blob) + 1
+                    header = batch.stdout.readline()
+                    if header.endswith(b" missing\n"):
+                        yield blob, UnknownRevisionError(f"{self.path}: no such object {blob}")
                         continue
-                _end(batch)
-                batch, sent = None, done  # the rest are requested again from a new child
-                yield blob, GitError(f"{self.path}: " + (
-                    f"truncated cat-file output for {blob}" if header
-                    else f"git cat-file exited before it answered for {blob}"
-                ) + _last_line(stderr))
-        finally:
-            if batch is not None:
-                _end(batch)
-            if stderr is not None:
-                stderr.close()
+                    if header.endswith(b"\n"):
+                        size = int(header.rsplit(b" ", 1)[1])
+                        data = batch.stdout.read(size)
+                        if len(data) == size and batch.stdout.read(1) == b"\n":
+                            yield blob, data
+                            continue
+                    _end(batch)
+                    batch = None  # the rest are answered by a new child
+                    yield blob, GitError(f"{self.path}: " + (
+                        f"truncated cat-file output for {blob}" if header
+                        else f"git cat-file exited before it answered for {blob}"
+                    ) + _last_line(stderr))
+            finally:
+                if batch is not None:
+                    _end(batch)
+                if stderr is not None:
+                    stderr.close()
 
 
 def _last_line(stderr) -> str:
@@ -260,10 +259,6 @@ def _last_line(stderr) -> str:
 def _end(child: subprocess.Popen) -> None:
     """Kill *child* and reap it with one blocking wait: no poll loop, and no
     child that ignores SIGTERM outlives its stream."""
-    try:
-        child.stdin.close()
-    except BrokenPipeError:
-        pass  # a dead child leaves its last request unread
     child.kill()
     child.wait()
     child.stdout.close()

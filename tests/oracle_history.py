@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
+import oracle_discovery
 from staleref.docdiscovery import (
     ORIGIN_README,
     ORIGIN_WIKI,
@@ -310,14 +311,14 @@ class SourceScanner(_WarningLog):
 
     Each call walks the whole tree listing at its revision. ``HistoryCounter``
     must agree with it in both modes. Files under a ``.git`` directory and
-    the files at the paths of *documents* are not scanned.
+    the files that ``oracle_discovery`` finds to be documents, one path at a
+    time, are not scanned.
     """
 
-    def __init__(self, repo: GitRepo, config: MatchConfig, documents: frozenset[str] = frozenset()):
+    def __init__(self, repo: GitRepo, config: MatchConfig):
         super().__init__()
         self.repo = repo
         self.config = config
-        self.documents = documents
         self._scannable: dict[str, tuple[tuple[str, str], ...]] = {}
         self._text_cache: dict[str, str | None] = {}
         self._skips: dict[str, _Skip] = {}
@@ -330,7 +331,7 @@ class SourceScanner(_WarningLog):
             cached = tuple(
                 (path, blob)
                 for path, blob in tree_entries(self.repo, revision.sha)
-                if path not in self.documents
+                if not oracle_discovery.discover_documents([path], None, self.config.extra_doc_globs)
                 and not matches_exclude(path, (".git/", *self.config.exclude_globs))
             )
             self._scannable[revision.sha] = cached
@@ -404,12 +405,10 @@ def warn_at(scanner: SourceScanner, revisions, elements) -> None:
             scanner.count_instances(element, revision)
 
 
-def readme_scanner(config: RunConfig, repo: GitRepo, documents) -> SourceScanner:
-    """A scanner of *config*'s source files in which the README-origin
-    *documents* never count."""
+def readme_scanner(config: RunConfig, repo: GitRepo) -> SourceScanner:
+    """A scanner of *config*'s source files in which no document counts."""
     return SourceScanner(
-        repo, MatchConfig(config.exclude_globs, config.max_file_bytes),
-        frozenset(d.path for d in documents if d.origin == ORIGIN_README),
+        repo, MatchConfig(config.exclude_globs, config.max_file_bytes, config.extra_doc_globs)
     )
 
 
@@ -428,7 +427,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
         tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
         config.extra_doc_globs,
     )
-    scanner = readme_scanner(config, source.repo, documents)
+    scanner = readme_scanner(config, source.repo)
     documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
 
     findings: list[Finding] = []
@@ -495,7 +494,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
     documents = discover_documents(
         _union_listing(source), _union_listing(wiki) if wiki else None, config.extra_doc_globs
     )
-    scanner = readme_scanner(config, source.repo, documents)
+    scanner = readme_scanner(config, source.repo)
     documents = _skip_ambiguous(
         project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
     )

@@ -582,6 +582,25 @@ def build_readme_moved(base: Path):
     })
 
 
+def build_readme_deleted(base: Path):
+    # c0 holds README.md, which cites `helper_fn()`, and README.rst, which
+    # names helper_fn() in prose; c1 deletes README.rst. A README is a
+    # document at every revision, in both modes, so README.rst never counts
+    # as source: the scan finds helper_fn() never matched at c0, the
+    # README's snapshot, and history counts it nowhere. History also reads
+    # the citation in README.rst's prose.
+    repo = RepoBuilder(base / "readme_deleted")
+    repo.commit(T0, {
+        "README.md": "Call `helper_fn()` first.\n",
+        "README.rst": "The helper_fn() call helps.\n",
+    })
+    repo.commit(T0 + STEP, {"README.rst": None})
+    key = ("readme", "README.md", "helper_fn()")
+    return _manifest("readme_deleted", repo, expected={key: NEVER}, history={
+        key: [0, 0], ("readme", "README.rst", "helper_fn()"): [0, "."],
+    })
+
+
 def build_sha256_repo(base: Path):
     # Source and wiki use SHA-256 object names, 64 hex digits each. Returns
     # None where git cannot create such a repository.
@@ -855,6 +874,7 @@ SCENARIO_BUILDERS = [
     build_glob_named_docs,
     build_detached_head,
     build_readme_moved,
+    build_readme_deleted,
     build_sha256_repo,
     build_signed_commits,
     build_backslash_names,

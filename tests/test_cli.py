@@ -204,7 +204,8 @@ class TestHistory:
 
 
 class TestRepositoryShapes:
-    """Repositories whose object names or paths once ended both modes in exit 2."""
+    """Repositories whose object names, paths or remote URL once ended both
+    modes in exit 2."""
 
     def test_sha256_object_names(self, tmp_path):
         manifest = scenarios.build_sha256_repo(tmp_path)
@@ -214,6 +215,21 @@ class TestRepositoryShapes:
 
     def test_backslash_in_document_names(self, tmp_path):
         self.check_both_modes(scenarios.build_backslash_names(tmp_path))
+
+    @pytest.mark.parametrize("mode", ["scan", "history"])
+    def test_non_utf8_remote_url_derives_no_url_base(self, tmp_path, mode):
+        builder = RepoBuilder(tmp_path / "proj")
+        builder.commit(T0, {
+            "README.md": "Use `old_fn()` often.\n",
+            "src/app.py": "def old_fn():\n    pass\n",
+        })
+        builder.commit(T0 + 10_000, {"src/app.py": "def new_fn():\n    pass\n"})
+        subprocess.run(["git", "-C", str(builder.path), "config", "remote.origin.url",
+                        b"https://example.com/\xff/repo.git"], check=True)
+        proc = run_cli(mode, "--repo", str(builder.path))
+        assert (proc.returncode, proc.stderr) == (1, "")
+        (finding,) = json.loads(proc.stdout)["findings"]
+        assert finding["urls"] is None
 
     @staticmethod
     def check_both_modes(manifest):

@@ -339,8 +339,8 @@ class TestHistoryCounter:
 
     def test_git_directories_and_documents_never_count(self, repo_factory):
         # git refuses to add a path under .git, so the tree is made by hand.
-        # A document leaves counting by its exact path: lib is one, and the
-        # file below the directory lib still counts.
+        # A document leaves counting by its exact path: the directory
+        # README.rst is named like one, and the file below it still counts.
         builder = repo_factory("git_dirs")
 
         def git_in(args, text):
@@ -349,23 +349,24 @@ class TestHistoryCounter:
         blob = git_in(["hash-object", "-w", "--stdin"], "helper_fn()\n")
         inner = git_in(["mktree"], f"100644 blob {blob}\thooks.py\n")
         sub = git_in(["mktree"], f"040000 tree {inner}\t.git\n")
+        docs = git_in(["mktree"], f"100644 blob {blob}\tguide.md\n")
         root = git_in(["mktree"], "".join(
             f"{mode}\t{name}\n" for mode, name in [
                 (f"040000 tree {inner}", ".git"), (f"100644 blob {blob}", "README.md"),
-                (f"100644 blob {blob}", "a.py"), (f"040000 tree {inner}", "lib"),
-                (f"040000 tree {sub}", "sub"),
+                (f"040000 tree {inner}", "README.rst"), (f"100644 blob {blob}", "a.py"),
+                (f"040000 tree {docs}", "docs"), (f"040000 tree {sub}", "sub"),
             ]
         ))
         commit = git_in(["commit-tree", root, "-m", "c"], "")
         builder.git("update-ref", "refs/heads/main", commit)
         branch = Branch.open(builder.path, None)
         counter = HistoryCounter(
-            branch, MatchConfig(), frozenset(["helper_fn()"]), frozenset(["README.md", "lib"])
+            branch, MatchConfig(extra_doc_globs=("docs/*.md",)), frozenset(["helper_fn()"])
         )
         head = next(counter.walk([branch.seq.head]))
         assert counter.count("helper_fn()", head) == 2
         assert counter.evidence("helper_fn()") == (
-            ("a.py", 1, "text"), ("lib/hooks.py", 1, "text"),
+            ("README.rst/hooks.py", 1, "text"), ("a.py", 1, "text"),
         )
 
     def test_a_blob_answered_out_of_order_fails(self, repo_factory, monkeypatch):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle_discovery
 import scenarios
 from repo_builder import RepoBuilder
 from cuts import checks_of, cut_after
@@ -711,7 +712,9 @@ class TestGitChildren:
                     blob
                     for stop in stops
                     for path, blob in tree_entries(counter.branch.repo, stop.sha)
-                    if path not in counter.documents
+                    if not oracle_discovery.discover_documents(
+                        [path], None, counter.config.extra_doc_globs
+                    )
                     and not matches_exclude(path, (".git/", *counter.config.exclude_globs))
                 } if counter._elements else set()
                 assert set(requested) == expected, (manifest["name"], run.__name__)

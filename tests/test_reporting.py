@@ -299,6 +299,13 @@ class TestSerialization:
         csv_text = render_findings(report, FORMAT_CSV)
         assert "fPIC" in csv_text and "21" in csv_text
 
+    def test_scan_csv_columns(self):
+        header = render_findings(make_report([finding()]), FORMAT_CSV).split("\n", 1)[0]
+        assert header == (
+            "element,origin,document,format,status,snapshot_sha,snapshot_count,"
+            "current_sha,current_count,evidence"
+        )
+
     def test_records_are_frozen(self):
         f = history_finding("a()", [1, 0])
         report = history_report([f])

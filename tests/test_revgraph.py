@@ -15,7 +15,6 @@ import scenarios
 from repo_builder import RepoBuilder
 from oracle_history import read_blob_bytes
 from staleref.docdiscovery import DocumentDescriptor, ORIGIN_WIKI
-from staleref import revgraph
 from staleref.revgraph import (
     Branch,
     EmptyHistoryError,
@@ -556,22 +555,23 @@ class TestLinkProperty:
 
 
 class FakeCatFile:
-    """An in-process stand-in for a ``git cat-file --batch`` child.
+    """An in-process stand-in for a ``git cat-file --batch --buffer`` child.
 
-    It answers requests in order from *objects* (sha -> bytes), and as
-    missing for any other sha. At the sha *dies_at* it exits unanswered, and
-    at *truncates_at* it writes half the answer and exits. It records every
-    request and the most that were ever outstanding: written, with no
-    answer begun.
+    It reads its requests from the file given as *stdin*, from that file's
+    position to its end, as the child does. It answers them in order from
+    *objects* (sha -> bytes), and as missing for any other sha. At the sha
+    *dies_at* it exits unanswered; at *truncates_at* it writes half the
+    answer and exits, and at *truncates_header_at* half the header line.
     """
 
-    def __init__(self, objects: dict[str, bytes], dies_at=None, truncates_at=None):
-        self.objects, self.dies_at, self.truncates_at = objects, dies_at, truncates_at
-        self.requests: list[str] = []
+    def __init__(self, args, stdin, objects: dict[str, bytes], dies_at=None,
+                 truncates_at=None, truncates_header_at=None):
+        self.args, self.objects, self.dies_at = args, objects, dies_at
+        self.truncates_at, self.truncates_header_at = truncates_at, truncates_header_at
+        self.requests: list[str] = stdin.read().decode().split("\n")[:-1]
         self.answered = 0
-        self.most_outstanding = 0
         self.returncode = None
-        self.stdin, self.stdout = _FakeStdin(self), _FakeStdout(self)
+        self.stdin, self.stdout = None, _FakeStdout(self)
 
     def answer_next(self) -> None:
         if self.returncode is not None or self.answered == len(self.requests):
@@ -584,9 +584,12 @@ class FakeCatFile:
         elif data is None:
             self.stdout.pending += f"{sha} missing\n".encode()
         else:
-            answer = f"{sha} blob {len(data)}\n".encode() + data + b"\n"
+            header = f"{sha} blob {len(data)}\n".encode()
+            answer = header + data + b"\n"
             if sha == self.truncates_at:
                 answer, self.returncode = answer[: len(answer) - len(data) // 2 - 1], 3
+            elif sha == self.truncates_header_at:
+                answer, self.returncode = header[: len(header) // 2], 3
             self.stdout.pending += answer
 
     def poll(self):
@@ -615,26 +618,6 @@ class StubbornCatFile(FakeCatFile):
                 raise subprocess.TimeoutExpired("git cat-file --batch", timeout)
             raise AssertionError("wait() on a live child would never return")
         return self.returncode
-
-
-class _FakeStdin:
-    def __init__(self, child: FakeCatFile):
-        self.child, self.buffer = child, b""
-
-    def write(self, data: bytes) -> None:
-        self.buffer += data
-
-    def flush(self) -> None:
-        child = self.child
-        if child.returncode is not None:
-            raise BrokenPipeError
-        *lines, self.buffer = self.buffer.split(b"\n")
-        child.requests += [line.decode() for line in lines]
-        child.most_outstanding = max(child.most_outstanding, len(child.requests) - child.answered)
-
-    def close(self) -> None:
-        if self.buffer:
-            self.flush()
 
 
 class _FakeStdout:
@@ -672,10 +655,9 @@ class TestBlobStream:
         children: list[FakeCatFile] = []
         options = {}
 
-        def spawn(args, **kwargs):
-            assert args[3:] == ["cat-file", "--batch"]
+        def spawn(args, stdin, **kwargs):
             faults = dict(options)
-            children.append(faults.pop("child", FakeCatFile)(self.OBJECTS, **faults))
+            children.append(faults.pop("child", FakeCatFile)(args, stdin, self.OBJECTS, **faults))
             return children[-1]
 
         monkeypatch.setattr(subprocess, "Popen", spawn)
@@ -686,12 +668,12 @@ class TestBlobStream:
 
         return configure
 
-    def test_keeps_at_most_a_window_outstanding(self, fake_repo):
+    def test_each_child_reads_every_request_from_a_file(self, fake_repo):
         repo, children = fake_repo()
         assert list(repo.read_blobs(self.SHAS)) == list(self.OBJECTS.items())
         [child] = children
+        assert child.args == ["git", "-C", str(repo.path), "cat-file", "--batch", "--buffer"]
         assert child.requests == self.SHAS
-        assert child.most_outstanding == revgraph._WINDOW == 63
         assert child.returncode == -9  # the stream ended its child
 
     @pytest.mark.parametrize("read", [200, 5], ids=["complete", "abandoned"])
@@ -704,18 +686,17 @@ class TestBlobStream:
         [child] = children
         assert child.returncode == -9
 
-    @pytest.mark.parametrize("fault", ["dies_at", "truncates_at"])
+    @pytest.mark.parametrize("fault", ["dies_at", "truncates_at", "truncates_header_at"])
     @pytest.mark.parametrize("index", [0, 31, 62, 63, 199], ids=lambda i: f"sha{i}")
     def test_a_dying_child_fails_one_blob(self, fake_repo, fault, index):
-        # 0, 31 and 62 are the first, a middle and the last sha of the first
-        # window; 63 opens the second, and 199 is the last of all.
+        # The first sha, three in the middle, and the last.
         bad = self.SHAS[index]
         repo, children = fake_repo(**{fault: bad})
         got = list(repo.read_blobs(self.SHAS))
         assert [sha for sha, _ in got] == self.SHAS
         [(_, error)] = [(sha, data) for sha, data in got if sha == bad]
-        message = "truncated cat-file output" if fault == "truncates_at" else (
-            "git cat-file exited before it answered"
+        message = "git cat-file exited before it answered" if fault == "dies_at" else (
+            "truncated cat-file output"
         )
         assert type(error) is GitError and str(error) == f"{repo.path}: {message} for {bad}"
         assert [(sha, data) for sha, data in got if sha != bad] == [
@@ -725,7 +706,7 @@ class TestBlobStream:
             assert len(children) == 1
         else:
             first, second = children
-            assert first.requests[: index + 1] == self.SHAS[: index + 1]
+            assert first.requests == self.SHAS
             assert second.requests == self.SHAS[index + 1 :]
         assert children[0].returncode == 3
         assert all(child.returncode is not None for child in children)
