@@ -58,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--url-base", help="base URL for browse links in reports")
     shared.add_argument(
-        "--extra-doc-glob",
-        action="append",
-        help="treat matching source files as documentation too (repeatable)",
-    )
-    shared.add_argument(
         "--issue-draft", help="also write a Markdown issue draft here ('-' for stdout)"
     )
 
@@ -145,7 +140,6 @@ def _run_analysis(args, mode: str) -> int:
         repo_path=args.repo,
         wiki_path=_resolve_wiki(args.repo, args.wiki),
         branch=args.branch,
-        extra_doc_globs=tuple(args.extra_doc_glob or ()),
         exclude_globs=tuple(args.exclude or ()),
         max_file_bytes=args.max_file_bytes,
         scan_time=scan_time,

@@ -7,7 +7,6 @@ scanner is concerned.
 
 from __future__ import annotations
 
-import fnmatch
 from collections import namedtuple
 
 ORIGIN_README = "readme"
@@ -80,26 +79,21 @@ class DocumentDescriptor(namedtuple("DocumentDescriptor", "origin path format"))
         return name[:dot] if dot > 0 else name
 
 
-def readme_format(path: str, extra_doc_globs: tuple[str, ...]) -> str | None:
+def readme_format(path: str) -> str | None:
     """The format of the source file at *path* if it is a document, else None.
 
     A README is a file at the repository root whose name starts with
-    ``readme`` in any case; deeper documentation must be opted in through
-    ``extra_doc_globs`` (matched against the full relative path). Either
-    needs a recognised format. The rule is the same at every revision, and a
-    document never counts as source.
+    ``readme`` in any case, in a recognised format; no deeper file is a
+    document. The rule is the same at every revision, and a document never
+    counts as source.
     """
-    if ("/" in path or not path.lower().startswith("readme")) and not any(
-        fnmatch.fnmatchcase(path, glob) for glob in extra_doc_globs
-    ):
+    if "/" in path or not path.lower().startswith("readme"):
         return None
     return is_recognized_format(path)
 
 
 def discover_documents(
-    source_tree: list[str],
-    wiki_tree: list[str] | None,
-    extra_doc_globs: tuple[str, ...],
+    source_tree: list[str], wiki_tree: list[str] | None
 ) -> list[DocumentDescriptor]:
     """Collect documentation files from a source listing and an optional wiki listing.
 
@@ -109,7 +103,7 @@ def discover_documents(
     """
     documents = {
         DocumentDescriptor(ORIGIN_README, path, fmt)
-        for path in source_tree if (fmt := readme_format(path, extra_doc_globs))
+        for path in source_tree if (fmt := readme_format(path))
     }
     documents.update(
         DocumentDescriptor(ORIGIN_WIKI, path, fmt)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import fnmatch
 import string
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from .docdiscovery import readme_format
@@ -38,17 +37,6 @@ _NON_WORD_TO_SPACE = bytes(b if chr(b) in _WORD_CHARS else 0x20 for b in range(2
 # A blob is split into word tokens about this many bytes at a time, so its
 # token list stays small however large the blob is.
 _TOKEN_SLICE_BYTES = 1 << 16
-
-
-class MatchConfig(namedtuple(
-    "MatchConfig", "exclude_globs max_file_bytes extra_doc_globs",
-    defaults=((), MAX_FILE_BYTES, ()),
-)):
-    """Which source files counting reads: no document, by ``readme_format``
-    with ``extra_doc_globs``, none that ``matches_exclude`` excludes and none
-    larger than ``max_file_bytes``. Immutable."""
-
-    __slots__ = ()
 
 
 def count_occurrences(
@@ -193,16 +181,23 @@ class HistoryCounter:
     scanned path gets a skipped blob, and for each element whose count in a
     path's new blob hit the cap. A count only reads the state.
 
-    No file under a ``.git`` directory is scanned, and no file whose decoded
-    path ``readme_format`` finds a document's, at any revision: each is left
-    out by its exact path, so the files below a directory of that name are
-    scanned.
+    No file under a ``.git`` directory is scanned, no file whose decoded
+    path ``readme_format`` finds a document's, at any revision, none that
+    ``matches_exclude`` excludes by *exclude_globs* and none larger than
+    *max_file_bytes*. A document is left out by its exact path, so the files
+    below a directory of that name are scanned.
     """
 
-    def __init__(self, branch: Branch, config: MatchConfig, elements: frozenset[str]):
+    def __init__(
+        self,
+        branch: Branch,
+        elements: frozenset[str],
+        exclude_globs: tuple[str, ...] = (),
+        max_file_bytes: int = MAX_FILE_BYTES,
+    ):
         self.branch = branch
-        self.config = config
-        self._excludes = (".git/", *config.exclude_globs)
+        self.max_file_bytes = max_file_bytes
+        self._excludes = (".git/", *exclude_globs)
         self.revision: Revision | None = None  # whose tree the state holds
         self.warnings: list[dict] = []
         self._warned: set[tuple] = set()
@@ -287,7 +282,7 @@ class HistoryCounter:
             # With no element cited, no path is scanned, so nothing is read.
             info = self._paths[path] = (
                 name,
-                bool(self._elements) and not readme_format(name, self.config.extra_doc_globs)
+                bool(self._elements) and not readme_format(name)
                 and not matches_exclude(name, self._excludes),
                 tuple(v for v in expand_path_variants([name]) if v in self._elements),
             )
@@ -300,7 +295,7 @@ class HistoryCounter:
             answered, read = next(stream)
             if answered != blob:
                 raise RuntimeError(f"the blob stream answered {answered} for {blob}")
-            data, skip = _source_bytes(read, self.config.max_file_bytes)
+            data, skip = _source_bytes(read, self.max_file_bytes)
             if skip is not None:
                 self._blob_skips[blob] = skip
             candidates = self._candidates(data) if data else ()

@@ -17,7 +17,7 @@ from .docdiscovery import (
     discover_documents,
 )
 from .extraction import element_texts
-from .matching import MAX_FILE_BYTES, HistoryCounter, MatchConfig, classify_current
+from .matching import MAX_FILE_BYTES, HistoryCounter, classify_current
 from .reporting import (
     MODE_CURRENT,
     MODE_HISTORY,
@@ -70,7 +70,6 @@ class RunConfig:
         repo_path: str,
         wiki_path: str | None = None,
         branch: str | None = None,
-        extra_doc_globs: tuple[str, ...] = (),
         exclude_globs: tuple[str, ...] = (),
         max_file_bytes: int = MAX_FILE_BYTES,
         scan_time: int | None = None,
@@ -90,7 +89,6 @@ class RunConfig:
         self.repo_path = repo_path
         self.wiki_path = wiki_path
         self.branch = branch
-        self.extra_doc_globs = extra_doc_globs
         self.exclude_globs = exclude_globs
         self.max_file_bytes = max_file_bytes
         self.scan_time = scan_time
@@ -161,7 +159,6 @@ class _Project:
         raw_paths = {d: names[d.origin][d.path] for d in discover_documents(
             list(names[ORIGIN_README]),
             list(names[ORIGIN_WIKI]) if ORIGIN_WIKI in names else None,
-            self.config.extra_doc_globs,
         )}
         self.warnings += [
             {"kind": "ambiguous_document_path", "document": d.path}
@@ -172,11 +169,8 @@ class _Project:
     def counter(self, elements: Iterable[str]) -> HistoryCounter:
         """A counter of *elements* over the source history, in which no
         document counts as a source instance."""
-        config = self.config
         return HistoryCounter(
-            self.source,
-            MatchConfig(config.exclude_globs, config.max_file_bytes, config.extra_doc_globs),
-            frozenset(elements),
+            self.source, frozenset(elements), self.config.exclude_globs, self.config.max_file_bytes
         )
 
     def read_documents(

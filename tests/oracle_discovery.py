@@ -1,9 +1,8 @@
 """Reference document discovery used as a test oracle.
 
 One loop per kind of listed path, in the order the rules are stated: root
-READMEs matching ``README*`` case-insensitively, then each
-``extra_doc_globs`` pattern over the whole source listing, then every wiki
-path. Each keeps a path with a recognized format, keyed by (origin, path).
+READMEs matching ``README*`` case-insensitively, then every wiki path. Each
+keeps a path with a recognized format, keyed by (origin, path).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from staleref.docdiscovery import (
 def discover_documents(
     source_tree: list[str],
     wiki_tree: list[str] | None,
-    extra_doc_globs: tuple[str, ...],
 ) -> list[DocumentDescriptor]:
     found: dict[tuple[str, str], DocumentDescriptor] = {}
 
@@ -32,15 +30,6 @@ def discover_documents(
         if fmt:
             desc = DocumentDescriptor(ORIGIN_README, path, fmt)
             found[(desc.origin, desc.path)] = desc
-
-    for glob in extra_doc_globs:
-        for path in source_tree:
-            if not fnmatch.fnmatchcase(path, glob):
-                continue
-            fmt = is_recognized_format(path)
-            if fmt:
-                desc = DocumentDescriptor(ORIGIN_README, path, fmt)
-                found.setdefault((desc.origin, desc.path), desc)
 
     if wiki_tree is not None:
         for path in wiki_tree:

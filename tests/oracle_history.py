@@ -21,6 +21,8 @@ skipped or capped file warns at every revision the run visits
 (``warn_at``), whichever cells are counted.
 Nothing is incremental, so their reports are the ones that ``run_scan``
 and ``run_history`` must reproduce byte for byte.
+``scan_history_disagreements`` compares a scan's counts with a complete
+history run's cells at the same revisions.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from staleref.docdiscovery import (
 from staleref import matching, pipeline
 from staleref.extraction import extract_elements
 from staleref.matching import (
+    MAX_FILE_BYTES,
     MAX_MATCHED_PATHS,
-    MatchConfig,
     _Skip,
     _source_bytes,
     classify_current,
@@ -315,10 +317,16 @@ class SourceScanner(_WarningLog):
     time, are not scanned.
     """
 
-    def __init__(self, repo: GitRepo, config: MatchConfig):
+    def __init__(
+        self,
+        repo: GitRepo,
+        exclude_globs: tuple[str, ...] = (),
+        max_file_bytes: int = MAX_FILE_BYTES,
+    ):
         super().__init__()
         self.repo = repo
-        self.config = config
+        self.exclude_globs = exclude_globs
+        self.max_file_bytes = max_file_bytes
         self._scannable: dict[str, tuple[tuple[str, str], ...]] = {}
         self._text_cache: dict[str, str | None] = {}
         self._skips: dict[str, _Skip] = {}
@@ -331,8 +339,8 @@ class SourceScanner(_WarningLog):
             cached = tuple(
                 (path, blob)
                 for path, blob in tree_entries(self.repo, revision.sha)
-                if not oracle_discovery.discover_documents([path], None, self.config.extra_doc_globs)
-                and not matches_exclude(path, (".git/", *self.config.exclude_globs))
+                if not oracle_discovery.discover_documents([path], None)
+                and not matches_exclude(path, (".git/", *self.exclude_globs))
             )
             self._scannable[revision.sha] = cached
         return cached
@@ -341,7 +349,7 @@ class SourceScanner(_WarningLog):
         if blob_sha in self._text_cache:
             text = self._text_cache[blob_sha]
         else:
-            text, skip = _read_source_text(self.repo, blob_sha, self.config.max_file_bytes)
+            text, skip = _read_source_text(self.repo, blob_sha, self.max_file_bytes)
             self._text_cache[blob_sha] = text
             if skip is not None:
                 self._skips[blob_sha] = skip
@@ -407,9 +415,7 @@ def warn_at(scanner: SourceScanner, revisions, elements) -> None:
 
 def readme_scanner(config: RunConfig, repo: GitRepo) -> SourceScanner:
     """A scanner of *config*'s source files in which no document counts."""
-    return SourceScanner(
-        repo, MatchConfig(config.exclude_globs, config.max_file_bytes, config.extra_doc_globs)
-    )
+    return SourceScanner(repo, config.exclude_globs, config.max_file_bytes)
 
 
 def _unreadable(document: DocumentDescriptor, error: GitError) -> dict:
@@ -425,7 +431,6 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     documents = discover_documents(
         tree_paths(source.repo, head.sha),
         tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
-        config.extra_doc_globs,
     )
     scanner = readme_scanner(config, source.repo)
     documents = _skip_ambiguous(project, documents, lambda host: [host.seq.head.sha])
@@ -491,9 +496,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
     source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
     seq = source.seq
     n = len(seq.revisions)
-    documents = discover_documents(
-        _union_listing(source), _union_listing(wiki) if wiki else None, config.extra_doc_globs
-    )
+    documents = discover_documents(_union_listing(source), _union_listing(wiki) if wiki else None)
     scanner = readme_scanner(config, source.repo)
     documents = _skip_ambiguous(
         project, documents, lambda host: [rev.sha for rev in host.seq.revisions]
@@ -601,3 +604,24 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
         partial=partial,
         covered_from_ordinal=covered_from if partial else None,
     )
+
+
+def scan_history_disagreements(
+    scan: ScanReport, history: ScanReport, origin: str
+) -> list[tuple[str, str, tuple, tuple]]:
+    """(document path, element, scan counts, history cells) of each finding of
+    *origin* whose scan counts at its snapshot and at head differ from what
+    the complete *history* run of the same settings holds at the snapshot's
+    ordinal and at the last one."""
+    ordinal = {rev.sha: i for i, rev in enumerate(history.revisions)}
+    rows = {(f.document, f.element_text): f.symbols for f in history.findings}
+    disagreements = []
+    for f in scan.findings:
+        if f.document.origin != origin:
+            continue
+        symbols = rows[(f.document, f.element_text)]
+        counts = (f.snapshot_count, f.current_count)
+        cells = (symbols[ordinal[f.snapshot_sha]], symbols[-1])
+        if counts != cells:
+            disagreements.append((f.document.path, f.element_text, counts, cells))
+    return disagreements

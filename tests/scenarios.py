@@ -26,13 +26,12 @@ IN_SYNC = "in_sync"
 NEVER = "never_matched"
 
 
-def _manifest(name, repo, wiki=None, exclude=(), expected=None, extra_doc_globs=(), **extra):
+def _manifest(name, repo, wiki=None, exclude=(), expected=None, **extra):
     data = {
         "name": name,
         "repo": str(repo.path),
         "wiki": str(wiki.path) if wiki else None,
         "exclude": list(exclude),
-        "extra_doc_globs": list(extra_doc_globs),
         "scan_time": T0 + 100_000,
         "expected": expected or {},
     }
@@ -46,7 +45,6 @@ def config_for(manifest, **overrides) -> RunConfig:
         repo_path=manifest["repo"],
         wiki_path=manifest["wiki"],
         exclude_globs=tuple(manifest["exclude"]),
-        extra_doc_globs=tuple(manifest["extra_doc_globs"]),
         scan_time=manifest["scan_time"],
     )
     if "max_file_bytes" in manifest:
@@ -520,28 +518,28 @@ def build_readme_chmod(base: Path):
 
 
 def build_glob_named_docs(base: Path):
-    # Document paths are literal, never globs. docs/[ab].md counts neither
-    # its own reference nor any path the glob would match, and its last
-    # touch is c0, not c1, which only adds docs/a.md. The root README.md
-    # hides no pkg/README.md from the count, so bar_fn() stays matched.
+    # Document paths are literal, never globs. README[ab].md's last touch
+    # is c0, not c1, which only adds READMEa.md, a path the glob would
+    # match. The root README.md hides no pkg/README.md from the count, so
+    # bar_fn() stays matched.
     repo = RepoBuilder(base / "glob_named_docs")
     repo.commit(T0, {
         "README.md": "Call `bar_fn()` to start.\n",
-        "docs/[ab].md": "Use `foo_fn()` here.\n",
+        "README[ab].md": "Use `foo_fn()` here.\n",
         "pkg/README.md": "The entry point is bar_fn().\n",
         "src/app.py": "def foo_fn():\n    pass\n",
     })
-    repo.commit(T0 + STEP, {"docs/a.md": "Draft.\n"})
+    repo.commit(T0 + STEP, {"READMEa.md": "Draft.\n"})
     repo.commit(T0 + 2 * STEP, {"src/app.py": "def other_fn():\n    pass\n"})
-    return _manifest("glob_named_docs", repo, extra_doc_globs=["docs/*"], expected={
+    return _manifest("glob_named_docs", repo, expected={
         ("readme", "README.md", "bar_fn()"): IN_SYNC,
-        ("readme", "docs/[ab].md", "foo_fn()"): OUTDATED,
+        ("readme", "README[ab].md", "foo_fn()"): OUTDATED,
     }, history={
         ("readme", "README.md", "bar_fn()"): [1, 1, 1],
-        ("readme", "docs/[ab].md", "foo_fn()"): [1, 1, 0],
+        ("readme", "README[ab].md", "foo_fn()"): [1, 1, 0],
     }, snapshot={
         ("readme", "README.md", "bar_fn()"): repo.shas[0],
-        ("readme", "docs/[ab].md", "foo_fn()"): repo.shas[0],
+        ("readme", "README[ab].md", "foo_fn()"): repo.shas[0],
     })
 
 
@@ -893,9 +891,10 @@ def build_all(base: Path) -> list[dict]:
 
 # Settings that the command line refuses before it starts any git process:
 # name -> arguments after --repo. There is no config file, no rule catalog
-# file, one episode rule and one README rule: --config, --regex-file,
-# --strict-episodes and --readme-glob are unrecognized arguments. A report is
-# JSON or CSV, so md is no --format. The report and its issue draft need two
+# file, one episode rule and one document rule (the root READMEs and the
+# wiki pages): --config, --regex-file, --strict-episodes, --readme-glob and
+# --extra-doc-glob are unrecognized arguments. A report is JSON or CSV, so
+# md is no --format. The report and its issue draft need two
 # files, each in a directory that is there.
 BAD_SETTINGS = {
     "config-flag": ["--config", "cfg.json"],
@@ -904,6 +903,7 @@ BAD_SETTINGS = {
     "readme-glob-flag": ["--readme-glob", "*"],
     "format-xml-flag": ["--format", "xml"],
     "format-md-flag": ["--format", "md"],
+    "extra-doc-glob-flag": ["--extra-doc-glob", "docs/*.md"],
     "scan-time-overflow": ["--scan-time", "100000000000000000000"],
     "scan-time-year-14645": ["--scan-time", "400000000000"],
     "scan-time-before-year-1": ["--scan-time=-100000000000"],

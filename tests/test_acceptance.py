@@ -32,7 +32,7 @@ from staleref import (
     run_scan,
 )
 from staleref.extraction import extract_elements
-from staleref.matching import HistoryCounter, MatchConfig, count_occurrences, expand_path_variants
+from staleref.matching import HistoryCounter, count_occurrences, expand_path_variants
 from staleref.revgraph import Branch, RevisionSequence
 from staleref.timeline import detect_episodes, survival_curve
 
@@ -251,7 +251,7 @@ def test_history_determinism(tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def count_off_chain(repo, shas, elements, config) -> dict[str, tuple[int, ...]]:
+def count_off_chain(repo, shas, elements, exclude_globs) -> dict[str, tuple[int, ...]]:
     """Counts of *elements* at commits that need not lie on the first-parent
     chain: the counter runs over a sequence of revision 0 and *shas*, in
     that order, and must agree with the oracle, which counts each commit
@@ -261,11 +261,11 @@ def count_off_chain(repo, shas, elements, config) -> dict[str, tuple[int, ...]]:
         Revision(sha, 0, i) for i, sha in enumerate(shas, start=1)
     ))
     counter = HistoryCounter(
-        Branch(repo, seq, oracle_revgraph.first_parent_changes(repo, seq)), config,
-        frozenset(elements),
+        Branch(repo, seq, oracle_revgraph.first_parent_changes(repo, seq)),
+        frozenset(elements), exclude_globs,
     )
     counts = {}
-    scanner = SourceScanner(repo, config)
+    scanner = SourceScanner(repo, exclude_globs)
     for revision in counter.walk(seq.revisions[:0:-1]):
         counts[revision.sha] = tuple(counter.count(e, revision) for e in elements)
         assert counts[revision.sha] == tuple(
@@ -286,9 +286,7 @@ def test_counts_off_chain_commits(tmp_path):
     repo.checkout("main")
     repo.commit(scenarios.T0 + 50, {"d.c": "fPIC NS\n"})
     git_repo = GitRepo(str(repo.path))
-    counts = count_off_chain(
-        git_repo, (first, second, third), ("NS", "fPIC"), MatchConfig(exclude_globs=("README*",))
-    )
+    counts = count_off_chain(git_repo, (first, second, third), ("NS", "fPIC"), ("README*",))
     assert counts == {first: (3, 1), second: (2, 0), third: (2, 1)}
 
 
@@ -315,7 +313,7 @@ def test_pinned_real_world_counts(tmp_path):
     repo = GitRepo(str(tmp_path / "glog"))
     counts = count_off_chain(
         repo, (snapshot_sha, namespace_fix_sha, fpic_fix_sha),
-        ("DGFLAGS_NAMESPACE", "fPIC"), MatchConfig(exclude_globs=("README*",)),
+        ("DGFLAGS_NAMESPACE", "fPIC"), ("README*",),
     )
     assert counts[snapshot_sha] == (1, 21)
     assert counts[namespace_fix_sha][0] == 0

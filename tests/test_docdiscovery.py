@@ -49,27 +49,26 @@ class TestFormatTable:
 
 class TestDiscovery:
     def test_root_readme_case_insensitive(self):
-        docs = discover_documents(["readme.md", "src/x.py"], None, ())
+        docs = discover_documents(["readme.md", "src/x.py"], None)
         assert paths(docs) == [(ORIGIN_README, "readme.md")]
 
     def test_nested_readme_not_discovered(self):
-        docs = discover_documents(["docs/README.md", "x.py"], None, ())
+        docs = discover_documents(["docs/README.md", "x.py"], None)
         assert docs == []
 
     def test_extensionless_readme_excluded(self):
         # Without an extension the markup format cannot be derived.
-        docs = discover_documents(["README", "x.py"], None, ())
+        docs = discover_documents(["README", "x.py"], None)
         assert docs == []
 
     def test_readme_format_variants(self):
-        docs = discover_documents(["README.rst"], None, ())
+        docs = discover_documents(["README.rst"], None)
         assert docs[0].format == "restructuredtext"
 
     def test_wiki_collects_all_recognized(self):
         docs = discover_documents(
             ["README.md"],
             ["Home.md", "deep/Page.rst", "img/logo.png", "Data.json"],
-            (),
         )
         assert paths(docs) == [
             (ORIGIN_README, "README.md"),
@@ -77,16 +76,8 @@ class TestDiscovery:
             (ORIGIN_WIKI, "deep/Page.rst"),
         ]
 
-    def test_extra_doc_globs(self):
-        docs = discover_documents(["docs/guide.md", "docs/img.png", "x.py"], None, ("docs/*.md",))
-        assert paths(docs) == [(ORIGIN_README, "docs/guide.md")]
-
-    def test_extra_glob_does_not_duplicate_readme(self):
-        docs = discover_documents(["README.md"], None, ("*.md",))
-        assert paths(docs) == [(ORIGIN_README, "README.md")]
-
     def test_deterministic_order(self):
-        docs = discover_documents(["README.md"], ["Zeta.md", "Alpha.md"], ())
+        docs = discover_documents(["README.md"], ["Zeta.md", "Alpha.md"])
         assert paths(docs) == [
             (ORIGIN_README, "README.md"),
             (ORIGIN_WIKI, "Alpha.md"),
@@ -94,7 +85,7 @@ class TestDiscovery:
         ]
 
     def test_no_wiki_tree(self):
-        docs = discover_documents(["README.md"], None, ())
+        docs = discover_documents(["README.md"], None)
         assert paths(docs) == [(ORIGIN_README, "README.md")]
 
 
@@ -115,7 +106,7 @@ class TestTypes:
                 DocumentDescriptor(ORIGIN_README, path, "markdown")
 
     def test_root_readme_with_backslash_discovered(self):
-        docs = discover_documents(["README\\x.md", "src/app.py"], None, ())
+        docs = discover_documents(["README\\x.md", "src/app.py"], None)
         assert paths(docs) == [(ORIGIN_README, "README\\x.md")]
 
     def test_page_name(self):
@@ -135,13 +126,9 @@ NAMES = [
     ".md", ".readme.md", ".gitignore", "main.py", "archive.tar.gz", "notes.TXT",
 ]
 DIRECTORIES = ["", "docs/", "Docs/", "pkg/", "docs/sub/", "[ab]/"]
-EXTRA_GLOBS = [
-    "docs/*", "docs/*.md", "*.md", "*/README*", "docs/?.md", "docs/[ab].md", "docs/[!a]*",
-    "*", "pkg/*/*.rst", "[[]ab]/*", "*[.]txt", "README*",
-]
 
 
-@pytest.mark.criterion("one-pass discovery lists the documents of the three-loop oracle")
+@pytest.mark.criterion("one-pass discovery lists the documents of the loop-per-origin oracle")
 @pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
 def test_one_pass_discovery_equals_three_loop_oracle():
     from hypothesis import given, settings, strategies as st
@@ -149,16 +136,11 @@ def test_one_pass_discovery_equals_three_loop_oracle():
     segment = st.text("aAR._-[]*?!", min_size=1, max_size=5).filter(lambda s: s not in (".", ".."))
     name = st.one_of(st.sampled_from(NAMES), segment)
     path = st.builds(lambda d, n: d + n, st.sampled_from(DIRECTORIES), name)
-    pattern = st.one_of(st.sampled_from(EXTRA_GLOBS), st.text("dR/*?[]!.am", max_size=6))
 
     @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(
-        st.lists(path, max_size=12),
-        st.none() | st.lists(path, max_size=6),
-        st.lists(pattern, max_size=3).map(tuple),
-    )
-    def check(source, wiki, extra):
-        expected = oracle_discovery.discover_documents(source, wiki, extra)
-        assert discover_documents(source, wiki, extra) == expected
+    @given(st.lists(path, max_size=12), st.none() | st.lists(path, max_size=6))
+    def check(source, wiki):
+        expected = oracle_discovery.discover_documents(source, wiki)
+        assert discover_documents(source, wiki) == expected
 
     check()

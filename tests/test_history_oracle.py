@@ -12,7 +12,9 @@ Each repository's ``GitRepo.first_parent_history`` must equal the two-call
 reader of ``oracle_revgraph``. On each repository
 ``run_scan`` must render the same report, byte for byte, as
 ``oracle_history.run_scan_oracle``, and ``run_history`` the same as
-``oracle_history.run_history_oracle``. Both history runs are then cut by a
+``oracle_history.run_history_oracle``, and each README finding of the scan
+must hold the counts that the history row of its element and document
+holds at the snapshot and at head. Both history runs are then cut by a
 fake deadline after a drawn number of checks, from none to all of them, and
 must render the same JSON and CSV, warnings included.
 A second pass runs both modes and both readers on a local clone of the
@@ -37,8 +39,13 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st  # 
 from repo_builder import RepoBuilder  # noqa: E402
 from cuts import checks_of, cut_after  # noqa: E402
 import oracle_revgraph  # noqa: E402
-from oracle_history import run_history_oracle, run_scan_oracle  # noqa: E402
+from oracle_history import (  # noqa: E402
+    run_history_oracle,
+    run_scan_oracle,
+    scan_history_disagreements,
+)
 from staleref import matching  # noqa: E402
+from staleref.docdiscovery import ORIGIN_README  # noqa: E402
 from staleref.pipeline import RunConfig, run_history, run_scan  # noqa: E402
 from staleref.reporting import FORMAT_CSV, render_findings  # noqa: E402
 from staleref.revgraph import GitRepo  # noqa: E402
@@ -219,7 +226,8 @@ def _assert_readers_agree(*paths: str | None) -> None:
 
 
 def _assert_modes_match_oracles(config: RunConfig):
-    """Both modes render what their oracles render; returns the history report."""
+    """Both modes render what their oracles render, and agree with each
+    other on README documents; returns the history report."""
     expected_scan = run_scan_oracle(config)
     got_scan = run_scan(config)
     assert got_scan.warnings == expected_scan.warnings
@@ -230,6 +238,7 @@ def _assert_modes_match_oracles(config: RunConfig):
     assert _symbols(got) == _symbols(expected)
     assert got.warnings == expected.warnings
     assert render_findings(got) == render_findings(expected)
+    assert scan_history_disagreements(got_scan, got, ORIGIN_README) == []
     return got
 
 

@@ -11,9 +11,9 @@ import pytest
 from oracle_history import SourceScanner, _read_source_text, tree_entries
 from staleref import matching
 from staleref.matching import (
+    MAX_FILE_BYTES,
     MAX_MATCHED_PATHS,
     HistoryCounter,
-    MatchConfig,
     STATUS_IN_SYNC,
     STATUS_NEVER_MATCHED,
     STATUS_OUTDATED,
@@ -128,7 +128,7 @@ class TestSourceScanner:
         builder = build_counting_repo(repo_factory)
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        scanner = SourceScanner(repo, MatchConfig())
+        scanner = SourceScanner(repo)
         result = scanner.count_instances("target_fn()", head)
         assert result.count == 5
         assert ("src/app.py", 1) in result.matched_paths
@@ -137,10 +137,10 @@ class TestSourceScanner:
         builder = build_counting_repo(repo_factory)
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        base = SourceScanner(repo, MatchConfig()).count_instances("target_fn()", head)
-        trimmed = SourceScanner(
-            repo, MatchConfig(exclude_globs=("vendor/",))
-        ).count_instances("target_fn()", head)
+        base = SourceScanner(repo).count_instances("target_fn()", head)
+        trimmed = SourceScanner(repo, exclude_globs=("vendor/",)).count_instances(
+            "target_fn()", head
+        )
         assert trimmed.count == base.count - 1
         assert trimmed.count <= base.count
 
@@ -148,7 +148,7 @@ class TestSourceScanner:
         builder = build_counting_repo(repo_factory)
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        scanner = SourceScanner(repo, MatchConfig())
+        scanner = SourceScanner(repo)
         result = scanner.count_instances("to/file.py", head)
         assert result.count == 1
         assert result.matched_paths[0][1] == 0  # line 0 marks a path variant
@@ -157,7 +157,7 @@ class TestSourceScanner:
         builder = build_counting_repo(repo_factory)
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        scanner = SourceScanner(repo, MatchConfig())
+        scanner = SourceScanner(repo)
         assert scanner.count_instances("path/to/file.py", head).count >= 1
 
     def test_binary_file_skipped(self, repo_factory):
@@ -172,7 +172,7 @@ class TestSourceScanner:
         builder.shas.append(builder.git("rev-parse", "HEAD").strip())
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        scanner = SourceScanner(repo, MatchConfig())
+        scanner = SourceScanner(repo)
         assert scanner.count_instances("target", head).count == 1
 
     def test_oversize_file_skipped_with_warning(self, repo_factory):
@@ -180,7 +180,7 @@ class TestSourceScanner:
         builder.commit(T, {"big.txt": "needle " * 10, "small.txt": "needle\n"})
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        scanner = SourceScanner(repo, MatchConfig(max_file_bytes=20))
+        scanner = SourceScanner(repo, max_file_bytes=20)
         result = scanner.count_instances("needle", head)
         assert result.count == 1
         assert any(w.get("kind") == "oversized_file" for w in scanner.warnings)
@@ -191,7 +191,7 @@ class TestSourceScanner:
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
         monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", 5)
-        scanner = SourceScanner(repo, MatchConfig())
+        scanner = SourceScanner(repo)
         result = scanner.count_instances("hit", head)
         assert result.count == 5
         assert any(w.get("kind") == "count_capped" for w in scanner.warnings)
@@ -200,16 +200,17 @@ class TestSourceScanner:
         builder = build_counting_repo(repo_factory)
         repo = GitRepo(builder.path)
         head = repo.linearize_history().head
-        scanner = SourceScanner(repo, MatchConfig())
+        scanner = SourceScanner(repo)
         first = scanner.count_instances("target_fn()", head)
         second = scanner.count_instances("target_fn()", head)
         assert first == second
 
 
-def counter_at_head(repo, elements, config=None):
-    """A HistoryCounter over the whole first-parent history, at its head."""
+def counter_at_head(repo, elements, **settings):
+    """A HistoryCounter over the whole first-parent history, at its head,
+    with *settings* (``exclude_globs``, ``max_file_bytes``)."""
     branch = Branch.open(repo.path, None)
-    counter = HistoryCounter(branch, config or MatchConfig(), frozenset(elements))
+    counter = HistoryCounter(branch, frozenset(elements), **settings)
     next(counter.walk([branch.seq.head]))
     return counter, branch.seq.head
 
@@ -228,9 +229,7 @@ class TestHistoryCounter:
         builder = build_counting_repo(repo_factory)
         repo = GitRepo(builder.path)
         base, head = counter_at_head(repo, ["target_fn()"])
-        trimmed, _ = counter_at_head(
-            repo, ["target_fn()"], MatchConfig(exclude_globs=("vendor/",))
-        )
+        trimmed, _ = counter_at_head(repo, ["target_fn()"], exclude_globs=("vendor/",))
         assert trimmed.count("target_fn()", head) == base.count("target_fn()", head) - 1
 
     def test_path_variant_synthetic_instance(self, repo_factory):
@@ -265,7 +264,7 @@ class TestHistoryCounter:
         builder = repo_factory("big")
         builder.commit(T, {"big.txt": "needle " * 10, "small.txt": "needle\n"})
         repo = GitRepo(builder.path)
-        counter, head = counter_at_head(repo, ["needle"], MatchConfig(max_file_bytes=20))
+        counter, head = counter_at_head(repo, ["needle"], max_file_bytes=20)
         assert counter.count("needle", head) == 1
         assert counter.warnings == [{"kind": "oversized_file", "path": "big.txt", "size": 70}]
 
@@ -322,7 +321,7 @@ class TestHistoryCounter:
         builder.commit(T + 2, {"big.txt": "needle " * 10})
         monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", 5)
         repo = GitRepo(builder.path)
-        counter, head = counter_at_head(repo, ["needle"], MatchConfig(max_file_bytes=60))
+        counter, head = counter_at_head(repo, ["needle"], max_file_bytes=60)
         big = {"kind": "oversized_file", "path": "big.txt", "size": 70}
         capped = {"kind": "count_capped", "path": "hot.txt", "element": "needle", "cap": 5}
         assert counter.warnings == [big]
@@ -339,8 +338,9 @@ class TestHistoryCounter:
 
     def test_git_directories_and_documents_never_count(self, repo_factory):
         # git refuses to add a path under .git, so the tree is made by hand.
-        # A document leaves counting by its exact path: the directory
-        # README.rst is named like one, and the file below it still counts.
+        # The documents are the root READMEs, each left out by its exact
+        # path: the directory README.rst is named like one, and the file
+        # below it still counts, as does a README below the root.
         builder = repo_factory("git_dirs")
 
         def git_in(args, text):
@@ -349,24 +349,24 @@ class TestHistoryCounter:
         blob = git_in(["hash-object", "-w", "--stdin"], "helper_fn()\n")
         inner = git_in(["mktree"], f"100644 blob {blob}\thooks.py\n")
         sub = git_in(["mktree"], f"040000 tree {inner}\t.git\n")
-        docs = git_in(["mktree"], f"100644 blob {blob}\tguide.md\n")
+        docs = git_in(["mktree"], f"100644 blob {blob}\tREADME.md\n")
         root = git_in(["mktree"], "".join(
             f"{mode}\t{name}\n" for mode, name in [
                 (f"040000 tree {inner}", ".git"), (f"100644 blob {blob}", "README.md"),
-                (f"040000 tree {inner}", "README.rst"), (f"100644 blob {blob}", "a.py"),
-                (f"040000 tree {docs}", "docs"), (f"040000 tree {sub}", "sub"),
+                (f"040000 tree {inner}", "README.rst"), (f"100644 blob {blob}", "ReadMe.txt"),
+                (f"100644 blob {blob}", "a.py"), (f"040000 tree {docs}", "docs"),
+                (f"040000 tree {sub}", "sub"),
             ]
         ))
         commit = git_in(["commit-tree", root, "-m", "c"], "")
         builder.git("update-ref", "refs/heads/main", commit)
         branch = Branch.open(builder.path, None)
-        counter = HistoryCounter(
-            branch, MatchConfig(extra_doc_globs=("docs/*.md",)), frozenset(["helper_fn()"])
-        )
+        counter = HistoryCounter(branch, frozenset(["helper_fn()"]))
         head = next(counter.walk([branch.seq.head]))
-        assert counter.count("helper_fn()", head) == 2
+        assert counter.count("helper_fn()", head) == 3
         assert counter.evidence("helper_fn()") == (
             ("README.rst/hooks.py", 1, "text"), ("a.py", 1, "text"),
+            ("docs/README.md", 1, "text"),
         )
 
     def test_a_blob_answered_out_of_order_fails(self, repo_factory, monkeypatch):
@@ -397,16 +397,16 @@ def commit_bytes(builder, files: dict[str, bytes]) -> None:
     )
 
 
-def brute_force(repo, revision, elements, config):
+def brute_force(repo, revision, elements, exclude_globs=(), max_file_bytes=MAX_FILE_BYTES):
     """element -> (count, evidence) at *revision*: every element is tried on
     every decoded blob, as ``HistoryCounter`` did before its token prefilter."""
     hits = {element: [] for element in elements}
     totals = dict.fromkeys(elements, 0)
     entries = tree_entries(repo, revision.sha)
     for path, blob in entries:
-        if matches_exclude(path, config.exclude_globs):
+        if matches_exclude(path, exclude_globs):
             continue
-        text, _ = _read_source_text(repo, blob, config.max_file_bytes)
+        text, _ = _read_source_text(repo, blob, max_file_bytes)
         if not text:
             continue
         for element in elements:
@@ -453,11 +453,11 @@ class TestTokenPrefilter:
     """The word-token prefilter only narrows the elements a blob is counted
     for: counts and evidence equal trying every element on every blob."""
 
-    @pytest.mark.parametrize("config, cap", [
-        (MatchConfig(), matching.MAX_COUNT_PER_FILE),
-        (MatchConfig(exclude_globs=("src/edges.js",), max_file_bytes=60), 2),
+    @pytest.mark.parametrize("settings, cap", [
+        ({}, matching.MAX_COUNT_PER_FILE),
+        ({"exclude_globs": ("src/edges.js",), "max_file_bytes": 60}, 2),
     ], ids=["defaults", "cap-exclude-size"])
-    def test_equals_brute_force(self, repo_factory, monkeypatch, config, cap):
+    def test_equals_brute_force(self, repo_factory, monkeypatch, settings, cap):
         monkeypatch.setattr(matching, "MAX_COUNT_PER_FILE", cap)
         builder = repo_factory("odd")
         rng = random.Random(7)
@@ -468,8 +468,8 @@ class TestTokenPrefilter:
             )
         commit_bytes(builder, files)
         repo = GitRepo(builder.path)
-        counter, head = counter_at_head(repo, ODD_ELEMENTS, config)
-        expected = brute_force(repo, head, ODD_ELEMENTS, config)
+        counter, head = counter_at_head(repo, ODD_ELEMENTS, **settings)
+        expected = brute_force(repo, head, ODD_ELEMENTS, **settings)
         got = {e: (counter.count(e, head), counter.evidence(e)) for e in ODD_ELEMENTS}
         assert got == expected
         assert got["alpha_fn"][0] > 0 and got["::"][0] > 0 and got["naïve"][0] > 0
@@ -479,20 +479,20 @@ class TestTokenPrefilter:
         # element straddles the first slice boundary, one token fills a whole
         # slice and is followed by an element, and one element ends the blob.
         size = matching._TOKEN_SLICE_BYTES
-        config = MatchConfig(max_file_bytes=4 * size)
+        max_file_bytes = 4 * size
         head_part = b"ab " * ((size - 4) // 3)
         head_part += b" " * (size - 4 - len(head_part)) + b"straddle_fn ab\n"
         middle = b"z" * (size + 100) + b" after_long_fn\n"
-        room = config.max_file_bytes - 1 - len(head_part) - len(middle) - len(b"last_fn")
+        room = max_file_bytes - 1 - len(head_part) - len(middle) - len(b"last_fn")
         data = head_part + middle + b"cd " * (room // 3) + b" " * (room % 3) + b"last_fn"
-        assert len(data) == config.max_file_bytes - 1
+        assert len(data) == max_file_bytes - 1
         assert data.index(b"straddle_fn") < size < data.index(b"straddle_fn") + len(b"straddle_fn")
         elements = ["straddle_fn", "after_long_fn", "last_fn", "ab", "cd", "missing_fn"]
         builder = repo_factory("sliced")
         commit_bytes(builder, {"big.txt": data})
         repo = GitRepo(builder.path)
-        counter, head = counter_at_head(repo, elements, config)
-        expected = brute_force(repo, head, elements, config)
+        counter, head = counter_at_head(repo, elements, max_file_bytes=max_file_bytes)
+        expected = brute_force(repo, head, elements, max_file_bytes=max_file_bytes)
         got = {e: (counter.count(e, head), counter.evidence(e)) for e in elements}
         assert got == expected
         assert [got[e][0] for e in elements[:3]] == [1, 1, 1]
@@ -507,7 +507,7 @@ class TestTokenPrefilter:
         assert matching._held_runs(b"\xc3\xa9foo\r\n((", runs) == {b"foo"}
 
     def test_candidates_hold_every_word_run(self):
-        counter = HistoryCounter(None, MatchConfig(), frozenset(["a.b", "c->d", "alpha_fn", "::"]))
+        counter = HistoryCounter(None, frozenset(["a.b", "c->d", "alpha_fn", "::"]))
         assert sorted(counter._candidates(b"a c alpha_fnx dd")) == ["::"]
         assert sorted(counter._candidates(b"b.a d\xffc")) == ["::", "a.b", "c->d"]
 
@@ -529,7 +529,7 @@ class TestTokenPrefilter:
             "huge.txt": b"unrelated " * 20,
         })
         repo = GitRepo(builder.path)
-        counter, head = counter_at_head(repo, ["alpha_fn"], MatchConfig(max_file_bytes=100))
+        counter, head = counter_at_head(repo, ["alpha_fn"], max_file_bytes=100)
         assert counter.count("alpha_fn", head) == 1
         assert counter.evidence("alpha_fn") == (("hit.py", 1, "text"),)
         assert decoded == [b"alpha_fn()\n"]
