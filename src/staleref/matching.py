@@ -96,28 +96,36 @@ def expand_path_variants(paths: list[str] | tuple[str, ...]) -> set[str]:
     return variants
 
 
+def _leads_with(segments: list[str], pattern: list[str]) -> bool:
+    """Whether the segments of *pattern* match the first of *segments*, one
+    segment each, where a ``**`` segment matches any number of them."""
+    if not pattern:
+        return True
+    if pattern == ["**"]:
+        return bool(segments)  # a trailing ``**`` matches what is inside
+    if pattern[0] == "**":
+        return any(_leads_with(segments[i:], pattern[1:]) for i in range(len(segments) + 1))
+    return (bool(segments) and fnmatch.fnmatchcase(segments[0], pattern[0])
+            and _leads_with(segments[1:], pattern[1:]))
+
+
 def matches_exclude(path: str, patterns: tuple[str, ...]) -> bool:
-    """Gitignore-flavoured exclusion: bare names match any path segment,
-    patterns with a slash match against the whole relative path (and the
-    subtree below it), and a trailing slash restricts to directories."""
+    """Gitignore-flavoured exclusion, one path segment per pattern segment:
+    ``*`` never crosses a slash, and a ``**`` segment matches zero or more
+    segments. A pattern with a slash matches from the repository root, and
+    one without matches at any depth, as ``**/`` and it would. A directory
+    that matches excludes its subtree, and a trailing slash matches
+    directories only."""
     for pattern in patterns:
         p = pattern.strip()
         if not p:
             continue
-        dir_only = p.endswith("/")
+        segments = path.split("/")
+        if p.endswith("/"):
+            segments = segments[:-1]
         p = p.rstrip("/")
-        if "/" in p:
-            anchored = p.lstrip("/")
-            if fnmatch.fnmatchcase(path, anchored) or fnmatch.fnmatchcase(
-                path, anchored + "/*"
-            ):
-                return True
-        else:
-            segments = path.split("/")
-            if dir_only:
-                segments = segments[:-1]
-            if any(fnmatch.fnmatchcase(seg, p) for seg in segments):
-                return True
+        if _leads_with(segments, p.lstrip("/").split("/") if "/" in p else ["**", p]):
+            return True
     return False
 
 

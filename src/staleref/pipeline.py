@@ -34,7 +34,7 @@ from .revgraph import (
     GitRepo,
     MissingRepositoryError,
     Revision,
-    link_source_to_docs,
+    doc_ordinals_seen,
     snapshot_for_doc,
 )
 from .timeline import (
@@ -315,6 +315,8 @@ def run_history(config: RunConfig) -> ScanReport:
     over the revisions, newest first, while a ``HistoryCounter`` undoes
     each revision's changes, so that when the timeout strikes, the partial
     output covers the most recent revisions.
+    A wiki page's cells read the wiki revision that ``doc_ordinals_seen``
+    gives each source revision, and read absent where it gives none.
     A document version that cannot be read warns, and the source revisions
     that see it read absent: they are the failed ordinals of each of the
     document's findings. An error from counting ends the run, as in
@@ -332,12 +334,12 @@ def run_history(config: RunConfig) -> ScanReport:
         for origin, host in hosts.items()
     }
     versions = {document: series[document.origin][raw] for document, raw in raw_paths.items()}
-    # The hosting revision that each source revision sees, per origin.
+    # The hosting revision that each source revision sees, per origin; None
+    # before a wiki's first.
     revisions = source.seq.revisions
     n = len(revisions)
     seen = {
-        origin: range(n) if origin == ORIGIN_README
-        else [r.ordinal for r in link_source_to_docs(source.seq, host.seq)]
+        origin: range(n) if origin == ORIGIN_README else doc_ordinals_seen(source.seq, host.seq)
         for origin, host in hosts.items()
     }
 
@@ -350,11 +352,10 @@ def run_history(config: RunConfig) -> ScanReport:
     partial = False
     try:
         for document, by_blob in project.read_documents(versions, deadline):
-            blobs, seen_at = versions[document], seen[document.origin]
-            refs = [by_blob.get(blobs[i]) for i in seen_at]
-            failed = tuple(
-                i for i, at in enumerate(seen_at) if blobs[at] and blobs[at] not in by_blob
-            )
+            blobs = versions[document]
+            seen_blobs = [None if at is None else blobs[at] for at in seen[document.origin]]
+            refs = [by_blob.get(blob) for blob in seen_blobs]
+            failed = tuple(i for i, blob in enumerate(seen_blobs) if blob and blob not in by_blob)
             doc_sha = hosts[document.origin].seq.head.sha if blobs[-1] else None
             rows += [
                 (element, document, refs, failed, doc_sha, [None] * n)

@@ -11,6 +11,7 @@ process startup per file nor a round trip per blob.
 from __future__ import annotations
 
 import bisect
+import itertools
 import re
 import subprocess
 import tempfile
@@ -346,20 +347,17 @@ def snapshot_for_doc(doc_revision: Revision, source_seq: RevisionSequence) -> Re
     return source_seq.revisions[order[idx - 1][1] if idx else 0]
 
 
-def link_source_to_docs(source_seq: RevisionSequence, doc_seq: RevisionSequence) -> list[Revision]:
-    """The revision of a document's hosting repository that each source
-    revision sees.
+def doc_ordinals_seen(source_seq: RevisionSequence, doc_seq: RevisionSequence) -> list[int | None]:
+    """The ordinal of the hosting revision that each source revision sees,
+    or None where it sees none yet.
 
-    This is the earliest hosting revision by (timestamp, ordinal) whose
-    timestamp is at or after the source revision's; source revisions after
-    every hosting revision see the last one in that order. It is the mirror
-    of ``snapshot_for_doc``.
+    Each hosting revision belongs to the source revision that
+    ``snapshot_for_doc`` gives it, and a source revision sees the newest
+    hosting revision, by ordinal, that belongs to it or to an older source
+    revision. So a page reads, at its scan snapshot and at head, the version
+    that the scan reads.
     """
-    if not doc_seq.revisions:
-        raise EmptyHistoryError("cannot link to an empty revision sequence")
-    order = doc_seq.time_order
-    last = len(order) - 1
-    return [
-        doc_seq.revisions[order[min(bisect.bisect_left(order, (rev.timestamp, -1)), last)][1]]
-        for rev in source_seq.revisions
-    ]
+    belongs = [-1] * len(source_seq.revisions)
+    for doc_revision in doc_seq.revisions:
+        belongs[snapshot_for_doc(doc_revision, source_seq).ordinal] = doc_revision.ordinal
+    return [None if seen < 0 else seen for seen in itertools.accumulate(belongs, max)]

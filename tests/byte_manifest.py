@@ -14,7 +14,10 @@ own:
   ``stats`` over their JSON reports;
 * ``bad_settings``: each of ``scenarios.BAD_SETTINGS`` in scan and history
   through ``cli.main``, with stdout, stderr and exit code, against a
-  repository path that does not exist.
+  repository path that does not exist. Of a refusal by argparse, which
+  prints the refusing parser's usage and then one error line, stderr keeps
+  the error line, and the usage is kept once per parser under
+  ``usage/<prog>``, so renaming an option changes only those keys.
 
 The group's directory reads ``<tmp>`` in every output before it is hashed.
 The script needs no pytest, so any supported interpreter can check the
@@ -159,6 +162,12 @@ def _bad_setting_outputs(base: Path) -> dict[str, str]:
     for name, flags in scenarios.BAD_SETTINGS.items():
         for mode in ("scan", "history"):
             run = _cli([mode, "--repo", str(base / "missing"), *flags])
+            if run["stderr"].startswith("usage: "):
+                # argparse's usage lines, then its one error line.
+                usage, error = run["stderr"][:-1].rsplit("\n", 1)
+                prog = error.split(": error: ")[0].replace(" ", "-")
+                texts[f"usage/{prog}"] = usage + "\n"
+                run["stderr"] = error + "\n"
             texts.update((f"{name}/{mode}/{stream}", text) for stream, text in run.items())
     return texts
 

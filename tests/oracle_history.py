@@ -5,14 +5,15 @@
 (commit, path) through it. ``last_touch`` compares those listings newest
 first. ``SourceScanner`` counts one element at one revision by walking the
 whole tree listing of that revision. ``run_scan_oracle`` is the scan that
-counts each (reference, revision) pair with it, document by document.
-``run_history_oracle`` lists every revision's tree with ``git ls-tree``,
-reads one ``DocVersion`` per (document, hosting revision), pairs wiki
-versions with source revisions through the list-based
-``link_source_to_docs``, builds each (element, document) timeline with
-``build_timeline`` and ``SourceScanner.count_instances`` as its counts
-provider, and takes evidence from ``count_instances`` at the last positive
-revision. A document whose head blob cannot be read warns and is skipped
+counts each (reference, revision) pair with it, document by document, and
+takes a wiki page's snapshot from ``linear_snapshot``, which walks every
+source revision. ``run_history_oracle`` lists every revision's tree with
+``git ls-tree``, reads one ``DocVersion`` per (document, hosting revision),
+pairs wiki versions with source revisions through ``doc_versions_seen``,
+which tries every version at every source revision, builds each (element,
+document) timeline with ``build_timeline`` and
+``SourceScanner.count_instances`` as its counts provider, and takes
+evidence from ``count_instances`` at the last positive revision. A document whose head blob cannot be read warns and is skipped
 in scan. In history a document version whose blob cannot be read reads as
 absent, its source ordinals are the finding's failed ordinals, and each
 such blob warns once per document. ``run_history_oracle`` takes the
@@ -22,12 +23,11 @@ skipped or capped file warns at every revision the run visits
 Nothing is incremental, so their reports are the ones that ``run_scan``
 and ``run_history`` must reproduce byte for byte.
 ``scan_history_disagreements`` compares a scan's counts with a complete
-history run's cells at the same revisions.
+history run's cells at the same revisions, for README and wiki documents.
 """
 
 from __future__ import annotations
 
-import bisect
 import subprocess
 from collections import Counter
 from dataclasses import dataclass
@@ -61,7 +61,6 @@ from staleref.revgraph import (
     Revision,
     RevisionSequence,
     UnknownRevisionError,
-    snapshot_for_doc,
 )
 from staleref.timeline import (
     DOC_ABSENT,
@@ -209,32 +208,36 @@ class DocVersion:
     revision: Revision
     text: str | None
 
-    @property
-    def timestamp(self) -> int:
-        return self.revision.timestamp
+
+def linear_snapshot(doc_revision: Revision, source_seq: RevisionSequence) -> Revision:
+    """The source revision that a page last written at *doc_revision*
+    describes, by a walk over every source revision: the latest by timestamp
+    at or before the page's, ties to the later ordinal, and the first
+    revision for a page older than them all."""
+    best = None
+    for rev in source_seq.revisions:
+        if rev.timestamp <= doc_revision.timestamp and (
+            best is None or rev.timestamp >= best.timestamp
+        ):
+            best = rev
+    return best if best is not None else source_seq.revisions[0]
 
 
-def link_source_to_docs(
+def doc_versions_seen(
     source_seq: RevisionSequence,
     doc_versions: list[DocVersion],
 ) -> list[tuple[Revision, DocVersion | None]]:
-    """Pair every source revision with the next version of one document.
-
-    Each revision pairs with the earliest doc version whose timestamp is at or
-    after the revision's; revisions after the final doc version pair with that
-    final (current) version. With no doc versions at all, every revision pairs
-    with None. ``doc_versions`` must be sorted by timestamp ascending.
-    """
-    if not doc_versions:
-        return [(rev, None) for rev in source_seq.revisions]
-    timestamps = [v.timestamp for v in doc_versions]
-    if timestamps != sorted(timestamps):
-        raise ValueError("doc versions must be sorted by timestamp")
-    pairs: list[tuple[Revision, DocVersion | None]] = []
-    last = len(doc_versions) - 1
+    """Pair every source revision with the version of one document that it
+    sees: of the versions whose ``linear_snapshot`` is that revision or an
+    older one, the one at the newest hosting revision; None where there is
+    none."""
+    pairs = []
     for rev in source_seq.revisions:
-        idx = bisect.bisect_left(timestamps, rev.timestamp)
-        pairs.append((rev, doc_versions[min(idx, last)]))
+        belonging = [
+            v for v in doc_versions
+            if linear_snapshot(v.revision, source_seq).ordinal <= rev.ordinal
+        ]
+        pairs.append((rev, max(belonging, key=lambda v: v.revision.ordinal, default=None)))
     return pairs
 
 
@@ -453,7 +456,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
             touched = last_touch(host.seq, host.repo, document.path)
             snapshot = (
                 touched if document.origin == ORIGIN_README
-                else snapshot_for_doc(touched, source.seq)
+                else linear_snapshot(touched, source.seq)
             )
             visited.add(snapshot)
             elements.update(ref.text for ref in refs)
@@ -529,7 +532,7 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
             if document.origin == ORIGIN_README:
                 pairs = list(zip(seq.revisions, versions))
             else:
-                pairs = link_source_to_docs(seq, sorted(versions, key=lambda v: v.timestamp))
+                pairs = doc_versions_seen(seq, versions)
             doc_sha = (
                 host.seq.head.sha
                 if blob_at(host.repo, host.seq.head.sha, document.path)
@@ -607,21 +610,21 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
 
 
 def scan_history_disagreements(
-    scan: ScanReport, history: ScanReport, origin: str
-) -> list[tuple[str, str, tuple, tuple]]:
-    """(document path, element, scan counts, history cells) of each finding of
-    *origin* whose scan counts at its snapshot and at head differ from what
+    scan: ScanReport, history: ScanReport
+) -> list[tuple[str, str, str, tuple, tuple]]:
+    """(origin, document path, element, scan counts, history cells) of each
+    finding whose scan counts at its snapshot and at head differ from what
     the complete *history* run of the same settings holds at the snapshot's
     ordinal and at the last one."""
     ordinal = {rev.sha: i for i, rev in enumerate(history.revisions)}
     rows = {(f.document, f.element_text): f.symbols for f in history.findings}
     disagreements = []
     for f in scan.findings:
-        if f.document.origin != origin:
-            continue
         symbols = rows[(f.document, f.element_text)]
         counts = (f.snapshot_count, f.current_count)
         cells = (symbols[ordinal[f.snapshot_sha]], symbols[-1])
         if counts != cells:
-            disagreements.append((f.document.path, f.element_text, counts, cells))
+            disagreements.append(
+                (f.document.origin, f.document.path, f.element_text, counts, cells)
+            )
     return disagreements

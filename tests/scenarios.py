@@ -105,6 +105,7 @@ def build_wiki_outdated(base: Path):
 def build_doc_newer_than_head(base: Path):
     # The wiki page was written after the element had already been deleted,
     # so its snapshot is the deleting head itself: never matched, not outdated.
+    # History sees no page before head, so it reads no episode either.
     repo = RepoBuilder(base / "doc_newer")
     repo.commit(T0, {
         "README.md": "Just a tool.\n",
@@ -116,12 +117,16 @@ def build_doc_newer_than_head(base: Path):
     return _manifest("doc_newer_than_head", repo, wiki, expected={
         ("wiki", "Notes.md", "delta_fn()"): NEVER,
         ("wiki", "Notes.md", "epsilon_fn()"): IN_SYNC,
+    }, history={
+        ("wiki", "Notes.md", "delta_fn()"): [".", 0],
+        ("wiki", "Notes.md", "epsilon_fn()"): [".", 1],
     })
 
 
 def build_equal_timestamp(base: Path):
     # Two source commits share a timestamp equal to the doc's; the snapshot
-    # must be the later ordinal, where tick_fn is already gone.
+    # must be the later ordinal, where tick_fn is already gone. History sees
+    # the page from that ordinal on.
     repo = RepoBuilder(base / "equal_ts")
     repo.commit(T0, {
         "README.md": "Just a tool.\n",
@@ -134,6 +139,9 @@ def build_equal_timestamp(base: Path):
     return _manifest("equal_timestamp", repo, wiki, expected={
         ("wiki", "Home.md", "tick_fn()"): NEVER,
         ("wiki", "Home.md", "stable_fn()"): IN_SYNC,
+    }, history={
+        ("wiki", "Home.md", "tick_fn()"): [".", ".", 0],
+        ("wiki", "Home.md", "stable_fn()"): [".", ".", 1],
     })
 
 
@@ -205,6 +213,10 @@ def build_multi_doc(base: Path):
         ("readme", "README.md", "omega_fn()"): OUTDATED,
         ("wiki", "Guide.md", "omega_fn()"): NEVER,
         ("wiki", "Extra.md", "kappa_fn()"): IN_SYNC,
+    }, history={
+        ("readme", "README.md", "omega_fn()"): [1, 0],
+        ("wiki", "Guide.md", "omega_fn()"): [".", 0],
+        ("wiki", "Extra.md", "kappa_fn()"): [".", 1],
     })
 
 
@@ -403,9 +415,10 @@ def build_crlf_readme(base: Path):
 
 def build_wiki_out_of_order(base: Path):
     # Wiki timestamps go backwards: w1 is older than w0, which ties with r1,
-    # and w2 ties with r2. Each source revision sees the earliest page
-    # version by time at or after it (r0 -> w1, r1 -> w0, r2 and r3 -> w2),
-    # and the scan's snapshot of w2 is r2.
+    # and w2 ties with r2. So w1 belongs to r0, w0 to r1 and w2 to r2, the
+    # scan's snapshot of w2. Each source revision sees the newest wiki
+    # revision by ordinal that belongs to it or to an older one: r0 and r1
+    # see w1, r2 and r3 see w2, and no revision sees w0.
     repo = RepoBuilder(base / "wiki_out_of_order")
     repo.commit(T0, {"src/app.py": "def old_fn():\n    pass\n\ndef keep_fn():\n    pass\n"})
     repo.commit(T0 + 2 * STEP, {"src/app.py": "def keep_fn():\n    pass\n"})
@@ -423,8 +436,8 @@ def build_wiki_out_of_order(base: Path):
         ("wiki", "Home.md", "old_fn()"): NEVER,
     }, history={
         ("wiki", "Home.md", "keep_fn()"): [1, 1, 1, 1],
-        ("wiki", "Home.md", "new_fn()"): [0, "-", 1, 0],
-        ("wiki", "Home.md", "old_fn()"): ["-", 0, 0, 0],
+        ("wiki", "Home.md", "new_fn()"): [0, 0, 1, 0],
+        ("wiki", "Home.md", "old_fn()"): ["-", "-", 0, 0],
     })
 
 

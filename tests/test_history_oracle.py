@@ -5,6 +5,8 @@ same content at two paths, symlinks, binary and oversized blobs, non-ASCII
 text with CRLF line ends, merged side branches, out-of-order and equal
 timestamps, a root README moved to README.rst and back, an optional wiki
 whose commits keep the order drawn, so their timestamps may go backwards,
+and fall before every source commit, after the source head, on a source
+commit's second or several within one source commit's span,
 gitlinks and paths that switch between a gitlink and a blob, names whose
 bytes are no UTF-8) and random run settings (exclude globs, a small
 per-file cap, a small size cap).
@@ -12,9 +14,9 @@ Each repository's ``GitRepo.first_parent_history`` must equal the two-call
 reader of ``oracle_revgraph``. On each repository
 ``run_scan`` must render the same report, byte for byte, as
 ``oracle_history.run_scan_oracle``, and ``run_history`` the same as
-``oracle_history.run_history_oracle``, and each README finding of the scan
-must hold the counts that the history row of its element and document
-holds at the snapshot and at head. Both history runs are then cut by a
+``oracle_history.run_history_oracle``, and each finding of the scan, README
+and wiki page alike, must hold the counts that the history row of its
+element and document holds at the snapshot and at head. Both history runs are then cut by a
 fake deadline after a drawn number of checks, from none to all of them, and
 must render the same JSON and CSV, warnings included.
 A second pass runs both modes and both readers on a local clone of the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import os
 import subprocess
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,12 +43,12 @@ from repo_builder import RepoBuilder  # noqa: E402
 from cuts import checks_of, cut_after  # noqa: E402
 import oracle_revgraph  # noqa: E402
 from oracle_history import (  # noqa: E402
+    linear_snapshot,
     run_history_oracle,
     run_scan_oracle,
     scan_history_disagreements,
 )
 from staleref import matching  # noqa: E402
-from staleref.docdiscovery import ORIGIN_README  # noqa: E402
 from staleref.pipeline import RunConfig, run_history, run_scan  # noqa: E402
 from staleref.reporting import FORMAT_CSV, render_findings  # noqa: E402
 from staleref.revgraph import GitRepo  # noqa: E402
@@ -97,14 +100,24 @@ merge_st = st.tuples(
     st.one_of(st.none(), st.sampled_from(CONTENTS)),
     st.lists(op_st, max_size=3),
 )
+# Seconds after T0 of a wiki commit. The oldest source commit can be
+# 2 * STEP + 5 older than T0 + STEP, so -3 * STEP is older than them all, and
+# 8 * STEP newer than the head. Whole steps, drawn by two of the choices,
+# tie with a source commit, and a few seconds past one put two or more wiki
+# commits in one source span.
+wiki_time_st = st.one_of(
+    st.integers(-3 * STEP, 8 * STEP),
+    st.integers(-3, 8).map(lambda k: k * STEP),
+    st.integers(0, 6).map(lambda k: k * STEP),
+    st.tuples(st.integers(0, 6), st.integers(1, 9)).map(lambda kd: kd[0] * STEP + kd[1]),
+)
 wiki_st = st.lists(
     st.tuples(
-        # Whole steps tie with a source commit.
-        st.one_of(st.integers(0, 8 * STEP), st.integers(0, 8).map(lambda k: k * STEP)),
+        wiki_time_st,
         st.sampled_from(["Home.md", "Other.md"]),
         st.one_of(st.none(), st.lists(st.sampled_from(CITED), max_size=3)),
     ),
-    max_size=3,
+    max_size=4,
 )
 
 
@@ -217,6 +230,29 @@ def _drawn_shapes(steps: list) -> list[str]:
     ) if drawn]
 
 
+def _wiki_shapes(repo: str, wiki: str | None) -> list[str]:
+    """The shapes of the wiki's times against the source's, for
+    ``hypothesis.event``."""
+    if wiki is None:
+        return []
+    source = GitRepo(repo).linearize_history()
+    times = {rev.timestamp for rev in source.revisions}
+    wiki_revisions = GitRepo(wiki).linearize_history().revisions
+    spans = Counter(
+        linear_snapshot(rev, source).ordinal
+        for rev in wiki_revisions if rev.timestamp >= min(times)
+    )
+    return [shape for shape, drawn in (
+        ("wiki commits in one source span", any(n > 1 for n in spans.values())),
+        ("wiki commit older than every source commit",
+         any(rev.timestamp < min(times) for rev in wiki_revisions)),
+        ("wiki commit newer than the source head",
+         any(rev.timestamp > source.head.timestamp for rev in wiki_revisions)),
+        ("wiki commit on a source commit's second",
+         any(rev.timestamp in times for rev in wiki_revisions)),
+    ) if drawn]
+
+
 def _assert_readers_agree(*paths: str | None) -> None:
     for path in filter(None, paths):
         repo = GitRepo(path)
@@ -227,7 +263,7 @@ def _assert_readers_agree(*paths: str | None) -> None:
 
 def _assert_modes_match_oracles(config: RunConfig):
     """Both modes render what their oracles render, and agree with each
-    other on README documents; returns the history report."""
+    other; returns the history report."""
     expected_scan = run_scan_oracle(config)
     got_scan = run_scan(config)
     assert got_scan.warnings == expected_scan.warnings
@@ -238,7 +274,7 @@ def _assert_modes_match_oracles(config: RunConfig):
     assert _symbols(got) == _symbols(expected)
     assert got.warnings == expected.warnings
     assert render_findings(got) == render_findings(expected)
-    assert scan_history_disagreements(got_scan, got, ORIGIN_README) == []
+    assert scan_history_disagreements(got_scan, got) == []
     return got
 
 
@@ -279,7 +315,7 @@ def test_incremental_history_matches_per_cell_oracle(
             scan_time=T0 + 100 * STEP,
         )
         config = RunConfig(repo, **settings)
-        for shape in _drawn_shapes(steps):
+        for shape in _drawn_shapes(steps) + _wiki_shapes(repo, wiki):
             event(shape)
         _assert_readers_agree(repo, wiki)
         got = _assert_modes_match_oracles(config)

@@ -107,6 +107,23 @@ class TestExcludeGlobs:
     def test_star_extension(self):
         assert matches_exclude("a/b/c.min.js", ("*.min.js",))
 
+    def test_star_stops_at_a_slash(self):
+        # As in `git check-ignore`: src/*.py leaves out src/a.py only.
+        assert matches_exclude("src/a.py", ("src/*.py",))
+        assert not matches_exclude("src/sub/b.py", ("src/*.py",))
+
+    def test_double_star_segment_matches_zero_or_more_segments(self):
+        for path in ("src/gen.py", "src/a/gen.py", "src/a/b/gen.py"):
+            assert matches_exclude(path, ("src/**/gen.py",)), path
+        assert not matches_exclude("lib/gen.py", ("src/**/gen.py",))
+        assert matches_exclude("deep/x/gen.py", ("**/gen.py",))
+        assert matches_exclude("src/a/b.py", ("src/**",))
+        assert not matches_exclude("src", ("src/**",))
+
+    def test_dir_pattern_with_a_slash_matches_directories_only(self):
+        assert matches_exclude("src/gen/x.py", ("src/gen/",))
+        assert not matches_exclude("src/gen", ("src/gen/",))
+
 
 def build_counting_repo(repo_factory):
     builder = repo_factory("counting")

@@ -23,7 +23,6 @@ from oracle_history import (
     tree_entries,
 )
 from staleref import cli, matching, pipeline
-from staleref.docdiscovery import ORIGIN_README, ORIGIN_WIKI
 from staleref.matching import HistoryCounter, matches_exclude
 from staleref.pipeline import RunConfig, run_history, run_scan
 from staleref.reporting import FORMAT_CSV, parse_report, render_findings
@@ -116,26 +115,19 @@ class TestScanScenarios:
             assert got.warnings == expected.warnings, manifest["name"]
             assert render_findings(got) == render_findings(expected), manifest["name"]
 
-    def test_readme_findings_agree_with_history(self, manifests):
-        # Each README finding's counts at its snapshot and at head are the
-        # history row's cells at those revisions.
+    def test_findings_agree_with_history(self, manifests):
+        # Each finding's counts at its snapshot and at head, for a README and
+        # for a wiki page, are the history row's cells at those revisions.
         for manifest in manifests:
             config = config_for(manifest)
             scan, history = run_scan(config), run_history(config)
-            assert scan_history_disagreements(scan, history, ORIGIN_README) == [], (
-                manifest["name"]
-            )
+            assert scan_history_disagreements(scan, history) == [], manifest["name"]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the modes link a wiki page to source revisions by different rules:"
-        " scan's snapshot_for_doc maps the page's last version (w1) to c0,"
-        " history's link_source_to_docs gives c0 the earliest wiki revision"
-        " at or after it (w0)"
-    ))
     def test_wiki_findings_agree_with_history(self, tmp_path):
         # Two wiki commits fall between two source commits, and only the
-        # second cites alpha_fn(). Scan reads in_sync with snapshot c0 and
-        # snapshot_count 1; history's row reads ('-', 1).
+        # second cites alpha_fn(). Both belong to c0, which sees the second:
+        # scan reads in_sync with snapshot c0 and snapshot_count 1, and
+        # history's row reads (1, 1).
         repo = RepoBuilder(tmp_path / "proj")
         repo.commit(scenarios.T0, {"a.py": "def alpha_fn():\n    pass\n", "README.md": "Intro.\n"})
         repo.commit(scenarios.T0 + 1000, {"b.py": "x = 1\n"})
@@ -147,8 +139,8 @@ class TestScanScenarios:
         assert [(f.status, f.snapshot_sha, f.snapshot_count) for f in scan.findings] == [
             ("in_sync", repo.shas[0], 1)
         ]
-        assert [list(f.symbols) for f in history.findings] == [["-", 1]]
-        assert scan_history_disagreements(scan, history, ORIGIN_WIKI) == []
+        assert [list(f.symbols) for f in history.findings] == [[1, 1]]
+        assert scan_history_disagreements(scan, history) == []
 
     def test_pinned_snapshots(self, manifests):
         # A README's snapshot is also what git log names as the first-parent
@@ -329,7 +321,9 @@ class TestHistoryScenarios:
                 if isinstance(last, int):
                     assert last == scan_counts[key], manifest["name"]
 
-    def test_doc_newer_than_head_modes_diverge(self, manifests):
+    def test_doc_newer_than_head_modes_agree(self, manifests):
+        # The page was written after delta_fn() was deleted: scan calls it
+        # never matched at head, and history reads no page before head.
         manifest = next(m for m in manifests if m["name"] == "doc_newer_than_head")
         scan = run_scan(config_for(manifest))
         by_element = {f.element_text: f for f in scan.findings}
@@ -338,8 +332,8 @@ class TestHistoryScenarios:
 
         history = run_history(config_for(manifest))
         f = next(x for x in history.findings if x.element_text == "delta_fn()")
-        assert list(f.symbols) == [1, 0]
-        assert f.currently_outdated
+        assert list(f.symbols) == [".", 0]
+        assert f.episodes == [] and not f.currently_outdated
 
     def test_pinned_history_symbols(self, manifests):
         pinned = [m for m in manifests if "history" in m]

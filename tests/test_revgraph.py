@@ -25,7 +25,7 @@ from staleref.revgraph import (
     RevisionSequence,
     UnknownBranchError,
     UnknownRevisionError,
-    link_source_to_docs,
+    doc_ordinals_seen,
     replay,
     snapshot_for_doc,
 )
@@ -332,14 +332,6 @@ class TestSnapshotLinking:
         assert snapshot_for_doc(doc_rev(350), sources).ordinal == 1
 
 
-def _linear_snapshot(doc_ts, sources):
-    best = None
-    for rev in sources.revisions:
-        if rev.timestamp <= doc_ts and (best is None or rev.timestamp >= best.timestamp):
-            best = rev
-    return best if best is not None else sources.revisions[0]
-
-
 class TestSnapshotProperty:
     def test_bisect_matches_linear_rule(self):
         rng = random.Random(7)
@@ -348,8 +340,8 @@ class TestSnapshotProperty:
             timestamps = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(1, 9))]
             sources = seq(*timestamps)
             for doc_ts in range(-5, 130, 5):
-                assert snapshot_for_doc(doc_rev(doc_ts), sources) == _linear_snapshot(
-                    doc_ts, sources
+                assert snapshot_for_doc(doc_rev(doc_ts), sources) == (
+                    oracle_history.linear_snapshot(doc_rev(doc_ts), sources)
                 ), (timestamps, doc_ts)
 
 
@@ -500,45 +492,62 @@ class TestBranch:
 
 
 class TestLinkSourceToDocs:
+    """``doc_ordinals_seen``: the wiki revision that each source revision sees."""
+
     def test_single_doc_version(self):
-        sources = seq(1, 2, 3)
-        docs = seq(2)  # between t=1 and t=3, ts greater than first revision
-        assert link_source_to_docs(sources, docs) == [docs.head] * 3
+        # The wiki revision belongs to t=1, so t=1 has no wiki yet.
+        assert doc_ordinals_seen(seq(1, 2, 3), seq(2)) == [None, 0, 0]
 
     def test_two_doc_versions_split(self):
-        sources = seq(1, 2, 3, 4)
-        docs = seq(1, 3)
-        assert [r.ordinal for r in link_source_to_docs(sources, docs)] == [0, 1, 1, 1]
+        assert doc_ordinals_seen(seq(1, 2, 3, 4), seq(1, 3)) == [0, 0, 1, 1]
 
-    def test_empty_doc_sequence_errors(self):
-        with pytest.raises(EmptyHistoryError):
-            link_source_to_docs(seq(1, 2, 3), RevisionSequence(()))
+    def test_empty_doc_sequence_sees_no_wiki(self):
+        assert doc_ordinals_seen(seq(1, 2, 3), RevisionSequence(())) == [None] * 3
+
+    def test_doc_older_than_every_source_revision(self):
+        assert doc_ordinals_seen(seq(10, 20), seq(5)) == [0, 0]
+
+    def test_later_of_two_doc_versions_in_one_span(self):
+        assert doc_ordinals_seen(seq(10, 40), seq(15, 25)) == [1, 1]
+
+    def test_equal_timestamps_tie_to_the_later_source_ordinal(self):
+        assert doc_ordinals_seen(seq(10, 20, 20, 30), seq(20)) == [None, None, 0, 0]
+
+    def test_head_sees_the_doc_head(self):
+        for docs in (seq(5), seq(50), seq(50, 5), seq(15, 25, 35)):
+            assert doc_ordinals_seen(seq(10, 20, 30), docs)[-1] == docs.head.ordinal
 
     def test_partition_property(self):
-        sources = seq(10, 20, 30, 40, 50)
-        links = link_source_to_docs(sources, seq(15, 35))
-        assert [r.ordinal for r in links] == [0, 1, 1, 1, 1]
+        assert doc_ordinals_seen(seq(10, 20, 30, 40, 50), seq(15, 35)) == [0, 0, 1, 1, 1]
 
     def test_round_trip_property(self):
-        sources = seq(10, 20, 30, 40)
-        docs = seq(25)
-        for revision, linked in zip(sources.revisions, link_source_to_docs(sources, docs)):
-            assert revision.timestamp <= linked.timestamp or linked is docs.head
+        # A source revision sees a wiki revision only once it is the wiki
+        # revision's snapshot or newer.
+        sources, docs = seq(10, 20, 30, 40), seq(25, 5, 35)
+        for revision, seen in zip(sources.revisions, doc_ordinals_seen(sources, docs)):
+            snapshot = snapshot_for_doc(docs.revisions[seen], sources)
+            assert snapshot.ordinal <= revision.ordinal
 
     def test_out_of_order_docs_link_by_time_then_ordinal(self):
-        # Doc ordinal 2 is older than ordinal 1, and ordinals 0 and 3 tie.
-        links = link_source_to_docs(seq(5, 10, 15, 25, 35), seq(10, 30, 20, 10))
-        assert [r.ordinal for r in links] == [0, 0, 2, 1, 1]
+        # Doc ordinal 2 is older than ordinal 1, and ordinals 0 and 3 tie:
+        # every source revision that sees one sees the newest, ordinal 3.
+        assert doc_ordinals_seen(seq(5, 10, 15, 25, 35), seq(10, 30, 20, 10)) == [
+            None, 3, 3, 3, 3
+        ]
+        # Ordinal 1 is older than ordinal 0 and belongs to revision 0; the
+        # newer revision 1, to which ordinal 0 belongs, still sees ordinal 1.
+        assert doc_ordinals_seen(seq(10, 20, 30), seq(25, 15)) == [1, 1, 1]
 
 
 def _oracle_links(sources, docs):
-    """The list-based reference rule over timestamp-sorted document versions."""
+    """The ordinals that the list-based reference rule pairs each source
+    revision with, None for no document version."""
     descriptor = DocumentDescriptor(ORIGIN_WIKI, "Home.md", "markdown")
-    versions = sorted(
-        (oracle_history.DocVersion(descriptor, r, "body") for r in docs.revisions),
-        key=lambda v: v.timestamp,
-    )
-    return [version.revision for _, version in oracle_history.link_source_to_docs(sources, versions)]
+    versions = [oracle_history.DocVersion(descriptor, r, "body") for r in docs.revisions]
+    return [
+        None if version is None else version.revision.ordinal
+        for _, version in oracle_history.doc_versions_seen(sources, versions)
+    ]
 
 
 class TestLinkProperty:
@@ -547,9 +556,9 @@ class TestLinkProperty:
         for _ in range(500):
             # Few distinct timestamps: out-of-order runs and ties are common.
             source_ts = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(1, 9))]
-            doc_ts = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(1, 9))]
+            doc_ts = [rng.randrange(0, 12) * 10 for _ in range(rng.randrange(0, 9))]
             sources, docs = seq(*source_ts), seq(*doc_ts)
-            assert link_source_to_docs(sources, docs) == _oracle_links(sources, docs), (
+            assert doc_ordinals_seen(sources, docs) == _oracle_links(sources, docs), (
                 source_ts, doc_ts
             )
 
