@@ -8,6 +8,7 @@ scanner is concerned.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 
 ORIGIN_README = "readme"
 ORIGIN_WIKI = "wiki"
@@ -93,20 +94,22 @@ def readme_format(path: str) -> str | None:
 
 
 def discover_documents(
-    source_tree: list[str], wiki_tree: list[str] | None
-) -> list[DocumentDescriptor]:
-    """Collect documentation files from a source listing and an optional wiki listing.
+    listings: dict[str, Iterable[bytes]],
+) -> dict[DocumentDescriptor, bytes | None]:
+    """The documents among each origin's raw listed paths, each with its raw
+    path, or None where two raw paths decode to its path.
 
-    A source file is a document by ``readme_format``; every wiki file with a
-    recognised format is one. The result is deduplicated and sorted, so
-    repeated calls over the same listings are identical.
+    A path is decoded once, as UTF-8 with replacement. A source file is a
+    document by ``readme_format``; every wiki file with a recognised format
+    is one. The result is sorted, so repeated calls over the same listings
+    are identical.
     """
-    documents = {
-        DocumentDescriptor(ORIGIN_README, path, fmt)
-        for path in source_tree if (fmt := readme_format(path))
-    }
-    documents.update(
-        DocumentDescriptor(ORIGIN_WIKI, path, fmt)
-        for path in wiki_tree or () if (fmt := is_recognized_format(path))
-    )
-    return sorted(documents)
+    documents: dict[DocumentDescriptor, bytes | None] = {}
+    for origin, paths in listings.items():
+        format_of = readme_format if origin == ORIGIN_README else is_recognized_format
+        for raw in paths:
+            path = raw.decode("utf-8", errors="replace")
+            if fmt := format_of(path):
+                document = DocumentDescriptor(origin, path, fmt)
+                documents[document] = None if document in documents else raw
+    return dict(sorted(documents.items()))

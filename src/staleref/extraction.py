@@ -15,8 +15,8 @@ match.
 
 ``extract_elements`` returns each element with its span. ``element_texts``
 returns only the set of element texts, and extracts each distinct line once
-per run: after fence masking, no rule and no mask crosses a ``\n``, so a
-document's set is the union of its lines' sets.
+per run: no rule and no mask crosses a line ending (``\r\n``, ``\r`` or
+``\n``), so a document's set is the union of its lines' sets.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ MIN_ELEMENT_LENGTH = 2
 # it: "[A-Z](?<=[a-z0-9][A-Z])" finds the pair "[a-z0-9][A-Z]", but the
 # engine tries only the capitals of a line, not every lower-case letter.
 # Rules that share a window share its compiled pattern. No pattern can match
-# a "\n", so a document may be extracted line by line. There is deliberately
-# no rule for bare URLs; URLs are only picked up when an author backticks them.
+# "\r" or "\n", so a document may be extracted line by line. There is no rule
+# for bare URLs; URLs are only picked up when an author backticks them.
 _CAMEL_WINDOW = re.compile(r"[A-Z](?<=[a-z0-9][A-Z])")
 _DOT_WINDOW = re.compile(r"\.(?<=[A-Za-z0-9_-]\.)[A-Za-z_]")
 _RULES: tuple[tuple[str, int, re.Pattern, tuple[str, ...], re.Pattern | None], ...] = (
@@ -80,7 +80,7 @@ class CodeElementRef(namedtuple("CodeElementRef", "text rule_id span")):
 
 
 _FENCE_LINE_RE = re.compile(r"^[ \t]*```")
-_NON_NEWLINE_RE = re.compile(r"[^\r\n]")
+_LINE_END_RE = re.compile(r"(\r\n|\r|\n)")
 _LINK_DEST_RE = re.compile(r"\]\(([^)\r\n]*)\)")
 _BACKTICK_INTERIOR_RE = re.compile(r"`([^`\r\n]+)`")
 _BARE_URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^\s<>`]+")
@@ -89,23 +89,22 @@ _BARE_URL_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^\s<>`]+")
 def mask_fenced_blocks(text: str) -> str:
     """Replace the interior of triple-backtick fences with spaces.
 
-    Only line-anchored fences count; the fence marker lines themselves are
-    kept. Newlines are preserved so that every offset outside a fence is
-    unchanged, and an unterminated fence masks to the end of the text.
+    Lines end at ``\r\n``, ``\r`` or ``\n``, as CommonMark defines a line
+    ending. Only line-anchored fences count; the fence marker lines
+    themselves are kept. Line endings are preserved so that every offset
+    outside a fence is unchanged, and an unterminated fence masks to the end
+    of the text.
     """
     if "```" not in text:
         return text
-    out: list[str] = []
+    parts = _LINE_END_RE.split(text)  # lines at even indices, their endings between
     in_fence = False
-    for line in text.splitlines(keepends=True):
-        if _FENCE_LINE_RE.match(line):
+    for i in range(0, len(parts), 2):
+        if _FENCE_LINE_RE.match(parts[i]):
             in_fence = not in_fence
-            out.append(line)
         elif in_fence:
-            out.append(_NON_NEWLINE_RE.sub(" ", line))
-        else:
-            out.append(line)
-    return "".join(out)
+            parts[i] = " " * len(parts[i])
+    return "".join(parts)
 
 
 def _mask_ranges(text: str, ranges: list[tuple[int, int]]) -> str:
@@ -228,25 +227,18 @@ def extract_elements(doc_text: str) -> list[CodeElementRef]:
 def element_texts(doc_text: str, memo: dict) -> frozenset[str]:
     """The texts of ``extract_elements(doc_text)``, as a set.
 
-    Fences are masked over the whole document and each ``\n``-split line is
-    extracted on its own, once per *memo*: a dict that maps lines to their
-    element sets. A line with no fence marker that fence masking left alone
-    is extracted by ``extract_elements`` itself, so wrapping that function
-    still sees every line production extracts.
+    Lines end where fence masking ends them, and each line outside a fence
+    is extracted on its own by ``extract_elements``, once per *memo*: a dict
+    that maps lines to their element sets. A line inside a fence masks to
+    blanks, which no rule matches, so it is skipped.
     """
+    if "\r" in doc_text:
+        doc_text = doc_text.replace("\r\n", "\n").replace("\r", "\n")
     lines = doc_text.split("\n")
     if "```" in doc_text:
-        # Where fence masking changed a line, both forms decide its elements.
         masked = mask_fenced_blocks(doc_text).split("\n")
-        keys = {line if fenced == line else (fenced, line) for line, fenced in zip(lines, masked)}
-    else:
-        keys = set(lines)
-    for key in keys.difference(memo):
-        if isinstance(key, str) and "```" not in key:
-            # Masking fences again cannot change a line with no fence marker,
-            # so the public entry point is exact here.
-            memo[key] = frozenset(ref.text for ref in extract_elements(key))
-        else:
-            fenced, line = key if isinstance(key, tuple) else (key, key)
-            memo[key] = frozenset(m[3] for m in _matches(fenced, line))
-    return frozenset().union(*map(memo.__getitem__, keys))
+        lines = [line for line, fenced in zip(lines, masked) if fenced == line]
+    lines = set(lines)
+    for line in lines.difference(memo):
+        memo[line] = frozenset(ref.text for ref in extract_elements(line))
+    return frozenset().union(*map(memo.__getitem__, lines))

@@ -151,15 +151,7 @@ class _Project:
     def discover(self, listings: dict[str, Iterable[bytes]]) -> dict[DocumentDescriptor, bytes]:
         """The raw path of each document among each origin's raw paths that
         the run reads; one whose decoded path has two is not read."""
-        names: dict[str, dict[str, bytes | None]] = {origin: {} for origin in listings}
-        for origin, paths in listings.items():
-            for raw in paths:
-                name = raw.decode("utf-8", errors="replace")
-                names[origin][name] = None if name in names[origin] else raw
-        raw_paths = {d: names[d.origin][d.path] for d in discover_documents(
-            list(names[ORIGIN_README]),
-            list(names[ORIGIN_WIKI]) if ORIGIN_WIKI in names else None,
-        )}
+        raw_paths = discover_documents(listings)
         self.warnings += [
             {"kind": "ambiguous_document_path", "document": d.path}
             for d, raw in raw_paths.items() if raw is None

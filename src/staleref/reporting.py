@@ -18,10 +18,9 @@ from .timeline import (
     DOC_ABSENT,
     FIX_KINDS,
     NO_REFERENCE,
-    FixEvent,
     OutdatedEpisode,
     Symbol,
-    is_count,
+    detect_episodes,
     survival_curve,
     validate_symbol,
 )
@@ -201,24 +200,6 @@ def _parse_document(data: dict) -> DocumentDescriptor:
     return DocumentDescriptor(data["origin"], data["path"], data["format"])
 
 
-def _parse_episode(data: dict, count: int) -> OutdatedEpisode:
-    """*data* as an episode whose ordinals are among *count* revisions."""
-    fix = None
-    if data.get("fix"):
-        fd = data["fix"]
-        fix = FixEvent(fd["kind"], fd["at_ordinal"], fd["at_sha"], fd["at_timestamp"])
-    ordinals = [data["start_ordinal"]]
-    ordinals += [o for o in (data["end_ordinal"], fix and fix.at_ordinal) if o is not None]
-    if not all(type(o) is int and 0 <= o < count for o in ordinals):
-        raise ValueError(f"episode ordinals outside the revisions: {ordinals!r}")
-    duration = data.get("duration_seconds")
-    if duration is not None and not is_count(duration):
-        raise ValueError(f"episode duration is no integer: {duration!r}")
-    return OutdatedEpisode(
-        data["start_ordinal"], data["end_ordinal"], fix=fix, duration_seconds=duration
-    )
-
-
 def _parse_symbols(symbols, count: int) -> tuple[Symbol, ...]:
     """*symbols*, a JSON array, as a timeline of *count* symbols; the error
     names the first symbol that is none."""
@@ -275,7 +256,8 @@ def _finding_dict(finding: Finding) -> dict:
 
 
 def _parse_finding(
-    data: dict, revisions: tuple[Revision, ...] | None, covered_from: int | None, mode: str | None
+    data: dict, revisions: tuple[Revision, ...] | None, covered_from: int | None,
+    mode: str | None, scan_time: int,
 ) -> Finding:
     document = _parse_document(data["document"])
     status = data.get("status")
@@ -304,11 +286,11 @@ def _parse_finding(
         suffix = list(_parse_symbols(suffix, len(revisions) - covered_from))
     elif suffix is not None:
         raise ValueError("symbols_suffix without covered_from_ordinal")
-    episodes = None
-    if data.get("episodes") is not None:
-        if revisions is None:
-            raise ValueError("episodes without revisions")
-        episodes = [_parse_episode(ep, len(revisions)) for ep in data["episodes"]]
+    # Episodes follow from symbols, so a finding's must be the ones its symbols give.
+    episodes = None if symbols is None else detect_episodes(symbols, revisions, scan_time=scan_time)
+    stated = None if episodes is None else [_episode_dict(ep) for ep in episodes]
+    if json.dumps(data.get("episodes"), sort_keys=True) != json.dumps(stated, sort_keys=True):
+        raise ValueError("episodes disagree with the symbols")
     return Finding(
         element_text=data["element_text"],
         document=document,
@@ -356,7 +338,8 @@ def parse_report(text: str) -> ScanReport:
 
     Raises ValueError for text that is no report of this schema version, for
     one whose aggregates or timelines disagree with its findings or revisions,
-    and for a finding whose fields belong to the other mode.
+    for a finding whose episodes are not the ones its symbols give, and for a
+    finding whose fields belong to the other mode.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -375,14 +358,6 @@ def parse_report(text: str) -> ScanReport:
         if covered_from is not None and not (type(covered_from) is int and 0 <= covered_from <= n):
             raise ValueError("covered_from_ordinal is no ordinal of a partial report's "
                              f"revisions: {covered_from!r}")
-        findings = [
-            _parse_finding(f, revisions, covered_from, data.get("mode")) for f in data["findings"]
-        ]
-        mode = data["mode"]
-        if mode not in (MODE_CURRENT, MODE_HISTORY):
-            raise ValueError(f"unknown report mode: {mode!r}")
-        if data["aggregates"] != compute_aggregates(findings)._asdict():
-            raise ValueError("aggregates disagree with the findings")
         scan_time = data["scan_time_epoch"]
         if type(scan_time) is not int:
             raise ValueError(f"scan_time_epoch is no integer: {scan_time!r}")
@@ -393,6 +368,15 @@ def parse_report(text: str) -> ScanReport:
         if data["scan_time"] != stated:
             raise ValueError(f"scan_time is not the RFC 3339 form of scan_time_epoch: "
                              f"{data['scan_time']!r}")
+        findings = [
+            _parse_finding(f, revisions, covered_from, data.get("mode"), scan_time)
+            for f in data["findings"]
+        ]
+        mode = data["mode"]
+        if mode not in (MODE_CURRENT, MODE_HISTORY):
+            raise ValueError(f"unknown report mode: {mode!r}")
+        if data["aggregates"] != compute_aggregates(findings)._asdict():
+            raise ValueError("aggregates disagree with the findings")
         return ScanReport(
             project_id=data["project"],
             scan_time=scan_time,

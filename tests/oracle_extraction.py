@@ -1,13 +1,16 @@
 """Extraction without gates, used as a test oracle.
 
+``mask_fenced_blocks`` walks the text one character at a time and ends a
+line only where CommonMark ends one (spec 0.31.2, section 2.1: a line
+ending is a ``\n``, a ``\r`` not followed by ``\n``, or ``\r\n``).
 ``mask_links_and_urls`` runs the link-destination, backtick-span and URL
 passes over every text, and ``matches`` runs every rule of the module's
 table over every text, whatever literals or character windows the text
 holds.
-``extract_elements`` orders and dedupes their matches as
-``staleref.extraction.extract_elements`` does, so the production function,
-which skips a pass or a rule where a literal or a window it needs is missing,
-must return the same references.
+``extract_elements`` masks fences with the first and orders and dedupes the
+matches of the last as ``staleref.extraction.extract_elements`` does, so the
+production function, which skips a pass or a rule where a literal or a window
+it needs is missing, must return the same references.
 """
 
 from __future__ import annotations
@@ -21,8 +24,42 @@ from staleref.extraction import (
     CodeElementRef,
     _drop_contained,
     _mask_ranges,
-    mask_fenced_blocks,
 )
+
+
+def mask_fenced_blocks(text: str) -> str:
+    """*text* with every character of a line inside a fence made a space.
+
+    A line whose first character other than spaces and tabs starts three
+    backticks is a fence marker: it opens a fence, or closes the open one,
+    and is kept, as are the line endings.
+    """
+    out: list[str] = []
+    in_fence = blank = False
+    line_start = True
+    i = 0
+    while i < len(text):
+        if line_start:
+            j = i
+            while j < len(text) and text[j] in " \t":
+                j += 1
+            marker = text[j:j + 3] == "```"
+            if marker:
+                in_fence = not in_fence
+            blank = in_fence and not marker
+            line_start = False
+        char = text[i]
+        if char == "\r" and text[i + 1:i + 2] == "\n":
+            out.append("\r\n")
+            i += 1
+            line_start = True
+        elif char in "\r\n":
+            out.append(char)
+            line_start = True
+        else:
+            out.append(" " if blank else char)
+        i += 1
+    return "".join(out)
 
 
 def mask_links_and_urls(text: str) -> str:

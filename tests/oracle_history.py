@@ -38,7 +38,6 @@ from staleref.docdiscovery import (
     ORIGIN_README,
     ORIGIN_WIKI,
     DocumentDescriptor,
-    discover_documents,
 )
 from staleref import matching, pipeline
 from staleref.extraction import extract_elements
@@ -431,7 +430,7 @@ def run_scan_oracle(config: RunConfig) -> ScanReport:
     project = _Project(config)
     source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
     head = source.seq.head
-    documents = discover_documents(
+    documents = oracle_discovery.discover_documents(
         tree_paths(source.repo, head.sha),
         tree_paths(wiki.repo, wiki.seq.head.sha) if wiki else None,
     )
@@ -499,7 +498,9 @@ def run_history_oracle(config: RunConfig) -> ScanReport:
     source, wiki = project.source, project.hosts.get(ORIGIN_WIKI)
     seq = source.seq
     n = len(seq.revisions)
-    documents = discover_documents(_union_listing(source), _union_listing(wiki) if wiki else None)
+    documents = oracle_discovery.discover_documents(
+        _union_listing(source), _union_listing(wiki) if wiki else None
+    )
     scanner = readme_scanner(config, source.repo)
     documents = _skip_ambiguous(
         project, documents, lambda host: [rev.sha for rev in host.seq.revisions]

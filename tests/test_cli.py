@@ -462,6 +462,10 @@ def history_report(dirty_repo, tmp_path_factory):
     return json.loads(out.read_text())
 
 
+# A valid scan time, which is checked before the findings.
+EPOCH = {"scan_time_epoch": 0, "scan_time": "1970-01-01T00:00:00+00:00"}
+
+
 def _set_symbol(value):
     def spoil(report):
         report["findings"][0]["symbols"][0] = value
@@ -513,8 +517,8 @@ class TestStats:
         assert "bad.json" in proc.stderr
 
     @pytest.mark.parametrize("payload, detail", [
-        ({"schema_version": 1, "project": "p"}, "'findings'"),
-        ({"schema_version": 1, "findings": [{"element_text": "x()"}]}, "'document'"),
+        ({**EPOCH, "schema_version": 1, "project": "p"}, "'findings'"),
+        ({**EPOCH, "schema_version": 1, "findings": [{"element_text": "x()"}]}, "'document'"),
         ([{"schema_version": 1}], "JSON object"),
         (_set_symbol("x"), "not a timeline symbol: 'x'"),
         (_set_symbol(-1), "counts cannot be negative: -1"),
@@ -522,7 +526,7 @@ class TestStats:
         (lambda report: report["findings"][0]["symbols"].append(1),
          "one symbol per revision required"),
         (lambda report: report["revisions"][0].update(sha="g" * 40), "not a full commit sha"),
-        (_set_episode(duration_seconds="x"), "episode duration is no integer: 'x'"),
+        (_set_episode(duration_seconds="x"), "episodes disagree with the symbols"),
         (lambda report: report["findings"][0].update(timeline_partial=True),
          "timeline_partial disagrees with failed_ordinals"),
         (lambda report: report.update(revisions=None), "symbols without revisions"),
@@ -538,7 +542,7 @@ class TestStats:
          "timestamp is no integer: 'soon'"),
         (lambda report: report["revisions"][0].update(timestamp=True),
          "timestamp is no integer: True"),
-        (_set_episode(start_ordinal=1_000_000), "episode ordinals outside the revisions: [1000000"),
+        (_set_episode(start_ordinal=1_000_000), "episodes disagree with the symbols"),
         (lambda report: report["findings"][0].update(symbols="." * len(report["revisions"])),
          "symbols are no array"),
         (lambda report: report["findings"][0].update(symbols={"0": "."}), "symbols are no array"),
@@ -629,7 +633,8 @@ class TestStats:
             for k in range(300)
         ]
         path = tmp_path / "report.json"
-        path.write_text(render_findings(ScanReport("p", T0, MODE_HISTORY, findings, [], revisions)))
+        report = ScanReport("p", T0 + 1_000, MODE_HISTORY, findings, [], revisions)
+        path.write_text(render_findings(report))
         peaks = {}
         for copies in (2, 20):
             tracemalloc.start()

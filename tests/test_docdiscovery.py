@@ -17,6 +17,15 @@ from staleref.docdiscovery import (
 )
 
 
+def discover(source, wiki=None):
+    """``discover_documents`` over the UTF-8 encoding of *source* and, where
+    given, *wiki*."""
+    listings = {ORIGIN_README: [path.encode() for path in source]}
+    if wiki is not None:
+        listings[ORIGIN_WIKI] = [path.encode() for path in wiki]
+    return discover_documents(listings)
+
+
 def paths(docs):
     return [(d.origin, d.path) for d in docs]
 
@@ -49,24 +58,24 @@ class TestFormatTable:
 
 class TestDiscovery:
     def test_root_readme_case_insensitive(self):
-        docs = discover_documents(["readme.md", "src/x.py"], None)
+        docs = discover(["readme.md", "src/x.py"])
         assert paths(docs) == [(ORIGIN_README, "readme.md")]
 
     def test_nested_readme_not_discovered(self):
-        docs = discover_documents(["docs/README.md", "x.py"], None)
-        assert docs == []
+        docs = discover(["docs/README.md", "x.py"])
+        assert docs == {}
 
     def test_extensionless_readme_excluded(self):
         # Without an extension the markup format cannot be derived.
-        docs = discover_documents(["README", "x.py"], None)
-        assert docs == []
+        docs = discover(["README", "x.py"])
+        assert docs == {}
 
     def test_readme_format_variants(self):
-        docs = discover_documents(["README.rst"], None)
-        assert docs[0].format == "restructuredtext"
+        docs = discover(["README.rst"])
+        assert [d.format for d in docs] == ["restructuredtext"]
 
     def test_wiki_collects_all_recognized(self):
-        docs = discover_documents(
+        docs = discover(
             ["README.md"],
             ["Home.md", "deep/Page.rst", "img/logo.png", "Data.json"],
         )
@@ -77,7 +86,7 @@ class TestDiscovery:
         ]
 
     def test_deterministic_order(self):
-        docs = discover_documents(["README.md"], ["Zeta.md", "Alpha.md"])
+        docs = discover(["README.md"], ["Zeta.md", "Alpha.md"])
         assert paths(docs) == [
             (ORIGIN_README, "README.md"),
             (ORIGIN_WIKI, "Alpha.md"),
@@ -85,8 +94,40 @@ class TestDiscovery:
         ]
 
     def test_no_wiki_tree(self):
-        docs = discover_documents(["README.md"], None)
+        docs = discover(["README.md"])
         assert paths(docs) == [(ORIGIN_README, "README.md")]
+
+    def test_two_raw_paths_of_one_decoded_path_give_none(self):
+        # Both bytes are invalid UTF-8 and decode to U+FFFD, so neither raw
+        # path is the document's; a path of another origin is not involved.
+        docs = discover_documents({
+            ORIGIN_README: [b"README\xff.md", b"README\xfe.md", b"README.md"],
+            ORIGIN_WIKI: [b"README\xff.md"],
+        })
+        assert docs == {
+            DocumentDescriptor(ORIGIN_README, "README.md", "markdown"): b"README.md",
+            DocumentDescriptor(ORIGIN_README, "README\ufffd.md", "markdown"): None,
+            DocumentDescriptor(ORIGIN_WIKI, "README\ufffd.md", "markdown"): b"README\xff.md",
+        }
+
+    def test_non_utf8_wiki_name_keeps_its_raw_path(self):
+        docs = discover_documents({ORIGIN_README: [], ORIGIN_WIKI: [b"Caf\xe9.md", b"logo.png"]})
+        assert docs == {DocumentDescriptor(ORIGIN_WIKI, "Caf\ufffd.md", "markdown"): b"Caf\xe9.md"}
+
+    def test_order_is_by_origin_then_path_whatever_the_listing_order(self):
+        # Callers group documents by origin, so READMEs come first even when
+        # the wiki is listed first.
+        docs = discover_documents({
+            ORIGIN_WIKI: [b"b.md", b"README.md", b"A.md"],
+            ORIGIN_README: [b"README.rst", b"README.md"],
+        })
+        assert paths(docs) == [
+            (ORIGIN_README, "README.md"),
+            (ORIGIN_README, "README.rst"),
+            (ORIGIN_WIKI, "A.md"),
+            (ORIGIN_WIKI, "README.md"),
+            (ORIGIN_WIKI, "b.md"),
+        ]
 
 
 class TestTypes:
@@ -106,7 +147,7 @@ class TestTypes:
                 DocumentDescriptor(ORIGIN_README, path, "markdown")
 
     def test_root_readme_with_backslash_discovered(self):
-        docs = discover_documents(["README\\x.md", "src/app.py"], None)
+        docs = discover(["README\\x.md", "src/app.py"])
         assert paths(docs) == [(ORIGIN_README, "README\\x.md")]
 
     def test_page_name(self):
@@ -138,9 +179,12 @@ def test_one_pass_discovery_equals_three_loop_oracle():
     path = st.builds(lambda d, n: d + n, st.sampled_from(DIRECTORIES), name)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(st.lists(path, max_size=12), st.none() | st.lists(path, max_size=6))
+    @given(st.lists(path, max_size=12, unique=True),
+           st.none() | st.lists(path, max_size=6, unique=True))
     def check(source, wiki):
         expected = oracle_discovery.discover_documents(source, wiki)
-        assert discover_documents(source, wiki) == expected
+        docs = discover(source, wiki)
+        assert list(docs) == expected
+        assert all(raw == document.path.encode() for document, raw in docs.items())
 
     check()

@@ -128,12 +128,14 @@ def whole(doc):
     return frozenset(ref.text for ref in extract_elements(doc))
 
 
-# Pieces of generated Markdown. Fence markers follow a "\n" (plain, indented,
-# with an info string, or a closing line that carries text) or another line
-# break that only splitlines() knows; the rest are elements, link and URL
+# Pieces of generated Markdown. Fence markers follow a line ending ("\n", "\r"
+# or "\r\n"; plain, indented, with an info string, or a closing line that
+# carries text) or a character that str.splitlines() breaks at but that ends
+# no line, so that marker opens no fence; the rest are elements, link and URL
 # parts, and the line breaks and spaces the rules treat specially.
 FRAGMENTS = [
     "\n```", "\n```py", "\n  ```", "\n\t```", "\n``` done fooBar", "```", "\x0c```\x0c",
+    "\r```", "\r\n```", "\u2028```",
     "\n", "\r\n", "\r", " ", "\t", "\x0c", "\x1c", "\x85", "\u2028",
     "fooBar", "BazQux", "UPPER_NAME", "run_fn()", "pkg.mod.attr", "obj.call(x)",
     "Worker<T>", "src/app.py", "./a/b", "x", ".", "a.b(", "(", ")", "<", "`", "`kept_fn()`",
@@ -152,7 +154,7 @@ def test_element_texts_equal_whole_document_extraction():
     @settings(max_examples=1000, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(
-        st.one_of(st.sampled_from(FRAGMENTS), st.text("`( )\n\x0cab_/.<>]:B", max_size=3)),
+        st.one_of(st.sampled_from(FRAGMENTS), st.text("`( )\n\r\x0cab_/.<>]:B", max_size=3)),
         max_size=40,
     ).map("".join))
     def check(doc):
@@ -160,6 +162,21 @@ def test_element_texts_equal_whole_document_extraction():
         assert expected == {ref.text for ref in oracle_extraction.extract_elements(doc)}
         assert element_texts(doc, {}) == expected
         assert element_texts(doc, shared) == expected
+
+    check()
+
+
+@pytest.mark.criterion("fence masking equals a character-by-character CommonMark line scan")
+@pytest.mark.skipif(find_spec("hypothesis") is None, reason="needs hypothesis (test extra)")
+def test_fence_masking_equals_character_scan_oracle():
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join))
+    def check(doc):
+        masked = mask_fenced_blocks(doc)
+        assert masked == oracle_extraction.mask_fenced_blocks(doc)
+        assert len(masked) == len(doc)
 
     check()
 
@@ -297,16 +314,18 @@ class TestGates:
 
 
 class TestElementTexts:
-    def test_fenced_line_keyed_apart_from_plain_line(self):
+    def test_fenced_line_is_not_keyed(self):
+        # The memo has one kind of key, the line; a line inside a fence is
+        # skipped, so the plain line's entry is its own.
         memo: dict = {}
         assert element_texts("```\nfooBar\n```\n", memo) == frozenset()
+        assert set(memo) == {"```", ""}
         assert element_texts("fooBar", memo) == {"fooBar"}
-        assert memo[("      ", "fooBar")] == frozenset()
         assert memo["fooBar"] == {"fooBar"}
 
     def test_plain_line_misses_go_through_extract_elements(self, monkeypatch):
         # Wrapping extract_elements (as perfbench's tracer does) sees each
-        # plain line the memo misses, once; fence lines take the private path.
+        # line the memo misses, once; a line inside a fence is not extracted.
         seen: list[str] = []
         original = extraction.extract_elements
 
@@ -316,13 +335,20 @@ class TestElementTexts:
 
         monkeypatch.setattr(extraction, "extract_elements", counted)
         memo: dict = {}
-        doc = "a fooBar\n```\nx_fn()\n```\na fooBar"
+        doc = "a fooBar\r\n```\nx_fn()\r```\na fooBar"
         assert element_texts(doc, memo) == {"fooBar"}
         assert element_texts(doc, memo) == {"fooBar"}
-        assert seen == ["a fooBar"]
+        assert sorted(seen) == ["```", "a fooBar"]
 
-    def test_match_over_a_fenced_part_of_a_line_is_dropped(self):
-        # "\x0c" ends a line for the fence scan only: the call's parentheses
-        # enclose a fenced part, so its text is not the document's.
-        doc = "a.b(\x0c```\x0cSECRET\x0c```\x0c) c.d(e)"
-        assert element_texts(doc, {}) == {"c.d(e)"} == whole(doc)
+    def test_only_cr_and_lf_line_endings_open_a_fence(self):
+        # Lines end at "\r\n", "\r" or "\n", as in CommonMark; the other
+        # characters that str.splitlines() breaks at end no line, so a fence
+        # marker after one is no fence.
+        for ending in ("\x0c", "\x1c", "\x85", "\u2028"):
+            doc = f"intro{ending}```{ending}fooBar{ending}```"
+            assert mask_fenced_blocks(doc) == doc
+            assert element_texts(doc, {}) == {"fooBar"} == whole(doc)
+        for ending in ("\r", "\r\n"):
+            doc = f"intro{ending}```{ending}fooBar{ending}```"
+            assert mask_fenced_blocks(doc) == f"intro{ending}```{ending}      {ending}```"
+            assert element_texts(doc, {}) == frozenset() == whole(doc)

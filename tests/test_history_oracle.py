@@ -37,7 +37,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, event, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, Phase, event, given, settings, strategies as st  # noqa: E402
 
 from repo_builder import RepoBuilder  # noqa: E402
 from cuts import checks_of, cut_after  # noqa: E402
@@ -287,10 +287,14 @@ def _symbols(report) -> dict:
     }
 
 
+# Each draw builds git repositories, so a shrink after a failure can take
+# minutes; the same derandomized draws are checked, and the first failing one
+# is reported as drawn.
 @settings(
     max_examples=30,
     deadline=None,
     derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(

@@ -197,9 +197,34 @@ class TestSerialization:
                     parse_report(text)
                 assert str(raised.value) == str(exc)
             else:
+                # Valid symbols parse back from a report whose episodes and
+                # aggregates they give.
+                text = render_findings(history_report([history_finding("a()", symbols)]))
                 assert parse_report(text).findings[0].symbols == tuple(symbols)
 
         check()
+
+    def test_episodes_must_be_the_ones_the_symbols_give(self):
+        # [1, 0, 0] gives one ongoing episode from ordinal 1 and no fix. A
+        # doc_update fix at ordinal 0 contradicts it, even with aggregates
+        # that agree, and would be pooled as a fix.
+        data = json.loads(render_findings(history_report([history_finding("a()", [1, 0, 0])])))
+        assert data["findings"][0]["episodes"] == [
+            {"start_ordinal": 1, "end_ordinal": None, "fix": None, "duration_seconds": 9_900}
+        ]
+        data["findings"][0]["episodes"][0]["fix"] = {
+            "kind": "doc_update", "at_ordinal": 0, "at_sha": revs(1)[0].sha, "at_timestamp": T,
+        }
+        data["aggregates"]["fix_kind_counts"]["doc_update"] = 1
+        with pytest.raises(ValueError, match="^episodes disagree with the symbols$"):
+            parse_report(json.dumps(data))
+
+    @pytest.mark.parametrize("episodes", [None, []], ids=["null", "empty"])
+    def test_history_finding_needs_its_episodes(self, episodes):
+        data = json.loads(render_findings(history_report([history_finding("a()", [1, 0])])))
+        data["findings"][0]["episodes"] = episodes
+        with pytest.raises(ValueError, match="^episodes disagree with the symbols$"):
+            parse_report(json.dumps(data))
 
     @pytest.mark.parametrize("symbols", ["...", {"0": "."}], ids=["string", "object"])
     def test_symbols_must_be_an_array(self, symbols):
